@@ -204,7 +204,8 @@ def _searched_check(
     Levels are searched in increasing order and stop early once a level has
     produced a violation: the verdict cannot change, only the margin could.
     Within a level the radii run largest-first, since every smaller ball is
-    contained in the largest one.
+    contained in the largest one.  ``objective_for_level(n)`` returns the
+    (objective, gradient) pair searched at level n.
     """
     cfg.validate()
     cfg.guard_ambient(space)
@@ -215,17 +216,17 @@ def _searched_check(
     best_value = -np.inf
     best_elem = None
     best_radius = cfg.radius
-    best_objective = None
+    best_pair = None
     evaluations = 0
     trace = []
     levels_checked = []
     for li, n in enumerate(levels):
-        objective = objective_for_level(n)
+        objective, gradient = objective_for_level(n)
         levels_checked.append(n)
         for ri, r in enumerate(sorted(radii, reverse=True)):
             res = witness.maximize_violation(
                 objective, space, n, cfg, radius=r, mode=mode,
-                restarts=per_cell, stream_key=(key, li, ri),
+                restarts=per_cell, stream_key=(key, li, ri), gradient=gradient,
             )
             evaluations += res.evaluations
             trace.append({"level": n, "radius": r, "restarts": per_cell,
@@ -237,24 +238,29 @@ def _searched_check(
                 best_value = res.best_value
                 best_elem = res.best_point
                 best_radius = r
-                best_objective = objective
+                best_pair = (objective, gradient)
         if best_value > cfg.tolerance:
             break
 
     if best_elem is not None:
+        objective, gradient = best_pair
         polished = witness.refine_witness(
-            best_objective, space, best_elem, cfg, radius=best_radius, mode=mode
+            objective, space, best_elem, cfg, radius=best_radius, mode=mode, gradient=gradient
         )
         evaluations += polished.evaluations
         if polished.best_value > best_value:
             best_value = polished.best_value
             best_elem = polished.best_point
 
-    if evaluations == 0 or best_elem is None:
+    dead = sum(v is None for cell in trace for v in cell["restart_bests"])
+    if dead:
+        started = sum(len(cell["restart_bests"]) for cell in trace)
+        notes.append(f"{dead} of {started} restarts died on non-finite objective values")
+    if best_elem is None:
         return CheckReport(
             criterion=criterion, verdict=INCONCLUSIVE, margin=0.0, witness=None,
             levels_checked=levels_checked, samples=evaluations, config=cfg.to_dict(),
-            notes=notes + ["no search evidence (zero restarts)"], trace=trace,
+            notes=notes if dead else notes + ["no search evidence (zero restarts)"], trace=trace,
         )
 
     margin = -best_value
@@ -289,8 +295,11 @@ class _Engine:
     """Realization layout for one (space, level): dense, per-fiber, or level-1 oracle.
 
     ``realize`` maps coefficient grids to matrix stacks, ``norms`` measures
-    them; the distinguished element comes pre-amplified in the same layout so
-    gadget assemblies broadcast against realized stacks directly.
+    them, ``cotangents`` returns the norms with their cotangents (see
+    ``matcore.norm_cotangent_stack``) and ``adjoint`` maps such cotangents
+    back to coefficient gradients; the distinguished element comes
+    pre-amplified in the same layout so gadget assemblies broadcast against
+    realized stacks directly.
     """
 
     def __init__(self, space: spaces.SpaceRep, v: np.ndarray, level: int):
@@ -300,20 +309,35 @@ class _Engine:
         if space.norm_mode == spaces.LEVEL1_ORACLE:
             oracle = spaces.ORACLES[space.level1_oracle]
             fiber = space.fiber
+            kind = space.level1_oracle
             self.realize = lambda c: spaces.realize_stack(space, c)
+            self.adjoint = lambda w: spaces.realize_adjoint_stack(space, w)
             self.norms = lambda m: oracle(m, fiber=fiber)
         elif space.fiber > 1:
+            kind = "op_norm_fibers"
             self.realize = lambda c: spaces.realize_fibers_stack(space, c)
+            self.adjoint = lambda w: spaces.realize_fibers_adjoint_stack(space, w)
             self.norms = matcore.op_norm_fibers
         else:
             fiber = space.fiber
+            kind = "op_norm"
             self.realize = lambda c: spaces.realize_stack(space, c)
+            self.adjoint = lambda w: spaces.realize_adjoint_stack(space, w)
             self.norms = lambda m: matcore.op_norm_stack(m, fiber=fiber)
+        self.cotangents = lambda m: matcore.norm_cotangent_stack(m, kind)
         self.unit = self.realize(vgrid)
 
-    def rotations(self, X: np.ndarray) -> np.ndarray:
-        """The four elements v_n + i^k x, rotation axis first."""
-        return self.unit + gadgets.I_POWERS.reshape((4,) + (1,) * X.ndim) * X[None]
+
+def _scaled(s: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Per-element scalars (...) times coefficient gradients (..., n, n, k)."""
+    return s[..., None, None, None] * grads
+
+
+# Each factory returns (objective, gradient): the objective maps coefficient
+# stacks (..., n, n, k) to values (...), the gradient maps them to the
+# ascent direction (..., n, n, k) by the chain rule through the norms'
+# cotangents, with real and imaginary parts the partial derivatives along the
+# real and imaginary coefficient parts (a subgradient at kinks).
 
 
 def _four_rotation_objective(space, u, level):
@@ -322,10 +346,17 @@ def _four_rotation_objective(space, u, level):
     def f(coeffs):
         X = eng.realize(coeffs)
         nx = eng.norms(X)
-        ng = eng.norms(eng.rotations(X)).max(axis=0)
+        ng = eng.norms(gadgets.four_rotation_stack(eng.unit, X)).max(axis=0)
         return np.sqrt(1.0 + nx) - ng
 
-    return f
+    def grad(coeffs):
+        X = eng.realize(coeffs)
+        nx, Wx = eng.cotangents(X)
+        ng, Wg = eng.cotangents(gadgets.four_rotation_stack(eng.unit, X))
+        return (_scaled(0.5 / np.sqrt(1.0 + nx), eng.adjoint(Wx))
+                - eng.adjoint(gadgets.four_rotation_adjoint(ng, Wg)))
+
+    return f, grad
 
 
 def _t_gadget_objective(space, v, level):
@@ -337,70 +368,84 @@ def _t_gadget_objective(space, v, level):
         G = gadgets.t_stack(eng.unit, X)
         return np.sqrt(1.0 + nx) - eng.norms(G)
 
-    return f
+    def grad(coeffs):
+        X = eng.realize(coeffs)
+        nx, Wx = eng.cotangents(X)
+        _, Wg = eng.cotangents(gadgets.t_stack(eng.unit, X))
+        return (_scaled(0.5 / np.sqrt(1.0 + nx), eng.adjoint(Wx))
+                - eng.adjoint(gadgets.t_stack_adjoint(Wg)))
+
+    return f, grad
 
 
-def _row_objective(space, u, level, column=False):
-    eng = _Engine(space, u, level)
-    assemble = gadgets.column_stack if column else gadgets.row_stack
+def _deviation_objective(space, v, level, assemble, adjoint, target, slope):
+    """| ||gadget(x)|| - target(||x||) | with its gradient; ``slope`` is target's derivative."""
+    eng = _Engine(space, v, level)
 
     def f(coeffs):
         X = eng.realize(coeffs)
         nx = eng.norms(X)
         G = assemble(eng.unit, X)
-        return np.abs(eng.norms(G) - np.sqrt(1.0 + nx**2))
+        return np.abs(eng.norms(G) - target(nx))
 
-    return f
+    def grad(coeffs):
+        X = eng.realize(coeffs)
+        nx, Wx = eng.cotangents(X)
+        ng, Wg = eng.cotangents(assemble(eng.unit, X))
+        inner = eng.adjoint(adjoint(Wg)) - _scaled(slope(nx), eng.adjoint(Wx))
+        return _scaled(np.sign(ng - target(nx)), inner)
+
+    return f, grad
+
+
+def _hypot1(nx):
+    return np.sqrt(1.0 + nx**2)
+
+
+def _hypot1_slope(nx):
+    return nx / np.sqrt(1.0 + nx**2)
+
+
+def _row_objective(space, u, level, column=False):
+    assemble, adjoint = ((gadgets.column_stack, gadgets.column_stack_adjoint) if column
+                         else (gadgets.row_stack, gadgets.row_stack_adjoint))
+    return _deviation_objective(space, u, level, assemble, adjoint, _hypot1, _hypot1_slope)
 
 
 def _r_gadget_objective(space, v, level):
-    eng = _Engine(space, v, level)
-
-    def f(coeffs):
-        X = eng.realize(coeffs)
-        nx = eng.norms(X)
-        G = gadgets.r_stack(eng.unit, X)
-        return np.abs(eng.norms(G) - np.sqrt(1.0 + nx**2))
-
-    return f
+    return _deviation_objective(space, v, level, gadgets.r_stack, gadgets.r_stack_adjoint,
+                                _hypot1, _hypot1_slope)
 
 
 def _s_gadget_objective(space, v, level):
-    eng = _Engine(space, v, level)
-
-    def f(coeffs):
-        X = eng.realize(coeffs)
-        nx = eng.norms(X)
-        G = gadgets.s_stack(eng.unit, X)
-        return np.abs(eng.norms(G) - (1.0 + nx))
-
-    return f
+    return _deviation_objective(space, v, level, gadgets.s_stack, gadgets.s_stack_adjoint,
+                                lambda nx: 1.0 + nx, np.ones_like)
 
 
 def four_rotation_violation_at(space, u, elem: spaces.LevelElement) -> float:
     """sqrt(1 + ||x||) - max_k ||u_n + i^k x|| evaluated at one element."""
     u = _unit_coeffs(space, u)
-    return float(_four_rotation_objective(space, u, elem.level)(elem.coeffs[None])[0])
+    return float(_four_rotation_objective(space, u, elem.level)[0](elem.coeffs[None])[0])
 
 
 def t_gadget_violation_at(space, v, elem: spaces.LevelElement) -> float:
     v = _unit_coeffs(space, v, "v")
-    return float(_t_gadget_objective(space, v, elem.level)(elem.coeffs[None])[0])
+    return float(_t_gadget_objective(space, v, elem.level)[0](elem.coeffs[None])[0])
 
 
 def row_deviation_at(space, u, elem: spaces.LevelElement) -> float:
     u = _unit_coeffs(space, u)
-    return float(_row_objective(space, u, elem.level)(elem.coeffs[None])[0])
+    return float(_row_objective(space, u, elem.level)[0](elem.coeffs[None])[0])
 
 
 def column_deviation_at(space, u, elem: spaces.LevelElement) -> float:
     u = _unit_coeffs(space, u)
-    return float(_row_objective(space, u, elem.level, column=True)(elem.coeffs[None])[0])
+    return float(_row_objective(space, u, elem.level, column=True)[0](elem.coeffs[None])[0])
 
 
 def r_gadget_deviation_at(space, v, elem: spaces.LevelElement) -> float:
     v = _unit_coeffs(space, v, "v")
-    return float(_r_gadget_objective(space, v, elem.level)(elem.coeffs[None])[0])
+    return float(_r_gadget_objective(space, v, elem.level)[0](elem.coeffs[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +539,10 @@ def s_gadget_probe(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | N
     radii = _sweep_radii(cfg)
     per_cell = max(1, cfg.restarts // (len(levels) * len(radii))) if cfg.restarts else 0
     for li, n in enumerate(levels):
-        obj = _s_gadget_objective(space, v, n)
+        obj, grad = _s_gadget_objective(space, v, n)
         for ri, r in enumerate(radii):
-            res = witness.maximize_violation(obj, space, n, cfg, radius=r,
-                                             restarts=per_cell, stream_key=(_KEY_S_PROBE, li, ri))
+            res = witness.maximize_violation(obj, space, n, cfg, radius=r, restarts=per_cell,
+                                             stream_key=(_KEY_S_PROBE, li, ri), gradient=grad)
             evals += res.evaluations
             if res.best_value > best:
                 best, best_elem = res.best_value, res.best_point

@@ -7,15 +7,12 @@ elements and are what the counterexample search evaluates.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from . import matcore, spaces
 from .errors import InvalidInputError, NumericalError, ShapeError, UnsupportedLevelError
 
 __all__ = [
-    "GadgetKind",
     "build_t",
     "build_s",
     "build_r",
@@ -31,20 +28,6 @@ __all__ = [
 ]
 
 I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-
-
-class GadgetKind(Enum):
-    T_GADGET = "t_gadget"
-    S_GADGET = "s_gadget"
-    R_GADGET = "r_gadget"
-    ROW = "row"
-    COLUMN = "column"
-    FOUR_ROTATION = "four_rotation"
-    UE_SPACE = "ue_space"
-    M_PLUS = "m_plus"
-    M_MINUS = "m_minus"
-    MULT_ROW = "mult_row"
-    ADJOINT_BLOCK = "adjoint_block"
 
 
 def _coeff_vector(space: spaces.SpaceRep, v) -> np.ndarray:
@@ -96,8 +79,8 @@ def r_stack(Vn: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def four_rotation_stack(Vn: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The four elements v_n + i^k x, stacked on a new axis before the matrix axes."""
-    return Vn + I_POWERS[:, None, None] * X[..., None, :, :]
+    """The four elements v_n + i^k x, stacked on a new leading axis k."""
+    return Vn + I_POWERS.reshape((4,) + (1,) * X.ndim) * X[None]
 
 
 def row_stack(Un: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -108,6 +91,53 @@ def row_stack(Un: np.ndarray, X: np.ndarray) -> np.ndarray:
 def column_stack(Un: np.ndarray, X: np.ndarray) -> np.ndarray:
     """[u_n ; x] over a stack of realized x."""
     return np.concatenate(np.broadcast_arrays(Un, X), axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# adjoints of the stack assemblies' x-parts: a cotangent W of the assembled
+# gadget maps to the cotangent of x, Re<W, dG> = Re<adjoint(W), dx>, for x
+# of the same shape as the distinguished element (as in the search)
+
+
+def t_stack_adjoint(W: np.ndarray) -> np.ndarray:
+    """The top-right block of W."""
+    r, c = W.shape[-2] // 2, W.shape[-1] // 2
+    return W[..., :r, c:]
+
+
+def s_stack_adjoint(W: np.ndarray) -> np.ndarray:
+    """W_01 + W_10^H: x sits top right and x* bottom left."""
+    r, c = W.shape[-2] // 2, W.shape[-1] // 2
+    return W[..., :r, c:] + matcore.dagger(W[..., r:, :c])
+
+
+def r_stack_adjoint(W: np.ndarray) -> np.ndarray:
+    """W_01 - W_10^H: x sits top right and -x* bottom left."""
+    r, c = W.shape[-2] // 2, W.shape[-1] // 2
+    return W[..., :r, c:] - matcore.dagger(W[..., r:, :c])
+
+
+def four_rotation_adjoint(norms: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """conj(i^k) W_k at the rotation k of largest norm (the first one on ties).
+
+    ``norms`` (4, ...) and cotangents ``W`` (4, ..., rows, cols) belong to a
+    ``four_rotation_stack``; the result is the cotangent of x for the maximum
+    over k of the norms.
+    """
+    top = np.argmax(norms, axis=0)
+    matrix_axes = (1,) * (W.ndim - norms.ndim)
+    Wk = np.take_along_axis(W, top.reshape((1,) + top.shape + matrix_axes), axis=0)[0]
+    return np.conj(I_POWERS[top]).reshape(top.shape + matrix_axes) * Wk
+
+
+def row_stack_adjoint(W: np.ndarray) -> np.ndarray:
+    """The right block of W."""
+    return W[..., W.shape[-1] // 2:]
+
+
+def column_stack_adjoint(W: np.ndarray) -> np.ndarray:
+    """The bottom block of W."""
+    return W[..., W.shape[-2] // 2:, :]
 
 
 # ---------------------------------------------------------------------------

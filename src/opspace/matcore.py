@@ -23,6 +23,7 @@ __all__ = [
     "rand_cmat",
     "op_norm_stack",
     "trace_norm_stack",
+    "norm_cotangent_stack",
 ]
 
 
@@ -169,7 +170,45 @@ def op_norm_fibers(ms) -> np.ndarray:
     return np.asarray(sv.max(axis=(-1, -2)))
 
 
-def trace_norm_fibers(ms) -> np.ndarray:
-    """Trace norms of direct sums given as per-fiber stacks (..., g, a, b) -> (...)."""
-    sv, _ = _svdvals_stack(np.asarray(ms, dtype=np.complex128))
-    return np.asarray(sv.sum(axis=(-1, -2)))
+# the norms norm_cotangent_stack differentiates, named after the functions
+# above ("trace_norm" is also the level1-oracle name of the trace norm)
+_COTANGENT_NORMS = ("op_norm", "trace_norm", "op_norm_fibers")
+
+
+def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndarray]:
+    """Norms over the leading axes of a matrix stack, with a cotangent of each.
+
+    The cotangent W of the norm at M is a subgradient in the real inner
+    product Re<W, D> = Re sum(conj(W) * D): ||M + D|| = ||M|| + Re<W, D> + o(D)
+    wherever the norm is differentiable (the subdifferential of the spectral
+    norm, Watson 1992).  ``norm`` selects
+
+    * ``"op_norm"``: (..., r, c) -> (...), W = u v^H for a top singular pair;
+    * ``"trace_norm"``: (..., r, c) -> (...), W = U V^H, the polar factor;
+    * ``"op_norm_fibers"``: per-fiber stacks (..., g, a, b) -> (...), the norm
+      of their direct sum, with u v^H in the arg-max fiber and zeros in the
+      others (ties go to the first fiber).
+
+    Returns ``(norms, W)`` with W shaped like ``ms``.
+    """
+    if norm not in _COTANGENT_NORMS:
+        raise InvalidInputError(f"unknown norm {norm!r}; expected one of {_COTANGENT_NORMS}")
+    ms = np.asarray(ms, dtype=np.complex128)
+    if ms.shape[-1] == 1 or ms.shape[-2] == 1:
+        # a single row or column has one singular value: its Euclidean norm
+        sv = np.sqrt((np.abs(ms) ** 2).sum(axis=(-1, -2)))
+        W = ms / np.where(sv > 0, sv, 1.0)[..., None, None]
+        norms = sv
+    else:
+        U, sv, Vh = np.linalg.svd(ms, full_matrices=False)
+        if norm == "trace_norm":
+            W = U @ Vh
+            norms = sv.sum(axis=-1)
+        else:
+            W = U[..., :, :1] * Vh[..., :1, :]
+            norms = sv[..., 0]
+    if norm == "op_norm_fibers":
+        top = np.argmax(norms, axis=-1)
+        W = W * (np.arange(ms.shape[-3]) == top[..., None])[..., None, None]
+        norms = np.take_along_axis(norms, top[..., None], axis=-1)[..., 0]
+    return np.asarray(norms), W

@@ -35,6 +35,8 @@ __all__ = [
     "realize",
     "realize_stack",
     "realize_fibers_stack",
+    "realize_adjoint_stack",
+    "realize_fibers_adjoint_stack",
     "norm",
     "norm_stack",
     "realized_norm_stack",
@@ -319,6 +321,29 @@ def realize_fibers_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
     g = space.fiber
     out = np.einsum("...ijl,lgrs->...girjs", coeffs, space._basis_fibers)
     return out.reshape(coeffs.shape[:-3] + (g, r * space.p // g, c * space.q // g))
+
+
+def realize_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
+    """Adjoint of ``realize_stack``: ambient cotangents (..., rp, cq) -> coefficient gradients (..., r, c, k).
+
+    g_ijl = sum_pq W[ip, jq] conj(B_l[p, q]), so that Re<W, realize(dc)> =
+    Re sum(conj(g) dc): the real and imaginary parts of g are the partial
+    derivatives along the real and imaginary parts of the coefficients.
+    """
+    W = np.asarray(W, dtype=np.complex128)
+    r, c = W.shape[-2] // space.p, W.shape[-1] // space.q
+    grid = W.reshape(W.shape[:-2] + (r, space.p, c, space.q))
+    return np.einsum("...ipjq,lpq->...ijl", grid, np.conj(space.basis))
+
+
+def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
+    """Adjoint of ``realize_fibers_stack``: per-fiber cotangents (..., g, r p/g, c q/g) -> (..., r, c, k)."""
+    W = np.asarray(W, dtype=np.complex128)
+    g = space.fiber
+    a, b = space.p // g, space.q // g
+    r, c = W.shape[-2] // a, W.shape[-1] // b
+    grid = W.reshape(W.shape[:-3] + (g, r, a, c, b))
+    return np.einsum("...girjs,lgrs->...ijl", grid, np.conj(space._basis_fibers))
 
 
 def realized_norm_stack(space: SpaceRep, mats: np.ndarray) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 The engine runs a configurable number of independent restarts.  Each restart
 draws a start point from its own counter-based RNG stream (derived from the
-master seed and the restart index), then performs projected ascent driven by
-central finite-difference directional estimates over the real coefficient
-parameterization, halving the step on non-improvement.  Restarts advance in
-vectorized lockstep, so one ascent step costs a single batched norm
-evaluation; results are independent of scheduling and thread count because
-the merge takes the maximum by value with index tie-break.
+master seed and the restart index), then performs projected ascent along the
+objective's analytic (sub)gradient, which the caller supplies next to the
+objective: for the norm objectives of :mod:`opspace.criteria` it comes from one
+batched SVD with singular vectors at the current point.  Each step line-searches
+along that direction (and, in the ball, along radial rescalings) and grows the
+step on improvement; a stalled step halves it and blends in the gradient at the
+nearest failed trial, so the search follows the kinks of the max-of-norms
+objectives.  Restarts advance in vectorized lockstep, so one ascent step costs
+at most two gradient batches and one batch of trial evaluations; results are
+independent of scheduling and thread count because the merge takes the
+maximum by value with index tie-break.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ MIN_RADIUS_FRACTION = 0.01
 BALL = "ball"
 SPHERE = "sphere"
 
-_FD_STEP_FRACTION = 1e-5  # central-difference h, relative to the ball radius
 _STEP_FLOOR_FRACTION = 3e-5  # a restart stops once its step shrinks below this * radius
 _STEP_CAP_FRACTION = 0.3
 _STALL_EPS = 1e-10  # improvements smaller than this count as stalls
+_GRAD_FLOOR = 1e-12  # a gradient norm below this is rounding noise (an identity holds exactly)
 _LINE_SCALES = np.array([2.0, 1.0, 0.5])  # expansion / hold / contraction per line search
+_NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 
 
@@ -110,26 +116,45 @@ def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
     return starts
 
 
-def _probe_directions(level, k):
-    """Unit complex perturbation directions: every real and imaginary coordinate."""
-    cells = level * level * k
-    eye = np.eye(cells, dtype=np.complex128).reshape(cells, level, level, k)
-    return np.concatenate([eye, 1j * eye], axis=0)  # (2*cells, n, n, k)
+def _set_directions(grad, direction, active, idx):
+    """Normalize grad[idx] into direction[idx]; a zero or non-finite gradient stops its restart."""
+    g = grad[idx]
+    gnorm = np.sqrt((np.abs(g) ** 2).sum(axis=(1, 2, 3)))
+    stuck = ~np.isfinite(gnorm) | (gnorm < _GRAD_FLOOR)
+    unit = g / np.where(stuck, 1.0, gnorm)[:, None, None, None]
+    direction[idx] = np.where(stuck[:, None, None, None], 0.0, unit)
+    active[idx[stuck]] = False
 
 
-def _ascent(objective, space, level, cfg, points, values, radius, mode, max_steps, step0):
+def _min_norm_pair(a, b):
+    """The shortest point of each segment [a, b] of gradient stacks; a where b is not finite."""
+    b = np.where(np.isfinite(b).all(axis=(1, 2, 3))[:, None, None, None], b, a)
+    diff = a - b
+    dd = (np.abs(diff) ** 2).sum(axis=(1, 2, 3))
+    lam = -np.real(np.conj(b) * diff).sum(axis=(1, 2, 3)) / np.where(dd > 0, dd, 1.0)
+    return b + np.clip(lam, 0.0, 1.0)[:, None, None, None] * diff
+
+
+def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0):
     """Vectorized lockstep ascent; returns (points, values, evaluations).
 
-    Gradients are estimated by central differences over every real coordinate.
-    An accepted move grows the step; a stalled move halves it and reuses the
-    cached direction, so halving cascades cost no extra gradient batches.
+    Each restart line-searches along its normalized gradient, taken by one
+    ``gradient`` batch over the restarts that moved.  An accepted move grows
+    the step.  A stalled move halves it and replaces the gradient by the
+    shortest convex combination of it and the gradient at the nearest failed
+    trial (gradient sampling, Burke-Lewis-Overton 2005); from then on each new
+    gradient of that restart is combined with the previous one the same way
+    (an aggregate subgradient), so the search follows kinks instead of
+    stopping at them.  A restart stops when its step falls below the floor or
+    its direction vanishes or is not finite.
+    ``evaluations`` counts the starts, every trial point and one per restart
+    in each gradient batch.
     """
     n_restarts = points.shape[0]
-    dirs = _probe_directions(level, space.dim)
-    cells = dirs.shape[0] // 2
-    h_base = _FD_STEP_FRACTION * radius
     step = np.full(n_restarts, step0)
     step_cap = max(step0, _STEP_CAP_FRACTION * radius)
+    grad = np.zeros_like(points)
+    sampled = np.zeros(n_restarts, dtype=bool)  # grad already blends in a sampled gradient
     direction = np.zeros_like(points)
     needs_grad = np.ones(n_restarts, dtype=bool)
     active = np.ones(n_restarts, dtype=bool)
@@ -147,24 +172,14 @@ def _ascent(objective, space, level, cfg, points, values, radius, mode, max_step
             break
         grad_idx = np.nonzero(active & needs_grad)[0]
         if grad_idx.size:
-            base = points[grad_idx]  # (A, n, n, k)
-            # The difference scale follows the step so that kinks of the
-            # max-of-norms objectives are smoothed over at coarse stages and
-            # resolved sharply near convergence.
-            h = np.maximum(h_base, 0.1 * step[grad_idx])[:, None, None, None, None]
-            probes = np.concatenate(
-                [base[:, None] + h * dirs[None], base[:, None] - h * dirs[None]], axis=1
-            )  # (A, 4*cells, n, n, k)
-            f = np.asarray(objective(probes))
-            evaluations += f.size
-            grad = (f[:, : 2 * cells] - f[:, 2 * cells :]) / (2.0 * h[:, :, 0, 0, 0])
-            gc = grad[:, :cells] + 1j * grad[:, cells:]
-            gnorm = np.sqrt((np.abs(gc) ** 2).sum(axis=1))
-            stuck = ~np.isfinite(gnorm) | (gnorm < 1e-14)
-            gc = np.where(stuck[:, None], 0.0, gc / np.where(gnorm > 0, gnorm, 1.0)[:, None])
-            direction[grad_idx] = gc.reshape(base.shape)
+            fresh = np.asarray(gradient(points[grad_idx]))  # (A, n, n, k)
+            evaluations += grad_idx.size
+            keep = sampled[grad_idx]
+            if keep.any():
+                fresh[keep] = _min_norm_pair(fresh[keep], grad[grad_idx[keep]])
+            grad[grad_idx] = fresh
+            _set_directions(grad, direction, active, grad_idx)
             needs_grad[grad_idx] = False
-            active[grad_idx[stuck]] = False
             if not active.any():
                 break
 
@@ -198,6 +213,20 @@ def _ascent(objective, space, level, cfg, points, values, radius, mode, max_step
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
+        again = active[halve]
+        if again.any():
+            # Gradient sampling: the nearest failed trial lies past a crest or
+            # across a kink of the max-of-norms objectives; the shortest convex
+            # combination of its gradient and the cached one ascends on both
+            # sides of such a kink, where either gradient alone stalls.  The
+            # blend is kept and folded into later gradients the same way, so a
+            # restart that follows a kink does not zigzag across it.
+            resample = halve[again]
+            near = trials[rows[~improved][again], _NEAR_TRIAL]
+            grad[resample] = _min_norm_pair(grad[resample], np.asarray(gradient(near)))
+            evaluations += resample.size
+            sampled[resample] = True
+            _set_directions(grad, direction, active, resample)
 
     return points, values, evaluations
 
@@ -211,11 +240,16 @@ def maximize_violation(
     mode: str = BALL,
     restarts: int | None = None,
     stream_key: tuple = (),
+    *,
+    gradient,
 ) -> SearchResult:
     """Search the ball (or sphere) of M_n(X) for a maximizer of ``objective``.
 
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
+    ``gradient`` maps a stack (A, level, level, k) to the objective's
+    (sub)gradients of the same shape, real and imaginary parts being the
+    partial derivatives along the real and imaginary coefficient parts.
     Fixed (seed, stream_key) reproduces the result bit-for-bit.
     """
     cfg.validate()
@@ -227,7 +261,7 @@ def maximize_violation(
     points = _draw_starts(space, level, cfg, radius, mode, n_restarts, stream_key)
     values = np.asarray(objective(points), dtype=float)
     points, values, evaluations = _ascent(
-        objective, space, level, cfg, points, values, radius, mode,
+        objective, gradient, space, points, values, radius, mode,
         max_steps=cfg.ascent_steps, step0=cfg.step_size * radius,
     )
     best = int(np.argmax(values))
@@ -247,14 +281,19 @@ def refine_witness(
     cfg: SearchConfig,
     radius: float | None = None,
     mode: str = BALL,
+    *,
+    gradient,
 ) -> SearchResult:
-    """Polish a single point by local ascent with tighter steps (never decreases the value)."""
+    """Polish a single point by local ascent with tighter steps (never decreases the value).
+
+    ``objective`` and ``gradient`` are as in ``maximize_violation``.
+    """
     cfg.validate()
     radius = cfg.radius if radius is None else float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
     pts, values, evaluations = _ascent(
-        objective, space, point.level, cfg, pts, values, radius, mode,
+        objective, gradient, space, pts, values, radius, mode,
         max_steps=4 * cfg.ascent_steps, step0=cfg.step_size * radius / 10.0,
     )
     return SearchResult(

@@ -348,6 +348,24 @@ def test_zero_restarts_inconclusive(m2_entry):
     assert rep.samples == 0
 
 
+def test_dead_restarts_are_reported_not_called_zero_restarts(m2_entry):
+    space = m2_entry.space
+
+    def all_nan(coeffs):
+        return np.full(coeffs.shape[:-3], np.nan)
+
+    def zero_gradient(coeffs):
+        return np.zeros_like(coeffs)
+
+    cfg = witness.SearchConfig(restarts=8, max_level=1)
+    rep = criteria._searched_check("all-nan", 99, space, cfg, lambda n: (all_nan, zero_gradient),
+                                   [1], [0.5, 1.0])
+    assert rep.verdict == criteria.INCONCLUSIVE
+    assert rep.samples == 8
+    assert rep.notes == ["8 of 8 restarts died on non-finite objective values"]
+    assert all(v is None for cell in rep.trace for v in cell["restart_bests"])
+
+
 def test_margin_sign_matches_verdict(corpus_reports, default_cfg):
     for name, reports in corpus_reports.items():
         for crit, rep in reports.items():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, spaces, witness
+from opspace import corpus, criteria, matcore, spaces, witness
 
 
 @pytest.fixture(scope="module")
@@ -18,9 +18,18 @@ def norm_objective(space):
     return f
 
 
+def norm_gradient(space, sign=1.0):
+    """Gradient of sign * norm on a dense-layout embedded space."""
+    def g(coeffs):
+        _, W = matcore.norm_cotangent_stack(spaces.realize_stack(space, coeffs))
+        return sign * spaces.realize_adjoint_stack(space, W)
+    return g
+
+
 def test_norm_objective_maximized_on_sphere(m2):
     cfg = witness.SearchConfig(restarts=16)
-    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, radius=1.0)
+    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, radius=1.0,
+                                     gradient=norm_gradient(m2))
     assert res.best_value == pytest.approx(1.0, abs=1e-4)
     assert res.best_point is not None
     assert spaces.norm(m2, res.best_point) <= 1.0 + 1e-9
@@ -29,9 +38,9 @@ def test_norm_objective_maximized_on_sphere(m2):
 def test_four_rotation_search_finds_known_witness():
     entry = corpus.build_linf(3, "e1")
     space = entry.space
-    obj = criteria._four_rotation_objective(space, space.unit, 1)
+    obj, grad = criteria._four_rotation_objective(space, space.unit, 1)
     cfg = witness.SearchConfig(restarts=16)
-    res = witness.maximize_violation(obj, space, 1, cfg, radius=1.0, stream_key=(99,))
+    res = witness.maximize_violation(obj, space, 1, cfg, radius=1.0, stream_key=(99,), gradient=grad)
     assert res.best_value >= math.sqrt(2) - 1 - 1e-3
 
 
@@ -40,7 +49,8 @@ def test_determinism_and_thread_independence(m2):
     results = []
     for threads in (1, 8):
         cfg = witness.SearchConfig(restarts=8, threads=threads)
-        results.append(witness.maximize_violation(obj, m2, 1, cfg, radius=0.5, stream_key=(3,)))
+        results.append(witness.maximize_violation(obj, m2, 1, cfg, radius=0.5, stream_key=(3,),
+                                                  gradient=norm_gradient(m2)))
     a, b = results
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_point.coeffs, b.best_point.coeffs)
@@ -50,7 +60,7 @@ def test_determinism_and_thread_independence(m2):
 
 def test_zero_restarts_yield_no_evidence(m2):
     cfg = witness.SearchConfig(restarts=0)
-    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg)
+    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, gradient=norm_gradient(m2))
     assert res.evaluations == 0
     assert res.best_point is None
 
@@ -59,14 +69,16 @@ def test_ball_feasibility_of_all_restart_results(m2):
     obj = norm_objective(m2)
     cfg = witness.SearchConfig(restarts=12)
     for radius in (0.25, 1.0):
-        res = witness.maximize_violation(obj, m2, 2, cfg, radius=radius, stream_key=(4,))
+        res = witness.maximize_violation(obj, m2, 2, cfg, radius=radius, stream_key=(4,),
+                                         gradient=norm_gradient(m2))
         assert spaces.norm(m2, res.best_point) <= radius + 1e-9
 
 
 def test_best_value_matches_objective_at_best_point(m2):
     obj = norm_objective(m2)
     cfg = witness.SearchConfig(restarts=8)
-    res = witness.maximize_violation(obj, m2, 1, cfg, radius=0.7, stream_key=(5,))
+    res = witness.maximize_violation(obj, m2, 1, cfg, radius=0.7, stream_key=(5,),
+                                     gradient=norm_gradient(m2))
     again = float(obj(res.best_point.coeffs[None])[0])
     assert res.best_value == pytest.approx(again, abs=1e-9)
 
@@ -74,12 +86,12 @@ def test_best_value_matches_objective_at_best_point(m2):
 def test_refine_never_decreases(m2):
     entry = corpus.build_linf(3, "e1")
     space = entry.space
-    obj = criteria._four_rotation_objective(space, space.unit, 1)
+    obj, grad = criteria._four_rotation_objective(space, space.unit, 1)
     cfg = witness.SearchConfig()
     # the exact witness is a maximizer along its ray; refinement must hold the value
     e2 = spaces.LevelElement(1, np.array([[[0, 1.0, 0]]], dtype=complex))
     start = float(obj(e2.coeffs[None])[0])
-    res = witness.refine_witness(obj, space, e2, cfg, radius=1.0)
+    res = witness.refine_witness(obj, space, e2, cfg, radius=1.0, gradient=grad)
     assert res.best_value >= start - 1e-12
     assert res.best_value >= math.sqrt(2) - 1 - 1e-9
 
@@ -89,7 +101,8 @@ def test_refine_keeps_zero_fixed_under_nonpositive_objective(m2):
         return -spaces.norm_stack(m2, coeffs)
 
     z = spaces.zero_element(m2)
-    res = witness.refine_witness(neg_norm, m2, z, witness.SearchConfig(), radius=1.0)
+    res = witness.refine_witness(neg_norm, m2, z, witness.SearchConfig(), radius=1.0,
+                                 gradient=norm_gradient(m2, sign=-1.0))
     assert res.best_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -98,8 +111,12 @@ def test_sphere_mode_stays_on_sphere(m2):
         return np.abs(spaces.norm_stack(m2, coeffs) - 1.0)
 
     cfg = witness.SearchConfig(restarts=6)
+    def dev_gradient(coeffs):
+        sign = np.sign(spaces.norm_stack(m2, coeffs) - 1.0)
+        return sign[:, None, None, None] * norm_gradient(m2)(coeffs)
+
     res = witness.maximize_violation(dev, m2, 1, cfg, radius=1.0,
-                                     mode=witness.SPHERE, stream_key=(6,))
+                                     mode=witness.SPHERE, stream_key=(6,), gradient=dev_gradient)
     assert res.best_value <= 1e-9
 
 
@@ -109,7 +126,8 @@ def test_non_finite_objective_aborts_restart_and_continues(m2):
         return np.where(np.real(coeffs[..., 0, 0, 0]) > 0, np.nan, vals)
 
     cfg = witness.SearchConfig(restarts=12)
-    res = witness.maximize_violation(sometimes_nan, m2, 1, cfg, radius=1.0, stream_key=(7,))
+    res = witness.maximize_violation(sometimes_nan, m2, 1, cfg, radius=1.0, stream_key=(7,),
+                                     gradient=norm_gradient(m2))
     assert np.isfinite(res.best_value)
 
 
