@@ -64,7 +64,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (falls back to OPSPACE_SEED, then the built-in default)")
     p.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    p.add_argument("--rank-tol", type=float, default=None,
+    p.add_argument("--rank-tol", type=float, default=spaces.RANK_TOL,
                    help="relative rank tolerance for basis independence (default 1e-10)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -84,7 +84,7 @@ def _build_config(args) -> witness.SearchConfig:
         cfg.radius = args.radius
     if getattr(args, "restarts", None) is not None:
         cfg.restarts = args.restarts
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         cfg.threads = args.threads
     return cfg.validate()
 
@@ -114,26 +114,15 @@ def _inequality_line(report: criteria.CheckReport) -> str | None:
     aux = (report.witness or {}).get("aux", {})
     nx = aux.get("witness_norm")
     v = aux.get("violation")
-    if nx is None or v is None:
+    spec = criteria.SEARCH_CRITERIA.get(report.criterion)
+    if nx is None or v is None or spec is None:
         return None
-    if report.criterion == "unitary-four-rotation":
-        rhs = (1.0 + nx) ** 0.5
-        return (f"max_k ||u_n + i^k x|| = {rhs - v:.6f}  <  sqrt(1 + ||x||) = {rhs:.6f}"
+    target = spec.target(nx)
+    if spec.signed:
+        return (f"{spec.shows} = {target - v:.6f}  <  {spec.target_text} = {target:.6f}"
                 f"   (||x|| = {nx:.6f})")
-    if report.criterion == "unitary-t-gadget":
-        rhs = (1.0 + nx) ** 0.5
-        return (f"||[[v_n, x], [0, v_n]]|| = {rhs - v:.6f}  <  sqrt(1 + ||x||) = {rhs:.6f}"
-                f"   (||x|| = {nx:.6f})")
-    if report.criterion in ("coisometry", "isometry"):
-        target = (1.0 + nx**2) ** 0.5
-        shape = "[u_n  x]" if report.criterion == "coisometry" else "[u_n ; x]"
-        return (f"| ||{shape}|| - sqrt(1 + ||x||^2) | = {v:.6f}   "
-                f"(target {target:.6f}, ||x|| = {nx:.6f})")
-    if report.criterion == "operator-system":
-        target = (1.0 + nx**2) ** 0.5
-        return (f"| ||[[v_n, x], [-x*, v_n]]|| - sqrt(1 + ||x||^2) | = {v:.6f}   "
-                f"(target {target:.6f}, ||x|| = {nx:.6f})")
-    return None
+    return (f"| {spec.shows} - {spec.target_text} | = {v:.6f}   "
+            f"(target {target:.6f}, ||x|| = {nx:.6f})")
 
 
 def _report_text(report: criteria.CheckReport) -> str:
@@ -160,9 +149,8 @@ def _report_text(report: criteria.CheckReport) -> str:
 
 
 def _load_space(path: str, args) -> spaces.SpaceRep:
-    rank_tol = getattr(args, "rank_tol", None)
     try:
-        space = spaces.load_space_file(path, rank_tol=rank_tol if rank_tol else spaces.RANK_TOL)
+        space = spaces.load_space_file(path, rank_tol=args.rank_tol)
     except OSError as exc:
         raise InvalidInputError(f"cannot load space file {path!r}: {exc}") from exc
     except OpspaceError as exc:
@@ -174,7 +162,8 @@ def _load_space(path: str, args) -> spaces.SpaceRep:
         unit = np.zeros(space.dim, dtype=np.complex128)
         unit[idx] = 1.0
         space = spaces.make_space(space.basis, unit=unit, involution=space.involution,
-                                  norm_mode=space.norm_mode, level1_oracle=space.level1_oracle)
+                                  norm_mode=space.norm_mode, level1_oracle=space.level1_oracle,
+                                  rank_tol=args.rank_tol)
     return space
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gadgets, matcore, spaces, witness
-from .errors import InvalidInputError, ShapeError, UnsupportedLevelError
+from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "HOLDS_WITHIN_BUDGET",
@@ -35,12 +36,13 @@ __all__ = [
     "check_left_multiplier_map",
     "check_algebra_product",
     "check_cstar_among_systems",
-    "s_gadget_probe",
     "four_rotation_violation_at",
     "t_gadget_violation_at",
     "row_deviation_at",
     "column_deviation_at",
     "r_gadget_deviation_at",
+    "SearchCriterion",
+    "SEARCH_CRITERIA",
     "CRITERION_RUNNERS",
 ]
 
@@ -60,18 +62,13 @@ RADIUS_SWEEP = (0.1, 0.25, 0.5)
 
 LEVEL1_NOTE = "level-1 necessary condition"
 
-# stream-key tags so every criterion draws from its own RNG substream
-_KEY_FOUR_ROTATION = 1
-_KEY_T_GADGET = 2
-_KEY_COISOMETRY = 3
-_KEY_ISOMETRY = 4
-_KEY_OPERATOR_SYSTEM = 5
+# stream-key tags so every criterion draws from its own RNG substream (the
+# searched criteria carry theirs, 1-5, in SEARCH_CRITERIA)
 _KEY_MULT_CLOSED = 8
 _KEY_MULTIPLIER = 9
 _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
 _KEY_CSTAR = 12
-_KEY_S_PROBE = 13
 
 MULT_METRIC_PAIRS = 16
 MULTIPLIER_METRIC_PAIRS = 8
@@ -319,11 +316,10 @@ class _Engine:
             self.adjoint = lambda w: spaces.realize_fibers_adjoint_stack(space, w)
             self.norms = matcore.op_norm_fibers
         else:
-            fiber = space.fiber
             kind = "op_norm"
             self.realize = lambda c: spaces.realize_stack(space, c)
             self.adjoint = lambda w: spaces.realize_adjoint_stack(space, w)
-            self.norms = lambda m: matcore.op_norm_stack(m, fiber=fiber)
+            self.norms = matcore.op_norm_stack
         self.cotangents = lambda m: matcore.norm_cotangent_stack(m, kind)
         self.unit = self.realize(vgrid)
 
@@ -333,69 +329,12 @@ def _scaled(s: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return s[..., None, None, None] * grads
 
 
-# Each factory returns (objective, gradient): the objective maps coefficient
-# stacks (..., n, n, k) to values (...), the gradient maps them to the
-# ascent direction (..., n, n, k) by the chain rule through the norms'
-# cotangents, with real and imaginary parts the partial derivatives along the
-# real and imaginary coefficient parts (a subgradient at kinks).
+def _sqrt1(nx):
+    return np.sqrt(1.0 + nx)
 
 
-def _four_rotation_objective(space, u, level):
-    eng = _Engine(space, u, level)
-
-    def f(coeffs):
-        X = eng.realize(coeffs)
-        nx = eng.norms(X)
-        ng = eng.norms(gadgets.four_rotation_stack(eng.unit, X)).max(axis=0)
-        return np.sqrt(1.0 + nx) - ng
-
-    def grad(coeffs):
-        X = eng.realize(coeffs)
-        nx, Wx = eng.cotangents(X)
-        ng, Wg = eng.cotangents(gadgets.four_rotation_stack(eng.unit, X))
-        return (_scaled(0.5 / np.sqrt(1.0 + nx), eng.adjoint(Wx))
-                - eng.adjoint(gadgets.four_rotation_adjoint(ng, Wg)))
-
-    return f, grad
-
-
-def _t_gadget_objective(space, v, level):
-    eng = _Engine(space, v, level)
-
-    def f(coeffs):
-        X = eng.realize(coeffs)
-        nx = eng.norms(X)
-        G = gadgets.t_stack(eng.unit, X)
-        return np.sqrt(1.0 + nx) - eng.norms(G)
-
-    def grad(coeffs):
-        X = eng.realize(coeffs)
-        nx, Wx = eng.cotangents(X)
-        _, Wg = eng.cotangents(gadgets.t_stack(eng.unit, X))
-        return (_scaled(0.5 / np.sqrt(1.0 + nx), eng.adjoint(Wx))
-                - eng.adjoint(gadgets.t_stack_adjoint(Wg)))
-
-    return f, grad
-
-
-def _deviation_objective(space, v, level, assemble, adjoint, target, slope):
-    """| ||gadget(x)|| - target(||x||) | with its gradient; ``slope`` is target's derivative."""
-    eng = _Engine(space, v, level)
-
-    def f(coeffs):
-        X = eng.realize(coeffs)
-        nx = eng.norms(X)
-        G = assemble(eng.unit, X)
-        return np.abs(eng.norms(G) - target(nx))
-
-    def grad(coeffs):
-        X = eng.realize(coeffs)
-        nx, Wx = eng.cotangents(X)
-        ng, Wg = eng.cotangents(assemble(eng.unit, X))
-        inner = eng.adjoint(adjoint(Wg)) - _scaled(slope(nx), eng.adjoint(Wx))
-        return _scaled(np.sign(ng - target(nx)), inner)
-
-    return f, grad
+def _sqrt1_slope(nx):
+    return 0.5 / np.sqrt(1.0 + nx)
 
 
 def _hypot1(nx):
@@ -406,147 +345,159 @@ def _hypot1_slope(nx):
     return nx / np.sqrt(1.0 + nx**2)
 
 
-def _row_objective(space, u, level, column=False):
-    assemble, adjoint = ((gadgets.column_stack, gadgets.column_stack_adjoint) if column
-                         else (gadgets.row_stack, gadgets.row_stack_adjoint))
-    return _deviation_objective(space, u, level, assemble, adjoint, _hypot1, _hypot1_slope)
+@dataclass(frozen=True)
+class SearchCriterion:
+    """One searched criterion: ||gadget(u_n, x)|| against target(||x||) for every x in M_n(X).
+
+    The gadget is assembled by ``gadgets.<gadget>_stack`` and its x-part has
+    the adjoint ``gadgets.<gadget>_stack_adjoint``; both are looked up when an
+    objective is built.  A signed criterion is the inequality
+    ||gadget|| >= target, searched as target - ||gadget||; otherwise it is
+    the identity ||gadget|| = target, searched as the absolute deviation.
+    """
+
+    name: str
+    key: int  # RNG stream tag
+    who: str  # the distinguished element's name in messages
+    gadget: str
+    target: Callable
+    slope: Callable  # derivative of target
+    signed: bool
+    shows: str  # the gadget's norm as the CLI prints it
+    target_text: str
+    rotations: bool = False  # the gadget stacks four rotations; its norm is their max
+    sphere: bool = False  # search norm-one x; otherwise balls at the swept radii
+    unsupported: str | None = None  # UNSUPPORTED_LEVEL reason on level-1-oracle spaces
+    involution: bool = False  # needs the space's involution and a selfadjoint unit
+
+    def objective(self, space, u, level):
+        """(objective, gradient) at one level.
+
+        The objective maps coefficient stacks (..., n, n, k) to values (...),
+        the gradient maps them to the ascent direction (..., n, n, k) by the
+        chain rule through the norms' cotangents, with real and imaginary
+        parts the partial derivatives along the real and imaginary coefficient
+        parts (a subgradient at kinks).
+        """
+        eng = _Engine(space, u, level)
+        assemble = getattr(gadgets, f"{self.gadget}_stack")
+        adjoint = getattr(gadgets, f"{self.gadget}_stack_adjoint")
+
+        def f(coeffs):
+            X = eng.realize(coeffs)
+            nx = eng.norms(X)
+            ng = eng.norms(assemble(eng.unit, X))
+            if self.rotations:
+                ng = ng.max(axis=0)
+            if self.signed:
+                return self.target(nx) - ng
+            return np.abs(ng - self.target(nx))
+
+        def grad(coeffs):
+            X = eng.realize(coeffs)
+            nx, Wx = eng.cotangents(X)
+            ng, Wg = eng.cotangents(assemble(eng.unit, X))
+            gx = eng.adjoint(adjoint(ng, Wg) if self.rotations else adjoint(Wg))
+            tx = _scaled(self.slope(nx), eng.adjoint(Wx))
+            if self.signed:
+                return tx - gx
+            return _scaled(np.sign(ng - self.target(nx)), gx - tx)
+
+        return f, grad
+
+    def value_at(self, space, u, elem: spaces.LevelElement) -> float:
+        """The searched objective at one element, evaluated from scratch."""
+        u = _unit_coeffs(space, u, self.who)
+        return float(self.objective(space, u, elem.level)[0](elem.coeffs[None])[0])
 
 
-def _r_gadget_objective(space, v, level):
-    return _deviation_objective(space, v, level, gadgets.r_stack, gadgets.r_stack_adjoint,
-                                _hypot1, _hypot1_slope)
+SEARCH_CRITERIA = {c.name: c for c in (
+    SearchCriterion("unitary-four-rotation", 1, "u", "four_rotation", _sqrt1, _sqrt1_slope,
+                    signed=True, rotations=True,
+                    shows="max_k ||u_n + i^k x||", target_text="sqrt(1 + ||x||)"),
+    SearchCriterion("unitary-t-gadget", 2, "v", "t", _sqrt1, _sqrt1_slope, signed=True,
+                    unsupported="the doubling gadget needs 2x2 blocks over X",
+                    shows="||[[v_n, x], [0, v_n]]||", target_text="sqrt(1 + ||x||)"),
+    SearchCriterion("coisometry", 3, "u", "row", _hypot1, _hypot1_slope, signed=False,
+                    sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
+                    shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
+    SearchCriterion("isometry", 4, "u", "column", _hypot1, _hypot1_slope, signed=False,
+                    sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
+                    shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
+    SearchCriterion("operator-system", 5, "v", "r", _hypot1, _hypot1_slope, signed=False,
+                    involution=True, unsupported="the skew gadget needs 2x2 blocks over X",
+                    shows="||[[v_n, x], [-x*, v_n]]||", target_text="sqrt(1 + ||x||^2)"),
+)}
 
 
-def _s_gadget_objective(space, v, level):
-    return _deviation_objective(space, v, level, gadgets.s_stack, gadgets.s_stack_adjoint,
-                                lambda nx: 1.0 + nx, np.ones_like)
+def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfig | None) -> CheckReport:
+    """Check one SEARCH_CRITERIA row: its preconditions in order, then the violation search."""
+    spec = SEARCH_CRITERIA[name]
+    cfg = cfg or witness.SearchConfig()
+    if spec.involution and space.involution is None:
+        raise InvalidInputError(f"{name} check requires an involution")
+    if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
+        return _unsupported(name, cfg, spec.unsupported)
+    u = _unit_coeffs(space, u, spec.who)
+    if spec.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
+        raise InvalidInputError(f"{spec.who} must be selfadjoint ({spec.who} = {spec.who}*)")
+    _require_contraction(space, u, spec.who)
+    levels, notes = _levels_for(space, cfg)
+    radii, mode = ([1.0], witness.SPHERE) if spec.sphere else (_sweep_radii(cfg), witness.BALL)
+    return _searched_check(
+        name, spec.key, space, cfg, lambda n: spec.objective(space, u, n),
+        levels, radii, mode=mode, notes=notes,
+    )
 
 
 def four_rotation_violation_at(space, u, elem: spaces.LevelElement) -> float:
     """sqrt(1 + ||x||) - max_k ||u_n + i^k x|| evaluated at one element."""
-    u = _unit_coeffs(space, u)
-    return float(_four_rotation_objective(space, u, elem.level)[0](elem.coeffs[None])[0])
+    return SEARCH_CRITERIA["unitary-four-rotation"].value_at(space, u, elem)
 
 
 def t_gadget_violation_at(space, v, elem: spaces.LevelElement) -> float:
-    v = _unit_coeffs(space, v, "v")
-    return float(_t_gadget_objective(space, v, elem.level)[0](elem.coeffs[None])[0])
+    return SEARCH_CRITERIA["unitary-t-gadget"].value_at(space, v, elem)
 
 
 def row_deviation_at(space, u, elem: spaces.LevelElement) -> float:
-    u = _unit_coeffs(space, u)
-    return float(_row_objective(space, u, elem.level)[0](elem.coeffs[None])[0])
+    return SEARCH_CRITERIA["coisometry"].value_at(space, u, elem)
 
 
 def column_deviation_at(space, u, elem: spaces.LevelElement) -> float:
-    u = _unit_coeffs(space, u)
-    return float(_row_objective(space, u, elem.level, column=True)[0](elem.coeffs[None])[0])
+    return SEARCH_CRITERIA["isometry"].value_at(space, u, elem)
 
 
 def r_gadget_deviation_at(space, v, elem: spaces.LevelElement) -> float:
-    v = _unit_coeffs(space, v, "v")
-    return float(_r_gadget_objective(space, v, elem.level)[0](elem.coeffs[None])[0])
+    return SEARCH_CRITERIA["operator-system"].value_at(space, v, elem)
 
 
 # ---------------------------------------------------------------------------
-# unitality
+# unitality, coisometry / isometry and operator systems: one SEARCH_CRITERIA row each
 
 
 def check_unitary_four_rotation(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is u a unitary in X?  Searches for x with max_k ||u_n + i^k x|| < sqrt(1 + ||x||)."""
-    cfg = cfg or witness.SearchConfig()
-    u = _unit_coeffs(space, u)
-    _require_contraction(space, u, "u")
-    levels, notes = _levels_for(space, cfg)
-    return _searched_check(
-        "unitary-four-rotation", _KEY_FOUR_ROTATION, space, cfg,
-        lambda n: _four_rotation_objective(space, u, n),
-        levels, _sweep_radii(cfg), notes=notes,
-    )
+    return _gadget_check("unitary-four-rotation", space, u, cfg)
 
 
 def check_unitary_t_gadget(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Same decision via the doubling gadget ||[[v_n, x], [0, v_n]]|| >= sqrt(1 + ||x||)."""
-    cfg = cfg or witness.SearchConfig()
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("unitary-t-gadget", cfg, "the doubling gadget needs 2x2 blocks over X")
-    v = _unit_coeffs(space, v, "v")
-    _require_contraction(space, v, "v")
-    levels, notes = _levels_for(space, cfg)
-    return _searched_check(
-        "unitary-t-gadget", _KEY_T_GADGET, space, cfg,
-        lambda n: _t_gadget_objective(space, v, n),
-        levels, _sweep_radii(cfg), notes=notes,
-    )
+    return _gadget_check("unitary-t-gadget", space, v, cfg)
 
 
 def check_coisometry(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Row test: ||[u_n  x]||^2 = 1 + ||x||^2 over norm-one x (deviation searched on the sphere)."""
-    return _row_column_check("coisometry", _KEY_COISOMETRY, space, u, cfg, column=False)
+    return _gadget_check("coisometry", space, u, cfg)
 
 
 def check_isometry(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Column test: ||[u_n ; x]||^2 = 1 + ||x||^2 over norm-one x."""
-    return _row_column_check("isometry", _KEY_ISOMETRY, space, u, cfg, column=True)
-
-
-def _row_column_check(criterion, key, space, u, cfg, column):
-    cfg = cfg or witness.SearchConfig()
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported(criterion, cfg, "row/column gadgets need rectangular blocks over X")
-    u = _unit_coeffs(space, u)
-    _require_contraction(space, u, "u")
-    levels, notes = _levels_for(space, cfg)
-    return _searched_check(
-        criterion, key, space, cfg,
-        lambda n: _row_objective(space, u, n, column=column),
-        levels, [1.0], mode=witness.SPHERE, notes=notes,
-    )
+    return _gadget_check("isometry", space, u, cfg)
 
 
 def check_operator_system(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does (X, *, v) carry an operator-system structure?  Tests ||r_x|| = sqrt(1 + ||x||^2)."""
-    cfg = cfg or witness.SearchConfig()
-    if space.involution is None:
-        raise InvalidInputError("operator-system check requires an involution")
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("operator-system", cfg, "the skew gadget needs 2x2 blocks over X")
-    v = _unit_coeffs(space, v, "v")
-    vstar = space.involution @ np.conj(v)
-    if np.abs(vstar - v).max() > 1e-9:
-        raise InvalidInputError("v must be selfadjoint (v = v*)")
-    _require_contraction(space, v, "v")
-    levels, notes = _levels_for(space, cfg)
-    return _searched_check(
-        "operator-system", _KEY_OPERATOR_SYSTEM, space, cfg,
-        lambda n: _r_gadget_objective(space, v, n),
-        levels, _sweep_radii(cfg), notes=notes,
-    )
-
-
-def s_gadget_probe(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | None = None) -> dict:
-    """Experiment hook: largest deviation from ||s_x|| = 1 + ||x|| found.  No verdict semantics."""
-    cfg = cfg or witness.SearchConfig()
-    if space.involution is None:
-        raise InvalidInputError("the symmetric gadget requires an involution")
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        raise UnsupportedLevelError("the symmetric gadget needs 2x2 blocks over X")
-    v = _unit_coeffs(space, v, "v")
-    levels, _ = _levels_for(space, cfg)
-    best = -np.inf
-    best_elem = None
-    evals = 0
-    radii = _sweep_radii(cfg)
-    per_cell = max(1, cfg.restarts // (len(levels) * len(radii))) if cfg.restarts else 0
-    for li, n in enumerate(levels):
-        obj, grad = _s_gadget_objective(space, v, n)
-        for ri, r in enumerate(radii):
-            res = witness.maximize_violation(obj, space, n, cfg, radius=r, restarts=per_cell,
-                                             stream_key=(_KEY_S_PROBE, li, ri), gradient=grad)
-            evals += res.evaluations
-            if res.best_value > best:
-                best, best_elem = res.best_value, res.best_point
-    return {"max_deviation": float(best), "witness": _witness_dict(best_elem), "samples": evals}
+    return _gadget_check("operator-system", space, v, cfg)
 
 
 # ---------------------------------------------------------------------------

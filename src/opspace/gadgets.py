@@ -105,19 +105,13 @@ def t_stack_adjoint(W: np.ndarray) -> np.ndarray:
     return W[..., :r, c:]
 
 
-def s_stack_adjoint(W: np.ndarray) -> np.ndarray:
-    """W_01 + W_10^H: x sits top right and x* bottom left."""
-    r, c = W.shape[-2] // 2, W.shape[-1] // 2
-    return W[..., :r, c:] + matcore.dagger(W[..., r:, :c])
-
-
 def r_stack_adjoint(W: np.ndarray) -> np.ndarray:
     """W_01 - W_10^H: x sits top right and -x* bottom left."""
     r, c = W.shape[-2] // 2, W.shape[-1] // 2
     return W[..., :r, c:] - matcore.dagger(W[..., r:, :c])
 
 
-def four_rotation_adjoint(norms: np.ndarray, W: np.ndarray) -> np.ndarray:
+def four_rotation_stack_adjoint(norms: np.ndarray, W: np.ndarray) -> np.ndarray:
     """conj(i^k) W_k at the rotation k of largest norm (the first one on ties).
 
     ``norms`` (4, ...) and cotangents ``W`` (4, ..., rows, cols) belong to a

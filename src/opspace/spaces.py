@@ -39,7 +39,6 @@ __all__ = [
     "realize_fibers_adjoint_stack",
     "norm",
     "norm_stack",
-    "realized_norm_stack",
     "membership_residual",
     "coefficients_of",
     "apply_involution",
@@ -140,6 +139,8 @@ def make_space(
     coefficients; matching the ambient adjoint in embedded mode) and that the
     distinguished element, if any, sits in the unit ball of the space's norm.
     """
+    if not 0.0 < rank_tol < 1.0:
+        raise InvalidInputError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 3:
         raise SpaceFormatError("basis must be a stack of matrices")
@@ -346,13 +347,6 @@ def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
     return np.einsum("...girjs,lgrs->...ijl", grid, np.conj(space._basis_fibers))
 
 
-def realized_norm_stack(space: SpaceRep, mats: np.ndarray) -> np.ndarray:
-    """Space-appropriate norms of already-realized matrices (or block gadgets built from them)."""
-    if space.norm_mode == LEVEL1_ORACLE:
-        return ORACLES[space.level1_oracle](mats, fiber=space.fiber)
-    return matcore.op_norm_stack(mats, fiber=space.fiber)
-
-
 def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
     """Norms of a stack of coefficient grids in the space's matrix-norm structure."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -363,7 +357,10 @@ def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
         )
     if space.norm_mode == EMBEDDED and space.fiber > 1:
         return matcore.op_norm_fibers(realize_fibers_stack(space, coeffs))
-    return realized_norm_stack(space, realize_stack(space, coeffs))
+    mats = realize_stack(space, coeffs)
+    if space.norm_mode == LEVEL1_ORACLE:
+        return ORACLES[space.level1_oracle](mats, fiber=space.fiber)
+    return matcore.op_norm_stack(mats)
 
 
 def norm(space: SpaceRep, x: LevelElement) -> float:

@@ -45,13 +45,4 @@ def evaluate_witness(entry, report):
     """Re-evaluate a VIOLATED search report's stored witness from scratch."""
     elem = report.witness_element()
     assert elem is not None
-    space = entry.space
-    u = space.unit
-    fns = {
-        "unitary-four-rotation": criteria.four_rotation_violation_at,
-        "unitary-t-gadget": criteria.t_gadget_violation_at,
-        "coisometry": criteria.row_deviation_at,
-        "isometry": criteria.column_deviation_at,
-        "operator-system": criteria.r_gadget_deviation_at,
-    }
-    return fns[report.criterion](space, u, elem)
+    return criteria.SEARCH_CRITERIA[report.criterion].value_at(entry.space, entry.space.unit, elem)

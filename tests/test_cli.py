@@ -1,8 +1,11 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opspace import cli, corpus
@@ -191,3 +194,70 @@ def test_text_format_mentions_inequality_numbers(space_dir, capsys):
     text = capsys.readouterr().out
     assert "VIOLATED" in text
     assert "margin" in text
+
+
+# the witness line of each searched criterion, numbers left out
+AT_WITNESS = {
+    "unitary-four-rotation": "max_k ||u_n + i^k x|| = {}  <  sqrt(1 + ||x||) = {}   (||x|| = {})",
+    "unitary-t-gadget": "||[[v_n, x], [0, v_n]]|| = {}  <  sqrt(1 + ||x||) = {}   (||x|| = {})",
+    "coisometry": "| ||[u_n  x]|| - sqrt(1 + ||x||^2) | = {}   (target {}, ||x|| = {})",
+    "isometry": "| ||[u_n ; x]|| - sqrt(1 + ||x||^2) | = {}   (target {}, ||x|| = {})",
+    "operator-system": "| ||[[v_n, x], [-x*, v_n]]|| - sqrt(1 + ||x||^2) | = {}   (target {}, ||x|| = {})",
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(AT_WITNESS))
+def test_text_witness_line_wording_and_numbers(space_dir, capsys, criterion):
+    rc = run_cli(["check", space_dir / "linf3_e1.json", criterion])
+    assert rc == 1
+    text = capsys.readouterr().out
+    margin = float(re.search(r"^margin    : (\S+)$", text, re.M).group(1))
+    [line] = [ln for ln in text.splitlines() if ln.startswith("at witness: ")]
+    template = AT_WITNESS[criterion]
+    pattern = r"(\d+\.\d{6})".join(re.escape(part) for part in template.split("{}"))
+    a, b, nx = (float(g) for g in re.fullmatch("at witness: " + pattern, line).groups())
+    if criterion.startswith("unitary-"):
+        # a = ||gadget||, b = sqrt(1 + ||x||), and the inequality a >= b fails
+        assert a < b
+        assert b == pytest.approx(math.sqrt(1.0 + nx), abs=2e-6)
+        assert b - a == pytest.approx(-margin, abs=2e-6)
+    else:
+        # a = the deviation from the identity, b = sqrt(1 + ||x||^2)
+        assert a > 0
+        assert b == pytest.approx(math.sqrt(1.0 + nx**2), abs=2e-6)
+        assert a == pytest.approx(-margin, abs=1e-6)
+
+
+def write_diagonal_space(path, diagonals, unit=None):
+    """A space file spanned by 2x2 diagonal matrices."""
+    basis = [[[float(z), 0.0] for z in np.diag(d).reshape(-1)] for d in diagonals]
+    doc = {"p": 2, "q": 2, "basis": basis}
+    if unit is not None:
+        doc["unit"] = [[float(z), 0.0] for z in unit]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("rank_tol", [-1, 0])
+def test_rank_tol_must_be_positive(tmp_path, capsys, rank_tol):
+    path = write_diagonal_space(tmp_path / "dependent.json", [[1, 0], [2, 0]])
+    assert run_cli(["check", path, "mult-closed"]) == 3
+    assert "rank deficient" in capsys.readouterr().err
+    assert run_cli(["check", path, "mult-closed", "--rank-tol", rank_tol]) == 3
+    assert "rank_tol must lie in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_must_be_positive(space_dir, capsys, threads):
+    rc = run_cli(["check", space_dir / "full_matrix_2.json", "mult-closed", "--threads", threads])
+    assert rc == 3
+    assert "threads must be positive" in capsys.readouterr().err
+
+
+def test_unit_index_keeps_rank_tol(tmp_path, capsys):
+    path = write_diagonal_space(tmp_path / "near.json", [[1, 0], [1, 1e-12]], unit=[1, 0])
+    assert run_cli(["check", path, "positive"]) == 3
+    assert "rank deficient" in capsys.readouterr().err
+    assert run_cli(["check", path, "positive", "--rank-tol", 1e-14]) == 0
+    assert run_cli(["check", path, "positive", "--rank-tol", 1e-14, "--unit-index", 0]) == 0
+    assert capsys.readouterr().err == ""

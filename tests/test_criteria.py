@@ -147,17 +147,35 @@ def test_operator_system_preconditions(m2_entry):
     no_inv = corpus.build_column_H2().space
     with pytest.raises(InvalidInputError):
         criteria.check_operator_system(no_inv)
+    # on a level-1 oracle space the missing involution is reported before UNSUPPORTED_LEVEL
+    with pytest.raises(InvalidInputError, match="requires an involution"):
+        criteria.check_operator_system(corpus.build_trace_class_2().space)
     space = m2_entry.space
     not_selfadjoint = np.array([0, 1.0, 0, 0])  # E_12
     with pytest.raises(InvalidInputError, match="selfadjoint"):
         criteria.check_operator_system(space, v=not_selfadjoint)
 
 
-def test_s_gadget_probe_reports_deviation():
-    space = corpus.build_full_matrix(2).space
-    out = criteria.s_gadget_probe(space, cfg=witness.SearchConfig(restarts=8))
-    assert out["max_deviation"] <= 1e-8  # the symmetric identity holds on a system
-    assert out["samples"] > 0
+def oracle_space_with_involution():
+    """The 2x2 trace-norm oracle space, given the involution that swaps the E12 and E21 coefficients."""
+    tc2 = corpus.build_trace_class_2().space
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return spaces.make_space(tc2.basis, unit=tc2.unit, involution=swap,
+                             norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("unitary-t-gadget", "the doubling gadget needs 2x2 blocks over X"),
+    ("coisometry", "row/column gadgets need rectangular blocks over X"),
+    ("isometry", "row/column gadgets need rectangular blocks over X"),
+    ("operator-system", "the skew gadget needs 2x2 blocks over X"),
+])
+def test_level1_oracle_refusal_states_its_reason(name, reason):
+    rep = criteria.CRITERION_RUNNERS[name](oracle_space_with_involution())
+    assert rep.verdict == criteria.UNSUPPORTED_LEVEL
+    assert rep.notes == [reason]
+    assert rep.levels_checked == []
+    assert rep.samples == 0
 
 
 # ---------------------------------------------------------------------------

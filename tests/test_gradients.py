@@ -5,14 +5,13 @@ import pytest
 
 from opspace import corpus, criteria, matcore
 
-FACTORIES = {
-    "four-rotation": criteria._four_rotation_objective,
-    "t-gadget": criteria._t_gadget_objective,
-    "row": criteria._row_objective,
-    "column": lambda space, u, level: criteria._row_objective(space, u, level, column=True),
-    "r-gadget": criteria._r_gadget_objective,
-    "s-gadget": criteria._s_gadget_objective,
-}
+FACTORIES = {short: criteria.SEARCH_CRITERIA[name].objective for short, name in (
+    ("four-rotation", "unitary-four-rotation"),
+    ("t-gadget", "unitary-t-gadget"),
+    ("row", "coisometry"),
+    ("column", "isometry"),
+    ("r-gadget", "operator-system"),
+)}
 
 # (entry, levels): dense layout, fibered layout, trace-norm level-1 oracle
 LAYOUTS = [
@@ -78,10 +77,10 @@ def test_gradient_matches_central_differences(entries, objective, name, levels):
 
 @pytest.mark.parametrize("name", ["full_matrix_2", "l1_2_model_64"])
 def test_exact_identities_give_zero_directions(entries, name):
-    """On a C*-algebra with its unit, the row, column, r and s identities hold at every point."""
+    """On a C*-algebra with its unit, the row, column and r identities hold at every point."""
     space = entries[name].space
     pts = generic_points(space, 1, seed=5)
-    for objective in ("row", "column", "r-gadget", "s-gadget"):
+    for objective in ("row", "column", "r-gadget"):
         f, grad = FACTORIES[objective](space, space.unit, 1)
         assert np.abs(f(pts)).max() < 1e-12, objective
         assert np.linalg.norm(grad(pts).reshape(POINTS, -1), axis=1).max() < 1e-12, objective

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opspace import corpus, matcore, spaces
-from opspace.errors import ShapeError, SpaceFormatError, UnsupportedLevelError
+from opspace.errors import InvalidInputError, ShapeError, SpaceFormatError, UnsupportedLevelError
 
 
 def cpair(z):
@@ -190,3 +190,10 @@ def test_fibered_realization_matches_dense_norms():
             dense = matcore.op_norm(spaces.realize_stack(space, c))
             fib = float(matcore.op_norm_fibers(spaces.realize_fibers_stack(space, c[None]))[0])
             assert dense == pytest.approx(fib, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, 0.0, 1.0, float("nan")])
+def test_rank_tol_outside_unit_interval_refused(rank_tol):
+    basis = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(InvalidInputError, match="rank_tol"):
+        spaces.make_space(basis, rank_tol=rank_tol)

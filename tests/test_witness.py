@@ -38,7 +38,7 @@ def test_norm_objective_maximized_on_sphere(m2):
 def test_four_rotation_search_finds_known_witness():
     entry = corpus.build_linf(3, "e1")
     space = entry.space
-    obj, grad = criteria._four_rotation_objective(space, space.unit, 1)
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     cfg = witness.SearchConfig(restarts=16)
     res = witness.maximize_violation(obj, space, 1, cfg, radius=1.0, stream_key=(99,), gradient=grad)
     assert res.best_value >= math.sqrt(2) - 1 - 1e-3
@@ -86,7 +86,7 @@ def test_best_value_matches_objective_at_best_point(m2):
 def test_refine_never_decreases(m2):
     entry = corpus.build_linf(3, "e1")
     space = entry.space
-    obj, grad = criteria._four_rotation_objective(space, space.unit, 1)
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     cfg = witness.SearchConfig()
     # the exact witness is a maximizer along its ray; refinement must hold the value
     e2 = spaces.LevelElement(1, np.array([[[0, 1.0, 0]]], dtype=complex))
