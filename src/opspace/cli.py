@@ -71,6 +71,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> witness.SearchConfig:
+    if not 0.0 < args.rank_tol < 1.0:
+        raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
     cfg = witness.SearchConfig()
     if args.seed is not None:
         cfg.seed = args.seed

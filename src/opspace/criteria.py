@@ -436,12 +436,12 @@ def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfi
     cfg = cfg or witness.SearchConfig()
     if spec.involution and space.involution is None:
         raise InvalidInputError(f"{name} check requires an involution")
-    if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported(name, cfg, spec.unsupported)
     u = _unit_coeffs(space, u, spec.who)
     if spec.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
         raise InvalidInputError(f"{spec.who} must be selfadjoint ({spec.who} = {spec.who}*)")
     _require_contraction(space, u, spec.who)
+    if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
+        return _unsupported(name, cfg, spec.unsupported)
     levels, notes = _levels_for(space, cfg)
     radii, mode = ([1.0], witness.SPHERE) if spec.sphere else (_sweep_radii(cfg), witness.BALL)
     return _searched_check(

@@ -4,6 +4,16 @@ Matrices are plain ``numpy.ndarray`` objects with ``dtype=complex128`` and two
 axes.  The "stack" variants accept any number of leading batch axes and are the
 workhorses behind the counterexample search, where thousands of small norms are
 evaluated per ascent step.
+
+Most of those matrices have a side of at most two (level-1 elements and
+gadgets of spaces in M_2, and the 2 x 2 or 1 x 1 fibers of direct sums), where
+one LAPACK call per matrix costs far more than the arithmetic.  So
+``op_norm_stack``, ``op_norm_fibers`` and ``trace_norm_stack`` take the largest
+singular value in closed form when the shorter side is 1 or 2, and the trace
+norm when the matrix is a single row or column or exactly 2 x 2; every other
+shape goes to ``np.linalg.svd``.  The closed forms scale each matrix by its
+largest |entry| first, so they hold from 1e-300 to 1e300.  The single-matrix
+``op_norm``/``trace_norm`` and ``norm_cotangent_stack`` use LAPACK throughout.
 """
 
 from __future__ import annotations
@@ -126,22 +136,89 @@ def _fibered_diagonal(ms: np.ndarray, fiber: int) -> np.ndarray:
     return np.moveaxis(diag, -1, -3)  # (..., fiber, br, bc)
 
 
-def _vector_svals(ms: np.ndarray) -> np.ndarray:
-    """Singular values of matrices with a single row or column: one Euclidean norm."""
-    return np.sqrt((np.abs(ms) ** 2).sum(axis=(-1, -2)))[..., None]
+# the smallest normal double, a power of two: dividing by it is exact, and it
+# stands in for the scale of a zero matrix, whose norms then come out as exactly 0
+_TINY = np.finfo(np.float64).tiny
 
 
-def _svdvals_stack(ms: np.ndarray, fiber: int | None = None):
-    ms = np.asarray(ms, dtype=np.complex128)
+def _vector_norm(ms: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each matrix of a stack with one row or one column: (..., r, c) -> (...).
+
+    Computed from the moduli divided by their maximum, so it neither
+    overflows nor underflows; a 1 x 1 matrix is its modulus.
+    """
+    x = np.abs(ms).reshape(ms.shape[:-2] + (-1,))
+    if x.shape[-1] == 1:
+        return x[..., 0]
+    s = np.maximum(x.max(axis=-1), _TINY)
+    return s * np.sqrt(np.square(x / s[..., None]).sum(axis=-1))
+
+
+def _scaled(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, s)`` with ``ms = s * a`` per matrix, s the largest |entry| (``_TINY`` for a zero matrix).
+
+    The entries of ``a`` have modulus at most 1, so the Gram entries formed
+    from them can neither overflow nor underflow to zero.
+    """
+    s = np.maximum(np.abs(ms).max(axis=(-2, -1)), _TINY)
+    return ms / s[..., None, None], s
+
+
+def _row_norms_sq(a: np.ndarray) -> np.ndarray:
+    return (np.square(a.real) + np.square(a.imag)).sum(axis=-1)
+
+
+def _top_sval(ms: np.ndarray) -> np.ndarray:
+    """Largest singular value over the leading axes of a stack: (..., r, c) -> (...).
+
+    A single row or column has one singular value, its Euclidean norm.  For
+    a shorter side of 2, turned into the rows a_0, a_1 of the scaled matrix,
+    it is the top eigenvalue of the Gram matrix [[d_0, o], [conj(o), d_1]]
+    (d_i = ||a_i||^2, o = sum a_0 conj(a_1)) in the cancellation-free form
+    sigma^2 = (d_0 + d_1)/2 + hypot((d_0 - d_1)/2, |o|); the discriminant form
+    with F^4 - 4|det|^2 loses about half its digits at equal singular values.
+    Longer sides go to LAPACK.  On the closed-form shapes a non-finite entry
+    gives a NaN norm (inf for a 1 x 1 inf) rather than an error.
+    """
+    r, c = ms.shape[-2:]
+    if min(r, c) == 1:
+        return _vector_norm(ms)
+    if min(r, c) > 2:
+        return np.linalg.svd(ms, compute_uv=False)[..., 0]
+    if r > c:
+        ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
+    a, s = _scaled(ms)
+    d = _row_norms_sq(a)
+    d0, d1 = d[..., 0], d[..., 1]
+    o = np.abs((a[..., 0, :] * np.conj(a[..., 1, :])).sum(axis=-1))
+    return s * np.sqrt(0.5 * (d0 + d1) + np.hypot(0.5 * (d0 - d1), o))
+
+
+def _sval_sum(ms: np.ndarray) -> np.ndarray:
+    """Sum of the singular values over the leading axes of a stack: (..., r, c) -> (...).
+
+    A single row or column has one singular value, its Euclidean norm.  For
+    2 x 2 matrices (sigma_1 + sigma_2)^2 = ||a||_F^2 + 2|det a|, a sum of
+    non-negative terms.  Other shapes go to LAPACK: for 2 x c with c > 2,
+    sigma_1 sigma_2 = sqrt(det G) would lose half its digits near rank one.
+    On the closed-form shapes a non-finite entry gives a NaN norm (inf for a
+    1 x 1 inf) rather than an error.
+    """
+    r, c = ms.shape[-2:]
+    if min(r, c) == 1:
+        return _vector_norm(ms)
+    if (r, c) != (2, 2):
+        return np.linalg.svd(ms, compute_uv=False).sum(axis=-1)
+    a, s = _scaled(ms)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return s * np.sqrt(_row_norms_sq(a).sum(axis=-1) + 2.0 * np.abs(det))
+
+
+def _fibers_if(ms, fiber: int | None):
+    """Per-fiber small matrices (..., fiber, br, bc) when ``fiber`` divides both sides, else None."""
     if fiber and fiber > 1 and ms.shape[-2] % fiber == 0 and ms.shape[-1] % fiber == 0:
-        small = _fibered_diagonal(ms, fiber)
-        if small.shape[-1] == 1 or small.shape[-2] == 1:
-            return _vector_svals(small), True
-        sv = np.linalg.svd(small, compute_uv=False)  # (..., fiber, min(br,bc))
-        return sv, True
-    if ms.shape[-1] == 1 or ms.shape[-2] == 1:
-        return _vector_svals(ms), False
-    return np.linalg.svd(ms, compute_uv=False), False
+        return _fibered_diagonal(ms, fiber)
+    return None
 
 
 def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
@@ -150,24 +227,25 @@ def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
     ``fiber`` enables the direct-sum fast path for matrices that are diagonal
     at block size ``fiber`` (the values are identical either way).
     """
-    sv, fibered = _svdvals_stack(ms, fiber)
-    if fibered:
-        return np.asarray(sv.max(axis=(-1, -2)))
-    return np.asarray(sv[..., 0])
+    ms = np.asarray(ms, dtype=np.complex128)
+    small = _fibers_if(ms, fiber)
+    if small is None:
+        return np.asarray(_top_sval(ms))
+    return np.asarray(_top_sval(small).max(axis=-1))
 
 
 def trace_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
     """Trace norms over the leading axes of a matrix stack."""
-    sv, fibered = _svdvals_stack(ms, fiber)
-    if fibered:
-        return np.asarray(sv.sum(axis=(-1, -2)))
-    return np.asarray(sv.sum(axis=-1))
+    ms = np.asarray(ms, dtype=np.complex128)
+    small = _fibers_if(ms, fiber)
+    if small is None:
+        return np.asarray(_sval_sum(ms))
+    return np.asarray(_sval_sum(small).sum(axis=-1))
 
 
 def op_norm_fibers(ms) -> np.ndarray:
     """Operator norms of direct sums given as per-fiber stacks (..., g, a, b) -> (...)."""
-    sv, _ = _svdvals_stack(np.asarray(ms, dtype=np.complex128))
-    return np.asarray(sv.max(axis=(-1, -2)))
+    return np.asarray(_top_sval(np.asarray(ms, dtype=np.complex128)).max(axis=-1))
 
 
 # the norms norm_cotangent_stack differentiates, named after the functions

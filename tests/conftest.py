@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from opspace import corpus, criteria, witness
+from opspace import corpus, criteria, spaces, witness
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,14 @@ def criterion_cache(corpus_entries, corpus_reports):
         return cache[(name, crit)]
 
     return get
+
+
+def oracle_space_with_involution():
+    """The 2x2 trace-norm oracle space, given the involution that swaps the E12 and E21 coefficients."""
+    tc2 = corpus.build_trace_class_2().space
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return spaces.make_space(tc2.basis, unit=tc2.unit, involution=swap,
+                             norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
 
 
 def evaluate_witness(entry, report):

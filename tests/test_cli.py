@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from opspace import cli, corpus
+from opspace import cli, corpus, spaces
+
+from conftest import oracle_space_with_involution
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +263,26 @@ def test_unit_index_keeps_rank_tol(tmp_path, capsys):
     assert run_cli(["check", path, "positive", "--rank-tol", 1e-14]) == 0
     assert run_cli(["check", path, "positive", "--rank-tol", 1e-14, "--unit-index", 0]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_level1_oracle_space_with_non_selfadjoint_unit_exits_3(tmp_path, capsys):
+    path = tmp_path / "trace_swap.json"
+    path.write_text(spaces.space_to_json(oracle_space_with_involution()))
+    assert run_cli(["check", path, "operator-system"]) == 2  # the valid unit diag(0.6, 0.4)
+    capsys.readouterr()
+    assert run_cli(["check", path, "operator-system", "--unit-index", 1]) == 3  # E12
+    assert "must be selfadjoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-formulas", "--trials", 5],
+    ["corpus", "--only", "non_algebra_span"],
+    ["check", "{space}", "mult-closed"],
+    ["search", "{space}", "mult-closed"],
+], ids=["verify-formulas", "corpus", "check", "search"])
+def test_rank_tol_is_refused_by_every_subcommand(space_dir, capsys, argv):
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    assert run_cli(argv + ["--rank-tol", -1]) == 3
+    err = capsys.readouterr().err
+    assert "--rank-tol" in err
+    assert "invalid space file" not in err

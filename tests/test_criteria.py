@@ -6,6 +6,8 @@ import pytest
 from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError
 
+from conftest import oracle_space_with_involution
+
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
 SQRT2 = math.sqrt(2)
@@ -156,14 +158,6 @@ def test_operator_system_preconditions(m2_entry):
         criteria.check_operator_system(space, v=not_selfadjoint)
 
 
-def oracle_space_with_involution():
-    """The 2x2 trace-norm oracle space, given the involution that swaps the E12 and E21 coefficients."""
-    tc2 = corpus.build_trace_class_2().space
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    return spaces.make_space(tc2.basis, unit=tc2.unit, involution=swap,
-                             norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
-
-
 @pytest.mark.parametrize("name,reason", [
     ("unitary-t-gadget", "the doubling gadget needs 2x2 blocks over X"),
     ("coisometry", "row/column gadgets need rectangular blocks over X"),
@@ -176,6 +170,15 @@ def test_level1_oracle_refusal_states_its_reason(name, reason):
     assert rep.notes == [reason]
     assert rep.levels_checked == []
     assert rep.samples == 0
+
+
+@pytest.mark.parametrize("v,match", [
+    (np.array([0, 1.0, 0, 0]), "selfadjoint"),  # E12
+    (np.array([5.0, 0, 0, 0]), "contraction"),  # 5 E11, of norm 5
+], ids=["E12", "5E11"])
+def test_level1_oracle_space_refuses_an_invalid_unit_before_unsupported_level(v, match):
+    with pytest.raises(InvalidInputError, match=match):
+        criteria.check_operator_system(oracle_space_with_involution(), v=v)
 
 
 # ---------------------------------------------------------------------------

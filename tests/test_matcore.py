@@ -177,3 +177,96 @@ def test_fibered_norms_match_dense():
         assert np.allclose(
             matcore.trace_norm_stack(m, fiber=g), matcore.trace_norm_stack(m), atol=1e-10
         )
+
+
+# ---------------------------------------------------------------------------
+# the stack kernels against LAPACK: closed forms for a shorter side of 1 or 2
+# (and 2x2 trace norms), LAPACK for 3x3
+
+KERNEL_SHAPES = [(1, 5), (5, 1), (2, 2), (2, 7), (7, 2), (3, 3)]
+
+
+def kernel_cases(shape):
+    """Named (N, r, c) stacks at one shape: random, plus the degenerate cases of a 2x2 closed form."""
+    rng = matcore.stream(35, *shape)
+    r, c = shape
+    cases = {"random": np.stack([matcore.rand_cmat(r, c, rng) for _ in range(40)])}
+    if shape == (2, 2):
+        # equal singular values (scaled unitaries) and rank one plus 1e-9 noise
+        q = np.stack([np.linalg.qr(matcore.rand_cmat(2, 2, rng))[0] for _ in range(40)])
+        cases["unitary"] = q * rng.uniform(0.5, 2.0, size=(40, 1, 1))
+        cases["rank_one"] = np.stack([
+            matcore.rand_cmat(2, 1, rng) @ matcore.rand_cmat(1, 2, rng) + 1e-9 * matcore.rand_cmat(2, 2, rng)
+            for _ in range(40)
+        ])
+    return cases
+
+
+def lapack_norms(ms):
+    sv = np.linalg.svd(ms, compute_uv=False)
+    return sv[..., 0], sv.sum(axis=-1)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stack_norms_match_lapack(shape, scale):
+    for name, ms in kernel_cases(shape).items():
+        ms = ms * scale
+        op_want, tr_want = lapack_norms(ms)
+        assert np.allclose(matcore.op_norm_stack(ms), op_want, rtol=1e-14, atol=0), name
+        assert np.allclose(matcore.trace_norm_stack(ms), tr_want, rtol=1e-14, atol=0), name
+        # the same matrices as the fibers of a direct sum: (N, g=2, r, c) with two copies
+        fibers = np.stack([ms, ms[::-1]], axis=1)
+        want = np.maximum(op_want, op_want[::-1])
+        assert np.allclose(matcore.op_norm_fibers(fibers), want, rtol=1e-14, atol=0), name
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_fibered_kernels_match_lapack_on_each_fiber(scale):
+    # g-fibered (N, 2g, 2g) matrices: each fiber is a 2x2 matrix, so the fiber= path runs the closed forms
+    rng = matcore.stream(36, 0)
+    g = 3
+    small = np.stack([matcore.rand_cmat(2, 2, rng) for _ in range(20 * g)]).reshape(20, g, 2, 2) * scale
+    ms = np.zeros((20, 2 * g, 2 * g), dtype=complex)
+    for f in range(g):
+        ms[:, f::g, f::g] = small[:, f]
+    op_want, tr_want = lapack_norms(small)
+    assert np.allclose(matcore.op_norm_stack(ms, fiber=g), op_want.max(axis=-1), rtol=1e-14, atol=0)
+    assert np.allclose(matcore.trace_norm_stack(ms, fiber=g), tr_want.sum(axis=-1), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [(1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_zero_matrices_have_norm_exactly_zero(shape):
+    z = np.zeros((3,) + shape, dtype=complex)
+    assert np.array_equal(matcore.op_norm_stack(z), np.zeros(3))
+    assert np.array_equal(matcore.trace_norm_stack(z), np.zeros(3))
+    assert np.array_equal(matcore.op_norm_fibers(z[None]), np.zeros(1))
+
+
+def test_stack_kernels_known_values_without_lapack():
+    golden = (1 + math.sqrt(5)) / 2
+    jordan = np.array([[[1, 1], [0, 1]]], dtype=complex)
+    assert matcore.op_norm_stack(jordan)[0] == pytest.approx(golden, rel=1e-15)
+    assert matcore.op_norm_stack(np.swapaxes(jordan, -1, -2))[0] == pytest.approx(golden, rel=1e-15)
+    # ||a||_F^2 = 0.36 + 0.0625 + 0.16 = 0.5825 and |det a| = 0.24, so the trace norm is sqrt(1.0625)
+    a = np.array([[[0.6, 0], [0.25, 0.4]]], dtype=complex)
+    assert matcore.trace_norm_stack(a)[0] == pytest.approx(math.sqrt(1.0625), rel=1e-15)
+    # one row or column: the Euclidean norm, 3-4-5 at any scale
+    for scale in (1e-300, 1.0, 1e300):
+        v = np.array([[[3.0, 4j]]]) * scale
+        assert matcore.op_norm_stack(v)[0] == pytest.approx(5.0 * scale, rel=1e-15)
+        assert matcore.trace_norm_stack(np.swapaxes(v, -1, -2))[0] == pytest.approx(5.0 * scale, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 5), (5, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_forms_give_nan_for_non_finite_entries(shape, bad):
+    # the search counts a restart whose objective is not finite as dead, so these must not raise
+    ms = np.ones((2,) + shape, dtype=complex)
+    ms[0, 0, 0] = bad
+    op = matcore.op_norm_stack(ms)
+    assert math.isnan(op[0]) and op[1] == pytest.approx(np.linalg.svd(ms[1], compute_uv=False)[0])
+    assert math.isnan(matcore.op_norm_fibers(ms[:, None])[0])
+    if shape in ((1, 3), (2, 2)):
+        assert math.isnan(matcore.trace_norm_stack(ms)[0])
