@@ -77,7 +77,12 @@ def _build_config(args) -> witness.SearchConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     elif os.environ.get("OPSPACE_SEED"):
-        cfg.seed = int(os.environ["OPSPACE_SEED"])
+        try:
+            cfg.seed = int(os.environ["OPSPACE_SEED"])
+        except ValueError:
+            raise InvalidInputError(
+                f"OPSPACE_SEED={os.environ['OPSPACE_SEED']!r} is not an integer seed"
+            ) from None
     if getattr(args, "tolerance", None) is not None:
         cfg.tolerance = args.tolerance
     if getattr(args, "levels", None) is not None:

@@ -289,13 +289,14 @@ def _unsupported(criterion: str, cfg: witness.SearchConfig, why: str) -> CheckRe
 
 
 class _Engine:
-    """Realization layout for one (space, level): dense, per-fiber, or level-1 oracle.
+    """Block realization for one (space, level) (see ``spaces.SpaceRep.blocks``).
 
-    ``realize`` maps coefficient grids to matrix stacks, ``norms`` measures
-    them, ``cotangents`` returns the norms with their cotangents (see
+    ``realize`` maps coefficient grids to block stacks, ``norms`` measures
+    them (the maximum over blocks, or the sum of the level-1 oracle over
+    blocks), ``cotangents`` returns the norms with their cotangents (see
     ``matcore.norm_cotangent_stack``) and ``adjoint`` maps such cotangents
     back to coefficient gradients; the distinguished element comes
-    pre-amplified in the same layout so gadget assemblies broadcast against
+    pre-amplified into the same blocks so gadget assemblies broadcast against
     realized stacks directly.
     """
 
@@ -303,24 +304,21 @@ class _Engine:
         vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
         for i in range(level):
             vgrid[i, i] = v
+        self.realize = lambda c: spaces.realize_fibers_stack(space, c)
+        self.adjoint = lambda w: spaces.realize_fibers_adjoint_stack(space, w)
         if space.norm_mode == spaces.LEVEL1_ORACLE:
             oracle = spaces.ORACLES[space.level1_oracle]
-            fiber = space.fiber
             kind = space.level1_oracle
-            self.realize = lambda c: spaces.realize_stack(space, c)
-            self.adjoint = lambda w: spaces.realize_adjoint_stack(space, w)
-            self.norms = lambda m: oracle(m, fiber=fiber)
-        elif space.fiber > 1:
-            kind = "op_norm_fibers"
-            self.realize = lambda c: spaces.realize_fibers_stack(space, c)
-            self.adjoint = lambda w: spaces.realize_fibers_adjoint_stack(space, w)
-            self.norms = matcore.op_norm_fibers
+            self.norms = lambda m: oracle(m).sum(axis=-1)
+
+            def cotangents(m):
+                norms, W = matcore.norm_cotangent_stack(m, kind)
+                return norms.sum(axis=-1), W
+
+            self.cotangents = cotangents
         else:
-            kind = "op_norm"
-            self.realize = lambda c: spaces.realize_stack(space, c)
-            self.adjoint = lambda w: spaces.realize_adjoint_stack(space, w)
-            self.norms = matcore.op_norm_stack
-        self.cotangents = lambda m: matcore.norm_cotangent_stack(m, kind)
+            self.norms = matcore.op_norm_fibers
+            self.cotangents = lambda m: matcore.norm_cotangent_stack(m, "op_norm_fibers")
         self.unit = self.realize(vgrid)
 
 
@@ -794,8 +792,8 @@ def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
     top = spaces.realize_stack(space, Ta)
     bot = spaces.realize_stack(space, b_coeffs)
     ref_top = spaces.realize_stack(space, a_coeffs)
-    lhs = matcore.op_norm_stack(np.concatenate([top, bot], axis=-2), fiber=space.fiber)
-    rhs = matcore.op_norm_stack(np.concatenate([ref_top, bot], axis=-2), fiber=space.fiber)
+    lhs = matcore.op_norm_stack(np.concatenate([top, bot], axis=-2))
+    rhs = matcore.op_norm_stack(np.concatenate([ref_top, bot], axis=-2))
     return lhs - rhs
 
 
@@ -881,9 +879,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         failed.append("left-multiplier")
 
     unit_action = np.einsum("j,ijl->il", u, t)
-    resid = matcore.op_norm_stack(
-        spaces.realize_stack(space, (unit_action - np.eye(k))[:, None, None, :]), fiber=space.fiber
-    )
+    resid = matcore.op_norm_stack(spaces.realize_stack(space, (unit_action - np.eye(k))[:, None, None, :]))
     unit_max = float(np.max(resid))
     samples += k
     margins.append(-unit_max)
@@ -943,7 +939,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
                     elem = spaces.random_element(space, 2 * m, rng, target_norm=1.0)
                     ws[iw] = spaces.realize(space, elem)
                 rows = np.concatenate([np.broadcast_to(amp, (n_contractions,) + amp.shape), ws], axis=2)
-                devs = np.abs(matcore.op_norm_stack(rows, fiber=space.fiber) - SQRT2)
+                devs = np.abs(matcore.op_norm_stack(rows) - SQRT2)
                 samples += n_contractions
                 i0 = int(np.argmax(devs))
                 if devs[i0] > worst:

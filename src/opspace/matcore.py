@@ -6,7 +6,7 @@ workhorses behind the counterexample search, where thousands of small norms are
 evaluated per ascent step.
 
 Most of those matrices have a side of at most two (level-1 elements and
-gadgets of spaces in M_2, and the 2 x 2 or 1 x 1 fibers of direct sums), where
+gadgets of spaces in M_2, and the small blocks of direct sums), where
 one LAPACK call per matrix costs far more than the arithmetic.  So
 ``op_norm_stack``, ``op_norm_fibers`` and ``trace_norm_stack`` take the largest
 singular value in closed form when the shorter side is 1 or 2, and the trace
@@ -225,7 +225,9 @@ def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
     """Operator norms over the leading axes of a matrix stack.
 
     ``fiber`` enables the direct-sum fast path for matrices that are diagonal
-    at block size ``fiber`` (the values are identical either way).
+    at block size ``fiber`` (the values are identical either way).  The
+    package itself passes no ``fiber``: each space splits into blocks once,
+    at load (``spaces.SpaceRep.blocks``), and measures them with ``op_norm_fibers``.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     small = _fibers_if(ms, fiber)
@@ -288,5 +290,5 @@ def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndar
     if norm == "op_norm_fibers":
         top = np.argmax(norms, axis=-1)
         W = W * (np.arange(ms.shape[-3]) == top[..., None])[..., None, None]
-        norms = np.take_along_axis(norms, top[..., None], axis=-1)[..., 0]
+        norms = norms.max(axis=-1)
     return np.asarray(norms), W

@@ -7,6 +7,15 @@ combination of the (i, j) coefficient vector.  Norms are inherited from the
 ambient operator norm, except for "level1-oracle" spaces whose 1 x 1 norm is
 supplied by a named matrix norm (used for trace-norm examples); criteria on
 such spaces can only certify the level-1 necessary condition.
+
+Every space carries ``blocks`` (k, g, a, b), computed once when it is built:
+the basis as a direct sum of ``g`` blocks, B_l = Q (blocks[l, 0] + ... +
+blocks[l, g-1]) Q* for one unitary Q on both sides (a p x q basis is
+zero-padded to a square first).  Operator norms at every level are maxima over
+the blocks and trace norms are sums, and neither can tell a space from a
+unitary conjugate of it, so the split finds direct sums whether or not they
+line up with coordinates.  A basis that does not split is its own one block
+(g = 1).
 """
 
 from __future__ import annotations
@@ -80,6 +89,16 @@ class LevelElement:
             raise InvalidInputError("coefficients have non-finite entries")
 
 
+#: A block layout must rebuild every basis element B_l to this accuracy,
+#: relative to its largest |entry|, or the space keeps its basis as one block.
+LAYOUT_TOL = 1e-12
+#: Entries of Q* B_l Q below this relative size join no two indices into one
+#: block.  The leakage that ``eigh`` leaves between blocks is about 1e-13 at
+#: side 64, and a quarter of LAYOUT_TOL leaves the reconstruction check room
+#: for the entries dropped.
+_PATTERN_TOL = LAYOUT_TOL / 4
+
+
 @dataclass(eq=False)
 class SpaceRep:
     """A concrete operator space with optional distinguished element and involution."""
@@ -91,10 +110,9 @@ class SpaceRep:
     involution: np.ndarray | None = None  # (k, k); coeffs(x*) = S @ conj(coeffs(x))
     norm_mode: str = EMBEDDED
     level1_oracle: str | None = None
-    fiber: int = field(init=False, default=1)
+    blocks: np.ndarray = field(init=False, repr=False)  # (k, g, a, b); see _block_layout
     _flat: np.ndarray = field(init=False, repr=False)
     _pinv: np.ndarray = field(init=False, repr=False)
-    _basis_fibers: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -106,23 +124,59 @@ class SpaceRep:
             raise ShapeError(f"basis stack {self.basis.shape} does not match ambient {self.p}x{self.q}")
         self._flat = self.basis.reshape(self.dim, self.p * self.q)
         self._pinv = np.linalg.pinv(self._flat)
-        self.fiber = _detect_fiber(self.basis)
-        if self.fiber > 1:
-            self._basis_fibers = matcore._fibered_diagonal(self.basis, self.fiber)
+        self.blocks = _block_layout(self.basis)
 
 
-def _detect_fiber(basis: np.ndarray) -> int:
-    """Largest block size g at which every basis matrix is g-fibered (see matcore)."""
-    _, p, q = basis.shape
-    g0 = math.gcd(p, q)
-    for g in range(g0, 1, -1):
-        if g0 % g:
-            continue
-        grid = basis.reshape(basis.shape[0], p // g, g, q // g, g)
-        offdiag = grid - np.einsum("kbrcs,rs->kbrcs", grid, np.eye(g))
-        if not offdiag.any():
-            return g
-    return 1
+def _block_layout(basis: np.ndarray) -> np.ndarray:
+    """Split the basis into the finest direct sum that one eigenbasis shows.
+
+    Returns the blocks (k, g, a, a), ragged ones zero-padded to the largest,
+    or the basis itself as one block (k, 1, p, q) when it does not split.
+    Q diagonalizes one Hermitian element of the *-algebra the (zero-padded)
+    basis generates, with fixed weights, so it is the same on every load.
+    Its eigenvectors lie in the algebra's invariant subspaces, and the
+    blocks are the connected components of the joint pattern of the Q* B_l Q,
+    in the order of their smallest index; blocks on which every basis
+    element vanishes are dropped.  The split is kept only when it
+    reconstructs the basis to LAYOUT_TOL.  A generic Hermitian element
+    has simple eigenvalues on each inequivalent summand; where a summand
+    repeats, ``eigh`` may mix the copies and the copies then stay one block.
+    """
+    k, p, q = basis.shape
+    s = max(p, q)
+    B = np.zeros((k, s, s), dtype=np.complex128)
+    B[:, :p, :q] = basis
+    ell = np.arange(1, k + 1)
+    wr, wi = np.modf(math.sqrt(2.0) * ell)[0], np.modf(math.sqrt(3.0) * ell)[0]
+    Bh = matcore.dagger(B)
+    H = np.tensordot(wr, B + Bh, axes=1) + np.tensordot(wi, 1j * (B - Bh), axes=1)
+    Q = np.linalg.eigh(H)[1]
+    T = matcore.dagger(Q) @ B @ Q
+    scale = np.abs(B).max(axis=(1, 2))
+    linked = (np.abs(T) > _PATTERN_TOL * scale[:, None, None]).any(axis=0)
+    linked |= linked.T
+    label = np.arange(s)  # each index ends labelled with the smallest index of its component
+    while True:
+        lowest = np.minimum(label, np.where(linked, label, s).min(axis=1))
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    same = label[:, None] == label
+    live = linked.any(axis=1)  # an index without links is a block on which every B_l vanishes
+    roots = np.flatnonzero((label == np.arange(s)) & live)
+    if len(roots) < 2:
+        return basis[:, None]
+    kept = np.where(same & live[:, None], T, 0.0)
+    if (np.abs(Q @ kept @ matcore.dagger(Q) - B).max(axis=(1, 2)) > LAYOUT_TOL * scale).any():
+        return basis[:, None]
+    idx = np.flatnonzero(live)
+    block = np.searchsorted(roots, label[idx])
+    pos = np.tril(same, -1).sum(axis=1)[idx]  # place within the block
+    a = pos.max() + 1
+    i, j = np.nonzero(same[np.ix_(idx, idx)])
+    blocks = np.zeros((k, len(roots), a, a), dtype=np.complex128)
+    blocks[:, block[i], pos[i], pos[j]] = T[:, idx[i], idx[j]]
+    return blocks
 
 
 def make_space(
@@ -311,17 +365,18 @@ def realize(space: SpaceRep, x: LevelElement) -> np.ndarray:
 
 
 def realize_fibers_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
-    """Realize coefficient grids (..., r, c, k) as per-fiber matrices (..., g, r p/g, c q/g).
+    """Realize coefficient grids (..., r, c, k) as the blocks of ``space.blocks`` (..., g, r a, c b).
 
-    Valid only when the space's basis is fibered (space.fiber > 1); the result
-    is the same ambient matrix up to a permutation that splits it into a
-    direct sum, so operator norms are maxima over the fiber axis.
+    Block ``b`` is the level-r amplification of ``space.blocks[:, b]``.
+    The ambient matrix is, up to the unitaries I_r (x) Q on both sides, zero
+    padding and a permutation, the direct sum of these blocks: its operator
+    norm is their maximum and its trace norm their sum.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     r, c = coeffs.shape[-3], coeffs.shape[-2]
-    g = space.fiber
-    out = np.einsum("...ijl,lgrs->...girjs", coeffs, space._basis_fibers)
-    return out.reshape(coeffs.shape[:-3] + (g, r * space.p // g, c * space.q // g))
+    _, g, a, b = space.blocks.shape
+    out = np.einsum("...ijl,lgrs->...girjs", coeffs, space.blocks)
+    return out.reshape(coeffs.shape[:-3] + (g, r * a, c * b))
 
 
 def realize_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
@@ -338,13 +393,12 @@ def realize_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
 
 
 def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
-    """Adjoint of ``realize_fibers_stack``: per-fiber cotangents (..., g, r p/g, c q/g) -> (..., r, c, k)."""
+    """Adjoint of ``realize_fibers_stack``: block cotangents (..., g, r a, c b) -> (..., r, c, k)."""
     W = np.asarray(W, dtype=np.complex128)
-    g = space.fiber
-    a, b = space.p // g, space.q // g
+    _, g, a, b = space.blocks.shape
     r, c = W.shape[-2] // a, W.shape[-1] // b
     grid = W.reshape(W.shape[:-3] + (g, r, a, c, b))
-    return np.einsum("...girjs,lgrs->...ijl", grid, np.conj(space._basis_fibers))
+    return np.einsum("...girjs,lgrs->...ijl", grid, np.conj(space.blocks))
 
 
 def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
@@ -355,12 +409,10 @@ def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
         raise UnsupportedLevelError(
             f"space norm is only defined at level 1 (level1-oracle mode), got level {n}"
         )
-    if space.norm_mode == EMBEDDED and space.fiber > 1:
-        return matcore.op_norm_fibers(realize_fibers_stack(space, coeffs))
-    mats = realize_stack(space, coeffs)
+    blocks = realize_fibers_stack(space, coeffs)
     if space.norm_mode == LEVEL1_ORACLE:
-        return ORACLES[space.level1_oracle](mats, fiber=space.fiber)
-    return matcore.op_norm_stack(mats)
+        return ORACLES[space.level1_oracle](blocks).sum(axis=-1)
+    return matcore.op_norm_fibers(blocks)
 
 
 def norm(space: SpaceRep, x: LevelElement) -> float:

@@ -42,6 +42,14 @@ def criterion_cache(corpus_entries, corpus_reports):
     return get
 
 
+def haar_unitary(d, seed):
+    """A Haar-distributed d x d unitary drawn from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def oracle_space_with_involution():
     """The 2x2 trace-norm oracle space, given the involution that swaps the E12 and E21 coefficients."""
     tc2 = corpus.build_trace_class_2().space

@@ -274,15 +274,29 @@ def test_level1_oracle_space_with_non_selfadjoint_unit_exits_3(tmp_path, capsys)
     assert "must be selfadjoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
     ["verify-formulas", "--trials", 5],
     ["corpus", "--only", "non_algebra_span"],
     ["check", "{space}", "mult-closed"],
     ["search", "{space}", "mult-closed"],
 ], ids=["verify-formulas", "corpus", "check", "search"])
+
+
+@EVERY_SUBCOMMAND
 def test_rank_tol_is_refused_by_every_subcommand(space_dir, capsys, argv):
     argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
     assert run_cli(argv + ["--rank-tol", -1]) == 3
     err = capsys.readouterr().err
     assert "--rank-tol" in err
     assert "invalid space file" not in err
+
+
+@EVERY_SUBCOMMAND
+def test_non_integer_env_seed_exits_3(space_dir, capsys, monkeypatch, argv):
+    monkeypatch.setenv("OPSPACE_SEED", "abc")
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert "OPSPACE_SEED" in err
+    assert "invalid space file" not in err
+

@@ -1,0 +1,93 @@
+"""Verdicts are invariant under complete isometries of the space.
+
+The characterizations read only the matrix norms of X, so a seeded Haar
+conjugation U X U*, a permutation of the basis and the direct sum X (+) X
+must leave every verdict as it is.  The unit and the involution are carried
+along with the basis.  A reduced search budget keeps the suite short; under
+it the untransformed spaces still reproduce their pinned corpus verdicts.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from opspace import corpus, spaces, witness
+
+from conftest import haar_unitary
+
+CONFIG = witness.SearchConfig(restarts=8, ascent_steps=30)
+
+ENTRIES = {
+    "linf3_ones": lambda: corpus.build_linf(3, "ones"),
+    "linf3_e1": lambda: corpus.build_linf(3, "e1"),
+    "twisted_selfadjoint": corpus.build_twisted_selfadjoint,
+    "full_matrix_2": lambda: corpus.build_full_matrix(2),
+}
+
+SEARCHED = ("unitary-four-rotation", "unitary-t-gadget", "coisometry", "isometry", "operator-system")
+
+
+def rebuilt(space, basis, unit=None, involution=None):
+    return spaces.make_space(
+        basis,
+        unit=space.unit if unit is None else unit,
+        involution=space.involution if involution is None else involution,
+    )
+
+
+def conjugated(space):
+    U = haar_unitary(space.p, seed=space.p * 1000 + space.dim)
+    return rebuilt(space, U @ space.basis @ U.conj().T)
+
+
+def permuted(space):
+    perm = np.roll(np.arange(space.dim), 1)
+    S = space.involution
+    return rebuilt(space, space.basis[perm], unit=space.unit[perm], involution=S[np.ix_(perm, perm)])
+
+
+def doubled(space):
+    k, p, q = space.basis.shape
+    basis = np.zeros((k, 2 * p, 2 * q), dtype=np.complex128)
+    basis[:, :p, :q] = basis[:, p:, q:] = space.basis
+    return rebuilt(space, basis)
+
+
+TRANSFORMS = {"conjugated": conjugated, "permuted": permuted, "doubled": doubled}
+
+
+def verdicts(entry):
+    return {crit: rep.verdict for crit, rep in corpus.run_entry(entry, CONFIG) if crit in SEARCHED}
+
+
+@pytest.fixture(scope="module")
+def original_verdicts():
+    return {name: verdicts(build()) for name, build in ENTRIES.items()}
+
+
+def test_untransformed_spaces_keep_their_pinned_verdicts(original_verdicts):
+    for name, build in ENTRIES.items():
+        expected = {c: v for c, v in build().expected.items() if c in SEARCHED}
+        assert original_verdicts[name] == expected, name
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_verdicts_invariant_under_complete_isometries(original_verdicts, name, transform):
+    entry = ENTRIES[name]()
+    moved = dataclasses.replace(entry, space=TRANSFORMS[transform](entry.space))
+    assert verdicts(moved) == original_verdicts[name]
+
+
+def test_transforms_are_complete_isometries():
+    # the transforms preserve the norm at level 2 of every coefficient grid
+    rng = np.random.default_rng(11)
+    for build in ENTRIES.values():
+        space = build().space
+        c = rng.normal(size=(6, 2, 2, space.dim)) + 1j * rng.normal(size=(6, 2, 2, space.dim))
+        want = spaces.norm_stack(space, c)
+        assert np.allclose(spaces.norm_stack(conjugated(space), c), want, rtol=1e-12, atol=0)
+        assert np.allclose(spaces.norm_stack(doubled(space), c), want, rtol=1e-12, atol=0)
+        perm = np.roll(np.arange(space.dim), 1)
+        assert np.allclose(spaces.norm_stack(permuted(space), c[..., perm]), want, rtol=1e-12, atol=0)

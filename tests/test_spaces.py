@@ -6,6 +6,8 @@ import pytest
 from opspace import corpus, matcore, spaces
 from opspace.errors import InvalidInputError, ShapeError, SpaceFormatError, UnsupportedLevelError
 
+from conftest import haar_unitary
+
 
 def cpair(z):
     return [float(np.real(z)), float(np.imag(z))]
@@ -181,9 +183,9 @@ def test_fibered_realization_matches_dense_norms():
     from opspace import gadgets
 
     linf = corpus.build_linf(3).space
-    assert linf.fiber == 3
+    assert linf.blocks.shape[1] == 3
     doubled = gadgets.build_Ue(linf, np.array([1.0, 0, 0]))
-    assert doubled.fiber == 3  # off-diagonal blocks are diagonal, so fibers persist
+    assert doubled.blocks.shape[1] == 3  # B_i couples only i and i + 3, so three 2 x 2 blocks persist
     for space in (linf, doubled):
         for t in range(5):
             c = spaces.random_element(space, 2, matcore.stream(46, t)).coeffs
@@ -197,3 +199,156 @@ def test_rank_tol_outside_unit_interval_refused(rank_tol):
     basis = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(InvalidInputError, match="rank_tol"):
         spaces.make_space(basis, rank_tol=rank_tol)
+
+
+# ---------------------------------------------------------------------------
+# block layout
+
+
+def conjugated(space, seed=5):
+    U = haar_unitary(space.p, seed)
+    return spaces.make_space(U @ space.basis @ U.conj().T, unit=space.unit, involution=space.involution)
+
+
+def interleaved_8x4():
+    """Two 4 x 2 blocks, on rows {f, f+2, f+4, f+6} and columns {f, f+2} for f = 0, 1."""
+    rng = np.random.default_rng(3)
+    basis = np.zeros((3, 8, 4), dtype=complex)
+    for f in (0, 1):
+        basis[:, f::2, f::2] = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    return spaces.make_space(basis)
+
+
+def triangular_plus_scalar(d=3):
+    """T_2 (+) C inside M_d: blocks of sides 2 and 1, and a zero summand of side d - 3."""
+    basis = np.zeros((4, d, d), dtype=complex)
+    for l, (i, j) in enumerate([(0, 0), (0, 1), (1, 1), (2, 2)]):
+        basis[l, i, j] = 1.0
+    return spaces.make_space(basis)
+
+
+# space -> (constructor, block count wanted, exact or at least)
+LAYOUT_SPACES = {
+    "linf3_e1_conjugated": (lambda: conjugated(corpus.build_linf(3, "e1").space), 3, True),
+    "l1_model_16_conjugated": (lambda: conjugated(corpus.build_l1_2_model(16).space), 16, True),
+    "kron_m2_i2": (lambda: spaces.make_space(
+        np.stack([np.kron(b, np.eye(2)) for b in corpus.build_full_matrix(2).space.basis])), 2, False),
+    "interleaved_8x4": (interleaved_8x4, 2, False),
+    "triangular_plus_scalar": (triangular_plus_scalar, 2, True),
+    "triangular_plus_scalar_plus_zero": (lambda: triangular_plus_scalar(5), 2, True),
+    "full_matrix_2": (lambda: corpus.build_full_matrix(2).space, 1, True),
+    "column_H2": (lambda: corpus.build_column_H2().space, 1, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SPACES))
+def test_layout_block_counts(name):
+    build, want, exact = LAYOUT_SPACES[name]
+    g = build().blocks.shape[1]
+    assert g == want if exact else g >= want
+
+
+def test_ragged_blocks_are_zero_padded():
+    blocks = triangular_plus_scalar().blocks
+    assert blocks.shape == (4, 2, 2, 2)
+    used = np.abs(blocks).sum(axis=(0, 3)) > 0  # (block, row) -> some basis element uses the row
+    assert sorted(used.sum(axis=1)) == [1, 2]
+    for b in range(2):  # each block's rows and columns come first, its zero padding last
+        side = used[b].sum()
+        assert used[b, :side].all()
+        assert not blocks[:, b, side:].any() and not blocks[:, b, :, side:].any()
+
+
+def square(ms):
+    s = max(ms.shape[-2:])
+    out = np.zeros(ms.shape[:-2] + (s, s), dtype=complex)
+    out[..., : ms.shape[-2], : ms.shape[-1]] = ms
+    return out
+
+
+def trace_pairings(ms):
+    """tr(M_l* M_m) and tr(M_l M_m) of a stack (k, s, s), or summed over the blocks of (k, g, s, s)."""
+    ms = ms.reshape(ms.shape[0], -1, *ms.shape[-2:])
+    return np.einsum("lbst,mbst->lm", ms.conj(), ms), np.einsum("lbst,mbts->lm", ms, ms)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SPACES))
+def test_layout_blocks_reconstruct_the_basis(name):
+    # B_l = Q (+_b blocks[l, b]) Q* for one unitary Q keeps both pairings; the second tells Q on
+    # both sides from unrelated unitaries on the left and the right
+    space = LAYOUT_SPACES[name][0]()
+    want, got = trace_pairings(square(space.basis)), trace_pairings(square(space.blocks))
+    scale = np.abs(want[0]).max()  # the Gram matrix; tr(B_l B_m) may vanish throughout
+    for w, x in zip(want, got):
+        assert np.allclose(x, w, rtol=0, atol=1e-12 * scale)
+
+
+GADGETS = ("four_rotation", "t", "row", "column", "r")
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SPACES))
+def test_block_path_norms_match_dense(name):
+    from opspace import gadgets
+
+    space = LAYOUT_SPACES[name][0]()
+    rng = np.random.default_rng(17)
+    k = space.dim
+    v = rng.normal(size=k) + 1j * rng.normal(size=k)
+    for n in (1, 2):
+        vgrid = np.zeros((n, n, k), dtype=complex)
+        vgrid[range(n), range(n)] = v
+        c = rng.normal(size=(5, n, n, k)) + 1j * rng.normal(size=(5, n, n, k))
+        Xd, Vd = spaces.realize_stack(space, c), spaces.realize_stack(space, vgrid)
+        Xb, Vb = spaces.realize_fibers_stack(space, c), spaces.realize_fibers_stack(space, vgrid)
+        assert np.allclose(spaces.norm_stack(space, c), matcore.op_norm_stack(Xd), rtol=1e-12, atol=0)
+        for gadget in GADGETS:
+            if gadget == "r" and space.p != space.q:
+                continue  # the skew gadget needs a square ambient
+            assemble = getattr(gadgets, f"{gadget}_stack")
+            dense, blocks = assemble(Vd, Xd), assemble(Vb, Xb)
+            assert np.allclose(matcore.op_norm_fibers(blocks), matcore.op_norm_stack(dense),
+                               rtol=1e-12, atol=0), gadget
+            assert np.allclose(matcore.trace_norm_stack(blocks).sum(axis=-1), matcore.trace_norm_stack(dense),
+                               rtol=1e-12, atol=0), gadget
+
+
+def test_trace_norm_oracle_is_a_sum_over_blocks():
+    base = conjugated(corpus.build_l1_2_diag_trace().space)
+    space = spaces.make_space(base.basis, norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
+    assert space.blocks.shape[1] == 2
+    c = np.random.default_rng(19).normal(size=(6, 1, 1, 2)) + 0j
+    want = matcore.trace_norm_stack(spaces.realize_stack(space, c))
+    assert np.allclose(spaces.norm_stack(space, c), want, rtol=1e-12, atol=0)
+
+
+def test_layout_falls_back_to_one_block_when_reconstruction_fails(monkeypatch):
+    split = conjugated(corpus.build_linf(3, "e1").space)
+    assert split.blocks.shape[1] == 3
+    monkeypatch.setattr(spaces, "LAYOUT_TOL", 0.0)  # rounding alone now fails the check
+    space = conjugated(corpus.build_linf(3, "e1").space)
+    assert space.blocks.shape == (3, 1, 3, 3)
+    assert np.array_equal(space.blocks[:, 0], space.basis)
+    c = np.random.default_rng(23).normal(size=(4, 2, 2, 3)) + 0j
+    assert np.allclose(spaces.norm_stack(space, c), spaces.norm_stack(split, c), rtol=1e-12, atol=0)
+
+
+def test_two_loads_give_identical_layouts():
+    text = spaces.space_to_json(conjugated(corpus.build_l1_2_model(16).space))
+    one, two = spaces.load_space(text).blocks, spaces.load_space(text).blocks
+    assert one.shape == two.shape and one.shape[1:] == (16, 1, 1)
+    assert one.tobytes() == two.tobytes()
+
+
+def test_loading_a_space_does_not_import_numpy_random(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "conj.json"
+    path.write_text(spaces.space_to_json(conjugated(corpus.build_l1_2_model(16).space)))
+    src = Path(spaces.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from opspace import spaces; "
+            "s = spaces.load_space_file(sys.argv[2]); print(s.blocks.shape[1], 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src), str(path)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["16", "False"]
