@@ -138,6 +138,10 @@ def _report_text(report: criteria.CheckReport) -> str:
              f"margin    : {_fmt_margin(report.margin)}",
              f"levels    : {report.levels_checked}",
              f"samples   : {report.samples}"]
+    if report.proof is not None:
+        lines.append(f"proof     : {report.proof['identity']} on every basis element B "
+                     f"(largest residual {report.proof['residual']:.1e}, "
+                     f"tolerance {report.proof['tolerance']:.0e})")
     for note in report.notes:
         lines.append(f"note      : {note}")
     w = report.witness or {}

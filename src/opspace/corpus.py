@@ -29,6 +29,7 @@ __all__ = [
     "build_twisted_selfadjoint",
     "build_upper_triangular",
     "build_full_matrix",
+    "build_full_matrix_plus_half",
     "build_non_algebra_span",
     "build_left_identity_pair",
     "build_corpus",
@@ -278,6 +279,31 @@ def build_full_matrix(d: int = 2) -> CorpusEntry:
     )
 
 
+def build_full_matrix_plus_half(d: int = 2) -> CorpusEntry:
+    """{x (+) x/2 : x in M_d} in M_2d with unit u = I (+) I/2: unital, yet u u* B != B.
+
+    The map x -> x (+) x/2 is a complete isometry from M_d, so every
+    unitality criterion holds; but u u* (x (+) x/2) = x (+) x/8, so no ternary
+    identity proves it and these verdicts rest on the search.
+    """
+    full = build_full_matrix(d).space
+    basis = np.zeros((d * d, 2 * d, 2 * d), dtype=np.complex128)
+    basis[:, :d, :d] = full.basis
+    basis[:, d:, d:] = full.basis / 2
+    space = spaces.make_space(basis, unit=full.unit, involution=full.involution)
+    return CorpusEntry(
+        f"full_matrix_{d}_plus_half",
+        space,
+        {
+            "unitary-four-rotation": H,
+            "unitary-t-gadget": H,
+            "coisometry": H,
+            "isometry": H,
+        },
+        "completely isometric copy of the full matrix algebra whose unit is no TRO unitary",
+    )
+
+
 def build_non_algebra_span() -> CorpusEntry:
     """span{E_12, E_21} in M_2: selfadjoint as a set but not closed under multiplication."""
     basis = np.zeros((2, 2, 2), dtype=np.complex128)
@@ -323,6 +349,7 @@ def build_corpus() -> list:
         build_twisted_selfadjoint(),
         build_upper_triangular(2),
         build_full_matrix(2),
+        build_full_matrix_plus_half(2),
         build_non_algebra_span(),
         build_left_identity_pair(),
     ]

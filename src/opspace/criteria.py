@@ -1,9 +1,13 @@
 """Metric characterizations as decision procedures returning CheckReports.
 
 Universally quantified criteria delegate to the violation search in
-:mod:`opspace.witness`; a clean bill of health is therefore always
-HOLDS_WITHIN_BUDGET (evidence, not proof), while VIOLATED comes with a
-concrete witness that reproduces the reported margin on re-evaluation.
+:mod:`opspace.witness`, and VIOLATED comes with a concrete witness that
+reproduces the reported margin on re-evaluation.  A HOLDS_WITHIN_BUDGET
+verdict is either evidence from that search or, for the five searched
+criteria on embedded spaces, a proof: when the distinguished element
+satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
+on every basis element, the criterion holds at every level and no search
+runs.  Such a report carries ``proof``; a searched one does not.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "r_gadget_deviation_at",
     "SearchCriterion",
     "SEARCH_CRITERIA",
+    "IDENTITIES",
+    "PROOF_TOL",
     "CRITERION_RUNNERS",
 ]
 
@@ -107,9 +113,10 @@ class CheckReport:
     config: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     trace: list = field(default_factory=list)
+    proof: dict | None = None  # {"identity", "residual", "tolerance"} when proved, not searched
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "criterion": self.criterion,
             "verdict": self.verdict,
             "margin": self.margin,
@@ -120,6 +127,9 @@ class CheckReport:
             "notes": list(self.notes),
             "trace": list(self.trace),
         }
+        if self.proof is not None:
+            d["proof"] = dict(self.proof)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
@@ -133,6 +143,7 @@ class CheckReport:
             config=dict(d.get("config", {})),
             notes=list(d.get("notes", [])),
             trace=list(d.get("trace", [])),
+            proof=d.get("proof"),
         )
 
     def witness_element(self) -> spaces.LevelElement | None:
@@ -363,6 +374,7 @@ class SearchCriterion:
     signed: bool
     shows: str  # the gadget's norm as the CLI prints it
     target_text: str
+    proof: str  # the IDENTITIES entry that proves the row on an embedded space
     rotations: bool = False  # the gadget stacks four rotations; its norm is their max
     sphere: bool = False  # search norm-one x; otherwise balls at the swept radii
     unsupported: str | None = None  # UNSUPPORTED_LEVEL reason on level-1-oracle spaces
@@ -408,28 +420,86 @@ class SearchCriterion:
         u = _unit_coeffs(space, u, self.who)
         return float(self.objective(space, u, elem.level)[0](elem.coeffs[None])[0])
 
+    def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
+        """The violation search over this row's levels and radii, with no proof tried."""
+        levels, notes = _levels_for(space, cfg)
+        radii, mode = ([1.0], witness.SPHERE) if self.sphere else (_sweep_radii(cfg), witness.BALL)
+        return _searched_check(
+            self.name, self.key, space, cfg, lambda n: self.objective(space, u, n),
+            levels, radii, mode=mode, notes=notes,
+        )
+
 
 SEARCH_CRITERIA = {c.name: c for c in (
     SearchCriterion("unitary-four-rotation", 1, "u", "four_rotation", _sqrt1, _sqrt1_slope,
-                    signed=True, rotations=True,
+                    signed=True, rotations=True, proof="both",
                     shows="max_k ||u_n + i^k x||", target_text="sqrt(1 + ||x||)"),
     SearchCriterion("unitary-t-gadget", 2, "v", "t", _sqrt1, _sqrt1_slope, signed=True,
-                    unsupported="the doubling gadget needs 2x2 blocks over X",
+                    unsupported="the doubling gadget needs 2x2 blocks over X", proof="both",
                     shows="||[[v_n, x], [0, v_n]]||", target_text="sqrt(1 + ||x||)"),
     SearchCriterion("coisometry", 3, "u", "row", _hypot1, _hypot1_slope, signed=False,
                     sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
-                    shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
+                    proof="left", shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
     SearchCriterion("isometry", 4, "u", "column", _hypot1, _hypot1_slope, signed=False,
                     sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
-                    shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
+                    proof="right", shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
     SearchCriterion("operator-system", 5, "v", "r", _hypot1, _hypot1_slope, signed=False,
                     involution=True, unsupported="the skew gadget needs 2x2 blocks over X",
-                    shows="||[[v_n, x], [-x*, v_n]]||", target_text="sqrt(1 + ||x||^2)"),
+                    proof="corner-unit", shows="||[[v_n, x], [-x*, v_n]]||",
+                    target_text="sqrt(1 + ||x||^2)"),
 )}
+
+#: A ternary identity proves its row when every residual is at most PROOF_TOL
+#: times the largest |entry| of the basis element B it is taken on.
+PROOF_TOL = 1e-12
+
+#: The identity each ``SearchCriterion.proof`` kind checks on every basis element B.
+IDENTITIES = {
+    "both": "u u* B = B = B u* u",
+    "left": "u u* B = B",
+    "right": "B u* u = B",
+    "corner-unit": "v = v*, v B = B = B v",
+}
+
+
+def _ternary_proof(kind: str, space: spaces.SpaceRep, u: np.ndarray) -> dict | None:
+    """The ``proof`` entry when u satisfies the identity ``kind`` on every basis element, else None.
+
+    With u u* B = B = B u* u for every B, u is a unitary of the ternary ring
+    of operators that X generates (products x y* z keep both identities), so
+    (X, u) is a unital operator space and both unitality inequalities hold at
+    every level.  The left half alone makes u u* a projection that fixes X
+    from the left, so ||[u_n  x]||^2 = ||u_n u_n* + x x*|| = 1 + ||x||^2; the
+    right half gives the column identity in the same way.  A selfadjoint v
+    with v B = B = B v on a selfadjoint X (``make_space`` checks that the
+    involution is the ambient adjoint) is the unit of the corner v M v that
+    holds X, so X is an operator system with unit v.  Level-1-oracle spaces
+    have no ambient to check this in, and always search.
+    """
+    if space.norm_mode != spaces.EMBEDDED:
+        return None
+    B = space.basis
+    U = np.tensordot(u, B, axes=1)
+    Uh = matcore.dagger(U)
+    if kind == "corner-unit":
+        images = [U @ B, B @ U]
+    else:
+        images = []
+        if kind in ("both", "left"):
+            images.append((U @ Uh) @ B)
+        if kind in ("both", "right"):
+            images.append(B @ (Uh @ U))
+    scale = np.abs(B).max(axis=(1, 2))
+    residual = max(float((np.abs(im - B).max(axis=(1, 2)) / scale).max()) for im in images)
+    if kind == "corner-unit":
+        residual = max(residual, float(np.abs(U - Uh).max() / (np.abs(U).max() or 1.0)))
+    if residual > PROOF_TOL:
+        return None
+    return {"identity": IDENTITIES[kind], "residual": residual, "tolerance": PROOF_TOL}
 
 
 def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfig | None) -> CheckReport:
-    """Check one SEARCH_CRITERIA row: its preconditions in order, then the violation search."""
+    """Check one SEARCH_CRITERIA row: its preconditions in order, then its proof, else the search."""
     spec = SEARCH_CRITERIA[name]
     cfg = cfg or witness.SearchConfig()
     if spec.involution and space.involution is None:
@@ -440,11 +510,15 @@ def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfi
     _require_contraction(space, u, spec.who)
     if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported(name, cfg, spec.unsupported)
-    levels, notes = _levels_for(space, cfg)
-    radii, mode = ([1.0], witness.SPHERE) if spec.sphere else (_sweep_radii(cfg), witness.BALL)
-    return _searched_check(
-        name, spec.key, space, cfg, lambda n: spec.objective(space, u, n),
-        levels, radii, mode=mode, notes=notes,
+    cfg.validate()
+    cfg.guard_ambient(space)
+    proof = _ternary_proof(spec.proof, space, u)
+    if proof is None:
+        return spec.search(space, u, cfg)
+    return CheckReport(
+        criterion=name, verdict=HOLDS_WITHIN_BUDGET, margin=0.0, witness=None,
+        levels_checked=list(range(1, cfg.max_level + 1)), samples=0, config=cfg.to_dict(),
+        notes=[f"proved by the ternary identity {proof['identity']}; no search run"], proof=proof,
     )
 
 

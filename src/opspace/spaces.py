@@ -44,7 +44,6 @@ __all__ = [
     "realize",
     "realize_stack",
     "realize_fibers_stack",
-    "realize_adjoint_stack",
     "realize_fibers_adjoint_stack",
     "norm",
     "norm_stack",
@@ -377,19 +376,6 @@ def realize_fibers_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
     _, g, a, b = space.blocks.shape
     out = np.einsum("...ijl,lgrs->...girjs", coeffs, space.blocks)
     return out.reshape(coeffs.shape[:-3] + (g, r * a, c * b))
-
-
-def realize_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
-    """Adjoint of ``realize_stack``: ambient cotangents (..., rp, cq) -> coefficient gradients (..., r, c, k).
-
-    g_ijl = sum_pq W[ip, jq] conj(B_l[p, q]), so that Re<W, realize(dc)> =
-    Re sum(conj(g) dc): the real and imaginary parts of g are the partial
-    derivatives along the real and imaginary parts of the coefficients.
-    """
-    W = np.asarray(W, dtype=np.complex128)
-    r, c = W.shape[-2] // space.p, W.shape[-1] // space.q
-    grid = W.reshape(W.shape[:-2] + (r, space.p, c, space.q))
-    return np.einsum("...ipjq,lpq->...ijl", grid, np.conj(space.basis))
 
 
 def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:

@@ -300,3 +300,30 @@ def test_non_integer_env_seed_exits_3(space_dir, capsys, monkeypatch, argv):
     assert "OPSPACE_SEED" in err
     assert "invalid space file" not in err
 
+
+
+def test_proved_report_prints_its_proof(space_dir, tmp_path, capsys):
+    rc = run_cli(["check", space_dir / "full_matrix_2.json", "coisometry"])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "samples   : 0\n" in text
+    assert ("proof     : u u* B = B on every basis element B "
+            "(largest residual 0.0e+00, tolerance 1e-12)\n") in text
+    out = tmp_path / "r.json"
+    rc = run_cli(["search", space_dir / "full_matrix_2.json", "unitary-four-rotation",
+                  "--format", "json", "--out", out])
+    assert rc == 0
+    report = load_report(out)
+    assert report["proof"] == {"identity": "u u* B = B = B u* u", "residual": 0.0, "tolerance": 1e-12}
+    assert (report["samples"], report["trace"], report["levels_checked"]) == (0, [], [1, 2])
+
+
+def test_searched_report_prints_no_proof(space_dir, tmp_path, capsys):
+    rc = run_cli(["check", space_dir / "column_H2.json", "coisometry"])
+    assert rc == 1
+    assert "proof" not in capsys.readouterr().out
+    out = tmp_path / "r.json"
+    rc = run_cli(["check", space_dir / "column_H2.json", "coisometry", "--format", "json",
+                  "--out", out])
+    assert rc == 1
+    assert "proof" not in load_report(out)

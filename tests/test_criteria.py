@@ -362,9 +362,11 @@ def test_report_round_trip(criterion_cache):
     assert again.to_dict() == d
 
 
-def test_zero_restarts_inconclusive(m2_entry):
+def test_zero_restarts_inconclusive():
+    # full_matrix_2 is proved without a search; its I + I/2 copy has no proof and must search
+    space = corpus.build_full_matrix_plus_half(2).space
     cfg = witness.SearchConfig(restarts=0)
-    rep = criteria.check_unitary_four_rotation(m2_entry.space, cfg=cfg)
+    rep = criteria.check_unitary_four_rotation(space, cfg=cfg)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert rep.samples == 0
 

@@ -3,8 +3,10 @@
 The characterizations read only the matrix norms of X, so a seeded Haar
 conjugation U X U*, a permutation of the basis and the direct sum X (+) X
 must leave every verdict as it is.  The unit and the involution are carried
-along with the basis.  A reduced search budget keeps the suite short; under
-it the untransformed spaces still reproduce their pinned corpus verdicts.
+along with the basis, and a row proved by a ternary identity of the unit
+stays proved by the same identity.  A reduced search budget keeps the suite
+short; under it the untransformed spaces still reproduce their pinned corpus
+verdicts.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ ENTRIES = {
     "linf3_e1": lambda: corpus.build_linf(3, "e1"),
     "twisted_selfadjoint": corpus.build_twisted_selfadjoint,
     "full_matrix_2": lambda: corpus.build_full_matrix(2),
+    "full_matrix_2_plus_half": lambda: corpus.build_full_matrix_plus_half(2),
 }
 
 SEARCHED = ("unitary-four-rotation", "unitary-t-gadget", "coisometry", "isometry", "operator-system")
@@ -58,7 +61,9 @@ TRANSFORMS = {"conjugated": conjugated, "permuted": permuted, "doubled": doubled
 
 
 def verdicts(entry):
-    return {crit: rep.verdict for crit, rep in corpus.run_entry(entry, CONFIG) if crit in SEARCHED}
+    """(verdict, proved identity or None) for each searched criterion of the entry."""
+    return {crit: (rep.verdict, (rep.proof or {}).get("identity"))
+            for crit, rep in corpus.run_entry(entry, CONFIG) if crit in SEARCHED}
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +74,16 @@ def original_verdicts():
 def test_untransformed_spaces_keep_their_pinned_verdicts(original_verdicts):
     for name, build in ENTRIES.items():
         expected = {c: v for c, v in build().expected.items() if c in SEARCHED}
-        assert original_verdicts[name] == expected, name
+        assert {c: v for c, (v, _) in original_verdicts[name].items()} == expected, name
+    proved = {name: sorted(c for c, (_, proof) in got.items() if proof)
+              for name, got in original_verdicts.items()}
+    assert proved == {
+        "linf3_ones": sorted(SEARCHED),
+        "linf3_e1": [],
+        "twisted_selfadjoint": ["coisometry", "isometry", "unitary-four-rotation", "unitary-t-gadget"],
+        "full_matrix_2": sorted(SEARCHED),
+        "full_matrix_2_plus_half": [],
+    }
 
 
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))

@@ -18,11 +18,23 @@ def norm_objective(space):
     return f
 
 
+def realize_adjoint_stack(space, W):
+    """Adjoint of ``spaces.realize_stack``: ambient cotangents (..., rp, cq) -> coefficient gradients (..., r, c, k).
+
+    g_ijl = sum_pq W[ip, jq] conj(B_l[p, q]), so that Re<W, realize(dc)> =
+    Re sum(conj(g) dc): the real and imaginary parts of g are the partial
+    derivatives along the real and imaginary parts of the coefficients.
+    """
+    r, c = W.shape[-2] // space.p, W.shape[-1] // space.q
+    grid = W.reshape(W.shape[:-2] + (r, space.p, c, space.q))
+    return np.einsum("...ipjq,lpq->...ijl", grid, np.conj(space.basis))
+
+
 def norm_gradient(space, sign=1.0):
     """Gradient of sign * norm on a dense-layout embedded space."""
     def g(coeffs):
         _, W = matcore.norm_cotangent_stack(spaces.realize_stack(space, coeffs))
-        return sign * spaces.realize_adjoint_stack(space, W)
+        return sign * realize_adjoint_stack(space, W)
     return g
 
 
