@@ -211,9 +211,12 @@ def _searched_check(
 
     Levels are searched in increasing order and stop early once a level has
     produced a violation: the verdict cannot change, only the margin could.
-    Within a level the radii run largest-first, since every smaller ball is
-    contained in the largest one.  ``objective_for_level(n)`` returns the
-    (objective, gradient) pair searched at level n.
+    All radius cells of a level are searched by one lockstep call.  The cells
+    are ordered largest radius first, since every smaller ball is contained in
+    the largest one; that order fixes each cell's stream key and trace
+    position, and a later cell replaces the best only when strictly better.
+    ``objective_for_level(n)`` returns the (objective, gradient) pair searched
+    at level n.
     """
     cfg.validate()
     cfg.guard_ambient(space)
@@ -228,14 +231,15 @@ def _searched_check(
     evaluations = 0
     trace = []
     levels_checked = []
+    ordered = sorted(radii, reverse=True)
     for li, n in enumerate(levels):
         objective, gradient = objective_for_level(n)
         levels_checked.append(n)
-        for ri, r in enumerate(sorted(radii, reverse=True)):
-            res = witness.maximize_violation(
-                objective, space, n, cfg, radius=r, mode=mode,
-                restarts=per_cell, stream_key=(key, li, ri), gradient=gradient,
-            )
+        results = witness.maximize_violation(
+            objective, space, n, cfg, cells=[(r, (key, li, ri)) for ri, r in enumerate(ordered)],
+            mode=mode, restarts=per_cell, gradient=gradient,
+        )
+        for r, res in zip(ordered, results):
             evaluations += res.evaluations
             trace.append({"level": n, "radius": r, "restarts": per_cell,
                           "best": res.best_value if np.isfinite(res.best_value) else None,

@@ -9,15 +9,21 @@ batched SVD with singular vectors at the current point.  Each step line-searches
 along that direction (and, in the ball, along radial rescalings) and grows the
 step on improvement; a stalled step halves it and blends in the gradient at the
 nearest failed trial, so the search follows the kinks of the max-of-norms
-objectives.  Restarts advance in vectorized lockstep, so one ascent step costs
-at most two gradient batches and one batch of trial evaluations; results are
-independent of scheduling and thread count because the merge takes the
-maximum by value with index tie-break.
+objectives.  A call searches several cells (a ball or sphere radius and a
+stream key each) of one level, and the restarts of all its cells advance in
+vectorized lockstep: one ascent step costs at most two gradient batches and
+one batch of trial evaluations for the whole level.  Every restart carries its
+own radius, step, step cap and floor, so its trajectory does not depend on
+which restarts share its batch; the batch's working set grows with the number
+of cells.  Results are independent of scheduling and thread count because
+each cell's merge takes the maximum by value with index tie-break.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -65,6 +71,15 @@ class SearchConfig:
     threads: int = 1
 
     def validate(self):
+        for name in ("tolerance", "radius", "step_size", "t_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidInputError(f"SearchConfig.{name} must be a finite number, got {value!r}")
+        for name in ("max_level", "restarts", "ascent_steps", "circle_samples", "b_samples", "threads",
+                     "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"SearchConfig.{name} must be an integer, got {value!r}")
         for name in ("tolerance", "max_level", "radius", "ascent_steps", "step_size",
                      "circle_samples", "t_max", "b_samples", "threads"):
             if getattr(self, name) <= 0:
@@ -93,7 +108,10 @@ class SearchResult:
 
 
 def _project(space, coeffs, radius, mode):
-    """Project a stack of coefficient grids into the ball (or onto the sphere) of the given radius."""
+    """Project a stack of coefficient grids into the ball (or onto the sphere) of the given radius.
+
+    ``radius`` is a scalar or an array broadcasting against the stack's leading shape.
+    """
     norms = spaces.norm_stack(space, coeffs)
     if mode == SPHERE:
         scale = np.where(norms > 0, radius / np.where(norms > 0, norms, 1.0), 1.0)
@@ -136,7 +154,11 @@ def _min_norm_pair(a, b):
 
 
 def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0):
-    """Vectorized lockstep ascent; returns (points, values, evaluations).
+    """Vectorized lockstep ascent; returns (points, values, evaluations), one entry per restart.
+
+    ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
+    first step; the step cap and floor scale with the restart's own radius, so
+    restarts of different cells share the batch without affecting each other.
 
     Each restart line-searches along its normalized gradient, taken by one
     ``gradient`` batch over the restarts that moved.  An accepted move grows
@@ -147,12 +169,12 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     (an aggregate subgradient), so the search follows kinks instead of
     stopping at them.  A restart stops when its step falls below the floor or
     its direction vanishes or is not finite.
-    ``evaluations`` counts the starts, every trial point and one per restart
-    in each gradient batch.
+    A restart's ``evaluations`` counts its start, its trial points and one per
+    gradient batch it is in.
     """
     n_restarts = points.shape[0]
-    step = np.full(n_restarts, step0)
-    step_cap = max(step0, _STEP_CAP_FRACTION * radius)
+    step = step0.copy()
+    step_cap = np.maximum(step0, _STEP_CAP_FRACTION * radius)
     grad = np.zeros_like(points)
     sampled = np.zeros(n_restarts, dtype=bool)  # grad already blends in a sampled gradient
     direction = np.zeros_like(points)
@@ -164,7 +186,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
                     int(dead.sum()))
         values = np.where(dead, -np.inf, values)
         active &= ~dead
-    evaluations = n_restarts
+    evaluations = np.ones(n_restarts, dtype=np.int64)
     step_floor = _STEP_FLOOR_FRACTION * radius
 
     for _ in range(max_steps):
@@ -173,7 +195,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         grad_idx = np.nonzero(active & needs_grad)[0]
         if grad_idx.size:
             fresh = np.asarray(gradient(points[grad_idx]))  # (A, n, n, k)
-            evaluations += grad_idx.size
+            evaluations[grad_idx] += 1
             keep = sampled[grad_idx]
             if keep.any():
                 fresh[keep] = _min_norm_pair(fresh[keep], grad[grad_idx[keep]])
@@ -185,20 +207,20 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
 
         idx = np.nonzero(active)[0]
         scaled = step[idx, None] * _LINE_SCALES[None, :]
-        np.minimum(scaled, step_cap, out=scaled)
+        np.minimum(scaled, step_cap[idx, None], out=scaled)
         trials = points[idx, None] + scaled[:, :, None, None, None] * direction[idx, None]
         if mode == BALL:
             # Radial rescalings march along the nonsmooth ridges of the
             # max-of-norms objectives (they preserve zero coordinates, so they
             # never cross a phase kink) and home in on interior optima.
-            mags = np.minimum(step[idx, None] * np.abs(_RADIAL_SCALES)[None, :], step_cap)
-            rad = 1.0 + np.sign(_RADIAL_SCALES)[None, :] * mags / radius
+            mags = np.minimum(step[idx, None] * np.abs(_RADIAL_SCALES)[None, :], step_cap[idx, None])
+            rad = 1.0 + np.sign(_RADIAL_SCALES)[None, :] * mags / radius[idx, None]
             radial = points[idx, None] * rad[:, :, None, None, None]
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
-        trials, _ = _project(space, trials, radius, mode)
+        trials, _ = _project(space, trials, radius[idx, None], mode)
         ftrial = np.asarray(objective(trials))
-        evaluations += ftrial.size
+        evaluations[idx] += ftrial.shape[1]
         ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
 
         pick = np.argmax(ftrial, axis=1)
@@ -208,7 +230,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         take = idx[improved]
         points[take] = trials[rows[improved], pick[improved]]
         values[take] = fbest[improved]
-        step[take] = np.minimum(scaled[rows[improved], pick[improved]], step_cap)
+        step[take] = np.minimum(scaled[rows[improved], pick[improved]], step_cap[take])
         needs_grad[take] = True
         halve = idx[~improved]
         step[halve] *= 0.5
@@ -224,7 +246,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
             resample = halve[again]
             near = trials[rows[~improved][again], _NEAR_TRIAL]
             grad[resample] = _min_norm_pair(grad[resample], np.asarray(gradient(near)))
-            evaluations += resample.size
+            evaluations[resample] += 1
             sampled[resample] = True
             _set_directions(grad, direction, active, resample)
 
@@ -236,42 +258,54 @@ def maximize_violation(
     space: spaces.SpaceRep,
     level: int,
     cfg: SearchConfig,
-    radius: float | None = None,
+    cells: list | None = None,
     mode: str = BALL,
     restarts: int | None = None,
-    stream_key: tuple = (),
     *,
     gradient,
-) -> SearchResult:
-    """Search the ball (or sphere) of M_n(X) for a maximizer of ``objective``.
+) -> list[SearchResult]:
+    """Search the balls (or spheres) of M_n(X) of several cells for maximizers of ``objective``.
 
+    ``cells`` is a sequence of (radius, stream_key) pairs, by default the one
+    cell (cfg.radius, ()).  Each cell draws ``restarts`` starts (default
+    cfg.restarts) from its own stream key, and the restarts of all cells
+    ascend in one lockstep batch.  Returns one SearchResult per cell, in the
+    order given; each is exactly what a call with that cell alone returns.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
     (sub)gradients of the same shape, real and imaginary parts being the
     partial derivatives along the real and imaginary coefficient parts.
-    Fixed (seed, stream_key) reproduces the result bit-for-bit.
+    Fixed (seed, stream_key) reproduces a cell's result bit-for-bit.
     """
     cfg.validate()
-    radius = cfg.radius if radius is None else float(radius)
+    cells = [(cfg.radius, ())] if cells is None else [(float(r), key) for r, key in cells]
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     if n_restarts <= 0:
-        return SearchResult(best_value=-np.inf, best_point=None, evaluations=0, level=level)
+        return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0, level=level)
+                for _ in cells]
 
-    points = _draw_starts(space, level, cfg, radius, mode, n_restarts, stream_key)
+    points = np.concatenate([_draw_starts(space, level, cfg, r, mode, n_restarts, key)
+                             for r, key in cells])
+    radius = np.repeat([r for r, _ in cells], n_restarts)
+    step0 = np.repeat([cfg.step_size * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
     points, values, evaluations = _ascent(
         objective, gradient, space, points, values, radius, mode,
-        max_steps=cfg.ascent_steps, step0=cfg.step_size * radius,
+        max_steps=cfg.ascent_steps, step0=step0,
     )
-    best = int(np.argmax(values))
-    return SearchResult(
-        best_value=float(values[best]),
-        best_point=spaces.LevelElement(level, points[best]),
-        evaluations=evaluations,
-        restart_bests=[float(v) for v in values],
-        level=level,
-    )
+    results = []
+    for c in range(len(cells)):
+        cell = slice(c * n_restarts, (c + 1) * n_restarts)
+        best = int(np.argmax(values[cell]))
+        results.append(SearchResult(
+            best_value=float(values[cell][best]),
+            best_point=spaces.LevelElement(level, points[cell][best]),
+            evaluations=int(evaluations[cell].sum()),
+            restart_bests=[float(v) for v in values[cell]],
+            level=level,
+        ))
+    return results
 
 
 def refine_witness(
@@ -293,13 +327,13 @@ def refine_witness(
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
     pts, values, evaluations = _ascent(
-        objective, gradient, space, pts, values, radius, mode,
-        max_steps=4 * cfg.ascent_steps, step0=cfg.step_size * radius / 10.0,
+        objective, gradient, space, pts, values, np.array([radius]), mode,
+        max_steps=4 * cfg.ascent_steps, step0=np.array([cfg.step_size * radius / 10.0]),
     )
     return SearchResult(
         best_value=float(values[0]),
         best_point=spaces.LevelElement(point.level, pts[0]),
-        evaluations=evaluations + 1,
+        evaluations=int(evaluations[0]) + 1,
         restart_bests=[float(values[0])],
         level=point.level,
     )

@@ -301,6 +301,15 @@ def test_non_integer_env_seed_exits_3(space_dir, capsys, monkeypatch, argv):
     assert "invalid space file" not in err
 
 
+@EVERY_SUBCOMMAND
+@pytest.mark.parametrize("flag, value", [("--tolerance", "nan"), ("--radius", "nan"),
+                                         ("--radius", "inf")])
+def test_non_finite_config_value_exits_3(space_dir, capsys, argv, flag, value):
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    assert run_cli(argv + [flag, value]) == 3
+    err = capsys.readouterr().err
+    assert f"SearchConfig.{flag[2:]} must be a finite number" in err
+
 
 def test_proved_report_prints_its_proof(space_dir, tmp_path, capsys):
     rc = run_cli(["check", space_dir / "full_matrix_2.json", "coisometry"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opspace import corpus, criteria, matcore, spaces, witness
+from opspace.errors import InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +41,8 @@ def norm_gradient(space, sign=1.0):
 
 def test_norm_objective_maximized_on_sphere(m2):
     cfg = witness.SearchConfig(restarts=16)
-    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, radius=1.0,
-                                     gradient=norm_gradient(m2))
+    res, = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, cells=[(1.0, ())],
+                                      gradient=norm_gradient(m2))
     assert res.best_value == pytest.approx(1.0, abs=1e-4)
     assert res.best_point is not None
     assert spaces.norm(m2, res.best_point) <= 1.0 + 1e-9
@@ -52,7 +53,7 @@ def test_four_rotation_search_finds_known_witness():
     space = entry.space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     cfg = witness.SearchConfig(restarts=16)
-    res = witness.maximize_violation(obj, space, 1, cfg, radius=1.0, stream_key=(99,), gradient=grad)
+    res, = witness.maximize_violation(obj, space, 1, cfg, cells=[(1.0, (99,))], gradient=grad)
     assert res.best_value >= math.sqrt(2) - 1 - 1e-3
 
 
@@ -61,8 +62,8 @@ def test_determinism_and_thread_independence(m2):
     results = []
     for threads in (1, 8):
         cfg = witness.SearchConfig(restarts=8, threads=threads)
-        results.append(witness.maximize_violation(obj, m2, 1, cfg, radius=0.5, stream_key=(3,),
-                                                  gradient=norm_gradient(m2)))
+        results += witness.maximize_violation(obj, m2, 1, cfg, cells=[(0.5, (3,))],
+                                              gradient=norm_gradient(m2))
     a, b = results
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_point.coeffs, b.best_point.coeffs)
@@ -72,7 +73,7 @@ def test_determinism_and_thread_independence(m2):
 
 def test_zero_restarts_yield_no_evidence(m2):
     cfg = witness.SearchConfig(restarts=0)
-    res = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, gradient=norm_gradient(m2))
+    res, = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, gradient=norm_gradient(m2))
     assert res.evaluations == 0
     assert res.best_point is None
 
@@ -81,16 +82,16 @@ def test_ball_feasibility_of_all_restart_results(m2):
     obj = norm_objective(m2)
     cfg = witness.SearchConfig(restarts=12)
     for radius in (0.25, 1.0):
-        res = witness.maximize_violation(obj, m2, 2, cfg, radius=radius, stream_key=(4,),
-                                         gradient=norm_gradient(m2))
+        res, = witness.maximize_violation(obj, m2, 2, cfg, cells=[(radius, (4,))],
+                                          gradient=norm_gradient(m2))
         assert spaces.norm(m2, res.best_point) <= radius + 1e-9
 
 
 def test_best_value_matches_objective_at_best_point(m2):
     obj = norm_objective(m2)
     cfg = witness.SearchConfig(restarts=8)
-    res = witness.maximize_violation(obj, m2, 1, cfg, radius=0.7, stream_key=(5,),
-                                     gradient=norm_gradient(m2))
+    res, = witness.maximize_violation(obj, m2, 1, cfg, cells=[(0.7, (5,))],
+                                      gradient=norm_gradient(m2))
     again = float(obj(res.best_point.coeffs[None])[0])
     assert res.best_value == pytest.approx(again, abs=1e-9)
 
@@ -127,8 +128,8 @@ def test_sphere_mode_stays_on_sphere(m2):
         sign = np.sign(spaces.norm_stack(m2, coeffs) - 1.0)
         return sign[:, None, None, None] * norm_gradient(m2)(coeffs)
 
-    res = witness.maximize_violation(dev, m2, 1, cfg, radius=1.0,
-                                     mode=witness.SPHERE, stream_key=(6,), gradient=dev_gradient)
+    res, = witness.maximize_violation(dev, m2, 1, cfg, cells=[(1.0, (6,))],
+                                      mode=witness.SPHERE, gradient=dev_gradient)
     assert res.best_value <= 1e-9
 
 
@@ -138,9 +139,70 @@ def test_non_finite_objective_aborts_restart_and_continues(m2):
         return np.where(np.real(coeffs[..., 0, 0, 0]) > 0, np.nan, vals)
 
     cfg = witness.SearchConfig(restarts=12)
-    res = witness.maximize_violation(sometimes_nan, m2, 1, cfg, radius=1.0, stream_key=(7,),
-                                     gradient=norm_gradient(m2))
+    res, = witness.maximize_violation(sometimes_nan, m2, 1, cfg, cells=[(1.0, (7,))],
+                                      gradient=norm_gradient(m2))
     assert np.isfinite(res.best_value)
+
+
+#: The four radius cells a default-config ball search sweeps, largest first.
+DEFAULT_RADII = (1.0, 0.5, 0.25, 0.1)
+
+
+def same_result(a, b):
+    return (a.best_value == b.best_value
+            and a.best_point.coeffs.tobytes() == b.best_point.coeffs.tobytes()
+            and a.evaluations == b.evaluations
+            and a.restart_bests == b.restart_bests)
+
+
+@pytest.mark.parametrize("mode, level, dead_cell", [
+    (witness.BALL, 1, False),
+    (witness.BALL, 2, False),
+    (witness.SPHERE, 1, False),
+    (witness.SPHERE, 2, False),
+    (witness.SPHERE, 1, True),
+], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell"])
+def test_cells_ascend_independently(mode, level, dead_cell):
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
+    if dead_cell:
+        # NaN beyond norm 0.75: every start of the radius-1 sphere cell dies at once
+        live = obj
+
+        def obj(coeffs):
+            return np.where(spaces.norm_stack(space, coeffs) > 0.75, np.nan, live(coeffs))
+
+    cfg = witness.SearchConfig(restarts=3, ascent_steps=40)
+    cells = [(r, (5, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    merged = witness.maximize_violation(obj, space, level, cfg, cells=cells, mode=mode, gradient=grad)
+    assert len(merged) == len(cells)
+    for cell, res in zip(cells, merged):
+        alone, = witness.maximize_violation(obj, space, level, cfg, cells=[cell], mode=mode,
+                                            gradient=grad)
+        assert same_result(res, alone), cell
+    if dead_cell:
+        assert merged[0].restart_bests == [-np.inf] * 3
+        assert all(np.isfinite(res.best_value) for res in merged[1:])
+
+
+@pytest.mark.parametrize("name", ["tolerance", "radius", "step_size", "t_max"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_refuses_non_finite_reals(name, bad):
+    with pytest.raises(InvalidInputError, match=f"SearchConfig.{name} "):
+        witness.SearchConfig(**{name: bad}).validate()
+
+
+@pytest.mark.parametrize("name", ["max_level", "restarts", "ascent_steps", "circle_samples",
+                                  "b_samples", "threads", "seed"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+def test_config_refuses_non_integer_counts(name, bad):
+    with pytest.raises(InvalidInputError, match=f"SearchConfig.{name} "):
+        witness.SearchConfig(**{name: bad}).validate()
+
+
+def test_config_accepts_numpy_scalars():
+    witness.SearchConfig(max_level=np.int64(2), seed=np.uint32(7), radius=np.float64(0.5),
+                         tolerance=1).validate()
 
 
 def test_config_validation():
