@@ -230,10 +230,10 @@ def cmd_search(args) -> int:
 def cmd_verify_formulas(args) -> int:
     try:
         cfg = _build_config(args)
+        suites = formulas.run_all_suites(trials=args.trials, seed=cfg.seed)
     except OpspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    suites = formulas.run_all_suites(trials=args.trials, seed=cfg.seed)
     ok = all(s.passed for s in suites)
     payload = _envelope({
         "command": "verify-formulas",

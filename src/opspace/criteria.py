@@ -723,18 +723,22 @@ def _mult_row_deviations(x_mat, z_mat, y_mat, bs):
     return matcore.op_norm_stack(two_by_four) - matcore.op_norm_stack(bottom)
 
 
+def _unit_fillers(rng, count: int, d: int) -> np.ndarray:
+    """``count`` fillers (count, d, d): what as many ``rand_cmat(d, d, rng)`` draw, scaled to norm 1."""
+    z = rng.normal(size=(count, 2, d, d))
+    bs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    nb = matcore._lapack_op_norm(bs)
+    return bs / np.where(nb > 0, nb, 1.0)[:, None, None]
+
+
 def _metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
     """Best detectable gap for the pair (x, y): z is the best in-space candidate."""
     prod = x_mat @ matcore.dagger(y_mat)
     _, c = _projection_residual_matrix(space, prod)
     z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
-    d = x_mat.shape[0]
-    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)]
-    for _ in range(cfg.b_samples):
-        b = matcore.rand_cmat(d, d, rng)
-        nb = matcore.op_norm(b)
-        bs.append(b / nb if nb > 0 else b)
-    devs = _mult_row_deviations(x_mat, z_mat, y_mat, np.stack(bs))
+    canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
+    bs = np.concatenate([canonical[None], _unit_fillers(rng, cfg.b_samples, x_mat.shape[0])])
+    devs = _mult_row_deviations(x_mat, z_mat, y_mat, bs)
     return float(np.max(np.abs(devs))), z_mat
 
 
@@ -751,12 +755,9 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
     k = space.dim
-    alg_max, alg_pair = -np.inf, (0, 0)
-    for i in range(k):
-        for j in range(k):
-            r = spaces.membership_residual(space, space.basis[i] @ space.basis[j])
-            if r > alg_max:
-                alg_max, alg_pair = r, (i, j)
+    residuals = spaces.membership_residual_stack(space, space.basis[:, None] @ space.basis[None])
+    alg_pair = np.unravel_index(int(np.argmax(residuals)), (k, k))
+    alg_max = float(residuals[alg_pair])
     samples = k * k
 
     met_max = -np.inf
@@ -782,7 +783,7 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
     worst = max(alg_max, met_max)
     if worst > cfg.tolerance:
         if alg_max >= met_max:
-            i, j = alg_pair
+            i, j = (int(v) for v in alg_pair)
             waux = dict(aux, path="algebraic", x_basis=i, y_basis=j, residual=float(alg_max),
                         y=_encode_array(matcore.dagger(space.basis[j])))
             welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
@@ -812,18 +813,16 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     if w.shape != shapes[side]:
         raise ShapeError(f"{side} multiplier must be {shapes[side]}, got {w.shape}")
 
-    alg_max, alg_idx = -np.inf, (0,)
     if side == "left":
-        products = {(i,): w @ space.basis[i] for i in range(k)}
+        products = w @ space.basis
     elif side == "right":
-        products = {(i,): space.basis[i] @ w for i in range(k)}
+        products = space.basis @ w
     else:
-        products = {(i, j): space.basis[i] @ w @ space.basis[j] for i in range(k) for j in range(k)}
-    for idx, m in products.items():
-        r = spaces.membership_residual(space, m)
-        if r > alg_max:
-            alg_max, alg_idx = r, idx
-    samples = len(products)
+        products = (space.basis @ w)[:, None] @ space.basis[None]
+    residuals = spaces.membership_residual_stack(space, products)
+    alg_idx = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
+    alg_max = float(residuals[tuple(alg_idx)])
+    samples = residuals.size
 
     met_max = None
     agree = None
@@ -857,7 +856,7 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
 
     criterion = f"multiplier-{side}"
     if alg_max > cfg.tolerance:
-        waux = dict(aux, basis_index=list(alg_idx), residual=float(alg_max))
+        waux = dict(aux, basis_index=alg_idx, residual=float(alg_max))
         return CheckReport(criterion, VIOLATED, -alg_max, _witness_dict(None, waux),
                            [1], samples, cfg.to_dict(), notes)
     return CheckReport(criterion, HOLDS_WITHIN_BUDGET, -alg_max, _witness_dict(None, aux),
@@ -1005,17 +1004,13 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         y_mat, _ = _sample_space_matrix(space, rng)
         z_mat = -x_mat @ matcore.dagger(y_mat)
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
-        in_space_max = max(in_space_max,
-                           spaces.membership_residual(space, z_mat),
-                           spaces.membership_residual(space, b_mat))
+        in_space_max = max(in_space_max, *spaces.membership_residual_stack(space, np.stack([z_mat, b_mat])))
         for sign in ("+", "-"):
             M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
             for m in levels:
                 amp = matcore.scalar_amplify(M, m)
-                ws = np.empty((n_contractions, 2 * m * space.p, 2 * m * space.q), dtype=np.complex128)
-                for iw in range(n_contractions):
-                    elem = spaces.random_element(space, 2 * m, rng, target_norm=1.0)
-                    ws[iw] = spaces.realize(space, elem)
+                ws = spaces.realize_stack(space, spaces.random_stack(space, 2 * m, rng, n_contractions,
+                                                                     target_norm=1.0))
                 rows = np.concatenate([np.broadcast_to(amp, (n_contractions,) + amp.shape), ws], axis=2)
                 devs = np.abs(matcore.op_norm_stack(rows) - SQRT2)
                 samples += n_contractions

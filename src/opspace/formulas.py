@@ -4,10 +4,20 @@ Each suite draws seeded random matrices, evaluates both sides of an identity
 and reports the largest deviation observed.  These identities are what the
 criteria ultimately lean on, so the suites double as a self-test of the whole
 norm layer.
+
+Every trial draws from its own stream, keyed by its suite, (space, level) and
+index, so a trial's matrices do not depend on how many trials run.  The
+trials are then evaluated as stacks: the pair suites as (trials, 3, 3) stacks
+of a and b, the gadget suites one (space, level) group at a time, realized,
+measured with ``spaces.norm_stack`` and assembled with the ``gadgets`` stack
+helpers.  Gadget norms come from ``matcore._lapack_op_norm``, one LAPACK call
+per stack, so every deviation is bit for bit what ``matcore.op_norm`` gives
+one matrix at a time.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -15,6 +25,7 @@ import numpy as np
 
 from . import gadgets, matcore, spaces
 from .corpus import build_full_matrix, build_upper_triangular
+from .errors import InvalidInputError
 
 __all__ = ["SuiteResult", "run_all_suites", "t_norm_closed_form", "BUG_ENV_VAR"]
 
@@ -50,99 +61,100 @@ def t_norm_closed_form(s):
     return 0.5 * (2.0 + s**2 + s * np.sqrt(s**2 + 4.0))
 
 
+def _pair_stacks(trials: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, 3, 3) stacks of a and b, trial t drawn from its own stream (seed, tag, t)."""
+    a = np.empty((trials, 3, 3), dtype=np.complex128)
+    b = np.empty_like(a)
+    for t in range(trials):
+        rng = matcore.stream(seed, tag, t)
+        a[t] = matcore.rand_cmat(3, 3, rng)
+        b[t] = matcore.rand_cmat(3, 3, rng)
+    return a, b
+
+
 def _sum_diff_suite(trials: int, seed: int, bug: bool) -> SuiteResult:
     """||[[a, b], [b, a]]|| = max(||a + b||, ||a - b||) for random 3x3 pairs."""
-    worst = 0.0
-    for t in range(trials):
-        rng = matcore.stream(seed, 21, t)
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
-        lhs = matcore.op_norm(matcore.block([[a, b], [b, a]]))
-        second = a + b if bug else a - b
-        rhs = max(matcore.op_norm(a + b), matcore.op_norm(second))
-        worst = max(worst, abs(lhs - rhs))
-    return SuiteResult("sum-diff block identity", trials, worst, 1e-9)
+    a, b = _pair_stacks(trials, seed, 21)
+    lhs = matcore._lapack_op_norm(gadgets.two_by_two_stack(a, b, b, a))
+    second = a + b if bug else a - b
+    rhs = np.maximum(matcore._lapack_op_norm(a + b), matcore._lapack_op_norm(second))
+    return SuiteResult("sum-diff block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
 
 
 def _rotation_suite(trials: int, seed: int) -> SuiteResult:
     """||[[a, -b], [b, a]]|| = max(||a + ib||, ||a - ib||) for random 3x3 pairs."""
-    worst = 0.0
-    for t in range(trials):
-        rng = matcore.stream(seed, 22, t)
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
-        lhs = matcore.op_norm(matcore.block([[a, -b], [b, a]]))
-        rhs = max(matcore.op_norm(a + 1j * b), matcore.op_norm(a - 1j * b))
-        worst = max(worst, abs(lhs - rhs))
-    return SuiteResult("rotation block identity", trials, worst, 1e-9)
+    a, b = _pair_stacks(trials, seed, 22)
+    lhs = matcore._lapack_op_norm(gadgets.two_by_two_stack(a, -b, b, a))
+    rhs = np.maximum(matcore._lapack_op_norm(a + 1j * b), matcore._lapack_op_norm(a - 1j * b))
+    return SuiteResult("rotation block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
 
 
 def _unital_test_spaces():
-    return [
-        ("M2", build_full_matrix(2).space),
-        ("M3", build_full_matrix(3).space),
-        ("upper-triangular M2", build_upper_triangular(2).space),
-    ]
+    return [build_full_matrix(2).space, build_full_matrix(3).space, build_upper_triangular(2).space]
 
 
 def _selfadjoint_test_spaces():
-    return [("M2", build_full_matrix(2).space), ("M3", build_full_matrix(3).space)]
+    return [build_full_matrix(2).space, build_full_matrix(3).space]
 
 
-def _doubling_suite(trials: int, seed: int) -> SuiteResult:
+def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, deviations) -> SuiteResult:
+    """Largest of ``deviations(space, Vn, X, coeffs)`` over every (space, level) group of ``trials`` elements.
+
+    Trial t of a group draws its element from its own stream (seed, tag, si,
+    level, t); each group is then one stack: ``coeffs`` the grids, X their
+    ambient matrices and Vn the amplified unit.
+    """
+    worst = 0.0
+    count = 0
+    for si, space in enumerate(test_spaces):
+        for level in (1, 2):
+            streams = (matcore.stream(seed, tag, si, level, t) for t in range(trials))
+            coeffs = np.stack([spaces.random_element(space, level, rng).coeffs for rng in streams])
+            X = spaces.realize_stack(space, coeffs)
+            Vn = gadgets.amplified_unit(space, space.unit, level)
+            worst = max(worst, float(np.max(deviations(space, Vn, X, coeffs))))
+            count += trials
+    return SuiteResult(name, count, worst, 1e-8)
+
+
+def _square(norms: np.ndarray) -> np.ndarray:
+    """Squares by libm ``pow``, as Python's ``float ** 2`` takes them; ``x * x`` can differ in the last bit."""
+    return np.float_power(norms, 2.0)
+
+
+def _doubling_deviations(space, Vn, X, coeffs):
     """||t_x||^2 = (2 + ||x||^2 + ||x|| sqrt(||x||^2 + 4)) / 2 with v the ambient identity."""
-    worst = 0.0
-    count = 0
-    for si, (_, space) in enumerate(_unital_test_spaces()):
-        for level in (1, 2):
-            for t in range(trials):
-                rng = matcore.stream(seed, 23, si, level, t)
-                x = spaces.random_element(space, level, rng)
-                g = gadgets.build_t(space, space.unit, x)
-                s = spaces.norm(space, x)
-                worst = max(worst, abs(matcore.op_norm(g) ** 2 - float(t_norm_closed_form(s))))
-                count += 1
-    return SuiteResult("doubling gadget closed form", count, worst, 1e-8)
+    g = gadgets.t_stack(Vn, X)
+    return np.abs(_square(matcore._lapack_op_norm(g)) - t_norm_closed_form(spaces.norm_stack(space, coeffs)))
 
 
-def _symmetric_suite(trials: int, seed: int) -> SuiteResult:
+def _symmetric_deviations(space, Vn, X, coeffs):
     """||s_x|| = 1 + ||x|| on selfadjoint unital spaces."""
-    worst = 0.0
-    count = 0
-    for si, (_, space) in enumerate(_selfadjoint_test_spaces()):
-        for level in (1, 2):
-            for t in range(trials):
-                rng = matcore.stream(seed, 24, si, level, t)
-                x = spaces.random_element(space, level, rng)
-                g = gadgets.build_s(space, space.unit, x)
-                worst = max(worst, abs(matcore.op_norm(g) - (1.0 + spaces.norm(space, x))))
-                count += 1
-    return SuiteResult("symmetric gadget norm", count, worst, 1e-8)
+    Xs = spaces.realize_stack(space, spaces.involution_stack(space, coeffs))
+    g = gadgets.two_by_two_stack(Vn, X, Xs, Vn)
+    return np.abs(matcore._lapack_op_norm(g) - (1.0 + spaces.norm_stack(space, coeffs)))
 
 
-def _skew_suite(trials: int, seed: int) -> SuiteResult:
+def _skew_deviations(space, Vn, X, coeffs):
     """||r_x|| = sqrt(1 + ||x||^2) on selfadjoint unital spaces."""
-    worst = 0.0
-    count = 0
-    for si, (_, space) in enumerate(_selfadjoint_test_spaces()):
-        for level in (1, 2):
-            for t in range(trials):
-                rng = matcore.stream(seed, 25, si, level, t)
-                x = spaces.random_element(space, level, rng)
-                g = gadgets.build_r(space, space.unit, x)
-                want = np.sqrt(1.0 + spaces.norm(space, x) ** 2)
-                worst = max(worst, abs(matcore.op_norm(g) - want))
-                count += 1
-    return SuiteResult("skew gadget norm", count, worst, 1e-8)
+    Xs = spaces.realize_stack(space, spaces.involution_stack(space, coeffs))
+    g = gadgets.two_by_two_stack(Vn, X, -Xs, Vn)
+    return np.abs(matcore._lapack_op_norm(g) - np.sqrt(1.0 + _square(spaces.norm_stack(space, coeffs))))
 
 
 def run_all_suites(trials: int = 200, seed: int = 1729, gadget_trials: int = 100) -> list:
     """Run every identity suite; the pair suites use ``trials``, the gadget suites ``gadget_trials``."""
+    for name, value in (("trials", trials), ("gadget_trials", gadget_trials)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+            raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
     bug = bool(os.environ.get(BUG_ENV_VAR))
     return [
         _sum_diff_suite(trials, seed, bug),
         _rotation_suite(trials, seed),
-        _doubling_suite(gadget_trials, seed),
-        _symmetric_suite(gadget_trials, seed),
-        _skew_suite(gadget_trials, seed),
+        _gadget_suite("doubling gadget closed form", 23, _unital_test_spaces(), gadget_trials, seed,
+                      _doubling_deviations),
+        _gadget_suite("symmetric gadget norm", 24, _selfadjoint_test_spaces(), gadget_trials, seed,
+                      _symmetric_deviations),
+        _gadget_suite("skew gadget norm", 25, _selfadjoint_test_spaces(), gadget_trials, seed,
+                      _skew_deviations),
     ]

@@ -14,6 +14,15 @@ norm when the matrix is a single row or column or exactly 2 x 2; every other
 shape goes to ``np.linalg.svd``.  The closed forms scale each matrix by its
 largest |entry| first, so they hold from 1e-300 to 1e300.  The single-matrix
 ``op_norm``/``trace_norm`` and ``norm_cotangent_stack`` use LAPACK throughout.
+
+``_lapack_op_norm`` is the stacked form of ``op_norm``: one ``np.linalg.svd``
+call over the whole stack, which runs the same LAPACK routine on each matrix
+and so gives each norm bit for bit as ``op_norm`` does.  The sampled checks
+(the identity suites in ``formulas``, the fillers, membership residuals and
+normalizations of the multiplicative checks in ``criteria``) batch their
+norms through it, not through ``op_norm_stack``: where a side is at most 2 the
+closed forms differ from LAPACK in the last bit, and those checks report the
+values ``op_norm`` gave them one matrix at a time.
 """
 
 from __future__ import annotations
@@ -51,8 +60,12 @@ def as_cmat(m, check_finite: bool = True) -> np.ndarray:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    a = as_cmat(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_lapack_op_norm(as_cmat(m)))
+
+
+def _lapack_op_norm(ms) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (..., r, c) -> (...), from LAPACK on every shape."""
+    return np.linalg.svd(ms, compute_uv=False)[..., 0]
 
 
 def trace_norm(m) -> float:
@@ -184,7 +197,7 @@ def _top_sval(ms: np.ndarray) -> np.ndarray:
     if min(r, c) == 1:
         return _vector_norm(ms)
     if min(r, c) > 2:
-        return np.linalg.svd(ms, compute_uv=False)[..., 0]
+        return _lapack_op_norm(ms)
     if r > c:
         ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
     a, s = _scaled(ms)

@@ -48,12 +48,15 @@ __all__ = [
     "norm",
     "norm_stack",
     "membership_residual",
+    "membership_residual_stack",
     "coefficients_of",
     "apply_involution",
+    "involution_stack",
     "project_to_ball",
     "unit_element",
     "unit_matrix",
     "random_element",
+    "random_stack",
     "zero_element",
 ]
 
@@ -414,22 +417,38 @@ def coefficients_of(space: SpaceRep, m) -> np.ndarray:
     return a.reshape(-1) @ space._pinv
 
 
+def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
+    """Operator-norm distances of ambient matrices (..., p, q) to their projections onto the space.
+
+    A distance is 0 iff its matrix lies in the space.  Each matrix is
+    projected as one (1, pq) row, so the products are the vector-matrix ones
+    of a single matrix, and its norm comes from LAPACK as ``op_norm`` takes it.
+    """
+    a = np.asarray(ms, dtype=np.complex128)
+    if a.shape[-2:] != (space.p, space.q):
+        raise ShapeError(f"expected {space.p}x{space.q} matrices, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("matrix has non-finite entries")
+    c = a.reshape(a.shape[:-2] + (1, -1)) @ space._pinv
+    proj = (c @ space._flat).reshape(a.shape)
+    return matcore._lapack_op_norm(a - proj)
+
+
 def membership_residual(space: SpaceRep, m) -> float:
     """Operator-norm distance from ``m`` to its projection onto the space; 0 iff m lies in it."""
-    a = matcore.as_cmat(m)
-    if a.shape != (space.p, space.q):
-        raise ShapeError(f"expected {space.p}x{space.q}, got {a.shape}")
-    c = a.reshape(-1) @ space._pinv
-    proj = (c @ space._flat).reshape(space.p, space.q)
-    return matcore.op_norm(a - proj)
+    return float(membership_residual_stack(space, matcore.as_cmat(m)))
+
+
+def involution_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
+    """The grids of x* over a stack (..., n, n, k): each grid transposed, coefficients c -> S conj(c)."""
+    if space.involution is None:
+        raise InvalidInputError("space has no involution")
+    return np.einsum("lm,...ijm->...jil", space.involution, np.conj(coeffs))
 
 
 def apply_involution(space: SpaceRep, x: LevelElement) -> LevelElement:
     """The element x* = [x*_{ji}]: grid transposed, coefficients c -> S conj(c)."""
-    if space.involution is None:
-        raise InvalidInputError("space has no involution")
-    starred = np.einsum("lm,ijm->jil", space.involution, np.conj(x.coeffs))
-    return LevelElement(x.level, starred)
+    return LevelElement(x.level, involution_stack(space, x.coeffs))
 
 
 def project_to_ball(space: SpaceRep, x: LevelElement, radius: float) -> LevelElement:
@@ -456,6 +475,28 @@ def zero_element(space: SpaceRep, level: int = 1) -> LevelElement:
     return LevelElement(level, np.zeros((level, level, space.dim), dtype=np.complex128))
 
 
+def random_stack(
+    space: SpaceRep,
+    level: int,
+    rng: np.random.Generator,
+    count: int,
+    target_norm: float | None = None,
+) -> np.ndarray:
+    """``count`` random coefficient grids (count, level, level, k), optionally rescaled to a given norm.
+
+    The grids are those of ``count`` successive ``random_element`` calls on
+    ``rng``: each draws the real parts of its Gaussian coefficients, then
+    their imaginary parts.  A grid of norm 0 is left as drawn.
+    """
+    z = rng.normal(size=(count, 2, level, level, space.dim))
+    coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    if target_norm is not None:
+        nx = norm_stack(space, coeffs)
+        scale = np.where(nx > 0, target_norm / np.where(nx > 0, nx, 1.0), 1.0)
+        coeffs = coeffs * scale[:, None, None, None]
+    return coeffs
+
+
 def random_element(
     space: SpaceRep,
     level: int,
@@ -463,11 +504,4 @@ def random_element(
     target_norm: float | None = None,
 ) -> LevelElement:
     """Random element with Gaussian coefficients, optionally rescaled to a given norm."""
-    k = space.dim
-    z = rng.normal(size=(level, level, k)) + 1j * rng.normal(size=(level, level, k))
-    elem = LevelElement(level, z / np.sqrt(2.0))
-    if target_norm is not None:
-        nx = norm(space, elem)
-        if nx > 0:
-            elem = LevelElement(level, elem.coeffs * (target_norm / nx))
-    return elem
+    return LevelElement(level, random_stack(space, level, rng, 1, target_norm)[0])

@@ -333,7 +333,7 @@ def refine_witness(
     return SearchResult(
         best_value=float(values[0]),
         best_point=spaces.LevelElement(point.level, pts[0]),
-        evaluations=int(evaluations[0]) + 1,
+        evaluations=int(evaluations[0]),
         restart_bests=[float(values[0])],
         level=point.level,
     )

@@ -143,6 +143,14 @@ def test_verify_formulas_bug_hook_subprocess():
     assert "FAIL" in proc.stdout
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_formulas_refuses_non_positive_trials(capsys, trials):
+    assert run_cli(["verify-formulas", "--trials", trials]) == 3
+    captured = capsys.readouterr()
+    assert f"trials must be a positive integer, got {trials}" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_corpus_only_entry(tmp_path):
     out = tmp_path / "c.json"
     rc = run_cli(["corpus", "--only", "trace_class_2", "--format", "json", "--out", out])

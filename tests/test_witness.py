@@ -109,6 +109,26 @@ def test_refine_never_decreases(m2):
     assert res.best_value >= math.sqrt(2) - 1 - 1e-9
 
 
+def test_refine_counts_each_evaluation_once():
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    calls = {"objective": 0, "gradient": 0}
+
+    def counted_obj(coeffs):
+        calls["objective"] += int(np.prod(coeffs.shape[:-3]))
+        return obj(coeffs)
+
+    def counted_grad(coeffs):
+        calls["gradient"] += coeffs.shape[0]
+        return grad(coeffs)
+
+    start = spaces.LevelElement(1, np.array([[[0.2, 0.3j, -0.1]]], dtype=complex))
+    res = witness.refine_witness(counted_obj, space, start, witness.SearchConfig(), radius=1.0,
+                                 gradient=counted_grad)
+    assert calls["objective"] > 1 and calls["gradient"] > 0
+    assert res.evaluations == calls["objective"] + calls["gradient"]
+
+
 def test_refine_keeps_zero_fixed_under_nonpositive_objective(m2):
     def neg_norm(coeffs):
         return -spaces.norm_stack(m2, coeffs)
