@@ -11,7 +11,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,30 +21,6 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
-
-
-@dataclass
-class RunManifest:
-    """What one CLI invocation is about to do: command, inputs, config, output sink."""
-
-    command: str
-    inputs: list = field(default_factory=list)
-    config: witness.SearchConfig = field(default_factory=witness.SearchConfig)
-    output: str | None = None
-    format: str = "text"
-
-    def validate(self):
-        for path in self.inputs:
-            if not os.path.exists(path):
-                raise InvalidInputError(f"input file does not exist: {path}")
-        if self.output:
-            outdir = os.path.dirname(os.path.abspath(self.output))
-            if not os.path.isdir(outdir) or not os.access(outdir, os.W_OK):
-                raise InvalidInputError(f"output directory is not writable: {outdir}")
-        if self.format not in ("json", "text"):
-            raise InvalidInputError(f"unknown format {self.format!r}")
-        self.config.validate()
-        return self
 
 
 _VERDICT_EXIT = {
@@ -93,6 +68,10 @@ def _build_config(args) -> witness.SearchConfig:
         cfg.restarts = args.restarts
     if getattr(args, "threads", None) is not None:
         cfg.threads = args.threads
+    if args.out:
+        outdir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(outdir) or not os.access(outdir, os.W_OK):
+            raise InvalidInputError(f"--out {args.out}: output directory is missing or not writable")
     return cfg.validate()
 
 
@@ -209,8 +188,8 @@ def cmd_check(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         cfg = _build_config(args)
-        RunManifest(command=args.command, inputs=[args.space_file], config=cfg,
-                    output=args.out, format=args.format).validate()
+        if not os.path.exists(args.space_file):
+            raise InvalidInputError(f"input file does not exist: {args.space_file}")
         space = _load_space(args.space_file, args)
         report = _run_criterion(space, args.criterion, cfg, args)
     except OpspaceError as exc:

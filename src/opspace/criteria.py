@@ -67,6 +67,7 @@ SQRT2 = math.sqrt(2.0)
 RADIUS_SWEEP = (0.1, 0.25, 0.5)
 
 LEVEL1_NOTE = "level-1 necessary condition"
+_STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
 
 # stream-key tags so every criterion draws from its own RNG substream (the
 # searched criteria carry theirs, 1-5, in SEARCH_CRITERIA)
@@ -303,40 +304,6 @@ def _unsupported(criterion: str, cfg: witness.SearchConfig, why: str) -> CheckRe
 # objectives (each receives coefficient-grid stacks; see witness.maximize_violation)
 
 
-class _Engine:
-    """Block realization for one (space, level) (see ``spaces.SpaceRep.blocks``).
-
-    ``realize`` maps coefficient grids to block stacks, ``norms`` measures
-    them (the maximum over blocks, or the sum of the level-1 oracle over
-    blocks), ``cotangents`` returns the norms with their cotangents (see
-    ``matcore.norm_cotangent_stack``) and ``adjoint`` maps such cotangents
-    back to coefficient gradients; the distinguished element comes
-    pre-amplified into the same blocks so gadget assemblies broadcast against
-    realized stacks directly.
-    """
-
-    def __init__(self, space: spaces.SpaceRep, v: np.ndarray, level: int):
-        vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
-        for i in range(level):
-            vgrid[i, i] = v
-        self.realize = lambda c: spaces.realize_fibers_stack(space, c)
-        self.adjoint = lambda w: spaces.realize_fibers_adjoint_stack(space, w)
-        if space.norm_mode == spaces.LEVEL1_ORACLE:
-            oracle = spaces.ORACLES[space.level1_oracle]
-            kind = space.level1_oracle
-            self.norms = lambda m: oracle(m).sum(axis=-1)
-
-            def cotangents(m):
-                norms, W = matcore.norm_cotangent_stack(m, kind)
-                return norms.sum(axis=-1), W
-
-            self.cotangents = cotangents
-        else:
-            self.norms = matcore.op_norm_fibers
-            self.cotangents = lambda m: matcore.norm_cotangent_stack(m, "op_norm_fibers")
-        self.unit = self.realize(vgrid)
-
-
 def _scaled(s: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Per-element scalars (...) times coefficient gradients (..., n, n, k)."""
     return s[..., None, None, None] * grads
@@ -393,14 +360,16 @@ class SearchCriterion:
         parts the partial derivatives along the real and imaginary coefficient
         parts (a subgradient at kinks).
         """
-        eng = _Engine(space, u, level)
+        vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
+        vgrid[range(level), range(level)] = u
+        unit = spaces.realize_fibers_stack(space, vgrid)  # u_n in the blocks x is realized in
         assemble = getattr(gadgets, f"{self.gadget}_stack")
         adjoint = getattr(gadgets, f"{self.gadget}_stack_adjoint")
 
         def f(coeffs):
-            X = eng.realize(coeffs)
-            nx = eng.norms(X)
-            ng = eng.norms(assemble(eng.unit, X))
+            X = spaces.realize_fibers_stack(space, coeffs)
+            nx = spaces.block_norms(space, X)
+            ng = spaces.block_norms(space, assemble(unit, X))
             if self.rotations:
                 ng = ng.max(axis=0)
             if self.signed:
@@ -408,11 +377,11 @@ class SearchCriterion:
             return np.abs(ng - self.target(nx))
 
         def grad(coeffs):
-            X = eng.realize(coeffs)
-            nx, Wx = eng.cotangents(X)
-            ng, Wg = eng.cotangents(assemble(eng.unit, X))
-            gx = eng.adjoint(adjoint(ng, Wg) if self.rotations else adjoint(Wg))
-            tx = _scaled(self.slope(nx), eng.adjoint(Wx))
+            X = spaces.realize_fibers_stack(space, coeffs)
+            nx, Wx = spaces.block_norm_cotangents(space, X)
+            ng, Wg = spaces.block_norm_cotangents(space, assemble(unit, X))
+            gx = spaces.realize_fibers_adjoint_stack(space, adjoint(ng, Wg) if self.rotations else adjoint(Wg))
+            tx = _scaled(self.slope(nx), spaces.realize_fibers_adjoint_stack(space, Wx))
             if self.signed:
                 return tx - gx
             return _scaled(np.sign(ng - self.target(nx)), gx - tx)
@@ -605,6 +574,21 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float,
     return d, fd, evals
 
 
+def _grid_peak(values, grid, width: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Maximum of a slice: its best grid point, polished by golden section within ``width`` of it.
+
+    ``values`` maps an array of points to the slice's values there; the
+    polish stays inside [lo, hi] and counts only where it beats the grid.
+    Returns (argmax, max, evaluations).
+    """
+    vals = values(grid)
+    i0 = int(np.argmax(vals))
+    t0, f0, extra = _golden_max(values, max(lo, grid[i0] - width), min(hi, grid[i0] + width))
+    if f0 < vals[i0]:
+        t0, f0 = grid[i0], vals[i0]
+    return float(t0), float(f0), len(grid) + extra
+
+
 def _coerce_square(space, x, who="x"):
     if isinstance(x, spaces.LevelElement):
         m = spaces.realize(space, x)
@@ -628,28 +612,18 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     nm = matcore.op_norm(m)
     if nm > 1.0 + 1e-9:
         raise InvalidInputError(f"x must be a contraction, got norm {nm:.12f}")
-    d = m.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(m.shape[0], dtype=np.complex128)
+
+    def circle(thetas):
+        zs = 1.0 + np.exp(1j * np.asarray(thetas))
+        return matcore.op_norm_stack(eye - zs[..., None, None] * m)
+
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.circle_samples, endpoint=False)
-    zs = 1.0 + np.exp(1j * thetas)
-    vals = matcore.op_norm_stack(eye - zs[:, None, None] * m)
-    i0 = int(np.argmax(vals))
-    width = 2.0 * math.pi / cfg.circle_samples
-
-    def slice_f(theta):
-        return matcore.op_norm(eye - (1.0 + np.exp(1j * theta)) * m)
-
-    t0, f0, extra = _golden_max(slice_f, thetas[i0] - width, thetas[i0] + width)
-    if f0 < vals[i0]:
-        t0, f0 = thetas[i0], float(vals[i0])
-    z0 = 1.0 + np.exp(1j * t0)
+    t0, f0, samples = _grid_peak(circle, thetas, 2.0 * math.pi / cfg.circle_samples, -math.inf, math.inf)
     violation = f0 - 1.0
-    samples = cfg.circle_samples + extra
-    aux = {"z": _encode_complex(z0), "max_norm": float(f0)}
-    if violation > cfg.tolerance:
-        return CheckReport("positive", VIOLATED, -violation, _witness_dict(None, aux),
-                           [1], samples, cfg.to_dict())
-    return CheckReport("positive", HOLDS_WITHIN_BUDGET, -violation, _witness_dict(None, aux),
+    aux = {"z": _encode_complex(1.0 + np.exp(1j * t0)), "max_norm": f0}
+    verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
+    return CheckReport("positive", verdict, -violation, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
 
@@ -665,29 +639,20 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
         nm = matcore.op_norm(m)
         if nm > 1.0 + 1e-9:
             raise InvalidInputError(f"{name} must be a contraction, got norm {nm:.12f}")
-    d = x.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(x.shape[0], dtype=np.complex128)
+
+    def deviation(ts):
+        ts = np.asarray(ts)
+        diag = ts[..., None, None] * eye
+        return matcore.op_norm_stack(gadgets.two_by_two_stack(diag, x, -z, diag)) - np.sqrt(1.0 + ts**2)
+
     ts = np.linspace(-cfg.t_max, cfg.t_max, cfg.circle_samples)
-    blocks = gadgets.two_by_two_stack(
-        ts[:, None, None] * eye, np.broadcast_to(x, (len(ts), d, d)),
-        np.broadcast_to(-z, (len(ts), d, d)), ts[:, None, None] * eye,
-    )
-    devs = matcore.op_norm_stack(blocks) - np.sqrt(1.0 + ts**2)
-    i0 = int(np.argmax(devs))
+    # the grid's own spacing, not ts[1] - ts[0], which can differ in the last bit
     width = 2.0 * cfg.t_max / (cfg.circle_samples - 1)
-
-    def slice_f(t):
-        return matcore.op_norm(gadgets.build_adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t)
-
-    lo = max(-cfg.t_max, ts[i0] - width)
-    hi = min(cfg.t_max, ts[i0] + width)
-    t0, f0, extra = _golden_max(slice_f, lo, hi)
-    if f0 < devs[i0]:
-        t0, f0 = float(ts[i0]), float(devs[i0])
-    samples = cfg.circle_samples + extra
-    aux = {"t": float(t0), "deviation": float(f0)}
+    t0, f0, samples = _grid_peak(deviation, ts, width, -cfg.t_max, cfg.t_max)
+    aux = {"t": t0, "deviation": f0}
     verdict = VIOLATED if f0 > cfg.tolerance else HOLDS_WITHIN_BUDGET
-    return CheckReport("adjoint", verdict, -float(f0), _witness_dict(None, aux),
+    return CheckReport("adjoint", verdict, -f0, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
 
@@ -727,7 +692,7 @@ def _unit_fillers(rng, count: int, d: int) -> np.ndarray:
     """``count`` fillers (count, d, d): what as many ``rand_cmat(d, d, rng)`` draw, scaled to norm 1."""
     z = rng.normal(size=(count, 2, d, d))
     bs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    nb = matcore._lapack_op_norm(bs)
+    nb = matcore.op_norm_stack(bs)
     return bs / np.where(nb > 0, nb, 1.0)[:, None, None]
 
 
@@ -874,30 +839,18 @@ def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
     return lhs - rhs
 
 
-def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConfig | None = None,
-                              pairs_per_level: int | None = None,
-                              stream_tag: int = _KEY_LEFT_MULT_MAP) -> CheckReport:
-    """Is the coefficient map T a contractive left multiplier?
+def _worst_pair(space, T, cfg, n_pairs: int, tag: int) -> tuple[float, tuple | None, int]:
+    """Largest ||[T(a); b]|| - ||[a; b]|| over sampled pairs at every level up to ``cfg.max_level``.
 
-    Samples pairs (a, b) in M_n(X) and checks the stacked-column contraction
-    ||[T(a); b]|| <= ||[a; b]||.
+    Level n draws ``n_pairs`` pairs (a, b) from the stream (seed, tag, n) and
+    adds the pairs (a, a).  Returns (worst, (level, a, b) at it, pairs tried).
     """
-    cfg = cfg or witness.SearchConfig()
-    cfg.validate()
-    cfg.guard_ambient(space)
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("left-multiplier-map", cfg, "stacked columns need rectangular blocks over X")
-    T = np.asarray(T, dtype=np.complex128)
     k = space.dim
-    if T.shape != (k, k):
-        raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
-    n_pairs = pairs_per_level if pairs_per_level is not None else max(8, cfg.restarts)
-
     worst = -np.inf
     worst_witness = None
     samples = 0
     for n in range(1, cfg.max_level + 1):
-        rng = matcore.stream(cfg.seed, stream_tag, n)
+        rng = matcore.stream(cfg.seed, tag, n)
         a = (rng.normal(size=(n_pairs, n, n, k)) + 1j * rng.normal(size=(n_pairs, n, n, k))) / np.sqrt(2)
         b = (rng.normal(size=(n_pairs, n, n, k)) + 1j * rng.normal(size=(n_pairs, n, n, k))) / np.sqrt(2)
         a_all = np.concatenate([a, a], axis=0)
@@ -908,15 +861,32 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
         if devs[i0] > worst:
             worst = float(devs[i0])
             worst_witness = (n, a_all[i0], b_all[i0])
+    return worst, worst_witness, samples
 
+
+def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConfig | None = None) -> CheckReport:
+    """Is the coefficient map T a contractive left multiplier?
+
+    Samples pairs (a, b) in M_n(X) and checks the stacked-column contraction
+    ||[T(a); b]|| <= ||[a; b]||.
+    """
+    cfg = cfg or witness.SearchConfig()
+    cfg.validate()
+    cfg.guard_ambient(space)
+    if space.norm_mode == spaces.LEVEL1_ORACLE:
+        return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
+    T = np.asarray(T, dtype=np.complex128)
+    k = space.dim
+    if T.shape != (k, k):
+        raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
+    worst, worst_witness, samples = _worst_pair(space, T, cfg, max(8, cfg.restarts), _KEY_LEFT_MULT_MAP)
+    levels = list(range(1, cfg.max_level + 1))
     if worst > cfg.tolerance:
         n, a0, b0 = worst_witness
         waux = {"deviation": worst, "b": _encode_array(b0)}
         return CheckReport("left-multiplier-map", VIOLATED, -worst,
-                           _witness_dict(spaces.LevelElement(n, a0), waux),
-                           list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
-    return CheckReport("left-multiplier-map", HOLDS_WITHIN_BUDGET, -worst, None,
-                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
+                           _witness_dict(spaces.LevelElement(n, a0), waux), levels, samples, cfg.to_dict())
+    return CheckReport("left-multiplier-map", HOLDS_WITHIN_BUDGET, -worst, None, levels, samples, cfg.to_dict())
 
 
 def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.SearchConfig | None = None,
@@ -925,7 +895,8 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
 
     Three sub-checks: (i) u passes the coisometry row test; (ii) y -> m(x, y)
     is a contractive left multiplier for sampled contractive x; (iii) m(x, u) = x
-    exactly on the basis.  The report names any failing sub-check.
+    exactly on the basis.  The report names any failing sub-check.  A
+    level-1-oracle space gets UNSUPPORTED_LEVEL, as for the left-multiplier map.
     """
     cfg = cfg or witness.SearchConfig()
     cfg.validate()
@@ -934,6 +905,8 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     if t.shape != (k, k, k):
         raise ShapeError(f"structure tensor must be {k}x{k}x{k}, got {t.shape}")
     u = _unit_coeffs(space, u)
+    if space.norm_mode == spaces.LEVEL1_ORACLE:
+        return _unsupported("algebra-product", cfg, _STACKED_COLUMNS)
 
     failed = []
     coiso = check_coisometry(space, u=u, cfg=cfg)
@@ -947,10 +920,9 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
         _, x_elem = _sample_space_matrix(space, rng)
         Tx = np.einsum("i,ijl->lj", x_elem.coeffs.reshape(-1), t)
-        sub = check_left_multiplier_map(space, Tx, cfg, pairs_per_level=16,
-                                        stream_tag=_KEY_ALGEBRA_PRODUCT * 100 + s)
-        samples += sub.samples
-        mult_worst = max(mult_worst, -sub.margin)
+        worst, _, tried = _worst_pair(space, Tx, cfg, 16, _KEY_ALGEBRA_PRODUCT * 100 + s)
+        samples += tried
+        mult_worst = max(mult_worst, worst)
     margins.append(-mult_worst)
     if mult_worst > cfg.tolerance:
         failed.append("left-multiplier")

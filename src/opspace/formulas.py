@@ -10,9 +10,9 @@ index, so a trial's matrices do not depend on how many trials run.  The
 trials are then evaluated as stacks: the pair suites as (trials, 3, 3) stacks
 of a and b, the gadget suites one (space, level) group at a time, realized,
 measured with ``spaces.norm_stack`` and assembled with the ``gadgets`` stack
-helpers.  Gadget norms come from ``matcore._lapack_op_norm``, one LAPACK call
-per stack, so every deviation is bit for bit what ``matcore.op_norm`` gives
-one matrix at a time.
+helpers.  Every pair and gadget norm is one ``matcore.op_norm_stack`` call
+per stack, the kernel that ``matcore.op_norm`` runs on a single matrix, so
+every deviation is bit for bit what one trial at a time gives.
 """
 
 from __future__ import annotations
@@ -75,17 +75,17 @@ def _pair_stacks(trials: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarr
 def _sum_diff_suite(trials: int, seed: int, bug: bool) -> SuiteResult:
     """||[[a, b], [b, a]]|| = max(||a + b||, ||a - b||) for random 3x3 pairs."""
     a, b = _pair_stacks(trials, seed, 21)
-    lhs = matcore._lapack_op_norm(gadgets.two_by_two_stack(a, b, b, a))
+    lhs = matcore.op_norm_stack(gadgets.two_by_two_stack(a, b, b, a))
     second = a + b if bug else a - b
-    rhs = np.maximum(matcore._lapack_op_norm(a + b), matcore._lapack_op_norm(second))
+    rhs = np.maximum(matcore.op_norm_stack(a + b), matcore.op_norm_stack(second))
     return SuiteResult("sum-diff block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
 
 
 def _rotation_suite(trials: int, seed: int) -> SuiteResult:
     """||[[a, -b], [b, a]]|| = max(||a + ib||, ||a - ib||) for random 3x3 pairs."""
     a, b = _pair_stacks(trials, seed, 22)
-    lhs = matcore._lapack_op_norm(gadgets.two_by_two_stack(a, -b, b, a))
-    rhs = np.maximum(matcore._lapack_op_norm(a + 1j * b), matcore._lapack_op_norm(a - 1j * b))
+    lhs = matcore.op_norm_stack(gadgets.two_by_two_stack(a, -b, b, a))
+    rhs = np.maximum(matcore.op_norm_stack(a + 1j * b), matcore.op_norm_stack(a - 1j * b))
     return SuiteResult("rotation block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
 
 
@@ -125,21 +125,21 @@ def _square(norms: np.ndarray) -> np.ndarray:
 def _doubling_deviations(space, Vn, X, coeffs):
     """||t_x||^2 = (2 + ||x||^2 + ||x|| sqrt(||x||^2 + 4)) / 2 with v the ambient identity."""
     g = gadgets.t_stack(Vn, X)
-    return np.abs(_square(matcore._lapack_op_norm(g)) - t_norm_closed_form(spaces.norm_stack(space, coeffs)))
+    return np.abs(_square(matcore.op_norm_stack(g)) - t_norm_closed_form(spaces.norm_stack(space, coeffs)))
 
 
 def _symmetric_deviations(space, Vn, X, coeffs):
     """||s_x|| = 1 + ||x|| on selfadjoint unital spaces."""
     Xs = spaces.realize_stack(space, spaces.involution_stack(space, coeffs))
     g = gadgets.two_by_two_stack(Vn, X, Xs, Vn)
-    return np.abs(matcore._lapack_op_norm(g) - (1.0 + spaces.norm_stack(space, coeffs)))
+    return np.abs(matcore.op_norm_stack(g) - (1.0 + spaces.norm_stack(space, coeffs)))
 
 
 def _skew_deviations(space, Vn, X, coeffs):
     """||r_x|| = sqrt(1 + ||x||^2) on selfadjoint unital spaces."""
     Xs = spaces.realize_stack(space, spaces.involution_stack(space, coeffs))
     g = gadgets.two_by_two_stack(Vn, X, -Xs, Vn)
-    return np.abs(matcore._lapack_op_norm(g) - np.sqrt(1.0 + _square(spaces.norm_stack(space, coeffs))))
+    return np.abs(matcore.op_norm_stack(g) - np.sqrt(1.0 + _square(spaces.norm_stack(space, coeffs))))
 
 
 def run_all_suites(trials: int = 200, seed: int = 1729, gadget_trials: int = 100) -> list:

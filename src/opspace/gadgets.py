@@ -68,11 +68,6 @@ def t_stack(Vn: np.ndarray, X: np.ndarray) -> np.ndarray:
     return two_by_two_stack(Vn, X, Z, Vn)
 
 
-def s_stack(Vn: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """[[v_n, x], [x*, v_n]] over a stack of realized x (adjoint taken in the ambient)."""
-    return two_by_two_stack(Vn, X, matcore.dagger(X), Vn)
-
-
 def r_stack(Vn: np.ndarray, X: np.ndarray) -> np.ndarray:
     """[[v_n, x], [-x*, v_n]] over a stack of realized x."""
     return two_by_two_stack(Vn, X, -matcore.dagger(X), Vn)

@@ -13,16 +13,9 @@ singular value in closed form when the shorter side is 1 or 2, and the trace
 norm when the matrix is a single row or column or exactly 2 x 2; every other
 shape goes to ``np.linalg.svd``.  The closed forms scale each matrix by its
 largest |entry| first, so they hold from 1e-300 to 1e300.  The single-matrix
-``op_norm``/``trace_norm`` and ``norm_cotangent_stack`` use LAPACK throughout.
-
-``_lapack_op_norm`` is the stacked form of ``op_norm``: one ``np.linalg.svd``
-call over the whole stack, which runs the same LAPACK routine on each matrix
-and so gives each norm bit for bit as ``op_norm`` does.  The sampled checks
-(the identity suites in ``formulas``, the fillers, membership residuals and
-normalizations of the multiplicative checks in ``criteria``) batch their
-norms through it, not through ``op_norm_stack``: where a side is at most 2 the
-closed forms differ from LAPACK in the last bit, and those checks report the
-values ``op_norm`` gave them one matrix at a time.
+``op_norm``/``trace_norm`` are the same kernels on a stack of one, so a matrix
+has one norm whichever way it is measured; ``norm_cotangent_stack`` uses
+LAPACK throughout.
 """
 
 from __future__ import annotations
@@ -60,18 +53,12 @@ def as_cmat(m, check_finite: bool = True) -> np.ndarray:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    return float(_lapack_op_norm(as_cmat(m)))
-
-
-def _lapack_op_norm(ms) -> np.ndarray:
-    """Largest singular value of each matrix of a stack (..., r, c) -> (...), from LAPACK on every shape."""
-    return np.linalg.svd(ms, compute_uv=False)[..., 0]
+    return float(op_norm_stack(as_cmat(m)))
 
 
 def trace_norm(m) -> float:
     """Trace norm: the sum of singular values."""
-    a = as_cmat(m)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(trace_norm_stack(as_cmat(m)))
 
 
 def dagger(m) -> np.ndarray:
@@ -197,7 +184,7 @@ def _top_sval(ms: np.ndarray) -> np.ndarray:
     if min(r, c) == 1:
         return _vector_norm(ms)
     if min(r, c) > 2:
-        return _lapack_op_norm(ms)
+        return np.linalg.svd(ms, compute_uv=False)[..., 0]
     if r > c:
         ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
     a, s = _scaled(ms)

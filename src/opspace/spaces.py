@@ -45,6 +45,8 @@ __all__ = [
     "realize_stack",
     "realize_fibers_stack",
     "realize_fibers_adjoint_stack",
+    "block_norms",
+    "block_norm_cotangents",
     "norm",
     "norm_stack",
     "membership_residual",
@@ -390,6 +392,30 @@ def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
     return np.einsum("...girjs,lgrs->...ijl", grid, np.conj(space.blocks))
 
 
+def block_norms(space: SpaceRep, blocks: np.ndarray) -> np.ndarray:
+    """Norms of elements given as their blocks (..., g, a, b) -> (...), from ``realize_fibers_stack``.
+
+    The operator norm of a direct sum is the largest of its blocks'; a
+    level-1 oracle norm is summed over the blocks, as the trace norm is.
+    This is the one place that combines block norms.
+    """
+    if space.norm_mode == LEVEL1_ORACLE:
+        return ORACLES[space.level1_oracle](blocks).sum(axis=-1)
+    return matcore.op_norm_fibers(blocks)
+
+
+def block_norm_cotangents(space: SpaceRep, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``block_norms`` with a cotangent of each, shaped like ``blocks``.
+
+    See ``matcore.norm_cotangent_stack``; the operator norm's cotangent is
+    zero outside the arg-max block.
+    """
+    if space.norm_mode == LEVEL1_ORACLE:
+        norms, W = matcore.norm_cotangent_stack(blocks, space.level1_oracle)
+        return norms.sum(axis=-1), W
+    return matcore.norm_cotangent_stack(blocks, "op_norm_fibers")
+
+
 def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
     """Norms of a stack of coefficient grids in the space's matrix-norm structure."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -398,10 +424,7 @@ def norm_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
         raise UnsupportedLevelError(
             f"space norm is only defined at level 1 (level1-oracle mode), got level {n}"
         )
-    blocks = realize_fibers_stack(space, coeffs)
-    if space.norm_mode == LEVEL1_ORACLE:
-        return ORACLES[space.level1_oracle](blocks).sum(axis=-1)
-    return matcore.op_norm_fibers(blocks)
+    return block_norms(space, realize_fibers_stack(space, coeffs))
 
 
 def norm(space: SpaceRep, x: LevelElement) -> float:
@@ -422,7 +445,7 @@ def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
 
     A distance is 0 iff its matrix lies in the space.  Each matrix is
     projected as one (1, pq) row, so the products are the vector-matrix ones
-    of a single matrix, and its norm comes from LAPACK as ``op_norm`` takes it.
+    of a single matrix, and each distance is bit for bit ``membership_residual``.
     """
     a = np.asarray(ms, dtype=np.complex128)
     if a.shape[-2:] != (space.p, space.q):
@@ -431,7 +454,7 @@ def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
         raise InvalidInputError("matrix has non-finite entries")
     c = a.reshape(a.shape[:-2] + (1, -1)) @ space._pinv
     proj = (c @ space._flat).reshape(a.shape)
-    return matcore._lapack_op_norm(a - proj)
+    return matcore.op_norm_stack(a - proj)
 
 
 def membership_residual(space: SpaceRep, m) -> float:

@@ -319,6 +319,17 @@ def test_non_finite_config_value_exits_3(space_dir, capsys, argv, flag, value):
     assert f"SearchConfig.{flag[2:]} must be a finite number" in err
 
 
+@EVERY_SUBCOMMAND
+def test_out_into_missing_directory_is_refused_up_front(space_dir, tmp_path, capsys, argv):
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "output directory is missing or not writable" in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
 def test_proved_report_prints_its_proof(space_dir, tmp_path, capsys):
     rc = run_cli(["check", space_dir / "full_matrix_2.json", "coisometry"])
     assert rc == 0

@@ -302,6 +302,15 @@ def test_algebra_product_examples():
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
 
 
+def test_algebra_product_refuses_a_level1_oracle_space():
+    space = corpus.build_trace_class_2().space
+    tensor = np.zeros((space.dim,) * 3, dtype=complex)
+    rep = criteria.check_algebra_product(space, space.unit, tensor)
+    assert rep.verdict == criteria.UNSUPPORTED_LEVEL
+    assert rep.notes == ["stacked columns need rectangular blocks over X"]
+    assert rep.samples == 0
+
+
 def test_cstar_among_systems(criterion_cache):
     rep = criterion_cache("full_matrix_2", "cstar-among-systems")
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET

@@ -221,6 +221,17 @@ def test_stack_norms_match_lapack(shape, scale):
         assert np.allclose(matcore.op_norm_fibers(fibers), want, rtol=1e-14, atol=0), name
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (4, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_single_matrix_norms_are_the_stack_kernels(shape):
+    # one kernel per norm: a matrix measured alone or in a stack of one gets the same bits
+    rng = matcore.stream(37, *shape)
+    for _ in range(20):
+        m = matcore.rand_cmat(*shape, rng)
+        assert matcore.op_norm(m) == matcore.op_norm_stack(m[None])[0]
+        assert matcore.trace_norm(m) == matcore.trace_norm_stack(m[None])[0]
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_fibered_kernels_match_lapack_on_each_fiber(scale):
     # g-fibered (N, 2g, 2g) matrices: each fiber is a 2x2 matrix, so the fiber= path runs the closed forms

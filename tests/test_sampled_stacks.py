@@ -272,7 +272,7 @@ def test_cstar_refuses_spaces_without_involution_or_unit(name):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fillers_are_successive_normalized_draws(d):
-    # on M_2 the closed-form norms of op_norm_stack differ from LAPACK in the last bit
+    # the reference normalizes by single-matrix op_norm, the closed forms on M_2 as in the stack
     got = criteria._unit_fillers(matcore.stream(3, d), 64, d)
     want = np.stack(ref_unit_fillers(matcore.stream(3, d), 64, d))
     assert got.tobytes() == want.tobytes()
