@@ -69,6 +69,8 @@ def _build_config(args) -> witness.SearchConfig:
     if getattr(args, "threads", None) is not None:
         cfg.threads = args.threads
     if args.out:
+        if os.path.isdir(args.out):
+            raise InvalidInputError(f"--out {args.out}: names a directory, not a report file")
         outdir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(outdir) or not os.access(outdir, os.W_OK):
             raise InvalidInputError(f"--out {args.out}: output directory is missing or not writable")

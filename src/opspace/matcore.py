@@ -14,8 +14,11 @@ norm when the matrix is a single row or column or exactly 2 x 2; every other
 shape goes to ``np.linalg.svd``.  The closed forms scale each matrix by its
 largest |entry| first, so they hold from 1e-300 to 1e300.  The single-matrix
 ``op_norm``/``trace_norm`` are the same kernels on a stack of one, so a matrix
-has one norm whichever way it is measured; ``norm_cotangent_stack`` uses
-LAPACK throughout.
+has one norm whichever way it is measured.  ``norm_cotangent_stack`` follows
+the same split: the top singular pair for a shorter side of 1 or 2 and the
+polar factor of a single row or column or a 2 x 2 matrix come in closed form,
+with the norms of the value kernels, and every other shape (the trace norm of
+2 x c with c > 2 among them) goes to LAPACK with singular vectors.
 """
 
 from __future__ import annotations
@@ -168,50 +171,117 @@ def _row_norms_sq(a: np.ndarray) -> np.ndarray:
     return (np.square(a.real) + np.square(a.imag)).sum(axis=-1)
 
 
+def _gram_top(ms: np.ndarray):
+    """The top eigenvalue of the Gram matrix of a stack with shorter side 2, in scaled units.
+
+    Returns ``(a, s, half, o, h, lam)``: the scaled matrix ``a`` turned into
+    its two rows a_0, a_1 (transposed when r > c) and its scale ``s``; the
+    Gram matrix [[d_0, o], [conj(o), d_1]] (d_i = ||a_i||^2,
+    o = sum a_0 conj(a_1)) through ``half`` = (d_0 - d_1)/2, ``o`` and
+    ``h`` = hypot(half, |o|); and its top eigenvalue ``lam`` = (d_0 + d_1)/2 + h,
+    a sum of non-negative terms.  The discriminant form with
+    F^4 - 4|det|^2 loses about half its digits at equal singular values.
+    """
+    if ms.shape[-2] > ms.shape[-1]:
+        ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
+    a, s = _scaled(ms)
+    d = _row_norms_sq(a)
+    d0, d1 = d[..., 0], d[..., 1]
+    half = 0.5 * (d0 - d1)
+    o = (a[..., 0, :] * np.conj(a[..., 1, :])).sum(axis=-1)
+    h = np.hypot(half, np.abs(o))
+    return a, s, half, o, h, 0.5 * (d0 + d1) + h
+
+
 def _top_sval(ms: np.ndarray) -> np.ndarray:
     """Largest singular value over the leading axes of a stack: (..., r, c) -> (...).
 
     A single row or column has one singular value, its Euclidean norm.  For
-    a shorter side of 2, turned into the rows a_0, a_1 of the scaled matrix,
-    it is the top eigenvalue of the Gram matrix [[d_0, o], [conj(o), d_1]]
-    (d_i = ||a_i||^2, o = sum a_0 conj(a_1)) in the cancellation-free form
-    sigma^2 = (d_0 + d_1)/2 + hypot((d_0 - d_1)/2, |o|); the discriminant form
-    with F^4 - 4|det|^2 loses about half its digits at equal singular values.
-    Longer sides go to LAPACK.  On the closed-form shapes a non-finite entry
-    gives a NaN norm (inf for a 1 x 1 inf) rather than an error.
+    a shorter side of 2 it is the square root of the top eigenvalue of the
+    Gram matrix of the scaled rows (``_gram_top``).  Longer sides go to
+    LAPACK.  On the closed-form shapes a non-finite entry gives a NaN norm
+    (inf for a 1 x 1 inf) rather than an error.
     """
     r, c = ms.shape[-2:]
     if min(r, c) == 1:
         return _vector_norm(ms)
     if min(r, c) > 2:
         return np.linalg.svd(ms, compute_uv=False)[..., 0]
-    if r > c:
-        ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
+    _, s, _, _, _, lam = _gram_top(ms)
+    return s * np.sqrt(lam)
+
+
+def _top_pair(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest singular value and W = u v^H for a top singular pair, for a shorter side of 2.
+
+    u is the top eigenvector of the Gram matrix of ``_gram_top``, taken as
+    (lam - d_1, conj(o)) when d_0 >= d_1 and as (o, lam - d_0) otherwise, so
+    that its leading component is a sum of non-negative terms (e_0 when both
+    components vanish: equal singular values, any u is a top one); then
+    v^H = u^H a / ||u^H a|| and W = u v^H, zero at a zero matrix.
+    """
+    a, s, half, o, h, lam = _gram_top(ms)
+    first = half >= 0
+    u0 = np.where(first, half + h, o)
+    u1 = np.where(first, np.conj(o), h - half)
+    un = np.hypot(np.abs(u0), np.abs(u1))
+    live = un > 0
+    un = np.where(live, un, 1.0)
+    u0 = np.where(live, u0 / un, 1.0)
+    u1 = np.where(live, u1 / un, 0.0)
+    y = np.conj(u0)[..., None] * a[..., 0, :] + np.conj(u1)[..., None] * a[..., 1, :]  # u^H a
+    yn = np.sqrt(_row_norms_sq(y))
+    vh = y / np.where(yn > 0, yn, 1.0)[..., None]
+    W = np.stack([u0[..., None] * vh, u1[..., None] * vh], axis=-2)
+    if ms.shape[-2] > ms.shape[-1]:
+        W = np.swapaxes(W, -1, -2)
+    return s * np.sqrt(lam), W
+
+
+def _sval_sum_2x2(ms: np.ndarray):
+    """``(a, s, det, total)`` for 2 x 2 stacks: the scaled matrix, its scale, det a and sigma_1 + sigma_2 of a.
+
+    (sigma_1 + sigma_2)^2 = ||a||_F^2 + 2|det a|, a sum of non-negative terms.
+    """
     a, s = _scaled(ms)
-    d = _row_norms_sq(a)
-    d0, d1 = d[..., 0], d[..., 1]
-    o = np.abs((a[..., 0, :] * np.conj(a[..., 1, :])).sum(axis=-1))
-    return s * np.sqrt(0.5 * (d0 + d1) + np.hypot(0.5 * (d0 - d1), o))
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return a, s, det, np.sqrt(_row_norms_sq(a).sum(axis=-1) + 2.0 * np.abs(det))
 
 
 def _sval_sum(ms: np.ndarray) -> np.ndarray:
     """Sum of the singular values over the leading axes of a stack: (..., r, c) -> (...).
 
-    A single row or column has one singular value, its Euclidean norm.  For
-    2 x 2 matrices (sigma_1 + sigma_2)^2 = ||a||_F^2 + 2|det a|, a sum of
-    non-negative terms.  Other shapes go to LAPACK: for 2 x c with c > 2,
-    sigma_1 sigma_2 = sqrt(det G) would lose half its digits near rank one.
-    On the closed-form shapes a non-finite entry gives a NaN norm (inf for a
-    1 x 1 inf) rather than an error.
+    A single row or column has one singular value, its Euclidean norm; 2 x 2
+    matrices take ``_sval_sum_2x2``.  Other shapes go to LAPACK: for 2 x c
+    with c > 2, sigma_1 sigma_2 = sqrt(det G) would lose half its digits near
+    rank one.  On the closed-form shapes a non-finite entry gives a NaN norm
+    (inf for a 1 x 1 inf) rather than an error.
     """
     r, c = ms.shape[-2:]
     if min(r, c) == 1:
         return _vector_norm(ms)
     if (r, c) != (2, 2):
         return np.linalg.svd(ms, compute_uv=False).sum(axis=-1)
-    a, s = _scaled(ms)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return s * np.sqrt(_row_norms_sq(a).sum(axis=-1) + 2.0 * np.abs(det))
+    _, s, _, total = _sval_sum_2x2(ms)
+    return s * total
+
+
+def _polar_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace norm and polar factor U V^H of 2 x 2 stacks.
+
+    With phi = det a / |det a| (1 when det a = 0), phi adj(a)^H =
+    |det a| U diag(1/sigma_1, 1/sigma_2) V^H = U diag(sigma_2, sigma_1) V^H,
+    so U V^H = (a + phi adj(a)^H) / (sigma_1 + sigma_2); at det a = 0 this is
+    u_1 v_1^H plus a unit multiple of u_2 v_2^H, still a subgradient.  Zero
+    at a zero matrix.
+    """
+    a, s, det, total = _sval_sum_2x2(ms)
+    adet = np.abs(det)
+    phi = np.where(adet > 0, det / np.where(adet > 0, adet, 1.0), 1.0)
+    adj_h = np.conj(np.stack([np.stack([a[..., 1, 1], -a[..., 1, 0]], axis=-1),
+                              np.stack([-a[..., 0, 1], a[..., 0, 0]], axis=-1)], axis=-2))
+    W = (a + phi[..., None, None] * adj_h) / np.where(total > 0, total, 1.0)[..., None, None]
+    return s * total, W
 
 
 def _fibers_if(ms, fiber: int | None):
@@ -269,16 +339,23 @@ def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndar
       of their direct sum, with u v^H in the arg-max fiber and zeros in the
       others (ties go to the first fiber).
 
+    Where the value kernels above have a closed form, so does W (``_top_pair``,
+    ``_polar_2x2``; a single row or column is its own direction), and the
+    norms are theirs bit for bit; other shapes take LAPACK's singular vectors.
     Returns ``(norms, W)`` with W shaped like ``ms``.
     """
     if norm not in _COTANGENT_NORMS:
         raise InvalidInputError(f"unknown norm {norm!r}; expected one of {_COTANGENT_NORMS}")
     ms = np.asarray(ms, dtype=np.complex128)
-    if ms.shape[-1] == 1 or ms.shape[-2] == 1:
+    r, c = ms.shape[-2:]
+    if min(r, c) == 1:
         # a single row or column has one singular value: its Euclidean norm
-        sv = np.sqrt((np.abs(ms) ** 2).sum(axis=(-1, -2)))
-        W = ms / np.where(sv > 0, sv, 1.0)[..., None, None]
-        norms = sv
+        norms = _vector_norm(ms)
+        W = ms / np.where(norms > 0, norms, 1.0)[..., None, None]
+    elif norm == "trace_norm" and (r, c) == (2, 2):
+        norms, W = _polar_2x2(ms)
+    elif norm != "trace_norm" and min(r, c) == 2:
+        norms, W = _top_pair(ms)
     else:
         U, sv, Vh = np.linalg.svd(ms, full_matrices=False)
         if norm == "trace_norm":

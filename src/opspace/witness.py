@@ -4,19 +4,20 @@ The engine runs a configurable number of independent restarts.  Each restart
 draws a start point from its own counter-based RNG stream (derived from the
 master seed and the restart index), then performs projected ascent along the
 objective's analytic (sub)gradient, which the caller supplies next to the
-objective: for the norm objectives of :mod:`opspace.criteria` it comes from one
-batched SVD with singular vectors at the current point.  Each step line-searches
-along that direction (and, in the ball, along radial rescalings) and grows the
-step on improvement; a stalled step halves it and blends in the gradient at the
-nearest failed trial, so the search follows the kinks of the max-of-norms
-objectives.  A call searches several cells (a ball or sphere radius and a
-stream key each) of one level, and the restarts of all its cells advance in
-vectorized lockstep: one ascent step costs at most two gradient batches and
-one batch of trial evaluations for the whole level.  Every restart carries its
-own radius, step, step cap and floor, so its trajectory does not depend on
-which restarts share its batch; the batch's working set grows with the number
-of cells.  Results are independent of scheduling and thread count because
-each cell's merge takes the maximum by value with index tie-break.
+objective: for the norm objectives of :mod:`opspace.criteria` it comes from the
+norms' cotangents at the current point (``matcore.norm_cotangent_stack``).
+Each step line-searches along that direction (and, in the ball, along radial
+rescalings) and grows the step on improvement; a stalled step halves it and
+blends in the gradient at the nearest failed trial, so the search follows the
+kinks of the max-of-norms objectives.  A call searches several cells (a ball
+or sphere radius and a stream key each) of one level, and the restarts of all
+its cells advance in vectorized lockstep: one ascent step costs one batch of
+trial evaluations and at most one gradient batch for the whole level.  Every
+restart carries its own radius, step, step cap and floor, so its trajectory
+does not depend on which restarts share its batch; the batch's working set
+grows with the number of cells.  Results are independent of scheduling and
+thread count because each cell's merge takes the maximum by value with index
+tie-break.
 """
 
 from __future__ import annotations
@@ -160,17 +161,19 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     first step; the step cap and floor scale with the restart's own radius, so
     restarts of different cells share the batch without affecting each other.
 
-    Each restart line-searches along its normalized gradient, taken by one
-    ``gradient`` batch over the restarts that moved.  An accepted move grows
-    the step.  A stalled move halves it and replaces the gradient by the
-    shortest convex combination of it and the gradient at the nearest failed
-    trial (gradient sampling, Burke-Lewis-Overton 2005); from then on each new
-    gradient of that restart is combined with the previous one the same way
-    (an aggregate subgradient), so the search follows kinks instead of
-    stopping at them.  A restart stops when its step falls below the floor or
-    its direction vanishes or is not finite.
-    A restart's ``evaluations`` counts its start, its trial points and one per
-    gradient batch it is in.
+    Each restart line-searches along its normalized gradient.  An accepted
+    move grows the step.  A stalled move halves it and replaces the gradient
+    by the shortest convex combination of it and the gradient at the nearest
+    failed trial (gradient sampling, Burke-Lewis-Overton 2005); from then on
+    each new gradient of that restart is combined with the previous one the
+    same way (an aggregate subgradient), so the search follows kinks instead
+    of stopping at them.  A restart stops when its step falls below the floor
+    or its direction vanishes or is not finite.  One ``gradient`` batch at the
+    starts and one at the end of each step serve every restart: the moved ones
+    at their new points (except on the last step, which no step follows) and
+    the stalled ones at their nearest failed trials.
+    A restart's ``evaluations`` counts its start, its trial points and its
+    rows in the gradient batches.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
@@ -178,7 +181,6 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     grad = np.zeros_like(points)
     sampled = np.zeros(n_restarts, dtype=bool)  # grad already blends in a sampled gradient
     direction = np.zeros_like(points)
-    needs_grad = np.ones(n_restarts, dtype=bool)
     active = np.ones(n_restarts, dtype=bool)
     dead = ~np.isfinite(values)
     if dead.any():
@@ -189,22 +191,32 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     evaluations = np.ones(n_restarts, dtype=np.int64)
     step_floor = _STEP_FLOOR_FRACTION * radius
 
-    for _ in range(max_steps):
+    def update_gradients(moved, resample, near):
+        """One ``gradient`` batch: fresh gradients at ``points[moved]``, sampled ones at ``near``.
+
+        A restart that moved takes its fresh gradient (blended with the
+        cached one once it has sampled); a stalled restart blends the
+        gradient at its nearest failed trial into the cached one.
+        """
+        fresh = np.asarray(gradient(np.concatenate([points[moved], near])))  # (A, n, n, k)
+        ours, theirs = fresh[:moved.size], fresh[moved.size:]
+        keep = sampled[moved]
+        if keep.any():
+            ours[keep] = _min_norm_pair(ours[keep], grad[moved[keep]])
+        grad[moved] = ours
+        grad[resample] = _min_norm_pair(grad[resample], theirs)
+        sampled[resample] = True
+        both = np.concatenate([moved, resample])
+        evaluations[both] += 1
+        _set_directions(grad, direction, active, both)
+
+    start = np.nonzero(active)[0]
+    if max_steps > 0 and start.size:
+        update_gradients(start, start[:0], points[:0])  # no restart has stalled yet
+
+    for t in range(max_steps):
         if not active.any():
             break
-        grad_idx = np.nonzero(active & needs_grad)[0]
-        if grad_idx.size:
-            fresh = np.asarray(gradient(points[grad_idx]))  # (A, n, n, k)
-            evaluations[grad_idx] += 1
-            keep = sampled[grad_idx]
-            if keep.any():
-                fresh[keep] = _min_norm_pair(fresh[keep], grad[grad_idx[keep]])
-            grad[grad_idx] = fresh
-            _set_directions(grad, direction, active, grad_idx)
-            needs_grad[grad_idx] = False
-            if not active.any():
-                break
-
         idx = np.nonzero(active)[0]
         scaled = step[idx, None] * _LINE_SCALES[None, :]
         np.minimum(scaled, step_cap[idx, None], out=scaled)
@@ -231,24 +243,20 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         points[take] = trials[rows[improved], pick[improved]]
         values[take] = fbest[improved]
         step[take] = np.minimum(scaled[rows[improved], pick[improved]], step_cap[take])
-        needs_grad[take] = True
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
+        # Gradient sampling: the nearest failed trial lies past a crest or
+        # across a kink of the max-of-norms objectives; the shortest convex
+        # combination of its gradient and the cached one ascends on both
+        # sides of such a kink, where either gradient alone stalls.  The
+        # blend is kept and folded into later gradients the same way, so a
+        # restart that follows a kink does not zigzag across it.  A moved
+        # restart needs its fresh gradient only if another step follows.
         again = active[halve]
-        if again.any():
-            # Gradient sampling: the nearest failed trial lies past a crest or
-            # across a kink of the max-of-norms objectives; the shortest convex
-            # combination of its gradient and the cached one ascends on both
-            # sides of such a kink, where either gradient alone stalls.  The
-            # blend is kept and folded into later gradients the same way, so a
-            # restart that follows a kink does not zigzag across it.
-            resample = halve[again]
-            near = trials[rows[~improved][again], _NEAR_TRIAL]
-            grad[resample] = _min_norm_pair(grad[resample], np.asarray(gradient(near)))
-            evaluations[resample] += 1
-            sampled[resample] = True
-            _set_directions(grad, direction, active, resample)
+        moved = take[active[take]] if t < max_steps - 1 else take[:0]
+        if moved.size or again.any():
+            update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
     return points, values, evaluations
 

@@ -330,6 +330,16 @@ def test_out_into_missing_directory_is_refused_up_front(space_dir, tmp_path, cap
     assert not out.parent.exists()
 
 
+@EVERY_SUBCOMMAND
+def test_out_naming_a_directory_is_refused_up_front(space_dir, tmp_path, capsys, argv):
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    assert run_cli(argv + ["--out", tmp_path]) == 3
+    captured = capsys.readouterr()
+    assert f"--out {tmp_path}: names a directory, not a report file" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_proved_report_prints_its_proof(space_dir, tmp_path, capsys):
     rc = run_cli(["check", space_dir / "full_matrix_2.json", "coisometry"])
     assert rc == 0

@@ -254,6 +254,112 @@ def test_zero_matrices_have_norm_exactly_zero(shape):
     assert np.array_equal(matcore.op_norm_fibers(z[None]), np.zeros(1))
 
 
+# ---------------------------------------------------------------------------
+# norm_cotangent_stack against LAPACK: closed forms for the top singular pair
+# at a shorter side of 1 or 2 and for the 2x2 polar factor, LAPACK otherwise
+
+COTANGENT_SHAPES = [(1, 5), (5, 1), (2, 2), (2, 5), (5, 2), (3, 3)]
+CLOSED_FORM_SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (2, 5), (5, 2)]
+
+
+def lapack_cotangents(ms, norm):
+    """(norms, W, singular values) from LAPACK: W = u v^H (op_norm) or U V^H (trace_norm)."""
+    U, sv, Vh = np.linalg.svd(ms, full_matrices=False)
+    if norm == "trace_norm":
+        return sv.sum(axis=-1), U @ Vh, sv
+    return sv[..., 0], U[..., :, :1] * Vh[..., :1, :], sv
+
+
+def dual_norm(W, norm):
+    """The dual of the differentiated norm: the trace norm of u v^H, the operator norm of U V^H."""
+    sv = np.linalg.svd(W, compute_uv=False)
+    return sv.sum(axis=-1) if norm == "op_norm" else sv[..., 0]
+
+
+def inner(W, ms):
+    return np.real(np.conj(W) * ms).sum(axis=(-2, -1))
+
+
+def well_determined(sv, norm):
+    """Where W is unique and well conditioned: a singular gap for u v^H, a smallest singular value for U V^H."""
+    if sv.shape[-1] == 1:
+        return sv[..., 0] > 0
+    if norm == "op_norm":
+        return sv[..., 0] - sv[..., 1] > 1e-6 * sv[..., 0]
+    return sv[..., -1] > 1e-6 * sv[..., 0]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("norm", ["op_norm", "trace_norm"])
+@pytest.mark.parametrize("shape", COTANGENT_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cotangents_match_lapack(shape, norm, scale):
+    for name, ms in kernel_cases(shape).items():
+        ms = ms * scale
+        norms, W = matcore.norm_cotangent_stack(ms, norm)
+        want, W_want, sv = lapack_cotangents(ms, norm)
+        assert W.shape == ms.shape
+        assert np.allclose(norms, want, rtol=1e-14, atol=0), name
+        if min(shape) == 1 or shape == (2, 2) or (norm == "op_norm" and min(shape) == 2):
+            # a closed form: the value kernel's bits
+            value = matcore.op_norm_stack if norm == "op_norm" else matcore.trace_norm_stack
+            assert np.array_equal(norms, value(ms)), name
+        # W is a subgradient: it attains the norm and lies in the dual unit ball
+        assert np.allclose(inner(W, ms), want, rtol=1e-14, atol=0), name
+        assert (dual_norm(W, norm) <= 1 + 1e-14).all(), name
+        sure = well_determined(sv, norm)
+        assert np.abs(W - W_want).max(axis=(-2, -1))[sure].max(initial=0.0) <= 1e-12, name
+        if name == "random":
+            assert sure.all()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("shape", COTANGENT_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fiber_cotangents_sit_in_the_arg_max_fiber(shape, scale):
+    for name, ms in kernel_cases(shape).items():
+        ms = ms * scale
+        # the same matrices as the fibers of a direct sum: (N, g=2, r, c) with two copies
+        fibers = np.stack([ms, ms[::-1]], axis=1)
+        norms, W = matcore.norm_cotangent_stack(fibers, "op_norm_fibers")
+        assert np.allclose(norms, matcore.op_norm_fibers(fibers), rtol=1e-14, atol=0), name
+        if min(shape) <= 2:  # the closed forms give the value kernel's bits
+            assert np.array_equal(norms, matcore.op_norm_fibers(fibers)), name
+        assert np.allclose(inner(W, fibers).sum(axis=-1), norms, rtol=1e-14, atol=0), name
+        assert (dual_norm(W, "op_norm").sum(axis=-1) <= 1 + 1e-14).all(), name
+        each, W_each = matcore.norm_cotangent_stack(fibers, "op_norm")
+        top = np.argmax(each, axis=-1)
+        rows = np.arange(ms.shape[0])
+        assert np.array_equal(W[rows, top], W_each[rows, top]), name
+        assert not W[rows, 1 - top].any(), name
+
+
+@pytest.mark.parametrize("shape, norm", [
+    (shape, norm) for shape in CLOSED_FORM_SHAPES for norm in ("op_norm", "trace_norm", "op_norm_fibers")
+    if not (norm == "trace_norm" and shape in ((2, 5), (5, 2)))  # LAPACK's trace norm
+], ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else v)
+def test_cotangent_of_a_zero_matrix_is_zero(shape, norm):
+    z = np.zeros((3, 2) + shape, dtype=complex)
+    norms, W = matcore.norm_cotangent_stack(z, norm)
+    assert np.array_equal(norms, np.zeros((3,) if norm == "op_norm_fibers" else (3, 2)))
+    assert np.array_equal(W, z)
+
+
+def test_cotangent_known_values_without_lapack():
+    # diag(2, 1): u = e_0, v = e_0; its polar factor is the identity
+    d = np.array([[[2, 0], [0, 1]]], dtype=complex)
+    norms, W = matcore.norm_cotangent_stack(d)
+    assert norms[0] == 2.0 and np.array_equal(W[0], [[1, 0], [0, 0]])
+    norms, W = matcore.norm_cotangent_stack(d, "trace_norm")
+    assert norms[0] == 3.0 and np.array_equal(W[0], np.eye(2))
+    # equal singular values: every unit u is a top one, and the closed form takes e_0
+    norms, W = matcore.norm_cotangent_stack(2j * I2[None])
+    assert norms[0] == 2.0 and np.array_equal(W[0], [[1j, 0], [0, 0]])
+    # a Jordan block is |det| = 1 away from singular: U V^H = (a + adj(a)^H) / sqrt(||a||_F^2 + 2)
+    jordan = np.array([[[1, 1], [0, 1]]], dtype=complex)
+    norms, W = matcore.norm_cotangent_stack(jordan, "trace_norm")
+    assert norms[0] == pytest.approx(math.sqrt(5), rel=1e-15)
+    assert np.allclose(W[0], np.array([[2, 1], [-1, 2]]) / math.sqrt(5), rtol=0, atol=1e-15)
+
+
 def test_stack_kernels_known_values_without_lapack():
     golden = (1 + math.sqrt(5)) / 2
     jordan = np.array([[[1, 1], [0, 1]]], dtype=complex)
@@ -269,15 +375,31 @@ def test_stack_kernels_known_values_without_lapack():
         assert matcore.trace_norm_stack(np.swapaxes(v, -1, -2))[0] == pytest.approx(5.0 * scale, rel=1e-15)
 
 
+def assert_nan_for_non_finite_entries(shape, bad, op_stack, op_fibers, trace_stack):
+    # the search counts a restart whose objective is not finite as dead, so these must not raise
+    ms = np.ones((2,) + shape, dtype=complex)
+    ms[0, 0, 0] = bad
+    op = op_stack(ms)
+    assert math.isnan(op[0]) and op[1] == pytest.approx(np.linalg.svd(ms[1], compute_uv=False)[0])
+    assert math.isnan(op_fibers(ms[:, None])[0])
+    if shape in ((1, 3), (2, 2)):
+        assert math.isnan(trace_stack(ms)[0])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 5), (5, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_closed_forms_give_nan_for_non_finite_entries(shape, bad):
-    # the search counts a restart whose objective is not finite as dead, so these must not raise
-    ms = np.ones((2,) + shape, dtype=complex)
-    ms[0, 0, 0] = bad
-    op = matcore.op_norm_stack(ms)
-    assert math.isnan(op[0]) and op[1] == pytest.approx(np.linalg.svd(ms[1], compute_uv=False)[0])
-    assert math.isnan(matcore.op_norm_fibers(ms[:, None])[0])
-    if shape in ((1, 3), (2, 2)):
-        assert math.isnan(matcore.trace_norm_stack(ms)[0])
+    assert_nan_for_non_finite_entries(shape, bad, matcore.op_norm_stack, matcore.op_norm_fibers,
+                                      matcore.trace_norm_stack)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 5), (5, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cotangent_closed_forms_give_nan_for_non_finite_entries(shape, bad):
+    def norms(norm):
+        return lambda ms: matcore.norm_cotangent_stack(ms, norm)[0]
+
+    assert_nan_for_non_finite_entries(shape, bad, norms("op_norm"), norms("op_norm_fibers"),
+                                      norms("trace_norm"))

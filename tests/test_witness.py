@@ -205,6 +205,44 @@ def test_cells_ascend_independently(mode, level, dead_cell):
         assert all(np.isfinite(res.best_value) for res in merged[1:])
 
 
+def counted(objective, gradient, log):
+    """The objective and gradient, logging ("objective" | "gradient", rows) per call."""
+    def f(coeffs):
+        log.append(("objective", int(np.prod(coeffs.shape[:-3]))))
+        return objective(coeffs)
+
+    def g(coeffs):
+        log.append(("gradient", coeffs.shape[0]))
+        return gradient(coeffs)
+
+    return f, g
+
+
+@pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
+def test_one_gradient_batch_per_step_and_evaluations_count_rows(mode):
+    # a searched corpus row; 40 steps leave restarts moving on the last step
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    cfg = witness.SearchConfig(restarts=1, ascent_steps=40)
+    cells = [(r, (8, ri, j)) for ri, r in enumerate(DEFAULT_RADII) for j in range(2)]
+    log = []
+    f, g = counted(obj, grad, log)
+    merged = witness.maximize_violation(f, space, 1, cfg, cells=cells, mode=mode, gradient=g)
+    kinds = [kind for kind, _ in log]
+    # the starts' objective batch, then one trial batch per step: each gradient
+    # batch (the starts', then at most one per step) follows an objective batch
+    assert kinds[:2] == ["objective", "gradient"]
+    assert not any(a == b == "gradient" for a, b in zip(kinds, kinds[1:]))
+    assert kinds.count("gradient") <= kinds.count("objective")
+    for cell, res in zip(cells, merged):
+        log = []
+        f, g = counted(obj, grad, log)
+        alone, = witness.maximize_violation(f, space, 1, cfg, cells=[cell], mode=mode, gradient=g)
+        # one restart: its start, its trial rows and its gradient rows
+        assert alone.evaluations == sum(rows for _, rows in log), cell
+        assert alone.evaluations == res.evaluations, cell
+
+
 @pytest.mark.parametrize("name", ["tolerance", "radius", "step_size", "t_max"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_refuses_non_finite_reals(name, bad):
