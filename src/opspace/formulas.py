@@ -5,14 +5,18 @@ and reports the largest deviation observed.  These identities are what the
 criteria ultimately lean on, so the suites double as a self-test of the whole
 norm layer.
 
-Every trial draws from its own stream, keyed by its suite, (space, level) and
-index, so a trial's matrices do not depend on how many trials run.  The
-trials are then evaluated as stacks: the pair suites as (trials, 3, 3) stacks
-of a and b, the gadget suites one (space, level) group at a time, realized,
-measured with ``spaces.norm_stack`` and assembled with the ``gadgets`` stack
-helpers.  Every pair and gadget norm is one ``matcore.op_norm_stack`` call
-per stack, the kernel that ``matcore.op_norm`` runs on a single matrix, so
-every deviation is bit for bit what one trial at a time gives.
+Each suite group draws from one stream: a pair suite from (seed, suite), a
+gadget suite from (seed, suite, space, level) for each of its (space, level)
+groups.  One ``normal`` call fills the whole group in trial-major order, so
+trial t gets what the t-th of successive ``matcore.rand_cmat`` (pairs) or
+``spaces.random_element`` (gadgets) calls on that stream would draw, and its
+matrices do not depend on how many trials run.  The trials are then
+evaluated as stacks: the pair suites as (trials, 3, 3) stacks of a and b, the
+gadget suites one (space, level) group at a time, realized, measured with
+``spaces.norm_stack`` and assembled with the ``gadgets`` stack helpers.
+Every pair and gadget norm is one ``matcore.op_norm_stack`` call per stack,
+the kernel that ``matcore.op_norm`` runs on a single matrix, so every
+deviation is bit for bit what one trial at a time gives.
 """
 
 from __future__ import annotations
@@ -62,14 +66,14 @@ def t_norm_closed_form(s):
 
 
 def _pair_stacks(trials: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trials, 3, 3) stacks of a and b, trial t drawn from its own stream (seed, tag, t)."""
-    a = np.empty((trials, 3, 3), dtype=np.complex128)
-    b = np.empty_like(a)
-    for t in range(trials):
-        rng = matcore.stream(seed, tag, t)
-        a[t] = matcore.rand_cmat(3, 3, rng)
-        b[t] = matcore.rand_cmat(3, 3, rng)
-    return a, b
+    """(trials, 3, 3) stacks of a and b from the stream (seed, tag).
+
+    Trial t's a and b are the (2t)-th and (2t+1)-th of successive
+    ``rand_cmat(3, 3, rng)`` draws: each the real parts, then the imaginary parts.
+    """
+    z = matcore.stream(seed, tag).normal(size=(trials, 2, 2, 3, 3))
+    pairs = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _sum_diff_suite(trials: int, seed: int, bug: bool) -> SuiteResult:
@@ -100,16 +104,15 @@ def _selfadjoint_test_spaces():
 def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, deviations) -> SuiteResult:
     """Largest of ``deviations(space, Vn, X, coeffs)`` over every (space, level) group of ``trials`` elements.
 
-    Trial t of a group draws its element from its own stream (seed, tag, si,
-    level, t); each group is then one stack: ``coeffs`` the grids, X their
-    ambient matrices and Vn the amplified unit.
+    Each group draws its ``trials`` elements from one stream (seed, tag, si,
+    level) and is then one stack: ``coeffs`` the grids, X their ambient
+    matrices and Vn the amplified unit.
     """
     worst = 0.0
     count = 0
     for si, space in enumerate(test_spaces):
         for level in (1, 2):
-            streams = (matcore.stream(seed, tag, si, level, t) for t in range(trials))
-            coeffs = np.stack([spaces.random_element(space, level, rng).coeffs for rng in streams])
+            coeffs = spaces.random_stack(space, level, matcore.stream(seed, tag, si, level), trials)
             X = spaces.realize_stack(space, coeffs)
             Vn = gadgets.amplified_unit(space, space.unit, level)
             worst = max(worst, float(np.max(deviations(space, Vn, X, coeffs))))

@@ -10,15 +10,18 @@ gadgets of spaces in M_2, and the small blocks of direct sums), where
 one LAPACK call per matrix costs far more than the arithmetic.  So
 ``op_norm_stack``, ``op_norm_fibers`` and ``trace_norm_stack`` take the largest
 singular value in closed form when the shorter side is 1 or 2, and the trace
-norm when the matrix is a single row or column or exactly 2 x 2; every other
-shape goes to ``np.linalg.svd``.  The closed forms scale each matrix by its
-largest |entry| first, so they hold from 1e-300 to 1e300.  The single-matrix
-``op_norm``/``trace_norm`` are the same kernels on a stack of one, so a matrix
-has one norm whichever way it is measured.  ``norm_cotangent_stack`` follows
-the same split: the top singular pair for a shorter side of 1 or 2 and the
-polar factor of a single row or column or a 2 x 2 matrix come in closed form,
-with the norms of the value kernels, and every other shape (the trace norm of
-2 x c with c > 2 among them) goes to LAPACK with singular vectors.
+norm when the matrix is a single row or column or exactly 2 x 2.  Larger
+matrices take their largest singular value from the top eigenvalue of the
+Gram matrix (``np.linalg.eigvalsh``), cheaper than a values-only SVD on
+stacks, and their trace norm from ``np.linalg.svd``.  The closed forms and
+the Gram route scale each matrix by its largest |entry| first, so they hold
+from 1e-300 to 1e300.  The single-matrix ``op_norm``/``trace_norm`` are the
+same kernels on a stack of one, so a matrix has one norm whichever way it is
+measured.  ``norm_cotangent_stack`` follows the closed-form split: the top
+singular pair for a shorter side of 1 or 2 and the polar factor of a single
+row or column or a 2 x 2 matrix come in closed form, with the norms of the
+value kernels, and every other shape (the trace norm of 2 x c with c > 2
+among them) goes to LAPACK with singular vectors.
 """
 
 from __future__ import annotations
@@ -193,22 +196,44 @@ def _gram_top(ms: np.ndarray):
     return a, s, half, o, h, 0.5 * (d0 + d1) + h
 
 
+def _zero_non_finite(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ms, bad)``: the stack with every matrix that holds a NaN or inf replaced by zeros, and where they were.
+
+    LAPACK raises on a non-finite entry; the callers put NaN back at ``bad``,
+    so such a matrix gets a NaN norm on every shape, as on the closed forms.
+    """
+    bad = ~np.isfinite(ms).all(axis=(-2, -1))
+    if bad.any():
+        ms = np.where(bad[..., None, None], 0.0, ms)
+    return ms, bad
+
+
 def _top_sval(ms: np.ndarray) -> np.ndarray:
     """Largest singular value over the leading axes of a stack: (..., r, c) -> (...).
 
     A single row or column has one singular value, its Euclidean norm.  For
     a shorter side of 2 it is the square root of the top eigenvalue of the
-    Gram matrix of the scaled rows (``_gram_top``).  Longer sides go to
-    LAPACK.  On the closed-form shapes a non-finite entry gives a NaN norm
-    (inf for a 1 x 1 inf) rather than an error.
+    Gram matrix of the scaled rows (``_gram_top``).  When both sides exceed
+    2, the matrix is transposed so that its shorter side m comes first and
+    scaled by its largest |entry| (``_scaled``); the m x m Gram matrix a a^H
+    then has entries of modulus at most c, and its top eigenvalue from
+    ``eigvalsh`` is accurate relative to itself (Demmel 1997, section 5.2), so
+    s sqrt(lambda_max) is within a few ulps of LAPACK's sigma_1 at any scale.
+    A non-finite entry gives a NaN norm (inf for a 1 x 1 inf) rather than an
+    error.
     """
     r, c = ms.shape[-2:]
     if min(r, c) == 1:
         return _vector_norm(ms)
-    if min(r, c) > 2:
-        return np.linalg.svd(ms, compute_uv=False)[..., 0]
-    _, s, _, _, _, lam = _gram_top(ms)
-    return s * np.sqrt(lam)
+    if min(r, c) == 2:
+        _, s, _, _, _, lam = _gram_top(ms)
+        return s * np.sqrt(lam)
+    if r > c:
+        ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
+    ms, bad = _zero_non_finite(ms)
+    a, s = _scaled(ms)
+    lam = np.linalg.eigvalsh(a @ dagger(a))[..., -1]
+    return np.where(bad, np.nan, s * np.sqrt(np.maximum(lam, 0.0)))
 
 
 def _top_pair(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +279,15 @@ def _sval_sum(ms: np.ndarray) -> np.ndarray:
     A single row or column has one singular value, its Euclidean norm; 2 x 2
     matrices take ``_sval_sum_2x2``.  Other shapes go to LAPACK: for 2 x c
     with c > 2, sigma_1 sigma_2 = sqrt(det G) would lose half its digits near
-    rank one.  On the closed-form shapes a non-finite entry gives a NaN norm
-    (inf for a 1 x 1 inf) rather than an error.
+    rank one.  A non-finite entry gives a NaN norm (inf for a 1 x 1 inf)
+    rather than an error.
     """
     r, c = ms.shape[-2:]
     if min(r, c) == 1:
         return _vector_norm(ms)
     if (r, c) != (2, 2):
-        return np.linalg.svd(ms, compute_uv=False).sum(axis=-1)
+        ms, bad = _zero_non_finite(ms)
+        return np.where(bad, np.nan, np.linalg.svd(ms, compute_uv=False).sum(axis=-1))
     _, s, _, total = _sval_sum_2x2(ms)
     return s * total
 
@@ -294,10 +320,13 @@ def _fibers_if(ms, fiber: int | None):
 def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
     """Operator norms over the leading axes of a matrix stack.
 
-    ``fiber`` enables the direct-sum fast path for matrices that are diagonal
-    at block size ``fiber`` (the values are identical either way).  The
-    package itself passes no ``fiber``: each space splits into blocks once,
-    at load (``spaces.SpaceRep.blocks``), and measures them with ``op_norm_fibers``.
+    Every shape goes through ``_top_sval``: closed forms for a shorter side
+    of 1 or 2, the top eigenvalue of the scaled Gram matrix otherwise; no
+    shape runs an SVD.  ``fiber`` enables the direct-sum fast path for
+    matrices that are diagonal at block size ``fiber`` (the values are
+    identical either way).  The package itself passes no ``fiber``: each
+    space splits into blocks once, at load (``spaces.SpaceRep.blocks``), and
+    measures them with ``op_norm_fibers``.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     small = _fibers_if(ms, fiber)
@@ -341,7 +370,10 @@ def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndar
 
     Where the value kernels above have a closed form, so does W (``_top_pair``,
     ``_polar_2x2``; a single row or column is its own direction), and the
-    norms are theirs bit for bit; other shapes take LAPACK's singular vectors.
+    norms are theirs bit for bit; other shapes take LAPACK's singular vectors
+    and singular values, which agree with the value kernels to a few ulps.
+    W is 0 at a zero matrix on every shape (0 lies in the subdifferential
+    there), not the arbitrary vectors LAPACK returns for sigma = 0.
     Returns ``(norms, W)`` with W shaped like ``ms``.
     """
     if norm not in _COTANGENT_NORMS:
@@ -364,6 +396,7 @@ def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndar
         else:
             W = U[..., :, :1] * Vh[..., :1, :]
             norms = sv[..., 0]
+        W = np.where((norms == 0)[..., None, None], 0.0, W)
     if norm == "op_norm_fibers":
         top = np.argmax(norms, axis=-1)
         W = W * (np.arange(ms.shape[-3]) == top[..., None])[..., None, None]

@@ -317,6 +317,21 @@ def test_cstar_among_systems(criterion_cache):
     assert -rep.margin <= 1e-6
 
 
+def test_cstar_names_the_worst_sample_only_when_violated():
+    # on HOLDS the largest |row norm - sqrt(2)| is rounding noise: its location is not reported
+    space = corpus.build_full_matrix(2).space
+    rep = criteria.check_cstar_among_systems(space, n_pairs=4, n_contractions=4)
+    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+    assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
+    # a tolerance below that noise turns it into a violation, which names where it is
+    cfg = witness.SearchConfig(tolerance=1e-300)
+    rep = criteria.check_cstar_among_systems(space, cfg, n_pairs=4, n_contractions=4)
+    assert rep.verdict == criteria.VIOLATED
+    aux = rep.witness["aux"]
+    assert set(aux) == {"pair", "sign", "amplification", "deviation", "construction_residual"}
+    assert aux["deviation"] == -rep.margin and aux["sign"] in ("+", "-") and aux["amplification"] in (1, 2)
+
+
 def test_cstar_zero_pair_is_exact():
     z = np.zeros((2, 2), dtype=complex)
     m = gadgets.build_M_pm(z, z, z, z, "+")
