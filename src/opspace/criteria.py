@@ -8,6 +8,12 @@ criteria on embedded spaces, a proof: when the distinguished element
 satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
 on every basis element, the criterion holds at every level and no search
 runs.  Such a report carries ``proof``; a searched one does not.
+
+The sampled checks (``mult-closed``, the multipliers, ``cstar-among-systems``)
+draw each pair from its own stream, one pair at a time, and evaluate
+everything after the draws on stacks of pairs, in chunks of at most
+``_CHUNK_BYTES`` per stack; their picks are the first maxima in pair order,
+so a report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -621,8 +627,10 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.circle_samples, endpoint=False)
     t0, f0, samples = _grid_peak(circle, thetas, 2.0 * math.pi / cfg.circle_samples, -math.inf, math.inf)
     violation = f0 - 1.0
-    aux = {"z": _encode_complex(1.0 + np.exp(1j * t0)), "max_norm": f0}
     verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
+    # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
+    aux = {"z": _encode_complex(1.0 + np.exp(1j * t0))} if verdict == VIOLATED else {}
+    aux["max_norm"] = f0
     return CheckReport("positive", verdict, -violation, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
@@ -650,8 +658,10 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
     # the grid's own spacing, not ts[1] - ts[0], which can differ in the last bit
     width = 2.0 * cfg.t_max / (cfg.circle_samples - 1)
     t0, f0, samples = _grid_peak(deviation, ts, width, -cfg.t_max, cfg.t_max)
-    aux = {"t": t0, "deviation": f0}
     verdict = VIOLATED if f0 > cfg.tolerance else HOLDS_WITHIN_BUDGET
+    # as in check_positive, only a violation names its arg-max t
+    aux = {"t": t0} if verdict == VIOLATED else {}
+    aux["deviation"] = f0
     return CheckReport("adjoint", verdict, -f0, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
@@ -660,51 +670,92 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
 # multiplicative structure
 
 
-def _projection_residual_matrix(space, m):
-    c = spaces.coefficients_of(space, m)
-    proj = np.tensordot(c, space.basis, axes=(0, 0))
-    return m - proj, c
+#: Bytes of the largest stack a sampled check forms at once.  Its pairs pass
+#: through in chunks of as many as fit (at least one), so the working set stays
+#: bounded whatever the pair count, level or ambient size.
+_CHUNK_BYTES = 256 * 1024
 
 
-def _sample_space_matrix(space, rng, unit_norm=True):
-    elem = spaces.random_element(space, 1, rng, target_norm=1.0 if unit_norm else None)
-    return spaces.realize(space, elem), elem
+def _chunks(n_pairs: int, pair_bytes: int) -> list:
+    """Slices of range(n_pairs) holding as many pairs as fit _CHUNK_BYTES at ``pair_bytes`` each."""
+    size = max(1, _CHUNK_BYTES // pair_bytes)
+    return [slice(s, min(s + size, n_pairs)) for s in range(0, n_pairs, size)]
+
+
+def _first_max(values) -> tuple[float, int | None]:
+    """What a strict ``>`` scan from -inf picks in a flat array: (value, index of its first occurrence).
+
+    NaN never wins; (-inf, None) when nothing does.
+    """
+    v = np.where(np.isnan(values), -np.inf, values)
+    if not (v > -np.inf).any():
+        return -np.inf, None
+    i = int(np.argmax(v))
+    return float(v[i]), i
+
+
+def _sample_space_matrix(space, draws):
+    """Level-1 draws (..., 1, 1, k) scaled to norm 1: their realized matrices (..., p, q) and the scaled draws."""
+    coeffs = spaces._scale_to_norms(space, draws, 1.0)
+    return spaces.realize_stack(space, coeffs), coeffs
 
 
 def _mult_row_deviations(x_mat, z_mat, y_mat, bs):
-    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for a stack of fillers b."""
-    d = x_mat.shape[0]
+    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for fillers bs (..., nb, d, d) of pairs (..., d, d)."""
+    d = bs.shape[-1]
     eye = np.eye(d, dtype=np.complex128)
     zero = np.zeros((d, d), dtype=np.complex128)
-    nb = len(bs)
-    top = np.broadcast_to(np.concatenate([zero, y_mat, eye, zero], axis=1), (nb, d, 4 * d))
-    bottom = np.concatenate([
-        np.broadcast_to(2 * eye, (nb, d, d)),
-        np.broadcast_to(x_mat, (nb, d, d)),
-        np.broadcast_to(z_mat, (nb, d, d)),
-        bs,
-    ], axis=2)
-    two_by_four = np.concatenate([top, bottom], axis=1)
+
+    def full(m):
+        return np.broadcast_to(m, bs.shape)
+
+    top = np.concatenate([full(zero), full(y_mat[..., None, :, :]), full(eye), full(zero)], axis=-1)
+    bottom = np.concatenate([full(2 * eye), full(x_mat[..., None, :, :]), full(z_mat[..., None, :, :]), bs],
+                            axis=-1)
+    two_by_four = np.concatenate([top, bottom], axis=-2)
     return matcore.op_norm_stack(two_by_four) - matcore.op_norm_stack(bottom)
 
 
-def _unit_fillers(rng, count: int, d: int) -> np.ndarray:
-    """``count`` fillers (count, d, d): what as many ``rand_cmat(d, d, rng)`` draw, scaled to norm 1."""
-    z = rng.normal(size=(count, 2, d, d))
-    bs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+def _unit_fillers(z) -> np.ndarray:
+    """Fillers (..., d, d) from the normals (..., 2, d, d) that ``rand_cmat(d, d, rng)`` draws, scaled to norm 1."""
+    bs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
     nb = matcore.op_norm_stack(bs)
-    return bs / np.where(nb > 0, nb, 1.0)[:, None, None]
+    return bs / np.where(nb > 0, nb, 1.0)[..., None, None]
 
 
-def _metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
-    """Best detectable gap for the pair (x, y): z is the best in-space candidate."""
+def _metric_closure_deviation(space, x_mat, y_mat, fillers):
+    """Best detectable gap of each pair (x, y) of stacks (..., d, d); z is the best in-space candidate.
+
+    The gap is the largest |deviation| of the 2x4 row identity over the
+    canonical filler and ``fillers`` (..., nb, d, d).  z = -P(x y*), with P
+    the projection onto the space, each matrix projected as one (1, pq) row.
+    """
     prod = x_mat @ matcore.dagger(y_mat)
-    _, c = _projection_residual_matrix(space, prod)
-    z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
+    c = prod.reshape(prod.shape[:-2] + (1, -1)) @ space._pinv
+    z_mat = -(c @ space._flat).reshape(prod.shape)
     canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
-    bs = np.concatenate([canonical[None], _unit_fillers(rng, cfg.b_samples, x_mat.shape[0])])
-    devs = _mult_row_deviations(x_mat, z_mat, y_mat, bs)
-    return float(np.max(np.abs(devs))), z_mat
+    bs = np.concatenate([canonical[..., None, :, :], fillers], axis=-3)
+    return np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, bs)).max(axis=-1)
+
+
+def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
+    """The sampled pairs of the metric row identity, chunk by chunk.
+
+    Pair t draws ``count`` level-1 elements, then ``cfg.b_samples`` fillers,
+    from the stream (seed, *stream_key, t).  Yields (pairs, coeffs, mats,
+    fillers) per chunk: the slice of pair indices, the draws scaled to norm 1
+    (P, count, 1, 1, k), their matrices (P, count, p, q) and the unit-norm
+    fillers (P, b_samples, p, p).
+    """
+    d = space.p
+    for pairs in _chunks(n_pairs, (cfg.b_samples + 1) * 8 * d * d * 16):  # the 2x4 rows of one pair
+        draws, normals = [], []
+        for t in range(pairs.start, pairs.stop):
+            rng = matcore.stream(cfg.seed, *stream_key, t)
+            draws.append(spaces.random_stack(space, 1, rng, count))
+            normals.append(rng.normal(size=(cfg.b_samples, 2, d, d)))
+        mats, coeffs = _sample_space_matrix(space, np.stack(draws))
+        yield pairs, coeffs, mats, _unit_fillers(np.stack(normals))
 
 
 def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -725,18 +776,15 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
     alg_max = float(residuals[alg_pair])
     samples = k * k
 
-    met_max = -np.inf
-    met_witness = None
-    for t in range(MULT_METRIC_PAIRS):
-        rng = matcore.stream(cfg.seed, _KEY_MULT_CLOSED, 1, t)
-        x_mat, x_elem = _sample_space_matrix(space, rng)
-        y_base, _ = _sample_space_matrix(space, rng)
-        y_mat = matcore.dagger(y_base)  # contractive element of A*
-        dev, _ = _metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
-        samples += cfg.b_samples + 1
-        if dev > met_max:
-            met_max = dev
-            met_witness = (x_elem, y_mat)
+    devs = np.empty(MULT_METRIC_PAIRS)
+    xs = np.empty((MULT_METRIC_PAIRS, 1, 1, k), dtype=np.complex128)
+    ys = np.empty((MULT_METRIC_PAIRS, space.p, space.q), dtype=np.complex128)
+    for pairs, coeffs, mats, fillers in _metric_pairs(space, cfg, (_KEY_MULT_CLOSED, 1), MULT_METRIC_PAIRS, 2):
+        xs[pairs] = coeffs[:, 0]
+        ys[pairs] = matcore.dagger(mats[:, 1])  # contractive elements of A*
+        devs[pairs] = _metric_closure_deviation(space, mats[:, 0], ys[pairs], fillers)
+    samples += MULT_METRIC_PAIRS * (cfg.b_samples + 1)
+    met_max, best = _first_max(devs)
 
     agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
     if not agree:
@@ -753,9 +801,8 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
                         y=_encode_array(matcore.dagger(space.basis[j])))
             welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
         else:
-            x_elem, y_mat = met_witness
-            waux = dict(aux, path="metric", deviation=float(met_max), y=_encode_array(y_mat))
-            welem = x_elem
+            waux = dict(aux, path="metric", deviation=float(met_max), y=_encode_array(ys[best]))
+            welem = spaces.LevelElement(1, xs[best])
         return CheckReport("mult-closed", VIOLATED, -worst, _witness_dict(welem, waux),
                            [1], samples, cfg.to_dict(), notes)
     return CheckReport("mult-closed", HOLDS_WITHIN_BUDGET, -worst, _witness_dict(None, aux),
@@ -792,20 +839,19 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     met_max = None
     agree = None
     if p == q:
-        met_max = -np.inf
-        for t in range(MULTIPLIER_METRIC_PAIRS):
-            rng = matcore.stream(cfg.seed, _KEY_MULTIPLIER, 1, t)
-            a_mat, _ = _sample_space_matrix(space, rng)
+        devs = np.empty(MULTIPLIER_METRIC_PAIRS)
+        for pairs, _, mats, fillers in _metric_pairs(space, cfg, (_KEY_MULTIPLIER, 1), MULTIPLIER_METRIC_PAIRS,
+                                                     2 if side == "quasi" else 1):
+            a_mat = mats[:, 0]
             if side == "left":
                 x_mat, y_mat = w, matcore.dagger(a_mat)
             elif side == "right":
                 x_mat, y_mat = a_mat, matcore.dagger(w)
             else:
-                b_mat, _ = _sample_space_matrix(space, rng)
-                x_mat, y_mat = a_mat @ w, matcore.dagger(b_mat)
-            dev, _ = _metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
-            samples += cfg.b_samples + 1
-            met_max = max(met_max, dev)
+                x_mat, y_mat = a_mat @ w, matcore.dagger(mats[:, 1])
+            devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, fillers)
+        samples += MULTIPLIER_METRIC_PAIRS * (cfg.b_samples + 1)
+        met_max, _ = _first_max(devs)
         agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
         if not agree:
             log.warning("multiplier-%s: metric and algebraic routes disagree (alg=%.3e, metric=%.3e)",
@@ -918,8 +964,8 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     mult_worst = -np.inf
     for s in range(n_multiplier_samples):
         rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
-        _, x_elem = _sample_space_matrix(space, rng)
-        Tx = np.einsum("i,ijl->lj", x_elem.coeffs.reshape(-1), t)
+        _, x_coeffs = _sample_space_matrix(space, spaces.random_stack(space, 1, rng, 1))
+        Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
         worst, _, tried = _worst_pair(space, Tx, cfg, 16, _KEY_ALGEBRA_PRODUCT * 100 + s)
         samples += tried
         mult_worst = max(mult_worst, worst)
@@ -965,31 +1011,42 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         raise ShapeError("cstar check needs a square ambient")
     cfg.guard_ambient(space)
 
-    worst = -np.inf
-    where = None  # the (pair, sign, amplification) of the largest deviation
-    in_space_max = 0.0
-    samples = 0
     levels = list(range(1, cfg.max_level + 1))
-    for tpair in range(n_pairs):
-        rng = matcore.stream(cfg.seed, _KEY_CSTAR, tpair)
-        x_mat, _ = _sample_space_matrix(space, rng)
-        y_mat, _ = _sample_space_matrix(space, rng)
+    d, k = space.p, space.dim
+    # the largest (sign, level, contraction) deviation of each pair, and its z, b residuals
+    group_devs = np.empty((n_pairs, 2, len(levels)))
+    residuals = np.empty((n_pairs, 2))
+    top = 2 * cfg.max_level * d
+    for pairs in _chunks(n_pairs, n_contractions * top * 4 * top * 16):  # one sign's top-level rows
+        xy, draws = [], {m: [] for m in levels}
+        for tpair in range(pairs.start, pairs.stop):
+            rng = matcore.stream(cfg.seed, _KEY_CSTAR, tpair)
+            xy.append(spaces.random_stack(space, 1, rng, 2))
+            for _sign in range(2):
+                for m in levels:
+                    draws[m].append(spaces.random_stack(space, 2 * m, rng, n_contractions))
+        mats, _ = _sample_space_matrix(space, np.stack(xy))
+        x_mat, y_mat = mats[:, 0], mats[:, 1]
         z_mat = -x_mat @ matcore.dagger(y_mat)
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
-        in_space_max = max(in_space_max, *spaces.membership_residual_stack(space, np.stack([z_mat, b_mat])))
-        for sign in ("+", "-"):
+        residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
+        ws = {m: spaces.realize_stack(space, spaces._scale_to_norms(
+                  space, np.stack(draws[m]).reshape(-1, 2, n_contractions, 2 * m, 2 * m, k), 1.0))
+              for m in levels}
+        for si, sign in enumerate("+-"):  # one sign at a time halves a single pair's largest stack
             M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
-            for m in levels:
-                amp = matcore.scalar_amplify(M, m)
-                ws = spaces.realize_stack(space, spaces.random_stack(space, 2 * m, rng, n_contractions,
-                                                                     target_norm=1.0))
-                rows = np.concatenate([np.broadcast_to(amp, (n_contractions,) + amp.shape), ws], axis=2)
-                devs = np.abs(matcore.op_norm_stack(rows) - SQRT2)
-                samples += n_contractions
-                i0 = int(np.argmax(devs))
-                if devs[i0] > worst:
-                    worst = float(devs[i0])
-                    where = {"pair": tpair, "sign": sign, "amplification": m}
+            for li, m in enumerate(levels):
+                w = ws[m][:, si]
+                amp = matcore.scalar_amplify(M, m)[:, None]
+                rows = np.concatenate([np.broadcast_to(amp, w.shape[:-1] + amp.shape[-1:]), w], axis=-1)
+                group_devs[pairs, si, li] = np.abs(matcore.op_norm_stack(rows) - SQRT2).max(axis=-1)
+    samples = group_devs.size * n_contractions
+    worst, best = _first_max(group_devs.reshape(-1))
+    where = None  # the (pair, sign, amplification) of the largest deviation
+    if best is not None:
+        tpair, si, li = np.unravel_index(best, group_devs.shape)
+        where = {"pair": int(tpair), "sign": "+-"[si], "amplification": levels[li]}
+    in_space_max = max(0.0, _first_max(residuals.reshape(-1))[0])
 
     notes = []
     if worst > cfg.tolerance:

@@ -1,8 +1,11 @@
 """Constructors for the structured block matrices whose norms encode each criterion.
 
-Public constructors return realized ambient matrices for single elements; the
-``*_stack`` helpers assemble the same gadgets over a batch of realized
-elements and are what the counterexample search evaluates.
+The ``build_*`` constructors return realized ambient matrices for single
+elements; the ``*_stack`` helpers assemble the same gadgets over a batch of
+realized elements and are what the counterexample search evaluates.  The
+ingredients of the multiplicative-structure checks (``psd_sqrt``, ``proof_b``
+and ``build_M_pm``) take leading batch axes, a single matrix being a stack of
+one, and give each matrix of a stack the bytes it gets alone.
 """
 
 from __future__ import annotations
@@ -214,37 +217,47 @@ def build_Ue(space: spaces.SpaceRep, e) -> spaces.SpaceRep:
 
 
 def _square_like(name: str, m, d: int) -> np.ndarray:
-    a = matcore.as_cmat(m)
-    if a.shape != (d, d):
+    a = matcore.as_cstack(m)
+    if a.shape[-2:] != (d, d):
         raise ShapeError(f"{name} must be {d}x{d}, got {a.shape}")
     return a
 
 
+def _first_at(bad: np.ndarray) -> str:
+    """Where the first True of ``bad`` sits in a stack, for messages; empty for a single matrix."""
+    if bad.ndim == 0:
+        return ""
+    return f" at stack index {tuple(int(i) for i in np.argwhere(bad)[0])}"
+
+
 def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
-    """Normalized 2x6 block row used to detect multiplicative structure.
+    """Normalized 2x6 block rows used to detect multiplicative structure, over stacks (..., d, d).
 
     Row one is [y, 0, 1, x, b, z]; row two is [x, b, z, y, 0, 1] for sign "+"
-    and [x, b, z, -y, 0, -1] for sign "-".  The result is divided by its
-    operator norm, so a well-formed instance has orthonormal block rows.
+    and [x, b, z, -y, 0, -1] for sign "-".  Each result is divided by its
+    operator norm, so a well-formed instance has orthonormal block rows.  The
+    leading axes of the entries broadcast; a single matrix is a stack of one.
     """
-    x = matcore.as_cmat(x)
-    d = x.shape[0]
-    if x.shape != (d, d):
+    x = matcore.as_cstack(x)
+    d = x.shape[-1]
+    if x.shape[-2] != d:
         raise ShapeError("entries must be square")
     y, z, b = (_square_like(n, m, d) for n, m in (("y", y), ("z", z), ("b", b)))
-    one = np.eye(d, dtype=np.complex128)
-    zero = np.zeros_like(one)
+    x, y, z, b = np.broadcast_arrays(x, y, z, b)
+    one = np.broadcast_to(np.eye(d, dtype=np.complex128), x.shape)
+    zero = np.zeros(x.shape, dtype=np.complex128)
     if sign == "+":
-        grid = [[y, zero, one, x, b, z], [x, b, z, y, zero, one]]
+        bottom = [x, b, z, y, zero, one]
     elif sign == "-":
-        grid = [[y, zero, one, x, b, z], [x, b, z, -y, zero, -one]]
+        bottom = [x, b, z, -y, zero, -one]
     else:
         raise InvalidInputError("sign must be '+' or '-'")
-    m = matcore.block(grid)
-    nm = matcore.op_norm(m)
-    if nm <= 0:
-        raise InvalidInputError("gadget norm is zero; nothing to normalize")
-    return m / nm
+    m = np.concatenate([np.concatenate([y, zero, one, x, b, z], axis=-1),
+                        np.concatenate(bottom, axis=-1)], axis=-2)
+    nm = matcore.op_norm_stack(m)
+    if (nm <= 0).any():
+        raise InvalidInputError(f"gadget norm is zero{_first_at(nm <= 0)}; nothing to normalize")
+    return m / nm[..., None, None]
 
 
 def build_mult_row(x, y, z, b) -> tuple[np.ndarray, np.ndarray]:
@@ -279,16 +292,23 @@ def build_adjoint_block(x, z, t: float) -> np.ndarray:
 
 
 def psd_sqrt(h, tol: float = 1e-10) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix; rejects eigenvalues below -tol."""
-    h = matcore.as_cmat(h)
+    """Positive square roots of Hermitian PSD matrices (..., d, d); rejects eigenvalues below -tol.
+
+    The tolerance is relative to the largest eigenvalue's modulus (at least 1)
+    of each matrix, and the error names the first matrix of the stack below it.
+    """
+    h = matcore.as_cstack(h)
     w, v = np.linalg.eigh((h + matcore.dagger(h)) / 2.0)
-    if w.min() < -tol * max(1.0, abs(w.max())):
-        raise NumericalError(f"operand is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ matcore.dagger(v)
+    low = w.min(axis=-1) < -tol * np.maximum(1.0, np.abs(w.max(axis=-1)))
+    if low.any():
+        first = w[tuple(np.argwhere(low)[0])] if low.ndim else w
+        raise NumericalError(f"operand{_first_at(low)} is not positive semidefinite "
+                             f"(min eigenvalue {first.min():.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ matcore.dagger(v)
 
 
 def proof_b(x, y, z) -> np.ndarray:
-    """The filler entry sqrt(||xx* + yy* + zz*|| 1 - xx* - yy* - zz*) (pass y=0 for the 2x4 rows)."""
-    x, y, z = (matcore.as_cmat(m) for m in (x, y, z))
+    """The filler sqrt(||xx* + yy* + zz*|| 1 - xx* - yy* - zz*) over stacks (pass y=0 for the 2x4 rows)."""
+    x, y, z = (matcore.as_cstack(m) for m in (x, y, z))
     h = x @ matcore.dagger(x) + y @ matcore.dagger(y) + z @ matcore.dagger(z)
-    return psd_sqrt(matcore.op_norm(h) * np.eye(h.shape[0]) - h)
+    return psd_sqrt(matcore.op_norm_stack(h)[..., None, None] * np.eye(h.shape[-1]) - h)

@@ -32,6 +32,7 @@ from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "as_cmat",
+    "as_cstack",
     "op_norm",
     "trace_norm",
     "dagger",
@@ -45,16 +46,24 @@ __all__ = [
 ]
 
 
-def as_cmat(m, check_finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+def as_cstack(m, check_finite: bool = True) -> np.ndarray:
+    """Coerce to a complex128 stack of matrices (..., r, c), rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ShapeError(f"matrix dimensions must be positive, got {a.shape[-2:]}")
     if check_finite and not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix has non-finite entries")
     return a
+
+
+def as_cmat(m, check_finite: bool = True) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    ndim = np.ndim(m)
+    if ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={ndim}")
+    return as_cstack(m, check_finite)
 
 
 def op_norm(m) -> float:
@@ -95,16 +104,19 @@ def block(blocks) -> np.ndarray:
 
 
 def scalar_amplify(m, n: int) -> np.ndarray:
-    """Block-diagonal matrix with ``n`` copies of ``m``; leaves the operator norm unchanged."""
-    a = as_cmat(m, check_finite=False)
+    """Block-diagonal matrices with ``n`` copies of each m of a stack (..., p, q) -> (..., np, nq).
+
+    The amplification leaves the operator norm unchanged.
+    """
+    a = as_cstack(m, check_finite=False)
     if n < 1:
         raise InvalidInputError("amplification level must be positive")
     if n == 1:
         return a.copy()
-    p, q = a.shape
-    out = np.zeros((n * p, n * q), dtype=np.complex128)
+    p, q = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (n * p, n * q), dtype=np.complex128)
     for i in range(n):
-        out[i * p : (i + 1) * p, i * q : (i + 1) * q] = a
+        out[..., i * p : (i + 1) * p, i * q : (i + 1) * q] = a
     return out
 
 

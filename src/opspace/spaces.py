@@ -514,10 +514,20 @@ def random_stack(
     z = rng.normal(size=(count, 2, level, level, space.dim))
     coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     if target_norm is not None:
-        nx = norm_stack(space, coeffs)
-        scale = np.where(nx > 0, target_norm / np.where(nx > 0, nx, 1.0), 1.0)
-        coeffs = coeffs * scale[:, None, None, None]
+        coeffs = _scale_to_norms(space, coeffs, target_norm)
     return coeffs
+
+
+def _scale_to_norms(space: SpaceRep, coeffs: np.ndarray, target_norms) -> np.ndarray:
+    """Coefficient grids (..., n, n, k) rescaled to ``target_norms`` (a scalar or an array over (...)).
+
+    Each grid is scaled by its own target over its own norm, so a grid comes
+    out the same whichever stack it is scaled in; a grid of norm 0 is left as
+    it is.
+    """
+    nx = norm_stack(space, coeffs)
+    scale = np.where(nx > 0, target_norms / np.where(nx > 0, nx, 1.0), 1.0)
+    return coeffs * scale[..., None, None, None]
 
 
 def random_element(

@@ -122,17 +122,19 @@ def _project(space, coeffs, radius, mode):
 
 
 def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
-    k = space.dim
-    starts = np.zeros((restarts, level, level, k), dtype=np.complex128)
+    """The restarts' starts (restarts, level, level, k), each drawn from its own stream.
+
+    A ball restart draws its radius first, then its coefficients; all starts
+    are then scaled to their radii at once.
+    """
+    draws = np.zeros((restarts, level, level, space.dim), dtype=np.complex128)
+    radii = np.full(restarts, float(radius))
     for j in range(restarts):
         rng = matcore.stream(cfg.seed, *stream_key, j)
-        if mode == SPHERE:
-            r = radius
-        else:
-            r = radius * np.exp(rng.uniform(np.log(MIN_RADIUS_FRACTION), 0.0))
-        elem = spaces.random_element(space, level, rng, target_norm=r)
-        starts[j] = elem.coeffs
-    return starts
+        if mode != SPHERE:
+            radii[j] = radius * np.exp(rng.uniform(np.log(MIN_RADIUS_FRACTION), 0.0))
+        draws[j] = spaces.random_stack(space, level, rng, 1)[0]
+    return spaces._scale_to_norms(space, draws, radii)
 
 
 def _set_directions(grad, direction, active, idx):

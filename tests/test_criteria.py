@@ -221,6 +221,19 @@ def test_adjoint_examples():
     assert criteria.check_adjoint(z, z).verdict == criteria.HOLDS_WITHIN_BUDGET
 
 
+def test_positive_and_adjoint_name_no_arg_max_when_they_hold(m2_entry):
+    # below the tolerance the arg-max is a plateau or rounding noise: only the maximum is reported
+    for x in (np.diag([0.5, 0.25]), np.zeros((2, 2)), np.eye(2)):
+        rep = criteria.check_positive(m2_entry.space, x)
+        assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+        assert set(rep.witness["aux"]) == {"max_norm"}
+        assert rep.witness["aux"]["max_norm"] == pytest.approx(1.0 - rep.margin, abs=1e-15)
+    for x, z in ((E12, E21), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        rep = criteria.check_adjoint(x, z)
+        assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+        assert rep.witness["aux"] == {"deviation": -rep.margin}
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure
 

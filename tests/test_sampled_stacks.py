@@ -9,12 +9,13 @@ byte, at two seeds.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opspace import corpus, criteria, formulas, gadgets, matcore, spaces, witness
-from opspace.errors import InvalidInputError
+from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
 SEEDS = (7, 1729)
@@ -99,15 +100,6 @@ def ref_unit_fillers(rng, count, d):
         nb = matcore.op_norm(b)
         bs.append(b / nb if nb > 0 else b)
     return bs
-
-
-def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
-    prod = x_mat @ matcore.dagger(y_mat)
-    c = spaces.coefficients_of(space, prod)
-    z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
-    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, cfg.b_samples, x_mat.shape[0])
-    devs = criteria._mult_row_deviations(x_mat, z_mat, y_mat, np.stack(bs))
-    return float(np.max(np.abs(devs))), z_mat
 
 
 def ref_random_stack(space, level, rng, count, target_norm=None):
@@ -206,74 +198,259 @@ def test_suites_refuse_non_positive_trial_counts(name, value):
 
 
 # ---------------------------------------------------------------------------
-# criteria
+# criteria: the per-pair loops the stacked checks replace, one matrix at a time
 
 
-def stacked_and_reference(run, monkeypatch):
-    """(stacked report, one-at-a-time report) of ``run()``, as JSON."""
-    stacked = as_json(run().to_dict())
-    with monkeypatch.context() as m:
-        m.setattr(criteria, "_metric_closure_deviation", ref_metric_closure_deviation)
-        m.setattr(spaces, "random_stack", ref_random_stack)
-        m.setattr(spaces, "membership_residual_stack", ref_residual_stack)
-        reference = as_json(run().to_dict())
-    return stacked, reference
+def ref_sample_space_matrix(space, rng):
+    elem = ref_random_element(space, 1, rng, target_norm=1.0)
+    return spaces.realize(space, elem), elem
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", ["full_matrix_2", "upper_triangular_3", "non_algebra_span"])
-def test_mult_closed_matches_one_trial_at_a_time(monkeypatch, seed, name):
-    space = SPACES[name]()
-    cfg = witness.SearchConfig(seed=seed)
-    stacked, reference = stacked_and_reference(lambda: criteria.check_mult_closed(space, cfg), monkeypatch)
-    assert stacked == reference
+def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
+    """Largest |deviation| of the 2x4 row identity over the canonical filler, then b_samples drawn ones."""
+    c = spaces.coefficients_of(space, x_mat @ matcore.dagger(y_mat))
+    z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
+    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, cfg.b_samples, x_mat.shape[0])
+    worst = -np.inf
+    for b in bs:
+        two_by_four, row = gadgets.build_mult_row(x_mat, y_mat, z_mat, b)
+        dev = abs(matcore.op_norm(two_by_four) - matcore.op_norm(row))
+        if dev > worst:
+            worst = dev
+    return worst
 
+
+def ref_check_mult_closed(space, cfg):
     k = space.dim
     residuals = {(i, j): ref_membership_residual(space, space.basis[i] @ space.basis[j])
                  for i in range(k) for j in range(k)}
     alg_max, (i, j) = first_max(residuals)
-    report = json.loads(stacked)
-    aux = report["witness"]["aux"]
-    assert aux["algebraic_max"] == alg_max
-    if aux.get("path") == "algebraic":
-        assert (aux["x_basis"], aux["y_basis"]) == (i, j)
+    samples = k * k
+    metric, witnesses = {}, {}
+    for t in range(criteria.MULT_METRIC_PAIRS):
+        rng = matcore.stream(cfg.seed, criteria._KEY_MULT_CLOSED, 1, t)
+        x_mat, x_elem = ref_sample_space_matrix(space, rng)
+        y_mat = matcore.dagger(ref_sample_space_matrix(space, rng)[0])
+        metric[t] = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
+        witnesses[t] = (x_elem, y_mat)
+        samples += cfg.b_samples + 1
+    met_max, best = first_max(metric)
+
+    agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
+    aux = {"algebraic_max": float(alg_max), "metric_max": float(met_max), "paths_agree": bool(agree)}
+    notes = [] if agree else ["metric/algebraic route disagreement: possible bug"]
+    worst = max(alg_max, met_max)
+    if worst > cfg.tolerance:
+        if alg_max >= met_max:
+            waux = dict(aux, path="algebraic", x_basis=i, y_basis=j, residual=float(alg_max),
+                        y=criteria._encode_array(matcore.dagger(space.basis[j])))
+            welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
+        else:
+            welem, y_mat = witnesses[best]
+            waux = dict(aux, path="metric", deviation=float(met_max), y=criteria._encode_array(y_mat))
+        return criteria.CheckReport("mult-closed", criteria.VIOLATED, -worst, criteria._witness_dict(welem, waux),
+                                    [1], samples, cfg.to_dict(), notes)
+    return criteria.CheckReport("mult-closed", criteria.HOLDS_WITHIN_BUDGET, -worst,
+                                criteria._witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
+
+
+def ref_check_multiplier(space, w, side, cfg):
+    w = matcore.as_cmat(w)
+    k = space.dim
+    if side == "left":
+        products = {(i,): w @ space.basis[i] for i in range(k)}
+    elif side == "right":
+        products = {(i,): space.basis[i] @ w for i in range(k)}
+    else:
+        products = {(i, j): space.basis[i] @ w @ space.basis[j] for i in range(k) for j in range(k)}
+    alg_max, idx = first_max({key: ref_membership_residual(space, m) for key, m in products.items()})
+    samples = len(products)
+
+    met_max = agree = None
+    if space.p == space.q:
+        met_max = -np.inf
+        for t in range(criteria.MULTIPLIER_METRIC_PAIRS):
+            rng = matcore.stream(cfg.seed, criteria._KEY_MULTIPLIER, 1, t)
+            a_mat, _ = ref_sample_space_matrix(space, rng)
+            if side == "left":
+                x_mat, y_mat = w, matcore.dagger(a_mat)
+            elif side == "right":
+                x_mat, y_mat = a_mat, matcore.dagger(w)
+            else:
+                b_mat, _ = ref_sample_space_matrix(space, rng)
+                x_mat, y_mat = a_mat @ w, matcore.dagger(b_mat)
+            dev = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
+            samples += cfg.b_samples + 1
+            if dev > met_max:
+                met_max = dev
+        agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
+
+    aux = {"algebraic_max": float(alg_max), "side": side}
+    notes = []
+    if met_max is not None:
+        aux["metric_max"] = float(met_max)
+        aux["paths_agree"] = bool(agree)
+        if not agree:
+            notes.append("metric/algebraic route disagreement: possible bug")
+    criterion = f"multiplier-{side}"
+    if alg_max > cfg.tolerance:
+        waux = dict(aux, basis_index=list(idx), residual=float(alg_max))
+        return criteria.CheckReport(criterion, criteria.VIOLATED, -alg_max, criteria._witness_dict(None, waux),
+                                    [1], samples, cfg.to_dict(), notes)
+    return criteria.CheckReport(criterion, criteria.HOLDS_WITHIN_BUDGET, -alg_max,
+                                criteria._witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
+
+
+def ref_check_cstar(space, cfg, n_pairs=20, n_contractions=16):
+    levels = list(range(1, cfg.max_level + 1))
+    worst, where, in_space_max, samples = -np.inf, None, 0.0, 0
+    for tpair in range(n_pairs):
+        rng = matcore.stream(cfg.seed, criteria._KEY_CSTAR, tpair)
+        x_mat, _ = ref_sample_space_matrix(space, rng)
+        y_mat, _ = ref_sample_space_matrix(space, rng)
+        z_mat = -x_mat @ matcore.dagger(y_mat)
+        b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
+        for m in (z_mat, b_mat):
+            r = ref_membership_residual(space, m)
+            if r > in_space_max:
+                in_space_max = r
+        for sign in ("+", "-"):
+            M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
+            for m in levels:
+                amp = matcore.scalar_amplify(M, m)
+                for w in ref_random_stack(space, 2 * m, rng, n_contractions, target_norm=1.0):
+                    row = np.concatenate([amp, spaces.realize_stack(space, w)], axis=1)
+                    dev = abs(matcore.op_norm(row) - criteria.SQRT2)
+                    samples += 1
+                    if dev > worst:
+                        worst, where = dev, {"pair": tpair, "sign": sign, "amplification": m}
+
+    notes = []
+    if worst > cfg.tolerance:
+        verdict = criteria.VIOLATED
+    elif in_space_max > cfg.tolerance:
+        verdict = criteria.INCONCLUSIVE
+        notes.append("the canonical z, b leave the space; existence over X not certified")
+    else:
+        verdict = criteria.HOLDS_WITHIN_BUDGET
+    aux = {}
+    if where is not None:
+        aux = dict(where, deviation=worst) if verdict == criteria.VIOLATED else {"deviation": worst}
+    aux["construction_residual"] = float(in_space_max)
+    return criteria.CheckReport("cstar-among-systems", verdict, -worst, criteria._witness_dict(None, aux),
+                                levels, samples, cfg.to_dict(), notes)
+
+
+def stacked_and_reference(run, reference):
+    """(stacked report, one-pair-at-a-time report), as JSON."""
+    return as_json(run().to_dict()), as_json(reference().to_dict())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["full_matrix_2", "upper_triangular_3", "non_algebra_span"])
+def test_mult_closed_matches_one_trial_at_a_time(seed, name):
+    space = SPACES[name]()
+    cfg = witness.SearchConfig(seed=seed)
+    stacked, reference = stacked_and_reference(lambda: criteria.check_mult_closed(space, cfg),
+                                               lambda: ref_check_mult_closed(space, cfg))
+    assert stacked == reference
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("side", ["left", "right", "quasi"])
 @pytest.mark.parametrize("name, w", [("full_matrix_3", 1), ("upper_triangular_3", 1),
                                      ("non_algebra_span", 0)])
-def test_multiplier_matches_one_trial_at_a_time(monkeypatch, seed, side, name, w):
+def test_multiplier_matches_one_trial_at_a_time(seed, side, name, w):
     space = SPACES[name]()
     wm = space.basis[w]
     cfg = witness.SearchConfig(seed=seed)
-    stacked, reference = stacked_and_reference(
-        lambda: criteria.check_multiplier(space, wm, side, cfg), monkeypatch)
+    stacked, reference = stacked_and_reference(lambda: criteria.check_multiplier(space, wm, side, cfg),
+                                               lambda: ref_check_multiplier(space, wm, side, cfg))
     assert stacked == reference
-
-    k = space.dim
-    if side == "left":
-        products = {(i,): wm @ space.basis[i] for i in range(k)}
-    elif side == "right":
-        products = {(i,): space.basis[i] @ wm for i in range(k)}
-    else:
-        products = {(i, j): space.basis[i] @ wm @ space.basis[j] for i in range(k) for j in range(k)}
-    alg_max, idx = first_max({key: ref_membership_residual(space, m) for key, m in products.items()})
-    report = json.loads(stacked)
-    assert report["witness"]["aux"]["algebraic_max"] == alg_max
-    if report["verdict"] == criteria.VIOLATED:
-        assert report["witness"]["aux"]["basis_index"] == list(idx)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["full_matrix_2", "full_matrix_3", "non_algebra_system", "tridiagonal_3",
                                   "linf3"])
-def test_cstar_matches_one_trial_at_a_time(monkeypatch, seed, name):
+def test_cstar_matches_one_trial_at_a_time(seed, name):
     space = SPACES[name]()
     cfg = witness.SearchConfig(seed=seed)
-    stacked, reference = stacked_and_reference(
-        lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=6), monkeypatch)
+    stacked, reference = stacked_and_reference(lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=6),
+                                               lambda: ref_check_cstar(space, cfg, n_pairs=6))
     assert stacked == reference
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0, 3.0, np.nan, 3.0, 2.0], [2.0, np.inf, np.inf], [np.nan, np.nan],
+                                    [-np.inf, -np.inf], []])
+def test_picks_are_what_a_strict_scan_picks(values):
+    # ties go to the first maximum and NaN never wins, as in the per-pair loops
+    assert criteria._first_max(np.array(values)) == first_max(dict(enumerate(values)))
+
+
+#: Pairs per chunk, as a multiple of a check's bytes per pair: one pair each,
+#: three (the last chunk of 16, 8 or 7 pairs is partial) or all at once.
+CHUNKINGS = {"one": 1, "three": 3, "all": 10**6}
+
+CHUNKED_CHECKS = {
+    "mult-closed": ("full_matrix_2", lambda sp, cfg: criteria.check_mult_closed(sp, cfg), ref_check_mult_closed),
+    "multiplier-quasi": ("upper_triangular_3",
+                         lambda sp, cfg: criteria.check_multiplier(sp, sp.basis[1], "quasi", cfg),
+                         lambda sp, cfg: ref_check_multiplier(sp, sp.basis[1], "quasi", cfg)),
+    "cstar": ("non_algebra_system", lambda sp, cfg: criteria.check_cstar_among_systems(sp, cfg, n_pairs=7),
+              lambda sp, cfg: ref_check_cstar(sp, cfg, n_pairs=7)),
+}
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+@pytest.mark.parametrize("check", sorted(CHUNKED_CHECKS))
+def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
+    name, run, reference = CHUNKED_CHECKS[check]
+    space = SPACES[name]()
+    cfg = witness.SearchConfig(seed=SEEDS[1])
+    seen = []
+    chunks = criteria._chunks
+
+    def sized(n_pairs, pair_bytes):  # sets the chunk constant in units of this check's pairs
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", CHUNKINGS[chunking] * pair_bytes)
+        seen.append(chunks(n_pairs, pair_bytes))
+        return seen[-1]
+
+    monkeypatch.setattr(criteria, "_chunks", sized)
+    stacked = as_json(run(space, cfg).to_dict())
+    monkeypatch.undo()
+    assert stacked == as_json(reference(space, cfg).to_dict())
+
+    (slices,) = seen
+    sizes = [s.stop - s.start for s in slices]
+    assert [s.start for s in slices] == list(np.cumsum([0] + sizes[:-1]))
+    if chunking == "one":
+        assert set(sizes) == {1}
+    elif chunking == "three":
+        assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] < 3
+    else:
+        assert len(sizes) == 1
+
+
+#: The stacked checks' tracemalloc peak stays below this many chunk constants
+#: (on full_matrix_3 about 2.8 for cstar and 4.3 for mult-closed; without chunks
+#: about 51 for 20 cstar pairs and 22 for mult-closed).
+PEAK_CHUNKS = 8
+
+
+@pytest.mark.parametrize("check", ["cstar", "mult-closed"])
+def test_sampled_checks_peak_within_a_multiple_of_the_chunk(check):
+    space = SPACES["full_matrix_3"]()
+    cfg = witness.SearchConfig(seed=SEEDS[0])
+    run = {"cstar": lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=60),
+           "mult-closed": lambda: criteria.check_mult_closed(space, cfg)}[check]
+    run()  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_CHUNKS * criteria._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("name", ["upper_triangular_3", "non_algebra_span"])
@@ -285,9 +462,36 @@ def test_cstar_refuses_spaces_without_involution_or_unit(name):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fillers_are_successive_normalized_draws(d):
     # the reference normalizes by single-matrix op_norm, the closed forms on M_2 as in the stack
-    got = criteria._unit_fillers(matcore.stream(3, d), 64, d)
+    got = criteria._unit_fillers(matcore.stream(3, d).normal(size=(64, 2, d, d)))
     want = np.stack(ref_unit_fillers(matcore.stream(3, d), 64, d))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gadgets_on_a_stack_are_the_gadgets_of_each_matrix(d):
+    rng = matcore.stream(17, d)
+    x, y = (np.stack([matcore.rand_cmat(d, d, rng) for _ in range(5)]) for _ in range(2))
+    x = x / matcore.op_norm_stack(x)[:, None, None]
+    z = -x @ matcore.dagger(y)
+    b = gadgets.proof_b(x, y, z)
+    assert b.tobytes() == np.stack([gadgets.proof_b(x[i], y[i], z[i]) for i in range(5)]).tobytes()
+    h = x @ matcore.dagger(x)
+    assert gadgets.psd_sqrt(h).tobytes() == np.stack([gadgets.psd_sqrt(m) for m in h]).tobytes()
+    for sign in ("+", "-"):
+        M = gadgets.build_M_pm(x, y, z, b, sign)
+        assert M.tobytes() == np.stack([gadgets.build_M_pm(x[i], y[i], z[i], b[i], sign)
+                                        for i in range(5)]).tobytes()
+        for n in (1, 2, 3):
+            assert matcore.scalar_amplify(M, n).tobytes() == np.stack(
+                [matcore.scalar_amplify(m, n) for m in M]).tobytes()
+
+
+def test_stacked_gadget_errors_name_the_first_offending_matrix():
+    h = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([-1.0, 1.0])])
+    with pytest.raises(NumericalError, match=r"at stack index \(1,\) is not positive semidefinite"):
+        gadgets.psd_sqrt(h)
+    with pytest.raises(NumericalError, match=r"^operand is not positive semidefinite"):
+        gadgets.psd_sqrt(h[2])
 
 
 def test_stacked_draws_are_successive_single_draws():
