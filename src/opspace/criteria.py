@@ -1014,10 +1014,14 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     levels = list(range(1, cfg.max_level + 1))
     d, k = space.p, space.dim
     # the largest (sign, level, contraction) deviation of each pair, and its z, b residuals
-    group_devs = np.empty((n_pairs, 2, len(levels)))
+    group_devs = np.full((n_pairs, 2, len(levels)), -np.inf)
     residuals = np.empty((n_pairs, 2))
     top = 2 * cfg.max_level * d
-    for pairs in _chunks(n_pairs, n_contractions * top * 4 * top * 16):  # one sign's top-level rows
+    row_bytes = top * 4 * top * 16  # one contraction's rows at the top level, for one sign
+    pair_bytes = n_contractions * row_bytes
+    # a pair larger than a chunk goes through in chunks of its contractions
+    parts = _chunks(n_contractions, row_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
+    for pairs in _chunks(n_pairs, pair_bytes):
         xy, draws = [], {m: [] for m in levels}
         for tpair in range(pairs.start, pairs.stop):
             rng = matcore.stream(cfg.seed, _KEY_CSTAR, tpair)
@@ -1030,16 +1034,18 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         z_mat = -x_mat @ matcore.dagger(y_mat)
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
         residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
-        ws = {m: spaces.realize_stack(space, spaces._scale_to_norms(
-                  space, np.stack(draws[m]).reshape(-1, 2, n_contractions, 2 * m, 2 * m, k), 1.0))
-              for m in levels}
-        for si, sign in enumerate("+-"):  # one sign at a time halves a single pair's largest stack
-            M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
-            for li, m in enumerate(levels):
-                w = ws[m][:, si]
-                amp = matcore.scalar_amplify(M, m)[:, None]
-                rows = np.concatenate([np.broadcast_to(amp, w.shape[:-1] + amp.shape[-1:]), w], axis=-1)
-                group_devs[pairs, si, li] = np.abs(matcore.op_norm_stack(rows) - SQRT2).max(axis=-1)
+        grids = {m: np.stack(draws[m]).reshape(-1, 2, n_contractions, 2 * m, 2 * m, k) for m in levels}
+        Ms = [gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"]
+        for part in parts:
+            ws = {m: spaces.realize_stack(space, spaces._scale_to_norms(
+                      space, np.ascontiguousarray(grids[m][:, :, part]), 1.0)) for m in levels}
+            for si, M in enumerate(Ms):  # one sign at a time halves a single pair's largest stack
+                for li, m in enumerate(levels):
+                    w = ws[m][:, si]
+                    amp = matcore.scalar_amplify(M, m)[:, None]
+                    rows = np.concatenate([np.broadcast_to(amp, w.shape[:-1] + amp.shape[-1:]), w], axis=-1)
+                    devs = np.abs(matcore.op_norm_stack(rows) - SQRT2).max(axis=-1)
+                    group_devs[pairs, si, li] = np.maximum(group_devs[pairs, si, li], devs)
     samples = group_devs.size * n_contractions
     worst, best = _first_max(group_devs.reshape(-1))
     where = None  # the (pair, sign, amplification) of the largest deviation

@@ -9,8 +9,8 @@ Each suite group draws from one stream: a pair suite from (seed, suite), a
 gadget suite from (seed, suite, space, level) for each of its (space, level)
 groups.  One ``normal`` call fills the whole group in trial-major order, so
 trial t gets what the t-th of successive ``matcore.rand_cmat`` (pairs) or
-``spaces.random_element`` (gadgets) calls on that stream would draw, and its
-matrices do not depend on how many trials run.  The trials are then
+one-grid ``spaces.random_stack`` (gadgets) calls on that stream would draw,
+and its matrices do not depend on how many trials run.  The trials are then
 evaluated as stacks: the pair suites as (trials, 3, 3) stacks of a and b, the
 gadget suites one (space, level) group at a time, realized, measured with
 ``spaces.norm_stack`` and assembled with the ``gadgets`` stack helpers.

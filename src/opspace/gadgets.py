@@ -117,9 +117,10 @@ def four_rotation_stack_adjoint(norms: np.ndarray, W: np.ndarray) -> np.ndarray:
     over k of the norms.
     """
     top = np.argmax(norms, axis=0)
-    matrix_axes = (1,) * (W.ndim - norms.ndim)
-    Wk = np.take_along_axis(W, top.reshape((1,) + top.shape + matrix_axes), axis=0)[0]
-    return np.conj(I_POWERS[top]).reshape(top.shape + matrix_axes) * Wk
+    matrix_shape = W.shape[norms.ndim:]
+    Wk = W.reshape((4, top.size) + matrix_shape)[top.reshape(-1), np.arange(top.size)]
+    phase = np.conj(I_POWERS[top]).reshape(top.shape + (1,) * len(matrix_shape))
+    return phase * Wk.reshape(top.shape + matrix_shape)
 
 
 def row_stack_adjoint(W: np.ndarray) -> np.ndarray:

@@ -22,6 +22,19 @@ singular pair for a shorter side of 1 or 2 and the polar factor of a single
 row or column or a 2 x 2 matrix come in closed form, with the norms of the
 value kernels, and every other shape (the trace norm of 2 x c with c > 2
 among them) goes to LAPACK with singular vectors.
+
+The closed forms run on stacks of one to a few thousand small matrices, and
+numpy reduces over a short axis one matrix at a time, at a cost far above
+the arithmetic's.  So no closed form reduces over an axis of at most 8
+entries: a max is a chain of ``np.maximum`` over the entries (exact in any
+order), a sum over an axis of length 2 is one add, the 2 x 2 adjugate is a
+flipped view with its off-diagonal negated by ``np.negative``, u v^H is an
+outer-product broadcast, and ``gadgets.four_rotation_stack_adjoint`` picks
+its rotation by direct indexing.  A sum of three or more terms stays
+``np.sum``: its order of addition depends on the loop numpy picks, so
+explicit adds would move last bits.  No negation is written as a product
+with -1, since a complex product can flip the sign of a zero.  So every norm
+and cotangent is, byte for byte, what the reductions gave.
 """
 
 from __future__ import annotations
@@ -159,6 +172,35 @@ def _fibered_diagonal(ms: np.ndarray, fiber: int) -> np.ndarray:
 _TINY = np.finfo(np.float64).tiny
 
 
+# the most entries a max takes as a chain of np.maximum rather than one reduction
+_CHAIN = 8
+
+
+def _max_of(cols) -> np.ndarray:
+    """The elementwise maximum of equally shaped arrays, as one chain of ``np.maximum``.
+
+    A max is exact in any order and NaN wins every comparison, so the chain
+    has the value of the reduction, NaN included.
+    """
+    m = cols[0]
+    for col in cols[1:]:
+        m = np.maximum(m, col)
+    return m
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``, as a chain over the entries when there are at most ``_CHAIN``."""
+    n = x.shape[-1]
+    return x.max(axis=-1) if n > _CHAIN else _max_of([x[..., k] for k in range(n)])
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` of non-negative terms: one add over a length-2 axis, ``np.sum`` over longer ones."""
+    if x.shape[-1] == 2:
+        return x[..., 0] + x[..., 1]
+    return x.sum(axis=-1)
+
+
 def _vector_norm(ms: np.ndarray) -> np.ndarray:
     """Euclidean norm of each matrix of a stack with one row or one column: (..., r, c) -> (...).
 
@@ -168,8 +210,8 @@ def _vector_norm(ms: np.ndarray) -> np.ndarray:
     x = np.abs(ms).reshape(ms.shape[:-2] + (-1,))
     if x.shape[-1] == 1:
         return x[..., 0]
-    s = np.maximum(x.max(axis=-1), _TINY)
-    return s * np.sqrt(np.square(x / s[..., None]).sum(axis=-1))
+    s = np.maximum(_max_last(x), _TINY)
+    return s * np.sqrt(_sum_last(np.square(x / s[..., None])))
 
 
 def _scaled(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,22 +220,28 @@ def _scaled(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The entries of ``a`` have modulus at most 1, so the Gram entries formed
     from them can neither overflow nor underflow to zero.
     """
-    s = np.maximum(np.abs(ms).max(axis=(-2, -1)), _TINY)
+    x = np.abs(ms)
+    r, c = x.shape[-2:]
+    if r * c > _CHAIN:
+        s = x.max(axis=(-2, -1))
+    else:
+        s = _max_of([x[..., i, j] for i in range(r) for j in range(c)])
+    s = np.maximum(s, _TINY)
     return ms / s[..., None, None], s
 
 
 def _row_norms_sq(a: np.ndarray) -> np.ndarray:
-    return (np.square(a.real) + np.square(a.imag)).sum(axis=-1)
+    return _sum_last(np.square(a.real) + np.square(a.imag))
 
 
 def _gram_top(ms: np.ndarray):
     """The top eigenvalue of the Gram matrix of a stack with shorter side 2, in scaled units.
 
-    Returns ``(a, s, half, o, h, lam)``: the scaled matrix ``a`` turned into
-    its two rows a_0, a_1 (transposed when r > c) and its scale ``s``; the
-    Gram matrix [[d_0, o], [conj(o), d_1]] (d_i = ||a_i||^2,
-    o = sum a_0 conj(a_1)) through ``half`` = (d_0 - d_1)/2, ``o`` and
-    ``h`` = hypot(half, |o|); and its top eigenvalue ``lam`` = (d_0 + d_1)/2 + h,
+    Returns ``(a, s, half, o, ao, h, lam)``: the scaled matrix ``a`` turned
+    into its two rows a_0, a_1 (transposed when r > c) and its scale ``s``;
+    the Gram matrix [[d_0, o], [conj(o), d_1]] (d_i = ||a_i||^2,
+    o = sum a_0 conj(a_1)) through ``half`` = (d_0 - d_1)/2, ``o``, ``ao`` = |o|
+    and ``h`` = hypot(half, |o|); and its top eigenvalue ``lam`` = (d_0 + d_1)/2 + h,
     a sum of non-negative terms.  The discriminant form with
     F^4 - 4|det|^2 loses about half its digits at equal singular values.
     """
@@ -203,9 +251,12 @@ def _gram_top(ms: np.ndarray):
     d = _row_norms_sq(a)
     d0, d1 = d[..., 0], d[..., 1]
     half = 0.5 * (d0 - d1)
-    o = (a[..., 0, :] * np.conj(a[..., 1, :])).sum(axis=-1)
-    h = np.hypot(half, np.abs(o))
-    return a, s, half, o, h, 0.5 * (d0 + d1) + h
+    p = a[..., 0, :] * np.conj(a[..., 1, :])
+    # np.sum adds from +0, so two -0 parts sum to +0 there; the 0.0 does the same here
+    o = p[..., 0] + p[..., 1] + 0.0 if p.shape[-1] == 2 else p.sum(axis=-1)
+    ao = np.abs(o)
+    h = np.hypot(half, ao)
+    return a, s, half, o, ao, h, 0.5 * (d0 + d1) + h
 
 
 def _zero_non_finite(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +289,7 @@ def _top_sval(ms: np.ndarray) -> np.ndarray:
     if min(r, c) == 1:
         return _vector_norm(ms)
     if min(r, c) == 2:
-        _, s, _, _, _, lam = _gram_top(ms)
+        _, s, *_, lam = _gram_top(ms)
         return s * np.sqrt(lam)
     if r > c:
         ms = np.swapaxes(ms, -1, -2)  # the transpose has the same singular values
@@ -257,32 +308,36 @@ def _top_pair(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     components vanish: equal singular values, any u is a top one); then
     v^H = u^H a / ||u^H a|| and W = u v^H, zero at a zero matrix.
     """
-    a, s, half, o, h, lam = _gram_top(ms)
+    a, s, half, o, ao, h, lam = _gram_top(ms)
     first = half >= 0
-    u0 = np.where(first, half + h, o)
-    u1 = np.where(first, np.conj(o), h - half)
-    un = np.hypot(np.abs(u0), np.abs(u1))
+    lead = h + np.abs(half)  # half + h when d_0 >= d_1, else h - half
+    un = np.hypot(lead, ao)  # ||u||, hypot being symmetric
     live = un > 0
     un = np.where(live, un, 1.0)
-    u0 = np.where(live, u0 / un, 1.0)
-    u1 = np.where(live, u1 / un, 0.0)
-    y = np.conj(u0)[..., None] * a[..., 0, :] + np.conj(u1)[..., None] * a[..., 1, :]  # u^H a
+    u = np.empty(un.shape + (2, 1), dtype=np.complex128)
+    u[..., 0, 0] = np.where(live, np.where(first, lead, o) / un, 1.0)
+    u[..., 1, 0] = np.where(live, np.where(first, np.conj(o), lead) / un, 0.0)
+    y = np.conj(u) * a
+    y = y[..., 0, :] + y[..., 1, :]  # u^H a
     yn = np.sqrt(_row_norms_sq(y))
     vh = y / np.where(yn > 0, yn, 1.0)[..., None]
-    W = np.stack([u0[..., None] * vh, u1[..., None] * vh], axis=-2)
+    W = u * vh[..., None, :]
     if ms.shape[-2] > ms.shape[-1]:
         W = np.swapaxes(W, -1, -2)
     return s * np.sqrt(lam), W
 
 
 def _sval_sum_2x2(ms: np.ndarray):
-    """``(a, s, det, total)`` for 2 x 2 stacks: the scaled matrix, its scale, det a and sigma_1 + sigma_2 of a.
+    """``(a, s, det, adet, total)`` of 2 x 2 stacks: scaled matrix, scale, det a, |det a|, sigma_1 + sigma_2.
 
-    (sigma_1 + sigma_2)^2 = ||a||_F^2 + 2|det a|, a sum of non-negative terms.
+    The singular values are those of ``a``: (sigma_1 + sigma_2)^2 =
+    ||a||_F^2 + 2|det a|, a sum of non-negative terms.
     """
     a, s = _scaled(ms)
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return a, s, det, np.sqrt(_row_norms_sq(a).sum(axis=-1) + 2.0 * np.abs(det))
+    d = _row_norms_sq(a)
+    adet = np.abs(det)
+    return a, s, det, adet, np.sqrt(d[..., 0] + d[..., 1] + 2.0 * adet)
 
 
 def _sval_sum(ms: np.ndarray) -> np.ndarray:
@@ -300,7 +355,7 @@ def _sval_sum(ms: np.ndarray) -> np.ndarray:
     if (r, c) != (2, 2):
         ms, bad = _zero_non_finite(ms)
         return np.where(bad, np.nan, np.linalg.svd(ms, compute_uv=False).sum(axis=-1))
-    _, s, _, total = _sval_sum_2x2(ms)
+    _, s, _, _, total = _sval_sum_2x2(ms)
     return s * total
 
 
@@ -313,11 +368,12 @@ def _polar_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u_1 v_1^H plus a unit multiple of u_2 v_2^H, still a subgradient.  Zero
     at a zero matrix.
     """
-    a, s, det, total = _sval_sum_2x2(ms)
-    adet = np.abs(det)
-    phi = np.where(adet > 0, det / np.where(adet > 0, adet, 1.0), 1.0)
-    adj_h = np.conj(np.stack([np.stack([a[..., 1, 1], -a[..., 1, 0]], axis=-1),
-                              np.stack([-a[..., 0, 1], a[..., 0, 0]], axis=-1)], axis=-2))
+    a, s, det, adet, total = _sval_sum_2x2(ms)
+    live = adet > 0
+    phi = np.where(live, det / np.where(live, adet, 1.0), 1.0)
+    adj_h = np.conj(a[..., ::-1, ::-1])  # [[a_11, a_10], [a_01, a_00]]^*, off-diagonal not yet negated
+    np.negative(adj_h[..., 0, 1], out=adj_h[..., 0, 1])
+    np.negative(adj_h[..., 1, 0], out=adj_h[..., 1, 0])
     W = (a + phi[..., None, None] * adj_h) / np.where(total > 0, total, 1.0)[..., None, None]
     return s * total, W
 
@@ -344,7 +400,7 @@ def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
     small = _fibers_if(ms, fiber)
     if small is None:
         return np.asarray(_top_sval(ms))
-    return np.asarray(_top_sval(small).max(axis=-1))
+    return np.asarray(_max_last(_top_sval(small)))
 
 
 def trace_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
@@ -358,7 +414,7 @@ def trace_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
 
 def op_norm_fibers(ms) -> np.ndarray:
     """Operator norms of direct sums given as per-fiber stacks (..., g, a, b) -> (...)."""
-    return np.asarray(_top_sval(np.asarray(ms, dtype=np.complex128)).max(axis=-1))
+    return np.asarray(_max_last(_top_sval(np.asarray(ms, dtype=np.complex128))))
 
 
 # the norms norm_cotangent_stack differentiates, named after the functions
@@ -412,5 +468,5 @@ def norm_cotangent_stack(ms, norm: str = "op_norm") -> tuple[np.ndarray, np.ndar
     if norm == "op_norm_fibers":
         top = np.argmax(norms, axis=-1)
         W = W * (np.arange(ms.shape[-3]) == top[..., None])[..., None, None]
-        norms = norms.max(axis=-1)
+        norms = _max_last(norms)
     return np.asarray(norms), W

@@ -57,7 +57,6 @@ __all__ = [
     "project_to_ball",
     "unit_element",
     "unit_matrix",
-    "random_element",
     "random_stack",
     "zero_element",
 ]
@@ -507,9 +506,10 @@ def random_stack(
 ) -> np.ndarray:
     """``count`` random coefficient grids (count, level, level, k), optionally rescaled to a given norm.
 
-    The grids are those of ``count`` successive ``random_element`` calls on
-    ``rng``: each draws the real parts of its Gaussian coefficients, then
-    their imaginary parts.  A grid of norm 0 is left as drawn.
+    The grids are drawn one after another from ``rng``: each draws the real
+    parts of its Gaussian coefficients, then their imaginary parts, so one
+    call with count n draws what n calls with count 1 draw.  A grid of norm 0
+    is left as drawn.
     """
     z = rng.normal(size=(count, 2, level, level, space.dim))
     coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
@@ -528,13 +528,3 @@ def _scale_to_norms(space: SpaceRep, coeffs: np.ndarray, target_norms) -> np.nda
     nx = norm_stack(space, coeffs)
     scale = np.where(nx > 0, target_norms / np.where(nx > 0, nx, 1.0), 1.0)
     return coeffs * scale[..., None, None, None]
-
-
-def random_element(
-    space: SpaceRep,
-    level: int,
-    rng: np.random.Generator,
-    target_norm: float | None = None,
-) -> LevelElement:
-    """Random element with Gaussian coefficients, optionally rescaled to a given norm."""
-    return LevelElement(level, random_stack(space, level, rng, 1, target_norm)[0])

@@ -50,6 +50,11 @@ def haar_unitary(d, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_element(space, level, rng, target_norm=None):
+    """One random element of level ``level``: the first grid of ``spaces.random_stack``."""
+    return spaces.LevelElement(level, spaces.random_stack(space, level, rng, 1, target_norm)[0])
+
+
 def oracle_space_with_involution():
     """The 2x2 trace-norm oracle space, given the involution that swaps the E12 and E21 coefficients."""
     tc2 = corpus.build_trace_class_2().space

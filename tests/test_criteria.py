@@ -6,7 +6,7 @@ import pytest
 from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError
 
-from conftest import oracle_space_with_involution
+from conftest import oracle_space_with_involution, random_element
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
@@ -100,7 +100,7 @@ def test_row_column_m2_exact(criterion_cache):
     assert criterion_cache("full_matrix_2", "isometry").verdict == criteria.HOLDS_WITHIN_BUDGET
     # C*-identity makes the row norm exactly sqrt(2) at any norm-one x
     space = corpus.build_full_matrix(2).space
-    x = spaces.random_element(space, 2, matcore.stream(61, 0), target_norm=1.0)
+    x = random_element(space, 2, matcore.stream(61, 0), target_norm=1.0)
     assert criteria.row_deviation_at(space, None, x) <= 1e-10
 
 
@@ -286,7 +286,7 @@ def test_left_multiplier_map_examples(m2_entry):
     rep = criteria.check_left_multiplier_map(space, 2 * np.eye(4))
     assert rep.verdict == criteria.VIOLATED
     # at a = b the stacked pair gives sqrt(5)||a|| against sqrt(2)||a||
-    a = spaces.random_element(space, 1, matcore.stream(62, 0), target_norm=1.0)
+    a = random_element(space, 1, matcore.stream(62, 0), target_norm=1.0)
     stacked = np.concatenate([2 * spaces.realize(space, a), spaces.realize(space, a)], axis=0)
     ref = np.concatenate([spaces.realize(space, a), spaces.realize(space, a)], axis=0)
     assert matcore.op_norm(stacked) == pytest.approx(math.sqrt(5), abs=1e-9)

@@ -7,6 +7,8 @@ from opspace import corpus, gadgets, matcore, spaces
 from opspace.errors import InvalidInputError, NumericalError, ShapeError
 from opspace.formulas import t_norm_closed_form
 
+from conftest import random_element
+
 
 def scalar_space(unit=1.0):
     return spaces.make_space(np.ones((1, 1, 1), dtype=complex), unit=np.array([unit]),
@@ -32,7 +34,7 @@ def test_build_t_scalars():
 
 def test_build_t_m2_closed_form():
     space = corpus.build_full_matrix(2).space
-    x = spaces.random_element(space, 1, matcore.stream(51, 0), target_norm=0.7)
+    x = random_element(space, 1, matcore.stream(51, 0), target_norm=0.7)
     got = matcore.op_norm(gadgets.build_t(space, space.unit, x)) ** 2
     assert got == pytest.approx(0.5 * (2 + 0.49 + 0.7 * math.sqrt(4.49)), abs=1e-9)
 
@@ -69,7 +71,7 @@ def test_build_row_column_m2():
     row = gadgets.build_row(space, space.unit, z)
     assert row.shape == (2, 4)
     assert matcore.op_norm(row) == pytest.approx(1.0, abs=1e-14)
-    x = spaces.random_element(space, 1, matcore.stream(52, 0), target_norm=1.0)
+    x = random_element(space, 1, matcore.stream(52, 0), target_norm=1.0)
     assert matcore.op_norm(gadgets.build_row(space, space.unit, x)) == pytest.approx(
         math.sqrt(2), abs=1e-10
     )
@@ -211,7 +213,7 @@ def test_doubling_closed_form_on_unital_corpus_spaces():
         space = entries[name].space
         worst = 0.0
         for t in range(100):
-            x = spaces.random_element(space, 1, matcore.stream(54, space.p, t))
+            x = random_element(space, 1, matcore.stream(54, space.p, t))
             s = spaces.norm(space, x)
             got = matcore.op_norm(gadgets.build_t(space, space.unit, x)) ** 2
             worst = max(worst, abs(got - float(t_norm_closed_form(s))))
@@ -221,7 +223,7 @@ def test_doubling_closed_form_on_unital_corpus_spaces():
 def test_four_rotation_composed_with_doubling_is_k_invariant():
     space = corpus.build_full_matrix(2).space
     for t in range(20):
-        x = spaces.random_element(space, 1, matcore.stream(55, t))
+        x = random_element(space, 1, matcore.stream(55, t))
         base = matcore.op_norm(gadgets.build_t(space, space.unit, x))
         for k in range(4):
             xk = spaces.LevelElement(1, (1j**k) * x.coeffs)
@@ -235,7 +237,7 @@ def test_symmetric_and_skew_norms_on_system_spaces():
         space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
         for level in (1, 2):
             for t in range(50):
-                x = spaces.random_element(space, level, matcore.stream(56, level, t))
+                x = random_element(space, level, matcore.stream(56, level, t))
                 nx = spaces.norm(space, x)
                 s = matcore.op_norm(gadgets.build_s(space, space.unit, x))
                 r = matcore.op_norm(gadgets.build_r(space, space.unit, x))
@@ -250,7 +252,7 @@ def test_scaled_doubling_gadget_covariance():
     for t in range(20):
         rng = matcore.stream(57, t)
         lam = float(rng.uniform(0.05, 1.0))
-        x = spaces.random_element(space, 1, rng)
+        x = random_element(space, 1, rng)
         scaled_v = spaces.LevelElement(1, (lam * space.unit).reshape(1, 1, -1))
         lhs = matcore.op_norm(gadgets.build_t(space, scaled_v, x))
         dev_scaled = lhs - math.sqrt(lam**2 + lam * spaces.norm(space, x))

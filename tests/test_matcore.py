@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opspace import matcore
+from opspace import gadgets, matcore
 from opspace.errors import InvalidInputError, ShapeError
 
 I2 = np.eye(2, dtype=complex)
@@ -443,3 +443,193 @@ def test_cotangent_closed_forms_give_nan_for_non_finite_entries(shape, bad):
 
     assert_nan_for_non_finite_entries(shape, bad, norms("op_norm"), norms("op_norm_fibers"),
                                       norms("trace_norm") if shape in ((1, 3), (2, 2)) else None)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the formulations they replaced (np.sum and np.max
+# over short axes, nested np.stack, take_along_axis): norms and cotangents
+# must agree byte for byte, signed zeros and NaNs included
+
+
+def ref_vector_norm(ms):
+    x = np.abs(ms).reshape(ms.shape[:-2] + (-1,))
+    if x.shape[-1] == 1:
+        return x[..., 0]
+    s = np.maximum(x.max(axis=-1), matcore._TINY)
+    return s * np.sqrt(np.square(x / s[..., None]).sum(axis=-1))
+
+
+def ref_scaled(ms):
+    s = np.maximum(np.abs(ms).max(axis=(-2, -1)), matcore._TINY)
+    return ms / s[..., None, None], s
+
+
+def ref_row_norms_sq(a):
+    return (np.square(a.real) + np.square(a.imag)).sum(axis=-1)
+
+
+def ref_gram_top(ms):
+    if ms.shape[-2] > ms.shape[-1]:
+        ms = np.swapaxes(ms, -1, -2)
+    a, s = ref_scaled(ms)
+    d = ref_row_norms_sq(a)
+    d0, d1 = d[..., 0], d[..., 1]
+    half = 0.5 * (d0 - d1)
+    o = (a[..., 0, :] * np.conj(a[..., 1, :])).sum(axis=-1)
+    h = np.hypot(half, np.abs(o))
+    return a, s, half, o, h, 0.5 * (d0 + d1) + h
+
+
+def ref_top_pair(ms):
+    a, s, half, o, h, lam = ref_gram_top(ms)
+    first = half >= 0
+    u0 = np.where(first, half + h, o)
+    u1 = np.where(first, np.conj(o), h - half)
+    un = np.hypot(np.abs(u0), np.abs(u1))
+    live = un > 0
+    un = np.where(live, un, 1.0)
+    u0 = np.where(live, u0 / un, 1.0)
+    u1 = np.where(live, u1 / un, 0.0)
+    y = np.conj(u0)[..., None] * a[..., 0, :] + np.conj(u1)[..., None] * a[..., 1, :]
+    yn = np.sqrt(ref_row_norms_sq(y))
+    vh = y / np.where(yn > 0, yn, 1.0)[..., None]
+    W = np.stack([u0[..., None] * vh, u1[..., None] * vh], axis=-2)
+    if ms.shape[-2] > ms.shape[-1]:
+        W = np.swapaxes(W, -1, -2)
+    return s * np.sqrt(lam), W
+
+
+def ref_sval_sum_2x2(ms):
+    a, s = ref_scaled(ms)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return a, s, det, np.sqrt(ref_row_norms_sq(a).sum(axis=-1) + 2.0 * np.abs(det))
+
+
+def ref_polar_2x2(ms):
+    a, s, det, total = ref_sval_sum_2x2(ms)
+    adet = np.abs(det)
+    phi = np.where(adet > 0, det / np.where(adet > 0, adet, 1.0), 1.0)
+    adj_h = np.conj(np.stack([np.stack([a[..., 1, 1], -a[..., 1, 0]], axis=-1),
+                              np.stack([-a[..., 0, 1], a[..., 0, 0]], axis=-1)], axis=-2))
+    W = (a + phi[..., None, None] * adj_h) / np.where(total > 0, total, 1.0)[..., None, None]
+    return s * total, W
+
+
+def ref_four_rotation_stack_adjoint(norms, W):
+    top = np.argmax(norms, axis=0)
+    matrix_axes = (1,) * (W.ndim - norms.ndim)
+    Wk = np.take_along_axis(W, top.reshape((1,) + top.shape + matrix_axes), axis=0)[0]
+    return np.conj(gadgets.I_POWERS[top]).reshape(top.shape + matrix_axes) * Wk
+
+
+def ref_fiber_cotangents(ms):
+    norms, W = matcore.norm_cotangent_stack(ms, "op_norm")
+    top = np.argmax(norms, axis=-1)
+    W = W * (np.arange(ms.shape[-3]) == top[..., None])[..., None, None]
+    return norms.max(axis=-1), W
+
+
+def assert_same_bytes(got, want, what):
+    """Equal bytes, signed zeros included; a NaN part only has to meet a NaN part.
+
+    numpy's max reduction returns a NaN of either sign bit, so the sign of a
+    NaN is no part of a kernel's result.
+    """
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    got, want = got.view(np.float64), want.view(np.float64)  # complex as (re, im) pairs
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), what
+    got, want = np.where(nan, 0.0, got), np.where(nan, 0.0, want)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), what
+
+
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def bitwise_cases(shape):
+    """Named (N, r, c) stacks: Gaussian at three scales, zeros, signed zeros, ties, rank one, non-finite."""
+    rng = matcore.stream(39, *shape)
+    r, c = shape
+    n = 24
+    gauss = _complex(rng.normal(size=(n, r, c)), rng.normal(size=(n, r, c)))
+    zeros = _complex(np.where(rng.random((n, r, c)) < 0.5, -0.0, 0.0),
+                     np.where(rng.random((n, r, c)) < 0.5, -0.0, 0.0))
+    # units, signed zeros and small integers in every part: exact products, exact ties, exact cancellations
+    parts = np.array([-0.0, 0.0, 1.0, -1.0, 2.0, 0.0, -0.0])
+    sparse = _complex(rng.choice(parts, size=(4 * n, r, c)), rng.choice(parts, size=(4 * n, r, c)))
+    cases = {f"gauss_{scale:g}": gauss * scale for scale in (1e-300, 1.0, 1e300)}
+    cases.update(zero=np.zeros((n, r, c), dtype=complex), signed_zero=zeros, sparse=sparse)
+    # equal singular values (orthonormal rows or columns times a scale) and rank one
+    m, big = min(r, c), max(r, c)
+    q = np.linalg.qr(_complex(rng.normal(size=(n, big, m)), rng.normal(size=(n, big, m))))[0]
+    cases["equal"] = (q if r >= c else np.swapaxes(q, -1, -2)) * rng.uniform(0.5, 2.0, size=(n, 1, 1))
+    cases["rank_one"] = gauss[:, :, :1] * gauss[:, :1, :]
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+        ms = gauss.copy()
+        ms[:, rng.integers(r), rng.integers(c)] = bad
+        cases[f"non_finite_{bad}"] = ms
+    return cases
+
+
+BITWISE_SHAPES = ([(1, 1)] + [(1, c) for c in range(2, 9)] + [(c, 1) for c in range(2, 9)]
+                  + [(2, 2)] + [(2, c) for c in range(3, 9)] + [(c, 2) for c in range(3, 9)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", BITWISE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_closed_forms_are_bitwise_the_reference_formulations(shape):
+    for name, ms in bitwise_cases(shape).items():
+        what = f"{shape} {name}"
+        for got, want in zip(matcore._scaled(ms), ref_scaled(ms)):
+            assert_same_bytes(got, want, f"_scaled {what}")
+        if min(shape) == 1:
+            assert_same_bytes(matcore._vector_norm(ms), ref_vector_norm(ms), f"_vector_norm {what}")
+            continue
+        a, s, half, o, ao, h, lam = matcore._gram_top(ms)
+        for got, want in zip((a, s, half, o, h, lam), ref_gram_top(ms)):
+            assert_same_bytes(got, want, f"_gram_top {what}")
+        assert_same_bytes(ao, np.abs(o), f"_gram_top |o| {what}")
+        for got, want in zip(matcore._top_pair(ms), ref_top_pair(ms)):
+            assert_same_bytes(got, want, f"_top_pair {what}")
+        if shape == (2, 2):
+            a, s, det, adet, total = matcore._sval_sum_2x2(ms)
+            for got, want in zip((a, s, det, total), ref_sval_sum_2x2(ms)):
+                assert_same_bytes(got, want, f"_sval_sum_2x2 {what}")
+            assert_same_bytes(adet, np.abs(det), f"_sval_sum_2x2 |det| {what}")
+            for got, want in zip(matcore._polar_2x2(ms), ref_polar_2x2(ms)):
+                assert_same_bytes(got, want, f"_polar_2x2 {what}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 4), (4, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fiber_maxima_are_bitwise_the_reference_formulations(shape, g):
+    for name, ms in bitwise_cases(shape).items():
+        what = f"{shape} g={g} {name}"
+        fibers = ms[: ms.shape[0] // g * g].reshape((-1, g) + shape)
+        assert_same_bytes(matcore.op_norm_fibers(fibers), matcore.op_norm_stack(fibers).max(axis=-1), what)
+        got = matcore.norm_cotangent_stack(fibers, "op_norm_fibers")
+        for got, want in zip(got, ref_fiber_cotangents(fibers)):
+            assert_same_bytes(got, want, what)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (1, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_four_rotation_pick_is_bitwise_the_reference(shape):
+    rng = matcore.stream(40, *shape)
+    for name, ms in bitwise_cases(shape).items():
+        # (4, N, g=2, r, c) cotangents, and norms (4, N) with exact ties between rotations
+        W = ms[: ms.shape[0] // 8 * 8].reshape((4, -1, 2) + shape)
+        norms = rng.choice([0.0, 1.0, 2.0], size=W.shape[:2])
+        assert_same_bytes(gadgets.four_rotation_stack_adjoint(norms, W),
+                          ref_four_rotation_stack_adjoint(norms, W), f"{shape} {name}")
+    # ties go to the first rotation: W_k = k + 1, so the pick shows which k won
+    W = np.arange(1.0, 5.0).reshape(4, 1, 1, 1).astype(complex) * np.ones((4, 3, 1, 1))
+    norms = np.array([[1.0, 0.0, 2.0], [1.0, 3.0, 2.0], [0.0, 3.0, 2.0], [1.0, 0.0, 2.0]])
+    got = gadgets.four_rotation_stack_adjoint(norms, W)[:, 0, 0]
+    assert np.array_equal(got, [1.0, -2j, 1.0])  # k = 0, 1, 0: conj(i^k) (k + 1)

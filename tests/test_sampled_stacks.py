@@ -453,6 +453,51 @@ def test_sampled_checks_peak_within_a_multiple_of_the_chunk(check):
     assert peak < PEAK_CHUNKS * criteria._CHUNK_BYTES
 
 
+@pytest.mark.parametrize("per_part", [1, 3])
+def test_cstar_splits_a_pair_larger_than_a_chunk(monkeypatch, per_part):
+    # a chunk below one pair's rows: each pair goes through per_part contractions at a time
+    space = SPACES["non_algebra_system"]()
+    cfg = witness.SearchConfig(seed=SEEDS[1])
+    top = 2 * cfg.max_level * space.p
+    monkeypatch.setattr(criteria, "_CHUNK_BYTES", per_part * top * 4 * top * 16)
+    seen = []
+    chunks = criteria._chunks
+
+    def recorded(n, item_bytes):
+        seen.append(chunks(n, item_bytes))
+        return seen[-1]
+
+    monkeypatch.setattr(criteria, "_chunks", recorded)
+    stacked = as_json(criteria.check_cstar_among_systems(space, cfg, n_pairs=3).to_dict())
+    monkeypatch.undo()
+    assert stacked == as_json(ref_check_cstar(space, cfg, n_pairs=3).to_dict())
+    parts, pairs = seen
+    assert [s.stop - s.start for s in pairs] == [1, 1, 1]
+    assert [s.stop - s.start for s in parts] == [per_part] * (16 // per_part) + [16 % per_part] * (16 % per_part > 0)
+
+
+#: One cstar pair on linf 32 (p = 32, two levels): its top-level rows for one
+#: sign take 16 contractions x 1 MiB, and its tracemalloc peak was 63 MiB
+#: (about 253 chunk constants) with the pair in one piece; a contraction at a
+#: time it measured 5.7 MiB (about 23).
+ONE_PAIR_PEAK_CHUNKS = 32
+
+
+def test_cstar_peak_below_one_pair_on_a_large_ambient():
+    space = corpus.build_linf(32, "ones").space
+    cfg = witness.SearchConfig(seed=SEEDS[0])
+    run = lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=1)  # noqa: E731
+    run()
+    tracemalloc.start()
+    try:
+        report = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == criteria.HOLDS_WITHIN_BUDGET
+    assert peak < ONE_PAIR_PEAK_CHUNKS * criteria._CHUNK_BYTES
+
+
 @pytest.mark.parametrize("name", ["upper_triangular_3", "non_algebra_span"])
 def test_cstar_refuses_spaces_without_involution_or_unit(name):
     with pytest.raises(InvalidInputError, match="requires an involution"):

@@ -6,7 +6,7 @@ import pytest
 from opspace import corpus, matcore, spaces
 from opspace.errors import InvalidInputError, ShapeError, SpaceFormatError, UnsupportedLevelError
 
-from conftest import haar_unitary
+from conftest import haar_unitary, random_element
 
 
 def cpair(z):
@@ -127,18 +127,18 @@ def test_apply_involution_m2():
 
 def test_involution_realizes_adjoint_at_level2():
     space = corpus.build_full_matrix(2).space
-    x = spaces.random_element(space, 2, matcore.stream(41, 0))
+    x = random_element(space, 2, matcore.stream(41, 0))
     xs = spaces.apply_involution(space, x)
     assert np.allclose(spaces.realize(space, xs), matcore.dagger(spaces.realize(space, x)), atol=1e-12)
 
 
 def test_project_to_ball():
     space = corpus.build_full_matrix(2).space
-    x = spaces.random_element(space, 1, matcore.stream(42, 0), target_norm=2.0)
+    x = random_element(space, 1, matcore.stream(42, 0), target_norm=2.0)
     y = spaces.project_to_ball(space, x, 1.0)
     assert spaces.norm(space, y) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(y.coeffs, 0.5 * x.coeffs)
-    small = spaces.random_element(space, 1, matcore.stream(42, 1), target_norm=0.5)
+    small = random_element(space, 1, matcore.stream(42, 1), target_norm=0.5)
     assert spaces.project_to_ball(space, small, 1.0) is small
     z = spaces.zero_element(space)
     assert np.allclose(spaces.project_to_ball(space, z, 1.0).coeffs, 0)
@@ -151,7 +151,7 @@ def test_amplification_monotonicity_zero_padding():
         if space.norm_mode != spaces.EMBEDDED:
             continue
         for t in range(10):
-            x = spaces.random_element(space, 2, matcore.stream(43, t))
+            x = random_element(space, 2, matcore.stream(43, t))
             padded = np.zeros((3, 3, space.dim), dtype=complex)
             padded[:2, :2] = x.coeffs
             n2 = spaces.norm(space, x)
@@ -163,7 +163,7 @@ def test_realization_linearity():
     space = corpus.build_full_matrix(2).space
     for t in range(10):
         rng = matcore.stream(44, t)
-        x = spaces.random_element(space, 2, rng)
+        x = random_element(space, 2, rng)
         alpha = complex(rng.normal(), rng.normal())
         scaled = spaces.LevelElement(2, alpha * x.coeffs)
         assert spaces.norm(space, scaled) == pytest.approx(
@@ -174,7 +174,7 @@ def test_realization_linearity():
 def test_realized_elements_have_zero_membership_residual():
     for entry in corpus.build_corpus():
         space = entry.space
-        x = spaces.random_element(space, 1, matcore.stream(45, space.dim))
+        x = random_element(space, 1, matcore.stream(45, space.dim))
         m = spaces.realize(space, x)
         assert spaces.membership_residual(space, m) <= 1e-10
 
@@ -188,7 +188,7 @@ def test_fibered_realization_matches_dense_norms():
     assert doubled.blocks.shape[1] == 3  # B_i couples only i and i + 3, so three 2 x 2 blocks persist
     for space in (linf, doubled):
         for t in range(5):
-            c = spaces.random_element(space, 2, matcore.stream(46, t)).coeffs
+            c = random_element(space, 2, matcore.stream(46, t)).coeffs
             dense = matcore.op_norm(spaces.realize_stack(space, c))
             fib = float(matcore.op_norm_fibers(spaces.realize_fibers_stack(space, c[None]))[0])
             assert dense == pytest.approx(fib, abs=1e-12)
