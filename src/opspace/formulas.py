@@ -114,7 +114,7 @@ def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, devi
         for level in (1, 2):
             coeffs = spaces.random_stack(space, level, matcore.stream(seed, tag, si, level), trials)
             X = spaces.realize_stack(space, coeffs)
-            Vn = gadgets.amplified_unit(space, space.unit, level)
+            Vn = matcore.scalar_amplify(spaces.unit_matrix(space), level)
             worst = max(worst, float(np.max(deviations(space, Vn, X, coeffs))))
             count += trials
     return SuiteResult(name, count, worst, 1e-8)

@@ -1,58 +1,40 @@
-"""Constructors for the structured block matrices whose norms encode each criterion.
+"""The structured block matrices whose norms encode each criterion, assembled over stacks.
 
-The ``build_*`` constructors return realized ambient matrices for single
-elements; the ``*_stack`` helpers assemble the same gadgets over a batch of
-realized elements and are what the counterexample search evaluates.  The
-ingredients of the multiplicative-structure checks (``psd_sqrt``, ``proof_b``
-and ``build_M_pm``) take leading batch axes, a single matrix being a stack of
-one, and give each matrix of a stack the bytes it gets alone.
+Every helper takes realized matrices with leading batch axes and assembles
+its gadget over those axes; a single gadget is a stack of one, as
+``matcore.op_norm`` is ``op_norm_stack`` on a stack of one.  The search and
+the identity suites evaluate the ``*_stack`` assemblies and the search
+differentiates through their ``*_stack_adjoint`` maps; the multiplicative
+checks build on ``psd_sqrt``, ``proof_b`` and ``build_M_pm``, which give each
+matrix of a stack the bytes it gets alone.  The module depends only on
+``matcore``: realizing elements of a space is the caller's part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import matcore, spaces
-from .errors import InvalidInputError, NumericalError, ShapeError, UnsupportedLevelError
+from . import matcore
+from .errors import InvalidInputError, NumericalError, ShapeError
 
 __all__ = [
-    "build_t",
-    "build_s",
-    "build_r",
-    "build_row",
-    "build_column",
-    "build_four_rotation",
-    "build_Ue",
+    "two_by_two_stack",
+    "t_stack",
+    "t_stack_adjoint",
+    "r_stack",
+    "r_stack_adjoint",
+    "four_rotation_stack",
+    "four_rotation_stack_adjoint",
+    "row_stack",
+    "row_stack_adjoint",
+    "column_stack",
+    "column_stack_adjoint",
     "build_M_pm",
-    "build_mult_row",
-    "build_adjoint_block",
     "psd_sqrt",
     "proof_b",
 ]
 
 I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-
-
-def _coeff_vector(space: spaces.SpaceRep, v) -> np.ndarray:
-    if isinstance(v, spaces.LevelElement):
-        if v.level != 1:
-            raise ShapeError("distinguished element must live at level 1")
-        return v.coeffs.reshape(-1)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.shape != (space.dim,):
-        raise ShapeError(f"coefficient vector must have length {space.dim}")
-    return v
-
-
-def amplified_unit(space: spaces.SpaceRep, v, level: int) -> np.ndarray:
-    """Realize v_n = v (x) I_n, the n-fold diagonal amplification of a level-1 element."""
-    vm = spaces.realize_stack(space, _coeff_vector(space, v).reshape(1, 1, -1))
-    return matcore.scalar_amplify(vm, level)
-
-
-def _require_embedded(space: spaces.SpaceRep, who: str):
-    if space.norm_mode != spaces.EMBEDDED:
-        raise UnsupportedLevelError(f"{who} requires an embedded space (it lives above level 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -134,87 +116,7 @@ def column_stack_adjoint(W: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public single-element constructors
-
-
-def build_t(space: spaces.SpaceRep, v, x: spaces.LevelElement) -> np.ndarray:
-    """Upper-triangular doubling gadget [[v_n, x], [0, v_n]], realized in the ambient."""
-    _require_embedded(space, "the doubling gadget")
-    Vn = amplified_unit(space, v, x.level)
-    return t_stack(Vn, spaces.realize(space, x))
-
-
-def build_s(space: spaces.SpaceRep, v, x: spaces.LevelElement) -> np.ndarray:
-    """Symmetric gadget [[v_n, x], [x*, v_n]]; requires the space's involution."""
-    _require_embedded(space, "the symmetric gadget")
-    if space.involution is None:
-        raise InvalidInputError("symmetric gadget requires an involution")
-    Vn = amplified_unit(space, v, x.level)
-    xs = spaces.realize(space, spaces.apply_involution(space, x))
-    return two_by_two_stack(Vn, spaces.realize(space, x), xs, Vn)
-
-
-def build_r(space: spaces.SpaceRep, v, x: spaces.LevelElement) -> np.ndarray:
-    """Skew gadget [[v_n, x], [-x*, v_n]]; requires the space's involution."""
-    _require_embedded(space, "the skew gadget")
-    if space.involution is None:
-        raise InvalidInputError("skew gadget requires an involution")
-    Vn = amplified_unit(space, v, x.level)
-    xs = spaces.realize(space, spaces.apply_involution(space, x))
-    return two_by_two_stack(Vn, spaces.realize(space, x), -xs, Vn)
-
-
-def _rect_realize(space: spaces.SpaceRep, x) -> tuple[np.ndarray, int]:
-    """Realize a square LevelElement or a rectangular (r, c, k) coefficient grid."""
-    if isinstance(x, spaces.LevelElement):
-        return spaces.realize(space, x), x.level
-    grid = np.asarray(x, dtype=np.complex128)
-    if grid.ndim != 3 or grid.shape[-1] != space.dim:
-        raise ShapeError("expected a LevelElement or an (rows, cols, k) coefficient grid")
-    return spaces.realize_stack(space, grid), grid.shape[0]
-
-
-def build_row(space: spaces.SpaceRep, u, x) -> np.ndarray:
-    """Row gadget [u_k  x] with u amplified to match the row count of x's grid."""
-    _require_embedded(space, "the row gadget")
-    X, rows = _rect_realize(space, x)
-    return row_stack(amplified_unit(space, u, rows), X)
-
-
-def build_column(space: spaces.SpaceRep, u, x) -> np.ndarray:
-    """Column gadget [u_k ; x] with u amplified to match the column count of x's grid."""
-    _require_embedded(space, "the column gadget")
-    X, _ = _rect_realize(space, x)
-    cols = X.shape[-1] // space.q
-    return column_stack(amplified_unit(space, u, cols), X)
-
-
-def build_four_rotation(space: spaces.SpaceRep, v, x: spaces.LevelElement, k: int) -> np.ndarray:
-    """The element v_n + i^k x, realized in the ambient (measure it with the space's norm)."""
-    if not 0 <= k <= 3:
-        raise InvalidInputError("rotation index k must be in 0..3")
-    if space.norm_mode == spaces.LEVEL1_ORACLE and x.level != 1:
-        raise UnsupportedLevelError("level1-oracle spaces only evaluate level-1 elements")
-    Vn = amplified_unit(space, v, x.level)
-    return Vn + I_POWERS[k] * spaces.realize(space, x)
-
-
-def build_Ue(space: spaces.SpaceRep, e) -> spaces.SpaceRep:
-    """The doubling space of (X, e): span of [[e,0],[0,e]] and [[0,B_i],[0,0]] inside M_{2p x 2q}.
-
-    Its distinguished element is e (x) I_2, the first basis element.
-    """
-    _require_embedded(space, "the doubling space")
-    ev = _coeff_vector(space, e)
-    E = spaces.realize_stack(space, ev.reshape(1, 1, -1))
-    p, q, k = space.p, space.q, space.dim
-    basis = np.zeros((k + 1, 2 * p, 2 * q), dtype=np.complex128)
-    basis[0, :p, :q] = E
-    basis[0, p:, q:] = E
-    basis[1:, :p, q:] = space.basis
-    unit = np.zeros(k + 1, dtype=np.complex128)
-    unit[0] = 1.0
-    return spaces.make_space(basis, unit=unit)
+# ingredients for the multiplicative-structure gadgets
 
 
 def _square_like(name: str, m, d: int) -> np.ndarray:
@@ -259,37 +161,6 @@ def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
     if (nm <= 0).any():
         raise InvalidInputError(f"gadget norm is zero{_first_at(nm <= 0)}; nothing to normalize")
     return m / nm[..., None, None]
-
-
-def build_mult_row(x, y, z, b) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x4 block matrix [[0, y, 1, 0], [2, x, z, b]] and the row [2, x, z, b].
-
-    Equality of their norms for every b certifies that x y* + z vanishes.
-    """
-    x = matcore.as_cmat(x)
-    d = x.shape[0]
-    if x.shape != (d, d):
-        raise ShapeError("entries must be square")
-    y, z, b = (_square_like(n, m, d) for n, m in (("y", y), ("z", z), ("b", b)))
-    one = np.eye(d, dtype=np.complex128)
-    zero = np.zeros_like(one)
-    two_by_four = matcore.block([[zero, y, one, zero], [2 * one, x, z, b]])
-    row = matcore.block([[2 * one, x, z, b]])
-    return two_by_four, row
-
-
-def build_adjoint_block(x, z, t: float) -> np.ndarray:
-    """[[t*1, x], [-z, t*1]] for square x, z of equal size."""
-    x = matcore.as_cmat(x)
-    z = matcore.as_cmat(z)
-    if x.shape != z.shape or x.shape[0] != x.shape[1]:
-        raise ShapeError("x and z must be square and of equal size")
-    tI = float(t) * np.eye(x.shape[0], dtype=np.complex128)
-    return matcore.block([[tI, x], [-z, tI]])
-
-
-# ---------------------------------------------------------------------------
-# ingredients for the multiplicative-structure gadgets
 
 
 def psd_sqrt(h, tol: float = 1e-10) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, spaces, witness
+from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,47 @@ def haar_unitary(d, seed):
 def random_element(space, level, rng, target_norm=None):
     """One random element of level ``level``: the first grid of ``spaces.random_stack``."""
     return spaces.LevelElement(level, spaces.random_stack(space, level, rng, 1, target_norm)[0])
+
+
+def gadget_operands(space, x):
+    """The realized (u_n, x) of one element x of M_n(X), u_n the unit amplified to x's level."""
+    return matcore.scalar_amplify(spaces.unit_matrix(space), x.level), spaces.realize(space, x)
+
+
+def symmetric_gadget(space, x):
+    """[[u_n, x], [x*, u_n]] of one element, x* from the space's involution, as ``formulas`` forms it."""
+    un, X = gadget_operands(space, x)
+    return gadgets.two_by_two_stack(un, X, spaces.realize(space, spaces.apply_involution(space, x)), un)
+
+
+def mult_rows(x, y, z, b):
+    """The 2x4 block matrix [[0, y, 1, 0], [2, x, z, b]] and its row [2, x, z, b], for single d x d entries."""
+    one = np.eye(x.shape[0], dtype=np.complex128)
+    zero = np.zeros_like(one)
+    return (matcore.block([[zero, y, one, zero], [2 * one, x, z, b]]),
+            matcore.block([[2 * one, x, z, b]]))
+
+
+def adjoint_block(x, z, t):
+    """[[t 1, x], [-z, t 1]] for single square x, z, as ``criteria.check_adjoint`` assembles it."""
+    tI = float(t) * np.eye(x.shape[0], dtype=np.complex128)
+    return gadgets.two_by_two_stack(tI, x, -z, tI)
+
+
+def build_Ue(space, e):
+    """The doubling space U(X, e): the span of [[e, 0], [0, e]] and the [[0, B_i], [0, 0]] in M_{2p x 2q}.
+
+    Its distinguished element is e (x) I_2, the first basis element.
+    """
+    E = spaces.realize_stack(space, np.asarray(e, dtype=np.complex128).reshape(1, 1, -1))
+    p, q, k = space.p, space.q, space.dim
+    basis = np.zeros((k + 1, 2 * p, 2 * q), dtype=np.complex128)
+    basis[0, :p, :q] = E
+    basis[0, p:, q:] = E
+    basis[1:, :p, q:] = space.basis
+    unit = np.zeros(k + 1, dtype=np.complex128)
+    unit[0] = 1.0
+    return spaces.make_space(basis, unit=unit)
 
 
 def oracle_space_with_involution():

@@ -9,7 +9,7 @@ import numpy as np
 from opspace import cli, corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.formulas import t_norm_closed_form
 
-from conftest import random_element
+from conftest import build_Ue, gadget_operands, random_element, symmetric_gadget
 
 SQRT2 = math.sqrt(2)
 
@@ -48,11 +48,11 @@ def test_02_doubling_closed_form():
             for t in range(100):
                 x = random_element(space, level, matcore.stream(102, si, level, t))
                 s = spaces.norm(space, x)
-                got = matcore.op_norm(gadgets.build_t(space, space.unit, x)) ** 2
+                got = matcore.op_norm(gadgets.t_stack(*gadget_operands(space, x))) ** 2
                 worst = max(worst, abs(got - float(t_norm_closed_form(s))))
     m2 = spaces_under_test[0]
     unit_x = spaces.LevelElement(1, np.array([[[0, 1.0, 0, 0]]], dtype=complex))
-    spot = matcore.op_norm(gadgets.build_t(m2, m2.unit, unit_x)) ** 2
+    spot = matcore.op_norm(gadgets.t_stack(*gadget_operands(m2, unit_x))) ** 2
     spot_dev = abs(spot - (3 + math.sqrt(5)) / 2)
     gate("2 doubling gadget closed form", worst <= 1e-8 and spot_dev <= 1e-9,
          f"max deviation {worst:.2e}; spot |x|=1 deviation {spot_dev:.2e}")
@@ -66,8 +66,8 @@ def test_03_symmetric_and_skew_identities():
             for t in range(100):
                 x = random_element(space, level, matcore.stream(103, si, level, t))
                 nx = spaces.norm(space, x)
-                s = matcore.op_norm(gadgets.build_s(space, space.unit, x))
-                r = matcore.op_norm(gadgets.build_r(space, space.unit, x))
+                s = matcore.op_norm(symmetric_gadget(space, x))
+                r = matcore.op_norm(gadgets.r_stack(*gadget_operands(space, x)))
                 worst_s = max(worst_s, abs(s - (1 + nx)))
                 worst_r = max(worst_r, abs(r - math.sqrt(1 + nx**2)))
     gate("3 symmetric/skew identities", worst_s <= 1e-8 and worst_r <= 1e-8,
@@ -112,7 +112,7 @@ def test_06_row_test_suite(criterion_cache):
         for t in range(100):
             x = random_element(space, level, matcore.stream(106, level, t),
                                       target_norm=1.0)
-            g = gadgets.build_row(space, space.unit, x)
+            g = gadgets.row_stack(*gadget_operands(space, x))
             worst = max(worst, abs(matcore.op_norm(g) ** 2 - 2.0))
     h2 = corpus.build_column_H2().space
     rep = criterion_cache("column_H2", "coisometry")
@@ -150,7 +150,7 @@ def test_08_doubling_space_round_trip(criterion_cache):
                        ("linf3_e1", criteria.VIOLATED)):
         entry = {e.name: e for e in corpus.build_corpus()}[name]
         base = criterion_cache(name, "unitary-four-rotation").verdict
-        doubled_space = gadgets.build_Ue(entry.space, entry.space.unit)
+        doubled_space = build_Ue(entry.space, entry.space.unit)
         doubled = criteria.check_unitary_four_rotation(doubled_space).verdict
         ok = ok and base == doubled == want
         results.append(f"{name}: {base}/{doubled}")

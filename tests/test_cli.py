@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,7 +135,10 @@ def test_verify_formulas_deterministic(tmp_path):
 
 
 def test_verify_formulas_bug_hook_subprocess():
-    env = dict(os.environ, OPSPACE_INJECT_BUG="1")
+    # the child imports opspace from this checkout's src, whatever PYTHONPATH the suite runs under
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPSPACE_INJECT_BUG="1", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "opspace.cli", "verify-formulas", "--trials", "20"],
         env=env, capture_output=True, text=True,

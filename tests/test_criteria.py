@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from opspace import corpus, criteria, gadgets, matcore, spaces, witness
-from opspace.errors import InvalidInputError
+from opspace.errors import InvalidInputError, ShapeError
 
-from conftest import oracle_space_with_involution, random_element
+from conftest import adjoint_block, oracle_space_with_involution, random_element
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
@@ -213,12 +213,18 @@ def test_adjoint_examples():
     # the deviation |t| + 1 - sqrt(1 + t^2) grows toward the grid edge
     assert -rep.margin >= 4.0 + 1.0 - math.sqrt(17.0) - 1e-6
     t_star = rep.witness["aux"]["t"]
-    recomputed = matcore.op_norm(gadgets.build_adjoint_block(E12, -E21, t_star)) - math.sqrt(
+    recomputed = matcore.op_norm(adjoint_block(E12, -E21, t_star)) - math.sqrt(
         1 + t_star**2
     )
     assert recomputed == pytest.approx(-rep.margin, abs=1e-9)
     z = np.zeros((2, 2))
     assert criteria.check_adjoint(z, z).verdict == criteria.HOLDS_WITHIN_BUDGET
+
+
+def test_adjoint_requires_square_x_and_z_of_equal_size():
+    for x, z in ((E12, np.zeros((3, 3))), (np.zeros((2, 3)), np.zeros((2, 3)))):
+        with pytest.raises(ShapeError, match="x and z must be square of equal size"):
+            criteria.check_adjoint(x, z)
 
 
 def test_positive_and_adjoint_name_no_arg_max_when_they_hold(m2_entry):

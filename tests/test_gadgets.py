@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from opspace import corpus, gadgets, matcore, spaces
-from opspace.errors import InvalidInputError, NumericalError, ShapeError
+from opspace import corpus, criteria, gadgets, matcore, spaces
+from opspace.errors import NumericalError
 from opspace.formulas import t_norm_closed_form
 
-from conftest import random_element
+from conftest import (adjoint_block, build_Ue, gadget_operands, mult_rows, random_element,
+                      symmetric_gadget)
 
 
 def scalar_space(unit=1.0):
@@ -24,10 +25,10 @@ def elem(space, value, level=1):
 
 def test_build_t_scalars():
     s = scalar_space()
-    g0 = gadgets.build_t(s, s.unit, elem(s, [0.0]))
+    g0 = gadgets.t_stack(*gadget_operands(s, elem(s, [0.0])))
     assert np.allclose(g0, np.eye(2))
     assert matcore.op_norm(g0) == pytest.approx(1.0, abs=1e-14)
-    g1 = gadgets.build_t(s, s.unit, elem(s, [1.0]))
+    g1 = gadgets.t_stack(*gadget_operands(s, elem(s, [1.0])))
     assert np.allclose(g1, [[1, 1], [0, 1]])
     assert matcore.op_norm(g1) ** 2 == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
 
@@ -35,44 +36,37 @@ def test_build_t_scalars():
 def test_build_t_m2_closed_form():
     space = corpus.build_full_matrix(2).space
     x = random_element(space, 1, matcore.stream(51, 0), target_norm=0.7)
-    got = matcore.op_norm(gadgets.build_t(space, space.unit, x)) ** 2
+    got = matcore.op_norm(gadgets.t_stack(*gadget_operands(space, x))) ** 2
     assert got == pytest.approx(0.5 * (2 + 0.49 + 0.7 * math.sqrt(4.49)), abs=1e-9)
 
 
 def test_build_s_and_r_scalars():
     s = scalar_space()
     one = elem(s, [1.0])
-    assert matcore.op_norm(gadgets.build_s(s, s.unit, one)) == pytest.approx(2.0, abs=1e-12)
-    assert matcore.op_norm(gadgets.build_r(s, s.unit, one)) == pytest.approx(
+    assert matcore.op_norm(symmetric_gadget(s, one)) == pytest.approx(2.0, abs=1e-12)
+    assert matcore.op_norm(gadgets.r_stack(*gadget_operands(s, one))) == pytest.approx(
         math.sqrt(2), abs=1e-12
     )
-    assert np.allclose(gadgets.build_s(s, s.unit, one), [[1, 1], [1, 1]])
-    assert np.allclose(gadgets.build_r(s, s.unit, one), [[1, 1], [-1, 1]])
+    assert np.allclose(symmetric_gadget(s, one), [[1, 1], [1, 1]])
+    assert np.allclose(gadgets.r_stack(*gadget_operands(s, one)), [[1, 1], [-1, 1]])
 
 
 def test_build_s_r_zero_is_identity():
     space = corpus.build_full_matrix(2).space
     z = spaces.zero_element(space)
-    for build in (gadgets.build_s, gadgets.build_r):
-        g = build(space, space.unit, z)
+    for g in (symmetric_gadget(space, z), gadgets.r_stack(*gadget_operands(space, z))):
         assert np.allclose(g, np.eye(4))
         assert matcore.op_norm(g) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_build_s_requires_involution():
-    space = corpus.build_column_H2().space
-    with pytest.raises(InvalidInputError):
-        gadgets.build_s(space, space.unit, spaces.zero_element(space))
 
 
 def test_build_row_column_m2():
     space = corpus.build_full_matrix(2).space
     z = spaces.zero_element(space)
-    row = gadgets.build_row(space, space.unit, z)
+    row = gadgets.row_stack(*gadget_operands(space, z))
     assert row.shape == (2, 4)
     assert matcore.op_norm(row) == pytest.approx(1.0, abs=1e-14)
     x = random_element(space, 1, matcore.stream(52, 0), target_norm=1.0)
-    assert matcore.op_norm(gadgets.build_row(space, space.unit, x)) == pytest.approx(
+    assert matcore.op_norm(gadgets.row_stack(*gadget_operands(space, x))) == pytest.approx(
         math.sqrt(2), abs=1e-10
     )
 
@@ -80,8 +74,8 @@ def test_build_row_column_m2():
 def test_build_row_column_on_column_space():
     space = corpus.build_column_H2().space
     e2 = spaces.LevelElement(1, np.array([[[0.0, 1.0]]], dtype=complex))
-    col = gadgets.build_column(space, space.unit, e2)
-    row = gadgets.build_row(space, space.unit, e2)
+    col = gadgets.column_stack(*gadget_operands(space, e2))
+    row = gadgets.row_stack(*gadget_operands(space, e2))
     assert matcore.op_norm(col) == pytest.approx(math.sqrt(2), abs=1e-12)
     assert matcore.op_norm(row) == pytest.approx(1.0, abs=1e-12)
 
@@ -89,15 +83,14 @@ def test_build_row_column_on_column_space():
 def test_build_four_rotation_linf():
     space = corpus.build_linf(3).space
     x = spaces.LevelElement(1, np.array([[[0, 0.3, 0]]], dtype=complex))
-    g = gadgets.build_four_rotation(space, space.unit, x, 0)
+    g = gadgets.four_rotation_stack(*gadget_operands(space, x))[0]
     assert matcore.op_norm(g) == pytest.approx(1.3, abs=1e-12)
 
 
 def test_build_four_rotation_trace_oracle():
     space = corpus.build_trace_class_2().space
     x = spaces.LevelElement(1, np.array([[[0, 0, 0.25, 0]]], dtype=complex))
-    for k in range(4):
-        g = gadgets.build_four_rotation(space, space.unit, x, k)
+    for g in gadgets.four_rotation_stack(*gadget_operands(space, x)):
         assert matcore.trace_norm(g) == pytest.approx(math.sqrt(1.0625), abs=1e-12)
 
 
@@ -105,19 +98,20 @@ def test_build_four_rotation_m2_closed_form():
     space = corpus.build_full_matrix(2).space
     x = spaces.LevelElement(1, np.array([[[0, 0.3, 0, 0]]], dtype=complex))
     want = (0.3 + math.sqrt(4.09)) / 2
-    for k in range(4):
-        g = gadgets.build_four_rotation(space, space.unit, x, k)
+    gs = gadgets.four_rotation_stack(*gadget_operands(space, x))
+    assert gs.shape == (4, 2, 2)
+    for g in gs:
         assert matcore.op_norm(g) == pytest.approx(want, abs=1e-12)
 
 
 def test_build_Ue_arity_and_unit():
     m2 = corpus.build_full_matrix(2).space
-    ue = gadgets.build_Ue(m2, m2.unit)
+    ue = build_Ue(m2, m2.unit)
     assert ue.dim == 5
     assert ue.p == ue.q == 4
     assert spaces.norm(ue, spaces.unit_element(ue)) == pytest.approx(1.0, abs=1e-12)
     linf = corpus.build_linf(3).space
-    ue2 = gadgets.build_Ue(linf, np.array([1.0, 0, 0]))
+    ue2 = build_Ue(linf, np.array([1.0, 0, 0]))
     assert ue2.dim == 4
     assert (ue2.p, ue2.q) == (6, 6)
 
@@ -153,11 +147,17 @@ def test_build_M_pm_minus_sign_pattern():
     assert np.allclose(m, unnorm / matcore.op_norm(unnorm))
 
 
+def mult_row_deviation(x, y, z, b):
+    """||[[0, y, 1, 0], [2, x, z, b]]|| - ||[2, x, z, b]|| by ``criteria._mult_row_deviations`` on a stack of one."""
+    return float(criteria._mult_row_deviations(x, z, y, b[None])[0])
+
+
 def test_build_mult_row_constants_only():
     z = np.zeros((2, 2), dtype=complex)
-    two_by_four, row = gadgets.build_mult_row(z, z, z, z)
+    two_by_four, row = mult_rows(z, z, z, z)
     assert matcore.op_norm(two_by_four) == pytest.approx(2.0, abs=1e-12)
     assert matcore.op_norm(row) == pytest.approx(2.0, abs=1e-12)
+    assert mult_row_deviation(z, z, z, z) == matcore.op_norm(two_by_four) - matcore.op_norm(row)
 
 
 def test_build_mult_row_equality_with_canonical_pair():
@@ -167,38 +167,34 @@ def test_build_mult_row_equality_with_canonical_pair():
     y /= max(1.0, matcore.op_norm(y))
     z = -x @ matcore.dagger(y)
     b = gadgets.proof_b(x, np.zeros_like(x), z)
-    two_by_four, row = gadgets.build_mult_row(x, y, z, b)
-    assert matcore.op_norm(two_by_four) == pytest.approx(matcore.op_norm(row), abs=1e-9)
+    assert mult_row_deviation(x, y, z, b) == pytest.approx(0.0, abs=1e-9)
     # perturbing z re-introduces the cross term; with the filler rebuilt for
     # the new z, the comparison row's Gram block is a scalar and the coupling
     # splits the norms strictly
     z2 = z + 0.5 * np.diag([1.0, 0.0])
     b2 = gadgets.proof_b(x, np.zeros_like(x), z2)
-    g2, r2 = gadgets.build_mult_row(x, y, z2, b2)
-    assert matcore.op_norm(g2) - matcore.op_norm(r2) > 1e-4
+    assert mult_row_deviation(x, y, z2, b2) > 1e-4
 
 
 def test_build_adjoint_block():
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
     e21 = e12.T.copy()
-    assert matcore.op_norm(gadgets.build_adjoint_block(e12, e21, 0.0)) == pytest.approx(
+    assert matcore.op_norm(adjoint_block(e12, e21, 0.0)) == pytest.approx(
         1.0, abs=1e-12
     )
-    assert matcore.op_norm(gadgets.build_adjoint_block(e12, e21, 1.0)) == pytest.approx(
+    assert matcore.op_norm(adjoint_block(e12, e21, 1.0)) == pytest.approx(
         math.sqrt(2), abs=1e-9
     )
     # the pair (E_12, 0) approaches the bound as t grows but breaks it at
     # intermediate t, which is what the companion check detects
     z = np.zeros((2, 2))
-    big = matcore.op_norm(gadgets.build_adjoint_block(e12, z, 50.0))
+    big = matcore.op_norm(adjoint_block(e12, z, 50.0))
     assert big / math.sqrt(1 + 50.0**2) == pytest.approx(1.0, abs=2e-2)
     grid_violation = max(
-        matcore.op_norm(gadgets.build_adjoint_block(e12, z, t)) - math.sqrt(1 + t * t)
+        matcore.op_norm(adjoint_block(e12, z, t)) - math.sqrt(1 + t * t)
         for t in np.arange(0.0, 4.25, 0.25)
     )
     assert grid_violation > 0.01
-    with pytest.raises(ShapeError):
-        gadgets.build_adjoint_block(e12, np.zeros((3, 3)), 1.0)
 
 
 def test_psd_sqrt_rejects_indefinite():
@@ -215,7 +211,7 @@ def test_doubling_closed_form_on_unital_corpus_spaces():
         for t in range(100):
             x = random_element(space, 1, matcore.stream(54, space.p, t))
             s = spaces.norm(space, x)
-            got = matcore.op_norm(gadgets.build_t(space, space.unit, x)) ** 2
+            got = matcore.op_norm(gadgets.t_stack(*gadget_operands(space, x))) ** 2
             worst = max(worst, abs(got - float(t_norm_closed_form(s))))
         assert worst <= 1e-8, name
 
@@ -224,10 +220,10 @@ def test_four_rotation_composed_with_doubling_is_k_invariant():
     space = corpus.build_full_matrix(2).space
     for t in range(20):
         x = random_element(space, 1, matcore.stream(55, t))
-        base = matcore.op_norm(gadgets.build_t(space, space.unit, x))
+        base = matcore.op_norm(gadgets.t_stack(*gadget_operands(space, x)))
         for k in range(4):
             xk = spaces.LevelElement(1, (1j**k) * x.coeffs)
-            assert matcore.op_norm(gadgets.build_t(space, space.unit, xk)) == pytest.approx(
+            assert matcore.op_norm(gadgets.t_stack(*gadget_operands(space, xk))) == pytest.approx(
                 base, abs=1e-10
             )
 
@@ -239,8 +235,8 @@ def test_symmetric_and_skew_norms_on_system_spaces():
             for t in range(50):
                 x = random_element(space, level, matcore.stream(56, level, t))
                 nx = spaces.norm(space, x)
-                s = matcore.op_norm(gadgets.build_s(space, space.unit, x))
-                r = matcore.op_norm(gadgets.build_r(space, space.unit, x))
+                s = matcore.op_norm(symmetric_gadget(space, x))
+                r = matcore.op_norm(gadgets.r_stack(*gadget_operands(space, x)))
                 assert abs(s - (1 + nx)) <= 1e-8
                 assert abs(r - math.sqrt(1 + nx**2)) <= 1e-8
 
@@ -254,10 +250,18 @@ def test_scaled_doubling_gadget_covariance():
         lam = float(rng.uniform(0.05, 1.0))
         x = random_element(space, 1, rng)
         scaled_v = spaces.LevelElement(1, (lam * space.unit).reshape(1, 1, -1))
-        lhs = matcore.op_norm(gadgets.build_t(space, scaled_v, x))
+        lhs = matcore.op_norm(gadgets.t_stack(spaces.realize(space, scaled_v), spaces.realize(space, x)))
         dev_scaled = lhs - math.sqrt(lam**2 + lam * spaces.norm(space, x))
         xs = spaces.LevelElement(1, x.coeffs / lam)
-        dev_plain = matcore.op_norm(gadgets.build_t(space, space.unit, xs)) - math.sqrt(
+        dev_plain = matcore.op_norm(gadgets.t_stack(*gadget_operands(space, xs))) - math.sqrt(
             1 + spaces.norm(space, xs)
         )
         assert abs(dev_scaled - lam * dev_plain) <= 1e-9
+
+
+def test_all_names_the_assemblies_each_search_criterion_looks_up():
+    for spec in criteria.SEARCH_CRITERIA.values():
+        for name in (f"{spec.gadget}_stack", f"{spec.gadget}_stack_adjoint"):
+            assert name in gadgets.__all__, (spec.name, name)
+            assert callable(getattr(gadgets, name))
+    assert all(callable(getattr(gadgets, name)) for name in gadgets.__all__)

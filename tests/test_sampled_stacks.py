@@ -18,6 +18,8 @@ from opspace import corpus, criteria, formulas, gadgets, matcore, spaces, witnes
 from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
+from conftest import gadget_operands, mult_rows
+
 SEEDS = (7, 1729)
 
 
@@ -70,6 +72,17 @@ def ref_gadget_suite(name, tag, test_spaces, trials, seed, deviation):
     return SuiteResult(name, count, worst, 1e-8)
 
 
+def ref_gadget_norm(space, x, lower_left):
+    """||[[u_n, x], [y, u_n]]|| for one element x, y = 0, x* or -x* by ``lower_left``, assembled with ``matcore.block``."""
+    un, xm = gadget_operands(space, x)
+    if lower_left == "0":
+        y = np.zeros_like(xm)
+    else:
+        y = spaces.realize(space, spaces.apply_involution(space, x))
+        y = -y if lower_left == "-x*" else y
+    return matcore.op_norm(matcore.block([[un, xm], [y, un]]))
+
+
 def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
     op = matcore.op_norm
     unital = [corpus.build_full_matrix(2).space, corpus.build_full_matrix(3).space,
@@ -83,12 +96,12 @@ def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
                        lambda a, b: op(matcore.block([[a, -b], [b, a]])),
                        lambda a, b: max(op(a + 1j * b), op(a - 1j * b))),
         ref_gadget_suite("doubling gadget closed form", 23, unital, gadget_trials, seed,
-                         lambda sp, x: abs(op(gadgets.build_t(sp, sp.unit, x)) ** 2
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "0") ** 2
                                            - float(t_norm_closed_form(spaces.norm(sp, x))))),
         ref_gadget_suite("symmetric gadget norm", 24, selfadjoint, gadget_trials, seed,
-                         lambda sp, x: abs(op(gadgets.build_s(sp, sp.unit, x)) - (1.0 + spaces.norm(sp, x)))),
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "x*") - (1.0 + spaces.norm(sp, x)))),
         ref_gadget_suite("skew gadget norm", 25, selfadjoint, gadget_trials, seed,
-                         lambda sp, x: abs(op(gadgets.build_r(sp, sp.unit, x))
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "-x*")
                                            - np.sqrt(1.0 + spaces.norm(sp, x) ** 2))),
     ]
 
@@ -213,7 +226,7 @@ def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
     bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, cfg.b_samples, x_mat.shape[0])
     worst = -np.inf
     for b in bs:
-        two_by_four, row = gadgets.build_mult_row(x_mat, y_mat, z_mat, b)
+        two_by_four, row = mult_rows(x_mat, y_mat, z_mat, b)
         dev = abs(matcore.op_norm(two_by_four) - matcore.op_norm(row))
         if dev > worst:
             worst = dev

@@ -6,7 +6,7 @@ import pytest
 from opspace import corpus, matcore, spaces
 from opspace.errors import InvalidInputError, ShapeError, SpaceFormatError, UnsupportedLevelError
 
-from conftest import haar_unitary, random_element
+from conftest import build_Ue, haar_unitary, random_element
 
 
 def cpair(z):
@@ -180,11 +180,9 @@ def test_realized_elements_have_zero_membership_residual():
 
 
 def test_fibered_realization_matches_dense_norms():
-    from opspace import gadgets
-
     linf = corpus.build_linf(3).space
     assert linf.blocks.shape[1] == 3
-    doubled = gadgets.build_Ue(linf, np.array([1.0, 0, 0]))
+    doubled = build_Ue(linf, np.array([1.0, 0, 0]))
     assert doubled.blocks.shape[1] == 3  # B_i couples only i and i + 3, so three 2 x 2 blocks persist
     for space in (linf, doubled):
         for t in range(5):
