@@ -33,7 +33,8 @@ _VERDICT_EXIT = {
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--tolerance", type=float, default=None, help="decision tolerance (default 1e-6)")
-    p.add_argument("--levels", type=int, default=None, help="largest amplification level searched")
+    p.add_argument("--levels", type=int, default=None, dest="max_level", metavar="LEVELS",
+                   help="largest amplification level searched")
     p.add_argument("--radius", type=float, default=None, help="search ball radius")
     p.add_argument("--restarts", type=int, default=None, help="restart budget per criterion")
     p.add_argument("--seed", type=int, default=None,
@@ -48,33 +49,24 @@ def _add_config_flags(p: argparse.ArgumentParser):
 def _build_config(args) -> witness.SearchConfig:
     if not 0.0 < args.rank_tol < 1.0:
         raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
-    cfg = witness.SearchConfig()
+    names = ("tolerance", "max_level", "radius", "restarts", "threads")  # the config flags' SearchConfig fields
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.seed is not None:
-        cfg.seed = args.seed
+        given["seed"] = args.seed
     elif os.environ.get("OPSPACE_SEED"):
         try:
-            cfg.seed = int(os.environ["OPSPACE_SEED"])
+            given["seed"] = int(os.environ["OPSPACE_SEED"])
         except ValueError:
             raise InvalidInputError(
                 f"OPSPACE_SEED={os.environ['OPSPACE_SEED']!r} is not an integer seed"
             ) from None
-    if getattr(args, "tolerance", None) is not None:
-        cfg.tolerance = args.tolerance
-    if getattr(args, "levels", None) is not None:
-        cfg.max_level = args.levels
-    if getattr(args, "radius", None) is not None:
-        cfg.radius = args.radius
-    if getattr(args, "restarts", None) is not None:
-        cfg.restarts = args.restarts
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     if args.out:
         if os.path.isdir(args.out):
             raise InvalidInputError(f"--out {args.out}: names a directory, not a report file")
         outdir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(outdir) or not os.access(outdir, os.W_OK):
             raise InvalidInputError(f"--out {args.out}: output directory is missing or not writable")
-    return cfg.validate()
+    return witness.SearchConfig(**given)
 
 
 def _emit(payload: dict, text: str, args) -> None:
@@ -237,7 +229,11 @@ def cmd_corpus(args) -> int:
     try:
         cfg = _build_config(args)
         if args.emit_spaces:
-            corpus.write_space_files(args.emit_spaces)
+            try:
+                corpus.write_space_files(args.emit_spaces)
+            except OSError as exc:
+                raise InvalidInputError(f"--emit-spaces {args.emit_spaces}: cannot write the space files "
+                                        f"({exc})") from exc
         result = corpus.run_corpus(cfg, only=args.only, threads=cfg.threads)
     except OpspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -265,23 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run one criterion on a space file")
-    p_check.add_argument("space_file")
-    p_check.add_argument("criterion", help="one of: " + ", ".join(_known_criteria()))
-    p_check.add_argument("--unit-index", type=int, default=None,
-                         help="use basis element #i as the distinguished element")
-    p_check.add_argument("--w-index", type=int, default=None,
-                         help="basis element acting as the candidate multiplier w")
-    _add_config_flags(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_search = sub.add_parser("search", help="like check, with an enlarged budget and search trace")
-    p_search.add_argument("space_file")
-    p_search.add_argument("criterion")
-    p_search.add_argument("--unit-index", type=int, default=None)
-    p_search.add_argument("--w-index", type=int, default=None)
-    _add_config_flags(p_search)
-    p_search.set_defaults(func=cmd_search)
+    for name, func, what in (("check", cmd_check, "run one criterion on a space file"),
+                             ("search", cmd_search, "like check, with an enlarged budget and search trace")):
+        p_run = sub.add_parser(name, help=what)
+        p_run.add_argument("space_file")
+        p_run.add_argument("criterion", help="one of: " + ", ".join(_known_criteria()))
+        p_run.add_argument("--unit-index", type=int, default=None,
+                           help="use basis element #i as the distinguished element")
+        p_run.add_argument("--w-index", type=int, default=None,
+                           help="basis element acting as the candidate multiplier w")
+        _add_config_flags(p_run)
+        p_run.set_defaults(func=func)
 
     p_vf = sub.add_parser("verify-formulas", help="run the block-matrix norm identity suites")
     p_vf.add_argument("--trials", type=int, default=200)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ class CorpusEntry:
     notes: str = ""
     tolerance: float | None = None  # entry-local override
     max_level: int | None = None  # entry-local override
-    extras: dict = field(default_factory=dict)
 
 
 def _unit_vector(k: int, i: int) -> np.ndarray:
@@ -114,7 +113,6 @@ def build_trace_class_2(alpha: float = 0.6) -> CorpusEntry:
         space,
         {"unitary-four-rotation": V},
         "2x2 trace-norm space; every trace-one positive diagonal fails the rotation test",
-        extras={"alpha": alpha},
     )
 
 
@@ -170,7 +168,6 @@ def build_l1_2_model(M: int = 64) -> CorpusEntry:
         "root-of-unity diagonal model of two-point l1 (genuinely unital at every level)",
         tolerance=1e-3,
         max_level=1,
-        extras={"roots": M},
     )
 
 
@@ -369,11 +366,8 @@ def multiplication_tensor(space: spaces.SpaceRep, tol: float = 1e-9) -> np.ndarr
 
 
 def entry_config(entry: CorpusEntry, cfg: witness.SearchConfig) -> witness.SearchConfig:
-    updates = {}
-    if entry.tolerance is not None:
-        updates["tolerance"] = entry.tolerance
-    if entry.max_level is not None:
-        updates["max_level"] = entry.max_level
+    """``cfg`` with the entry's own tolerance and max_level where it sets them (validated anew)."""
+    updates = {name: v for name in ("tolerance", "max_level") if (v := getattr(entry, name)) is not None}
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

@@ -13,15 +13,20 @@ The sampled checks (``mult-closed``, the multipliers, ``cstar-among-systems``)
 draw each pair from its own stream, one pair at a time, and evaluate
 everything after the draws on stacks of pairs, in chunks of at most
 ``_CHUNK_BYTES`` per stack; their picks are the first maxima in pair order,
-so a report does not depend on the chunk size.
+so a report does not depend on the chunk size.  ``mult-closed`` and the
+multipliers are one closure check (``_closure_routes``) with two verdict rules.
+
+Every check takes a ``witness.SearchConfig``, which is valid by construction,
+so no check validates its config again.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,6 +90,8 @@ _KEY_CSTAR = 12
 
 MULT_METRIC_PAIRS = 16
 MULTIPLIER_METRIC_PAIRS = 8
+#: Sampled contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests.
+ALGEBRA_MULTIPLIER_SAMPLES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +130,16 @@ class CheckReport:
     proof: dict | None = None  # {"identity", "residual", "tolerance"} when proved, not searched
 
     def to_dict(self) -> dict:
-        d = {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": self.witness,
-            "levels_checked": list(self.levels_checked),
-            "samples": self.samples,
-            "config": dict(self.config),
-            "notes": list(self.notes),
-            "trace": list(self.trace),
-        }
-        if self.proof is not None:
-            d["proof"] = dict(self.proof)
+        """Every field in declaration order, copied one level deep; ``proof`` only when set."""
+        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+        if self.proof is None:
+            del d["proof"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
-        return cls(
-            criterion=d["criterion"],
-            verdict=d["verdict"],
-            margin=d["margin"],
-            witness=d.get("witness"),
-            levels_checked=list(d.get("levels_checked", [])),
-            samples=int(d.get("samples", 0)),
-            config=dict(d.get("config", {})),
-            notes=list(d.get("notes", [])),
-            trace=list(d.get("trace", [])),
-            proof=d.get("proof"),
-        )
+        """The report ``to_dict`` wrote; a field with a default may be missing."""
+        return cls(**{f.name: copy.copy(d[f.name]) for f in fields(cls) if f.name in d})
 
     def witness_element(self) -> spaces.LevelElement | None:
         if self.witness is None or self.witness.get("coeffs") is None:
@@ -186,11 +174,9 @@ def _unit_coeffs(space: spaces.SpaceRep, u, who: str = "u") -> np.ndarray:
     return u
 
 
-def _require_contraction(space, u, who: str):
-    nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
-    if nu > 1.0 + 1e-9:
-        raise InvalidInputError(f"{who} must be a contraction, got norm {nu:.12f}")
-    return nu
+def _require_contraction(who: str, norm: float):
+    if norm > 1.0 + 1e-9:
+        raise InvalidInputError(f"{who} must be a contraction, got norm {norm:.12f}")
 
 
 def _levels_for(space: spaces.SpaceRep, cfg: witness.SearchConfig) -> tuple[list, list]:
@@ -225,7 +211,6 @@ def _searched_check(
     ``objective_for_level(n)`` returns the (objective, gradient) pair searched
     at level n.
     """
-    cfg.validate()
     cfg.guard_ambient(space)
     notes = list(notes or [])
     n_cells = len(levels) * len(radii)
@@ -275,28 +260,16 @@ def _searched_check(
     if dead:
         started = sum(len(cell["restart_bests"]) for cell in trace)
         notes.append(f"{dead} of {started} restarts died on non-finite objective values")
+    verdict, margin, found = HOLDS_WITHIN_BUDGET, -best_value, None
     if best_elem is None:
-        return CheckReport(
-            criterion=criterion, verdict=INCONCLUSIVE, margin=0.0, witness=None,
-            levels_checked=levels_checked, samples=evaluations, config=cfg.to_dict(),
-            notes=notes if dead else notes + ["no search evidence (zero restarts)"], trace=trace,
-        )
-
-    margin = -best_value
-    if best_value > cfg.tolerance:
-        aux = {"violation": best_value,
-               "witness_norm": float(spaces.norm(space, best_elem))}
-        return CheckReport(
-            criterion=criterion, verdict=VIOLATED, margin=margin,
-            witness=_witness_dict(best_elem, aux),
-            levels_checked=levels_checked, samples=evaluations, config=cfg.to_dict(),
-            notes=notes, trace=trace,
-        )
-    return CheckReport(
-        criterion=criterion, verdict=HOLDS_WITHIN_BUDGET, margin=margin, witness=None,
-        levels_checked=levels_checked, samples=evaluations, config=cfg.to_dict(),
-        notes=notes, trace=trace,
-    )
+        verdict, margin = INCONCLUSIVE, 0.0
+        if not dead:
+            notes.append("no search evidence (zero restarts)")
+    elif best_value > cfg.tolerance:
+        verdict = VIOLATED
+        found = _witness_dict(best_elem, {"violation": best_value,
+                                          "witness_norm": float(spaces.norm(space, best_elem))})
+    return CheckReport(criterion, verdict, margin, found, levels_checked, evaluations, cfg.to_dict(), notes, trace)
 
 
 def _unsupported(criterion: str, cfg: witness.SearchConfig, why: str) -> CheckReport:
@@ -486,10 +459,9 @@ def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfi
     u = _unit_coeffs(space, u, spec.who)
     if spec.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
         raise InvalidInputError(f"{spec.who} must be selfadjoint ({spec.who} = {spec.who}*)")
-    _require_contraction(space, u, spec.who)
+    _require_contraction(spec.who, spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1))))
     if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported(name, cfg, spec.unsupported)
-    cfg.validate()
     cfg.guard_ambient(space)
     proof = _ternary_proof(spec.proof, space, u)
     if proof is None:
@@ -613,11 +585,8 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     peak polished by golden-section refinement.
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     m = _coerce_square(space, x)
-    nm = matcore.op_norm(m)
-    if nm > 1.0 + 1e-9:
-        raise InvalidInputError(f"x must be a contraction, got norm {nm:.12f}")
+    _require_contraction("x", matcore.op_norm(m))
     eye = np.eye(m.shape[0], dtype=np.complex128)
 
     def circle(thetas):
@@ -638,15 +607,12 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
 def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is z = x*?  Tests ||[[t, x], [-z, t]]|| <= sqrt(1 + t^2) over a real t-grid."""
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     x = matcore.as_cmat(x)
     z = matcore.as_cmat(z)
     if x.shape != z.shape or x.shape[0] != x.shape[1]:
         raise ShapeError("x and z must be square of equal size")
-    for name, m in (("x", x), ("z", z)):
-        nm = matcore.op_norm(m)
-        if nm > 1.0 + 1e-9:
-            raise InvalidInputError(f"{name} must be a contraction, got norm {nm:.12f}")
+    for who, m in (("x", x), ("z", z)):
+        _require_contraction(who, matcore.op_norm(m))
     eye = np.eye(x.shape[0], dtype=np.complex128)
 
     def deviation(ts):
@@ -696,7 +662,7 @@ def _first_max(values) -> tuple[float, int | None]:
 
 def _sample_space_matrix(space, draws):
     """Level-1 draws (..., 1, 1, k) scaled to norm 1: their realized matrices (..., p, q) and the scaled draws."""
-    coeffs = spaces._scale_to_norms(space, draws, 1.0)
+    coeffs = spaces.scale_to_norms(space, draws, 1.0)
     return spaces.realize_stack(space, coeffs), coeffs
 
 
@@ -730,9 +696,7 @@ def _metric_closure_deviation(space, x_mat, y_mat, fillers):
     canonical filler and ``fillers`` (..., nb, d, d).  z = -P(x y*), with P
     the projection onto the space, each matrix projected as one (1, pq) row.
     """
-    prod = x_mat @ matcore.dagger(y_mat)
-    c = prod.reshape(prod.shape[:-2] + (1, -1)) @ space._pinv
-    z_mat = -(c @ space._flat).reshape(prod.shape)
+    z_mat = -spaces.project_stack(space, x_mat @ matcore.dagger(y_mat))
     canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
     bs = np.concatenate([canonical[..., None, :, :], fillers], axis=-3)
     return np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, bs)).max(axis=-1)
@@ -758,6 +722,44 @@ def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
         yield pairs, coeffs, mats, _unit_fillers(np.stack(normals))
 
 
+def _closure_routes(criterion: str, space, cfg, products, metric=None, **entries):
+    """Both routes of a closure check: membership residuals of ``products`` (..., p, q), and the row identity.
+
+    ``metric`` is None (no metric route) or (stream_key, n_pairs, count,
+    pair): each pair draws ``count`` elements (``_metric_pairs``), and
+    ``pair(mats)`` maps their matrices (P, count, p, q) to the x, y whose x y*
+    must lie in the space.  Returns (aux, notes, samples, alg_index, (x, y)):
+    aux holds ``algebraic_max``, then ``entries``, then ``metric_max`` and
+    ``paths_agree``; alg_index locates the largest residual in ``products``;
+    x (1, 1, k) is the first draw and y the y of the pair with the largest gap.
+    """
+    residuals = spaces.membership_residual_stack(space, products)
+    alg_index = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
+    alg_max = float(residuals[tuple(alg_index)])
+    aux = {"algebraic_max": alg_max, **entries}
+    if metric is None:
+        return aux, [], residuals.size, alg_index, None
+
+    stream_key, n_pairs, count, pair = metric
+    devs = np.empty(n_pairs)
+    xs = np.empty((n_pairs, 1, 1, space.dim), dtype=np.complex128)
+    ys = np.empty((n_pairs, space.p, space.q), dtype=np.complex128)
+    for pairs, coeffs, mats, fillers in _metric_pairs(space, cfg, stream_key, n_pairs, count):
+        x_mat, y_mat = pair(mats)
+        xs[pairs], ys[pairs] = coeffs[:, 0], y_mat
+        devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, fillers)
+    met_max, best = _first_max(devs)
+    agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
+    notes = []
+    if not agree:
+        log.warning("%s: metric and algebraic routes disagree (alg=%.3e, metric=%.3e)",
+                    criterion, alg_max, met_max)
+        notes.append("metric/algebraic route disagreement: possible bug")
+    aux.update(metric_max=float(met_max), paths_agree=bool(agree))
+    samples = residuals.size + n_pairs * (cfg.b_samples + 1)
+    return aux, notes, samples, alg_index, (xs[best], ys[best])
+
+
 def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is the subspace closed under ambient multiplication?
 
@@ -765,48 +767,28 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
     validated by the metric row identity || [[0,y,1,0],[2,x,z,b]] || = || [2,x,z,b] ||
     with z the best in-space candidate.  Disagreement between the routes is
     flagged loudly; it indicates a bug, as the two are provably equivalent.
+    The verdict follows the larger route, and so does the witness.
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
-    k = space.dim
-    residuals = spaces.membership_residual_stack(space, space.basis[:, None] @ space.basis[None])
-    alg_pair = np.unravel_index(int(np.argmax(residuals)), (k, k))
-    alg_max = float(residuals[alg_pair])
-    samples = k * k
-
-    devs = np.empty(MULT_METRIC_PAIRS)
-    xs = np.empty((MULT_METRIC_PAIRS, 1, 1, k), dtype=np.complex128)
-    ys = np.empty((MULT_METRIC_PAIRS, space.p, space.q), dtype=np.complex128)
-    for pairs, coeffs, mats, fillers in _metric_pairs(space, cfg, (_KEY_MULT_CLOSED, 1), MULT_METRIC_PAIRS, 2):
-        xs[pairs] = coeffs[:, 0]
-        ys[pairs] = matcore.dagger(mats[:, 1])  # contractive elements of A*
-        devs[pairs] = _metric_closure_deviation(space, mats[:, 0], ys[pairs], fillers)
-    samples += MULT_METRIC_PAIRS * (cfg.b_samples + 1)
-    met_max, best = _first_max(devs)
-
-    agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
-    if not agree:
-        log.warning("mult-closed: metric and algebraic routes disagree (alg=%.3e, metric=%.3e)",
-                    alg_max, met_max)
-    aux = {"algebraic_max": float(alg_max), "metric_max": float(met_max), "paths_agree": bool(agree)}
-    notes = [] if agree else ["metric/algebraic route disagreement: possible bug"]
-
+    # x y* over contractive x in A and y in A*
+    metric = ((_KEY_MULT_CLOSED, 1), MULT_METRIC_PAIRS, 2, lambda mats: (mats[:, 0], matcore.dagger(mats[:, 1])))
+    aux, notes, samples, (i, j), (x, y) = _closure_routes(
+        "mult-closed", space, cfg, space.basis[:, None] @ space.basis[None], metric)
+    alg_max, met_max = aux["algebraic_max"], aux["metric_max"]
     worst = max(alg_max, met_max)
+    verdict, welem = HOLDS_WITHIN_BUDGET, None
     if worst > cfg.tolerance:
+        verdict = VIOLATED
         if alg_max >= met_max:
-            i, j = (int(v) for v in alg_pair)
-            waux = dict(aux, path="algebraic", x_basis=i, y_basis=j, residual=float(alg_max),
-                        y=_encode_array(matcore.dagger(space.basis[j])))
-            welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
+            aux.update(path="algebraic", x_basis=i, y_basis=j, residual=alg_max,
+                       y=_encode_array(matcore.dagger(space.basis[j])))
+            welem = spaces.LevelElement(1, np.eye(space.dim, dtype=np.complex128)[i].reshape(1, 1, -1))
         else:
-            waux = dict(aux, path="metric", deviation=float(met_max), y=_encode_array(ys[best]))
-            welem = spaces.LevelElement(1, xs[best])
-        return CheckReport("mult-closed", VIOLATED, -worst, _witness_dict(welem, waux),
-                           [1], samples, cfg.to_dict(), notes)
-    return CheckReport("mult-closed", HOLDS_WITHIN_BUDGET, -worst, _witness_dict(None, aux),
-                       [1], samples, cfg.to_dict(), notes)
+            aux.update(path="metric", deviation=met_max, y=_encode_array(y))
+            welem = spaces.LevelElement(1, x)
+    return CheckReport("mult-closed", verdict, -worst, _witness_dict(welem, aux), [1], samples, cfg.to_dict(), notes)
 
 
 def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -816,62 +798,31 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     square ambients the metric row identity is sampled as cross-validation.
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     w = matcore.as_cmat(w)
-    p, q, k = space.p, space.q, space.dim
+    p, q = space.p, space.q
     shapes = {"left": (p, p), "right": (q, q), "quasi": (q, p)}
     if side not in shapes:
         raise InvalidInputError(f"side must be one of {sorted(shapes)}, got {side!r}")
     if w.shape != shapes[side]:
         raise ShapeError(f"{side} multiplier must be {shapes[side]}, got {w.shape}")
 
+    B, dag = space.basis, matcore.dagger
+    # the products that must lie in A, and the (x, y) of sampled a (and b) in A, with x y* = w a*, a w* or a w b*
     if side == "left":
-        products = w @ space.basis
+        products, count, pair = w @ B, 1, lambda m: (w, dag(m[:, 0]))
     elif side == "right":
-        products = space.basis @ w
+        products, count, pair = B @ w, 1, lambda m: (m[:, 0], dag(w))
     else:
-        products = (space.basis @ w)[:, None] @ space.basis[None]
-    residuals = spaces.membership_residual_stack(space, products)
-    alg_idx = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
-    alg_max = float(residuals[tuple(alg_idx)])
-    samples = residuals.size
-
-    met_max = None
-    agree = None
-    if p == q:
-        devs = np.empty(MULTIPLIER_METRIC_PAIRS)
-        for pairs, _, mats, fillers in _metric_pairs(space, cfg, (_KEY_MULTIPLIER, 1), MULTIPLIER_METRIC_PAIRS,
-                                                     2 if side == "quasi" else 1):
-            a_mat = mats[:, 0]
-            if side == "left":
-                x_mat, y_mat = w, matcore.dagger(a_mat)
-            elif side == "right":
-                x_mat, y_mat = a_mat, matcore.dagger(w)
-            else:
-                x_mat, y_mat = a_mat @ w, matcore.dagger(mats[:, 1])
-            devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, fillers)
-        samples += MULTIPLIER_METRIC_PAIRS * (cfg.b_samples + 1)
-        met_max, _ = _first_max(devs)
-        agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
-        if not agree:
-            log.warning("multiplier-%s: metric and algebraic routes disagree (alg=%.3e, metric=%.3e)",
-                        side, alg_max, met_max)
-
-    aux = {"algebraic_max": float(alg_max), "side": side}
-    notes = []
-    if met_max is not None:
-        aux["metric_max"] = float(met_max)
-        aux["paths_agree"] = bool(agree)
-        if not agree:
-            notes.append("metric/algebraic route disagreement: possible bug")
-
+        products, count, pair = (B @ w)[:, None] @ B[None], 2, lambda m: (m[:, 0] @ w, dag(m[:, 1]))
     criterion = f"multiplier-{side}"
+    metric = ((_KEY_MULTIPLIER, 1), MULTIPLIER_METRIC_PAIRS, count, pair) if p == q else None
+    aux, notes, samples, alg_index, _ = _closure_routes(criterion, space, cfg, products, metric, side=side)
+    alg_max = aux["algebraic_max"]
+    verdict = HOLDS_WITHIN_BUDGET
     if alg_max > cfg.tolerance:
-        waux = dict(aux, basis_index=alg_idx, residual=float(alg_max))
-        return CheckReport(criterion, VIOLATED, -alg_max, _witness_dict(None, waux),
-                           [1], samples, cfg.to_dict(), notes)
-    return CheckReport(criterion, HOLDS_WITHIN_BUDGET, -alg_max, _witness_dict(None, aux),
-                       [1], samples, cfg.to_dict(), notes)
+        verdict = VIOLATED
+        aux.update(basis_index=alg_index, residual=alg_max)
+    return CheckReport(criterion, verdict, -alg_max, _witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
 
 
 def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
@@ -917,7 +868,6 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     ||[T(a); b]|| <= ||[a; b]||.
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     cfg.guard_ambient(space)
     if space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
@@ -926,17 +876,16 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     if T.shape != (k, k):
         raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
     worst, worst_witness, samples = _worst_pair(space, T, cfg, max(8, cfg.restarts), _KEY_LEFT_MULT_MAP)
-    levels = list(range(1, cfg.max_level + 1))
+    verdict, found = HOLDS_WITHIN_BUDGET, None
     if worst > cfg.tolerance:
         n, a0, b0 = worst_witness
-        waux = {"deviation": worst, "b": _encode_array(b0)}
-        return CheckReport("left-multiplier-map", VIOLATED, -worst,
-                           _witness_dict(spaces.LevelElement(n, a0), waux), levels, samples, cfg.to_dict())
-    return CheckReport("left-multiplier-map", HOLDS_WITHIN_BUDGET, -worst, None, levels, samples, cfg.to_dict())
+        verdict = VIOLATED
+        found = _witness_dict(spaces.LevelElement(n, a0), {"deviation": worst, "b": _encode_array(b0)})
+    return CheckReport("left-multiplier-map", verdict, -worst, found, list(range(1, cfg.max_level + 1)), samples,
+                       cfg.to_dict())
 
 
-def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.SearchConfig | None = None,
-                          n_multiplier_samples: int = 8) -> CheckReport:
+def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the bilinear map m (given by a structure tensor) make (X, u) a unital operator algebra?
 
     Three sub-checks: (i) u passes the coisometry row test; (ii) y -> m(x, y)
@@ -945,7 +894,6 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     level-1-oracle space gets UNSUPPORTED_LEVEL, as for the left-multiplier map.
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     k = space.dim
     t = np.asarray(tensor, dtype=np.complex128)
     if t.shape != (k, k, k):
@@ -962,7 +910,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         failed.append("unit-coisometry")
 
     mult_worst = -np.inf
-    for s in range(n_multiplier_samples):
+    for s in range(ALGEBRA_MULTIPLIER_SAMPLES):
         rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
         _, x_coeffs = _sample_space_matrix(space, spaces.random_stack(space, 1, rng, 1))
         Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
@@ -1002,7 +950,6 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     norm-one w in M_2m(X).
     """
     cfg = cfg or witness.SearchConfig()
-    cfg.validate()
     if space.norm_mode != spaces.EMBEDDED:
         return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
     if space.involution is None or space.unit is None:
@@ -1037,7 +984,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         grids = {m: np.stack(draws[m]).reshape(-1, 2, n_contractions, 2 * m, 2 * m, k) for m in levels}
         Ms = [gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"]
         for part in parts:
-            ws = {m: spaces.realize_stack(space, spaces._scale_to_norms(
+            ws = {m: spaces.realize_stack(space, spaces.scale_to_norms(
                       space, np.ascontiguousarray(grids[m][:, :, part]), 1.0)) for m in levels}
             for si, M in enumerate(Ms):  # one sign at a time halves a single pair's largest stack
                 for li, m in enumerate(levels):

@@ -16,6 +16,10 @@ the blocks and trace norms are sums, and neither can tell a space from a
 unitary conjugate of it, so the split finds direct sums whether or not they
 line up with coordinates.  A basis that does not split is its own one block
 (g = 1).
+
+The orthogonal projection onto the space (``project_stack``) and the
+rescaling of coefficient grids to given norms (``scale_to_norms``) live here
+alone; other modules do not read a space's private fields.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "norm_stack",
     "membership_residual",
     "membership_residual_stack",
+    "project_stack",
     "coefficients_of",
     "apply_involution",
     "involution_stack",
@@ -58,6 +63,7 @@ __all__ = [
     "unit_element",
     "unit_matrix",
     "random_stack",
+    "scale_to_norms",
     "zero_element",
 ]
 
@@ -439,12 +445,12 @@ def coefficients_of(space: SpaceRep, m) -> np.ndarray:
     return a.reshape(-1) @ space._pinv
 
 
-def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
-    """Operator-norm distances of ambient matrices (..., p, q) to their projections onto the space.
+def project_stack(space: SpaceRep, ms) -> np.ndarray:
+    """Orthogonal projections of ambient matrices (..., p, q) onto the space (Frobenius inner product).
 
-    A distance is 0 iff its matrix lies in the space.  Each matrix is
-    projected as one (1, pq) row, so the products are the vector-matrix ones
-    of a single matrix, and each distance is bit for bit ``membership_residual``.
+    Each matrix is projected as one (1, pq) row, so a projection is bit for
+    bit the same whichever stack it is taken in.  Matrices with a non-finite
+    entry are refused.
     """
     a = np.asarray(ms, dtype=np.complex128)
     if a.shape[-2:] != (space.p, space.q):
@@ -452,8 +458,17 @@ def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix has non-finite entries")
     c = a.reshape(a.shape[:-2] + (1, -1)) @ space._pinv
-    proj = (c @ space._flat).reshape(a.shape)
-    return matcore.op_norm_stack(a - proj)
+    return (c @ space._flat).reshape(a.shape)
+
+
+def membership_residual_stack(space: SpaceRep, ms) -> np.ndarray:
+    """Operator-norm distances of ambient matrices (..., p, q) to their projections onto the space.
+
+    A distance is 0 iff its matrix lies in the space; each is bit for bit
+    ``membership_residual`` of its matrix.
+    """
+    a = np.asarray(ms, dtype=np.complex128)
+    return matcore.op_norm_stack(a - project_stack(space, a))
 
 
 def membership_residual(space: SpaceRep, m) -> float:
@@ -514,11 +529,11 @@ def random_stack(
     z = rng.normal(size=(count, 2, level, level, space.dim))
     coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     if target_norm is not None:
-        coeffs = _scale_to_norms(space, coeffs, target_norm)
+        coeffs = scale_to_norms(space, coeffs, target_norm)
     return coeffs
 
 
-def _scale_to_norms(space: SpaceRep, coeffs: np.ndarray, target_norms) -> np.ndarray:
+def scale_to_norms(space: SpaceRep, coeffs: np.ndarray, target_norms) -> np.ndarray:
     """Coefficient grids (..., n, n, k) rescaled to ``target_norms`` (a scalar or an array over (...)).
 
     Each grid is scaled by its own target over its own norm, so a grid comes

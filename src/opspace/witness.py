@@ -55,9 +55,13 @@ _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
-    """Budget and tolerances shared by every criterion run."""
+    """Budget and tolerances shared by every criterion run.
+
+    Frozen, and validated when built, so every config a check receives is
+    valid; ``dataclasses.replace`` builds (and validates) a changed copy.
+    """
 
     tolerance: float = 1e-6
     max_level: int = 2
@@ -70,6 +74,9 @@ class SearchConfig:
     b_samples: int = 64
     seed: int = DEFAULT_SEED
     threads: int = 1
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name in ("tolerance", "radius", "step_size", "t_max"):
@@ -105,7 +112,6 @@ class SearchResult:
     best_point: spaces.LevelElement | None
     evaluations: int
     restart_bests: list = field(default_factory=list)
-    level: int = 1
 
 
 def _project(space, coeffs, radius, mode):
@@ -134,7 +140,7 @@ def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
         if mode != SPHERE:
             radii[j] = radius * np.exp(rng.uniform(np.log(MIN_RADIUS_FRACTION), 0.0))
         draws[j] = spaces.random_stack(space, level, rng, 1)[0]
-    return spaces._scale_to_norms(space, draws, radii)
+    return spaces.scale_to_norms(space, draws, radii)
 
 
 def _set_directions(grad, direction, active, idx):
@@ -288,12 +294,10 @@ def maximize_violation(
     partial derivatives along the real and imaginary coefficient parts.
     Fixed (seed, stream_key) reproduces a cell's result bit-for-bit.
     """
-    cfg.validate()
     cells = [(cfg.radius, ())] if cells is None else [(float(r), key) for r, key in cells]
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     if n_restarts <= 0:
-        return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0, level=level)
-                for _ in cells]
+        return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0) for _ in cells]
 
     points = np.concatenate([_draw_starts(space, level, cfg, r, mode, n_restarts, key)
                              for r, key in cells])
@@ -313,7 +317,6 @@ def maximize_violation(
             best_point=spaces.LevelElement(level, points[cell][best]),
             evaluations=int(evaluations[cell].sum()),
             restart_bests=[float(v) for v in values[cell]],
-            level=level,
         ))
     return results
 
@@ -332,7 +335,6 @@ def refine_witness(
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
-    cfg.validate()
     radius = cfg.radius if radius is None else float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
@@ -345,5 +347,4 @@ def refine_witness(
         best_point=spaces.LevelElement(point.level, pts[0]),
         evaluations=int(evaluations[0]),
         restart_bests=[float(values[0])],
-        level=point.level,
     )

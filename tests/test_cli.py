@@ -202,6 +202,18 @@ def test_emit_spaces_writes_loadable_files(tmp_path):
     assert (target / "linf3_ones.json").exists()
 
 
+def test_emit_spaces_naming_a_file_is_refused_before_the_corpus_runs(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    target.write_text("keep", encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run_cli(["corpus", "--only", "non_algebra_span", "--emit-spaces", target, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert f"--emit-spaces {target}: cannot write the space files" in captured.err
+    assert captured.out == ""
+    assert target.read_text(encoding="utf-8") == "keep"
+    assert not out.exists()
+
+
 def test_text_format_mentions_inequality_numbers(space_dir, capsys):
     rc = run_cli(["check", space_dir / "trace_class_2.json", "unitary-four-rotation"])
     assert rc == 1

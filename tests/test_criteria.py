@@ -181,6 +181,19 @@ def test_level1_oracle_space_refuses_an_invalid_unit_before_unsupported_level(v,
         criteria.check_operator_system(oracle_space_with_involution(), v=v)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tolerance": math.nan, "restarts": -5, "threads": 0},
+    {"tolerance": math.nan},
+    {"restarts": -5},
+    {"threads": 0},
+], ids=["all", "tolerance", "restarts", "threads"])
+@pytest.mark.parametrize("name", ["unitary-t-gadget", "coisometry", "isometry", "operator-system"])
+def test_level1_oracle_refusal_never_accepts_an_invalid_config(name, bad):
+    space = oracle_space_with_involution() if name == "operator-system" else corpus.build_trace_class_2().space
+    with pytest.raises(InvalidInputError, match="SearchConfig"):
+        criteria.CRITERION_RUNNERS[name](space, cfg=witness.SearchConfig(**bad))
+
+
 # ---------------------------------------------------------------------------
 # positivity and adjoints
 
@@ -282,6 +295,55 @@ def test_multiplier_examples():
         assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
     with pytest.raises(InvalidInputError):
         criteria.check_multiplier(span, np.eye(2), "sideways")
+
+
+# the text report prints a witness's aux entries in insertion order; the JSON reports sort them
+MULT_CLOSED_ALGEBRAIC_KEYS = ["algebraic_max", "metric_max", "paths_agree", "path", "x_basis", "y_basis",
+                              "residual", "y"]
+MULTIPLIER_KEYS = ["algebraic_max", "side", "metric_max", "paths_agree", "basis_index", "residual"]
+
+
+def test_violated_mult_closed_aux_keeps_its_order(criterion_cache):
+    rep = criterion_cache("non_algebra_span", "mult-closed")
+    assert rep.verdict == criteria.VIOLATED
+    assert list(rep.witness["aux"]) == MULT_CLOSED_ALGEBRAIC_KEYS
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_violated_multiplier_aux_keeps_its_order(side):
+    span = corpus.build_non_algebra_span().space
+    rep = criteria.check_multiplier(span, span.basis[0], side)
+    assert rep.verdict == criteria.VIOLATED
+    assert list(rep.witness["aux"]) == MULTIPLIER_KEYS
+
+
+def test_violated_multiplier_on_a_rectangular_ambient_has_no_metric_entries():
+    corner = spaces.make_space(np.array([[[1.0, 0, 0], [0, 0, 0]]]))  # E11 in M_{2x3}
+    rep = criteria.check_multiplier(corner, np.array([[0, 1.0], [1.0, 0]]), "left")  # swaps E11 to E21
+    assert rep.verdict == criteria.VIOLATED
+    assert list(rep.witness["aux"]) == ["algebraic_max", "side", "basis_index", "residual"]
+    assert rep.notes == []
+
+
+def test_route_disagreement_is_logged_and_noted_by_both_closure_checks(monkeypatch, caplog):
+    # a metric route that reports a gap of 2 on every pair of a closed space
+    monkeypatch.setattr(criteria, "_metric_closure_deviation",
+                        lambda space, x_mat, y_mat, fillers: np.full(len(fillers), 2.0))
+    upper = corpus.build_upper_triangular(2).space
+    disagree = "metric/algebraic route disagreement: possible bug"
+    with caplog.at_level("WARNING", logger=criteria.log.name):
+        closed = criteria.check_mult_closed(upper)
+        left = criteria.check_multiplier(upper, np.diag([1.0, 0.0]), "left")
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["mult-closed", "multiplier-left"]
+    # mult-closed follows the larger route, here the metric one, and names its first pair
+    assert (closed.verdict, closed.margin, closed.notes) == (criteria.VIOLATED, -2.0, [disagree])
+    aux = closed.witness["aux"]
+    assert list(aux) == ["algebraic_max", "metric_max", "paths_agree", "path", "deviation", "y"]
+    assert (aux["path"], aux["deviation"], aux["paths_agree"]) == ("metric", 2.0, False)
+    assert closed.witness_element().coeffs.shape == (1, 1, upper.dim)
+    # a multiplier follows the algebraic route
+    assert (left.verdict, left.notes) == (criteria.HOLDS_WITHIN_BUDGET, [disagree])
+    assert list(left.witness["aux"]) == ["algebraic_max", "side", "metric_max", "paths_agree"]
 
 
 def test_left_multiplier_map_examples(m2_entry):

@@ -114,6 +114,39 @@ def test_membership_residual():
         spaces.membership_residual(span, np.zeros((3, 3)))
 
 
+PROJECTION_SPACES = ["non_algebra_span", "upper_triangular_2", "lower_triangular_L12", "twisted_selfadjoint"]
+
+
+@pytest.mark.parametrize("name", PROJECTION_SPACES)
+def test_project_stack_is_the_orthogonal_projection(corpus_entries, name):
+    space = corpus_entries[name].space
+    rng = np.random.default_rng(11)
+    ms = rng.normal(size=(5, space.p, space.q)) + 1j * rng.normal(size=(5, space.p, space.q))
+    proj = spaces.project_stack(space, ms)
+    assert np.allclose(spaces.project_stack(space, proj), proj, atol=1e-12)
+    assert np.allclose(spaces.project_stack(space, space.basis), space.basis, atol=1e-12)
+    # the Frobenius-orthogonal complement of the span: the null space of the conjugated flat basis
+    flat = space.basis.reshape(space.dim, -1)
+    complement = np.linalg.svd(np.conj(flat))[2][space.dim:].conj()
+    assert np.abs(np.conj(flat) @ complement.T).max() < 1e-12
+    ortho = complement.reshape(-1, space.p, space.q)
+    assert np.abs(spaces.project_stack(space, ortho)).max() < 1e-12
+    assert np.array_equal(spaces.project_stack(space, ms[2]), proj[2])  # whichever stack it is taken in
+
+
+@pytest.mark.parametrize("name", PROJECTION_SPACES)
+def test_membership_residual_is_the_distance_to_the_projection(corpus_entries, name):
+    space = corpus_entries[name].space
+    rng = np.random.default_rng(12)
+    ms = rng.normal(size=(2, 3, space.p, space.q)) + 1j * rng.normal(size=(2, 3, space.p, space.q))
+    want = matcore.op_norm_stack(ms - spaces.project_stack(space, ms))
+    assert np.array_equal(spaces.membership_residual_stack(space, ms), want)
+    with pytest.raises(ShapeError):
+        spaces.project_stack(space, np.zeros((space.p + 1, space.q)))
+    with pytest.raises(InvalidInputError):
+        spaces.project_stack(space, np.full((space.p, space.q), np.nan))
+
+
 def test_apply_involution_m2():
     space = corpus.build_full_matrix(2).space
     e12 = spaces.LevelElement(1, np.array([[[0, 1, 0, 0]]], dtype=complex))

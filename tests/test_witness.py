@@ -273,3 +273,15 @@ def test_config_validation():
     dataclasses.replace(cfg, max_level=2).guard_ambient(big)
     with pytest.raises(Exception):
         dataclasses.replace(cfg, max_level=10).guard_ambient(big)
+
+
+def test_config_is_validated_when_built_and_frozen():
+    with pytest.raises(InvalidInputError, match="SearchConfig.tolerance must be a finite number"):
+        witness.SearchConfig(tolerance=math.nan, restarts=-5, threads=0)
+    cfg = witness.SearchConfig()
+    with pytest.raises(InvalidInputError, match="SearchConfig.restarts must be nonnegative"):
+        dataclasses.replace(cfg, restarts=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.restarts = -1
+    assert cfg.restarts == 64
+    assert dataclasses.replace(cfg, restarts=8).restarts == 8
