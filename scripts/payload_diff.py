@@ -1,0 +1,101 @@
+"""Dump the package corpus's reports at fixed seeds, or list what moved between two dumps.
+
+    python3 scripts/payload_diff.py dump OUT.json [--seeds 7 1729 4242] [--src DIR]
+    python3 scripts/payload_diff.py diff OLD.json NEW.json
+
+``dump`` runs every corpus entry's expected criteria at each seed with the
+default SearchConfig (each entry's own tolerance and max_level, as
+``opspace corpus`` does) and writes every report's ``to_dict()`` under the key
+"seed/entry/criterion", as canonical JSON: sorted keys, and no
+``generated_at`` (a report has none; only the CLI envelope adds it).
+``--src`` imports the package from that directory instead of this checkout's
+``src``, so one copy of the script can dump another checkout.
+
+``diff`` prints one line per payload that moved: its key, verdict, the margin
+before and after with the relative change of its size (for a violation, the
+size is the violation found), and the top-level fields that moved.  A last
+line counts the byte-identical payloads, the moved ones by verdict, and the
+changed verdicts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+DEFAULT_SEEDS = (7, 1729, 4242)
+
+
+def dump(out: Path, seeds, src: Path):
+    sys.path.insert(0, str(src))
+    from opspace import corpus, witness
+
+    payloads = {}
+    for seed in seeds:
+        cfg = witness.SearchConfig(seed=seed)
+        for entry in corpus.build_corpus():
+            for crit, report in corpus.run_entry(entry, cfg):
+                payloads[f"{seed}/{entry.name}/{crit}"] = report.to_dict()
+    out.write_text(json.dumps(payloads, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(payloads)} payloads at seeds {', '.join(map(str, seeds))} -> {out}")
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _size_change(old: float, new: float) -> str:
+    if old == new:
+        return "unchanged"
+    if old == 0:
+        return "from 0"
+    return f"|margin| {(abs(new) - abs(old)) / abs(old):+.3g}"
+
+
+def diff(old_path: Path, new_path: Path):
+    old = json.loads(old_path.read_text(encoding="utf-8"))
+    new = json.loads(new_path.read_text(encoding="utf-8"))
+    same = 0
+    moved = {}
+    verdicts = 0
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new or key not in old:
+            print(f"{key}: only in {old_path if key in old else new_path}")
+            continue
+        a, b = old[key], new[key]
+        if _canonical(a) == _canonical(b):
+            same += 1
+            continue
+        fields = sorted(f for f in a.keys() | b.keys() if _canonical(a.get(f)) != _canonical(b.get(f)))
+        verdict = a["verdict"] if a["verdict"] == b["verdict"] else f"{a['verdict']} -> {b['verdict']}"
+        verdicts += a["verdict"] != b["verdict"]
+        moved[a["verdict"]] = moved.get(a["verdict"], 0) + 1
+        print(f"{key}  {verdict}  margin {a['margin']!r} -> {b['margin']!r} "
+              f"({_size_change(a['margin'], b['margin'])})  moved: {', '.join(fields)}")
+    by_verdict = ", ".join(f"{n} {v}" for v, n in sorted(moved.items())) or "none"
+    print(f"{same} of {len(old.keys() & new.keys())} payloads byte-identical; moved: {by_verdict}; "
+          f"{verdicts} verdicts changed")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="write the corpus reports at the given seeds")
+    p_dump.add_argument("out", type=Path)
+    p_dump.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    p_dump.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory to import the opspace package from")
+    p_diff = sub.add_parser("diff", help="list the payloads that moved between two dumps")
+    p_diff.add_argument("old", type=Path)
+    p_diff.add_argument("new", type=Path)
+    args = ap.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out, args.seeds, args.src)
+    else:
+        diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    main()

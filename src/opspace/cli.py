@@ -229,6 +229,7 @@ def cmd_corpus(args) -> int:
     try:
         cfg = _build_config(args)
         if args.emit_spaces:
+            corpus.select_entries(args.only)  # refuse an unknown --only before writing any file
             try:
                 corpus.write_space_files(args.emit_spaces)
             except OSError as exc:

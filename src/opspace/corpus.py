@@ -36,6 +36,7 @@ __all__ = [
     "multiplication_tensor",
     "run_entry",
     "run_corpus",
+    "select_entries",
     "write_space_files",
 ]
 
@@ -386,6 +387,14 @@ def run_entry(entry: CorpusEntry, cfg: witness.SearchConfig) -> list:
     return out
 
 
+def select_entries(only: str | None = None) -> list:
+    """The corpus, or its one entry named ``only``; an unknown name raises InvalidInputError."""
+    entries = [e for e in build_corpus() if only is None or e.name == only]
+    if only is not None and not entries:
+        raise InvalidInputError(f"no corpus entry named {only!r}")
+    return entries
+
+
 def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,
                threads: int = 1) -> dict:
     """Run the whole corpus against its expected verdicts.
@@ -395,9 +404,7 @@ def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,
     depend on the number of worker threads.
     """
     cfg = cfg or witness.SearchConfig()
-    entries = [e for e in build_corpus() if only is None or e.name == only]
-    if only is not None and not entries:
-        raise InvalidInputError(f"no corpus entry named {only!r}")
+    entries = select_entries(only)
 
     def work(entry):
         return run_entry(entry, cfg)

@@ -221,6 +221,7 @@ def _searched_check(
     best_radius = cfg.radius
     best_pair = None
     evaluations = 0
+    stopped = 0
     trace = []
     levels_checked = []
     ordered = sorted(radii, reverse=True)
@@ -233,6 +234,7 @@ def _searched_check(
         )
         for r, res in zip(ordered, results):
             evaluations += res.evaluations
+            stopped += res.stopped
             trace.append({"level": n, "radius": r, "restarts": per_cell,
                           "best": res.best_value if np.isfinite(res.best_value) else None,
                           "evaluations": res.evaluations,
@@ -256,10 +258,12 @@ def _searched_check(
             best_value = polished.best_value
             best_elem = polished.best_point
 
+    started = sum(len(cell["restart_bests"]) for cell in trace)
     dead = sum(v is None for cell in trace for v in cell["restart_bests"])
     if dead:
-        started = sum(len(cell["restart_bests"]) for cell in trace)
         notes.append(f"{dead} of {started} restarts died on non-finite objective values")
+    if stopped:
+        notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
     verdict, margin, found = HOLDS_WITHIN_BUDGET, -best_value, None
     if best_elem is None:
         verdict, margin = INCONCLUSIVE, 0.0

@@ -18,6 +18,16 @@ does not depend on which restarts share its batch; the batch's working set
 grows with the number of cells.  Results are independent of scheduling and
 thread count because each cell's merge takes the maximum by value with index
 tie-break.
+
+A violation is settled by one witness, so a cell that already holds one needs
+only its leading restarts to sharpen the margin.  At fixed steps
+(``_RACE_STEPS``) each such cell stops the lower-valued half of its active
+restarts (successive halving, Karnin-Koren-Somekh 2013), except a restart
+whose gain since the previous race, repeated once, would reach the cell's best.
+A cell whose best never exceeds the tolerance never races, so a search that
+finds nothing returns what it would without the race.  The race looks only
+inside a cell, so each cell's result is still what a call with that cell
+alone returns.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ _GRAD_FLOOR = 1e-12  # a gradient norm below this is rounding noise (an identity
 _LINE_SCALES = np.array([2.0, 1.0, 0.5])  # expansion / hold / contraction per line search
 _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
+_RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation halves its restarts
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,8 @@ class SearchResult:
     best_value: float
     best_point: spaces.LevelElement | None
     evaluations: int
-    restart_bests: list = field(default_factory=list)
+    restart_bests: list = field(default_factory=list)  # the value each restart had when it stopped
+    stopped: int = 0  # restarts the race stopped early (see _race)
 
 
 def _project(space, coeffs, radius, mode):
@@ -162,8 +174,33 @@ def _min_norm_pair(a, b):
     return b + np.clip(lam, 0.0, 1.0)[:, None, None, None] * diff
 
 
-def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0):
-    """Vectorized lockstep ascent; returns (points, values, evaluations), one entry per restart.
+def _race(values, active, since, cells, tolerance):
+    """Stop the lower-valued half of the active restarts of each cell holding a violation.
+
+    The restarts form ``cells`` contiguous equal blocks.  In a cell whose best
+    value exceeds ``tolerance``, the active restarts are ranked by value (ties
+    by index) and the lower half is stopped, except a restart whose gain since
+    ``since`` (its value at the previous race), added once more, would reach
+    the cell's best.  ``active`` and ``since`` are updated in place; returns
+    the mask of the restarts stopped.
+    """
+    v = values.reshape(cells, -1)
+    live = active.reshape(cells, -1)
+    best = v.max(axis=1, keepdims=True)
+    order = np.argsort(np.where(live, -v, np.inf), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(v.shape[1])[None, :], axis=1)
+    lower = rank >= (live.sum(axis=1, keepdims=True) + 1) // 2
+    climbing = 2.0 * v - since.reshape(cells, -1) >= best
+    stop = (live & lower & ~climbing & (best > tolerance)).reshape(-1)
+    active[stop] = False
+    since[active] = values[active]
+    return stop
+
+
+def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
+            race_cells=0, tolerance=np.inf):
+    """Vectorized lockstep ascent; returns (points, values, evaluations, raced), one entry per restart.
 
     ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
     first step; the step cap and floor scale with the restart's own radius, so
@@ -180,8 +217,12 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     starts and one at the end of each step serve every restart: the moved ones
     at their new points (except on the last step, which no step follows) and
     the stalled ones at their nearest failed trials.
+    With ``race_cells`` set, the restarts form that many contiguous equal
+    cells, and after each step in ``_RACE_STEPS`` every cell whose best value
+    exceeds ``tolerance`` stops the lower half of its active restarts (see
+    ``_race``); ``raced`` marks the restarts so stopped.
     A restart's ``evaluations`` counts its start, its trial points and its
-    rows in the gradient batches.
+    rows in the gradient batches, also when the race stops it.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
@@ -198,6 +239,8 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         active &= ~dead
     evaluations = np.ones(n_restarts, dtype=np.int64)
     step_floor = _STEP_FLOOR_FRACTION * radius
+    raced = np.zeros(n_restarts, dtype=bool)
+    since = np.where(dead, 0.0, values)  # each restart's value at the previous race
 
     def update_gradients(moved, resample, near):
         """One ``gradient`` batch: fresh gradients at ``points[moved]``, sampled ones at ``near``.
@@ -254,6 +297,8 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
+        if race_cells and t + 1 in _RACE_STEPS:
+            raced |= _race(values, active, since, race_cells, tolerance)
         # Gradient sampling: the nearest failed trial lies past a crest or
         # across a kink of the max-of-norms objectives; the shortest convex
         # combination of its gradient and the cached one ascends on both
@@ -266,7 +311,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if moved.size or again.any():
             update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
-    return points, values, evaluations
+    return points, values, evaluations, raced
 
 
 def maximize_violation(
@@ -285,8 +330,13 @@ def maximize_violation(
     ``cells`` is a sequence of (radius, stream_key) pairs, by default the one
     cell (cfg.radius, ()).  Each cell draws ``restarts`` starts (default
     cfg.restarts) from its own stream key, and the restarts of all cells
-    ascend in one lockstep batch.  Returns one SearchResult per cell, in the
-    order given; each is exactly what a call with that cell alone returns.
+    ascend in one lockstep batch.  Once a cell's best exceeds cfg.tolerance,
+    the cell races its restarts: after each step in ``_RACE_STEPS`` it stops
+    the lower-valued half of its active ones (see ``_race``).  Returns one
+    SearchResult per cell, in the order given; each is exactly what a call
+    with that cell alone returns.  A result's ``restart_bests`` holds the
+    value each restart had when it stopped, and ``stopped`` counts the
+    restarts the race stopped.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
@@ -304,9 +354,9 @@ def maximize_violation(
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([cfg.step_size * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
-    points, values, evaluations = _ascent(
+    points, values, evaluations, raced = _ascent(
         objective, gradient, space, points, values, radius, mode,
-        max_steps=cfg.ascent_steps, step0=step0,
+        max_steps=cfg.ascent_steps, step0=step0, race_cells=len(cells), tolerance=cfg.tolerance,
     )
     results = []
     for c in range(len(cells)):
@@ -317,6 +367,7 @@ def maximize_violation(
             best_point=spaces.LevelElement(level, points[cell][best]),
             evaluations=int(evaluations[cell].sum()),
             restart_bests=[float(v) for v in values[cell]],
+            stopped=int(raced[cell].sum()),
         ))
     return results
 
@@ -333,12 +384,14 @@ def refine_witness(
 ) -> SearchResult:
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
+    One restart, so it never races.
+
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
     radius = cfg.radius if radius is None else float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
-    pts, values, evaluations = _ascent(
+    pts, values, evaluations, _ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,
         max_steps=4 * cfg.ascent_steps, step0=np.array([cfg.step_size * radius / 10.0]),
     )

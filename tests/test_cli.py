@@ -202,6 +202,13 @@ def test_emit_spaces_writes_loadable_files(tmp_path):
     assert (target / "linf3_ones.json").exists()
 
 
+def test_unknown_only_is_refused_before_emit_spaces_writes(tmp_path, capsys):
+    target = tmp_path / "emitted"
+    assert run_cli(["corpus", "--only", "nope", "--emit-spaces", target]) == 3
+    assert "no corpus entry named 'nope'" in capsys.readouterr().err
+    assert not target.exists() or not any(target.iterdir())
+
+
 def test_emit_spaces_naming_a_file_is_refused_before_the_corpus_runs(tmp_path, capsys):
     target = tmp_path / "x.json"
     target.write_text("keep", encoding="utf-8")

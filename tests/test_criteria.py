@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -492,6 +493,21 @@ def test_dead_restarts_are_reported_not_called_zero_restarts(m2_entry):
     assert rep.samples == 8
     assert rep.notes == ["8 of 8 restarts died on non-finite objective values"]
     assert all(v is None for cell in rep.trace for v in cell["restart_bests"])
+
+
+def test_race_note_only_where_a_cell_held_a_violation(corpus_reports):
+    note = re.compile(r"(\d+) of (\d+) restarts stopped early once their cell held a violation")
+    raced = 0
+    for name, reports in corpus_reports.items():
+        for crit, rep in reports.items():
+            found = [m for n in rep.notes if (m := note.fullmatch(n))]
+            if rep.verdict != criteria.VIOLATED:
+                assert not found, (name, crit)
+            for m in found:
+                started = sum(len(cell["restart_bests"]) for cell in rep.trace)
+                assert 0 < int(m[1]) < int(m[2]) == started, (name, crit)
+                raced += 1
+    assert raced > 0
 
 
 def test_margin_sign_matches_verdict(corpus_reports, default_cfg):

@@ -172,17 +172,19 @@ def same_result(a, b):
     return (a.best_value == b.best_value
             and a.best_point.coeffs.tobytes() == b.best_point.coeffs.tobytes()
             and a.evaluations == b.evaluations
-            and a.restart_bests == b.restart_bests)
+            and a.restart_bests == b.restart_bests
+            and a.stopped == b.stopped)
 
 
-@pytest.mark.parametrize("mode, level, dead_cell", [
-    (witness.BALL, 1, False),
-    (witness.BALL, 2, False),
-    (witness.SPHERE, 1, False),
-    (witness.SPHERE, 2, False),
-    (witness.SPHERE, 1, True),
-], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell"])
-def test_cells_ascend_independently(mode, level, dead_cell):
+@pytest.mark.parametrize("mode, level, dead_cell, restarts", [
+    (witness.BALL, 1, False, 3),
+    (witness.BALL, 2, False, 3),
+    (witness.SPHERE, 1, False, 3),
+    (witness.SPHERE, 2, False, 3),
+    (witness.SPHERE, 1, True, 3),
+    (witness.SPHERE, 2, False, 8),
+], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell", "sphere-2-racing"])
+def test_cells_ascend_independently(mode, level, dead_cell, restarts):
     space = corpus.build_linf(3, "e1").space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
     if dead_cell:
@@ -192,7 +194,7 @@ def test_cells_ascend_independently(mode, level, dead_cell):
         def obj(coeffs):
             return np.where(spaces.norm_stack(space, coeffs) > 0.75, np.nan, live(coeffs))
 
-    cfg = witness.SearchConfig(restarts=3, ascent_steps=40)
+    cfg = witness.SearchConfig(restarts=restarts, ascent_steps=40)
     cells = [(r, (5, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
     merged = witness.maximize_violation(obj, space, level, cfg, cells=cells, mode=mode, gradient=grad)
     assert len(merged) == len(cells)
@@ -200,9 +202,14 @@ def test_cells_ascend_independently(mode, level, dead_cell):
         alone, = witness.maximize_violation(obj, space, level, cfg, cells=[cell], mode=mode,
                                             gradient=grad)
         assert same_result(res, alone), cell
+        assert len(res.restart_bests) == restarts
     if dead_cell:
         assert merged[0].restart_bests == [-np.inf] * 3
+        assert merged[0].stopped == 0
         assert all(np.isfinite(res.best_value) for res in merged[1:])
+    if restarts == 8:
+        # every cell holds a violation after 16 steps, and some race away restarts
+        assert sum(res.stopped for res in merged) > 0
 
 
 def counted(objective, gradient, log):
@@ -241,6 +248,43 @@ def test_one_gradient_batch_per_step_and_evaluations_count_rows(mode):
         # one restart: its start, its trial rows and its gradient rows
         assert alone.evaluations == sum(rows for _, rows in log), cell
         assert alone.evaluations == res.evaluations, cell
+
+
+@pytest.mark.parametrize("entry_name, tolerance", [
+    ("full_matrix_2", 1e-6),  # four-rotation holds: every value stays at or below 0
+    ("linf3_e1", 1.0),  # values reach sqrt(2) - 1 but never the tolerance
+])
+def test_cell_below_tolerance_never_races(monkeypatch, entry_name, tolerance):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
+    cfg = witness.SearchConfig(restarts=8, tolerance=tolerance)
+    cells = [(r, (9, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    raced = witness.maximize_violation(obj, space, 2, cfg, cells=cells, gradient=grad)
+    monkeypatch.setattr(witness, "_RACE_STEPS", ())
+    plain = witness.maximize_violation(obj, space, 2, cfg, cells=cells, gradient=grad)
+    for a, b in zip(raced, plain):
+        assert a.best_value <= tolerance
+        assert a.stopped == 0
+        assert same_result(a, b)
+
+
+@pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
+def test_evaluations_count_every_row_of_raced_restarts(monkeypatch, mode):
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
+    cfg = witness.SearchConfig(restarts=8, ascent_steps=40)
+    cell = [(1.0, (5, 2, 0))]
+    log = []
+    f, g = counted(obj, grad, log)
+    res, = witness.maximize_violation(f, space, 2, cfg, cells=cell, mode=mode, gradient=g)
+    assert res.stopped > 0
+    assert res.evaluations == sum(rows for _, rows in log)
+    # the race saves evaluations; here it keeps the winning restart
+    monkeypatch.setattr(witness, "_RACE_STEPS", ())
+    plain, = witness.maximize_violation(obj, space, 2, cfg, cells=cell, mode=mode, gradient=grad)
+    assert plain.stopped == 0
+    assert res.evaluations < plain.evaluations
+    assert res.best_value == plain.best_value
 
 
 @pytest.mark.parametrize("name", ["tolerance", "radius", "step_size", "t_max"])
