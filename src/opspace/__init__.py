@@ -46,7 +46,6 @@ from .spaces import (
     make_space,
     membership_residual,
     norm,
-    project_to_ball,
     realize,
     space_to_json,
 )

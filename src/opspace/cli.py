@@ -1,7 +1,15 @@
 """Command-line front end: load spaces, run criteria, verify the norm identities, run the corpus.
 
+``check`` (and ``search``, which is ``check`` with 256 restarts by default)
+runs a named criterion through ``corpus.run_check``, the dispatcher the corpus
+uses too.  Each subcommand takes only the flags it reads: every one takes
+``--seed``, ``--format`` and ``--out``; ``check``, ``search`` and ``corpus``
+add the search budget; ``--rank-tol`` is on ``check`` and ``search``,
+``--threads`` on ``corpus``.
+
 Exit codes: 0 = HOLDS_WITHIN_BUDGET (or all suites/entries pass), 1 = VIOLATED
-(or a suite/entry mismatch), 2 = INCONCLUSIVE or UNSUPPORTED_LEVEL, 3 = input error.
+(or a suite/entry mismatch), 2 = INCONCLUSIVE or UNSUPPORTED_LEVEL, 3 = input
+error, usage errors included.
 """
 
 from __future__ import annotations
@@ -31,26 +39,26 @@ _VERDICT_EXIT = {
 }
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_output_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed (falls back to OPSPACE_SEED, then the built-in default)")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+
+def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--tolerance", type=float, default=None, help="decision tolerance (default 1e-6)")
     p.add_argument("--levels", type=int, default=None, dest="max_level", metavar="LEVELS",
                    help="largest amplification level searched")
     p.add_argument("--radius", type=float, default=None, help="search ball radius")
     p.add_argument("--restarts", type=int, default=None, help="restart budget per criterion")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (falls back to OPSPACE_SEED, then the built-in default)")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    p.add_argument("--rank-tol", type=float, default=spaces.RANK_TOL,
-                   help="relative rank tolerance for basis independence (default 1e-10)")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
 def _build_config(args) -> witness.SearchConfig:
-    if not 0.0 < args.rank_tol < 1.0:
+    if hasattr(args, "rank_tol") and not 0.0 < args.rank_tol < 1.0:
         raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
-    names = ("tolerance", "max_level", "radius", "restarts", "threads")  # the config flags' SearchConfig fields
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    names = ("tolerance", "max_level", "radius", "restarts", "threads")  # the SearchConfig fields flags set
+    given = {name: v for name in names if (v := getattr(args, name, None)) is not None}
     if args.seed is not None:
         given["seed"] = args.seed
     elif os.environ.get("OPSPACE_SEED"):
@@ -139,7 +147,7 @@ def _load_space(path: str, args) -> spaces.SpaceRep:
         raise InvalidInputError(f"cannot load space file {path!r}: {exc}") from exc
     except OpspaceError as exc:
         raise InvalidInputError(f"invalid space file {path!r}: {exc}") from exc
-    idx = getattr(args, "unit_index", None)
+    idx = args.unit_index
     if idx is not None:
         if not 0 <= idx < space.dim:
             raise InvalidInputError(f"--unit-index {idx} out of range (basis has {space.dim} elements)")
@@ -151,53 +159,18 @@ def _load_space(path: str, args) -> spaces.SpaceRep:
     return space
 
 
-def _run_criterion(space, criterion_id: str, cfg, args) -> criteria.CheckReport:
-    if criterion_id in ("multiplier-left", "multiplier-right", "multiplier-quasi"):
-        side = criterion_id.split("-", 1)[1]
-        widx = getattr(args, "w_index", None)
-        if widx is None:
-            raise InvalidInputError("multiplier checks need --w-index (basis element acting as w)")
-        if not 0 <= widx < space.dim:
-            raise InvalidInputError(f"--w-index {widx} out of range")
-        return criteria.check_multiplier(space, space.basis[widx], side, cfg)
-    if criterion_id == "positive":
-        if space.unit is None:
-            raise InvalidInputError(
-                "the positivity check tests the space's distinguished element; none is set"
-            )
-        return criteria.check_positive(space, spaces.unit_element(space), cfg)
-    runner = criteria.CRITERION_RUNNERS[criterion_id]
-    return runner(space, cfg=cfg)
-
-
-def _known_criteria() -> list:
-    return sorted(list(criteria.CRITERION_RUNNERS) +
-                  ["positive", "multiplier-left", "multiplier-right", "multiplier-quasi"])
-
-
 def cmd_check(args) -> int:
-    if args.criterion not in _known_criteria():
-        print(f"error: unknown criterion {args.criterion!r}; known: {', '.join(_known_criteria())}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         cfg = _build_config(args)
         if not os.path.exists(args.space_file):
             raise InvalidInputError(f"input file does not exist: {args.space_file}")
         space = _load_space(args.space_file, args)
-        report = _run_criterion(space, args.criterion, cfg, args)
+        report = corpus.run_check(space, args.criterion, cfg, args.w_index)
     except OpspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     _emit(_envelope(report.to_dict()), _report_text(report), args)
     return _VERDICT_EXIT[report.verdict]
-
-
-def cmd_search(args) -> int:
-    # identical decision path, wider default budget, and the per-restart trace kept
-    if args.restarts is None:
-        args.restarts = 256
-    return cmd_check(args)
 
 
 def cmd_verify_formulas(args) -> int:
@@ -262,34 +235,42 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, func, what in (("check", cmd_check, "run one criterion on a space file"),
-                             ("search", cmd_search, "like check, with an enlarged budget and search trace")):
+    for name, what, restarts in (("check", "run one criterion on a space file", None),
+                                 ("search", "like check, with 256 restarts by default", 256)):
         p_run = sub.add_parser(name, help=what)
         p_run.add_argument("space_file")
-        p_run.add_argument("criterion", help="one of: " + ", ".join(_known_criteria()))
+        p_run.add_argument("criterion", help="one of: " + ", ".join(corpus.CRITERIA))
         p_run.add_argument("--unit-index", type=int, default=None,
                            help="use basis element #i as the distinguished element")
         p_run.add_argument("--w-index", type=int, default=None,
                            help="basis element acting as the candidate multiplier w")
-        _add_config_flags(p_run)
-        p_run.set_defaults(func=func)
+        _add_budget_flags(p_run)
+        p_run.add_argument("--rank-tol", type=float, default=spaces.RANK_TOL,
+                           help="relative rank tolerance for basis independence (default 1e-10)")
+        _add_output_flags(p_run)
+        p_run.set_defaults(func=cmd_check, restarts=restarts)
 
     p_vf = sub.add_parser("verify-formulas", help="run the block-matrix norm identity suites")
     p_vf.add_argument("--trials", type=int, default=200)
-    _add_config_flags(p_vf)
+    _add_output_flags(p_vf)
     p_vf.set_defaults(func=cmd_verify_formulas)
 
     p_corpus = sub.add_parser("corpus", help="run every reference space against expected verdicts")
     p_corpus.add_argument("--only", default=None, help="run a single named entry")
     p_corpus.add_argument("--emit-spaces", default=None,
                           help="also write each entry's space-definition JSON into this directory")
-    _add_config_flags(p_corpus)
+    _add_budget_flags(p_corpus)
+    p_corpus.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    _add_output_flags(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
+        return EXIT_INPUT_ERROR if exc.code else 0
     return args.func(args)
 
 

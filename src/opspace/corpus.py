@@ -2,8 +2,10 @@
 
 Each builder returns a CorpusEntry: a concrete space, the criteria worth
 running on it, and the verdicts those criteria must reproduce under the
-default search budget with the pinned seed.  Builders also serialize their
-space definitions so every entry can be re-run from a file through the CLI.
+default search budget with the pinned seed.  ``write_space_files`` serializes
+their space definitions, and ``run_check`` is the one place a criterion name
+maps to a check, so ``opspace check`` on an emitted file runs what the corpus
+runs and every entry can be re-run from a file through the CLI.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, spaces, witness
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "CorpusEntry",
@@ -33,7 +35,9 @@ __all__ = [
     "build_non_algebra_span",
     "build_left_identity_pair",
     "build_corpus",
+    "CRITERIA",
     "multiplication_tensor",
+    "run_check",
     "run_entry",
     "run_corpus",
     "select_entries",
@@ -355,6 +359,8 @@ def build_corpus() -> list:
 
 def multiplication_tensor(space: spaces.SpaceRep, tol: float = 1e-9) -> np.ndarray:
     """Structure tensor of the ambient product restricted to a multiplication-closed space."""
+    if space.p != space.q:
+        raise ShapeError("multiplication closure needs a square ambient")
     k = space.dim
     t = np.zeros((k, k, k), dtype=np.complex128)
     for i in range(k):
@@ -372,19 +378,41 @@ def entry_config(entry: CorpusEntry, cfg: witness.SearchConfig) -> witness.Searc
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+_MULTIPLIERS = ("multiplier-left", "multiplier-right", "multiplier-quasi")
+CRITERIA = tuple(sorted((*criteria.CRITERION_RUNNERS, "algebra-product", "positive", *_MULTIPLIERS)))
+
+
+def run_check(space: spaces.SpaceRep, criterion: str, cfg: witness.SearchConfig,
+              w_index: int | None = None) -> criteria.CheckReport:
+    """Run the criterion named ``criterion`` (one of ``CRITERIA``) on ``space``.
+
+    ``algebra-product`` tests the ambient product and ``positive`` the space's
+    distinguished element; the multiplier checks take basis element
+    ``w_index`` as the candidate multiplier w.
+    """
+    if criterion in criteria.CRITERION_RUNNERS:
+        return criteria.CRITERION_RUNNERS[criterion](space, cfg=cfg)
+    if criterion == "algebra-product":
+        return criteria.check_algebra_product(space, space.unit, multiplication_tensor(space), cfg)
+    if criterion == "positive":
+        if space.unit is None:
+            raise InvalidInputError(
+                "the positivity check tests the space's distinguished element; none is set"
+            )
+        return criteria.check_positive(space, spaces.unit_element(space), cfg)
+    if criterion in _MULTIPLIERS:
+        if w_index is None:
+            raise InvalidInputError("multiplier checks need --w-index (basis element acting as w)")
+        if not 0 <= w_index < space.dim:
+            raise InvalidInputError(f"--w-index {w_index} out of range")
+        return criteria.check_multiplier(space, space.basis[w_index], criterion.split("-", 1)[1], cfg)
+    raise InvalidInputError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERIA)}")
+
+
 def run_entry(entry: CorpusEntry, cfg: witness.SearchConfig) -> list:
     """Run every expected criterion of one entry; returns (criterion, report) pairs."""
     local = entry_config(entry, cfg)
-    out = []
-    for crit in entry.expected:
-        if crit == "algebra-product":
-            tensor = multiplication_tensor(entry.space)
-            report = criteria.check_algebra_product(entry.space, entry.space.unit, tensor, local)
-        else:
-            runner = criteria.CRITERION_RUNNERS[crit]
-            report = runner(entry.space, cfg=local)
-        out.append((crit, report))
-    return out
+    return [(crit, run_check(entry.space, crit, local)) for crit in entry.expected]
 
 
 def select_entries(only: str | None = None) -> list:

@@ -59,7 +59,6 @@ __all__ = [
     "coefficients_of",
     "apply_involution",
     "involution_stack",
-    "project_to_ball",
     "unit_element",
     "unit_matrix",
     "random_stack",
@@ -486,16 +485,6 @@ def involution_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
 def apply_involution(space: SpaceRep, x: LevelElement) -> LevelElement:
     """The element x* = [x*_{ji}]: grid transposed, coefficients c -> S conj(c)."""
     return LevelElement(x.level, involution_stack(space, x.coeffs))
-
-
-def project_to_ball(space: SpaceRep, x: LevelElement, radius: float) -> LevelElement:
-    """Rescale into the closed ball of the given radius (no-op inside it)."""
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
-    nx = norm(space, x)
-    if nx <= radius:
-        return x
-    return LevelElement(x.level, x.coeffs * (radius / nx))
 
 
 def unit_element(space: SpaceRep) -> LevelElement:

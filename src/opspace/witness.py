@@ -136,7 +136,7 @@ def _project(space, coeffs, radius, mode):
         scale = np.where(norms > 0, radius / np.where(norms > 0, norms, 1.0), 1.0)
     else:
         scale = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    return coeffs * scale[..., None, None, None], norms
+    return coeffs * scale[..., None, None, None]
 
 
 def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
@@ -281,7 +281,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
             radial = points[idx, None] * rad[:, :, None, None, None]
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
-        trials, _ = _project(space, trials, radius[idx, None], mode)
+        trials = _project(space, trials, radius[idx, None], mode)
         ftrial = np.asarray(objective(trials))
         evaluations[idx] += ftrial.shape[1]
         ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
@@ -389,7 +389,7 @@ def refine_witness(
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
     radius = cfg.radius if radius is None else float(radius)
-    pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
+    pts = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
     pts, values, evaluations, _ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,

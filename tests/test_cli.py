@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opspace import cli, corpus, spaces
+from opspace import cli, corpus, spaces, witness
 
 from conftest import oracle_space_with_involution
 
@@ -53,6 +53,52 @@ def test_check_unknown_criterion(space_dir, capsys):
     rc = run_cli(["check", space_dir / "full_matrix_2.json", "no-such-criterion"])
     assert rc == 3
     assert "unknown criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "{space}", "mult-closed", "--levels", "abc"], "argument --levels: invalid int value: 'abc'"),
+    (["corpus", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify-formulas", "--tolerance", "1e-3"], "unrecognized arguments: --tolerance 1e-3"),
+], ids=["malformed-value", "unknown-flag", "removed-flag"])
+def test_usage_error_exits_3(space_dir, capsys, argv, message):
+    # exit 2 means INCONCLUSIVE, so a mistyped command line must not read as an undecided check
+    assert run_cli([a.format(space=space_dir / "full_matrix_2.json") for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_every_pinned_row_reruns_from_its_file(space_dir, tmp_path):
+    # `opspace check` on an emitted file gives the corpus's own payload, algebra-product included
+    cfg = witness.SearchConfig(restarts=8)
+    out = tmp_path / "r.json"
+    for entry in corpus.build_corpus():
+        flags = []
+        if entry.tolerance is not None:
+            flags += ["--tolerance", repr(entry.tolerance)]
+        if entry.max_level is not None:
+            flags += ["--levels", entry.max_level]
+        for crit, report in corpus.run_entry(entry, cfg):
+            rc = run_cli(["check", space_dir / f"{entry.name}.json", crit, "--restarts", 8,
+                          "--format", "json", "--out", out, *flags])
+            assert rc == cli._VERDICT_EXIT[report.verdict], (entry.name, crit)
+            payload = load_report(out)
+            for key in ("generated_at", "tool_version"):
+                del payload[key]
+            assert json.dumps(payload, sort_keys=True) == json.dumps(report.to_dict(), sort_keys=True), \
+                (entry.name, crit)
+
+
+@pytest.mark.parametrize("criterion", ["mult-closed", "algebra-product"])
+def test_product_checks_refuse_a_rectangular_ambient(space_dir, capsys, criterion):
+    assert run_cli(["check", space_dir / "column_H2.json", criterion]) == 3
+    assert "multiplication closure needs a square ambient" in capsys.readouterr().err
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -281,8 +327,8 @@ def test_rank_tol_must_be_positive(tmp_path, capsys, rank_tol):
 
 
 @pytest.mark.parametrize("threads", [0, -1])
-def test_threads_must_be_positive(space_dir, capsys, threads):
-    rc = run_cli(["check", space_dir / "full_matrix_2.json", "mult-closed", "--threads", threads])
+def test_threads_must_be_positive(capsys, threads):
+    rc = run_cli(["corpus", "--only", "non_algebra_span", "--threads", threads])
     assert rc == 3
     assert "threads must be positive" in capsys.readouterr().err
 
@@ -332,7 +378,11 @@ def test_non_integer_env_seed_exits_3(space_dir, capsys, monkeypatch, argv):
     assert "invalid space file" not in err
 
 
-@EVERY_SUBCOMMAND
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--only", "non_algebra_span"],
+    ["check", "{space}", "mult-closed"],
+    ["search", "{space}", "mult-closed"],
+], ids=["corpus", "check", "search"])
 @pytest.mark.parametrize("flag, value", [("--tolerance", "nan"), ("--radius", "nan"),
                                          ("--radius", "inf")])
 def test_non_finite_config_value_exits_3(space_dir, capsys, argv, flag, value):

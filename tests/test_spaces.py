@@ -165,18 +165,6 @@ def test_involution_realizes_adjoint_at_level2():
     assert np.allclose(spaces.realize(space, xs), matcore.dagger(spaces.realize(space, x)), atol=1e-12)
 
 
-def test_project_to_ball():
-    space = corpus.build_full_matrix(2).space
-    x = random_element(space, 1, matcore.stream(42, 0), target_norm=2.0)
-    y = spaces.project_to_ball(space, x, 1.0)
-    assert spaces.norm(space, y) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(y.coeffs, 0.5 * x.coeffs)
-    small = random_element(space, 1, matcore.stream(42, 1), target_norm=0.5)
-    assert spaces.project_to_ball(space, small, 1.0) is small
-    z = spaces.zero_element(space)
-    assert np.allclose(spaces.project_to_ball(space, z, 1.0).coeffs, 0)
-
-
 def test_amplification_monotonicity_zero_padding():
     for entry_name in ("full_matrix_2", "linf3_ones", "column_H2"):
         entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
