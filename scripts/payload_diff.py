@@ -13,9 +13,11 @@ default SearchConfig (each entry's own tolerance and max_level, as
 
 ``diff`` prints one line per payload that moved: its key, verdict, the margin
 before and after with the relative change of its size (for a violation, the
-size is the violation found), and the top-level fields that moved.  A last
-line counts the byte-identical payloads, the moved ones by verdict, and the
-changed verdicts.
+size is the violation found), and the top-level fields that moved; a moved
+dict field such as ``config`` also names the keys inside it that moved, were
+added or were removed.  A last line counts the byte-identical payloads, the
+moved ones by verdict, and the changed verdicts.  ``diff`` exits 1 when any
+payload moved or is in one dump only, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,21 +56,35 @@ def _size_change(old: float, new: float) -> str:
     return f"|margin| {(abs(new) - abs(old)) / abs(old):+.3g}"
 
 
-def diff(old_path: Path, new_path: Path):
+def _moved_field(name: str, a, b) -> str:
+    """The field's name, and for two dicts the keys inside it that moved, were added or were removed."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return name
+    changes = {"moved": sorted(k for k in a.keys() & b.keys() if _canonical(a[k]) != _canonical(b[k])),
+               "added": sorted(b.keys() - a.keys()), "removed": sorted(a.keys() - b.keys())}
+    inside = "; ".join(what + " " + ", ".join(keys) for what, keys in changes.items() if keys)
+    return f"{name} ({inside})"
+
+
+def diff(old_path: Path, new_path: Path) -> int:
+    """Print what moved between two dumps; returns the number of payloads that moved or are in one only."""
     old = json.loads(old_path.read_text(encoding="utf-8"))
     new = json.loads(new_path.read_text(encoding="utf-8"))
     same = 0
     moved = {}
     verdicts = 0
+    one_sided = 0
     for key in sorted(old.keys() | new.keys()):
         if key not in new or key not in old:
             print(f"{key}: only in {old_path if key in old else new_path}")
+            one_sided += 1
             continue
         a, b = old[key], new[key]
         if _canonical(a) == _canonical(b):
             same += 1
             continue
-        fields = sorted(f for f in a.keys() | b.keys() if _canonical(a.get(f)) != _canonical(b.get(f)))
+        fields = [_moved_field(f, a.get(f), b.get(f)) for f in sorted(a.keys() | b.keys())
+                  if _canonical(a.get(f)) != _canonical(b.get(f))]
         verdict = a["verdict"] if a["verdict"] == b["verdict"] else f"{a['verdict']} -> {b['verdict']}"
         verdicts += a["verdict"] != b["verdict"]
         moved[a["verdict"]] = moved.get(a["verdict"], 0) + 1
@@ -77,6 +93,7 @@ def diff(old_path: Path, new_path: Path):
     by_verdict = ", ".join(f"{n} {v}" for v, n in sorted(moved.items())) or "none"
     print(f"{same} of {len(old.keys() & new.keys())} payloads byte-identical; moved: {by_verdict}; "
           f"{verdicts} verdicts changed")
+    return sum(moved.values()) + one_sided
 
 
 def main(argv=None):
@@ -93,9 +110,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.command == "dump":
         dump(args.out, args.seeds, args.src)
-    else:
-        diff(args.old, args.new)
+        return 0
+    return 1 if diff(args.old, args.new) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,7 +5,8 @@ runs a named criterion through ``corpus.run_check``, the dispatcher the corpus
 uses too.  Each subcommand takes only the flags it reads: every one takes
 ``--seed``, ``--format`` and ``--out``; ``check``, ``search`` and ``corpus``
 add the search budget; ``--rank-tol`` is on ``check`` and ``search``,
-``--threads`` on ``corpus``.
+``--threads`` on ``corpus``.  A budget flag's dest is the ``witness.SearchConfig``
+field it sets; the budgets no flag sets are constants (README "Reports").
 
 Exit codes: 0 = HOLDS_WITHIN_BUDGET (or all suites/entries pass), 1 = VIOLATED
 (or a suite/entry mismatch), 2 = INCONCLUSIVE or UNSUPPORTED_LEVEL, 3 = input
@@ -15,6 +16,7 @@ error, usage errors included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -57,11 +59,9 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 def _build_config(args) -> witness.SearchConfig:
     if hasattr(args, "rank_tol") and not 0.0 < args.rank_tol < 1.0:
         raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
-    names = ("tolerance", "max_level", "radius", "restarts", "threads")  # the SearchConfig fields flags set
-    given = {name: v for name in names if (v := getattr(args, name, None)) is not None}
-    if args.seed is not None:
-        given["seed"] = args.seed
-    elif os.environ.get("OPSPACE_SEED"):
+    given = {f.name: v for f in dataclasses.fields(witness.SearchConfig)
+             if (v := getattr(args, f.name, None)) is not None}
+    if "seed" not in given and os.environ.get("OPSPACE_SEED"):
         try:
             given["seed"] = int(os.environ["OPSPACE_SEED"])
         except ValueError:

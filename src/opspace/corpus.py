@@ -357,7 +357,10 @@ def build_corpus() -> list:
     ]
 
 
-def multiplication_tensor(space: spaces.SpaceRep, tol: float = 1e-9) -> np.ndarray:
+PRODUCT_TOL = 1e-9  # the largest membership residual of a basis product multiplication_tensor accepts
+
+
+def multiplication_tensor(space: spaces.SpaceRep) -> np.ndarray:
     """Structure tensor of the ambient product restricted to a multiplication-closed space."""
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
@@ -366,7 +369,7 @@ def multiplication_tensor(space: spaces.SpaceRep, tol: float = 1e-9) -> np.ndarr
     for i in range(k):
         for j in range(k):
             prod = space.basis[i] @ space.basis[j]
-            if spaces.membership_residual(space, prod) > tol:
+            if spaces.membership_residual(space, prod) > PRODUCT_TOL:
                 raise InvalidInputError("space is not closed under multiplication")
             t[i, j] = spaces.coefficients_of(space, prod)
     return t

@@ -88,10 +88,19 @@ _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
 _KEY_CSTAR = 12
 
+#: Grid points of ``check_positive`` (the circle) and ``check_adjoint`` (a t-grid on [-T_MAX, T_MAX]).
+CIRCLE_SAMPLES = 720
+T_MAX = 4.0
+#: Metric pairs of ``mult-closed`` and of a multiplier, and the drawn fillers b per pair.
 MULT_METRIC_PAIRS = 16
 MULTIPLIER_METRIC_PAIRS = 8
-#: Sampled contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests.
+B_SAMPLES = 64
+#: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
+ALGEBRA_MULTIPLIER_PAIRS = 16
+#: Pairs (x, y) of ``check_cstar_among_systems``, and the norm-one w per pair, sign and level.
+CSTAR_PAIRS = 20
+CSTAR_CONTRACTIONS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +606,8 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
         zs = 1.0 + np.exp(1j * np.asarray(thetas))
         return matcore.op_norm_stack(eye - zs[..., None, None] * m)
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, cfg.circle_samples, endpoint=False)
-    t0, f0, samples = _grid_peak(circle, thetas, 2.0 * math.pi / cfg.circle_samples, -math.inf, math.inf)
+    thetas = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
+    t0, f0, samples = _grid_peak(circle, thetas, 2.0 * math.pi / CIRCLE_SAMPLES, -math.inf, math.inf)
     violation = f0 - 1.0
     verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
@@ -624,10 +633,10 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
         diag = ts[..., None, None] * eye
         return matcore.op_norm_stack(gadgets.two_by_two_stack(diag, x, -z, diag)) - np.sqrt(1.0 + ts**2)
 
-    ts = np.linspace(-cfg.t_max, cfg.t_max, cfg.circle_samples)
+    ts = np.linspace(-T_MAX, T_MAX, CIRCLE_SAMPLES)
     # the grid's own spacing, not ts[1] - ts[0], which can differ in the last bit
-    width = 2.0 * cfg.t_max / (cfg.circle_samples - 1)
-    t0, f0, samples = _grid_peak(deviation, ts, width, -cfg.t_max, cfg.t_max)
+    width = 2.0 * T_MAX / (CIRCLE_SAMPLES - 1)
+    t0, f0, samples = _grid_peak(deviation, ts, width, -T_MAX, T_MAX)
     verdict = VIOLATED if f0 > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # as in check_positive, only a violation names its arg-max t
     aux = {"t": t0} if verdict == VIOLATED else {}
@@ -709,19 +718,19 @@ def _metric_closure_deviation(space, x_mat, y_mat, fillers):
 def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
     """The sampled pairs of the metric row identity, chunk by chunk.
 
-    Pair t draws ``count`` level-1 elements, then ``cfg.b_samples`` fillers,
+    Pair t draws ``count`` level-1 elements, then ``B_SAMPLES`` fillers,
     from the stream (seed, *stream_key, t).  Yields (pairs, coeffs, mats,
     fillers) per chunk: the slice of pair indices, the draws scaled to norm 1
     (P, count, 1, 1, k), their matrices (P, count, p, q) and the unit-norm
-    fillers (P, b_samples, p, p).
+    fillers (P, B_SAMPLES, p, p).
     """
     d = space.p
-    for pairs in _chunks(n_pairs, (cfg.b_samples + 1) * 8 * d * d * 16):  # the 2x4 rows of one pair
+    for pairs in _chunks(n_pairs, (B_SAMPLES + 1) * 8 * d * d * 16):  # the 2x4 rows of one pair
         draws, normals = [], []
         for t in range(pairs.start, pairs.stop):
             rng = matcore.stream(cfg.seed, *stream_key, t)
             draws.append(spaces.random_stack(space, 1, rng, count))
-            normals.append(rng.normal(size=(cfg.b_samples, 2, d, d)))
+            normals.append(rng.normal(size=(B_SAMPLES, 2, d, d)))
         mats, coeffs = _sample_space_matrix(space, np.stack(draws))
         yield pairs, coeffs, mats, _unit_fillers(np.stack(normals))
 
@@ -760,7 +769,7 @@ def _closure_routes(criterion: str, space, cfg, products, metric=None, **entries
                     criterion, alg_max, met_max)
         notes.append("metric/algebraic route disagreement: possible bug")
     aux.update(metric_max=float(met_max), paths_agree=bool(agree))
-    samples = residuals.size + n_pairs * (cfg.b_samples + 1)
+    samples = residuals.size + n_pairs * (B_SAMPLES + 1)
     return aux, notes, samples, alg_index, (xs[best], ys[best])
 
 
@@ -873,12 +882,12 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     """
     cfg = cfg or witness.SearchConfig()
     cfg.guard_ambient(space)
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
     T = np.asarray(T, dtype=np.complex128)
     k = space.dim
     if T.shape != (k, k):
         raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
+    if space.norm_mode == spaces.LEVEL1_ORACLE:
+        return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
     worst, worst_witness, samples = _worst_pair(space, T, cfg, max(8, cfg.restarts), _KEY_LEFT_MULT_MAP)
     verdict, found = HOLDS_WITHIN_BUDGET, None
     if worst > cfg.tolerance:
@@ -918,7 +927,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
         _, x_coeffs = _sample_space_matrix(space, spaces.random_stack(space, 1, rng, 1))
         Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
-        worst, _, tried = _worst_pair(space, Tx, cfg, 16, _KEY_ALGEBRA_PRODUCT * 100 + s)
+        worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
         samples += tried
         mult_worst = max(mult_worst, worst)
     margins.append(-mult_worst)
@@ -945,8 +954,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
                        list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
 
 
-def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None,
-                              n_pairs: int = 20, n_contractions: int = 16) -> CheckReport:
+def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the ambient product make the operator system a C*-algebra?
 
     For sampled (x, y) it builds the normalized 2x6 rows with z = -x y* and the
@@ -954,38 +962,38 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     norm-one w in M_2m(X).
     """
     cfg = cfg or witness.SearchConfig()
-    if space.norm_mode != spaces.EMBEDDED:
-        return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
     if space.involution is None or space.unit is None:
         raise InvalidInputError("cstar check requires an involution and a distinguished element")
     if space.p != space.q:
         raise ShapeError("cstar check needs a square ambient")
+    if space.norm_mode != spaces.EMBEDDED:
+        return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
     cfg.guard_ambient(space)
 
     levels = list(range(1, cfg.max_level + 1))
     d, k = space.p, space.dim
     # the largest (sign, level, contraction) deviation of each pair, and its z, b residuals
-    group_devs = np.full((n_pairs, 2, len(levels)), -np.inf)
-    residuals = np.empty((n_pairs, 2))
+    group_devs = np.full((CSTAR_PAIRS, 2, len(levels)), -np.inf)
+    residuals = np.empty((CSTAR_PAIRS, 2))
     top = 2 * cfg.max_level * d
     row_bytes = top * 4 * top * 16  # one contraction's rows at the top level, for one sign
-    pair_bytes = n_contractions * row_bytes
+    pair_bytes = CSTAR_CONTRACTIONS * row_bytes
     # a pair larger than a chunk goes through in chunks of its contractions
-    parts = _chunks(n_contractions, row_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
-    for pairs in _chunks(n_pairs, pair_bytes):
+    parts = _chunks(CSTAR_CONTRACTIONS, row_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
+    for pairs in _chunks(CSTAR_PAIRS, pair_bytes):
         xy, draws = [], {m: [] for m in levels}
         for tpair in range(pairs.start, pairs.stop):
             rng = matcore.stream(cfg.seed, _KEY_CSTAR, tpair)
             xy.append(spaces.random_stack(space, 1, rng, 2))
             for _sign in range(2):
                 for m in levels:
-                    draws[m].append(spaces.random_stack(space, 2 * m, rng, n_contractions))
+                    draws[m].append(spaces.random_stack(space, 2 * m, rng, CSTAR_CONTRACTIONS))
         mats, _ = _sample_space_matrix(space, np.stack(xy))
         x_mat, y_mat = mats[:, 0], mats[:, 1]
         z_mat = -x_mat @ matcore.dagger(y_mat)
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
         residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
-        grids = {m: np.stack(draws[m]).reshape(-1, 2, n_contractions, 2 * m, 2 * m, k) for m in levels}
+        grids = {m: np.stack(draws[m]).reshape(-1, 2, CSTAR_CONTRACTIONS, 2 * m, 2 * m, k) for m in levels}
         Ms = [gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"]
         for part in parts:
             ws = {m: spaces.realize_stack(space, spaces.scale_to_norms(
@@ -997,7 +1005,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
                     rows = np.concatenate([np.broadcast_to(amp, w.shape[:-1] + amp.shape[-1:]), w], axis=-1)
                     devs = np.abs(matcore.op_norm_stack(rows) - SQRT2).max(axis=-1)
                     group_devs[pairs, si, li] = np.maximum(group_devs[pairs, si, li], devs)
-    samples = group_devs.size * n_contractions
+    samples = group_devs.size * CSTAR_CONTRACTIONS
     worst, best = _first_max(group_devs.reshape(-1))
     where = None  # the (pair, sign, amplification) of the largest deviation
     if best is not None:

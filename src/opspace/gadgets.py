@@ -163,15 +163,18 @@ def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
     return m / nm[..., None, None]
 
 
-def psd_sqrt(h, tol: float = 1e-10) -> np.ndarray:
-    """Positive square roots of Hermitian PSD matrices (..., d, d); rejects eigenvalues below -tol.
+PSD_TOL = 1e-10
+
+
+def psd_sqrt(h) -> np.ndarray:
+    """Positive square roots of Hermitian PSD matrices (..., d, d); rejects eigenvalues below -PSD_TOL.
 
     The tolerance is relative to the largest eigenvalue's modulus (at least 1)
     of each matrix, and the error names the first matrix of the stack below it.
     """
     h = matcore.as_cstack(h)
     w, v = np.linalg.eigh((h + matcore.dagger(h)) / 2.0)
-    low = w.min(axis=-1) < -tol * np.maximum(1.0, np.abs(w.max(axis=-1)))
+    low = w.min(axis=-1) < -PSD_TOL * np.maximum(1.0, np.abs(w.max(axis=-1)))
     if low.any():
         first = w[tuple(np.argwhere(low)[0])] if low.ndim else w
         raise NumericalError(f"operand{_first_at(low)} is not positive semidefinite "

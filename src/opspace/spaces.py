@@ -501,25 +501,15 @@ def zero_element(space: SpaceRep, level: int = 1) -> LevelElement:
     return LevelElement(level, np.zeros((level, level, space.dim), dtype=np.complex128))
 
 
-def random_stack(
-    space: SpaceRep,
-    level: int,
-    rng: np.random.Generator,
-    count: int,
-    target_norm: float | None = None,
-) -> np.ndarray:
-    """``count`` random coefficient grids (count, level, level, k), optionally rescaled to a given norm.
+def random_stack(space: SpaceRep, level: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random coefficient grids (count, level, level, k); ``scale_to_norms`` rescales them.
 
     The grids are drawn one after another from ``rng``: each draws the real
     parts of its Gaussian coefficients, then their imaginary parts, so one
-    call with count n draws what n calls with count 1 draw.  A grid of norm 0
-    is left as drawn.
+    call with count n draws what n calls with count 1 draw.
     """
     z = rng.normal(size=(count, 2, level, level, space.dim))
-    coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    if target_norm is not None:
-        coeffs = scale_to_norms(space, coeffs, target_norm)
-    return coeffs
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
 def scale_to_norms(space: SpaceRep, coeffs: np.ndarray, target_norms) -> np.ndarray:

@@ -65,10 +65,13 @@ _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 _RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation halves its restarts
 
+ASCENT_STEPS = 200  # steps per restart; refine_witness takes four times as many
+STEP_SIZE = 0.05  # a restart's first step over its radius; refine_witness starts at a tenth of it
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and tolerances shared by every criterion run.
+    """The budget and tolerance a caller sets; the budgets none sets are module constants.
 
     Frozen, and validated when built, so every config a check receives is
     valid; ``dataclasses.replace`` builds (and validates) a changed copy.
@@ -78,34 +81,23 @@ class SearchConfig:
     max_level: int = 2
     radius: float = 0.5
     restarts: int = 64
-    ascent_steps: int = 200
-    step_size: float = 0.05
-    circle_samples: int = 720
-    t_max: float = 4.0
-    b_samples: int = 64
     seed: int = DEFAULT_SEED
     threads: int = 1
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        for name in ("tolerance", "radius", "step_size", "t_max"):
+        for name in ("tolerance", "radius"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise InvalidInputError(f"SearchConfig.{name} must be a finite number, got {value!r}")
-        for name in ("max_level", "restarts", "ascent_steps", "circle_samples", "b_samples", "threads",
-                     "seed"):
+        for name in ("max_level", "restarts", "threads", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidInputError(f"SearchConfig.{name} must be an integer, got {value!r}")
-        for name in ("tolerance", "max_level", "radius", "ascent_steps", "step_size",
-                     "circle_samples", "t_max", "b_samples", "threads"):
+        for name in ("tolerance", "max_level", "radius", "threads"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"SearchConfig.{name} must be positive")
         if self.restarts < 0:
             raise InvalidInputError("SearchConfig.restarts must be nonnegative")
-        return self
 
     def guard_ambient(self, space: spaces.SpaceRep):
         if self.max_level * max(space.p, space.q) > 512:
@@ -352,11 +344,11 @@ def maximize_violation(
     points = np.concatenate([_draw_starts(space, level, cfg, r, mode, n_restarts, key)
                              for r, key in cells])
     radius = np.repeat([r for r, _ in cells], n_restarts)
-    step0 = np.repeat([cfg.step_size * r for r, _ in cells], n_restarts)
+    step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
     points, values, evaluations, raced = _ascent(
         objective, gradient, space, points, values, radius, mode,
-        max_steps=cfg.ascent_steps, step0=step0, race_cells=len(cells), tolerance=cfg.tolerance,
+        max_steps=ASCENT_STEPS, step0=step0, race_cells=len(cells), tolerance=cfg.tolerance,
     )
     results = []
     for c in range(len(cells)):
@@ -393,7 +385,7 @@ def refine_witness(
     values = np.asarray(objective(pts), dtype=float)
     pts, values, evaluations, _ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,
-        max_steps=4 * cfg.ascent_steps, step0=np.array([cfg.step_size * radius / 10.0]),
+        max_steps=4 * ASCENT_STEPS, step0=np.array([STEP_SIZE * radius / 10.0]),
     )
     return SearchResult(
         best_value=float(values[0]),

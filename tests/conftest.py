@@ -51,8 +51,11 @@ def haar_unitary(d, seed):
 
 
 def random_element(space, level, rng, target_norm=None):
-    """One random element of level ``level``: the first grid of ``spaces.random_stack``."""
-    return spaces.LevelElement(level, spaces.random_stack(space, level, rng, 1, target_norm)[0])
+    """One random element of level ``level``: the first grid of ``spaces.random_stack``, scaled to ``target_norm``."""
+    coeffs = spaces.random_stack(space, level, rng, 1)
+    if target_norm is not None:
+        coeffs = spaces.scale_to_norms(space, coeffs, target_norm)
+    return spaces.LevelElement(level, coeffs[0])
 
 
 def gadget_operands(space, x):

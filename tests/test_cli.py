@@ -68,6 +68,16 @@ def test_usage_error_exits_3(space_dir, capsys, argv, message):
     assert captured.out == ""
 
 
+def test_config_echo_has_the_six_settable_fields(space_dir, tmp_path):
+    six = ["max_level", "radius", "restarts", "seed", "threads", "tolerance"]
+    assert sorted(witness.SearchConfig().to_dict()) == six
+    check, corpus_out = tmp_path / "check.json", tmp_path / "corpus.json"
+    assert run_cli(["check", space_dir / "full_matrix_2.json", "coisometry", "--format", "json", "--out", check]) == 0
+    assert run_cli(["corpus", "--only", "non_algebra_span", "--format", "json", "--out", corpus_out]) == 0
+    assert sorted(load_report(check)["config"]) == six
+    assert sorted(load_report(corpus_out)["config"]) == six
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["--version"]])
 def test_help_and_version_exit_0(capsys, argv):
     assert run_cli(argv) == 0

@@ -347,6 +347,13 @@ def test_route_disagreement_is_logged_and_noted_by_both_closure_checks(monkeypat
     assert list(left.witness["aux"]) == ["algebraic_max", "side", "metric_max", "paths_agree"]
 
 
+def test_left_multiplier_map_checks_T_before_the_level1_oracle_refusal():
+    space = corpus.build_trace_class_2().space
+    with pytest.raises(ShapeError, match="T must be a 4x4 coefficient matrix"):
+        criteria.check_left_multiplier_map(space, np.eye(3))
+    assert criteria.check_left_multiplier_map(space, np.eye(4)).verdict == criteria.UNSUPPORTED_LEVEL
+
+
 def test_left_multiplier_map_examples(m2_entry):
     space = m2_entry.space
     assert criteria.check_left_multiplier_map(space, np.eye(4)).verdict == criteria.HOLDS_WITHIN_BUDGET
@@ -399,19 +406,29 @@ def test_cstar_among_systems(criterion_cache):
     assert -rep.margin <= 1e-6
 
 
-def test_cstar_names_the_worst_sample_only_when_violated():
+def test_cstar_names_the_worst_sample_only_when_violated(monkeypatch):
     # on HOLDS the largest |row norm - sqrt(2)| is rounding noise: its location is not reported
     space = corpus.build_full_matrix(2).space
-    rep = criteria.check_cstar_among_systems(space, n_pairs=4, n_contractions=4)
+    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
+    monkeypatch.setattr(criteria, "CSTAR_CONTRACTIONS", 4)
+    rep = criteria.check_cstar_among_systems(space)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
     assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
     # a tolerance below that noise turns it into a violation, which names where it is
     cfg = witness.SearchConfig(tolerance=1e-300)
-    rep = criteria.check_cstar_among_systems(space, cfg, n_pairs=4, n_contractions=4)
+    rep = criteria.check_cstar_among_systems(space, cfg)
     assert rep.verdict == criteria.VIOLATED
     aux = rep.witness["aux"]
     assert set(aux) == {"pair", "sign", "amplification", "deviation", "construction_residual"}
     assert aux["deviation"] == -rep.margin and aux["sign"] in ("+", "-") and aux["amplification"] in (1, 2)
+
+
+def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():
+    # the trace-norm oracle space has no involution: an input error, as on an embedded space
+    with pytest.raises(InvalidInputError, match="requires an involution"):
+        criteria.check_cstar_among_systems(corpus.build_trace_class_2().space)
+    rep = criteria.check_cstar_among_systems(oracle_space_with_involution())
+    assert (rep.verdict, rep.notes) == (criteria.UNSUPPORTED_LEVEL, ["needs an embedded space"])
 
 
 def test_cstar_zero_pair_is_exact():
@@ -423,7 +440,7 @@ def test_cstar_zero_pair_is_exact():
     assert matcore.op_norm(row) == pytest.approx(SQRT2, abs=1e-12)
 
 
-def test_cstar_inconclusive_when_construction_leaves_space():
+def test_cstar_inconclusive_when_construction_leaves_space(monkeypatch):
     # span{I, E_12 + E_21, diag(1, -1)} is selfadjoint and unital, but the
     # canonical z = -x y* lands outside it, so existence over X is uncertified
     basis = np.zeros((3, 2, 2), dtype=complex)
@@ -431,7 +448,9 @@ def test_cstar_inconclusive_when_construction_leaves_space():
     basis[1] = E12 + E21
     basis[2] = np.diag([1.0, -1.0])
     space = spaces.make_space(basis, unit=np.array([1.0, 0, 0]), involution=np.eye(3))
-    rep = criteria.check_cstar_among_systems(space, n_pairs=4, n_contractions=4)
+    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
+    monkeypatch.setattr(criteria, "CSTAR_CONTRACTIONS", 4)
+    rep = criteria.check_cstar_among_systems(space)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert any("leave the space" in n for n in rep.notes)
 

@@ -18,7 +18,8 @@ from opspace import corpus, spaces, witness
 
 from conftest import haar_unitary
 
-CONFIG = witness.SearchConfig(restarts=8, ascent_steps=30)
+CONFIG = witness.SearchConfig(restarts=8)
+ASCENT_STEPS = 30
 
 ENTRIES = {
     "linf3_ones": lambda: corpus.build_linf(3, "ones"),
@@ -62,8 +63,10 @@ TRANSFORMS = {"conjugated": conjugated, "permuted": permuted, "doubled": doubled
 
 def verdicts(entry):
     """(verdict, proved identity or None) for each searched criterion of the entry."""
-    return {crit: (rep.verdict, (rep.proof or {}).get("identity"))
-            for crit, rep in corpus.run_entry(entry, CONFIG) if crit in SEARCHED}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "ASCENT_STEPS", ASCENT_STEPS)
+        return {crit: (rep.verdict, (rep.proof or {}).get("identity"))
+                for crit, rep in corpus.run_entry(entry, CONFIG) if crit in SEARCHED}
 
 
 @pytest.fixture(scope="module")

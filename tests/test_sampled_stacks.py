@@ -220,10 +220,10 @@ def ref_sample_space_matrix(space, rng):
 
 
 def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
-    """Largest |deviation| of the 2x4 row identity over the canonical filler, then b_samples drawn ones."""
+    """Largest |deviation| of the 2x4 row identity over the canonical filler, then B_SAMPLES drawn ones."""
     c = spaces.coefficients_of(space, x_mat @ matcore.dagger(y_mat))
     z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
-    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, cfg.b_samples, x_mat.shape[0])
+    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, criteria.B_SAMPLES, x_mat.shape[0])
     worst = -np.inf
     for b in bs:
         two_by_four, row = mult_rows(x_mat, y_mat, z_mat, b)
@@ -246,7 +246,7 @@ def ref_check_mult_closed(space, cfg):
         y_mat = matcore.dagger(ref_sample_space_matrix(space, rng)[0])
         metric[t] = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
         witnesses[t] = (x_elem, y_mat)
-        samples += cfg.b_samples + 1
+        samples += criteria.B_SAMPLES + 1
     met_max, best = first_max(metric)
 
     agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
@@ -293,7 +293,7 @@ def ref_check_multiplier(space, w, side, cfg):
                 b_mat, _ = ref_sample_space_matrix(space, rng)
                 x_mat, y_mat = a_mat @ w, matcore.dagger(b_mat)
             dev = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
-            samples += cfg.b_samples + 1
+            samples += criteria.B_SAMPLES + 1
             if dev > met_max:
                 met_max = dev
         agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
@@ -314,10 +314,10 @@ def ref_check_multiplier(space, w, side, cfg):
                                 criteria._witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
 
 
-def ref_check_cstar(space, cfg, n_pairs=20, n_contractions=16):
+def ref_check_cstar(space, cfg):
     levels = list(range(1, cfg.max_level + 1))
     worst, where, in_space_max, samples = -np.inf, None, 0.0, 0
-    for tpair in range(n_pairs):
+    for tpair in range(criteria.CSTAR_PAIRS):
         rng = matcore.stream(cfg.seed, criteria._KEY_CSTAR, tpair)
         x_mat, _ = ref_sample_space_matrix(space, rng)
         y_mat, _ = ref_sample_space_matrix(space, rng)
@@ -331,7 +331,7 @@ def ref_check_cstar(space, cfg, n_pairs=20, n_contractions=16):
             M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
             for m in levels:
                 amp = matcore.scalar_amplify(M, m)
-                for w in ref_random_stack(space, 2 * m, rng, n_contractions, target_norm=1.0):
+                for w in ref_random_stack(space, 2 * m, rng, criteria.CSTAR_CONTRACTIONS, target_norm=1.0):
                     row = np.concatenate([amp, spaces.realize_stack(space, w)], axis=1)
                     dev = abs(matcore.op_norm(row) - criteria.SQRT2)
                     samples += 1
@@ -352,6 +352,15 @@ def ref_check_cstar(space, cfg, n_pairs=20, n_contractions=16):
     aux["construction_residual"] = float(in_space_max)
     return criteria.CheckReport("cstar-among-systems", verdict, -worst, criteria._witness_dict(None, aux),
                                 levels, samples, cfg.to_dict(), notes)
+
+
+def at_cstar_pairs(n_pairs, check):
+    """``check(space, cfg)`` (the stacked cstar check or its reference) run with ``criteria.CSTAR_PAIRS`` = n_pairs."""
+    def run(space, cfg):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "CSTAR_PAIRS", n_pairs)
+            return check(space, cfg)
+    return run
 
 
 def stacked_and_reference(run, reference):
@@ -385,11 +394,12 @@ def test_multiplier_matches_one_trial_at_a_time(seed, side, name, w):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["full_matrix_2", "full_matrix_3", "non_algebra_system", "tridiagonal_3",
                                   "linf3"])
-def test_cstar_matches_one_trial_at_a_time(seed, name):
+def test_cstar_matches_one_trial_at_a_time(monkeypatch, seed, name):
     space = SPACES[name]()
     cfg = witness.SearchConfig(seed=seed)
-    stacked, reference = stacked_and_reference(lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=6),
-                                               lambda: ref_check_cstar(space, cfg, n_pairs=6))
+    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 6)
+    stacked, reference = stacked_and_reference(lambda: criteria.check_cstar_among_systems(space, cfg),
+                                               lambda: ref_check_cstar(space, cfg))
     assert stacked == reference
 
 
@@ -409,8 +419,8 @@ CHUNKED_CHECKS = {
     "multiplier-quasi": ("upper_triangular_3",
                          lambda sp, cfg: criteria.check_multiplier(sp, sp.basis[1], "quasi", cfg),
                          lambda sp, cfg: ref_check_multiplier(sp, sp.basis[1], "quasi", cfg)),
-    "cstar": ("non_algebra_system", lambda sp, cfg: criteria.check_cstar_among_systems(sp, cfg, n_pairs=7),
-              lambda sp, cfg: ref_check_cstar(sp, cfg, n_pairs=7)),
+    "cstar": ("non_algebra_system", at_cstar_pairs(7, criteria.check_cstar_among_systems),
+              at_cstar_pairs(7, ref_check_cstar)),
 }
 
 
@@ -451,10 +461,11 @@ PEAK_CHUNKS = 8
 
 
 @pytest.mark.parametrize("check", ["cstar", "mult-closed"])
-def test_sampled_checks_peak_within_a_multiple_of_the_chunk(check):
+def test_sampled_checks_peak_within_a_multiple_of_the_chunk(monkeypatch, check):
     space = SPACES["full_matrix_3"]()
     cfg = witness.SearchConfig(seed=SEEDS[0])
-    run = {"cstar": lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=60),
+    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 60)
+    run = {"cstar": lambda: criteria.check_cstar_among_systems(space, cfg),
            "mult-closed": lambda: criteria.check_mult_closed(space, cfg)}[check]
     run()  # lazy imports and caches outside the measurement
     tracemalloc.start()
@@ -481,9 +492,9 @@ def test_cstar_splits_a_pair_larger_than_a_chunk(monkeypatch, per_part):
         return seen[-1]
 
     monkeypatch.setattr(criteria, "_chunks", recorded)
-    stacked = as_json(criteria.check_cstar_among_systems(space, cfg, n_pairs=3).to_dict())
+    stacked = as_json(at_cstar_pairs(3, criteria.check_cstar_among_systems)(space, cfg).to_dict())
     monkeypatch.undo()
-    assert stacked == as_json(ref_check_cstar(space, cfg, n_pairs=3).to_dict())
+    assert stacked == as_json(at_cstar_pairs(3, ref_check_cstar)(space, cfg).to_dict())
     parts, pairs = seen
     assert [s.stop - s.start for s in pairs] == [1, 1, 1]
     assert [s.stop - s.start for s in parts] == [per_part] * (16 // per_part) + [16 % per_part] * (16 % per_part > 0)
@@ -496,10 +507,11 @@ def test_cstar_splits_a_pair_larger_than_a_chunk(monkeypatch, per_part):
 ONE_PAIR_PEAK_CHUNKS = 32
 
 
-def test_cstar_peak_below_one_pair_on_a_large_ambient():
+def test_cstar_peak_below_one_pair_on_a_large_ambient(monkeypatch):
     space = corpus.build_linf(32, "ones").space
     cfg = witness.SearchConfig(seed=SEEDS[0])
-    run = lambda: criteria.check_cstar_among_systems(space, cfg, n_pairs=1)  # noqa: E731
+    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 1)
+    run = lambda: criteria.check_cstar_among_systems(space, cfg)  # noqa: E731
     run()
     tracemalloc.start()
     try:
@@ -555,7 +567,9 @@ def test_stacked_gadget_errors_name_the_first_offending_matrix():
 def test_stacked_draws_are_successive_single_draws():
     space = corpus.build_full_matrix(2).space
     for target in (None, 1.0, 0.3):
-        stacked = spaces.random_stack(space, 2, matcore.stream(5, 1), 6, target_norm=target)
+        stacked = spaces.random_stack(space, 2, matcore.stream(5, 1), 6)
+        if target is not None:
+            stacked = spaces.scale_to_norms(space, stacked, target)
         rng = matcore.stream(5, 1)
         single = np.stack([ref_random_element(space, 2, rng, target).coeffs for _ in range(6)])
         assert stacked.tobytes() == single.tobytes()

@@ -16,7 +16,8 @@ from opspace import corpus, criteria, spaces, witness
 from opspace.errors import InvalidInputError
 
 SEARCHED = tuple(criteria.SEARCH_CRITERIA)
-SMALL = witness.SearchConfig(restarts=8, ascent_steps=30)
+SMALL = witness.SearchConfig(restarts=8)
+SMALL_STEPS = 30  # witness.ASCENT_STEPS under SMALL
 
 #: Every corpus row whose unit satisfies its criterion's identity exactly.
 PROVED = {
@@ -77,8 +78,9 @@ def test_unit_without_an_identity_still_searches(corpus_reports):
 
 
 @pytest.mark.parametrize("name,crit", sorted(PROVED))
-def test_a_search_on_every_proved_row_finds_no_violation(corpus_entries, name, crit):
+def test_a_search_on_every_proved_row_finds_no_violation(monkeypatch, corpus_entries, name, crit):
     # SearchCriterion.search runs _searched_check with the row's objective and no proof
+    monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
     entry = corpus_entries[name]
     cfg = corpus.entry_config(entry, SMALL)
     rep = criteria.SEARCH_CRITERIA[crit].search(entry.space, entry.space.unit, cfg)
@@ -106,7 +108,8 @@ def test_twisted_selfadjoint_gets_no_corner_unit_proof(criterion_cache):
     assert rep.verdict == criteria.VIOLATED and rep.proof is None
 
 
-def test_level1_oracle_spaces_always_search():
+def test_level1_oracle_spaces_always_search(monkeypatch):
+    monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
     # span{E11} with the trace norm: u u* B = B holds, but there is no ambient to prove it in
     space = spaces.make_space(np.array([[[1.0, 0.0], [0.0, 0.0]]]), unit=[1.0],
                               norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
@@ -116,10 +119,11 @@ def test_level1_oracle_spaces_always_search():
     assert rep.proof is None and rep.samples > 0
 
 
-def test_the_unit_passed_in_decides_the_proof():
+def test_the_unit_passed_in_decides_the_proof(monkeypatch):
     space = corpus.build_full_matrix(2).space
     swap = np.array([0, 1, 1, 0], dtype=complex)  # E12 + E21, another unitary of M_2
     assert criteria.check_unitary_four_rotation(space, u=swap).proof is not None
+    monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
     rep = criteria.check_coisometry(space, u=np.array([1, 0, 0, 0], dtype=complex), cfg=SMALL)
     assert rep.verdict == criteria.VIOLATED and rep.proof is None
 

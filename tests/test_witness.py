@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, matcore, spaces, witness
+from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError
 
 
@@ -184,7 +184,7 @@ def same_result(a, b):
     (witness.SPHERE, 1, True, 3),
     (witness.SPHERE, 2, False, 8),
 ], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell", "sphere-2-racing"])
-def test_cells_ascend_independently(mode, level, dead_cell, restarts):
+def test_cells_ascend_independently(monkeypatch, mode, level, dead_cell, restarts):
     space = corpus.build_linf(3, "e1").space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
     if dead_cell:
@@ -194,7 +194,8 @@ def test_cells_ascend_independently(mode, level, dead_cell, restarts):
         def obj(coeffs):
             return np.where(spaces.norm_stack(space, coeffs) > 0.75, np.nan, live(coeffs))
 
-    cfg = witness.SearchConfig(restarts=restarts, ascent_steps=40)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
+    cfg = witness.SearchConfig(restarts=restarts)
     cells = [(r, (5, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
     merged = witness.maximize_violation(obj, space, level, cfg, cells=cells, mode=mode, gradient=grad)
     assert len(merged) == len(cells)
@@ -226,11 +227,12 @@ def counted(objective, gradient, log):
 
 
 @pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
-def test_one_gradient_batch_per_step_and_evaluations_count_rows(mode):
+def test_one_gradient_batch_per_step_and_evaluations_count_rows(monkeypatch, mode):
     # a searched corpus row; 40 steps leave restarts moving on the last step
     space = corpus.build_linf(3, "e1").space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
-    cfg = witness.SearchConfig(restarts=1, ascent_steps=40)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
+    cfg = witness.SearchConfig(restarts=1)
     cells = [(r, (8, ri, j)) for ri, r in enumerate(DEFAULT_RADII) for j in range(2)]
     log = []
     f, g = counted(obj, grad, log)
@@ -272,7 +274,8 @@ def test_cell_below_tolerance_never_races(monkeypatch, entry_name, tolerance):
 def test_evaluations_count_every_row_of_raced_restarts(monkeypatch, mode):
     space = corpus.build_linf(3, "e1").space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
-    cfg = witness.SearchConfig(restarts=8, ascent_steps=40)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
+    cfg = witness.SearchConfig(restarts=8)
     cell = [(1.0, (5, 2, 0))]
     log = []
     f, g = counted(obj, grad, log)
@@ -287,31 +290,53 @@ def test_evaluations_count_every_row_of_raced_restarts(monkeypatch, mode):
     assert res.best_value == plain.best_value
 
 
-@pytest.mark.parametrize("name", ["tolerance", "radius", "step_size", "t_max"])
+@pytest.mark.parametrize("name", ["tolerance", "radius"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_refuses_non_finite_reals(name, bad):
     with pytest.raises(InvalidInputError, match=f"SearchConfig.{name} "):
-        witness.SearchConfig(**{name: bad}).validate()
+        witness.SearchConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("name", ["max_level", "restarts", "ascent_steps", "circle_samples",
-                                  "b_samples", "threads", "seed"])
+@pytest.mark.parametrize("name", ["max_level", "restarts", "threads", "seed"])
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
 def test_config_refuses_non_integer_counts(name, bad):
     with pytest.raises(InvalidInputError, match=f"SearchConfig.{name} "):
-        witness.SearchConfig(**{name: bad}).validate()
+        witness.SearchConfig(**{name: bad})
+
+
+#: The budgets that became constants, each with a call that would set it.
+FIXED_BUDGETS = {
+    "ascent_steps": lambda: witness.SearchConfig(ascent_steps=30),
+    "step_size": lambda: witness.SearchConfig(step_size=0.1),
+    "circle_samples": lambda: witness.SearchConfig(circle_samples=90),
+    "t_max": lambda: witness.SearchConfig(t_max=2.0),
+    "b_samples": lambda: witness.SearchConfig(b_samples=8),
+    "n_pairs": lambda: criteria.check_cstar_among_systems(corpus.build_full_matrix(2).space, n_pairs=4),
+    "n_contractions": lambda: criteria.check_cstar_among_systems(corpus.build_full_matrix(2).space,
+                                                                 n_contractions=4),
+    "target_norm": lambda: spaces.random_stack(corpus.build_full_matrix(2).space, 1, matcore.stream(1), 1,
+                                               target_norm=1.0),
+    "multiplication_tensor-tol": lambda: corpus.multiplication_tensor(corpus.build_full_matrix(2).space, tol=1e-6),
+    "psd_sqrt-tol": lambda: gadgets.psd_sqrt(np.eye(2), tol=1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_BUDGETS))
+def test_fixed_budgets_are_not_settable(name):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        FIXED_BUDGETS[name]()
 
 
 def test_config_accepts_numpy_scalars():
     witness.SearchConfig(max_level=np.int64(2), seed=np.uint32(7), radius=np.float64(0.5),
-                         tolerance=1).validate()
+                         tolerance=1)
 
 
 def test_config_validation():
     with pytest.raises(Exception):
-        witness.SearchConfig(tolerance=-1).validate()
+        witness.SearchConfig(tolerance=-1)
     with pytest.raises(Exception):
-        witness.SearchConfig(max_level=0).validate()
+        witness.SearchConfig(max_level=0)
     cfg = witness.SearchConfig()
     big = corpus.build_l1_2_model(64).space
     dataclasses.replace(cfg, max_level=2).guard_ambient(big)
