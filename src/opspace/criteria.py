@@ -231,6 +231,7 @@ def _searched_check(
     best_pair = None
     evaluations = 0
     stopped = 0
+    at_origin = 0
     trace = []
     levels_checked = []
     ordered = sorted(radii, reverse=True)
@@ -244,6 +245,7 @@ def _searched_check(
         for r, res in zip(ordered, results):
             evaluations += res.evaluations
             stopped += res.stopped
+            at_origin += res.origin_stops
             trace.append({"level": n, "radius": r, "restarts": per_cell,
                           "best": res.best_value if np.isfinite(res.best_value) else None,
                           "evaluations": res.evaluations,
@@ -273,7 +275,10 @@ def _searched_check(
         notes.append(f"{dead} of {started} restarts died on non-finite objective values")
     if stopped:
         notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
-    verdict, margin, found = HOLDS_WITHIN_BUDGET, -best_value, None
+    if at_origin:
+        notes.append(f"{at_origin} of {started} restarts converged to the origin")
+    # 0.0 - best, not -best: a best of f(0) = 0.0 gives margin 0.0, never -0.0
+    verdict, margin, found = HOLDS_WITHIN_BUDGET, 0.0 - best_value, None
     if best_elem is None:
         verdict, margin = INCONCLUSIVE, 0.0
         if not dead:
@@ -878,7 +883,8 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     """Is the coefficient map T a contractive left multiplier?
 
     Samples pairs (a, b) in M_n(X) and checks the stacked-column contraction
-    ||[T(a); b]|| <= ||[a; b]||.
+    ||[T(a); b]|| <= ||[a; b]||.  Each level draws ``max(8, cfg.restarts)``
+    pairs (the restart budget, reused) plus the pairs (a, a).
     """
     cfg = cfg or witness.SearchConfig()
     cfg.guard_ambient(space)

@@ -28,6 +28,19 @@ A cell whose best never exceeds the tolerance never races, so a search that
 finds nothing returns what it would without the race.  The race looks only
 inside a cell, so each cell's result is still what a call with that cell
 alone returns.
+
+A ball search of a norm inequality that holds climbs into its trivial
+maximizer, the origin, where the inequality often holds with equality (the
+unitary gadgets at a unit of norm 1).  So while a ball cell's best stays at
+or below the tolerance, it stops a restart once the restart's point has
+norm below ``ORIGIN_FRACTION`` times the radius and a value of at most f(0).
+The cell scores f(0) once, as one more row of the trial batch after its
+first restart comes that near, and its best is the larger of its restarts'
+best and f(0).  Near 0 the objective is positively homogeneous to first
+order, so smaller scales only repeat the directions that the smallest starts
+(``MIN_RADIUS_FRACTION``) sample.  A cell holding a violation, a sphere
+search and ``refine_witness`` never stop at the origin, and a cell whose
+restarts never come near it never scores it.
 """
 
 from __future__ import annotations
@@ -64,6 +77,10 @@ _LINE_SCALES = np.array([2.0, 1.0, 0.5])  # expansion / hold / contraction per l
 _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 _RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation halves its restarts
+
+#: A restart of a ball cell holding no violation stops once its point's norm
+#: is below this fraction of the radius and its value is at most f(0).
+ORIGIN_FRACTION = 1e-4
 
 ASCENT_STEPS = 200  # steps per restart; refine_witness takes four times as many
 STEP_SIZE = 0.05  # a restart's first step over its radius; refine_witness starts at a tenth of it
@@ -116,19 +133,22 @@ class SearchResult:
     evaluations: int
     restart_bests: list = field(default_factory=list)  # the value each restart had when it stopped
     stopped: int = 0  # restarts the race stopped early (see _race)
+    origin_stops: int = 0  # restarts stopped once they converged to the origin
 
 
 def _project(space, coeffs, radius, mode):
     """Project a stack of coefficient grids into the ball (or onto the sphere) of the given radius.
 
     ``radius`` is a scalar or an array broadcasting against the stack's leading shape.
+    Returns the projected stack and the norms before projection (in the ball,
+    the projected norms wherever they are below the radius).
     """
     norms = spaces.norm_stack(space, coeffs)
     if mode == SPHERE:
         scale = np.where(norms > 0, radius / np.where(norms > 0, norms, 1.0), 1.0)
     else:
         scale = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    return coeffs * scale[..., None, None, None]
+    return coeffs * scale[..., None, None, None], norms
 
 
 def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
@@ -191,8 +211,10 @@ def _race(values, active, since, cells, tolerance):
 
 
 def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
-            race_cells=0, tolerance=np.inf):
-    """Vectorized lockstep ascent; returns (points, values, evaluations, raced), one entry per restart.
+            cells=0, tolerance=np.inf):
+    """Vectorized lockstep ascent; returns (points, values, evaluations, raced, at_origin, origin).
+
+    The first five hold one entry per restart, ``origin`` one per cell.
 
     ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
     first step; the step cap and floor scale with the restart's own radius, so
@@ -209,12 +231,19 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     starts and one at the end of each step serve every restart: the moved ones
     at their new points (except on the last step, which no step follows) and
     the stalled ones at their nearest failed trials.
-    With ``race_cells`` set, the restarts form that many contiguous equal
-    cells, and after each step in ``_RACE_STEPS`` every cell whose best value
+    With ``cells`` set, the restarts form that many contiguous equal cells,
+    and after each step in ``_RACE_STEPS`` every cell whose best value
     exceeds ``tolerance`` stops the lower half of its active restarts (see
-    ``_race``); ``raced`` marks the restarts so stopped.
+    ``_race``); ``raced`` marks the restarts so stopped.  In the ball, while
+    a cell's best stays at or below ``tolerance``, an active restart whose
+    point has norm below ``ORIGIN_FRACTION`` times its radius stops once its
+    value is at most f(0); ``at_origin`` marks it.  The first such restart of
+    a cell has the cell score x = 0 as one more row of the next trial batch;
+    ``origin`` holds that f(0) (NaN where unscored, -inf where not finite).
+    The norms are those ``_project`` computed for the accepted trials.
     A restart's ``evaluations`` counts its start, its trial points and its
-    rows in the gradient batches, also when the race stops it.
+    rows in the gradient batches, also when it is stopped early; the origin
+    row counts in its cell's first restart.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
@@ -233,6 +262,13 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     step_floor = _STEP_FLOOR_FRACTION * radius
     raced = np.zeros(n_restarts, dtype=bool)
     since = np.where(dead, 0.0, values)  # each restart's value at the previous race
+    watch = mode == BALL and cells > 0  # ball cells stop restarts at the origin
+    per_cell = n_restarts // max(cells, 1)
+    cell_of = np.arange(n_restarts) // per_cell  # each restart's cell
+    pnorm = np.full(n_restarts, np.inf)  # each moved restart's norm; no start is near 0
+    at_origin = np.zeros(n_restarts, dtype=bool)
+    origin = np.full(cells, np.nan)  # f(0) per cell; NaN until scored
+    wanted = np.zeros(cells, dtype=bool)  # cells that score the origin in the next trial batch
 
     def update_gradients(moved, resample, near):
         """One ``gradient`` batch: fresh gradients at ``points[moved]``, sampled ones at ``near``.
@@ -273,8 +309,19 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
             radial = points[idx, None] * rad[:, :, None, None, None]
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
-        trials = _project(space, trials, radius[idx, None], mode)
-        ftrial = np.asarray(objective(trials))
+        trials, tnorms = _project(space, trials, radius[idx, None], mode)
+        if wanted.any():
+            # one origin row per wanting cell rides this trial batch
+            flat = trials.reshape(-1, *trials.shape[2:])
+            zeros = np.zeros((int(wanted.sum()),) + flat.shape[1:], dtype=flat.dtype)
+            fall = np.asarray(objective(np.concatenate([flat, zeros])))
+            ftrial = fall[:flat.shape[0]].reshape(trials.shape[:2])
+            f0 = fall[flat.shape[0]:]
+            origin[wanted] = np.where(np.isfinite(f0), f0, -np.inf)  # stops nothing, wins nothing
+            evaluations[np.nonzero(wanted)[0] * per_cell] += 1
+            wanted[:] = False
+        else:
+            ftrial = np.asarray(objective(trials))
         evaluations[idx] += ftrial.shape[1]
         ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
 
@@ -289,8 +336,18 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
-        if race_cells and t + 1 in _RACE_STEPS:
-            raced |= _race(values, active, since, race_cells, tolerance)
+        if watch:
+            pnorm[take] = tnorms[rows[improved], pick[improved]]
+            near = active & (pnorm < ORIGIN_FRACTION * radius)
+            if near.any():
+                near &= (values.reshape(cells, -1).max(axis=1) <= tolerance)[cell_of]
+                stop = near & (values <= origin[cell_of])  # False while f(0) is unscored
+                active[stop] = False
+                at_origin |= stop
+                wanted[cell_of[near]] = True
+                wanted &= np.isnan(origin)
+        if cells and t + 1 in _RACE_STEPS:
+            raced |= _race(values, active, since, cells, tolerance)
         # Gradient sampling: the nearest failed trial lies past a crest or
         # across a kink of the max-of-norms objectives; the shortest convex
         # combination of its gradient and the cached one ascends on both
@@ -303,7 +360,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if moved.size or again.any():
             update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
-    return points, values, evaluations, raced
+    return points, values, evaluations, raced, at_origin, origin
 
 
 def maximize_violation(
@@ -324,11 +381,16 @@ def maximize_violation(
     cfg.restarts) from its own stream key, and the restarts of all cells
     ascend in one lockstep batch.  Once a cell's best exceeds cfg.tolerance,
     the cell races its restarts: after each step in ``_RACE_STEPS`` it stops
-    the lower-valued half of its active ones (see ``_race``).  Returns one
-    SearchResult per cell, in the order given; each is exactly what a call
-    with that cell alone returns.  A result's ``restart_bests`` holds the
-    value each restart had when it stopped, and ``stopped`` counts the
-    restarts the race stopped.
+    the lower-valued half of its active ones (see ``_race``).  In ball mode,
+    while a cell's best stays at or below cfg.tolerance, it stops the
+    restarts that converge to the origin, scoring x = 0 once when the first
+    one comes near (see ``_ascent``).  Returns one SearchResult per cell, in
+    the order given; each is exactly what a call with that cell alone
+    returns.  A cell's best is the larger of its restarts' best and f(0),
+    with the origin as its point when f(0) is larger.  A result's
+    ``restart_bests`` holds the value each restart had when it stopped,
+    ``stopped`` counts the restarts the race stopped and ``origin_stops``
+    those stopped at the origin.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
@@ -346,20 +408,24 @@ def maximize_violation(
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
-    points, values, evaluations, raced = _ascent(
+    points, values, evaluations, raced, at_origin, origin = _ascent(
         objective, gradient, space, points, values, radius, mode,
-        max_steps=ASCENT_STEPS, step0=step0, race_cells=len(cells), tolerance=cfg.tolerance,
+        max_steps=ASCENT_STEPS, step0=step0, cells=len(cells), tolerance=cfg.tolerance,
     )
     results = []
     for c in range(len(cells)):
         cell = slice(c * n_restarts, (c + 1) * n_restarts)
         best = int(np.argmax(values[cell]))
+        best_value, best_point = float(values[cell][best]), points[cell][best]
+        if origin[c] > best_value:
+            best_value, best_point = float(origin[c]), np.zeros_like(best_point)
         results.append(SearchResult(
-            best_value=float(values[cell][best]),
-            best_point=spaces.LevelElement(level, points[cell][best]),
+            best_value=best_value,
+            best_point=spaces.LevelElement(level, best_point),
             evaluations=int(evaluations[cell].sum()),
             restart_bests=[float(v) for v in values[cell]],
             stopped=int(raced[cell].sum()),
+            origin_stops=int(at_origin[cell].sum()),
         ))
     return results
 
@@ -376,14 +442,14 @@ def refine_witness(
 ) -> SearchResult:
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
-    One restart, so it never races.
+    One restart, so it never races and never stops at the origin.
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
     radius = cfg.radius if radius is None else float(radius)
-    pts = _project(space, point.coeffs[None].copy(), radius, mode)
+    pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
-    pts, values, evaluations, _ = _ascent(
+    pts, values, evaluations, *_ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,
         max_steps=4 * ASCENT_STEPS, step0=np.array([STEP_SIZE * radius / 10.0]),
     )

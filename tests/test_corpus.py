@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,3 +105,14 @@ def test_write_space_files_round_trip(tmp_path, corpus_entries):
     reloaded = spaces.load_space_file(tmp_path / "non_algebra_span.json")
     rep = criteria.check_mult_closed(reloaded)
     assert rep.verdict == criteria.VIOLATED
+
+
+def test_no_margin_or_trace_serializes_negative_zero(corpus_entries):
+    # a HOLDS search whose best is f(0) = 0.0 has margin 0.0, not -0.0
+    cfg = witness.SearchConfig(seed=7)
+    texts = {f"{name}/{crit}": json.dumps({"margin": report.margin, "trace": report.trace})
+             for name, entry in corpus_entries.items()
+             for crit, report in corpus.run_entry(entry, cfg)}
+    assert not [key for key, text in texts.items() if re.search(r"-0\.0(?![0-9])", text)]
+    margin = json.loads(texts["l1_2_diag_trace/unitary-four-rotation"])["margin"]
+    assert margin == 0.0 and math.copysign(1.0, margin) == 1.0

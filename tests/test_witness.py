@@ -173,19 +173,23 @@ def same_result(a, b):
             and a.best_point.coeffs.tobytes() == b.best_point.coeffs.tobytes()
             and a.evaluations == b.evaluations
             and a.restart_bests == b.restart_bests
-            and a.stopped == b.stopped)
+            and a.stopped == b.stopped
+            and a.origin_stops == b.origin_stops)
 
 
-@pytest.mark.parametrize("mode, level, dead_cell, restarts", [
-    (witness.BALL, 1, False, 3),
-    (witness.BALL, 2, False, 3),
-    (witness.SPHERE, 1, False, 3),
-    (witness.SPHERE, 2, False, 3),
-    (witness.SPHERE, 1, True, 3),
-    (witness.SPHERE, 2, False, 8),
-], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell", "sphere-2-racing"])
-def test_cells_ascend_independently(monkeypatch, mode, level, dead_cell, restarts):
-    space = corpus.build_linf(3, "e1").space
+@pytest.mark.parametrize("entry_name, mode, level, dead_cell, restarts", [
+    ("linf3_e1", witness.BALL, 1, False, 3),
+    ("linf3_e1", witness.BALL, 2, False, 3),
+    ("linf3_e1", witness.SPHERE, 1, False, 3),
+    ("linf3_e1", witness.SPHERE, 2, False, 3),
+    ("linf3_e1", witness.SPHERE, 1, True, 3),
+    ("linf3_e1", witness.SPHERE, 2, False, 8),
+    ("full_matrix_2", witness.BALL, 1, False, 3),
+    ("full_matrix_2", witness.BALL, 2, False, 3),
+], ids=["ball-1", "ball-2", "sphere-1", "sphere-2", "sphere-1-dead-cell", "sphere-2-racing",
+        "ball-1-origin", "ball-2-origin"])
+def test_cells_ascend_independently(monkeypatch, entry_name, mode, level, dead_cell, restarts):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
     if dead_cell:
         # NaN beyond norm 0.75: every start of the radius-1 sphere cell dies at once
@@ -211,6 +215,14 @@ def test_cells_ascend_independently(monkeypatch, mode, level, dead_cell, restart
     if restarts == 8:
         # every cell holds a violation after 16 steps, and some race away restarts
         assert sum(res.stopped for res in merged) > 0
+    if entry_name == "full_matrix_2":
+        # four-rotation holds on M_2: restarts climb into x = 0 and stop there, and
+        # each cell's best is f(0) = 0.0 at the origin, above every restart's own value
+        for res in merged:
+            assert res.origin_stops > 0
+            assert res.best_value == 0.0
+            assert not res.best_point.coeffs.any()
+            assert max(res.restart_bests) < 0.0
 
 
 def counted(objective, gradient, log):
@@ -288,6 +300,86 @@ def test_evaluations_count_every_row_of_raced_restarts(monkeypatch, mode):
     assert plain.stopped == 0
     assert res.evaluations < plain.evaluations
     assert res.best_value == plain.best_value
+
+
+def test_origin_row_rides_a_trial_batch_and_counts_once(m2):
+    # -||x|| holds at tolerance 1e-6 and peaks at the origin with f(0) = 0.0
+    def neg_norm(coeffs):
+        return -spaces.norm_stack(m2, coeffs)
+
+    log = []
+    f, g = counted(neg_norm, norm_gradient(m2, sign=-1.0), log)
+    cfg = witness.SearchConfig(restarts=4)
+    res, = witness.maximize_violation(f, m2, 1, cfg, cells=[(1.0, (12,))], gradient=g)
+    assert res.origin_stops == 4
+    assert res.best_value == 0.0
+    assert not res.best_point.coeffs.any()
+    assert res.evaluations == sum(rows for _, rows in log)
+    kinds = [kind for kind, _ in log]
+    assert kinds[:2] == ["objective", "gradient"]
+    # exactly one objective batch carries the one origin row: a flat stack of 7k + 1 rows
+    assert [rows % 7 for kind, rows in log[1:] if kind == "objective"].count(1) == 1
+
+
+def shell_objective(space, center, width, height):
+    """-||x|| plus a bump of ``height`` at norm ``center``: its only violations lie in a thin shell."""
+    def bump(t):
+        return height * np.exp(-(((t - center) / width) ** 2))
+
+    def f(coeffs):
+        t = spaces.norm_stack(space, coeffs)
+        return bump(t) - t
+
+    def g(coeffs):
+        t, W = matcore.norm_cotangent_stack(spaces.realize_stack(space, coeffs))
+        slope = -1.0 - bump(t) * 2.0 * (t - center) / width**2
+        return slope[:, None, None, None] * realize_adjoint_stack(space, W)
+
+    return f, g
+
+
+def test_violation_in_a_shell_near_the_origin_is_still_found(monkeypatch, m2):
+    # the only values above the tolerance (about 1e-5) sit at ||x|| = 1e-3 x the largest radius
+    f, g = shell_objective(m2, 1e-3, 1e-4, 1e-3 + 1e-5)
+    cfg = witness.SearchConfig(restarts=8)
+    cells = [(r, (11, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    stopping = witness.maximize_violation(f, m2, 1, cfg, cells=cells, gradient=g)
+    monkeypatch.setattr(witness, "ORIGIN_FRACTION", 0.0)
+    plain = witness.maximize_violation(f, m2, 1, cfg, cells=cells, gradient=g)
+    assert max(res.best_value for res in stopping) > 1e-6
+    assert sum(res.origin_stops for res in stopping) > 0
+    assert all(res.origin_stops == 0 for res in plain)
+    for a, b in zip(stopping, plain):
+        if b.best_value > cfg.tolerance:  # a cell holding a violation never stops at the origin
+            assert same_result(a, b)
+            assert 0.9e-3 < spaces.norm(m2, a.best_point) < 1.1e-3
+        else:  # the restarts that pass the shell stop at the origin, and f(0) is the best
+            assert a.origin_stops > 0
+            assert a.evaluations < b.evaluations
+            assert not a.best_point.coeffs.any()
+
+
+def test_unit_of_norm_below_one_is_violated_at_the_origin():
+    # f(0) = 1 - ||u|| = 0.1: the search converges to the origin, which no origin stop hides
+    space = corpus.build_l1_2_diag_trace().space
+    rep = criteria.check_unitary_four_rotation(space, u=np.array([0.9, 0.0]), cfg=witness.SearchConfig())
+    assert rep.verdict == criteria.VIOLATED
+    assert rep.margin == pytest.approx(-0.1, abs=1e-8)
+    assert rep.witness["aux"]["witness_norm"] < 1e-6
+    assert not any("origin" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("entry_name", ["trace_class_2", "lower_triangular_L12"])
+@pytest.mark.parametrize("seed", [4, 14])
+def test_late_winners_passing_the_origin_keep_their_reports(monkeypatch, entry_name, seed):
+    # their winning restarts pass near x = 0 before they escape, in cells already holding a violation
+    entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
+    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=seed))
+    stopping = criteria.check_unitary_four_rotation(entry.space, cfg=cfg)
+    monkeypatch.setattr(witness, "ORIGIN_FRACTION", 0.0)
+    plain = criteria.check_unitary_four_rotation(entry.space, cfg=cfg)
+    assert stopping.verdict == criteria.VIOLATED
+    assert stopping.to_dict() == plain.to_dict()
 
 
 @pytest.mark.parametrize("name", ["tolerance", "radius"])
