@@ -16,8 +16,10 @@ before and after with the relative change of its size (for a violation, the
 size is the violation found), and the top-level fields that moved; a moved
 dict field such as ``config`` also names the keys inside it that moved, were
 added or were removed.  A last line counts the byte-identical payloads, the
-moved ones by verdict, and the changed verdicts.  ``diff`` exits 1 when any
-payload moved or is in one dump only, and 0 otherwise.
+moved ones by verdict, and the changed verdicts, and names the largest relative
+fall of a violation found (the size of a margin that is VIOLATED in both dumps)
+with its key.  ``diff`` exits 1 when any payload moved or is in one dump only,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ def diff(old_path: Path, new_path: Path) -> int:
     moved = {}
     verdicts = 0
     one_sided = 0
+    fall = (0.0, None)  # the largest relative fall of a violation, and its key
     for key in sorted(old.keys() | new.keys()):
         if key not in new or key not in old:
             print(f"{key}: only in {old_path if key in old else new_path}")
@@ -88,11 +91,16 @@ def diff(old_path: Path, new_path: Path) -> int:
         verdict = a["verdict"] if a["verdict"] == b["verdict"] else f"{a['verdict']} -> {b['verdict']}"
         verdicts += a["verdict"] != b["verdict"]
         moved[a["verdict"]] = moved.get(a["verdict"], 0) + 1
+        if a["verdict"] == b["verdict"] == "VIOLATED" and abs(b["margin"]) < abs(a["margin"]):
+            rel = (abs(a["margin"]) - abs(b["margin"])) / abs(a["margin"])
+            if rel > fall[0]:
+                fall = (rel, key)
         print(f"{key}  {verdict}  margin {a['margin']!r} -> {b['margin']!r} "
               f"({_size_change(a['margin'], b['margin'])})  moved: {', '.join(fields)}")
     by_verdict = ", ".join(f"{n} {v}" for v, n in sorted(moved.items())) or "none"
+    largest = f"largest VIOLATED fall {fall[0]:.3g} at {fall[1]}" if fall[1] else "no VIOLATED violation fell"
     print(f"{same} of {len(old.keys() & new.keys())} payloads byte-identical; moved: {by_verdict}; "
-          f"{verdicts} verdicts changed")
+          f"{verdicts} verdicts changed; {largest}")
     return sum(moved.values()) + one_sided
 
 

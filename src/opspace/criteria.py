@@ -108,7 +108,8 @@ CSTAR_CONTRACTIONS = 16
 
 
 def _encode_complex(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+    """[re, im] as floats, each zero written 0.0 (adding 0.0 clears the sign of -0.0)."""
+    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]
 
 
 def _encode_array(a) -> list:

@@ -41,6 +41,19 @@ order, so smaller scales only repeat the directions that the smallest starts
 (``MIN_RADIUS_FRACTION``) sample.  A cell holding a violation, a sphere
 search and ``refine_witness`` never stop at the origin, and a cell whose
 restarts never come near it never scores it.
+
+The max-of-norms objectives have their kinks where a coefficient vanishes,
+and their maximizers often sit there: the witnesses are sparse.  Halving
+steps reach such a kink only linearly, so each restart of a cell holding a
+violation also tries, in every step, its point with each nonzero coefficient
+of modulus below ``SNAP_STEPS`` steps set to 0 (an active-set projection,
+Lewis 2002, Hare-Lewis 2004).  The snapped point rides the step's trial batch
+as one more row, is projected like the other trials and replaces the point
+when it beats them and improves it, keeping the restart's step.  A snap
+zeroes whole complex coefficients and never reaches the origin, where late
+winners pass on their way out.  A cell holding no violation and
+``refine_witness`` never snap, so a search that finds nothing returns what
+it would without the snap.
 """
 
 from __future__ import annotations
@@ -81,6 +94,10 @@ _RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation 
 #: A restart of a ball cell holding no violation stops once its point's norm
 #: is below this fraction of the radius and its value is at most f(0).
 ORIGIN_FRACTION = 1e-4
+
+#: A restart of a cell holding a violation also tries its point with every
+#: nonzero coefficient of modulus below this many steps set to 0.
+SNAP_STEPS = 3
 
 ASCENT_STEPS = 200  # steps per restart; refine_witness takes four times as many
 STEP_SIZE = 0.05  # a restart's first step over its radius; refine_witness starts at a tenth of it
@@ -177,6 +194,20 @@ def _set_directions(grad, direction, active, idx):
     active[idx[stuck]] = False
 
 
+def _snap(points, thresholds):
+    """Each point with its nonzero coefficients of modulus below its threshold set to 0.
+
+    Returns the mask of the points that have such a coefficient and keep a
+    nonzero one, and their snapped copies.  Whole complex coefficients are
+    zeroed.  A snap never reaches the origin: restarts pass near it on their
+    way to late wins, and in the sphere it has no projection.
+    """
+    mods = np.abs(points)
+    keep = mods >= thresholds[:, None, None, None]
+    snap = (~keep & (mods > 0)).any(axis=(1, 2, 3)) & keep.any(axis=(1, 2, 3))
+    return snap, np.where(keep[snap], points[snap], 0.0)
+
+
 def _min_norm_pair(a, b):
     """The shortest point of each segment [a, b] of gradient stacks; a where b is not finite."""
     b = np.where(np.isfinite(b).all(axis=(1, 2, 3))[:, None, None, None], b, a)
@@ -241,9 +272,14 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     a cell has the cell score x = 0 as one more row of the next trial batch;
     ``origin`` holds that f(0) (NaN where unscored, -inf where not finite).
     The norms are those ``_project`` computed for the accepted trials.
-    A restart's ``evaluations`` counts its start, its trial points and its
-    rows in the gradient batches, also when it is stopped early; the origin
-    row counts in its cell's first restart.
+    In a cell whose best exceeds ``tolerance``, an active restart with a
+    nonzero coefficient of modulus below ``SNAP_STEPS`` times its step (and
+    another at or above it) also tries its point with those coefficients
+    zeroed and projected (see ``_snap``), as one more row of the trial
+    batch; an accepted snap keeps the restart's step.
+    A restart's ``evaluations`` counts its start, its trial points, its snap
+    rows and its rows in the gradient batches, also when it is stopped early;
+    the origin row counts in its cell's first restart.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
@@ -310,34 +346,52 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
         trials, tnorms = _project(space, trials, radius[idx, None], mode)
-        if wanted.any():
-            # one origin row per wanting cell rides this trial batch
+        rows = np.arange(idx.size)
+        snap_rows, snaps = rows[:0], points[:0]
+        if cells and (hot := values.reshape(cells, -1).max(axis=1) > tolerance).any():
+            # the restarts of cells holding a violation try their sparse neighbours
+            hot_rows = rows[hot[cell_of[idx]]]
+            snap, snaps = _snap(points[idx[hot_rows]], SNAP_STEPS * step[idx[hot_rows]])
+            snap_rows = hot_rows[snap]
+            if snap_rows.size:
+                snaps, _ = _project(space, snaps, radius[idx[snap_rows]], mode)
+        if wanted.any() or snap_rows.size:
+            # the snap rows and one origin row per wanting cell ride this trial batch
             flat = trials.reshape(-1, *trials.shape[2:])
             zeros = np.zeros((int(wanted.sum()),) + flat.shape[1:], dtype=flat.dtype)
-            fall = np.asarray(objective(np.concatenate([flat, zeros])))
+            fall = np.asarray(objective(np.concatenate([flat, snaps, zeros])))
+            fall = np.where(np.isfinite(fall), fall, -np.inf)
             ftrial = fall[:flat.shape[0]].reshape(trials.shape[:2])
-            f0 = fall[flat.shape[0]:]
-            origin[wanted] = np.where(np.isfinite(f0), f0, -np.inf)  # stops nothing, wins nothing
+            fsnap = fall[flat.shape[0]:flat.shape[0] + snap_rows.size]
+            origin[wanted] = fall[flat.shape[0] + snap_rows.size:]  # -inf stops nothing, wins nothing
             evaluations[np.nonzero(wanted)[0] * per_cell] += 1
+            evaluations[idx[snap_rows]] += 1
             wanted[:] = False
         else:
             ftrial = np.asarray(objective(trials))
+            ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
         evaluations[idx] += ftrial.shape[1]
-        ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
 
         pick = np.argmax(ftrial, axis=1)
-        rows = np.arange(idx.size)
         fbest = ftrial[rows, pick]
+        snapped = np.zeros(idx.size, dtype=bool)
+        if snap_rows.size:
+            won = fsnap > fbest[snap_rows]  # a tie goes to the line search
+            snapped[snap_rows[won]] = True
+            fbest[snap_rows[won]] = fsnap[won]
         improved = fbest > values[idx] + _STALL_EPS
         take = idx[improved]
-        points[take] = trials[rows[improved], pick[improved]]
+        grow = improved & ~snapped
+        points[idx[grow]] = trials[rows[grow], pick[grow]]
         values[take] = fbest[improved]
-        step[take] = np.minimum(scaled[rows[improved], pick[improved]], step_cap[take])
+        step[idx[grow]] = np.minimum(scaled[rows[grow], pick[grow]], step_cap[idx[grow]])
+        jump = snapped[snap_rows] & improved[snap_rows]  # an accepted snap keeps its step
+        points[idx[snap_rows[jump]]] = snaps[jump]
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
         if watch:
-            pnorm[take] = tnorms[rows[improved], pick[improved]]
+            pnorm[idx[grow]] = tnorms[rows[grow], pick[grow]]  # a snapping cell never stops at the origin
             near = active & (pnorm < ORIGIN_FRACTION * radius)
             if near.any():
                 near &= (values.reshape(cells, -1).max(axis=1) <= tolerance)[cell_of]
@@ -384,7 +438,9 @@ def maximize_violation(
     the lower-valued half of its active ones (see ``_race``).  In ball mode,
     while a cell's best stays at or below cfg.tolerance, it stops the
     restarts that converge to the origin, scoring x = 0 once when the first
-    one comes near (see ``_ascent``).  Returns one SearchResult per cell, in
+    one comes near (see ``_ascent``).  A cell holding a violation gives each
+    restart a snap trial per step: its point with its small coefficients
+    zeroed (see ``_snap``).  Returns one SearchResult per cell, in
     the order given; each is exactly what a call with that cell alone
     returns.  A cell's best is the larger of its restarts' best and f(0),
     with the origin as its point when f(0) is larger.  A result's
@@ -442,7 +498,7 @@ def refine_witness(
 ) -> SearchResult:
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
-    One restart, so it never races and never stops at the origin.
+    One restart, so it never races, never stops at the origin and never snaps.
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """

@@ -1,0 +1,54 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "payload_diff.py"
+
+
+@pytest.fixture(scope="module")
+def payload_diff():
+    spec = importlib.util.spec_from_file_location("payload_diff", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def payload(verdict, margin, samples=10):
+    return {"verdict": verdict, "margin": margin, "samples": samples, "notes": []}
+
+
+def write_dumps(tmp_path, old, new):
+    paths = tmp_path / "old.json", tmp_path / "new.json"
+    for path, dump in zip(paths, (old, new)):
+        path.write_text(json.dumps(dump), encoding="utf-8")
+    return paths
+
+
+def test_diff_names_the_largest_fall_of_a_violation(payload_diff, tmp_path, capsys):
+    old = {"7/a/held": payload("HOLDS_WITHIN_BUDGET", 0.0),
+           "7/b/fell": payload("VIOLATED", -0.5),
+           "7/c/fell_less": payload("VIOLATED", -0.2),
+           "7/d/grew": payload("VIOLATED", -0.1),
+           "7/e/holds_fell": payload("HOLDS_WITHIN_BUDGET", 0.3)}
+    new = {**old, "7/b/fell": payload("VIOLATED", -0.4, samples=5),
+           "7/c/fell_less": payload("VIOLATED", -0.19),
+           "7/d/grew": payload("VIOLATED", -0.3),
+           "7/e/holds_fell": payload("HOLDS_WITHIN_BUDGET", 0.1)}
+    assert payload_diff.diff(*write_dumps(tmp_path, old, new)) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[-1] == ("1 of 5 payloads byte-identical; moved: 1 HOLDS_WITHIN_BUDGET, 3 VIOLATED; "
+                         "0 verdicts changed; largest VIOLATED fall 0.2 at 7/b/fell")
+
+
+def test_diff_without_a_fall_says_so(payload_diff, tmp_path, capsys):
+    old = {"7/a/grew": payload("VIOLATED", -0.1), "7/b/changed": payload("HOLDS_WITHIN_BUDGET", 0.0),
+           "7/c/same_margin": payload("VIOLATED", -0.3)}
+    new = {"7/a/grew": payload("VIOLATED", -0.2), "7/b/changed": payload("VIOLATED", -0.3),
+           "7/c/same_margin": payload("VIOLATED", -0.3, samples=4)}
+    assert payload_diff.diff(*write_dumps(tmp_path, old, new)) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0 of 3 payloads byte-identical; moved: 1 HOLDS_WITHIN_BUDGET, 2 VIOLATED; "
+        "1 verdicts changed; no VIOLATED violation fell")

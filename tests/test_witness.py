@@ -284,19 +284,20 @@ def test_cell_below_tolerance_never_races(monkeypatch, entry_name, tolerance):
 
 @pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
 def test_evaluations_count_every_row_of_raced_restarts(monkeypatch, mode):
-    space = corpus.build_linf(3, "e1").space
-    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
+    # a trace-norm cell whose restarts still climb at step 16 in both modes
+    space = {e.name: e for e in corpus.build_corpus()}["trace_class_2"].space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
     cfg = witness.SearchConfig(restarts=8)
-    cell = [(1.0, (5, 2, 0))]
+    cell = [(1.0, (5, 1, 1))]
     log = []
     f, g = counted(obj, grad, log)
-    res, = witness.maximize_violation(f, space, 2, cfg, cells=cell, mode=mode, gradient=g)
+    res, = witness.maximize_violation(f, space, 1, cfg, cells=cell, mode=mode, gradient=g)
     assert res.stopped > 0
     assert res.evaluations == sum(rows for _, rows in log)
     # the race saves evaluations; here it keeps the winning restart
     monkeypatch.setattr(witness, "_RACE_STEPS", ())
-    plain, = witness.maximize_violation(obj, space, 2, cfg, cells=cell, mode=mode, gradient=grad)
+    plain, = witness.maximize_violation(obj, space, 1, cfg, cells=cell, mode=mode, gradient=grad)
     assert plain.stopped == 0
     assert res.evaluations < plain.evaluations
     assert res.best_value == plain.best_value
@@ -319,6 +320,110 @@ def test_origin_row_rides_a_trial_batch_and_counts_once(m2):
     assert kinds[:2] == ["objective", "gradient"]
     # exactly one objective batch carries the one origin row: a flat stack of 7k + 1 rows
     assert [rows % 7 for kind, rows in log[1:] if kind == "objective"].count(1) == 1
+
+
+def test_snap_zeroes_whole_small_coefficients_and_never_reaches_the_origin():
+    points = np.array([
+        [[[0.5, 1e-3 + 1e-3j, 0.0]]],  # one small entry: zeroed whole
+        [[[0.5, 0.2, 0.0]]],  # no small nonzero entry: no snap
+        [[[1e-3, 1e-3j, 0.0]]],  # every entry small: the snap would be the origin
+        [[[1e-3 + 0.5j, 0.5, 2e-3]]],  # a small real part alone keeps its entry
+    ])
+    snap, snaps = witness._snap(points, np.full(4, 0.01))
+    assert snap.tolist() == [True, False, False, True]
+    assert snaps.tolist() == [[[[0.5, 0.0, 0.0]]], [[[1e-3 + 0.5j, 0.5, 0.0]]]]
+
+
+def trial_rows(mode):
+    """The trial points one restart's line search evaluates per step."""
+    return witness._LINE_SCALES.size + (witness._RADIAL_SCALES.size if mode == witness.BALL else 0)
+
+
+@pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
+def test_snap_row_rides_a_trial_batch_and_counts_once(mode):
+    # four-rotation on linf3_e1 peaks at sparse points such as -e3, at sqrt(2) - 1
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    log = []
+    f, g = counted(obj, grad, log)
+    res, = witness.maximize_violation(f, space, 1, witness.SearchConfig(restarts=1), cells=[(1.0, (15,))],
+                                      mode=mode, gradient=g)
+    assert res.origin_stops == 0
+    assert res.evaluations == sum(rows for _, rows in log)
+    trials = [rows for kind, rows in log[2:] if kind == "objective"]
+    # one restart: each trial batch holds its trial points, and one more row when it snaps
+    assert {rows for rows in trials} == {trial_rows(mode), trial_rows(mode) + 1}
+    assert res.best_value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
+    assert (res.best_point.coeffs == 0).sum() == 2  # the witness is a multiple of one basis element
+
+
+@pytest.mark.parametrize("entry_name, mode, level", [
+    ("linf3_e1", witness.BALL, 1),
+    ("linf3_e1", witness.SPHERE, 2),
+    ("column_H2", witness.BALL, 2),
+    ("trace_class_2", witness.SPHERE, 1),
+])
+def test_snapping_cells_ascend_independently(monkeypatch, entry_name, mode, level):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 60)
+    cfg = witness.SearchConfig(restarts=4)
+    cells = [(r, (14, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    log = []
+    f, g = counted(obj, grad, log)
+    merged = witness.maximize_violation(f, space, level, cfg, cells=cells, mode=mode, gradient=g)
+    # some trial batch carries snap rows: a row count that is no multiple of the trial points
+    assert any(rows % trial_rows(mode) for kind, rows in log[2:] if kind == "objective")
+    for cell, res in zip(cells, merged):
+        alone, = witness.maximize_violation(obj, space, level, cfg, cells=[cell], mode=mode,
+                                            gradient=grad)
+        assert res.best_value > cfg.tolerance
+        assert same_result(res, alone), cell
+
+
+@pytest.mark.parametrize("entry_name, tolerance", [
+    ("full_matrix_2", 1e-6),  # four-rotation holds: every value stays at or below 0
+    ("linf3_e1", 1.0),  # values reach sqrt(2) - 1 but never the tolerance
+])
+def test_cell_holding_no_violation_never_snaps(monkeypatch, entry_name, tolerance):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    cfg = witness.SearchConfig(restarts=8, tolerance=tolerance)
+    cells = [(r, (15, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    start = spaces.LevelElement(1, np.zeros((1, 1, space.dim), dtype=complex))
+    start.coeffs[0, 0, :3] = [0.3, 1e-4j, -0.6]
+    searched = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad)
+    refined = witness.refine_witness(obj, space, start, witness.SearchConfig(), radius=1.0, gradient=grad)
+    monkeypatch.setattr(witness, "SNAP_STEPS", 0)
+    plain = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad)
+    for a, b in zip(searched, plain):
+        assert a.best_value <= tolerance
+        assert same_result(a, b)
+    # refine_witness never snaps either, even from a point with a small coefficient
+    assert same_result(refined, witness.refine_witness(obj, space, start, witness.SearchConfig(),
+                                                       radius=1.0, gradient=grad))
+
+
+@pytest.mark.parametrize("entry_name, criterion, margin, samples", [
+    ("linf3_e1", "unitary-four-rotation", -0.4142135620355629, 17185),
+    ("linf3_e1", "unitary-t-gadget", -0.41421356203199, 16985),
+    ("linf3_e1", "isometry", -0.4142135623465044, 2476),
+    ("column_H2", "unitary-four-rotation", -0.10758698495816499, 8169),
+])
+def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_name, criterion, margin,
+                                                             samples):
+    # the margins and sample counts of these reports at seed 1729 before the snap trial existed
+    entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
+    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
+    snapping = corpus.run_check(entry.space, criterion, cfg)
+    monkeypatch.setattr(witness, "SNAP_STEPS", 0)
+    plain = corpus.run_check(entry.space, criterion, cfg)
+    assert plain.verdict == snapping.verdict == criteria.VIOLATED
+    assert plain.margin == pytest.approx(margin, rel=1e-12, abs=0)
+    assert plain.samples == samples
+    # snapping finds at least as large a violation with fewer samples
+    assert abs(snapping.margin) >= abs(plain.margin) - 1e-9
+    assert snapping.samples < plain.samples
 
 
 def shell_objective(space, center, width, height):
