@@ -43,7 +43,7 @@ _VERDICT_EXIT = {
 
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None,
-                   help="master seed (falls back to OPSPACE_SEED, then the built-in default)")
+                   help=f"master seed (default {witness.DEFAULT_SEED})")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -52,7 +52,6 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--tolerance", type=float, default=None, help="decision tolerance (default 1e-6)")
     p.add_argument("--levels", type=int, default=None, dest="max_level", metavar="LEVELS",
                    help="largest amplification level searched")
-    p.add_argument("--radius", type=float, default=None, help="search ball radius")
     p.add_argument("--restarts", type=int, default=None, help="restart budget per criterion")
 
 
@@ -61,13 +60,6 @@ def _build_config(args) -> witness.SearchConfig:
         raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
     given = {f.name: v for f in dataclasses.fields(witness.SearchConfig)
              if (v := getattr(args, f.name, None)) is not None}
-    if "seed" not in given and os.environ.get("OPSPACE_SEED"):
-        try:
-            given["seed"] = int(os.environ["OPSPACE_SEED"])
-        except ValueError:
-            raise InvalidInputError(
-                f"OPSPACE_SEED={os.environ['OPSPACE_SEED']!r} is not an integer seed"
-            ) from None
     if args.out:
         if os.path.isdir(args.out):
             raise InvalidInputError(f"--out {args.out}: names a directory, not a report file")

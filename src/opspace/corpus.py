@@ -53,7 +53,6 @@ class CorpusEntry:
     name: str
     space: spaces.SpaceRep
     expected: dict
-    notes: str = ""
     tolerance: float | None = None  # entry-local override
     max_level: int | None = None  # entry-local override
 
@@ -87,7 +86,6 @@ def build_linf(N: int = 3, unit: str = "ones") -> CorpusEntry:
             "operator-system": H,
         }
         name = f"linf{N}_ones"
-        note = "diagonal sup-norm space with its canonical unit"
     elif unit == "e1":
         u = _unit_vector(N, 0)
         expected = {
@@ -98,15 +96,17 @@ def build_linf(N: int = 3, unit: str = "ones") -> CorpusEntry:
             "operator-system": V,
         }
         name = f"linf{N}_e1"
-        note = "diagonal sup-norm space with a coordinate projection as candidate unit"
     else:
         raise InvalidInputError("unit must be 'ones' or 'e1'")
     space = spaces.make_space(basis, unit=u, involution=np.eye(N))
-    return CorpusEntry(name, space, expected, note)
+    return CorpusEntry(name, space, expected)
 
 
 def build_trace_class_2(alpha: float = 0.6) -> CorpusEntry:
-    """M_2 with the trace norm (level-1 oracle); diag(alpha, 1-alpha) is not a unitary."""
+    """M_2 with the trace norm (level-1 oracle); diag(alpha, 1-alpha) is not a unitary.
+
+    Every trace-one positive diagonal fails the rotation test.
+    """
     if not 0 < alpha < 1:
         raise InvalidInputError("alpha must lie in (0, 1)")
     basis = _matrix_units(2)
@@ -117,12 +117,14 @@ def build_trace_class_2(alpha: float = 0.6) -> CorpusEntry:
         "trace_class_2",
         space,
         {"unitary-four-rotation": V},
-        "2x2 trace-norm space; every trace-one positive diagonal fails the rotation test",
     )
 
 
 def build_lower_triangular_L12() -> CorpusEntry:
-    """Lower-triangular 3-dimensional subspace of the 2x2 trace-norm space."""
+    """Lower-triangular 3-dimensional subspace of the 2x2 trace-norm space.
+
+    Its rotation-test witnesses are those of the full trace-norm space.
+    """
     basis = np.zeros((3, 2, 2), dtype=np.complex128)
     basis[0, 0, 0] = 1.0
     basis[1, 1, 0] = 1.0
@@ -133,12 +135,14 @@ def build_lower_triangular_L12() -> CorpusEntry:
         "lower_triangular_L12",
         space,
         {"unitary-four-rotation": V},
-        "lower-triangular trace-norm space; same witness family as the full trace-norm space",
     )
 
 
 def build_l1_2_diag_trace() -> CorpusEntry:
-    """The diagonal of the 2x2 trace-norm space: an isometric copy of two-point l1."""
+    """The diagonal of the 2x2 trace-norm space: an isometric copy of two-point l1 (|a| + |b|).
+
+    It passes the level-1 rotation test.
+    """
     basis = np.zeros((2, 2, 2), dtype=np.complex128)
     basis[0, 0, 0] = 1.0
     basis[1, 1, 1] = 1.0
@@ -148,7 +152,6 @@ def build_l1_2_diag_trace() -> CorpusEntry:
         "l1_2_diag_trace",
         space,
         {"unitary-four-rotation": H},
-        "diagonal trace-norm pair (|a| + |b|); passes the level-1 rotation test",
     )
 
 
@@ -157,7 +160,7 @@ def build_l1_2_model(M: int = 64) -> CorpusEntry:
 
     The level-1 norm of (a, b) is max_j |a + b w^j|, which converges to
     |a| + |b| at rate O(1/M^2); M = 64 keeps the gap below the entry-local
-    tolerance.
+    tolerance.  The model is genuinely unital at every level.
     """
     if M < 2:
         raise InvalidInputError("M must be at least 2")
@@ -170,14 +173,13 @@ def build_l1_2_model(M: int = 64) -> CorpusEntry:
         f"l1_2_model_{M}",
         space,
         {"unitary-four-rotation": H, "unitary-t-gadget": H},
-        "root-of-unity diagonal model of two-point l1 (genuinely unital at every level)",
         tolerance=1e-3,
         max_level=1,
     )
 
 
 def build_column_H2() -> CorpusEntry:
-    """The first column of M_2 (two-dimensional column Hilbert space)."""
+    """The first column of M_2 (two-dimensional column Hilbert space): e_1 is an isometry, no coisometry."""
     basis = np.zeros((2, 2, 1), dtype=np.complex128)
     basis[0, 0, 0] = 1.0
     basis[1, 1, 0] = 1.0
@@ -191,7 +193,6 @@ def build_column_H2() -> CorpusEntry:
             "unitary-four-rotation": V,
             "unitary-t-gadget": V,
         },
-        "column Hilbert space: e_1 is an isometry but not a coisometry",
     )
 
 
@@ -212,7 +213,6 @@ def build_twisted_selfadjoint() -> CorpusEntry:
             "isometry": H,
             "operator-system": V,
         },
-        "selfadjoint space whose selfadjoint unitary is not an operator-system unit",
     )
 
 
@@ -246,7 +246,6 @@ def build_upper_triangular(d: int = 2) -> CorpusEntry:
             "mult-closed": H,
             "algebra-product": H,
         },
-        "unital subalgebra of the full matrix algebra",
     )
 
 
@@ -259,7 +258,10 @@ def _transpose_permutation(d: int) -> np.ndarray:
 
 
 def build_full_matrix(d: int = 2) -> CorpusEntry:
-    """The full matrix algebra M_d with its adjoint involution and identity unit."""
+    """The full matrix algebra M_d with its adjoint involution and identity unit.
+
+    Every positive criterion holds.
+    """
     basis = _matrix_units(d)
     unit = np.zeros(d * d, dtype=np.complex128)
     for i in range(d):
@@ -277,7 +279,6 @@ def build_full_matrix(d: int = 2) -> CorpusEntry:
             "mult-closed": H,
             "cstar-among-systems": H,
         },
-        "full matrix algebra: every positive criterion holds",
     )
 
 
@@ -302,12 +303,11 @@ def build_full_matrix_plus_half(d: int = 2) -> CorpusEntry:
             "coisometry": H,
             "isometry": H,
         },
-        "completely isometric copy of the full matrix algebra whose unit is no TRO unitary",
     )
 
 
 def build_non_algebra_span() -> CorpusEntry:
-    """span{E_12, E_21} in M_2: selfadjoint as a set but not closed under multiplication."""
+    """span{E_12, E_21} in M_2: selfadjoint as a set, but its products land on the diagonal, outside it."""
     basis = np.zeros((2, 2, 2), dtype=np.complex128)
     basis[0, 0, 1] = 1.0
     basis[1, 1, 0] = 1.0
@@ -316,12 +316,14 @@ def build_non_algebra_span() -> CorpusEntry:
         "non_algebra_span",
         space,
         {"mult-closed": V},
-        "off-diagonal span; products land on the diagonal, outside the space",
     )
 
 
 def build_left_identity_pair() -> CorpusEntry:
-    """span{E_11, E_12} with unit E_11: a left identity is a coisometry but no isometry."""
+    """span{E_11, E_12} with unit E_11: a left identity is a coisometry but no isometry.
+
+    The span is a row operator algebra, and E_11 is its norm-one left identity.
+    """
     basis = np.zeros((2, 2, 2), dtype=np.complex128)
     basis[0, 0, 0] = 1.0
     basis[1, 0, 1] = 1.0
@@ -335,7 +337,6 @@ def build_left_identity_pair() -> CorpusEntry:
             "unitary-four-rotation": V,
             "unitary-t-gadget": V,
         },
-        "row operator algebra with a norm-one left identity",
     )
 
 
@@ -464,12 +465,12 @@ def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,
     return {"rows": rows, "all_match": all_match, "entries": [e.name for e in entries]}
 
 
-def write_space_files(outdir, entries=None) -> list:
-    """Emit each entry's space-definition JSON; returns the written paths."""
+def write_space_files(outdir) -> list:
+    """Emit each corpus entry's space-definition JSON; returns the written paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for entry in entries or build_corpus():
+    for entry in build_corpus():
         path = outdir / f"{entry.name}.json"
         path.write_text(spaces.space_to_json(entry.space), encoding="utf-8")
         paths.append(path)

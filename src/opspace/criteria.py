@@ -72,10 +72,10 @@ UNSUPPORTED_LEVEL = "UNSUPPORTED_LEVEL"
 
 SQRT2 = math.sqrt(2.0)
 
-#: Ball radii swept by the small-norm criteria (the configured radius and 1.0
-#: are merged in): violations of the unitality inequalities concentrate at
-#: small norms, but the norm-one witnesses must be reachable too.
-RADIUS_SWEEP = (0.1, 0.25, 0.5)
+#: Ball radii swept by the small-norm criteria, largest first: violations of
+#: the unitality inequalities concentrate at small norms, but the norm-one
+#: witnesses must be reachable too.
+RADIUS_SWEEP = (1.0, 0.5, 0.25, 0.1)
 
 LEVEL1_NOTE = "level-1 necessary condition"
 _STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
@@ -195,10 +195,6 @@ def _levels_for(space: spaces.SpaceRep, cfg: witness.SearchConfig) -> tuple[list
     return list(range(1, cfg.max_level + 1)), []
 
 
-def _sweep_radii(cfg: witness.SearchConfig) -> list:
-    return sorted(set(RADIUS_SWEEP) | {cfg.radius, 1.0})
-
-
 def _searched_check(
     criterion: str,
     key: int,
@@ -206,7 +202,7 @@ def _searched_check(
     cfg: witness.SearchConfig,
     objective_for_level,
     levels: list,
-    radii: list,
+    radii: tuple,
     mode: str = witness.BALL,
     notes: list | None = None,
 ) -> CheckReport:
@@ -214,10 +210,10 @@ def _searched_check(
 
     Levels are searched in increasing order and stop early once a level has
     produced a violation: the verdict cannot change, only the margin could.
-    All radius cells of a level are searched by one lockstep call.  The cells
-    are ordered largest radius first, since every smaller ball is contained in
-    the largest one; that order fixes each cell's stream key and trace
-    position, and a later cell replaces the best only when strictly better.
+    All radius cells of a level are searched by one lockstep call.  ``radii``
+    comes largest first, since every smaller ball is contained in the largest
+    one; that order fixes each cell's stream key and trace position, and a
+    later cell replaces the best only when strictly better.
     ``objective_for_level(n)`` returns the (objective, gradient) pair searched
     at level n.
     """
@@ -228,22 +224,20 @@ def _searched_check(
 
     best_value = -np.inf
     best_elem = None
-    best_radius = cfg.radius
-    best_pair = None
+    best_radius = best_pair = None
     evaluations = 0
     stopped = 0
     at_origin = 0
     trace = []
     levels_checked = []
-    ordered = sorted(radii, reverse=True)
     for li, n in enumerate(levels):
         objective, gradient = objective_for_level(n)
         levels_checked.append(n)
         results = witness.maximize_violation(
-            objective, space, n, cfg, cells=[(r, (key, li, ri)) for ri, r in enumerate(ordered)],
+            objective, space, n, cfg, cells=[(r, (key, li, ri)) for ri, r in enumerate(radii)],
             mode=mode, restarts=per_cell, gradient=gradient,
         )
-        for r, res in zip(ordered, results):
+        for r, res in zip(radii, results):
             evaluations += res.evaluations
             stopped += res.stopped
             at_origin += res.origin_stops
@@ -263,7 +257,7 @@ def _searched_check(
     if best_elem is not None:
         objective, gradient = best_pair
         polished = witness.refine_witness(
-            objective, space, best_elem, cfg, radius=best_radius, mode=mode, gradient=gradient
+            objective, space, best_elem, best_radius, mode=mode, gradient=gradient
         )
         evaluations += polished.evaluations
         if polished.best_value > best_value:
@@ -394,7 +388,7 @@ class SearchCriterion:
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
         """The violation search over this row's levels and radii, with no proof tried."""
         levels, notes = _levels_for(space, cfg)
-        radii, mode = ([1.0], witness.SPHERE) if self.sphere else (_sweep_radii(cfg), witness.BALL)
+        radii, mode = ((1.0,), witness.SPHERE) if self.sphere else (RADIUS_SWEEP, witness.BALL)
         return _searched_check(
             self.name, self.key, space, cfg, lambda n: self.objective(space, u, n),
             levels, radii, mode=mode, notes=notes,

@@ -3,7 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects with ``dtype=complex128`` and two
 axes.  The "stack" variants accept any number of leading batch axes and are the
 workhorses behind the counterexample search, where thousands of small norms are
-evaluated per ascent step.
+evaluated per ascent step.  A direct sum is measured only as per-fiber stacks,
+by ``op_norm_fibers``; the ``fiber`` keyword of ``op_norm_stack`` and
+``trace_norm_stack`` accepts only None.
 
 Most of those matrices have a side of at most two (level-1 elements and
 gadgets of spaces in M_2, and the small blocks of direct sums), where
@@ -150,21 +152,6 @@ def rand_cmat(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
         raise InvalidInputError("matrix dimensions must be positive")
     z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     return z / np.sqrt(2.0)
-
-
-def _fibered_diagonal(ms: np.ndarray, fiber: int) -> np.ndarray:
-    """Rearrange a stack of g-fibered matrices into per-fiber small matrices.
-
-    A matrix is g-fibered when, viewed as an (r/g) x (c/g) grid of g x g
-    blocks, every block is diagonal.  Such matrices are direct sums (up to a
-    permutation) of the ``g`` small matrices returned here, so spectral data
-    can be computed fiber-by-fiber at a fraction of the dense cost.
-    """
-    r, c = ms.shape[-2], ms.shape[-1]
-    br, bc = r // fiber, c // fiber
-    grid = ms.reshape(ms.shape[:-2] + (br, fiber, bc, fiber))
-    diag = np.diagonal(grid, axis1=-3, axis2=-1)  # (..., br, bc, fiber)
-    return np.moveaxis(diag, -1, -3)  # (..., fiber, br, bc)
 
 
 # the smallest normal double, a power of two: dividing by it is exact, and it
@@ -378,38 +365,25 @@ def _polar_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s * total, W
 
 
-def _fibers_if(ms, fiber: int | None):
-    """Per-fiber small matrices (..., fiber, br, bc) when ``fiber`` divides both sides, else None."""
-    if fiber and fiber > 1 and ms.shape[-2] % fiber == 0 and ms.shape[-1] % fiber == 0:
-        return _fibered_diagonal(ms, fiber)
-    return None
-
-
-def op_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
+def op_norm_stack(ms, fiber: None = None) -> np.ndarray:
     """Operator norms over the leading axes of a matrix stack.
 
     Every shape goes through ``_top_sval``: closed forms for a shorter side
     of 1 or 2, the top eigenvalue of the scaled Gram matrix otherwise; no
-    shape runs an SVD.  ``fiber`` enables the direct-sum fast path for
-    matrices that are diagonal at block size ``fiber`` (the values are
-    identical either way).  The package itself passes no ``fiber``: each
-    space splits into blocks once, at load (``spaces.SpaceRep.blocks``), and
-    measures them with ``op_norm_fibers``.
+    shape runs an SVD.  Direct sums are measured fiber by fiber with
+    ``op_norm_fibers``: each space splits into blocks once, at load
+    (``spaces.SpaceRep.blocks``).  ``fiber`` accepts only None.
     """
-    ms = np.asarray(ms, dtype=np.complex128)
-    small = _fibers_if(ms, fiber)
-    if small is None:
-        return np.asarray(_top_sval(ms))
-    return np.asarray(_max_last(_top_sval(small)))
+    if fiber is not None:
+        raise InvalidInputError(f"fiber={fiber!r}: only None is accepted (see op_norm_fibers)")
+    return np.asarray(_top_sval(np.asarray(ms, dtype=np.complex128)))
 
 
-def trace_norm_stack(ms, fiber: int | None = None) -> np.ndarray:
-    """Trace norms over the leading axes of a matrix stack."""
-    ms = np.asarray(ms, dtype=np.complex128)
-    small = _fibers_if(ms, fiber)
-    if small is None:
-        return np.asarray(_sval_sum(ms))
-    return np.asarray(_sval_sum(small).sum(axis=-1))
+def trace_norm_stack(ms, fiber: None = None) -> np.ndarray:
+    """Trace norms over the leading axes of a matrix stack; ``fiber`` accepts only None."""
+    if fiber is not None:
+        raise InvalidInputError(f"fiber={fiber!r}: only None is accepted (see op_norm_fibers)")
+    return np.asarray(_sval_sum(np.asarray(ms, dtype=np.complex128)))
 
 
 def op_norm_fibers(ms) -> np.ndarray:

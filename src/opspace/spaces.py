@@ -219,7 +219,7 @@ def make_space(
     if norm_mode not in (EMBEDDED, LEVEL1_ORACLE):
         raise SpaceFormatError(f"unknown norm_mode {norm_mode!r}")
     if norm_mode == LEVEL1_ORACLE:
-        if level1_oracle not in ORACLES:
+        if not isinstance(level1_oracle, str) or level1_oracle not in ORACLES:
             raise SpaceFormatError(f"unknown level1_oracle {level1_oracle!r}")
     elif level1_oracle is not None:
         raise SpaceFormatError("level1_oracle is only meaningful in level1-oracle mode")
@@ -229,6 +229,8 @@ def make_space(
         S = np.asarray(involution, dtype=np.complex128)
         if S.shape != (k, k):
             raise SpaceFormatError(f"involution must be {k}x{k}, got {S.shape}")
+        if not np.all(np.isfinite(S)):
+            raise SpaceFormatError("involution has non-finite entries")
         period = S @ np.conj(S)
         if np.abs(period - np.eye(k)).max() > INVOLUTION_TOL:
             raise SpaceFormatError("involution applied twice is not the identity on coefficients")
@@ -249,6 +251,8 @@ def make_space(
         u = np.asarray(unit, dtype=np.complex128).reshape(-1)
         if u.shape != (k,):
             raise SpaceFormatError(f"unit coefficient vector must have length {k}")
+        if not np.all(np.isfinite(u)):
+            raise SpaceFormatError("unit has non-finite entries")
 
     space = SpaceRep(
         p=p, q=q, basis=basis, unit=u, involution=S, norm_mode=norm_mode, level1_oracle=level1_oracle
@@ -269,10 +273,10 @@ _COMPLEX_PAIR = "a complex scalar encoded as [re, im]"
 def _decode_scalar(v):
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SpaceFormatError(f"expected {_COMPLEX_PAIR}, got {v!r}")
-    re, im = v
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # a JSON boolean decodes to a Python bool, which is an int too
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise SpaceFormatError(f"expected {_COMPLEX_PAIR}, got {v!r}")
-    return complex(re, im)
+    return complex(*v)
 
 
 def _decode_vector(values, length, what):
@@ -303,7 +307,7 @@ def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
         if req not in doc:
             raise SpaceFormatError(f"missing required field {req!r}")
     p, q = doc["p"], doc["q"]
-    if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (p, q)):
         raise SpaceFormatError("p and q must be positive integers")
     raw_basis = doc["basis"]
     if not isinstance(raw_basis, list) or not raw_basis:

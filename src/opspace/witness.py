@@ -10,14 +10,14 @@ Each step line-searches along that direction (and, in the ball, along radial
 rescalings) and grows the step on improvement; a stalled step halves it and
 blends in the gradient at the nearest failed trial, so the search follows the
 kinks of the max-of-norms objectives.  A call searches several cells (a ball
-or sphere radius and a stream key each) of one level, and the restarts of all
-its cells advance in vectorized lockstep: one ascent step costs one batch of
-trial evaluations and at most one gradient batch for the whole level.  Every
-restart carries its own radius, step, step cap and floor, so its trajectory
-does not depend on which restarts share its batch; the batch's working set
-grows with the number of cells.  Results are independent of scheduling and
-thread count because each cell's merge takes the maximum by value with index
-tie-break.
+or sphere radius and a stream key each, all named by the caller; the config
+holds no radius) of one level, and the restarts of all its cells advance in
+vectorized lockstep: one ascent step costs one batch of trial evaluations and
+at most one gradient batch for the whole level.  Every restart carries its
+own radius, step, step cap and floor, so its trajectory does not depend on
+which restarts share its batch; the batch's working set grows with the number
+of cells.  Results are independent of scheduling and thread count because
+each cell's merge takes the maximum by value with index tie-break.
 
 A violation is settled by one witness, so a cell that already holds one needs
 only its leading restarts to sharpen the margin.  At fixed steps
@@ -113,21 +113,19 @@ class SearchConfig:
 
     tolerance: float = 1e-6
     max_level: int = 2
-    radius: float = 0.5
     restarts: int = 64
     seed: int = DEFAULT_SEED
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("tolerance", "radius"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidInputError(f"SearchConfig.{name} must be a finite number, got {value!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not math.isfinite(tol):
+            raise InvalidInputError(f"SearchConfig.tolerance must be a finite number, got {tol!r}")
         for name in ("max_level", "restarts", "threads", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidInputError(f"SearchConfig.{name} must be an integer, got {value!r}")
-        for name in ("tolerance", "max_level", "radius", "threads"):
+        for name in ("tolerance", "max_level", "threads"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"SearchConfig.{name} must be positive")
         if self.restarts < 0:
@@ -422,7 +420,7 @@ def maximize_violation(
     space: spaces.SpaceRep,
     level: int,
     cfg: SearchConfig,
-    cells: list | None = None,
+    cells: list,
     mode: str = BALL,
     restarts: int | None = None,
     *,
@@ -430,12 +428,12 @@ def maximize_violation(
 ) -> list[SearchResult]:
     """Search the balls (or spheres) of M_n(X) of several cells for maximizers of ``objective``.
 
-    ``cells`` is a sequence of (radius, stream_key) pairs, by default the one
-    cell (cfg.radius, ()).  Each cell draws ``restarts`` starts (default
-    cfg.restarts) from its own stream key, and the restarts of all cells
-    ascend in one lockstep batch.  Once a cell's best exceeds cfg.tolerance,
-    the cell races its restarts: after each step in ``_RACE_STEPS`` it stops
-    the lower-valued half of its active ones (see ``_race``).  In ball mode,
+    ``cells`` is a sequence of (radius, stream_key) pairs.  Each cell draws
+    ``restarts`` starts (default cfg.restarts) from its own stream key, and
+    the restarts of all cells ascend in one lockstep batch.  Once a cell's
+    best exceeds cfg.tolerance, the cell races its restarts: after each step
+    in ``_RACE_STEPS`` it stops the lower-valued half of its active ones (see
+    ``_race``).  In ball mode,
     while a cell's best stays at or below cfg.tolerance, it stops the
     restarts that converge to the origin, scoring x = 0 once when the first
     one comes near (see ``_ascent``).  A cell holding a violation gives each
@@ -454,7 +452,7 @@ def maximize_violation(
     partial derivatives along the real and imaginary coefficient parts.
     Fixed (seed, stream_key) reproduces a cell's result bit-for-bit.
     """
-    cells = [(cfg.radius, ())] if cells is None else [(float(r), key) for r, key in cells]
+    cells = [(float(r), key) for r, key in cells]
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     if n_restarts <= 0:
         return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0) for _ in cells]
@@ -490,19 +488,20 @@ def refine_witness(
     objective,
     space: spaces.SpaceRep,
     point: spaces.LevelElement,
-    cfg: SearchConfig,
-    radius: float | None = None,
+    radius: float,
     mode: str = BALL,
     *,
     gradient,
 ) -> SearchResult:
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
-    One restart, so it never races, never stops at the origin and never snaps.
+    The point is projected into the ball (or onto the sphere) of ``radius``
+    first, normally the radius of the cell that found it.  One restart, so
+    it never races, never stops at the origin and never snaps.
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
-    radius = cfg.radius if radius is None else float(radius)
+    radius = float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
     pts, values, evaluations, *_ = _ascent(

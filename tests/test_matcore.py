@@ -164,21 +164,6 @@ def test_trace_norm_dominates_op_norm_and_zero_characterization():
     assert matcore.trace_norm(z) <= 1e-12
 
 
-def test_fibered_norms_match_dense():
-    rng = matcore.stream(34, 0)
-    for p, q, g in [(6, 6, 3), (8, 4, 2), (6, 6, 2)]:
-        m = np.zeros((4, p, q), dtype=complex)
-        grid = m.reshape(4, p // g, g, q // g, g)
-        for b in range(4):
-            for i in range(p // g):
-                for j in range(q // g):
-                    grid[b, i, :, j, :] += np.diag(rng.normal(size=g) + 1j * rng.normal(size=g))
-        assert np.allclose(matcore.op_norm_stack(m, fiber=g), matcore.op_norm_stack(m), atol=1e-10)
-        assert np.allclose(
-            matcore.trace_norm_stack(m, fiber=g), matcore.trace_norm_stack(m), atol=1e-10
-        )
-
-
 # ---------------------------------------------------------------------------
 # the stack kernels against LAPACK: closed forms for a shorter side of 1 or 2
 # (and 2x2 trace norms), LAPACK for 3x3
@@ -234,16 +219,19 @@ def test_single_matrix_norms_are_the_stack_kernels(shape):
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_fibered_kernels_match_lapack_on_each_fiber(scale):
-    # g-fibered (N, 2g, 2g) matrices: each fiber is a 2x2 matrix, so the fiber= path runs the closed forms
+    # per-fiber stacks (N, g, 2, 2): each fiber is a 2x2 matrix, so the closed forms run on it
     rng = matcore.stream(36, 0)
     g = 3
     small = np.stack([matcore.rand_cmat(2, 2, rng) for _ in range(20 * g)]).reshape(20, g, 2, 2) * scale
-    ms = np.zeros((20, 2 * g, 2 * g), dtype=complex)
-    for f in range(g):
-        ms[:, f::g, f::g] = small[:, f]
     op_want, tr_want = lapack_norms(small)
-    assert np.allclose(matcore.op_norm_stack(ms, fiber=g), op_want.max(axis=-1), rtol=1e-14, atol=0)
-    assert np.allclose(matcore.trace_norm_stack(ms, fiber=g), tr_want.sum(axis=-1), rtol=1e-14, atol=0)
+    assert np.allclose(matcore.op_norm_fibers(small), op_want.max(axis=-1), rtol=1e-14, atol=0)
+    assert np.allclose(matcore.trace_norm_stack(small).sum(axis=-1), tr_want.sum(axis=-1),
+                       rtol=1e-14, atol=0)
+    # the fibered route of the dense kernels is gone; their fiber keyword accepts only None
+    for kernel in (matcore.op_norm_stack, matcore.trace_norm_stack):
+        assert np.array_equal(kernel(small, fiber=None), kernel(small))
+        with pytest.raises(InvalidInputError, match="fiber=3"):
+            kernel(small, fiber=g)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def test_determinism_and_thread_independence(m2):
 
 def test_zero_restarts_yield_no_evidence(m2):
     cfg = witness.SearchConfig(restarts=0)
-    res, = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, gradient=norm_gradient(m2))
+    res, = witness.maximize_violation(norm_objective(m2), m2, 1, cfg, cells=[(0.5, ())],
+                                      gradient=norm_gradient(m2))
     assert res.evaluations == 0
     assert res.best_point is None
 
@@ -100,11 +101,10 @@ def test_refine_never_decreases(m2):
     entry = corpus.build_linf(3, "e1")
     space = entry.space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
-    cfg = witness.SearchConfig()
     # the exact witness is a maximizer along its ray; refinement must hold the value
     e2 = spaces.LevelElement(1, np.array([[[0, 1.0, 0]]], dtype=complex))
     start = float(obj(e2.coeffs[None])[0])
-    res = witness.refine_witness(obj, space, e2, cfg, radius=1.0, gradient=grad)
+    res = witness.refine_witness(obj, space, e2, 1.0, gradient=grad)
     assert res.best_value >= start - 1e-12
     assert res.best_value >= math.sqrt(2) - 1 - 1e-9
 
@@ -123,8 +123,7 @@ def test_refine_counts_each_evaluation_once():
         return grad(coeffs)
 
     start = spaces.LevelElement(1, np.array([[[0.2, 0.3j, -0.1]]], dtype=complex))
-    res = witness.refine_witness(counted_obj, space, start, witness.SearchConfig(), radius=1.0,
-                                 gradient=counted_grad)
+    res = witness.refine_witness(counted_obj, space, start, 1.0, gradient=counted_grad)
     assert calls["objective"] > 1 and calls["gradient"] > 0
     assert res.evaluations == calls["objective"] + calls["gradient"]
 
@@ -134,8 +133,7 @@ def test_refine_keeps_zero_fixed_under_nonpositive_objective(m2):
         return -spaces.norm_stack(m2, coeffs)
 
     z = spaces.zero_element(m2)
-    res = witness.refine_witness(neg_norm, m2, z, witness.SearchConfig(), radius=1.0,
-                                 gradient=norm_gradient(m2, sign=-1.0))
+    res = witness.refine_witness(neg_norm, m2, z, 1.0, gradient=norm_gradient(m2, sign=-1.0))
     assert res.best_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -162,10 +160,6 @@ def test_non_finite_objective_aborts_restart_and_continues(m2):
     res, = witness.maximize_violation(sometimes_nan, m2, 1, cfg, cells=[(1.0, (7,))],
                                       gradient=norm_gradient(m2))
     assert np.isfinite(res.best_value)
-
-
-#: The four radius cells a default-config ball search sweeps, largest first.
-DEFAULT_RADII = (1.0, 0.5, 0.25, 0.1)
 
 
 def same_result(a, b):
@@ -200,7 +194,7 @@ def test_cells_ascend_independently(monkeypatch, entry_name, mode, level, dead_c
 
     monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
     cfg = witness.SearchConfig(restarts=restarts)
-    cells = [(r, (5, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    cells = [(r, (5, level, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
     merged = witness.maximize_violation(obj, space, level, cfg, cells=cells, mode=mode, gradient=grad)
     assert len(merged) == len(cells)
     for cell, res in zip(cells, merged):
@@ -245,7 +239,7 @@ def test_one_gradient_batch_per_step_and_evaluations_count_rows(monkeypatch, mod
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     monkeypatch.setattr(witness, "ASCENT_STEPS", 40)
     cfg = witness.SearchConfig(restarts=1)
-    cells = [(r, (8, ri, j)) for ri, r in enumerate(DEFAULT_RADII) for j in range(2)]
+    cells = [(r, (8, ri, j)) for ri, r in enumerate(criteria.RADIUS_SWEEP) for j in range(2)]
     log = []
     f, g = counted(obj, grad, log)
     merged = witness.maximize_violation(f, space, 1, cfg, cells=cells, mode=mode, gradient=g)
@@ -272,7 +266,7 @@ def test_cell_below_tolerance_never_races(monkeypatch, entry_name, tolerance):
     space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
     cfg = witness.SearchConfig(restarts=8, tolerance=tolerance)
-    cells = [(r, (9, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    cells = [(r, (9, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
     raced = witness.maximize_violation(obj, space, 2, cfg, cells=cells, gradient=grad)
     monkeypatch.setattr(witness, "_RACE_STEPS", ())
     plain = witness.maximize_violation(obj, space, 2, cfg, cells=cells, gradient=grad)
@@ -368,7 +362,7 @@ def test_snapping_cells_ascend_independently(monkeypatch, entry_name, mode, leve
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
     monkeypatch.setattr(witness, "ASCENT_STEPS", 60)
     cfg = witness.SearchConfig(restarts=4)
-    cells = [(r, (14, level, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    cells = [(r, (14, level, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
     log = []
     f, g = counted(obj, grad, log)
     merged = witness.maximize_violation(f, space, level, cfg, cells=cells, mode=mode, gradient=g)
@@ -389,19 +383,18 @@ def test_cell_holding_no_violation_never_snaps(monkeypatch, entry_name, toleranc
     space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
     cfg = witness.SearchConfig(restarts=8, tolerance=tolerance)
-    cells = [(r, (15, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    cells = [(r, (15, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
     start = spaces.LevelElement(1, np.zeros((1, 1, space.dim), dtype=complex))
     start.coeffs[0, 0, :3] = [0.3, 1e-4j, -0.6]
     searched = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad)
-    refined = witness.refine_witness(obj, space, start, witness.SearchConfig(), radius=1.0, gradient=grad)
+    refined = witness.refine_witness(obj, space, start, 1.0, gradient=grad)
     monkeypatch.setattr(witness, "SNAP_STEPS", 0)
     plain = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad)
     for a, b in zip(searched, plain):
         assert a.best_value <= tolerance
         assert same_result(a, b)
     # refine_witness never snaps either, even from a point with a small coefficient
-    assert same_result(refined, witness.refine_witness(obj, space, start, witness.SearchConfig(),
-                                                       radius=1.0, gradient=grad))
+    assert same_result(refined, witness.refine_witness(obj, space, start, 1.0, gradient=grad))
 
 
 @pytest.mark.parametrize("entry_name, criterion, margin, samples", [
@@ -447,7 +440,7 @@ def test_violation_in_a_shell_near_the_origin_is_still_found(monkeypatch, m2):
     # the only values above the tolerance (about 1e-5) sit at ||x|| = 1e-3 x the largest radius
     f, g = shell_objective(m2, 1e-3, 1e-4, 1e-3 + 1e-5)
     cfg = witness.SearchConfig(restarts=8)
-    cells = [(r, (11, ri)) for ri, r in enumerate(DEFAULT_RADII)]
+    cells = [(r, (11, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
     stopping = witness.maximize_violation(f, m2, 1, cfg, cells=cells, gradient=g)
     monkeypatch.setattr(witness, "ORIGIN_FRACTION", 0.0)
     plain = witness.maximize_violation(f, m2, 1, cfg, cells=cells, gradient=g)
@@ -487,7 +480,7 @@ def test_late_winners_passing_the_origin_keep_their_reports(monkeypatch, entry_n
     assert stopping.to_dict() == plain.to_dict()
 
 
-@pytest.mark.parametrize("name", ["tolerance", "radius"])
+@pytest.mark.parametrize("name", ["tolerance"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_refuses_non_finite_reals(name, bad):
     with pytest.raises(InvalidInputError, match=f"SearchConfig.{name} "):
@@ -503,6 +496,7 @@ def test_config_refuses_non_integer_counts(name, bad):
 
 #: The budgets that became constants, each with a call that would set it.
 FIXED_BUDGETS = {
+    "radius": lambda: witness.SearchConfig(radius=0.5),
     "ascent_steps": lambda: witness.SearchConfig(ascent_steps=30),
     "step_size": lambda: witness.SearchConfig(step_size=0.1),
     "circle_samples": lambda: witness.SearchConfig(circle_samples=90),
@@ -525,8 +519,8 @@ def test_fixed_budgets_are_not_settable(name):
 
 
 def test_config_accepts_numpy_scalars():
-    witness.SearchConfig(max_level=np.int64(2), seed=np.uint32(7), radius=np.float64(0.5),
-                         tolerance=1)
+    witness.SearchConfig(max_level=np.int64(2), seed=np.uint32(7), tolerance=np.float64(0.5))
+    witness.SearchConfig(tolerance=1)
 
 
 def test_config_validation():
