@@ -16,9 +16,10 @@ before and after with the relative change of its size (for a violation, the
 size is the violation found), and the top-level fields that moved; a moved
 dict field such as ``config`` also names the keys inside it that moved, were
 added or were removed.  A last line counts the byte-identical payloads, the
-moved ones by verdict, and the changed verdicts, and names the largest relative
+moved ones by verdict, and the changed verdicts, names the largest relative
 fall of a violation found (the size of a margin that is VIOLATED in both dumps)
-with its key.  ``diff`` exits 1 when any payload moved or is in one dump only,
+with its key, gives the total ``samples`` of each dump, and counts the
+witnesses that moved while their margin did not.  ``diff`` exits 1 when any payload moved or is in one dump only,
 and 0 otherwise.
 """
 
@@ -76,6 +77,7 @@ def diff(old_path: Path, new_path: Path) -> int:
     moved = {}
     verdicts = 0
     one_sided = 0
+    witnesses = 0  # payloads whose witness moved while their margin did not
     fall = (0.0, None)  # the largest relative fall of a violation, and its key
     for key in sorted(old.keys() | new.keys()):
         if key not in new or key not in old:
@@ -90,6 +92,7 @@ def diff(old_path: Path, new_path: Path) -> int:
                   if _canonical(a.get(f)) != _canonical(b.get(f))]
         verdict = a["verdict"] if a["verdict"] == b["verdict"] else f"{a['verdict']} -> {b['verdict']}"
         verdicts += a["verdict"] != b["verdict"]
+        witnesses += a["margin"] == b["margin"] and _canonical(a.get("witness")) != _canonical(b.get("witness"))
         moved[a["verdict"]] = moved.get(a["verdict"], 0) + 1
         if a["verdict"] == b["verdict"] == "VIOLATED" and abs(b["margin"]) < abs(a["margin"]):
             rel = (abs(a["margin"]) - abs(b["margin"])) / abs(a["margin"])
@@ -99,8 +102,10 @@ def diff(old_path: Path, new_path: Path) -> int:
               f"({_size_change(a['margin'], b['margin'])})  moved: {', '.join(fields)}")
     by_verdict = ", ".join(f"{n} {v}" for v, n in sorted(moved.items())) or "none"
     largest = f"largest VIOLATED fall {fall[0]:.3g} at {fall[1]}" if fall[1] else "no VIOLATED violation fell"
+    samples = " -> ".join(f"{sum(p.get('samples', 0) for p in dump.values()):,}" for dump in (old, new))
     print(f"{same} of {len(old.keys() & new.keys())} payloads byte-identical; moved: {by_verdict}; "
-          f"{verdicts} verdicts changed; {largest}")
+          f"{verdicts} verdicts changed; {largest}; samples {samples}; "
+          f"{witnesses} witnesses moved at an unchanged margin")
     return sum(moved.values()) + one_sided
 
 

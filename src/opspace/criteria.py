@@ -205,6 +205,7 @@ def _searched_check(
     radii: tuple,
     mode: str = witness.BALL,
     notes: list | None = None,
+    caps: list | None = None,
 ) -> CheckReport:
     """Run the violation search over (level, radius) cells and assemble the report.
 
@@ -215,7 +216,9 @@ def _searched_check(
     one; that order fixes each cell's stream key and trace position, and a
     later cell replaces the best only when strictly better.
     ``objective_for_level(n)`` returns the (objective, gradient) pair searched
-    at level n.
+    at level n.  ``caps`` holds the objective's bound on each radius's ball at
+    every level (``SearchCriterion.cap``), or is None; a cell that can no
+    longer beat the best found stops (see ``witness.maximize_violation``).
     """
     cfg.guard_ambient(space)
     notes = list(notes or [])
@@ -227,6 +230,7 @@ def _searched_check(
     best_radius = best_pair = None
     evaluations = 0
     stopped = 0
+    capped = 0
     at_origin = 0
     trace = []
     levels_checked = []
@@ -235,11 +239,12 @@ def _searched_check(
         levels_checked.append(n)
         results = witness.maximize_violation(
             objective, space, n, cfg, cells=[(r, (key, li, ri)) for ri, r in enumerate(radii)],
-            mode=mode, restarts=per_cell, gradient=gradient,
+            mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
         )
         for r, res in zip(radii, results):
             evaluations += res.evaluations
             stopped += res.stopped
+            capped += res.capped
             at_origin += res.origin_stops
             trace.append({"level": n, "radius": r, "restarts": per_cell,
                           "best": res.best_value if np.isfinite(res.best_value) else None,
@@ -270,6 +275,8 @@ def _searched_check(
         notes.append(f"{dead} of {started} restarts died on non-finite objective values")
     if stopped:
         notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
+    if capped:
+        notes.append(f"{capped} of {started} restarts stopped once their cell could not beat the best found")
     if at_origin:
         notes.append(f"{at_origin} of {started} restarts converged to the origin")
     # 0.0 - best, not -best: a best of f(0) = 0.0 gives margin 0.0, never -0.0
@@ -317,6 +324,30 @@ def _hypot1_slope(nx):
     return nx / np.sqrt(1.0 + nx**2)
 
 
+# Caps: the largest value a ball row's objective takes on the ball of radius
+# r, given the norm nu of its distinguished element.  Each follows from the
+# triangle inequality alone, so it holds for every norm, the trace-norm
+# oracle included.
+
+
+def _unitary_cap(r, nu):
+    """sqrt(1 + ||x||) - ||gadget|| <= sqrt(1 + r) - nu: the gadget's norm is at least nu.
+
+    The four rotations u_n + i^k x average to u_n, and the doubling gadget has
+    v_n as a corner.
+    """
+    return math.sqrt(1.0 + r) - nu
+
+
+def _skew_cap(r, nu):
+    """| ||r_x|| - sqrt(1 + ||x||^2) | <= max(nu + r - 1, sqrt(1 + r^2) - nu).
+
+    ||r_x|| lies in [nu, nu + r] (a corner, and the triangle inequality), and
+    the target in [1, sqrt(1 + r^2)].
+    """
+    return max(nu + r - 1.0, math.sqrt(1.0 + r * r) - nu)
+
+
 @dataclass(frozen=True)
 class SearchCriterion:
     """One searched criterion: ||gadget(u_n, x)|| against target(||x||) for every x in M_n(X).
@@ -342,6 +373,7 @@ class SearchCriterion:
     sphere: bool = False  # search norm-one x; otherwise balls at the swept radii
     unsupported: str | None = None  # UNSUPPORTED_LEVEL reason on level-1-oracle spaces
     involution: bool = False  # needs the space's involution and a selfadjoint unit
+    cap: Callable | None = None  # (radius, ||u||) -> the objective's bound on that ball; None on the sphere
 
     def objective(self, space, u, level):
         """(objective, gradient) at one level.
@@ -389,19 +421,23 @@ class SearchCriterion:
         """The violation search over this row's levels and radii, with no proof tried."""
         levels, notes = _levels_for(space, cfg)
         radii, mode = ((1.0,), witness.SPHERE) if self.sphere else (RADIUS_SWEEP, witness.BALL)
+        caps = None
+        if self.cap is not None:
+            nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
+            caps = [self.cap(r, nu) for r in radii]
         return _searched_check(
             self.name, self.key, space, cfg, lambda n: self.objective(space, u, n),
-            levels, radii, mode=mode, notes=notes,
+            levels, radii, mode=mode, notes=notes, caps=caps,
         )
 
 
 SEARCH_CRITERIA = {c.name: c for c in (
     SearchCriterion("unitary-four-rotation", 1, "u", "four_rotation", _sqrt1, _sqrt1_slope,
-                    signed=True, rotations=True, proof="both",
+                    signed=True, rotations=True, proof="both", cap=_unitary_cap,
                     shows="max_k ||u_n + i^k x||", target_text="sqrt(1 + ||x||)"),
     SearchCriterion("unitary-t-gadget", 2, "v", "t", _sqrt1, _sqrt1_slope, signed=True,
                     unsupported="the doubling gadget needs 2x2 blocks over X", proof="both",
-                    shows="||[[v_n, x], [0, v_n]]||", target_text="sqrt(1 + ||x||)"),
+                    cap=_unitary_cap, shows="||[[v_n, x], [0, v_n]]||", target_text="sqrt(1 + ||x||)"),
     SearchCriterion("coisometry", 3, "u", "row", _hypot1, _hypot1_slope, signed=False,
                     sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
                     proof="left", shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
@@ -410,7 +446,7 @@ SEARCH_CRITERIA = {c.name: c for c in (
                     proof="right", shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
     SearchCriterion("operator-system", 5, "v", "r", _hypot1, _hypot1_slope, signed=False,
                     involution=True, unsupported="the skew gadget needs 2x2 blocks over X",
-                    proof="corner-unit", shows="||[[v_n, x], [-x*, v_n]]||",
+                    proof="corner-unit", cap=_skew_cap, shows="||[[v_n, x], [-x*, v_n]]||",
                     target_text="sqrt(1 + ||x||^2)"),
 )}
 

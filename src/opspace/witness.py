@@ -54,6 +54,18 @@ zeroes whole complex coefficients and never reaches the origin, where late
 winners pass on their way out.  A cell holding no violation and
 ``refine_witness`` never snap, so a search that finds nothing returns what
 it would without the snap.
+
+A caller may give each ball cell a cap: a bound its objective cannot exceed
+on the cell's ball (``SearchCriterion.cap``, from the triangle inequality).
+After each step a cell stops all its active restarts once it cannot beat the
+best found, bounding as in branch-and-bound (Land-Doig 1960): when it holds a
+violation and its best is within ``_STALL_EPS`` of its own cap, so that no
+trial can be accepted, or when its cap lies below the best of another cell
+holding a violation, so that it cannot hold the winner.  Both comparisons
+leave a rounding guard of ``_CAP_ULPS`` ulps.  The first rule looks only
+inside a cell, so each cell's result is what a call with that cell alone
+returns, unless another cell's value proves that it cannot win.  A search
+that holds no violation never stops a cell this way.
 """
 
 from __future__ import annotations
@@ -90,6 +102,7 @@ _LINE_SCALES = np.array([2.0, 1.0, 0.5])  # expansion / hold / contraction per l
 _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 _RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation halves its restarts
+_CAP_ULPS = 4  # rounding guard of the cap comparisons, in ulps of max(|cap|, 1)
 
 #: A restart of a ball cell holding no violation stops once its point's norm
 #: is below this fraction of the radius and its value is at most f(0).
@@ -149,6 +162,7 @@ class SearchResult:
     restart_bests: list = field(default_factory=list)  # the value each restart had when it stopped
     stopped: int = 0  # restarts the race stopped early (see _race)
     origin_stops: int = 0  # restarts stopped once they converged to the origin
+    capped: int = 0  # restarts stopped once their cell could not beat the best found (see _beaten)
 
 
 def _project(space, coeffs, radius, mode):
@@ -239,11 +253,27 @@ def _race(values, active, since, cells, tolerance):
     return stop
 
 
-def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
-            cells=0, tolerance=np.inf):
-    """Vectorized lockstep ascent; returns (points, values, evaluations, raced, at_origin, origin).
+def _beaten(values, cells, tolerance, caps):
+    """The mask of the cells that cannot beat the best found, given each cell's cap.
 
-    The first five hold one entry per restart, ``origin`` one per cell.
+    The restarts form ``cells`` contiguous equal blocks.  A cell is beaten
+    when it holds a violation (best above ``tolerance``) and its best is
+    within ``_STALL_EPS`` of its cap, or when its cap lies below the best of
+    another cell holding a violation; both with a guard of ``_CAP_ULPS`` ulps.
+    """
+    best = values.reshape(cells, -1).max(axis=1)
+    guard = _CAP_ULPS * np.finfo(float).eps * np.maximum(np.abs(caps), 1.0)
+    hot = best > tolerance
+    at_cap = hot & (best >= caps - _STALL_EPS + guard)
+    rivals = np.where(hot & ~np.eye(cells, dtype=bool), best, -np.inf).max(axis=1)  # excluding each cell
+    return at_cap | (caps + guard < rivals)
+
+
+def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
+            cells=0, tolerance=np.inf, caps=None):
+    """Vectorized lockstep ascent; returns (points, values, evaluations, raced, at_origin, origin, capped).
+
+    ``origin`` holds one entry per cell, the others one per restart.
 
     ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
     first step; the step cap and floor scale with the restart's own radius, so
@@ -275,6 +305,9 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     another at or above it) also tries its point with those coefficients
     zeroed and projected (see ``_snap``), as one more row of the trial
     batch; an accepted snap keeps the restart's step.
+    With ``caps`` (one per cell) set, after each step every cell that cannot
+    beat the best found (see ``_beaten``) stops its active restarts, before
+    the race; ``capped`` marks them.
     A restart's ``evaluations`` counts its start, its trial points, its snap
     rows and its rows in the gradient batches, also when it is stopped early;
     the origin row counts in its cell's first restart.
@@ -301,6 +334,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     cell_of = np.arange(n_restarts) // per_cell  # each restart's cell
     pnorm = np.full(n_restarts, np.inf)  # each moved restart's norm; no start is near 0
     at_origin = np.zeros(n_restarts, dtype=bool)
+    capped = np.zeros(n_restarts, dtype=bool)
     origin = np.full(cells, np.nan)  # f(0) per cell; NaN until scored
     wanted = np.zeros(cells, dtype=bool)  # cells that score the origin in the next trial batch
 
@@ -398,6 +432,12 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
                 at_origin |= stop
                 wanted[cell_of[near]] = True
                 wanted &= np.isnan(origin)
+        if caps is not None:
+            beaten = _beaten(values, cells, tolerance, caps)
+            stop = active & beaten[cell_of]
+            active[stop] = False
+            capped |= stop
+            wanted &= ~beaten
         if cells and t + 1 in _RACE_STEPS:
             raced |= _race(values, active, since, cells, tolerance)
         # Gradient sampling: the nearest failed trial lies past a crest or
@@ -412,7 +452,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if moved.size or again.any():
             update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
-    return points, values, evaluations, raced, at_origin, origin
+    return points, values, evaluations, raced, at_origin, origin, capped
 
 
 def maximize_violation(
@@ -425,6 +465,7 @@ def maximize_violation(
     restarts: int | None = None,
     *,
     gradient,
+    caps=None,
 ) -> list[SearchResult]:
     """Search the balls (or spheres) of M_n(X) of several cells for maximizers of ``objective``.
 
@@ -438,13 +479,17 @@ def maximize_violation(
     restarts that converge to the origin, scoring x = 0 once when the first
     one comes near (see ``_ascent``).  A cell holding a violation gives each
     restart a snap trial per step: its point with its small coefficients
-    zeroed (see ``_snap``).  Returns one SearchResult per cell, in
-    the order given; each is exactly what a call with that cell alone
-    returns.  A cell's best is the larger of its restarts' best and f(0),
-    with the origin as its point when f(0) is larger.  A result's
-    ``restart_bests`` holds the value each restart had when it stopped,
-    ``stopped`` counts the restarts the race stopped and ``origin_stops``
-    those stopped at the origin.
+    zeroed (see ``_snap``).  ``caps``, one per cell or None, bound the
+    objective on each cell's ball; after each step a cell stops its restarts
+    once it cannot beat the best found (see ``_beaten``).  Returns one
+    SearchResult per cell, in the order given; each is exactly what a call
+    with that cell (and its cap) alone returns, unless its cap lies below
+    another cell's violation, so that it cannot hold the winner.  A cell's
+    best is the larger of its restarts' best and f(0), with the origin as its
+    point when f(0) is larger.  A result's ``restart_bests`` holds the value
+    each restart had when it stopped, ``stopped`` counts the restarts the race
+    stopped, ``origin_stops`` those stopped at the origin and ``capped`` those
+    stopped once their cell could not beat the best found.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
@@ -462,9 +507,10 @@ def maximize_violation(
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
-    points, values, evaluations, raced, at_origin, origin = _ascent(
+    points, values, evaluations, raced, at_origin, origin, capped = _ascent(
         objective, gradient, space, points, values, radius, mode,
         max_steps=ASCENT_STEPS, step0=step0, cells=len(cells), tolerance=cfg.tolerance,
+        caps=None if caps is None else np.asarray(caps, dtype=float),
     )
     results = []
     for c in range(len(cells)):
@@ -480,6 +526,7 @@ def maximize_violation(
             restart_bests=[float(v) for v in values[cell]],
             stopped=int(raced[cell].sum()),
             origin_stops=int(at_origin[cell].sum()),
+            capped=int(capped[cell].sum()),
         ))
     return results
 

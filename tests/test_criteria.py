@@ -536,3 +536,70 @@ def test_margin_sign_matches_verdict(corpus_reports, default_cfg):
                 assert rep.margin < -1e-7, (name, crit)
             elif rep.verdict == criteria.HOLDS_WITHIN_BUDGET:
                 assert rep.margin >= -default_cfg.tolerance, (name, crit)
+
+
+def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_reports):
+    note = re.compile(r"(\d+) of (\d+) restarts stopped once their cell could not beat the best found")
+    capped = set()
+    for name, reports in corpus_reports.items():
+        for crit, rep in reports.items():
+            found = [m for n in rep.notes if (m := note.fullmatch(n))]
+            if rep.verdict != criteria.VIOLATED or crit not in BALL_ROWS:
+                assert not found, (name, crit)
+            for m in found:
+                started = sum(len(cell["restart_bests"]) for cell in rep.trace)
+                assert 0 < int(m[1]) <= int(m[2]) == started, (name, crit)
+                capped.add((name, crit))
+    # the linf3_e1 rows reach the radius-1 cap sqrt(2) - 1 exactly
+    assert {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget")} <= capped
+
+
+# ---------------------------------------------------------------------------
+# caps of the ball rows
+
+
+BALL_ROWS = sorted(name for name, spec in criteria.SEARCH_CRITERIA.items() if spec.cap is not None)
+
+
+def cap_cases():
+    """(space name, row, unit) for every corpus row with a cap, and l1_2_diag_trace with a unit of norm 0.9."""
+    cases = [(e.name, crit, None) for e in corpus.build_corpus() for crit in e.expected
+             if crit in BALL_ROWS and not (criteria.SEARCH_CRITERIA[crit].unsupported
+                                           and e.space.norm_mode == spaces.LEVEL1_ORACLE)]
+    return cases + [("l1_2_diag_trace", "unitary-four-rotation", (0.9, 0.0))]
+
+
+def cap_probes(space, level, radius, rng):
+    """Points of the ball of ``radius``: random ones inside it and on its surface, and i^k times each basis element."""
+    inside = spaces.scale_to_norms(space, spaces.random_stack(space, level, rng, 8),
+                                   radius * np.exp(rng.uniform(np.log(1e-3), 0.0, size=8)))
+    surface = spaces.scale_to_norms(space, spaces.random_stack(space, level, rng, 8), radius)
+    units = np.zeros((4 * space.dim, level, level, space.dim), dtype=np.complex128)
+    for l in range(space.dim):
+        units[4 * l:4 * l + 4, 0, 0, l] = 1j ** np.arange(4)
+    return np.concatenate([inside, surface, spaces.scale_to_norms(space, units, radius)])
+
+
+def test_sphere_rows_have_no_cap():
+    assert BALL_ROWS == ["operator-system", "unitary-four-rotation", "unitary-t-gadget"]
+    assert all(spec.cap is None for spec in criteria.SEARCH_CRITERIA.values() if spec.sphere)
+
+
+@pytest.mark.parametrize("entry_name, crit, u", cap_cases())
+def test_no_cap_is_exceeded_on_its_ball(entry_name, crit, u):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    spec = criteria.SEARCH_CRITERIA[crit]
+    u = space.unit if u is None else np.array(u, dtype=np.complex128)
+    nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
+    rng = np.random.default_rng(list(f"{entry_name}/{crit}/{u}".encode()))
+    levels = [1] if space.norm_mode == spaces.LEVEL1_ORACLE else [1, 2]
+    for level in levels:
+        for radius in criteria.RADIUS_SWEEP:
+            cap = spec.cap(radius, nu)
+            guard = witness._CAP_ULPS * np.finfo(float).eps * max(abs(cap), 1.0)
+            values = [spec.value_at(space, u, spaces.LevelElement(level, coeffs))
+                      for coeffs in cap_probes(space, level, radius, rng)]
+            assert max(values) <= cap + guard, (level, radius, max(values), cap)
+            if entry_name == "linf3_e1" and crit != "operator-system":
+                # the unitary caps are attained there, at radius times -e3
+                assert max(values) >= cap - 1e-12, (level, radius, max(values), cap)

@@ -15,8 +15,8 @@ def payload_diff():
     return module
 
 
-def payload(verdict, margin, samples=10):
-    return {"verdict": verdict, "margin": margin, "samples": samples, "notes": []}
+def payload(verdict, margin, samples=10, witness=None):
+    return {"verdict": verdict, "margin": margin, "samples": samples, "notes": [], "witness": witness}
 
 
 def write_dumps(tmp_path, old, new):
@@ -40,7 +40,8 @@ def test_diff_names_the_largest_fall_of_a_violation(payload_diff, tmp_path, caps
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert lines[-1] == ("1 of 5 payloads byte-identical; moved: 1 HOLDS_WITHIN_BUDGET, 3 VIOLATED; "
-                         "0 verdicts changed; largest VIOLATED fall 0.2 at 7/b/fell")
+                         "0 verdicts changed; largest VIOLATED fall 0.2 at 7/b/fell; samples 50 -> 45; "
+                         "0 witnesses moved at an unchanged margin")
 
 
 def test_diff_without_a_fall_says_so(payload_diff, tmp_path, capsys):
@@ -51,4 +52,21 @@ def test_diff_without_a_fall_says_so(payload_diff, tmp_path, capsys):
     assert payload_diff.diff(*write_dumps(tmp_path, old, new)) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
         "0 of 3 payloads byte-identical; moved: 1 HOLDS_WITHIN_BUDGET, 2 VIOLATED; "
-        "1 verdicts changed; no VIOLATED violation fell")
+        "1 verdicts changed; no VIOLATED violation fell; samples 30 -> 24; "
+        "0 witnesses moved at an unchanged margin")
+
+
+def test_diff_counts_samples_and_witnesses_moved_at_an_unchanged_margin(payload_diff, tmp_path, capsys):
+    e2, e3 = {"level": 1, "coeffs": [[[[0.0, 0.0], [1.0, 0.0]]]]}, {"level": 1, "coeffs": [[[[1.0, 0.0], [0.0, 0.0]]]]}
+    old = {"7/a/same_margin": payload("VIOLATED", -0.4, samples=1200, witness=e2),
+           "7/b/both_moved": payload("VIOLATED", -0.3, samples=800, witness=e2),
+           "7/c/margin_only": payload("VIOLATED", -0.2, samples=5, witness=e3),
+           "7/d/held": payload("HOLDS_WITHIN_BUDGET", 0.0, samples=3000)}
+    new = {"7/a/same_margin": payload("VIOLATED", -0.4, samples=700, witness=e3),
+           "7/b/both_moved": payload("VIOLATED", -0.35, samples=800, witness=e3),
+           "7/c/margin_only": payload("VIOLATED", -0.25, samples=5, witness=e3),
+           "7/d/held": payload("HOLDS_WITHIN_BUDGET", 0.0, samples=3000)}
+    assert payload_diff.diff(*write_dumps(tmp_path, old, new)) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 of 4 payloads byte-identical; moved: 3 VIOLATED; 0 verdicts changed; no VIOLATED violation fell; "
+        "samples 5,005 -> 4,505; 1 witnesses moved at an unchanged margin")

@@ -168,7 +168,8 @@ def same_result(a, b):
             and a.evaluations == b.evaluations
             and a.restart_bests == b.restart_bests
             and a.stopped == b.stopped
-            and a.origin_stops == b.origin_stops)
+            and a.origin_stops == b.origin_stops
+            and a.capped == b.capped)
 
 
 @pytest.mark.parametrize("entry_name, mode, level, dead_cell, restarts", [
@@ -405,11 +406,13 @@ def test_cell_holding_no_violation_never_snaps(monkeypatch, entry_name, toleranc
 ])
 def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_name, criterion, margin,
                                                              samples):
-    # the margins and sample counts of these reports at seed 1729 before the snap trial existed
+    # the margins and sample counts of these reports at seed 1729 before the snap trial and the caps existed
     entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
     snapping = corpus.run_check(entry.space, criterion, cfg)
     monkeypatch.setattr(witness, "SNAP_STEPS", 0)
+    spec = criteria.SEARCH_CRITERIA[criterion]
+    monkeypatch.setitem(criteria.SEARCH_CRITERIA, criterion, dataclasses.replace(spec, cap=None))
     plain = corpus.run_check(entry.space, criterion, cfg)
     assert plain.verdict == snapping.verdict == criteria.VIOLATED
     assert plain.margin == pytest.approx(margin, rel=1e-12, abs=0)
@@ -417,6 +420,92 @@ def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_
     # snapping finds at least as large a violation with fewer samples
     assert abs(snapping.margin) >= abs(plain.margin) - 1e-9
     assert snapping.samples < plain.samples
+
+
+def row_caps(criterion, space, u=None):
+    """The criterion's cap on each ball of ``criteria.RADIUS_SWEEP``, at the space's unit or ``u``."""
+    u = space.unit if u is None else u
+    nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
+    return [criteria.SEARCH_CRITERIA[criterion].cap(r, nu) for r in criteria.RADIUS_SWEEP]
+
+
+def test_dominated_cell_stops_and_takes_fewer_evaluations(monkeypatch):
+    # the radius-1 cell reaches sqrt(2) - 1; 0.4 bounds the smaller balls too, and none comes near it
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 60)
+    cfg = witness.SearchConfig(restarts=4)
+    cells = [(r, (16, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
+    caps = [row_caps("unitary-four-rotation", space)[0], 0.4, 0.4, 0.4]
+    merged = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad, caps=caps)
+    assert merged[0].best_value > 0.4
+    for c, (cell, res) in enumerate(zip(cells, merged)):
+        alone, = witness.maximize_violation(obj, space, 1, cfg, cells=[cell], gradient=grad, caps=caps[c:c + 1])
+        if c == 0:  # no other cell's value rules the winner out
+            assert same_result(res, alone)
+            continue
+        assert res.capped > 0 and alone.capped == 0
+        assert res.evaluations < alone.evaluations
+        assert res.best_value <= alone.best_value < 0.4
+
+
+def test_cell_at_its_cap_stops_with_the_same_best_value():
+    # four-rotation on linf3_e1 attains its radius-1 cap sqrt(2) - 1 at -e3
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    cfg = witness.SearchConfig(restarts=8)
+    cap = row_caps("unitary-four-rotation", space)[0]
+    capped, = witness.maximize_violation(obj, space, 1, cfg, cells=[(1.0, (17,))], gradient=grad, caps=[cap])
+    plain, = witness.maximize_violation(obj, space, 1, cfg, cells=[(1.0, (17,))], gradient=grad)
+    assert capped.capped > 0 and plain.capped == 0
+    assert capped.best_value == plain.best_value == math.sqrt(2) - 1
+    assert capped.evaluations < plain.evaluations
+
+
+@pytest.mark.parametrize("entry_name, criterion, level", [
+    ("linf3_e1", "unitary-four-rotation", 1),
+    ("linf3_e1", "unitary-t-gadget", 2),
+    ("column_H2", "unitary-t-gadget", 1),
+    ("twisted_selfadjoint", "operator-system", 1),
+    ("trace_class_2", "unitary-four-rotation", 1),
+    ("lower_triangular_L12", "unitary-four-rotation", 1),
+])
+def test_cells_no_rival_rules_out_ascend_independently(monkeypatch, entry_name, criterion, level):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    obj, grad = criteria.SEARCH_CRITERIA[criterion].objective(space, space.unit, level)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 60)
+    cfg = witness.SearchConfig(restarts=4)
+    cells = [(r, (18, level, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
+    caps = row_caps(criterion, space)
+    merged = witness.maximize_violation(obj, space, level, cfg, cells=cells, gradient=grad, caps=caps)
+    kept = 0
+    for c, (cell, cap, res) in enumerate(zip(cells, caps, merged)):
+        rivals = [o.best_value for o in merged[:c] + merged[c + 1:] if o.best_value > cfg.tolerance]
+        guard = witness._CAP_ULPS * np.finfo(float).eps * max(abs(cap), 1.0)
+        if rivals and cap + guard < max(rivals):
+            continue  # another cell's value proves this one cannot win
+        alone, = witness.maximize_violation(obj, space, level, cfg, cells=[cell], gradient=grad, caps=[cap])
+        assert same_result(res, alone), cell
+        kept += 1
+    assert kept > 0
+
+
+@pytest.mark.parametrize("entry_name, tolerance", [
+    ("full_matrix_2", 1e-6),  # four-rotation holds: every value stays at or below 0
+    ("linf3_e1", 1.0),  # values reach their caps, sqrt(1 + r) - 1, but never the tolerance
+])
+def test_search_holding_no_violation_is_the_same_with_and_without_caps(entry_name, tolerance):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    cfg = witness.SearchConfig(restarts=8, tolerance=tolerance)
+    cells = [(r, (19, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
+    capped = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad,
+                                        caps=row_caps("unitary-four-rotation", space))
+    plain = witness.maximize_violation(obj, space, 1, cfg, cells=cells, gradient=grad)
+    for a, b in zip(capped, plain):
+        assert a.best_value <= tolerance
+        assert a.capped == 0
+        assert same_result(a, b)
 
 
 def shell_objective(space, center, width, height):
