@@ -5,8 +5,11 @@
 
 ``dump`` runs every corpus entry's expected criteria at each seed with the
 default SearchConfig (each entry's own tolerance and max_level, as
-``opspace corpus`` does) and writes every report's ``to_dict()`` under the key
-"seed/entry/criterion", as canonical JSON: sorted keys, and no
+``opspace corpus`` does).  On every entry with a square ambient it also runs,
+through ``corpus.run_check`` and the same config, ``positive`` on the unit
+(where the entry has one) and the three multiplier checks with basis element
+0 as w, which no entry expects.  It writes every report's ``to_dict()`` under
+the key "seed/entry/criterion", as canonical JSON: sorted keys, and no
 ``generated_at`` (a report has none; only the CLI envelope adds it).
 ``--src`` imports the package from that directory instead of this checkout's
 ``src``, so one copy of the script can dump another checkout.
@@ -31,6 +34,8 @@ import sys
 from pathlib import Path
 
 DEFAULT_SEEDS = (7, 1729, 4242)
+#: The checks dumped on every square entry besides its expected ones.
+SQUARE_CHECKS = ("positive", "multiplier-left", "multiplier-right", "multiplier-quasi")
 
 
 def dump(out: Path, seeds, src: Path):
@@ -41,7 +46,13 @@ def dump(out: Path, seeds, src: Path):
     for seed in seeds:
         cfg = witness.SearchConfig(seed=seed)
         for entry in corpus.build_corpus():
-            for crit, report in corpus.run_entry(entry, cfg):
+            reports = corpus.run_entry(entry, cfg)
+            space = entry.space
+            if space.p == space.q:
+                local = corpus.entry_config(entry, cfg)
+                reports += [(crit, corpus.run_check(space, crit, local, w_index=0)) for crit in SQUARE_CHECKS
+                            if crit != "positive" or space.unit is not None]
+            for crit, report in reports:
                 payloads[f"{seed}/{entry.name}/{crit}"] = report.to_dict()
     out.write_text(json.dumps(payloads, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"{len(payloads)} payloads at seeds {', '.join(map(str, seeds))} -> {out}")

@@ -189,109 +189,6 @@ def _require_contraction(who: str, norm: float):
         raise InvalidInputError(f"{who} must be a contraction, got norm {norm:.12f}")
 
 
-def _levels_for(space: spaces.SpaceRep, cfg: witness.SearchConfig) -> tuple[list, list]:
-    if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return [1], [LEVEL1_NOTE]
-    return list(range(1, cfg.max_level + 1)), []
-
-
-def _searched_check(
-    criterion: str,
-    key: int,
-    space: spaces.SpaceRep,
-    cfg: witness.SearchConfig,
-    objective_for_level,
-    levels: list,
-    radii: tuple,
-    mode: str = witness.BALL,
-    notes: list | None = None,
-    caps: list | None = None,
-) -> CheckReport:
-    """Run the violation search over (level, radius) cells and assemble the report.
-
-    Levels are searched in increasing order and stop early once a level has
-    produced a violation: the verdict cannot change, only the margin could.
-    All radius cells of a level are searched by one lockstep call.  ``radii``
-    comes largest first, since every smaller ball is contained in the largest
-    one; that order fixes each cell's stream key and trace position, and a
-    later cell replaces the best only when strictly better.
-    ``objective_for_level(n)`` returns the (objective, gradient) pair searched
-    at level n.  ``caps`` holds the objective's bound on each radius's ball at
-    every level (``SearchCriterion.cap``), or is None; a cell that can no
-    longer beat the best found stops (see ``witness.maximize_violation``).
-    """
-    cfg.guard_ambient(space)
-    notes = list(notes or [])
-    n_cells = len(levels) * len(radii)
-    per_cell = max(1, cfg.restarts // n_cells) if cfg.restarts > 0 else 0
-
-    best_value = -np.inf
-    best_elem = None
-    best_radius = best_pair = None
-    evaluations = 0
-    stopped = 0
-    capped = 0
-    at_origin = 0
-    trace = []
-    levels_checked = []
-    for li, n in enumerate(levels):
-        objective, gradient = objective_for_level(n)
-        levels_checked.append(n)
-        results = witness.maximize_violation(
-            objective, space, n, cfg, cells=[(r, (key, li, ri)) for ri, r in enumerate(radii)],
-            mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
-        )
-        for r, res in zip(radii, results):
-            evaluations += res.evaluations
-            stopped += res.stopped
-            capped += res.capped
-            at_origin += res.origin_stops
-            trace.append({"level": n, "radius": r, "restarts": per_cell,
-                          "best": res.best_value if np.isfinite(res.best_value) else None,
-                          "evaluations": res.evaluations,
-                          "restart_bests": [v if np.isfinite(v) else None
-                                            for v in res.restart_bests]})
-            if res.best_value > best_value:
-                best_value = res.best_value
-                best_elem = res.best_point
-                best_radius = r
-                best_pair = (objective, gradient)
-        if best_value > cfg.tolerance:
-            break
-
-    if best_elem is not None:
-        objective, gradient = best_pair
-        polished = witness.refine_witness(
-            objective, space, best_elem, best_radius, mode=mode, gradient=gradient
-        )
-        evaluations += polished.evaluations
-        if polished.best_value > best_value:
-            best_value = polished.best_value
-            best_elem = polished.best_point
-
-    started = sum(len(cell["restart_bests"]) for cell in trace)
-    dead = sum(v is None for cell in trace for v in cell["restart_bests"])
-    if dead:
-        notes.append(f"{dead} of {started} restarts died on non-finite objective values")
-    if stopped:
-        notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
-    if capped:
-        notes.append(f"{capped} of {started} restarts stopped once their cell could not beat the best found")
-    if at_origin:
-        notes.append(f"{at_origin} of {started} restarts converged to the origin")
-    # 0.0 - best, not -best: a best of f(0) = 0.0 gives margin 0.0, never -0.0
-    verdict, margin, found = HOLDS_WITHIN_BUDGET, 0.0 - best_value, None
-    if best_elem is None:
-        verdict, margin = INCONCLUSIVE, 0.0
-        if not dead:
-            notes.append("no search evidence (zero restarts)")
-    elif best_value > cfg.tolerance:
-        verdict = VIOLATED
-        found = _witness_dict(best_elem, {"violation": best_value,
-                                          "witness_norm": float(spaces.norm(space, best_elem))})
-    return CheckReport(criterion, verdict, margin, found, levels_checked, evaluations, cfg.to_dict(), notes, trace)
-
-
 def _unsupported(criterion: str, cfg: witness.SearchConfig, why: str) -> CheckReport:
     return CheckReport(
         criterion=criterion, verdict=UNSUPPORTED_LEVEL, margin=0.0, witness=None,
@@ -418,17 +315,95 @@ class SearchCriterion:
         return float(self.objective(space, u, elem.level)[0](elem.coeffs[None])[0])
 
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
-        """The violation search over this row's levels and radii, with no proof tried."""
-        levels, notes = _levels_for(space, cfg)
+        """The violation search over this row's levels and radii, with no proof tried.
+
+        Levels (level 1 alone on a level-1-oracle space) are searched in
+        increasing order and stop early once a level has produced a
+        violation: the verdict cannot change, only the margin could.  All
+        radius cells of a level are searched by one lockstep call.  The radii
+        come largest first, since every smaller ball is contained in the
+        largest one; that order fixes each cell's stream key and trace
+        position, and a later cell replaces the best only when strictly
+        better.  A ball row's caps bound the objective on each radius's ball
+        at every level.
+        """
+        levels, notes = list(range(1, cfg.max_level + 1)), []
+        if space.norm_mode == spaces.LEVEL1_ORACLE:
+            levels, notes = [1], [LEVEL1_NOTE]
         radii, mode = ((1.0,), witness.SPHERE) if self.sphere else (RADIUS_SWEEP, witness.BALL)
         caps = None
         if self.cap is not None:
             nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
             caps = [self.cap(r, nu) for r in radii]
-        return _searched_check(
-            self.name, self.key, space, cfg, lambda n: self.objective(space, u, n),
-            levels, radii, mode=mode, notes=notes, caps=caps,
-        )
+        n_cells = len(levels) * len(radii)
+        per_cell = max(1, cfg.restarts // n_cells) if cfg.restarts > 0 else 0
+
+        best_value = -np.inf
+        best_elem = None
+        best_radius = best_pair = None
+        evaluations = 0
+        stopped = 0
+        capped = 0
+        at_origin = 0
+        trace = []
+        levels_checked = []
+        for li, n in enumerate(levels):
+            objective, gradient = self.objective(space, u, n)
+            levels_checked.append(n)
+            results = witness.maximize_violation(
+                objective, space, n, cfg, cells=[(r, (self.key, li, ri)) for ri, r in enumerate(radii)],
+                mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
+            )
+            for r, res in zip(radii, results):
+                evaluations += res.evaluations
+                stopped += res.stopped
+                capped += res.capped
+                at_origin += res.origin_stops
+                trace.append({"level": n, "radius": r, "restarts": per_cell,
+                              "best": res.best_value if np.isfinite(res.best_value) else None,
+                              "evaluations": res.evaluations,
+                              "restart_bests": [v if np.isfinite(v) else None
+                                                for v in res.restart_bests]})
+                if res.best_value > best_value:
+                    best_value = res.best_value
+                    best_elem = res.best_point
+                    best_radius = r
+                    best_pair = (objective, gradient)
+            if best_value > cfg.tolerance:
+                break
+
+        if best_elem is not None:
+            objective, gradient = best_pair
+            polished = witness.refine_witness(
+                objective, space, best_elem, best_radius, mode=mode, gradient=gradient
+            )
+            evaluations += polished.evaluations
+            if polished.best_value > best_value:
+                best_value = polished.best_value
+                best_elem = polished.best_point
+
+        started = sum(len(cell["restart_bests"]) for cell in trace)
+        dead = sum(v is None for cell in trace for v in cell["restart_bests"])
+        if dead:
+            notes.append(f"{dead} of {started} restarts died on non-finite objective values")
+        if stopped:
+            notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
+        if capped:
+            notes.append(f"{capped} of {started} restarts stopped once their cell could not beat the best found")
+        if at_origin:
+            notes.append(f"{at_origin} of {started} restarts converged to the origin")
+        # 0.0 - best, not -best: a best of f(0) = 0.0 gives margin 0.0, never -0.0
+        verdict, margin, found = HOLDS_WITHIN_BUDGET, 0.0 - best_value, None
+        if best_elem is None:
+            verdict, margin = INCONCLUSIVE, 0.0
+            if not dead:
+                notes.append("no search evidence (zero restarts)")
+        elif best_value > cfg.tolerance:
+            verdict = VIOLATED
+            found = _witness_dict(best_elem, {"violation": best_value,
+                                              "witness_norm": float(spaces.norm(space, best_elem))})
+        return CheckReport(self.name, verdict, margin, found, levels_checked, evaluations, cfg.to_dict(),
+                           notes, trace)
 
 
 SEARCH_CRITERIA = {c.name: c for c in (
@@ -718,17 +693,14 @@ def _sample_space_matrix(space, draws):
 def _mult_row_deviations(x_mat, z_mat, y_mat, bs):
     """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for fillers bs (..., nb, d, d) of pairs (..., d, d)."""
     d = bs.shape[-1]
-    eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-
-    def full(m):
-        return np.broadcast_to(m, bs.shape)
-
-    top = np.concatenate([full(zero), full(y_mat[..., None, :, :]), full(eye), full(zero)], axis=-1)
-    bottom = np.concatenate([full(2 * eye), full(x_mat[..., None, :, :]), full(z_mat[..., None, :, :]), bs],
-                            axis=-1)
-    two_by_four = np.concatenate([top, bottom], axis=-2)
-    return matcore.op_norm_stack(two_by_four) - matcore.op_norm_stack(bottom)
+    rows = np.zeros(bs.shape[:-2] + (2 * d, 4 * d), dtype=np.complex128)
+    rows[..., :d, d:2 * d] = y_mat[..., None, :, :]
+    rows[..., :d, 2 * d:3 * d] = np.eye(d)
+    rows[..., d:, :d] = 2 * np.eye(d)
+    rows[..., d:, d:2 * d] = x_mat[..., None, :, :]
+    rows[..., d:, 2 * d:3 * d] = z_mat[..., None, :, :]
+    rows[..., d:, 3 * d:] = bs
+    return matcore.op_norm_stack(rows) - matcore.op_norm_stack(rows[..., d:, :])
 
 
 def _unit_fillers(z) -> np.ndarray:
@@ -742,13 +714,18 @@ def _metric_closure_deviation(space, x_mat, y_mat, fillers):
     """Best detectable gap of each pair (x, y) of stacks (..., d, d); z is the best in-space candidate.
 
     The gap is the largest |deviation| of the 2x4 row identity over the
-    canonical filler and ``fillers`` (..., nb, d, d).  z = -P(x y*), with P
+    canonical filler and ``fillers`` (P, nb, d, d).  z = -P(x y*), with P
     the projection onto the space, each matrix projected as one (1, pq) row.
+    When the rows of one pair exceed a chunk, the fillers pass through in
+    parts of as many as fit.
     """
     z_mat = -spaces.project_stack(space, x_mat @ matcore.dagger(y_mat))
     canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
     bs = np.concatenate([canonical[..., None, :, :], fillers], axis=-3)
-    return np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, bs)).max(axis=-1)
+    row_bytes = len(fillers) * 8 * space.p ** 2 * 16  # the 2x4 rows of one filler of every pair
+    parts = _chunks(bs.shape[-3], row_bytes) if bs.shape[-3] * row_bytes > _CHUNK_BYTES else [slice(None)]
+    return np.maximum.reduce([np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, bs[:, part])).max(axis=-1)
+                              for part in parts])
 
 
 def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
@@ -771,18 +748,29 @@ def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
         yield pairs, coeffs, mats, _unit_fillers(np.stack(normals))
 
 
-def _closure_routes(criterion: str, space, cfg, products, metric=None, **entries):
-    """Both routes of a closure check: membership residuals of ``products`` (..., p, q), and the row identity.
+def _closure_routes(criterion: str, space, cfg, left, right, metric=None, **entries):
+    """Both routes of a closure check: membership residuals of products, and the row identity.
 
-    ``metric`` is None (no metric route) or (stream_key, n_pairs, count,
-    pair): each pair draws ``count`` elements (``_metric_pairs``), and
-    ``pair(mats)`` maps their matrices (P, count, p, q) to the x, y whose x y*
-    must lie in the space.  Returns (aux, notes, samples, alg_index, (x, y)):
-    aux holds ``algebraic_max``, then ``entries``, then ``metric_max`` and
-    ``paths_agree``; alg_index locates the largest residual in ``products``;
-    x (1, 1, k) is the first draw and y the y of the pair with the largest gap.
+    The products are ``left[i] @ right[j]`` over every index i of the stack
+    ``left`` (..., p, r) and j of the stack ``right`` (..., r, q) (a single
+    matrix is a stack of no index); they are formed and measured in chunks
+    over the flattened (i, j) index, so the working set stays bounded
+    whatever the basis size.  ``metric`` is None (no metric route) or
+    (stream_key, n_pairs, count, pair): each pair draws ``count`` elements
+    (``_metric_pairs``), and ``pair(mats)`` maps their matrices (P, count,
+    p, q) to the x, y whose x y* must lie in the space.  Returns (aux, notes,
+    samples, alg_index, (x, y)): aux holds ``algebraic_max``, then
+    ``entries``, then ``metric_max`` and ``paths_agree``; alg_index is the
+    (i, j) of the largest residual; x (1, 1, k) is the first draw and y the
+    y of the pair with the largest gap.
     """
-    residuals = spaces.membership_residual_stack(space, products)
+    lefts, rights = left.reshape(-1, *left.shape[-2:]), right.reshape(-1, *right.shape[-2:])
+    n_right = rights.shape[0]
+    residuals = np.empty(lefts.shape[0] * n_right)
+    for part in _chunks(residuals.size, 16 * space.p * space.q):  # one product
+        ij = np.arange(part.start, part.stop)
+        residuals[part] = spaces.membership_residual_stack(space, lefts[ij // n_right] @ rights[ij % n_right])
+    residuals = residuals.reshape(left.shape[:-2] + right.shape[:-2])
     alg_index = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
     alg_max = float(residuals[tuple(alg_index)])
     aux = {"algebraic_max": alg_max, **entries}
@@ -824,7 +812,7 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
     # x y* over contractive x in A and y in A*
     metric = ((_KEY_MULT_CLOSED, 1), MULT_METRIC_PAIRS, 2, lambda mats: (mats[:, 0], matcore.dagger(mats[:, 1])))
     aux, notes, samples, (i, j), (x, y) = _closure_routes(
-        "mult-closed", space, cfg, space.basis[:, None] @ space.basis[None], metric)
+        "mult-closed", space, cfg, space.basis, space.basis, metric)
     alg_max, met_max = aux["algebraic_max"], aux["metric_max"]
     worst = max(alg_max, met_max)
     verdict, welem = HOLDS_WITHIN_BUDGET, None
@@ -856,16 +844,16 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
         raise ShapeError(f"{side} multiplier must be {shapes[side]}, got {w.shape}")
 
     B, dag = space.basis, matcore.dagger
-    # the products that must lie in A, and the (x, y) of sampled a (and b) in A, with x y* = w a*, a w* or a w b*
+    # the factors of the products that must lie in A, and the (x, y) of sampled a (and b) in A, with x y* = w a*, a w* or a w b*
     if side == "left":
-        products, count, pair = w @ B, 1, lambda m: (w, dag(m[:, 0]))
+        factors, count, pair = (w, B), 1, lambda m: (w, dag(m[:, 0]))
     elif side == "right":
-        products, count, pair = B @ w, 1, lambda m: (m[:, 0], dag(w))
+        factors, count, pair = (B, w), 1, lambda m: (m[:, 0], dag(w))
     else:
-        products, count, pair = (B @ w)[:, None] @ B[None], 2, lambda m: (m[:, 0] @ w, dag(m[:, 1]))
+        factors, count, pair = (B @ w, B), 2, lambda m: (m[:, 0] @ w, dag(m[:, 1]))
     criterion = f"multiplier-{side}"
     metric = ((_KEY_MULTIPLIER, 1), MULTIPLIER_METRIC_PAIRS, count, pair) if p == q else None
-    aux, notes, samples, alg_index, _ = _closure_routes(criterion, space, cfg, products, metric, side=side)
+    aux, notes, samples, alg_index, _ = _closure_routes(criterion, space, cfg, *factors, metric, side=side)
     alg_max = aux["algebraic_max"]
     verdict = HOLDS_WITHIN_BUDGET
     if alg_max > cfg.tolerance:

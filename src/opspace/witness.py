@@ -6,66 +6,78 @@ master seed and the restart index), then performs projected ascent along the
 objective's analytic (sub)gradient, which the caller supplies next to the
 objective: for the norm objectives of :mod:`opspace.criteria` it comes from the
 norms' cotangents at the current point (``matcore.norm_cotangent_stack``).
-Each step line-searches along that direction (and, in the ball, along radial
-rescalings) and grows the step on improvement; a stalled step halves it and
-blends in the gradient at the nearest failed trial, so the search follows the
-kinks of the max-of-norms objectives.  A call searches several cells (a ball
-or sphere radius and a stream key each, all named by the caller; the config
-holds no radius) of one level, and the restarts of all its cells advance in
-vectorized lockstep: one ascent step costs one batch of trial evaluations and
-at most one gradient batch for the whole level.  Every restart carries its
-own radius, step, step cap and floor, so its trajectory does not depend on
-which restarts share its batch; the batch's working set grows with the number
-of cells.  Results are independent of scheduling and thread count because
-each cell's merge takes the maximum by value with index tie-break.
+Each step line-searches along the normalized gradient (and, in the ball, along
+radial rescalings), and an accepted move grows the step.  A stalled move
+halves it and replaces the gradient by the shortest convex combination of it
+and the gradient at the nearest failed trial (gradient sampling,
+Burke-Lewis-Overton 2005); from then on each new gradient of that restart is
+combined with the previous one the same way (an aggregate subgradient), so
+the search follows the kinks of the max-of-norms objectives instead of
+stopping at them.  A restart stops when its step falls below the floor or its
+direction vanishes or is not finite.
 
-A violation is settled by one witness, so a cell that already holds one needs
-only its leading restarts to sharpen the margin.  At fixed steps
-(``_RACE_STEPS``) each such cell stops the lower-valued half of its active
-restarts (successive halving, Karnin-Koren-Somekh 2013), except a restart
-whose gain since the previous race, repeated once, would reach the cell's best.
-A cell whose best never exceeds the tolerance never races, so a search that
-finds nothing returns what it would without the race.  The race looks only
-inside a cell, so each cell's result is still what a call with that cell
-alone returns.
+A call searches several cells (a ball or sphere radius and a stream key
+each, all named by the caller; the config holds no radius) of one level, and
+the restarts of all its cells advance in vectorized lockstep.  One step costs
+one flat objective batch (the trial points, the snap rows and the origin
+rows below) and at most one gradient batch for the whole level: the restarts
+that moved at their new points (except on the last step, which no step
+follows) and the stalled ones at their nearest failed trials.  Every restart
+carries its own radius, step, step cap and floor, so its trajectory does not
+depend on which restarts share its batch; the batch's working set grows with
+the number of cells.  Results are independent of scheduling and thread count
+because each cell's merge takes the maximum by value with index tie-break.
 
-A ball search of a norm inequality that holds climbs into its trivial
-maximizer, the origin, where the inequality often holds with equality (the
-unitary gadgets at a unit of norm 1).  So while a ball cell's best stays at
-or below the tolerance, it stops a restart once the restart's point has
-norm below ``ORIGIN_FRACTION`` times the radius and a value of at most f(0).
-The cell scores f(0) once, as one more row of the trial batch after its
-first restart comes that near, and its best is the larger of its restarts'
-best and f(0).  Near 0 the objective is positively homogeneous to first
-order, so smaller scales only repeat the directions that the smallest starts
-(``MIN_RADIUS_FRACTION``) sample.  A cell holding a violation, a sphere
-search and ``refine_witness`` never stop at the origin, and a cell whose
-restarts never come near it never scores it.
+Four cell rules cut the work.  Each reads one per-cell best, renewed after
+every step's accept: a cell is *violated* once its best exceeds the
+tolerance.  A restart stopped by a rule keeps its value, and records the
+rule that stopped it.
 
-The max-of-norms objectives have their kinks where a coefficient vanishes,
-and their maximizers often sit there: the witnesses are sparse.  Halving
-steps reach such a kink only linearly, so each restart of a cell holding a
-violation also tries, in every step, its point with each nonzero coefficient
-of modulus below ``SNAP_STEPS`` steps set to 0 (an active-set projection,
-Lewis 2002, Hare-Lewis 2004).  The snapped point rides the step's trial batch
-as one more row, is projected like the other trials and replaces the point
-when it beats them and improves it, keeping the restart's step.  A snap
-zeroes whole complex coefficients and never reaches the origin, where late
-winners pass on their way out.  A cell holding no violation and
-``refine_witness`` never snap, so a search that finds nothing returns what
-it would without the snap.
+- Race.  One witness settles a violation, so a violated cell needs only its
+  leading restarts to sharpen the margin.  After the steps in
+  ``_RACE_STEPS`` each violated cell stops the lower-valued half of its
+  active restarts (successive halving, Karnin-Koren-Somekh 2013; ties by
+  index), except a restart whose gain since the previous race, repeated
+  once, would reach the cell's best.
+- Origin stop.  A ball search of a norm inequality that holds climbs into
+  its trivial maximizer, the origin, where the inequality often holds with
+  equality (the unitary gadgets at a unit of norm 1).  So while a ball cell
+  is not violated, it stops a restart once the restart's point has norm below
+  ``ORIGIN_FRACTION`` times the radius and a value of at most f(0).  The cell
+  scores f(0) once, as one more row of the next step's batch after its first
+  restart comes that near, and its best is the larger of its restarts' best
+  and f(0).  Near 0 the objective is positively homogeneous to first order,
+  so smaller scales only repeat the directions that the smallest starts
+  (``MIN_RADIUS_FRACTION``) sample.  A cell whose restarts never come near
+  the origin never scores it.
+- Snap.  The max-of-norms objectives have their kinks where a coefficient
+  vanishes, and their maximizers often sit there: the witnesses are sparse.
+  Halving steps reach such a kink only linearly, so each active restart of a
+  violated cell also tries, in every step, its point with each nonzero
+  coefficient of modulus below ``SNAP_STEPS`` steps set to 0 (an active-set
+  projection, Lewis 2002, Hare-Lewis 2004).  The snapped point rides the
+  step's batch as one more row, is projected like the other trials and
+  replaces the point when it beats them and improves it, keeping the
+  restart's step.  A snap zeroes whole complex coefficients and never
+  reaches the origin, where late winners pass on their way out.
+- Cap stop.  A caller may give each ball cell a cap: a bound its objective
+  cannot exceed on the cell's ball (``SearchCriterion.cap``, from the
+  triangle inequality).  After each step a cell stops all its active
+  restarts once it cannot beat the best found, bounding as in
+  branch-and-bound (Land-Doig 1960): when it is violated and its best is
+  within ``_STALL_EPS`` of its own cap, so that no trial can be accepted, or
+  when its cap lies below the best of another violated cell, so that it
+  cannot hold the winner.  Both comparisons leave a rounding guard of
+  ``_CAP_ULPS`` ulps.  A cell that stops this way also scores no origin row.
 
-A caller may give each ball cell a cap: a bound its objective cannot exceed
-on the cell's ball (``SearchCriterion.cap``, from the triangle inequality).
-After each step a cell stops all its active restarts once it cannot beat the
-best found, bounding as in branch-and-bound (Land-Doig 1960): when it holds a
-violation and its best is within ``_STALL_EPS`` of its own cap, so that no
-trial can be accepted, or when its cap lies below the best of another cell
-holding a violation, so that it cannot hold the winner.  Both comparisons
-leave a rounding guard of ``_CAP_ULPS`` ulps.  The first rule looks only
-inside a cell, so each cell's result is what a call with that cell alone
-returns, unless another cell's value proves that it cannot win.  A search
-that holds no violation never stops a cell this way.
+After a step's accept the rules run in the order origin stop, cap stop,
+race; the snap gate of the next step reads the same best.  Every rule but
+the second cap comparison looks only inside a cell, so each cell's result
+is what a call with that cell alone returns, unless another cell's value
+proves that it cannot win.  A search that holds no violation never races,
+snaps or stops at a cap, so it returns what it would without those three
+rules.  Sphere searches never stop at the origin, and ``refine_witness``
+(one restart, no cells) applies no rule.
 """
 
 from __future__ import annotations
@@ -160,9 +172,9 @@ class SearchResult:
     best_point: spaces.LevelElement | None
     evaluations: int
     restart_bests: list = field(default_factory=list)  # the value each restart had when it stopped
-    stopped: int = 0  # restarts the race stopped early (see _race)
+    stopped: int = 0  # restarts the race stopped early
     origin_stops: int = 0  # restarts stopped once they converged to the origin
-    capped: int = 0  # restarts stopped once their cell could not beat the best found (see _beaten)
+    capped: int = 0  # restarts stopped once their cell could not beat the best found
 
 
 def _project(space, coeffs, radius, mode):
@@ -229,92 +241,63 @@ def _min_norm_pair(a, b):
     return b + np.clip(lam, 0.0, 1.0)[:, None, None, None] * diff
 
 
-def _race(values, active, since, cells, tolerance):
-    """Stop the lower-valued half of the active restarts of each cell holding a violation.
+def _race(values, active, since, best, hot):
+    """The mask of the active restarts the race stops: the lower half of each violated cell.
 
-    The restarts form ``cells`` contiguous equal blocks.  In a cell whose best
-    value exceeds ``tolerance``, the active restarts are ranked by value (ties
-    by index) and the lower half is stopped, except a restart whose gain since
-    ``since`` (its value at the previous race), added once more, would reach
-    the cell's best.  ``active`` and ``since`` are updated in place; returns
-    the mask of the restarts stopped.
+    The restarts form ``best.size`` contiguous equal cells, with best values
+    ``best`` and violated where ``hot``.  In a violated cell the active
+    restarts are ranked by value (ties by index) and the lower half is
+    stopped, except a restart whose gain since ``since`` (its value at the
+    previous race), added once more, would reach the cell's best.
     """
+    cells = best.size
     v = values.reshape(cells, -1)
     live = active.reshape(cells, -1)
-    best = v.max(axis=1, keepdims=True)
     order = np.argsort(np.where(live, -v, np.inf), axis=1, kind="stable")
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(v.shape[1])[None, :], axis=1)
     lower = rank >= (live.sum(axis=1, keepdims=True) + 1) // 2
-    climbing = 2.0 * v - since.reshape(cells, -1) >= best
-    stop = (live & lower & ~climbing & (best > tolerance)).reshape(-1)
-    active[stop] = False
-    since[active] = values[active]
-    return stop
+    climbing = 2.0 * v - since.reshape(cells, -1) >= best[:, None]
+    return (live & lower & ~climbing & hot[:, None]).reshape(-1)
 
 
-def _beaten(values, cells, tolerance, caps):
-    """The mask of the cells that cannot beat the best found, given each cell's cap.
+def _beaten(best, hot, caps):
+    """The mask of the cells that cannot beat the best found, given each cell's best, violation and cap.
 
-    The restarts form ``cells`` contiguous equal blocks.  A cell is beaten
-    when it holds a violation (best above ``tolerance``) and its best is
-    within ``_STALL_EPS`` of its cap, or when its cap lies below the best of
-    another cell holding a violation; both with a guard of ``_CAP_ULPS`` ulps.
+    A cell is beaten when it is violated and its best is within
+    ``_STALL_EPS`` of its cap, or when its cap lies below the best of another
+    violated cell; both with a guard of ``_CAP_ULPS`` ulps.
     """
-    best = values.reshape(cells, -1).max(axis=1)
     guard = _CAP_ULPS * np.finfo(float).eps * np.maximum(np.abs(caps), 1.0)
-    hot = best > tolerance
     at_cap = hot & (best >= caps - _STALL_EPS + guard)
-    rivals = np.where(hot & ~np.eye(cells, dtype=bool), best, -np.inf).max(axis=1)  # excluding each cell
+    rivals = np.where(hot & ~np.eye(best.size, dtype=bool), best, -np.inf).max(axis=1)  # excluding each cell
     return at_cap | (caps + guard < rivals)
+
+
+#: The ``stopped_by`` codes of ``_ascent``: the rule that stopped a restart, if any.
+_RACED, _AT_ORIGIN, _CAPPED = 1, 2, 3
 
 
 def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
             cells=0, tolerance=np.inf, caps=None):
-    """Vectorized lockstep ascent; returns (points, values, evaluations, raced, at_origin, origin, capped).
-
-    ``origin`` holds one entry per cell, the others one per restart.
+    """Vectorized lockstep ascent; returns (points, values, evaluations, stopped_by, origin).
 
     ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
-    first step; the step cap and floor scale with the restart's own radius, so
-    restarts of different cells share the batch without affecting each other.
-
-    Each restart line-searches along its normalized gradient.  An accepted
-    move grows the step.  A stalled move halves it and replaces the gradient
-    by the shortest convex combination of it and the gradient at the nearest
-    failed trial (gradient sampling, Burke-Lewis-Overton 2005); from then on
-    each new gradient of that restart is combined with the previous one the
-    same way (an aggregate subgradient), so the search follows kinks instead
-    of stopping at them.  A restart stops when its step falls below the floor
-    or its direction vanishes or is not finite.  One ``gradient`` batch at the
-    starts and one at the end of each step serve every restart: the moved ones
-    at their new points (except on the last step, which no step follows) and
-    the stalled ones at their nearest failed trials.
-    With ``cells`` set, the restarts form that many contiguous equal cells,
-    and after each step in ``_RACE_STEPS`` every cell whose best value
-    exceeds ``tolerance`` stops the lower half of its active restarts (see
-    ``_race``); ``raced`` marks the restarts so stopped.  In the ball, while
-    a cell's best stays at or below ``tolerance``, an active restart whose
-    point has norm below ``ORIGIN_FRACTION`` times its radius stops once its
-    value is at most f(0); ``at_origin`` marks it.  The first such restart of
-    a cell has the cell score x = 0 as one more row of the next trial batch;
-    ``origin`` holds that f(0) (NaN where unscored, -inf where not finite).
-    The norms are those ``_project`` computed for the accepted trials.
-    In a cell whose best exceeds ``tolerance``, an active restart with a
-    nonzero coefficient of modulus below ``SNAP_STEPS`` times its step (and
-    another at or above it) also tries its point with those coefficients
-    zeroed and projected (see ``_snap``), as one more row of the trial
-    batch; an accepted snap keeps the restart's step.
-    With ``caps`` (one per cell) set, after each step every cell that cannot
-    beat the best found (see ``_beaten``) stops its active restarts, before
-    the race; ``capped`` marks them.
-    A restart's ``evaluations`` counts its start, its trial points, its snap
-    rows and its rows in the gradient batches, also when it is stopped early;
-    the origin row counts in its cell's first restart.
+    first step.  With ``cells`` set, the restarts form that many contiguous
+    equal cells, a cell is violated once its best exceeds ``tolerance``, and
+    ``caps`` holds one cap per cell or is None; the cell rules of the module
+    docstring apply.  With ``cells`` 0 none applies.
+    ``stopped_by`` holds, per restart, the rule that stopped it (``_RACED``,
+    ``_AT_ORIGIN`` or ``_CAPPED``), or 0; ``origin`` holds each cell's f(0)
+    (NaN where unscored, -inf where not finite).  A restart's
+    ``evaluations`` counts its start, its trial points, its snap rows and its
+    rows in the gradient batches, also when it is stopped early; the origin
+    row counts in its cell's first restart.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
     step_cap = np.maximum(step0, _STEP_CAP_FRACTION * radius)
+    step_floor = _STEP_FLOOR_FRACTION * radius
     grad = np.zeros_like(points)
     sampled = np.zeros(n_restarts, dtype=bool)  # grad already blends in a sampled gradient
     direction = np.zeros_like(points)
@@ -326,17 +309,19 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         values = np.where(dead, -np.inf, values)
         active &= ~dead
     evaluations = np.ones(n_restarts, dtype=np.int64)
-    step_floor = _STEP_FLOOR_FRACTION * radius
-    raced = np.zeros(n_restarts, dtype=bool)
+    stopped_by = np.zeros(n_restarts, dtype=np.int8)
     since = np.where(dead, 0.0, values)  # each restart's value at the previous race
     watch = mode == BALL and cells > 0  # ball cells stop restarts at the origin
-    per_cell = n_restarts // max(cells, 1)
+    cells = max(cells, 1)  # no cells: one cell that, at tolerance inf, is never violated
+    per_cell = n_restarts // cells
     cell_of = np.arange(n_restarts) // per_cell  # each restart's cell
     pnorm = np.full(n_restarts, np.inf)  # each moved restart's norm; no start is near 0
-    at_origin = np.zeros(n_restarts, dtype=bool)
-    capped = np.zeros(n_restarts, dtype=bool)
     origin = np.full(cells, np.nan)  # f(0) per cell; NaN until scored
-    wanted = np.zeros(cells, dtype=bool)  # cells that score the origin in the next trial batch
+    wanted = np.zeros(cells, dtype=bool)  # cells that score the origin in the next batch
+
+    def stop(mask, why):
+        active[mask] = False
+        stopped_by[mask] = why
 
     def update_gradients(moved, resample, near):
         """One ``gradient`` batch: fresh gradients at ``points[moved]``, sampled ones at ``near``.
@@ -361,6 +346,8 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     if max_steps > 0 and start.size:
         update_gradients(start, start[:0], points[:0])  # no restart has stalled yet
 
+    best = values.reshape(cells, -1).max(axis=1)  # each cell's best, renewed after every accept
+    hot = best > tolerance  # the violated cells
     for t in range(max_steps):
         if not active.any():
             break
@@ -380,37 +367,31 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         trials, tnorms = _project(space, trials, radius[idx, None], mode)
         rows = np.arange(idx.size)
         snap_rows, snaps = rows[:0], points[:0]
-        if cells and (hot := values.reshape(cells, -1).max(axis=1) > tolerance).any():
-            # the restarts of cells holding a violation try their sparse neighbours
+        if hot.any():
             hot_rows = rows[hot[cell_of[idx]]]
             snap, snaps = _snap(points[idx[hot_rows]], SNAP_STEPS * step[idx[hot_rows]])
             snap_rows = hot_rows[snap]
             if snap_rows.size:
                 snaps, _ = _project(space, snaps, radius[idx[snap_rows]], mode)
-        if wanted.any() or snap_rows.size:
-            # the snap rows and one origin row per wanting cell ride this trial batch
-            flat = trials.reshape(-1, *trials.shape[2:])
-            zeros = np.zeros((int(wanted.sum()),) + flat.shape[1:], dtype=flat.dtype)
-            fall = np.asarray(objective(np.concatenate([flat, snaps, zeros])))
-            fall = np.where(np.isfinite(fall), fall, -np.inf)
-            ftrial = fall[:flat.shape[0]].reshape(trials.shape[:2])
-            fsnap = fall[flat.shape[0]:flat.shape[0] + snap_rows.size]
-            origin[wanted] = fall[flat.shape[0] + snap_rows.size:]  # -inf stops nothing, wins nothing
-            evaluations[np.nonzero(wanted)[0] * per_cell] += 1
-            evaluations[idx[snap_rows]] += 1
-            wanted[:] = False
-        else:
-            ftrial = np.asarray(objective(trials))
-            ftrial = np.where(np.isfinite(ftrial), ftrial, -np.inf)
+        # one flat batch: the trial points, the snap rows and one origin row per wanting cell
+        flat = trials.reshape(-1, *trials.shape[2:])
+        zeros = np.zeros((int(wanted.sum()),) + flat.shape[1:], dtype=flat.dtype)
+        fall = np.asarray(objective(np.concatenate([flat, snaps, zeros])))
+        fall = np.where(np.isfinite(fall), fall, -np.inf)
+        # an origin of -inf stops nothing, wins nothing
+        ftrial, fsnap, origin[wanted] = np.split(fall, [flat.shape[0], flat.shape[0] + snap_rows.size])
+        ftrial = ftrial.reshape(trials.shape[:2])
         evaluations[idx] += ftrial.shape[1]
+        evaluations[idx[snap_rows]] += 1
+        evaluations[np.nonzero(wanted)[0] * per_cell] += 1
+        wanted[:] = False
 
         pick = np.argmax(ftrial, axis=1)
         fbest = ftrial[rows, pick]
         snapped = np.zeros(idx.size, dtype=bool)
-        if snap_rows.size:
-            won = fsnap > fbest[snap_rows]  # a tie goes to the line search
-            snapped[snap_rows[won]] = True
-            fbest[snap_rows[won]] = fsnap[won]
+        won = fsnap > fbest[snap_rows]  # a tie goes to the line search
+        snapped[snap_rows[won]] = True
+        fbest[snap_rows[won]] = fsnap[won]
         improved = fbest > values[idx] + _STALL_EPS
         take = idx[improved]
         grow = improved & ~snapped
@@ -422,24 +403,22 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
+
+        best = values.reshape(cells, -1).max(axis=1)
+        hot = best > tolerance
         if watch:
             pnorm[idx[grow]] = tnorms[rows[grow], pick[grow]]  # a snapping cell never stops at the origin
-            near = active & (pnorm < ORIGIN_FRACTION * radius)
-            if near.any():
-                near &= (values.reshape(cells, -1).max(axis=1) <= tolerance)[cell_of]
-                stop = near & (values <= origin[cell_of])  # False while f(0) is unscored
-                active[stop] = False
-                at_origin |= stop
-                wanted[cell_of[near]] = True
-                wanted &= np.isnan(origin)
+            near = active & (pnorm < ORIGIN_FRACTION * radius) & ~hot[cell_of]
+            stop(near & (values <= origin[cell_of]), _AT_ORIGIN)  # False while f(0) is unscored
+            wanted[cell_of[near]] = True
+            wanted &= np.isnan(origin)
         if caps is not None:
-            beaten = _beaten(values, cells, tolerance, caps)
-            stop = active & beaten[cell_of]
-            active[stop] = False
-            capped |= stop
+            beaten = _beaten(best, hot, caps)
+            stop(active & beaten[cell_of], _CAPPED)
             wanted &= ~beaten
-        if cells and t + 1 in _RACE_STEPS:
-            raced |= _race(values, active, since, cells, tolerance)
+        if t + 1 in _RACE_STEPS:
+            stop(_race(values, active, since, best, hot), _RACED)
+            since[active] = values[active]
         # Gradient sampling: the nearest failed trial lies past a crest or
         # across a kink of the max-of-norms objectives; the shortest convex
         # combination of its gradient and the cached one ascends on both
@@ -452,7 +431,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if moved.size or again.any():
             update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
-    return points, values, evaluations, raced, at_origin, origin, capped
+    return points, values, evaluations, stopped_by, origin
 
 
 def maximize_violation(
@@ -471,25 +450,17 @@ def maximize_violation(
 
     ``cells`` is a sequence of (radius, stream_key) pairs.  Each cell draws
     ``restarts`` starts (default cfg.restarts) from its own stream key, and
-    the restarts of all cells ascend in one lockstep batch.  Once a cell's
-    best exceeds cfg.tolerance, the cell races its restarts: after each step
-    in ``_RACE_STEPS`` it stops the lower-valued half of its active ones (see
-    ``_race``).  In ball mode,
-    while a cell's best stays at or below cfg.tolerance, it stops the
-    restarts that converge to the origin, scoring x = 0 once when the first
-    one comes near (see ``_ascent``).  A cell holding a violation gives each
-    restart a snap trial per step: its point with its small coefficients
-    zeroed (see ``_snap``).  ``caps``, one per cell or None, bound the
-    objective on each cell's ball; after each step a cell stops its restarts
-    once it cannot beat the best found (see ``_beaten``).  Returns one
-    SearchResult per cell, in the order given; each is exactly what a call
-    with that cell (and its cap) alone returns, unless its cap lies below
-    another cell's violation, so that it cannot hold the winner.  A cell's
-    best is the larger of its restarts' best and f(0), with the origin as its
-    point when f(0) is larger.  A result's ``restart_bests`` holds the value
-    each restart had when it stopped, ``stopped`` counts the restarts the race
-    stopped, ``origin_stops`` those stopped at the origin and ``capped`` those
-    stopped once their cell could not beat the best found.
+    the restarts of all cells ascend in one lockstep batch under the cell
+    rules of the module docstring, a cell being violated once its best
+    exceeds cfg.tolerance.  ``caps``, one per cell or None, bound the
+    objective on each cell's ball.  Returns one SearchResult per cell, in
+    the order given; each is exactly what a call with that cell (and its
+    cap) alone returns, unless its cap lies below another cell's violation,
+    so that it cannot hold the winner.  A cell's best is the larger of its
+    restarts' best and f(0), with the origin as its point when f(0) is
+    larger.  A result's ``restart_bests`` holds the value each restart had
+    when it stopped, and ``stopped``, ``origin_stops`` and ``capped`` count
+    the restarts stopped by the race, the origin stop and the cap stop.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
@@ -507,7 +478,7 @@ def maximize_violation(
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
-    points, values, evaluations, raced, at_origin, origin, capped = _ascent(
+    points, values, evaluations, stopped_by, origin = _ascent(
         objective, gradient, space, points, values, radius, mode,
         max_steps=ASCENT_STEPS, step0=step0, cells=len(cells), tolerance=cfg.tolerance,
         caps=None if caps is None else np.asarray(caps, dtype=float),
@@ -519,14 +490,15 @@ def maximize_violation(
         best_value, best_point = float(values[cell][best]), points[cell][best]
         if origin[c] > best_value:
             best_value, best_point = float(origin[c]), np.zeros_like(best_point)
+        stops = np.bincount(stopped_by[cell], minlength=4)
         results.append(SearchResult(
             best_value=best_value,
             best_point=spaces.LevelElement(level, best_point),
             evaluations=int(evaluations[cell].sum()),
             restart_bests=[float(v) for v in values[cell]],
-            stopped=int(raced[cell].sum()),
-            origin_stops=int(at_origin[cell].sum()),
-            capped=int(capped[cell].sum()),
+            stopped=int(stops[_RACED]),
+            origin_stops=int(stops[_AT_ORIGIN]),
+            capped=int(stops[_CAPPED]),
         ))
     return results
 
@@ -543,8 +515,8 @@ def refine_witness(
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
     The point is projected into the ball (or onto the sphere) of ``radius``
-    first, normally the radius of the cell that found it.  One restart, so
-    it never races, never stops at the origin and never snaps.
+    first, normally the radius of the cell that found it.  One restart in no
+    cell, so no cell rule applies.
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """

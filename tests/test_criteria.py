@@ -496,7 +496,7 @@ def test_zero_restarts_inconclusive():
     assert rep.samples == 0
 
 
-def test_dead_restarts_are_reported_not_called_zero_restarts(m2_entry):
+def test_dead_restarts_are_reported_not_called_zero_restarts(monkeypatch, m2_entry):
     space = m2_entry.space
 
     def all_nan(coeffs):
@@ -505,9 +505,11 @@ def test_dead_restarts_are_reported_not_called_zero_restarts(m2_entry):
     def zero_gradient(coeffs):
         return np.zeros_like(coeffs)
 
+    monkeypatch.setattr(criteria.SearchCriterion, "objective",
+                        lambda self, space, u, level: (all_nan, zero_gradient))
     cfg = witness.SearchConfig(restarts=8, max_level=1)
-    rep = criteria._searched_check("all-nan", 99, space, cfg, lambda n: (all_nan, zero_gradient),
-                                   [1], [0.5, 1.0])
+    # four radius cells of two restarts each, every one dead at its start
+    rep = criteria.SEARCH_CRITERIA["unitary-four-rotation"].search(space, space.unit, cfg)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert rep.samples == 8
     assert rep.notes == ["8 of 8 restarts died on non-finite objective values"]
@@ -527,6 +529,25 @@ def test_race_note_only_where_a_cell_held_a_violation(corpus_reports):
                 assert 0 < int(m[1]) < int(m[2]) == started, (name, crit)
                 raced += 1
     assert raced > 0
+
+
+STOP_NOTES = re.compile(r"(\d+) of (\d+) restarts (?:stopped early once their cell held a violation"
+                        r"|stopped once their cell could not beat the best found|converged to the origin)")
+
+
+def test_stop_notes_count_each_restart_at_most_once(corpus_reports):
+    # a restart records the one rule that stopped it, so the race, cap and origin counts share the restarts
+    shared = 0  # reports whose restarts were stopped by more than one rule
+    for name, reports in corpus_reports.items():
+        for crit, rep in reports.items():
+            if not rep.trace:
+                continue
+            started = sum(len(cell["restart_bests"]) for cell in rep.trace)
+            counts = [int(m[1]) for n in rep.notes if (m := STOP_NOTES.fullmatch(n)) and int(m[2]) == started]
+            assert len(counts) == sum(bool(STOP_NOTES.fullmatch(n)) for n in rep.notes), (name, crit)
+            assert sum(counts) <= started, (name, crit)
+            shared += len(counts) > 1
+    assert shared > 0
 
 
 def test_margin_sign_matches_verdict(corpus_reports, default_cfg):

@@ -70,3 +70,25 @@ def test_diff_counts_samples_and_witnesses_moved_at_an_unchanged_margin(payload_
     assert capsys.readouterr().out.splitlines()[-1] == (
         "1 of 4 payloads byte-identical; moved: 3 VIOLATED; 0 verdicts changed; no VIOLATED violation fell; "
         "samples 5,005 -> 4,505; 1 witnesses moved at an unchanged margin")
+
+
+def test_dump_adds_positive_and_the_multipliers_on_square_entries(payload_diff, monkeypatch, tmp_path):
+    from opspace import corpus, witness
+
+    names = ("upper_triangular_2", "column_H2", "non_algebra_span")  # a unit, non-square, no unit
+    entries = {e.name: e for e in corpus.build_corpus() if e.name in names}
+    monkeypatch.setattr(corpus, "build_corpus", lambda: list(entries.values()))
+    out = tmp_path / "dump.json"
+    payload_diff.dump(out, [7], SCRIPT.parent.parent / "src")
+    dumped = json.loads(out.read_text(encoding="utf-8"))
+    multipliers = ["multiplier-left", "multiplier-quasi", "multiplier-right"]
+    keys = {name: sorted(k.split("/")[2] for k in dumped if k.split("/")[1] == name) for name in names}
+    assert keys["column_H2"] == sorted(entries["column_H2"].expected)
+    assert keys["non_algebra_span"] == ["mult-closed", *multipliers]
+    assert keys["upper_triangular_2"] == sorted(["algebra-product", "coisometry", "isometry", "mult-closed",
+                                                 "positive", "unitary-four-rotation", "unitary-t-gadget",
+                                                 *multipliers])
+    entry = entries["upper_triangular_2"]
+    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=7))
+    report = corpus.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
+    assert dumped["7/upper_triangular_2/multiplier-quasi"] == json.loads(json.dumps(report.to_dict()))

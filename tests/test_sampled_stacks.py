@@ -410,8 +410,9 @@ def test_picks_are_what_a_strict_scan_picks(values):
     assert criteria._first_max(np.array(values)) == first_max(dict(enumerate(values)))
 
 
-#: Pairs per chunk, as a multiple of a check's bytes per pair: one pair each,
-#: three (the last chunk of 16, 8 or 7 pairs is partial) or all at once.
+#: Items per chunk, as a multiple of a check's bytes per item (a basis product
+#: or a pair): one item each, three (the last chunk of 16, 8 or 7 pairs is
+#: partial) or all at once.
 CHUNKINGS = {"one": 1, "three": 3, "all": 10**6}
 
 CHUNKED_CHECKS = {
@@ -433,9 +434,9 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
     seen = []
     chunks = criteria._chunks
 
-    def sized(n_pairs, pair_bytes):  # sets the chunk constant in units of this check's pairs
-        monkeypatch.setattr(criteria, "_CHUNK_BYTES", CHUNKINGS[chunking] * pair_bytes)
-        seen.append(chunks(n_pairs, pair_bytes))
+    def sized(n_items, item_bytes):  # sets the chunk constant in units of the items chunked
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", CHUNKINGS[chunking] * item_bytes)
+        seen.append(chunks(n_items, item_bytes))
         return seen[-1]
 
     monkeypatch.setattr(criteria, "_chunks", sized)
@@ -443,30 +444,40 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
     monkeypatch.undo()
     assert stacked == as_json(reference(space, cfg).to_dict())
 
-    (slices,) = seen
-    sizes = [s.stop - s.start for s in slices]
-    assert [s.start for s in slices] == list(np.cumsum([0] + sizes[:-1]))
-    if chunking == "one":
-        assert set(sizes) == {1}
-    elif chunking == "three":
-        assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] < 3
-    else:
-        assert len(sizes) == 1
+    *products, pairs = seen  # the closure checks chunk their basis products before their pairs
+    assert len(products) == (check != "cstar")
+    for slices in seen:
+        sizes = [s.stop - s.start for s in slices]
+        assert [s.start for s in slices] == list(np.cumsum([0] + sizes[:-1]))
+        if chunking == "one":
+            assert set(sizes) == {1}
+        elif chunking == "three":
+            assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] <= 3
+        else:
+            assert len(sizes) == 1
+    if chunking == "three":
+        assert pairs[-1].stop - pairs[-1].start < 3
 
 
 #: The stacked checks' tracemalloc peak stays below this many chunk constants
-#: (on full_matrix_3 about 2.8 for cstar and 4.3 for mult-closed; without chunks
-#: about 51 for 20 cstar pairs and 22 for mult-closed).
+#: (on full_matrix_3 about 2.8 for cstar and 3.4 for mult-closed; without chunks
+#: about 51 for 20 cstar pairs and 22 for mult-closed).  On full_matrix_8,
+#: mult-closed and multiplier-quasi peak at about 5.3: their 4096 basis products
+#: pass through in chunks, and the fillers of one pair in parts (all products
+#: at once peaked at 80).
 PEAK_CHUNKS = 8
 
 
-@pytest.mark.parametrize("check", ["cstar", "mult-closed"])
-def test_sampled_checks_peak_within_a_multiple_of_the_chunk(monkeypatch, check):
-    space = SPACES["full_matrix_3"]()
+@pytest.mark.parametrize("check, size", [("cstar", 3), ("mult-closed", 3), ("mult-closed", 8),
+                                         ("multiplier-quasi", 8)],
+                         ids=["cstar", "mult-closed", "mult-closed-full_matrix_8", "multiplier-quasi-full_matrix_8"])
+def test_sampled_checks_peak_within_a_multiple_of_the_chunk(monkeypatch, check, size):
+    space = corpus.build_full_matrix(size).space
     cfg = witness.SearchConfig(seed=SEEDS[0])
     monkeypatch.setattr(criteria, "CSTAR_PAIRS", 60)
     run = {"cstar": lambda: criteria.check_cstar_among_systems(space, cfg),
-           "mult-closed": lambda: criteria.check_mult_closed(space, cfg)}[check]
+           "mult-closed": lambda: criteria.check_mult_closed(space, cfg),
+           "multiplier-quasi": lambda: criteria.check_multiplier(space, space.basis[1], "quasi", cfg)}[check]
     run()  # lazy imports and caches outside the measurement
     tracemalloc.start()
     try:

@@ -79,7 +79,7 @@ def test_unit_without_an_identity_still_searches(corpus_reports):
 
 @pytest.mark.parametrize("name,crit", sorted(PROVED))
 def test_a_search_on_every_proved_row_finds_no_violation(monkeypatch, corpus_entries, name, crit):
-    # SearchCriterion.search runs _searched_check with the row's objective and no proof
+    # SearchCriterion.search runs the row's search and tries no proof
     monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
     entry = corpus_entries[name]
     cfg = corpus.entry_config(entry, SMALL)
