@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -267,22 +268,27 @@ def make_space(
 # ---------------------------------------------------------------------------
 # space-definition documents
 
-_COMPLEX_PAIR = "a complex scalar encoded as [re, im]"
-
-
-def _decode_scalar(v):
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SpaceFormatError(f"expected {_COMPLEX_PAIR}, got {v!r}")
-    # a JSON boolean decodes to a Python bool, which is an int too
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        raise SpaceFormatError(f"expected {_COMPLEX_PAIR}, got {v!r}")
-    return complex(*v)
-
 
 def _decode_vector(values, length, what):
+    """A list of ``length`` [re, im] pairs as a complex vector, bit for bit ``complex(re, im)`` of each.
+
+    The whole list is checked by C-level scans and converted by one
+    ``np.array``; only a list that fails them is walked entry by entry, to
+    name its first bad entry.  A JSON boolean decodes to a Python bool,
+    which is an int too, and is refused.
+    """
     if not isinstance(values, list) or len(values) != length:
         raise SpaceFormatError(f"{what} must be a list of {length} complex pairs")
-    return np.array([_decode_scalar(v) for v in values], dtype=np.complex128)
+    if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                return np.array(flat, dtype=np.float64).view(np.complex128)
+            except OverflowError as exc:
+                raise SpaceFormatError(f"{what} holds a number beyond the double range") from exc
+    bad = next(v for v in values
+               if not (type(v) is list and len(v) == 2 and set(map(type, v)) <= {int, float}))
+    raise SpaceFormatError(f"expected a complex scalar encoded as [re, im], got {bad!r}")
 
 
 def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
@@ -295,7 +301,7 @@ def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: a JSONDecodeError, or an int over 4,300 digits
         raise SpaceFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpaceFormatError("space definition must be a JSON object")
@@ -335,7 +341,11 @@ def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
 
 def load_space_file(path, rank_tol: float = RANK_TOL) -> SpaceRep:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_space(fh.read(), rank_tol=rank_tol)
+        try:
+            document = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpaceFormatError(f"not UTF-8: {exc}") from exc
+    return load_space(document, rank_tol=rank_tol)
 
 
 def _encode_scalar(z: complex):

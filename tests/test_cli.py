@@ -441,16 +441,26 @@ MALFORMED_SPACES = {
                     "level1_oracle": ["trace_norm"]},
     "nan-involution": {"p": 1, "q": 1, "basis": [[[1, 0]]], "unit": [[1, 0]], "involution": [[[math.nan, 0]]]},
     "nan-unit": {"p": 1, "q": 1, "basis": [[[1, 0]]], "unit": [[math.nan, 0]]},
+    # raw document bytes: not UTF-8, nested past the recursion limit, an int of more than 4,300 digits
+    "not-utf8": b'{"p": 1, "q": 1, "basis": [[[1, 0]]], "norm_mode": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+    "long-int": b'{"p": 1, "q": 1, "basis": [[[1' + b"0" * 4400 + b', 0]]]}',
+    # ints beyond the double range
+    "huge-basis": {"p": 1, "q": 1, "basis": [[[10**400, 0]]]},
+    "huge-unit": {"p": 1, "q": 1, "basis": [[[1, 0]]], "unit": [[0, -(10**400)]]},
+    "huge-involution": {"p": 1, "q": 1, "basis": [[[1, 0]]], "involution": [[[10**400, 0]]]},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))
 def test_malformed_space_file_exits_3(tmp_path, capsys, name):
-    text = json.dumps(MALFORMED_SPACES[name])  # nan is written as NaN, which the loader reads back
-    with pytest.raises(SpaceFormatError):
-        spaces.load_space(text)
+    doc = MALFORMED_SPACES[name]
+    # nan is written as NaN, which the loader reads back
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(data)
+    with pytest.raises(SpaceFormatError):
+        spaces.load_space_file(path)
     # operator-system: the NaN involution once loaded and was proved by the ternary identity
     assert run_cli(["check", path, "operator-system"]) == 3
     captured = capsys.readouterr()
