@@ -16,6 +16,15 @@ everything after the draws on stacks of pairs, in chunks of at most
 so a report does not depend on the chunk size.  ``mult-closed`` and the
 multipliers are one closure check (``_closure_routes``) with two verdict rules.
 
+Their block rows are measured through Gram blocks, never assembled: with
+||[A, B]||^2 = ||A A* + B B*||, each pair forms the Gram of its fixed
+blocks once ((M+- M+-*) (x) I_m for a cstar row; 1 + y y*, y x* + z* and
+4 + x x* + z z* for a 2x4 row) and each contraction or filler adds its own
+w w* or b b*; ``matcore.op_norm_gram_stack`` takes the top eigenvalue.
+These Grams need no scaling by their largest |entry|: every one holds a
+normalized block, so its top eigenvalue is at least 1.  The byte counts
+given to ``_chunks`` are those of the Grams and the blocks formed with them.
+
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
 """
@@ -690,41 +699,60 @@ def _sample_space_matrix(space, draws):
     return spaces.realize_stack(space, coeffs), coeffs
 
 
-def _mult_row_deviations(x_mat, z_mat, y_mat, bs):
-    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for fillers bs (..., nb, d, d) of pairs (..., d, d)."""
-    d = bs.shape[-1]
-    rows = np.zeros(bs.shape[:-2] + (2 * d, 4 * d), dtype=np.complex128)
-    rows[..., :d, d:2 * d] = y_mat[..., None, :, :]
-    rows[..., :d, 2 * d:3 * d] = np.eye(d)
-    rows[..., d:, :d] = 2 * np.eye(d)
-    rows[..., d:, d:2 * d] = x_mat[..., None, :, :]
-    rows[..., d:, 2 * d:3 * d] = z_mat[..., None, :, :]
-    rows[..., d:, 3 * d:] = bs
-    return matcore.op_norm_stack(rows) - matcore.op_norm_stack(rows[..., d:, :])
+def _filler_bytes(d: int) -> int:
+    """Bytes of one filler's Grams in the metric route: its 2d x 2d Gram, the lower-right block and b b*."""
+    return 6 * d * d * 16
 
 
-def _unit_fillers(z) -> np.ndarray:
-    """Fillers (..., d, d) from the normals (..., 2, d, d) that ``rand_cmat(d, d, rng)`` draws, scaled to norm 1."""
+def _mult_row_deviations(x_mat, z_mat, y_mat, grams):
+    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for filler Grams b b* (..., nb, d, d) of pairs (..., d, d).
+
+    Both norms come from Gram blocks: with T = [0,y,1,0] and R = [2,x,z,b]
+    the 2x4 row has the Gram [[T T*, T R*], [R T*, R R*]], where T T* = 1 + y y*,
+    T R* = y x* + z* and R R* = 4 + x x* + z z* + b b*.  The first three are
+    fixed per pair; only b b* changes with the filler.
+    """
+    d = grams.shape[-1]
+    eye = np.eye(d)
+    top = eye + y_mat @ matcore.dagger(y_mat)
+    cross = y_mat @ matcore.dagger(x_mat) + matcore.dagger(z_mat)
+    fixed = 4 * eye + x_mat @ matcore.dagger(x_mat) + z_mat @ matcore.dagger(z_mat)
+    lower = fixed[..., None, :, :] + grams
+    full = np.empty(grams.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    full[..., :d, :d] = top[..., None, :, :]
+    full[..., :d, d:] = cross[..., None, :, :]
+    full[..., d:, :d] = matcore.dagger(cross)[..., None, :, :]
+    full[..., d:, d:] = lower
+    return matcore.op_norm_gram_stack(full) - matcore.op_norm_gram_stack(lower)
+
+
+def _filler_grams(z) -> np.ndarray:
+    """Grams b b* (..., d, d) of the fillers b that ``rand_cmat(d, d, rng)`` draws from normals (..., 2, d, d).
+
+    Each b is scaled to norm 1: its Gram is divided by its squared norm.
+    """
     bs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
-    nb = matcore.op_norm_stack(bs)
-    return bs / np.where(nb > 0, nb, 1.0)[..., None, None]
+    grams = bs @ matcore.dagger(bs)
+    nb = matcore.op_norm_gram_stack(grams)
+    return grams / np.square(np.where(nb > 0, nb, 1.0))[..., None, None]
 
 
-def _metric_closure_deviation(space, x_mat, y_mat, fillers):
+def _metric_closure_deviation(space, x_mat, y_mat, filler_grams):
     """Best detectable gap of each pair (x, y) of stacks (..., d, d); z is the best in-space candidate.
 
     The gap is the largest |deviation| of the 2x4 row identity over the
-    canonical filler and ``fillers`` (P, nb, d, d).  z = -P(x y*), with P
-    the projection onto the space, each matrix projected as one (1, pq) row.
-    When the rows of one pair exceed a chunk, the fillers pass through in
-    parts of as many as fit.
+    canonical filler and the fillers whose Grams b b* are ``filler_grams``
+    (P, nb, d, d).  z = -P(x y*), with P the projection onto the space, each
+    matrix projected as one (1, pq) row.  When the Grams of one pair exceed a
+    chunk, the fillers pass through in parts of as many as fit.
     """
     z_mat = -spaces.project_stack(space, x_mat @ matcore.dagger(y_mat))
-    canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
-    bs = np.concatenate([canonical[..., None, :, :], fillers], axis=-3)
-    row_bytes = len(fillers) * 8 * space.p ** 2 * 16  # the 2x4 rows of one filler of every pair
-    parts = _chunks(bs.shape[-3], row_bytes) if bs.shape[-3] * row_bytes > _CHUNK_BYTES else [slice(None)]
-    return np.maximum.reduce([np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, bs[:, part])).max(axis=-1)
+    b = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)  # the canonical filler
+    grams = np.concatenate([(b @ matcore.dagger(b))[..., None, :, :], filler_grams], axis=-3)
+    part_bytes = len(filler_grams) * _filler_bytes(space.p)  # one filler of every pair
+    parts = (_chunks(grams.shape[-3], part_bytes) if grams.shape[-3] * part_bytes > _CHUNK_BYTES
+             else [slice(None)])
+    return np.maximum.reduce([np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, grams[:, part])).max(axis=-1)
                               for part in parts])
 
 
@@ -733,19 +761,19 @@ def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
 
     Pair t draws ``count`` level-1 elements, then ``B_SAMPLES`` fillers,
     from the stream (seed, *stream_key, t).  Yields (pairs, coeffs, mats,
-    fillers) per chunk: the slice of pair indices, the draws scaled to norm 1
-    (P, count, 1, 1, k), their matrices (P, count, p, q) and the unit-norm
-    fillers (P, B_SAMPLES, p, p).
+    filler Grams) per chunk: the slice of pair indices, the draws scaled to
+    norm 1 (P, count, 1, 1, k), their matrices (P, count, p, q) and the
+    Grams b b* of the unit-norm fillers (P, B_SAMPLES, p, p).
     """
     d = space.p
-    for pairs in _chunks(n_pairs, (B_SAMPLES + 1) * 8 * d * d * 16):  # the 2x4 rows of one pair
+    for pairs in _chunks(n_pairs, (B_SAMPLES + 1) * _filler_bytes(d)):  # the Grams of one pair's fillers
         draws, normals = [], []
         for t in range(pairs.start, pairs.stop):
             rng = matcore.stream(cfg.seed, *stream_key, t)
             draws.append(spaces.random_stack(space, 1, rng, count))
             normals.append(rng.normal(size=(B_SAMPLES, 2, d, d)))
         mats, coeffs = _sample_space_matrix(space, np.stack(draws))
-        yield pairs, coeffs, mats, _unit_fillers(np.stack(normals))
+        yield pairs, coeffs, mats, _filler_grams(np.stack(normals))
 
 
 def _closure_routes(criterion: str, space, cfg, left, right, metric=None, **entries):
@@ -781,10 +809,10 @@ def _closure_routes(criterion: str, space, cfg, left, right, metric=None, **entr
     devs = np.empty(n_pairs)
     xs = np.empty((n_pairs, 1, 1, space.dim), dtype=np.complex128)
     ys = np.empty((n_pairs, space.p, space.q), dtype=np.complex128)
-    for pairs, coeffs, mats, fillers in _metric_pairs(space, cfg, stream_key, n_pairs, count):
+    for pairs, coeffs, mats, filler_grams in _metric_pairs(space, cfg, stream_key, n_pairs, count):
         x_mat, y_mat = pair(mats)
         xs[pairs], ys[pairs] = coeffs[:, 0], y_mat
-        devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, fillers)
+        devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, filler_grams)
     met_max, best = _first_max(devs)
     agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
     notes = []
@@ -984,7 +1012,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
 
     For sampled (x, y) it builds the normalized 2x6 rows with z = -x y* and the
     canonical filler b, then verifies ||[M+- (x) I_m, w]|| = sqrt(2) for sampled
-    norm-one w in M_2m(X).
+    norm-one w in M_2m(X), measured through the Gram (M+- M+-*) (x) I_m + w w*.
     """
     cfg = cfg or witness.SearchConfig()
     if space.involution is None or space.unit is None:
@@ -1001,10 +1029,10 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     group_devs = np.full((CSTAR_PAIRS, 2, len(levels)), -np.inf)
     residuals = np.empty((CSTAR_PAIRS, 2))
     top = 2 * cfg.max_level * d
-    row_bytes = top * 4 * top * 16  # one contraction's rows at the top level, for one sign
-    pair_bytes = CSTAR_CONTRACTIONS * row_bytes
+    gram_bytes = 2 * top * top * 16  # one contraction's w and Gram at the top level, for one sign
+    pair_bytes = CSTAR_CONTRACTIONS * gram_bytes
     # a pair larger than a chunk goes through in chunks of its contractions
-    parts = _chunks(CSTAR_CONTRACTIONS, row_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
+    parts = _chunks(CSTAR_CONTRACTIONS, gram_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
     for pairs in _chunks(CSTAR_PAIRS, pair_bytes):
         xy, draws = [], {m: [] for m in levels}
         for tpair in range(pairs.start, pairs.stop):
@@ -1019,16 +1047,18 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
         residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
         grids = {m: np.stack(draws[m]).reshape(-1, 2, CSTAR_CONTRACTIONS, 2 * m, 2 * m, k) for m in levels}
-        Ms = [gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"]
+        # ||[M (x) I_m, w]||^2 = ||(M M*) (x) I_m + w w*||: the fixed block's Gram is formed once per pair
+        Ms = (gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-")
+        fixed = [[matcore.scalar_amplify(M @ matcore.dagger(M), m)[:, None] for m in levels] for M in Ms]
         for part in parts:
-            ws = {m: spaces.realize_stack(space, spaces.scale_to_norms(
-                      space, np.ascontiguousarray(grids[m][:, :, part]), 1.0)) for m in levels}
-            for si, M in enumerate(Ms):  # one sign at a time halves a single pair's largest stack
+            for si in range(2):  # one (sign, level) group at a time bounds a pair's working set
                 for li, m in enumerate(levels):
-                    w = ws[m][:, si]
-                    amp = matcore.scalar_amplify(M, m)[:, None]
-                    rows = np.concatenate([np.broadcast_to(amp, w.shape[:-1] + amp.shape[-1:]), w], axis=-1)
-                    devs = np.abs(matcore.op_norm_stack(rows) - SQRT2).max(axis=-1)
+                    grid = np.ascontiguousarray(grids[m][:, si, part])
+                    nw = spaces.norm_stack(space, grid)
+                    w = spaces.realize_stack(space, grid) / np.where(nw > 0, nw, 1.0)[..., None, None]
+                    gram = w @ matcore.dagger(w)
+                    gram += fixed[si][li]
+                    devs = np.abs(matcore.op_norm_gram_stack(gram) - SQRT2).max(axis=-1)
                     group_devs[pairs, si, li] = np.maximum(group_devs[pairs, si, li], devs)
     samples = group_devs.size * CSTAR_CONTRACTIONS
     worst, best = _first_max(group_devs.reshape(-1))

@@ -269,13 +269,26 @@ def make_space(
 # space-definition documents
 
 
+#: The most characters of a bad entry that an error message echoes.
+_ECHO_CHARS = 80
+
+
+def _echo(value) -> str:
+    """``repr(value)``, cut to its first ``_ECHO_CHARS`` characters and its length when longer."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text):,} characters)"
+
+
 def _decode_vector(values, length, what):
     """A list of ``length`` [re, im] pairs as a complex vector, bit for bit ``complex(re, im)`` of each.
 
     The whole list is checked by C-level scans and converted by one
     ``np.array``; only a list that fails them is walked entry by entry, to
-    name its first bad entry.  A JSON boolean decodes to a Python bool,
-    which is an int too, and is refused.
+    name its first bad entry, echoed up to ``_ECHO_CHARS`` characters.  A
+    JSON boolean decodes to a Python bool, which is an int too, and is
+    refused.
     """
     if not isinstance(values, list) or len(values) != length:
         raise SpaceFormatError(f"{what} must be a list of {length} complex pairs")
@@ -288,7 +301,7 @@ def _decode_vector(values, length, what):
                 raise SpaceFormatError(f"{what} holds a number beyond the double range") from exc
     bad = next(v for v in values
                if not (type(v) is list and len(v) == 2 and set(map(type, v)) <= {int, float}))
-    raise SpaceFormatError(f"expected a complex scalar encoded as [re, im], got {bad!r}")
+    raise SpaceFormatError(f"expected a complex scalar encoded as [re, im], got {_echo(bad)}")
 
 
 def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:

@@ -449,6 +449,8 @@ MALFORMED_SPACES = {
     "huge-basis": {"p": 1, "q": 1, "basis": [[[10**400, 0]]]},
     "huge-unit": {"p": 1, "q": 1, "basis": [[[1, 0]]], "unit": [[0, -(10**400)]]},
     "huge-involution": {"p": 1, "q": 1, "basis": [[[1, 0]]], "involution": [[[10**400, 0]]]},
+    # one entry of 200,000 numbers (a 1 MB file): its echo in the message is capped
+    "long-entry": {"p": 1, "q": 1, "basis": [[[0.5] * 200_000]]},
 }
 
 
@@ -465,4 +467,5 @@ def test_malformed_space_file_exits_3(tmp_path, capsys, name):
     assert run_cli(["check", path, "operator-system"]) == 3
     captured = capsys.readouterr()
     assert "invalid space file" in captured.err
+    assert len(captured.err.encode()) < 1024
     assert captured.out == ""

@@ -2,9 +2,12 @@
 
 The references below take every trial, filler and membership residual one
 matrix at a time: each trial makes its own draws, in turn, from its group's
-stream, every norm is a single-matrix ``matcore.op_norm`` and every pick is
-a strict ``>`` scan.  The stacked code must reproduce their reports byte for
-byte, at two seeds.
+stream, every norm is a single-matrix ``matcore.op_norm`` (or, for the block
+rows of the closure and cstar checks, ``matcore.op_norm_gram_stack`` of one
+Gram matrix assembled from its blocks) and every pick is a strict ``>`` scan.
+The stacked code must reproduce their reports byte for byte, at two seeds.
+The Gram route itself is checked against the explicit rows' ``op_norm`` to
+1e-13 relative on every tested space.
 """
 
 import json
@@ -106,13 +109,29 @@ def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
     ]
 
 
-def ref_unit_fillers(rng, count, d):
-    bs = []
+def gram_norm(g) -> float:
+    return float(matcore.op_norm_gram_stack(g))
+
+
+def ref_filler_grams(rng, count, d):
+    """The Grams b b* of ``count`` successive fillers, each b scaled to norm 1 by its Gram's norm."""
+    grams = []
     for _ in range(count):
         b = matcore.rand_cmat(d, d, rng)
-        nb = matcore.op_norm(b)
-        bs.append(b / nb if nb > 0 else b)
-    return bs
+        g = b @ matcore.dagger(b)
+        nb = gram_norm(g)
+        grams.append(g / np.square(nb if nb > 0 else 1.0))
+    return grams
+
+
+def ref_row_deviation(x, y, z, bb):
+    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || from its Gram blocks, for single d x d entries, bb = b b*."""
+    one = np.eye(x.shape[0])
+    dag = matcore.dagger
+    lower = 4 * one + x @ dag(x) + z @ dag(z) + bb
+    cross = y @ dag(x) + dag(z)
+    full = matcore.block([[one + y @ dag(y), cross], [dag(cross), lower]])
+    return gram_norm(full) - gram_norm(lower)
 
 
 def ref_random_stack(space, level, rng, count, target_norm=None):
@@ -223,11 +242,11 @@ def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
     """Largest |deviation| of the 2x4 row identity over the canonical filler, then B_SAMPLES drawn ones."""
     c = spaces.coefficients_of(space, x_mat @ matcore.dagger(y_mat))
     z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
-    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)] + ref_unit_fillers(rng, criteria.B_SAMPLES, x_mat.shape[0])
+    canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
+    grams = [canonical @ matcore.dagger(canonical)] + ref_filler_grams(rng, criteria.B_SAMPLES, x_mat.shape[0])
     worst = -np.inf
-    for b in bs:
-        two_by_four, row = mult_rows(x_mat, y_mat, z_mat, b)
-        dev = abs(matcore.op_norm(two_by_four) - matcore.op_norm(row))
+    for bb in grams:
+        dev = abs(ref_row_deviation(x_mat, y_mat, z_mat, bb))
         if dev > worst:
             worst = dev
     return worst
@@ -330,10 +349,13 @@ def ref_check_cstar(space, cfg):
         for sign in ("+", "-"):
             M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
             for m in levels:
-                amp = matcore.scalar_amplify(M, m)
-                for w in ref_random_stack(space, 2 * m, rng, criteria.CSTAR_CONTRACTIONS, target_norm=1.0):
-                    row = np.concatenate([amp, spaces.realize_stack(space, w)], axis=1)
-                    dev = abs(matcore.op_norm(row) - criteria.SQRT2)
+                fixed = matcore.scalar_amplify(M @ matcore.dagger(M), m)
+                for w in ref_random_stack(space, 2 * m, rng, criteria.CSTAR_CONTRACTIONS):
+                    nw = spaces.norm(space, spaces.LevelElement(2 * m, w))
+                    w = spaces.realize_stack(space, w) / (nw if nw > 0 else 1.0)
+                    gram = w @ matcore.dagger(w)
+                    gram += fixed  # the Gram of the row [M (x) I_m, w]
+                    dev = abs(gram_norm(gram) - criteria.SQRT2)
                     samples += 1
                     if dev > worst:
                         worst, where = dev, {"pair": tpair, "sign": sign, "amplification": m}
@@ -460,11 +482,12 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
 
 
 #: The stacked checks' tracemalloc peak stays below this many chunk constants
-#: (on full_matrix_3 about 2.8 for cstar and 3.4 for mult-closed; without chunks
-#: about 51 for 20 cstar pairs and 22 for mult-closed).  On full_matrix_8,
-#: mult-closed and multiplier-quasi peak at about 5.3: their 4096 basis products
-#: pass through in chunks, and the fillers of one pair in parts (all products
-#: at once peaked at 80).
+#: (on full_matrix_3 about 4.6 for cstar, whose chunks of three pairs hold the
+#: pairs' draws, and 1.3 for mult-closed; without chunks about 51 for 20 cstar
+#: pairs and 22 for mult-closed, measured on the explicit rows).  On
+#: full_matrix_8, mult-closed and multiplier-quasi peak at about 5.3: their 4096
+#: basis products pass through in chunks, and the fillers of one pair in parts
+#: (all products at once peaked at 80).
 PEAK_CHUNKS = 8
 
 
@@ -494,7 +517,7 @@ def test_cstar_splits_a_pair_larger_than_a_chunk(monkeypatch, per_part):
     space = SPACES["non_algebra_system"]()
     cfg = witness.SearchConfig(seed=SEEDS[1])
     top = 2 * cfg.max_level * space.p
-    monkeypatch.setattr(criteria, "_CHUNK_BYTES", per_part * top * 4 * top * 16)
+    monkeypatch.setattr(criteria, "_CHUNK_BYTES", per_part * 2 * top * top * 16)  # a contraction's w and Gram
     seen = []
     chunks = criteria._chunks
 
@@ -511,10 +534,10 @@ def test_cstar_splits_a_pair_larger_than_a_chunk(monkeypatch, per_part):
     assert [s.stop - s.start for s in parts] == [per_part] * (16 // per_part) + [16 % per_part] * (16 % per_part > 0)
 
 
-#: One cstar pair on linf 32 (p = 32, two levels): its top-level rows for one
-#: sign take 16 contractions x 1 MiB, and its tracemalloc peak was 63 MiB
-#: (about 253 chunk constants) with the pair in one piece; a contraction at a
-#: time it measured 5.7 MiB (about 23).
+#: One cstar pair on linf 32 (p = 32, two levels): its top-level w and Gram for
+#: one sign take 16 contractions x 512 KiB, and it passes through a contraction
+#: at a time, with a tracemalloc peak of 2.1 MiB (about 8.5 chunk constants).
+#: With the pair in one piece, its explicit rows peaked at 63 MiB (about 253).
 ONE_PAIR_PEAK_CHUNKS = 32
 
 
@@ -542,10 +565,52 @@ def test_cstar_refuses_spaces_without_involution_or_unit(name):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fillers_are_successive_normalized_draws(d):
-    # the reference normalizes by single-matrix op_norm, the closed forms on M_2 as in the stack
-    got = criteria._unit_fillers(matcore.stream(3, d).normal(size=(64, 2, d, d)))
-    want = np.stack(ref_unit_fillers(matcore.stream(3, d), 64, d))
+    # the reference normalizes each filler's Gram by its own norm, one filler at a time
+    got = criteria._filler_grams(matcore.stream(3, d).normal(size=(64, 2, d, d)))
+    want = np.stack(ref_filler_grams(matcore.stream(3, d), 64, d))
     assert got.tobytes() == want.tobytes()
+    b = matcore.rand_cmat(d, d, matcore.stream(3, d))
+    b = b / matcore.op_norm(b)
+    assert np.allclose(got[0], b @ matcore.dagger(b), rtol=0, atol=1e-14)
+
+
+#: The Gram route and the explicit rows' op_norm agree to this, relative to the row's norm.
+GRAM_ROW_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_gram_blocks_measure_what_the_explicit_rows_measure(name):
+    # the closure route's 2x4 rows on every tested space, and the cstar rows where the check runs
+    space = SPACES[name]()
+    dag = matcore.dagger
+    rng = matcore.stream(5, 31)
+    x_mat = ref_sample_space_matrix(space, rng)[0]
+    y_mat = dag(ref_sample_space_matrix(space, rng)[0])
+    z_mat = -spaces.project_stack(space, x_mat @ dag(y_mat))
+    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)]
+    for _ in range(8):
+        b = matcore.rand_cmat(space.p, space.p, rng)
+        bs.append(b / matcore.op_norm(b))
+    got = criteria._mult_row_deviations(x_mat, z_mat, y_mat, np.stack([b @ dag(b) for b in bs]))
+    for b, dev in zip(bs, got):
+        two_by_four, row = mult_rows(x_mat, y_mat, z_mat, b)
+        norm = matcore.op_norm(two_by_four)
+        assert abs(dev - (norm - matcore.op_norm(row))) <= GRAM_ROW_RTOL * norm
+
+    if space.involution is None or space.unit is None:
+        return
+    y_mat = dag(y_mat)
+    z_mat = -x_mat @ dag(y_mat)
+    b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
+    for sign in "+-":
+        M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
+        for m in (1, 2):
+            for w in ref_random_stack(space, 2 * m, rng, 4, target_norm=1.0):
+                w = spaces.realize_stack(space, w)
+                row = np.concatenate([matcore.scalar_amplify(M, m), w], axis=1)
+                gram = matcore.scalar_amplify(M @ dag(M), m) + w @ dag(w)
+                norm = matcore.op_norm(row)
+                assert abs(gram_norm(gram) - norm) <= GRAM_ROW_RTOL * norm
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -410,3 +410,20 @@ def test_bulk_decoding_is_complex_of_each_pair(corpus_entries, name):
         with pytest.raises(SpaceFormatError) as err:
             spaces.load_space(json.dumps(broken))
         assert str(err.value) == f"expected a complex scalar encoded as [re, im], got {bad!r}"
+
+
+def test_a_long_bad_entry_is_echoed_in_part():
+    # a list of 200,000 numbers where a pair belongs: the message names its start and its length
+    long_entry = [0.5] * 200_000
+    doc = {"p": 1, "q": 2, "basis": [[[1, 0], long_entry]]}
+    with pytest.raises(SpaceFormatError) as err:
+        spaces.load_space(json.dumps(doc))
+    text = repr(long_entry)
+    assert str(err.value) == ("expected a complex scalar encoded as [re, im], got "
+                              f"{text[:spaces._ECHO_CHARS]}... ({len(text):,} characters)")
+    assert len(str(err.value)) < 200
+    # an entry whose echo is exactly the cap is echoed whole
+    edge = "x" * (spaces._ECHO_CHARS - 2)
+    with pytest.raises(SpaceFormatError) as err:
+        spaces.load_space(json.dumps({"p": 1, "q": 1, "basis": [[edge]]}))
+    assert str(err.value).endswith(f"got {edge!r}")
