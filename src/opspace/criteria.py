@@ -16,14 +16,30 @@ everything after the draws on stacks of pairs, in chunks of at most
 so a report does not depend on the chunk size.  ``mult-closed`` and the
 multipliers are one closure check (``_closure_routes``) with two verdict rules.
 
-Their block rows are measured through Gram blocks, never assembled: with
-||[A, B]||^2 = ||A A* + B B*||, each pair forms the Gram of its fixed
-blocks once ((M+- M+-*) (x) I_m for a cstar row; 1 + y y*, y x* + z* and
-4 + x x* + z z* for a 2x4 row) and each contraction or filler adds its own
-w w* or b b*; ``matcore.op_norm_gram_stack`` takes the top eigenvalue.
-These Grams need no scaling by their largest |entry|: every one holds a
-normalized block, so its top eigenvalue is at least 1.  The byte counts
-given to ``_chunks`` are those of the Grams and the blocks formed with them.
+The closure checks' 2x4 rows are measured through Gram blocks, never
+assembled: with ||[A, B]||^2 = ||A A* + B B*||, each pair forms the Gram
+blocks 1 + y y*, y x* + z* and 4 + x x* + z z* of its fixed blocks once and
+each filler adds its own b b*; ``matcore.op_norm_gram_stack`` takes the top
+eigenvalue.  A row's Grams need no scaling by their largest |entry|: each
+holds the 2 I of its row, so its top eigenvalue is at least 1.  The byte
+counts given to ``_chunks`` are those of the Grams and the blocks formed
+with them.
+
+``cstar-among-systems`` measures no row: one eigendecomposition per pair and
+sign bounds its row identity for every w at every level.  Its normalized
+2x6 rows M+- = [[y, 0, 1, x, b, z], [x, b, z, +-y, 0, +-1]] / ||.|| have
+the cross term y x* + z* +- (x y* + z), which vanishes for z = -x y*, and
+two equal row Grams 1 + h + b b*, h = x x* + y y* + z z*.  The canonical
+filler has b b* = ||h|| 1 - h, so both row Grams are (1 + ||h||) 1, and the
+normalized G = M+- M+-* is 1, for every x and y.  A norm-one w at level m
+gives ||[M+- (x) I_m, w]||^2 = ||G (x) I_m + w w*||, and G (x) I_m has the
+eigenvalues of G, so Weyl's inequalities (Bhatia 1997, ch. III) give
+max(lambda_max, 1 + lambda_min) <= ||G (x) I_m + w w*|| <= 1 + lambda_max.
+So | ||[M+- (x) I_m, w]|| - sqrt(2) | is at most
+max(sqrt(1 + lambda_max) - sqrt(2), sqrt(2) - sqrt(1 + lambda_min)) for
+every norm-one w at every level, and the check reports the largest of these
+bounds.  Its verdict therefore rests on the construction residuals: whether
+the canonical z and b lie in X.
 
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
@@ -107,9 +123,8 @@ B_SAMPLES = 64
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
-#: Pairs (x, y) of ``check_cstar_among_systems``, and the norm-one w per pair, sign and level.
+#: Pairs (x, y) of ``check_cstar_among_systems``.
 CSTAR_PAIRS = 20
-CSTAR_CONTRACTIONS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -1007,12 +1022,26 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
                        list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
 
 
+def _row_identity_bounds(grams):
+    """max(sqrt(1 + lambda_max) - sqrt(2), sqrt(2) - sqrt(1 + lambda_min)) of each Gram M M* (..., n, n).
+
+    The bound on | ||[M (x) I_m, w]|| - sqrt(2) | over every norm-one w at
+    every level m (module docstring).
+    """
+    lam = np.linalg.eigvalsh(grams)
+    return np.maximum(np.sqrt(1.0 + lam[..., -1]) - SQRT2, SQRT2 - np.sqrt(1.0 + lam[..., 0]))
+
+
 def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the ambient product make the operator system a C*-algebra?
 
-    For sampled (x, y) it builds the normalized 2x6 rows with z = -x y* and the
-    canonical filler b, then verifies ||[M+- (x) I_m, w]|| = sqrt(2) for sampled
-    norm-one w in M_2m(X), measured through the Gram (M+- M+-*) (x) I_m + w w*.
+    For sampled (x, y) it builds the normalized 2x6 rows M+- with z = -x y*
+    and the canonical filler b, and bounds the deviation of
+    ||[M+- (x) I_m, w]|| = sqrt(2) over every norm-one w in M_2m(X) at every
+    level from the eigenvalues of M+- M+-* (module docstring).  The verdict
+    is INCONCLUSIVE when the canonical z, b leave the space, or when a bound
+    exceeds the tolerance (a bound proves no violation), and
+    HOLDS_WITHIN_BUDGET otherwise.
     """
     cfg = cfg or witness.SearchConfig()
     if space.involution is None or space.unit is None:
@@ -1023,66 +1052,34 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
     cfg.guard_ambient(space)
 
-    levels = list(range(1, cfg.max_level + 1))
-    d, k = space.p, space.dim
-    # the largest (sign, level, contraction) deviation of each pair, and its z, b residuals
-    group_devs = np.full((CSTAR_PAIRS, 2, len(levels)), -np.inf)
+    # the bound of each pair and sign, and its z, b residuals
+    bounds = np.empty((CSTAR_PAIRS, 2))
     residuals = np.empty((CSTAR_PAIRS, 2))
-    top = 2 * cfg.max_level * d
-    gram_bytes = 2 * top * top * 16  # one contraction's w and Gram at the top level, for one sign
-    pair_bytes = CSTAR_CONTRACTIONS * gram_bytes
-    # a pair larger than a chunk goes through in chunks of its contractions
-    parts = _chunks(CSTAR_CONTRACTIONS, gram_bytes) if pair_bytes > _CHUNK_BYTES else [slice(None)]
-    for pairs in _chunks(CSTAR_PAIRS, pair_bytes):
-        xy, draws = [], {m: [] for m in levels}
-        for tpair in range(pairs.start, pairs.stop):
-            rng = matcore.stream(cfg.seed, _KEY_CSTAR, tpair)
-            xy.append(spaces.random_stack(space, 1, rng, 2))
-            for _sign in range(2):
-                for m in levels:
-                    draws[m].append(spaces.random_stack(space, 2 * m, rng, CSTAR_CONTRACTIONS))
+    for pairs in _chunks(CSTAR_PAIRS, 2 * 16 * space.p**2 * 16):  # one pair's M+- (2p x 6p) and G (2p x 2p), both signs
+        xy = [spaces.random_stack(space, 1, matcore.stream(cfg.seed, _KEY_CSTAR, tpair), 2)
+              for tpair in range(pairs.start, pairs.stop)]
         mats, _ = _sample_space_matrix(space, np.stack(xy))
         x_mat, y_mat = mats[:, 0], mats[:, 1]
         z_mat = -x_mat @ matcore.dagger(y_mat)
         b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
         residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
-        grids = {m: np.stack(draws[m]).reshape(-1, 2, CSTAR_CONTRACTIONS, 2 * m, 2 * m, k) for m in levels}
-        # ||[M (x) I_m, w]||^2 = ||(M M*) (x) I_m + w w*||: the fixed block's Gram is formed once per pair
-        Ms = (gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-")
-        fixed = [[matcore.scalar_amplify(M @ matcore.dagger(M), m)[:, None] for m in levels] for M in Ms]
-        for part in parts:
-            for si in range(2):  # one (sign, level) group at a time bounds a pair's working set
-                for li, m in enumerate(levels):
-                    grid = np.ascontiguousarray(grids[m][:, si, part])
-                    nw = spaces.norm_stack(space, grid)
-                    w = spaces.realize_stack(space, grid) / np.where(nw > 0, nw, 1.0)[..., None, None]
-                    gram = w @ matcore.dagger(w)
-                    gram += fixed[si][li]
-                    devs = np.abs(matcore.op_norm_gram_stack(gram) - SQRT2).max(axis=-1)
-                    group_devs[pairs, si, li] = np.maximum(group_devs[pairs, si, li], devs)
-    samples = group_devs.size * CSTAR_CONTRACTIONS
-    worst, best = _first_max(group_devs.reshape(-1))
-    where = None  # the (pair, sign, amplification) of the largest deviation
-    if best is not None:
-        tpair, si, li = np.unravel_index(best, group_devs.shape)
-        where = {"pair": int(tpair), "sign": "+-"[si], "amplification": levels[li]}
+        M = np.stack([gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"], axis=1)
+        bounds[pairs] = _row_identity_bounds(M @ matcore.dagger(M))
+    worst, best = _first_max(bounds.reshape(-1))
     in_space_max = max(0.0, _first_max(residuals.reshape(-1))[0])
 
-    notes = []
-    if worst > cfg.tolerance:
-        verdict = VIOLATED
-    elif in_space_max > cfg.tolerance:
+    verdict, notes = HOLDS_WITHIN_BUDGET, []
+    if in_space_max > cfg.tolerance:
         verdict = INCONCLUSIVE
         notes.append("the canonical z, b leave the space; existence over X not certified")
-    else:
-        verdict = HOLDS_WITHIN_BUDGET
-    # below the tolerance the arg-max is rounding noise, so only a violation names where it is
-    aux = {}
-    if where is not None:
-        aux = dict(where, deviation=worst) if verdict == VIOLATED else {"deviation": worst}
+    elif worst > cfg.tolerance:
+        verdict = INCONCLUSIVE
+        tpair, si = divmod(best, 2)
+        notes.append(f"the bound of pair {tpair}, sign {'+-'[si]} exceeds the tolerance; it shows no violation")
+    aux = {} if best is None else {"deviation": worst}
     aux["construction_residual"] = float(in_space_max)
     return CheckReport("cstar-among-systems", verdict, -worst, _witness_dict(None, aux),
-                       levels, samples, cfg.to_dict(), notes)
+                       list(range(1, cfg.max_level + 1)), bounds.size, cfg.to_dict(), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,9 @@ private helper, on Gram matrices a caller has formed itself: the sampled
 checks measure a block row [A, B] through ||[A, B]||^2 = ||A A^H + B B^H||
 (Paulsen 2002, ch. 1), with the Gram of a fixed block A formed once for
 many B and no row assembled.  It does not scale by the largest |entry|:
-every Gram those checks form holds a normalized block (the unit-norm
-M+- (x) I_m of a cstar row, the 2 I of a 2x4 row), so its top eigenvalue
-is at least 1, and the other blocks have norms of order 1, so no entry
-overflows or underflows.
+every row Gram those checks form holds the 2 I of a 2x4 row, so its top
+eigenvalue is at least 1, and the other blocks have norms of order 1, so no
+entry overflows or underflows.
 
 The closed forms run on stacks of one to a few thousand small matrices, and
 numpy reduces over a short axis one matrix at a time, at a cost far above

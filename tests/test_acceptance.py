@@ -240,7 +240,7 @@ def test_11_multiplication_closure_cross_validation():
 
 def test_12_cstar_row_identities():
     space = corpus.build_full_matrix(2).space
-    rep = criteria.check_cstar_among_systems(space)  # CSTAR_PAIRS 20, CSTAR_CONTRACTIONS 16
+    rep = criteria.check_cstar_among_systems(space)  # CSTAR_PAIRS 20
     worst_perturbed = 0.0
     rng = matcore.stream(112, 0)
     x = matcore.rand_cmat(2, 2, rng)

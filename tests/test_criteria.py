@@ -406,21 +406,21 @@ def test_cstar_among_systems(criterion_cache):
     assert -rep.margin <= 1e-6
 
 
-def test_cstar_names_the_worst_sample_only_when_violated(monkeypatch):
-    # on HOLDS the largest |row norm - sqrt(2)| is rounding noise: its location is not reported
+def test_cstar_names_the_worst_pair_only_when_its_bound_exceeds_the_tolerance(monkeypatch):
+    # on HOLDS the largest bound is rounding noise: its location is not reported
     space = corpus.build_full_matrix(2).space
     monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
-    monkeypatch.setattr(criteria, "CSTAR_CONTRACTIONS", 4)
     rep = criteria.check_cstar_among_systems(space)
-    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and rep.notes == []
     assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
-    # a tolerance below that noise turns it into a violation, which names where it is
+    # a tolerance below that noise leaves the identity unproved, but a bound shows no violation
     cfg = witness.SearchConfig(tolerance=1e-300)
     rep = criteria.check_cstar_among_systems(space, cfg)
-    assert rep.verdict == criteria.VIOLATED
-    aux = rep.witness["aux"]
-    assert set(aux) == {"pair", "sign", "amplification", "deviation", "construction_residual"}
-    assert aux["deviation"] == -rep.margin and aux["sign"] in ("+", "-") and aux["amplification"] in (1, 2)
+    assert rep.verdict == criteria.INCONCLUSIVE
+    assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
+    assert len(rep.notes) == 1
+    assert re.fullmatch(r"the bound of pair [0-3], sign [+-] exceeds the tolerance; it shows no violation",
+                        rep.notes[0])
 
 
 def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():
@@ -449,7 +449,6 @@ def test_cstar_inconclusive_when_construction_leaves_space(monkeypatch):
     basis[2] = np.diag([1.0, -1.0])
     space = spaces.make_space(basis, unit=np.array([1.0, 0, 0]), involution=np.eye(3))
     monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
-    monkeypatch.setattr(criteria, "CSTAR_CONTRACTIONS", 4)
     rep = criteria.check_cstar_among_systems(space)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert any("leave the space" in n for n in rep.notes)
@@ -474,6 +473,50 @@ def test_cstar_detects_perturbed_product():
                 row = np.concatenate([amp, w], axis=1)
                 worst = max(worst, abs(matcore.op_norm(row) - SQRT2))
     assert worst > 1e-3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_cstar_bound_covers_the_sampled_row_identity(d):
+    # the identity the check bounds instead of sampling: ||[M+- (x) I_m, w]|| = sqrt(2) for unit w,
+    # with x, y anywhere in M_d; a perturbed z breaks it, and the bound must still cover every sample
+    rng = matcore.stream(64, d)
+    x, y = (m / matcore.op_norm(m) for m in (matcore.rand_cmat(d, d, rng), matcore.rand_cmat(d, d, rng)))
+    z = -x @ matcore.dagger(y)
+    b = gadgets.proof_b(x, y, z)
+    for shift in (0.0, 0.3):
+        bounds = []
+        for sign in ("+", "-"):
+            m = gadgets.build_M_pm(x, y, z + shift * np.eye(d), b, sign)
+            gram = m @ matcore.dagger(m)
+            if shift == 0.0:
+                assert np.abs(gram - np.eye(2 * d)).max() <= 1e-12
+            bound = float(criteria._row_identity_bounds(gram))
+            bounds.append(bound)
+            for mlev in (1, 2, 3):
+                amp = matcore.scalar_amplify(m, mlev)
+                for _ in range(6):
+                    w = matcore.rand_cmat(2 * d * mlev, 2 * d * mlev, rng)
+                    w /= matcore.op_norm(w)
+                    row = np.concatenate([amp, w], axis=1)
+                    assert abs(matcore.op_norm(row) - SQRT2) <= bound + 1e-12
+        if shift:
+            assert max(bounds) > 0.05
+
+
+#: Builders of the spaces whose cstar reports must not depend on the level budget.
+LEVEL_FREE_CSTAR = {"full_matrix_2": lambda: corpus.build_full_matrix(2).space,
+                    "twisted_selfadjoint": lambda: corpus.build_twisted_selfadjoint().space}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_FREE_CSTAR))
+def test_cstar_report_does_not_depend_on_the_level(name):
+    # the bound covers every level at once, so max_level moves only levels_checked and the config echo
+    space = LEVEL_FREE_CSTAR[name]()
+    reports = [criteria.check_cstar_among_systems(space, witness.SearchConfig(max_level=n)) for n in (1, 2, 3)]
+    assert [r.levels_checked for r in reports] == [[1], [1, 2], [1, 2, 3]]
+    first = reports[0]
+    for rep in reports[1:]:
+        assert (rep.verdict, rep.margin, rep.witness) == (first.verdict, first.margin, first.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,9 @@ def test_gram_route_matches_lapack(shape, scale):
 # ---------------------------------------------------------------------------
 # op_norm_gram_stack: sigma_1 of a block row [A, W] from its Gram A A^H + W W^H
 
-#: Gram sides of the sampled checks' rows: the closure rows on M_2 and M_3
-#: (sides 2 to 6; side 1 is tested with side 2 below), the cstar rows at two
-#: levels (4 to 12) and linf 32 (128).
+#: Gram sides: the closure checks' rows on M_2 and M_3 (sides 2 to 6; side 1
+#: is tested with side 2 below), and wider Grams up to a 64 x 64 ambient's
+#: 2x4 rows (128).
 GRAM_SIDES = [2, 3, 4, 6, 8, 12, 128]
 
 
