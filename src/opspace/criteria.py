@@ -9,21 +9,29 @@ satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
 on every basis element, the criterion holds at every level and no search
 runs.  Such a report carries ``proof``; a searched one does not.
 
-The sampled checks (``mult-closed``, the multipliers, ``cstar-among-systems``)
-draw each pair from its own stream, one pair at a time, and evaluate
-everything after the draws on stacks of pairs, in chunks of at most
-``_CHUNK_BYTES`` per stack; their picks are the first maxima in pair order,
-so a report does not depend on the chunk size.  ``mult-closed`` and the
-multipliers are one closure check (``_closure_routes``) with two verdict rules.
+The sampled checks evaluate on stacks, in chunks of at most ``_CHUNK_BYTES``
+per stack: ``cstar-among-systems`` its pairs, each drawn from its own stream
+one pair at a time, and ``mult-closed`` and the multipliers their basis
+products (``_closure_residuals``).  Their picks are the first maxima in
+pair or product order, so a report does not depend on the chunk size.
 
-The closure checks' 2x4 rows are measured through Gram blocks, never
-assembled: with ||[A, B]||^2 = ||A A* + B B*||, each pair forms the Gram
-blocks 1 + y y*, y x* + z* and 4 + x x* + z z* of its fixed blocks once and
-each filler adds its own b b*; ``matcore.op_norm_gram_stack`` takes the top
-eigenvalue.  A row's Grams need no scaling by their largest |entry|: each
-holds the 2 I of its row, so its top eigenvalue is at least 1.  The byte
-counts given to ``_chunks`` are those of the Grams and the blocks formed
-with them.
+``mult-closed`` and the multipliers measure no row: the membership
+residuals of their basis products decide the paper's 2x4 row identity
+||[[0, y, 1, 0], [2, x, z, b]]|| = ||[2, x, z, b]|| over contractive x, y.
+With T = [0, y, 1, 0] and R = [2, x, z, b] the row has the Gram
+[[T T*, T R*], [R T*, R R*]] (||[A; B]||^2 = ||[[A A*, A B*], [B A*, B B*]]||),
+where T T* = 1 + y y* and T R* = y x* + z*.  The best in-space candidate
+z = -P(x y*), P the projection onto X, makes the cross block
+T R* = ((1 - P)(x y*))*.  It vanishes exactly when x y* lies in X, and then
+the Gram is block diagonal with ||T||^2 <= 2 < 4 <= ||R||^2, so the two
+norms agree for every filler b.  The canonical filler, with
+b b* = ||h|| 1 - h for h = x x* + z z*, makes R R* = (4 + ||h||) 1, and then
+any nonzero cross block raises the norm.  So the identity fails exactly
+when some x y* leaves X, and by bilinearity exactly when a basis product
+does: B_i B_j for ``mult-closed``, and w B_j, B_i w or B_i w B_j for a left,
+right or quasi multiplier w (x y* = w a*, a w* or a w b*).  Sampled fillers
+would only size the failure, and the row's gap is of second order in the
+residual of x y*, so at a fixed tolerance the residual is the sharper test.
 
 ``cstar-among-systems`` measures no row: one eigendecomposition per pair and
 sign bounds its row identity for every w at every level.  Its normalized
@@ -48,7 +56,6 @@ so no check validates its config again.
 from __future__ import annotations
 
 import copy
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -88,8 +95,6 @@ __all__ = [
     "CRITERION_RUNNERS",
 ]
 
-log = logging.getLogger(__name__)
-
 HOLDS_WITHIN_BUDGET = "HOLDS_WITHIN_BUDGET"
 VIOLATED = "VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -107,8 +112,6 @@ _STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
 
 # stream-key tags so every criterion draws from its own RNG substream (the
 # searched criteria carry theirs, 1-5, in SEARCH_CRITERIA)
-_KEY_MULT_CLOSED = 8
-_KEY_MULTIPLIER = 9
 _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
 _KEY_CSTAR = 12
@@ -116,10 +119,6 @@ _KEY_CSTAR = 12
 #: Grid points of ``check_positive`` (the circle) and ``check_adjoint`` (a t-grid on [-T_MAX, T_MAX]).
 CIRCLE_SAMPLES = 720
 T_MAX = 4.0
-#: Metric pairs of ``mult-closed`` and of a multiplier, and the drawn fillers b per pair.
-MULT_METRIC_PAIRS = 16
-MULTIPLIER_METRIC_PAIRS = 8
-B_SAMPLES = 64
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
@@ -648,7 +647,7 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
     aux = {"z": _encode_complex(1.0 + np.exp(1j * t0))} if verdict == VIOLATED else {}
     aux["max_norm"] = f0
-    return CheckReport("positive", verdict, -violation, _witness_dict(None, aux),
+    return CheckReport("positive", verdict, 0.0 - violation, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
 
@@ -676,7 +675,7 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
     # as in check_positive, only a violation names its arg-max t
     aux = {"t": t0} if verdict == VIOLATED else {}
     aux["deviation"] = f0
-    return CheckReport("adjoint", verdict, -f0, _witness_dict(None, aux),
+    return CheckReport("adjoint", verdict, 0.0 - f0, _witness_dict(None, aux),
                        [1], samples, cfg.to_dict())
 
 
@@ -684,9 +683,9 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
 # multiplicative structure
 
 
-#: Bytes of the largest stack a sampled check forms at once.  Its pairs pass
-#: through in chunks of as many as fit (at least one), so the working set stays
-#: bounded whatever the pair count, level or ambient size.
+#: Bytes of the largest stack a sampled check forms at once.  Its pairs or
+#: products pass through in chunks of as many as fit (at least one), so the
+#: working set stays bounded whatever their count, the level or the ambient size.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -714,98 +713,14 @@ def _sample_space_matrix(space, draws):
     return spaces.realize_stack(space, coeffs), coeffs
 
 
-def _filler_bytes(d: int) -> int:
-    """Bytes of one filler's Grams in the metric route: its 2d x 2d Gram, the lower-right block and b b*."""
-    return 6 * d * d * 16
+def _closure_residuals(space, left, right) -> tuple[float, list, int]:
+    """Membership residuals of the products ``left[i] @ right[j]``: (largest, its index, products measured).
 
-
-def _mult_row_deviations(x_mat, z_mat, y_mat, grams):
-    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || for filler Grams b b* (..., nb, d, d) of pairs (..., d, d).
-
-    Both norms come from Gram blocks: with T = [0,y,1,0] and R = [2,x,z,b]
-    the 2x4 row has the Gram [[T T*, T R*], [R T*, R R*]], where T T* = 1 + y y*,
-    T R* = y x* + z* and R R* = 4 + x x* + z z* + b b*.  The first three are
-    fixed per pair; only b b* changes with the filler.
-    """
-    d = grams.shape[-1]
-    eye = np.eye(d)
-    top = eye + y_mat @ matcore.dagger(y_mat)
-    cross = y_mat @ matcore.dagger(x_mat) + matcore.dagger(z_mat)
-    fixed = 4 * eye + x_mat @ matcore.dagger(x_mat) + z_mat @ matcore.dagger(z_mat)
-    lower = fixed[..., None, :, :] + grams
-    full = np.empty(grams.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
-    full[..., :d, :d] = top[..., None, :, :]
-    full[..., :d, d:] = cross[..., None, :, :]
-    full[..., d:, :d] = matcore.dagger(cross)[..., None, :, :]
-    full[..., d:, d:] = lower
-    return matcore.op_norm_gram_stack(full) - matcore.op_norm_gram_stack(lower)
-
-
-def _filler_grams(z) -> np.ndarray:
-    """Grams b b* (..., d, d) of the fillers b that ``rand_cmat(d, d, rng)`` draws from normals (..., 2, d, d).
-
-    Each b is scaled to norm 1: its Gram is divided by its squared norm.
-    """
-    bs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
-    grams = bs @ matcore.dagger(bs)
-    nb = matcore.op_norm_gram_stack(grams)
-    return grams / np.square(np.where(nb > 0, nb, 1.0))[..., None, None]
-
-
-def _metric_closure_deviation(space, x_mat, y_mat, filler_grams):
-    """Best detectable gap of each pair (x, y) of stacks (..., d, d); z is the best in-space candidate.
-
-    The gap is the largest |deviation| of the 2x4 row identity over the
-    canonical filler and the fillers whose Grams b b* are ``filler_grams``
-    (P, nb, d, d).  z = -P(x y*), with P the projection onto the space, each
-    matrix projected as one (1, pq) row.  When the Grams of one pair exceed a
-    chunk, the fillers pass through in parts of as many as fit.
-    """
-    z_mat = -spaces.project_stack(space, x_mat @ matcore.dagger(y_mat))
-    b = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)  # the canonical filler
-    grams = np.concatenate([(b @ matcore.dagger(b))[..., None, :, :], filler_grams], axis=-3)
-    part_bytes = len(filler_grams) * _filler_bytes(space.p)  # one filler of every pair
-    parts = (_chunks(grams.shape[-3], part_bytes) if grams.shape[-3] * part_bytes > _CHUNK_BYTES
-             else [slice(None)])
-    return np.maximum.reduce([np.abs(_mult_row_deviations(x_mat, z_mat, y_mat, grams[:, part])).max(axis=-1)
-                              for part in parts])
-
-
-def _metric_pairs(space, cfg, stream_key: tuple, n_pairs: int, count: int):
-    """The sampled pairs of the metric row identity, chunk by chunk.
-
-    Pair t draws ``count`` level-1 elements, then ``B_SAMPLES`` fillers,
-    from the stream (seed, *stream_key, t).  Yields (pairs, coeffs, mats,
-    filler Grams) per chunk: the slice of pair indices, the draws scaled to
-    norm 1 (P, count, 1, 1, k), their matrices (P, count, p, q) and the
-    Grams b b* of the unit-norm fillers (P, B_SAMPLES, p, p).
-    """
-    d = space.p
-    for pairs in _chunks(n_pairs, (B_SAMPLES + 1) * _filler_bytes(d)):  # the Grams of one pair's fillers
-        draws, normals = [], []
-        for t in range(pairs.start, pairs.stop):
-            rng = matcore.stream(cfg.seed, *stream_key, t)
-            draws.append(spaces.random_stack(space, 1, rng, count))
-            normals.append(rng.normal(size=(B_SAMPLES, 2, d, d)))
-        mats, coeffs = _sample_space_matrix(space, np.stack(draws))
-        yield pairs, coeffs, mats, _filler_grams(np.stack(normals))
-
-
-def _closure_routes(criterion: str, space, cfg, left, right, metric=None, **entries):
-    """Both routes of a closure check: membership residuals of products, and the row identity.
-
-    The products are ``left[i] @ right[j]`` over every index i of the stack
-    ``left`` (..., p, r) and j of the stack ``right`` (..., r, q) (a single
-    matrix is a stack of no index); they are formed and measured in chunks
-    over the flattened (i, j) index, so the working set stays bounded
-    whatever the basis size.  ``metric`` is None (no metric route) or
-    (stream_key, n_pairs, count, pair): each pair draws ``count`` elements
-    (``_metric_pairs``), and ``pair(mats)`` maps their matrices (P, count,
-    p, q) to the x, y whose x y* must lie in the space.  Returns (aux, notes,
-    samples, alg_index, (x, y)): aux holds ``algebraic_max``, then
-    ``entries``, then ``metric_max`` and ``paths_agree``; alg_index is the
-    (i, j) of the largest residual; x (1, 1, k) is the first draw and y the
-    y of the pair with the largest gap.
+    The products run over every index i of the stack ``left`` (..., p, r)
+    and j of the stack ``right`` (..., r, q) (a single matrix is a stack of
+    no index); they are formed and measured in chunks over the flattened
+    (i, j) index, so the working set stays bounded whatever the basis size.
+    The index is that of the first largest residual.
     """
     lefts, rights = left.reshape(-1, *left.shape[-2:]), right.reshape(-1, *right.shape[-2:])
     n_right = rights.shape[0]
@@ -814,68 +729,37 @@ def _closure_routes(criterion: str, space, cfg, left, right, metric=None, **entr
         ij = np.arange(part.start, part.stop)
         residuals[part] = spaces.membership_residual_stack(space, lefts[ij // n_right] @ rights[ij % n_right])
     residuals = residuals.reshape(left.shape[:-2] + right.shape[:-2])
-    alg_index = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
-    alg_max = float(residuals[tuple(alg_index)])
-    aux = {"algebraic_max": alg_max, **entries}
-    if metric is None:
-        return aux, [], residuals.size, alg_index, None
-
-    stream_key, n_pairs, count, pair = metric
-    devs = np.empty(n_pairs)
-    xs = np.empty((n_pairs, 1, 1, space.dim), dtype=np.complex128)
-    ys = np.empty((n_pairs, space.p, space.q), dtype=np.complex128)
-    for pairs, coeffs, mats, filler_grams in _metric_pairs(space, cfg, stream_key, n_pairs, count):
-        x_mat, y_mat = pair(mats)
-        xs[pairs], ys[pairs] = coeffs[:, 0], y_mat
-        devs[pairs] = _metric_closure_deviation(space, x_mat, y_mat, filler_grams)
-    met_max, best = _first_max(devs)
-    agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
-    notes = []
-    if not agree:
-        log.warning("%s: metric and algebraic routes disagree (alg=%.3e, metric=%.3e)",
-                    criterion, alg_max, met_max)
-        notes.append("metric/algebraic route disagreement: possible bug")
-    aux.update(metric_max=float(met_max), paths_agree=bool(agree))
-    samples = residuals.size + n_pairs * (B_SAMPLES + 1)
-    return aux, notes, samples, alg_index, (xs[best], ys[best])
+    index = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
+    return float(residuals[tuple(index)]), index, residuals.size
 
 
 def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is the subspace closed under ambient multiplication?
 
-    Dual-route check: exact membership residuals of basis products, cross
-    validated by the metric row identity || [[0,y,1,0],[2,x,z,b]] || = || [2,x,z,b] ||
-    with z the best in-space candidate.  Disagreement between the routes is
-    flagged loudly; it indicates a bug, as the two are provably equivalent.
-    The verdict follows the larger route, and so does the witness.
+    Decided by the exact membership residuals of the basis products
+    B_i B_j, which is the sign of the paper's 2x4 row identity (module
+    docstring).  A violation names the worst pair: x = B_i as the witness
+    element, y = B_j* in ``aux``, so that x y* is the product that leaves X.
     """
     cfg = cfg or witness.SearchConfig()
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
-    # x y* over contractive x in A and y in A*
-    metric = ((_KEY_MULT_CLOSED, 1), MULT_METRIC_PAIRS, 2, lambda mats: (mats[:, 0], matcore.dagger(mats[:, 1])))
-    aux, notes, samples, (i, j), (x, y) = _closure_routes(
-        "mult-closed", space, cfg, space.basis, space.basis, metric)
-    alg_max, met_max = aux["algebraic_max"], aux["metric_max"]
-    worst = max(alg_max, met_max)
+    alg_max, (i, j), samples = _closure_residuals(space, space.basis, space.basis)
+    aux = {"algebraic_max": alg_max}
     verdict, welem = HOLDS_WITHIN_BUDGET, None
-    if worst > cfg.tolerance:
+    if alg_max > cfg.tolerance:
         verdict = VIOLATED
-        if alg_max >= met_max:
-            aux.update(path="algebraic", x_basis=i, y_basis=j, residual=alg_max,
-                       y=_encode_array(matcore.dagger(space.basis[j])))
-            welem = spaces.LevelElement(1, np.eye(space.dim, dtype=np.complex128)[i].reshape(1, 1, -1))
-        else:
-            aux.update(path="metric", deviation=met_max, y=_encode_array(y))
-            welem = spaces.LevelElement(1, x)
-    return CheckReport("mult-closed", verdict, -worst, _witness_dict(welem, aux), [1], samples, cfg.to_dict(), notes)
+        aux.update(x_basis=i, y_basis=j, residual=alg_max, y=_encode_array(matcore.dagger(space.basis[j])))
+        welem = spaces.LevelElement(1, np.eye(space.dim, dtype=np.complex128)[i].reshape(1, 1, -1))
+    return CheckReport("mult-closed", verdict, 0.0 - alg_max, _witness_dict(welem, aux), [1], samples,
+                       cfg.to_dict())
 
 
 def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does w act as a left/right/quasi multiplier of the subspace (wA, Aw, AwA inside A)?
 
-    The verdict comes from exact membership residuals over the basis; for
-    square ambients the metric row identity is sampled as cross-validation.
+    Decided by the exact membership residuals of w B_j, B_i w or B_i w B_j
+    over the basis, as ``check_mult_closed`` is (module docstring).
     """
     cfg = cfg or witness.SearchConfig()
     w = matcore.as_cmat(w)
@@ -886,23 +770,21 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     if w.shape != shapes[side]:
         raise ShapeError(f"{side} multiplier must be {shapes[side]}, got {w.shape}")
 
-    B, dag = space.basis, matcore.dagger
-    # the factors of the products that must lie in A, and the (x, y) of sampled a (and b) in A, with x y* = w a*, a w* or a w b*
+    B = space.basis
     if side == "left":
-        factors, count, pair = (w, B), 1, lambda m: (w, dag(m[:, 0]))
+        factors = (w, B)
     elif side == "right":
-        factors, count, pair = (B, w), 1, lambda m: (m[:, 0], dag(w))
+        factors = (B, w)
     else:
-        factors, count, pair = (B @ w, B), 2, lambda m: (m[:, 0] @ w, dag(m[:, 1]))
-    criterion = f"multiplier-{side}"
-    metric = ((_KEY_MULTIPLIER, 1), MULTIPLIER_METRIC_PAIRS, count, pair) if p == q else None
-    aux, notes, samples, alg_index, _ = _closure_routes(criterion, space, cfg, *factors, metric, side=side)
-    alg_max = aux["algebraic_max"]
+        factors = (B @ w, B)
+    alg_max, alg_index, samples = _closure_residuals(space, *factors)
+    aux = {"algebraic_max": alg_max, "side": side}
     verdict = HOLDS_WITHIN_BUDGET
     if alg_max > cfg.tolerance:
         verdict = VIOLATED
         aux.update(basis_index=alg_index, residual=alg_max)
-    return CheckReport(criterion, verdict, -alg_max, _witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
+    return CheckReport(f"multiplier-{side}", verdict, 0.0 - alg_max, _witness_dict(None, aux), [1], samples,
+                       cfg.to_dict())
 
 
 def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
@@ -962,7 +844,7 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
         n, a0, b0 = worst_witness
         verdict = VIOLATED
         found = _witness_dict(spaces.LevelElement(n, a0), {"deviation": worst, "b": _encode_array(b0)})
-    return CheckReport("left-multiplier-map", verdict, -worst, found, list(range(1, cfg.max_level + 1)), samples,
+    return CheckReport("left-multiplier-map", verdict, 0.0 - worst, found, list(range(1, cfg.max_level + 1)), samples,
                        cfg.to_dict())
 
 
@@ -998,7 +880,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
         samples += tried
         mult_worst = max(mult_worst, worst)
-    margins.append(-mult_worst)
+    margins.append(0.0 - mult_worst)
     if mult_worst > cfg.tolerance:
         failed.append("left-multiplier")
 
@@ -1006,7 +888,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     resid = matcore.op_norm_stack(spaces.realize_stack(space, (unit_action - np.eye(k))[:, None, None, :]))
     unit_max = float(np.max(resid))
     samples += k
-    margins.append(-unit_max)
+    margins.append(0.0 - unit_max)
     if unit_max > cfg.tolerance:
         failed.append("right-unit")
 
@@ -1078,7 +960,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         notes.append(f"the bound of pair {tpair}, sign {'+-'[si]} exceeds the tolerance; it shows no violation")
     aux = {} if best is None else {"deviation": worst}
     aux["construction_residual"] = float(in_space_max)
-    return CheckReport("cstar-among-systems", verdict, -worst, _witness_dict(None, aux),
+    return CheckReport("cstar-among-systems", verdict, 0.0 - worst, _witness_dict(None, aux),
                        list(range(1, cfg.max_level + 1)), bounds.size, cfg.to_dict(), notes)
 
 

@@ -25,15 +25,6 @@ row or column or a 2 x 2 matrix come in closed form, with the norms of the
 value kernels, and every other shape (the trace norm of 2 x c with c > 2
 among them) goes to LAPACK with singular vectors.
 
-``op_norm_gram_stack`` runs the Gram route's eigenvalue step, the same
-private helper, on Gram matrices a caller has formed itself: the sampled
-checks measure a block row [A, B] through ||[A, B]||^2 = ||A A^H + B B^H||
-(Paulsen 2002, ch. 1), with the Gram of a fixed block A formed once for
-many B and no row assembled.  It does not scale by the largest |entry|:
-every row Gram those checks form holds the 2 I of a 2x4 row, so its top
-eigenvalue is at least 1, and the other blocks have norms of order 1, so no
-entry overflows or underflows.
-
 The closed forms run on stacks of one to a few thousand small matrices, and
 numpy reduces over a short axis one matrix at a time, at a cost far above
 the arithmetic's.  So no closed form reduces over an axis of at most 8
@@ -67,7 +58,6 @@ __all__ = [
     "op_norm_stack",
     "trace_norm_stack",
     "norm_cotangent_stack",
-    "op_norm_gram_stack",
 ]
 
 
@@ -403,24 +393,6 @@ def trace_norm_stack(ms, fiber: None = None) -> np.ndarray:
 def op_norm_fibers(ms) -> np.ndarray:
     """Operator norms of direct sums given as per-fiber stacks (..., g, a, b) -> (...)."""
     return np.asarray(_max_last(_top_sval(np.asarray(ms, dtype=np.complex128))))
-
-
-def op_norm_gram_stack(grams) -> np.ndarray:
-    """Operator norms from Gram matrices: sigma_1 of A for each G = A A^H of a stack (..., m, m) -> (...).
-
-    The top singular value of A is the square root of the top eigenvalue of
-    A A^H, so a block row [A, B] has ||[A, B]||^2 = ||A A^H + B B^H||: a
-    caller whose rows share a fixed block forms that block's Gram once and
-    never assembles the rows.  Each G is taken as Hermitian (``eigvalsh``
-    reads its lower triangle) and is not rescaled, unlike the matrices
-    ``op_norm_stack`` scales by their largest |entry|: the caller keeps its
-    Grams in range.  A Gram with a non-finite entry gives a NaN norm.
-    """
-    g = np.asarray(grams, dtype=np.complex128)
-    if g.ndim < 2 or g.shape[-2] != g.shape[-1] or g.shape[-1] < 1:
-        raise ShapeError(f"expected a stack of square Gram matrices, got shape {g.shape}")
-    g, bad = _zero_non_finite(g)
-    return np.asarray(np.where(bad, np.nan, _sqrt_top_eig(g)))
 
 
 # the norms norm_cotangent_stack differentiates, named after the functions

@@ -77,6 +77,19 @@ def mult_rows(x, y, z, b):
             matcore.block([[2 * one, x, z, b]]))
 
 
+def closure_row_deviations(space, x, y, fillers=()):
+    """||[[0, y, 1, 0], [2, x, z, b]]|| - ||[2, x, z, b]|| with z = -P(x y*), both rows assembled.
+
+    One deviation for the canonical filler b (``gadgets.proof_b`` with y = 0),
+    then one for each of ``fillers``; the norms are ``matcore.op_norm_stack``
+    of the stacked rows.
+    """
+    z = -spaces.project_stack(space, x @ matcore.dagger(y))
+    rows = [mult_rows(x, y, z, b) for b in (gadgets.proof_b(x, np.zeros_like(x), z), *fillers)]
+    full, row = (np.stack(part) for part in zip(*rows))
+    return matcore.op_norm_stack(full) - matcore.op_norm_stack(row)
+
+
 def adjoint_block(x, z, t):
     """[[t 1, x], [-z, t 1]] for single square x, z, as ``criteria.check_adjoint`` assembles it."""
     tI = float(t) * np.eye(x.shape[0], dtype=np.complex128)

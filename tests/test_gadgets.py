@@ -148,8 +148,9 @@ def test_build_M_pm_minus_sign_pattern():
 
 
 def mult_row_deviation(x, y, z, b):
-    """||[[0, y, 1, 0], [2, x, z, b]]|| - ||[2, x, z, b]|| by ``criteria._mult_row_deviations`` on a stack of one."""
-    return float(criteria._mult_row_deviations(x, z, y, b[None])[0])
+    """||[[0, y, 1, 0], [2, x, z, b]]|| - ||[2, x, z, b]||, both rows assembled."""
+    two_by_four, row = mult_rows(x, y, z, b)
+    return matcore.op_norm(two_by_four) - matcore.op_norm(row)
 
 
 def test_build_mult_row_constants_only():
@@ -157,7 +158,7 @@ def test_build_mult_row_constants_only():
     two_by_four, row = mult_rows(z, z, z, z)
     assert matcore.op_norm(two_by_four) == pytest.approx(2.0, abs=1e-12)
     assert matcore.op_norm(row) == pytest.approx(2.0, abs=1e-12)
-    assert mult_row_deviation(z, z, z, z) == matcore.op_norm(two_by_four) - matcore.op_norm(row)
+    assert mult_row_deviation(z, z, z, z) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_mult_row_equality_with_canonical_pair():

@@ -1,14 +1,12 @@
 """The sampled checks evaluate their trials as stacks; each must report what one trial at a time reports.
 
-The references below take every trial, filler and membership residual one
-matrix at a time: each trial makes its own draws, in turn, from its group's
-stream, every norm is a single-matrix ``matcore.op_norm`` (or, for the block
-rows of the closure checks, ``matcore.op_norm_gram_stack`` of one Gram matrix
-assembled from its blocks), every cstar bound comes from the ``eigvalsh`` of
-one Gram M M* and every pick is a strict ``>`` scan.
+The references below take every trial and membership residual one matrix at
+a time: each trial makes its own draws, in turn, from its group's stream,
+every norm is a single-matrix ``matcore.op_norm``, every cstar bound comes
+from the ``eigvalsh`` of one Gram M M* and every pick is a strict ``>`` scan.
 The stacked code must reproduce their reports byte for byte, at two seeds.
-The Gram route itself is checked against the explicit rows' ``op_norm`` to
-1e-13 relative on every tested space.
+The Gram identity behind the cstar bound is checked against the explicit
+rows' ``op_norm`` to 1e-13 relative on every tested space.
 """
 
 import json
@@ -22,7 +20,7 @@ from opspace import corpus, criteria, formulas, gadgets, matcore, spaces, witnes
 from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
-from conftest import gadget_operands, mult_rows
+from conftest import gadget_operands
 
 SEEDS = (7, 1729)
 
@@ -108,31 +106,6 @@ def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
                          lambda sp, x: abs(ref_gadget_norm(sp, x, "-x*")
                                            - np.sqrt(1.0 + spaces.norm(sp, x) ** 2))),
     ]
-
-
-def gram_norm(g) -> float:
-    return float(matcore.op_norm_gram_stack(g))
-
-
-def ref_filler_grams(rng, count, d):
-    """The Grams b b* of ``count`` successive fillers, each b scaled to norm 1 by its Gram's norm."""
-    grams = []
-    for _ in range(count):
-        b = matcore.rand_cmat(d, d, rng)
-        g = b @ matcore.dagger(b)
-        nb = gram_norm(g)
-        grams.append(g / np.square(nb if nb > 0 else 1.0))
-    return grams
-
-
-def ref_row_deviation(x, y, z, bb):
-    """|| [[0,y,1,0],[2,x,z,b]] || - || [2,x,z,b] || from its Gram blocks, for single d x d entries, bb = b b*."""
-    one = np.eye(x.shape[0])
-    dag = matcore.dagger
-    lower = 4 * one + x @ dag(x) + z @ dag(z) + bb
-    cross = y @ dag(x) + dag(z)
-    full = matcore.block([[one + y @ dag(y), cross], [dag(cross), lower]])
-    return gram_norm(full) - gram_norm(lower)
 
 
 def ref_random_stack(space, level, rng, count, target_norm=None):
@@ -239,52 +212,19 @@ def ref_sample_space_matrix(space, rng):
     return spaces.realize(space, elem), elem
 
 
-def ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng):
-    """Largest |deviation| of the 2x4 row identity over the canonical filler, then B_SAMPLES drawn ones."""
-    c = spaces.coefficients_of(space, x_mat @ matcore.dagger(y_mat))
-    z_mat = -np.tensordot(c, space.basis, axes=(0, 0))
-    canonical = gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)
-    grams = [canonical @ matcore.dagger(canonical)] + ref_filler_grams(rng, criteria.B_SAMPLES, x_mat.shape[0])
-    worst = -np.inf
-    for bb in grams:
-        dev = abs(ref_row_deviation(x_mat, y_mat, z_mat, bb))
-        if dev > worst:
-            worst = dev
-    return worst
-
-
 def ref_check_mult_closed(space, cfg):
     k = space.dim
     residuals = {(i, j): ref_membership_residual(space, space.basis[i] @ space.basis[j])
                  for i in range(k) for j in range(k)}
     alg_max, (i, j) = first_max(residuals)
-    samples = k * k
-    metric, witnesses = {}, {}
-    for t in range(criteria.MULT_METRIC_PAIRS):
-        rng = matcore.stream(cfg.seed, criteria._KEY_MULT_CLOSED, 1, t)
-        x_mat, x_elem = ref_sample_space_matrix(space, rng)
-        y_mat = matcore.dagger(ref_sample_space_matrix(space, rng)[0])
-        metric[t] = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
-        witnesses[t] = (x_elem, y_mat)
-        samples += criteria.B_SAMPLES + 1
-    met_max, best = first_max(metric)
-
-    agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
-    aux = {"algebraic_max": float(alg_max), "metric_max": float(met_max), "paths_agree": bool(agree)}
-    notes = [] if agree else ["metric/algebraic route disagreement: possible bug"]
-    worst = max(alg_max, met_max)
-    if worst > cfg.tolerance:
-        if alg_max >= met_max:
-            waux = dict(aux, path="algebraic", x_basis=i, y_basis=j, residual=float(alg_max),
-                        y=criteria._encode_array(matcore.dagger(space.basis[j])))
-            welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
-        else:
-            welem, y_mat = witnesses[best]
-            waux = dict(aux, path="metric", deviation=float(met_max), y=criteria._encode_array(y_mat))
-        return criteria.CheckReport("mult-closed", criteria.VIOLATED, -worst, criteria._witness_dict(welem, waux),
-                                    [1], samples, cfg.to_dict(), notes)
-    return criteria.CheckReport("mult-closed", criteria.HOLDS_WITHIN_BUDGET, -worst,
-                                criteria._witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
+    verdict, welem, aux = criteria.HOLDS_WITHIN_BUDGET, None, {"algebraic_max": float(alg_max)}
+    if alg_max > cfg.tolerance:
+        verdict = criteria.VIOLATED
+        aux.update(x_basis=i, y_basis=j, residual=float(alg_max),
+                   y=criteria._encode_array(matcore.dagger(space.basis[j])))
+        welem = spaces.LevelElement(1, np.eye(k, dtype=np.complex128)[i].reshape(1, 1, k))
+    return criteria.CheckReport("mult-closed", verdict, 0.0 - alg_max, criteria._witness_dict(welem, aux),
+                                [1], k * k, cfg.to_dict())
 
 
 def ref_check_multiplier(space, w, side, cfg):
@@ -297,41 +237,12 @@ def ref_check_multiplier(space, w, side, cfg):
     else:
         products = {(i, j): space.basis[i] @ w @ space.basis[j] for i in range(k) for j in range(k)}
     alg_max, idx = first_max({key: ref_membership_residual(space, m) for key, m in products.items()})
-    samples = len(products)
-
-    met_max = agree = None
-    if space.p == space.q:
-        met_max = -np.inf
-        for t in range(criteria.MULTIPLIER_METRIC_PAIRS):
-            rng = matcore.stream(cfg.seed, criteria._KEY_MULTIPLIER, 1, t)
-            a_mat, _ = ref_sample_space_matrix(space, rng)
-            if side == "left":
-                x_mat, y_mat = w, matcore.dagger(a_mat)
-            elif side == "right":
-                x_mat, y_mat = a_mat, matcore.dagger(w)
-            else:
-                b_mat, _ = ref_sample_space_matrix(space, rng)
-                x_mat, y_mat = a_mat @ w, matcore.dagger(b_mat)
-            dev = ref_metric_closure_deviation(space, x_mat, y_mat, cfg, rng)
-            samples += criteria.B_SAMPLES + 1
-            if dev > met_max:
-                met_max = dev
-        agree = (alg_max > cfg.tolerance) == (met_max > cfg.tolerance)
-
-    aux = {"algebraic_max": float(alg_max), "side": side}
-    notes = []
-    if met_max is not None:
-        aux["metric_max"] = float(met_max)
-        aux["paths_agree"] = bool(agree)
-        if not agree:
-            notes.append("metric/algebraic route disagreement: possible bug")
-    criterion = f"multiplier-{side}"
+    verdict, aux = criteria.HOLDS_WITHIN_BUDGET, {"algebraic_max": float(alg_max), "side": side}
     if alg_max > cfg.tolerance:
-        waux = dict(aux, basis_index=list(idx), residual=float(alg_max))
-        return criteria.CheckReport(criterion, criteria.VIOLATED, -alg_max, criteria._witness_dict(None, waux),
-                                    [1], samples, cfg.to_dict(), notes)
-    return criteria.CheckReport(criterion, criteria.HOLDS_WITHIN_BUDGET, -alg_max,
-                                criteria._witness_dict(None, aux), [1], samples, cfg.to_dict(), notes)
+        verdict = criteria.VIOLATED
+        aux.update(basis_index=list(idx), residual=float(alg_max))
+    return criteria.CheckReport(f"multiplier-{side}", verdict, 0.0 - alg_max, criteria._witness_dict(None, aux),
+                                [1], len(products), cfg.to_dict())
 
 
 def ref_check_cstar(space, cfg):
@@ -362,7 +273,7 @@ def ref_check_cstar(space, cfg):
         notes.append(f"the bound of pair {where[0]}, sign {where[1]} exceeds the tolerance; it shows no violation")
     aux = {} if where is None else {"deviation": worst}
     aux["construction_residual"] = float(in_space_max)
-    return criteria.CheckReport("cstar-among-systems", verdict, -worst, criteria._witness_dict(None, aux),
+    return criteria.CheckReport("cstar-among-systems", verdict, 0.0 - worst, criteria._witness_dict(None, aux),
                                 list(range(1, cfg.max_level + 1)), 2 * criteria.CSTAR_PAIRS, cfg.to_dict(), notes)
 
 
@@ -423,8 +334,7 @@ def test_picks_are_what_a_strict_scan_picks(values):
 
 
 #: Items per chunk, as a multiple of a check's bytes per item (a basis product
-#: or a pair): one item each, three (the last chunk of 16, 8 or 7 pairs is
-#: partial) or all at once.
+#: or a pair): one item each, three or all at once.
 CHUNKINGS = {"one": 1, "three": 3, "all": 10**6}
 
 CHUNKED_CHECKS = {
@@ -456,28 +366,20 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
     monkeypatch.undo()
     assert stacked == as_json(reference(space, cfg).to_dict())
 
-    *products, pairs = seen  # the closure checks chunk their basis products before their pairs
-    assert len(products) == (check != "cstar")
-    for slices in seen:
-        sizes = [s.stop - s.start for s in slices]
-        assert [s.start for s in slices] == list(np.cumsum([0] + sizes[:-1]))
-        if chunking == "one":
-            assert set(sizes) == {1}
-        elif chunking == "three":
-            assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] <= 3
-        else:
-            assert len(sizes) == 1
-    if chunking == "three":
-        assert pairs[-1].stop - pairs[-1].start < 3
+    # one chunked stack each: the basis products of a closure check (16 and 36
+    # here, so "three" ends on a partial chunk and on a full one), cstar's pairs
+    [slices] = seen
+    sizes = [s.stop - s.start for s in slices]
+    n = sum(sizes)
+    assert [s.start for s in slices] == list(np.cumsum([0] + sizes[:-1]))
+    assert sizes == {"one": [1] * n, "three": [3] * (n // 3) + ([n % 3] if n % 3 else []), "all": [n]}[chunking]
 
 
 #: The stacked checks' tracemalloc peak stays below this many chunk constants
-#: (on full_matrix_3 about 2.1 for cstar's 60 pairs, 56 to a chunk, and 1.3
-#: for mult-closed; without chunks about 22 for mult-closed, measured on the
-#: explicit rows).  On
-#: full_matrix_8, mult-closed and multiplier-quasi peak at about 5.3: their 4096
-#: basis products pass through in chunks, and the fillers of one pair in parts
-#: (all products at once peaked at 80).
+#: (on full_matrix_3 about 2.1 for cstar's 60 pairs, 56 to a chunk, and 0.24
+#: for mult-closed's 81 basis products).  On full_matrix_8, mult-closed and
+#: multiplier-quasi peak at about 5.2 and 5.4: their 4096 basis products pass
+#: through in chunks (all products at once peaked at 80).
 PEAK_CHUNKS = 8
 
 
@@ -529,43 +431,19 @@ def test_cstar_refuses_spaces_without_involution_or_unit(name):
         criteria.check_cstar_among_systems(SPACES[name]())
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_fillers_are_successive_normalized_draws(d):
-    # the reference normalizes each filler's Gram by its own norm, one filler at a time
-    got = criteria._filler_grams(matcore.stream(3, d).normal(size=(64, 2, d, d)))
-    want = np.stack(ref_filler_grams(matcore.stream(3, d), 64, d))
-    assert got.tobytes() == want.tobytes()
-    b = matcore.rand_cmat(d, d, matcore.stream(3, d))
-    b = b / matcore.op_norm(b)
-    assert np.allclose(got[0], b @ matcore.dagger(b), rtol=0, atol=1e-14)
-
-
 #: The Gram route and the explicit rows' op_norm agree to this, relative to the row's norm.
 GRAM_ROW_RTOL = 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_gram_blocks_measure_what_the_explicit_rows_measure(name):
-    # the closure route's 2x4 rows on every tested space, and the cstar rows where the check runs
+    # ||[M+- (x) I_m, w]||^2 = ||G (x) I_m + w w*|| with G = M+- M+-*, the identity the
+    # cstar bound rests on, for the rows M+- of sampled x, y of each tested space
     space = SPACES[name]()
     dag = matcore.dagger
     rng = matcore.stream(5, 31)
     x_mat = ref_sample_space_matrix(space, rng)[0]
-    y_mat = dag(ref_sample_space_matrix(space, rng)[0])
-    z_mat = -spaces.project_stack(space, x_mat @ dag(y_mat))
-    bs = [gadgets.proof_b(x_mat, np.zeros_like(x_mat), z_mat)]
-    for _ in range(8):
-        b = matcore.rand_cmat(space.p, space.p, rng)
-        bs.append(b / matcore.op_norm(b))
-    got = criteria._mult_row_deviations(x_mat, z_mat, y_mat, np.stack([b @ dag(b) for b in bs]))
-    for b, dev in zip(bs, got):
-        two_by_four, row = mult_rows(x_mat, y_mat, z_mat, b)
-        norm = matcore.op_norm(two_by_four)
-        assert abs(dev - (norm - matcore.op_norm(row))) <= GRAM_ROW_RTOL * norm
-
-    if space.involution is None or space.unit is None:
-        return
-    y_mat = dag(y_mat)
+    y_mat = ref_sample_space_matrix(space, rng)[0]
     z_mat = -x_mat @ dag(y_mat)
     b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
     for sign in "+-":
@@ -576,7 +454,7 @@ def test_gram_blocks_measure_what_the_explicit_rows_measure(name):
                 row = np.concatenate([matcore.scalar_amplify(M, m), w], axis=1)
                 gram = matcore.scalar_amplify(M @ dag(M), m) + w @ dag(w)
                 norm = matcore.op_norm(row)
-                assert abs(gram_norm(gram) - norm) <= GRAM_ROW_RTOL * norm
+                assert abs(math.sqrt(np.linalg.eigvalsh(gram)[-1]) - norm) <= GRAM_ROW_RTOL * norm
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
