@@ -9,11 +9,14 @@ satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
 on every basis element, the criterion holds at every level and no search
 runs.  Such a report carries ``proof``; a searched one does not.
 
-The sampled checks evaluate on stacks, in chunks of at most ``_CHUNK_BYTES``
-per stack: ``cstar-among-systems`` its pairs, each drawn from its own stream
-one pair at a time, and ``mult-closed`` and the multipliers their basis
-products (``_closure_residuals``).  Their picks are the first maxima in
-pair or product order, so a report does not depend on the chunk size.
+The closure checks (``mult-closed``, the multipliers and
+``cstar-among-systems``) draw nothing: they measure the membership residuals
+of basis products (``_closure_residuals``) on stacks, in chunks of at most
+``_CHUNK_BYTES`` per stack.  Their pick is the first maximum in product
+order, so a report does not depend on the chunk size.  Each factor is scaled
+to norm one first (``_norm_one``), so a residual is that of B_i B_j divided
+by ||B_i|| ||B_j|| (and by ||w|| for a nonzero multiplier w), and a verdict
+does not depend on the scale of the basis.
 
 ``mult-closed`` and the multipliers measure no row: the membership
 residuals of their basis products decide the paper's 2x4 row identity
@@ -33,21 +36,21 @@ right or quasi multiplier w (x y* = w a*, a w* or a w b*).  Sampled fillers
 would only size the failure, and the row's gap is of second order in the
 residual of x y*, so at a fixed tolerance the residual is the sharper test.
 
-``cstar-among-systems`` measures no row: one eigendecomposition per pair and
-sign bounds its row identity for every w at every level.  Its normalized
-2x6 rows M+- = [[y, 0, 1, x, b, z], [x, b, z, +-y, 0, +-1]] / ||.|| have
-the cross term y x* + z* +- (x y* + z), which vanishes for z = -x y*, and
-two equal row Grams 1 + h + b b*, h = x x* + y y* + z z*.  The canonical
-filler has b b* = ||h|| 1 - h, so both row Grams are (1 + ||h||) 1, and the
-normalized G = M+- M+-* is 1, for every x and y.  A norm-one w at level m
-gives ||[M+- (x) I_m, w]||^2 = ||G (x) I_m + w w*||, and G (x) I_m has the
-eigenvalues of G, so Weyl's inequalities (Bhatia 1997, ch. III) give
-max(lambda_max, 1 + lambda_min) <= ||G (x) I_m + w w*|| <= 1 + lambda_max.
-So | ||[M+- (x) I_m, w]|| - sqrt(2) | is at most
-max(sqrt(1 + lambda_max) - sqrt(2), sqrt(2) - sqrt(1 + lambda_min)) for
-every norm-one w at every level, and the check reports the largest of these
-bounds.  Its verdict therefore rests on the construction residuals: whether
-the canonical z and b lie in X.
+``cstar-among-systems`` measures no row either.  Its normalized 2x6 rows
+M+- = [[y, 0, 1, x, b, z], [x, b, z, +-y, 0, +-1]] / ||.|| have the cross
+term y x* + z* +- (x y* + z), which vanishes for z = -x y*, and two equal
+row Grams 1 + h + b b*, h = x x* + y y* + z z*.  The canonical filler has
+b b* = ||h|| 1 - h, so M+- M+-* = 1 for every x and y, and then
+||[M+- (x) I_m, w]||^2 = ||1 + w w*|| = 2 for every norm-one w at every level
+m.  The identity thus holds by construction, and the check's question is
+whether the canonical z and b lie in X.  By sesquilinearity z = -x y* lies
+in X for every x and y exactly when every product B_i B_j* does, and then X
+is a *-algebra, since it is *-closed (``make_space`` checks that the
+involution is the ambient adjoint).  In a *-algebra X, b lies in X exactly
+when the ambient 1 does: if 1 lies in X, b is a polynomial in ||h|| 1 - h;
+if not, b^2 = ||h|| 1 - h in X would put 1 in X, since h != 0 for a
+norm-one x.  So the largest residual of the B_i B_j* and of 1 decides the
+check.
 
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
@@ -100,8 +103,6 @@ VIOLATED = "VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
 UNSUPPORTED_LEVEL = "UNSUPPORTED_LEVEL"
 
-SQRT2 = math.sqrt(2.0)
-
 #: Ball radii swept by the small-norm criteria, largest first: violations of
 #: the unitality inequalities concentrate at small norms, but the norm-one
 #: witnesses must be reachable too.
@@ -114,7 +115,6 @@ _STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
 # searched criteria carry theirs, 1-5, in SEARCH_CRITERIA)
 _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
-_KEY_CSTAR = 12
 
 #: Grid points of ``check_positive`` (the circle) and ``check_adjoint`` (a t-grid on [-T_MAX, T_MAX]).
 CIRCLE_SAMPLES = 720
@@ -122,8 +122,6 @@ T_MAX = 4.0
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
-#: Pairs (x, y) of ``check_cstar_among_systems``.
-CSTAR_PAIRS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +681,16 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
 # multiplicative structure
 
 
-#: Bytes of the largest stack a sampled check forms at once.  Its pairs or
-#: products pass through in chunks of as many as fit (at least one), so the
-#: working set stays bounded whatever their count, the level or the ambient size.
+#: Bytes of the largest stack a closure check forms at once.  Its products
+#: pass through in chunks of as many as fit (at least one), so the working set
+#: stays bounded whatever the basis size or the ambient size.
 _CHUNK_BYTES = 256 * 1024
 
 
-def _chunks(n_pairs: int, pair_bytes: int) -> list:
-    """Slices of range(n_pairs) holding as many pairs as fit _CHUNK_BYTES at ``pair_bytes`` each."""
-    size = max(1, _CHUNK_BYTES // pair_bytes)
-    return [slice(s, min(s + size, n_pairs)) for s in range(0, n_pairs, size)]
+def _chunks(n_items: int, item_bytes: int) -> list:
+    """Slices of range(n_items) holding as many items as fit _CHUNK_BYTES at ``item_bytes`` each."""
+    size = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(s, min(s + size, n_items)) for s in range(0, n_items, size)]
 
 
 def _first_max(values) -> tuple[float, int | None]:
@@ -707,10 +705,10 @@ def _first_max(values) -> tuple[float, int | None]:
     return float(v[i]), i
 
 
-def _sample_space_matrix(space, draws):
-    """Level-1 draws (..., 1, 1, k) scaled to norm 1: their realized matrices (..., p, q) and the scaled draws."""
-    coeffs = spaces.scale_to_norms(space, draws, 1.0)
-    return spaces.realize_stack(space, coeffs), coeffs
+def _norm_one(ms) -> np.ndarray:
+    """Matrices (..., p, q) divided by their operator norms; a zero matrix is left as it is."""
+    norms = matcore.op_norm_stack(ms)
+    return ms / np.where(norms > 0, norms, 1.0)[..., None, None]
 
 
 def _closure_residuals(space, left, right) -> tuple[float, list, int]:
@@ -728,23 +726,25 @@ def _closure_residuals(space, left, right) -> tuple[float, list, int]:
     for part in _chunks(residuals.size, 16 * space.p * space.q):  # one product
         ij = np.arange(part.start, part.stop)
         residuals[part] = spaces.membership_residual_stack(space, lefts[ij // n_right] @ rights[ij % n_right])
-    residuals = residuals.reshape(left.shape[:-2] + right.shape[:-2])
-    index = [int(v) for v in np.unravel_index(int(np.argmax(residuals)), residuals.shape)]
-    return float(residuals[tuple(index)]), index, residuals.size
+    largest, flat = _first_max(residuals)
+    index = [int(v) for v in np.unravel_index(flat, left.shape[:-2] + right.shape[:-2])]
+    return largest, index, residuals.size
 
 
 def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is the subspace closed under ambient multiplication?
 
-    Decided by the exact membership residuals of the basis products
-    B_i B_j, which is the sign of the paper's 2x4 row identity (module
-    docstring).  A violation names the worst pair: x = B_i as the witness
-    element, y = B_j* in ``aux``, so that x y* is the product that leaves X.
+    Decided by the exact membership residuals of the products B_i B_j of the
+    norm-one basis, which is the sign of the paper's 2x4 row identity
+    (module docstring).  A violation names the worst pair: x = B_i as the
+    witness element, y = B_j* in ``aux``, so that x y* is the product that
+    leaves X.
     """
     cfg = cfg or witness.SearchConfig()
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
-    alg_max, (i, j), samples = _closure_residuals(space, space.basis, space.basis)
+    B = _norm_one(space.basis)
+    alg_max, (i, j), samples = _closure_residuals(space, B, B)
     aux = {"algebraic_max": alg_max}
     verdict, welem = HOLDS_WITHIN_BUDGET, None
     if alg_max > cfg.tolerance:
@@ -759,7 +759,8 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     """Does w act as a left/right/quasi multiplier of the subspace (wA, Aw, AwA inside A)?
 
     Decided by the exact membership residuals of w B_j, B_i w or B_i w B_j
-    over the basis, as ``check_mult_closed`` is (module docstring).
+    over the norm-one basis and w scaled to norm one (unless it is 0), as
+    ``check_mult_closed`` is (module docstring).
     """
     cfg = cfg or witness.SearchConfig()
     w = matcore.as_cmat(w)
@@ -770,7 +771,7 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     if w.shape != shapes[side]:
         raise ShapeError(f"{side} multiplier must be {shapes[side]}, got {w.shape}")
 
-    B = space.basis
+    B, w = _norm_one(space.basis), _norm_one(w)
     if side == "left":
         factors = (w, B)
     elif side == "right":
@@ -875,7 +876,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     mult_worst = -np.inf
     for s in range(ALGEBRA_MULTIPLIER_SAMPLES):
         rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
-        _, x_coeffs = _sample_space_matrix(space, spaces.random_stack(space, 1, rng, 1))
+        x_coeffs = spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 1), 1.0)
         Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
         worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
         samples += tried
@@ -904,26 +905,16 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
                        list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
 
 
-def _row_identity_bounds(grams):
-    """max(sqrt(1 + lambda_max) - sqrt(2), sqrt(2) - sqrt(1 + lambda_min)) of each Gram M M* (..., n, n).
-
-    The bound on | ||[M (x) I_m, w]|| - sqrt(2) | over every norm-one w at
-    every level m (module docstring).
-    """
-    lam = np.linalg.eigvalsh(grams)
-    return np.maximum(np.sqrt(1.0 + lam[..., -1]) - SQRT2, SQRT2 - np.sqrt(1.0 + lam[..., 0]))
-
-
 def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the ambient product make the operator system a C*-algebra?
 
-    For sampled (x, y) it builds the normalized 2x6 rows M+- with z = -x y*
-    and the canonical filler b, and bounds the deviation of
-    ||[M+- (x) I_m, w]|| = sqrt(2) over every norm-one w in M_2m(X) at every
-    level from the eigenvalues of M+- M+-* (module docstring).  The verdict
-    is INCONCLUSIVE when the canonical z, b leave the space, or when a bound
-    exceeds the tolerance (a bound proves no violation), and
-    HOLDS_WITHIN_BUDGET otherwise.
+    Decided by membership residuals, as ``check_mult_closed`` is: the
+    canonical z = -x y* and b of the paper's normalized 2x6 rows M+- lie in X
+    for every x and y exactly when every product B_i B_j* of the norm-one
+    basis and the ambient 1 do, and then ||[M+- (x) I_m, w]|| = sqrt(2) for
+    every norm-one w at every level (module docstring).  HOLDS_WITHIN_BUDGET
+    when the largest of these residuals is within the tolerance; otherwise
+    INCONCLUSIVE, since rows built outside X certify nothing over X.
     """
     cfg = cfg or witness.SearchConfig()
     if space.involution is None or space.unit is None:
@@ -932,36 +923,18 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         raise ShapeError("cstar check needs a square ambient")
     if space.norm_mode != spaces.EMBEDDED:
         return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
-    cfg.guard_ambient(space)
 
-    # the bound of each pair and sign, and its z, b residuals
-    bounds = np.empty((CSTAR_PAIRS, 2))
-    residuals = np.empty((CSTAR_PAIRS, 2))
-    for pairs in _chunks(CSTAR_PAIRS, 2 * 16 * space.p**2 * 16):  # one pair's M+- (2p x 6p) and G (2p x 2p), both signs
-        xy = [spaces.random_stack(space, 1, matcore.stream(cfg.seed, _KEY_CSTAR, tpair), 2)
-              for tpair in range(pairs.start, pairs.stop)]
-        mats, _ = _sample_space_matrix(space, np.stack(xy))
-        x_mat, y_mat = mats[:, 0], mats[:, 1]
-        z_mat = -x_mat @ matcore.dagger(y_mat)
-        b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
-        residuals[pairs] = spaces.membership_residual_stack(space, np.stack([z_mat, b_mat], axis=1))
-        M = np.stack([gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign) for sign in "+-"], axis=1)
-        bounds[pairs] = _row_identity_bounds(M @ matcore.dagger(M))
-    worst, best = _first_max(bounds.reshape(-1))
-    in_space_max = max(0.0, _first_max(residuals.reshape(-1))[0])
-
+    B = _norm_one(space.basis)
+    alg_max, _, products = _closure_residuals(space, B, matcore.dagger(B))
+    identity = spaces.membership_residual(space, np.eye(space.p))
+    worst = max(alg_max, identity)
     verdict, notes = HOLDS_WITHIN_BUDGET, []
-    if in_space_max > cfg.tolerance:
+    if worst > cfg.tolerance:
         verdict = INCONCLUSIVE
         notes.append("the canonical z, b leave the space; existence over X not certified")
-    elif worst > cfg.tolerance:
-        verdict = INCONCLUSIVE
-        tpair, si = divmod(best, 2)
-        notes.append(f"the bound of pair {tpair}, sign {'+-'[si]} exceeds the tolerance; it shows no violation")
-    aux = {} if best is None else {"deviation": worst}
-    aux["construction_residual"] = float(in_space_max)
+    aux = {"algebraic_max": alg_max, "identity_residual": identity}
     return CheckReport("cstar-among-systems", verdict, 0.0 - worst, _witness_dict(None, aux),
-                       list(range(1, cfg.max_level + 1)), bounds.size, cfg.to_dict(), notes)
+                       list(range(1, cfg.max_level + 1)), products + 1, cfg.to_dict(), notes)
 
 
 # ---------------------------------------------------------------------------

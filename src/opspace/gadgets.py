@@ -4,10 +4,10 @@ Every helper takes realized matrices with leading batch axes and assembles
 its gadget over those axes; a single gadget is a stack of one, as
 ``matcore.op_norm`` is ``op_norm_stack`` on a stack of one.  The search and
 the identity suites evaluate the ``*_stack`` assemblies and the search
-differentiates through their ``*_stack_adjoint`` maps; the multiplicative
-checks build on ``psd_sqrt``, ``proof_b`` and ``build_M_pm``, which give each
-matrix of a stack the bytes it gets alone.  The module depends only on
-``matcore``: realizing elements of a space is the caller's part.
+differentiates through their ``*_stack_adjoint`` maps.  The closure checks
+build no gadget: membership residuals of basis products decide them (see
+:mod:`opspace.criteria`).  The module depends only on ``matcore``: realizing
+elements of a space is the caller's part.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import matcore
-from .errors import InvalidInputError, NumericalError, ShapeError
 
 __all__ = [
     "two_by_two_stack",
@@ -29,9 +28,6 @@ __all__ = [
     "row_stack_adjoint",
     "column_stack",
     "column_stack_adjoint",
-    "build_M_pm",
-    "psd_sqrt",
-    "proof_b",
 ]
 
 I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
@@ -114,76 +110,3 @@ def column_stack_adjoint(W: np.ndarray) -> np.ndarray:
     """The bottom block of W."""
     return W[..., W.shape[-2] // 2:, :]
 
-
-# ---------------------------------------------------------------------------
-# ingredients for the multiplicative-structure gadgets
-
-
-def _square_like(name: str, m, d: int) -> np.ndarray:
-    a = matcore.as_cstack(m)
-    if a.shape[-2:] != (d, d):
-        raise ShapeError(f"{name} must be {d}x{d}, got {a.shape}")
-    return a
-
-
-def _first_at(bad: np.ndarray) -> str:
-    """Where the first True of ``bad`` sits in a stack, for messages; empty for a single matrix."""
-    if bad.ndim == 0:
-        return ""
-    return f" at stack index {tuple(int(i) for i in np.argwhere(bad)[0])}"
-
-
-def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
-    """Normalized 2x6 block rows used to detect multiplicative structure, over stacks (..., d, d).
-
-    Row one is [y, 0, 1, x, b, z]; row two is [x, b, z, y, 0, 1] for sign "+"
-    and [x, b, z, -y, 0, -1] for sign "-".  Each result is divided by its
-    operator norm, so a well-formed instance has orthonormal block rows.  The
-    leading axes of the entries broadcast; a single matrix is a stack of one.
-    """
-    x = matcore.as_cstack(x)
-    d = x.shape[-1]
-    if x.shape[-2] != d:
-        raise ShapeError("entries must be square")
-    y, z, b = (_square_like(n, m, d) for n, m in (("y", y), ("z", z), ("b", b)))
-    x, y, z, b = np.broadcast_arrays(x, y, z, b)
-    one = np.broadcast_to(np.eye(d, dtype=np.complex128), x.shape)
-    zero = np.zeros(x.shape, dtype=np.complex128)
-    if sign == "+":
-        bottom = [x, b, z, y, zero, one]
-    elif sign == "-":
-        bottom = [x, b, z, -y, zero, -one]
-    else:
-        raise InvalidInputError("sign must be '+' or '-'")
-    m = np.concatenate([np.concatenate([y, zero, one, x, b, z], axis=-1),
-                        np.concatenate(bottom, axis=-1)], axis=-2)
-    nm = matcore.op_norm_stack(m)
-    if (nm <= 0).any():
-        raise InvalidInputError(f"gadget norm is zero{_first_at(nm <= 0)}; nothing to normalize")
-    return m / nm[..., None, None]
-
-
-PSD_TOL = 1e-10
-
-
-def psd_sqrt(h) -> np.ndarray:
-    """Positive square roots of Hermitian PSD matrices (..., d, d); rejects eigenvalues below -PSD_TOL.
-
-    The tolerance is relative to the largest eigenvalue's modulus (at least 1)
-    of each matrix, and the error names the first matrix of the stack below it.
-    """
-    h = matcore.as_cstack(h)
-    w, v = np.linalg.eigh((h + matcore.dagger(h)) / 2.0)
-    low = w.min(axis=-1) < -PSD_TOL * np.maximum(1.0, np.abs(w.max(axis=-1)))
-    if low.any():
-        first = w[tuple(np.argwhere(low)[0])] if low.ndim else w
-        raise NumericalError(f"operand{_first_at(low)} is not positive semidefinite "
-                             f"(min eigenvalue {first.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ matcore.dagger(v)
-
-
-def proof_b(x, y, z) -> np.ndarray:
-    """The filler sqrt(||xx* + yy* + zz*|| 1 - xx* - yy* - zz*) over stacks (pass y=0 for the 2x4 rows)."""
-    x, y, z = (matcore.as_cstack(m) for m in (x, y, z))
-    h = x @ matcore.dagger(x) + y @ matcore.dagger(y) + z @ matcore.dagger(z)
-    return psd_sqrt(matcore.op_norm_stack(h)[..., None, None] * np.eye(h.shape[-1]) - h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opspace import corpus, criteria, gadgets, matcore, spaces, witness
+from opspace.errors import InvalidInputError, NumericalError, ShapeError
 
 
 @pytest.fixture(scope="session")
@@ -77,15 +78,91 @@ def mult_rows(x, y, z, b):
             matcore.block([[2 * one, x, z, b]]))
 
 
+# The paper's multiplicative rows, the oracle the closure checks are tested
+# against: each helper takes matrices with leading batch axes, and gives each
+# matrix of a stack the bytes it gets alone.
+
+
+def _square_like(name: str, m, d: int) -> np.ndarray:
+    a = matcore.as_cstack(m)
+    if a.shape[-2:] != (d, d):
+        raise ShapeError(f"{name} must be {d}x{d}, got {a.shape}")
+    return a
+
+
+def _first_at(bad: np.ndarray) -> str:
+    """Where the first True of ``bad`` sits in a stack, for messages; empty for a single matrix."""
+    if bad.ndim == 0:
+        return ""
+    return f" at stack index {tuple(int(i) for i in np.argwhere(bad)[0])}"
+
+
+def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
+    """Normalized 2x6 block rows that detect multiplicative structure, over stacks (..., d, d).
+
+    Row one is [y, 0, 1, x, b, z]; row two is [x, b, z, y, 0, 1] for sign "+"
+    and [x, b, z, -y, 0, -1] for sign "-".  Each result is divided by its
+    operator norm, so a well-formed instance has orthonormal block rows.  The
+    leading axes of the entries broadcast; a single matrix is a stack of one.
+    """
+    x = matcore.as_cstack(x)
+    d = x.shape[-1]
+    if x.shape[-2] != d:
+        raise ShapeError("entries must be square")
+    y, z, b = (_square_like(n, m, d) for n, m in (("y", y), ("z", z), ("b", b)))
+    x, y, z, b = np.broadcast_arrays(x, y, z, b)
+    one = np.broadcast_to(np.eye(d, dtype=np.complex128), x.shape)
+    zero = np.zeros(x.shape, dtype=np.complex128)
+    if sign == "+":
+        bottom = [x, b, z, y, zero, one]
+    elif sign == "-":
+        bottom = [x, b, z, -y, zero, -one]
+    else:
+        raise InvalidInputError("sign must be '+' or '-'")
+    m = np.concatenate([np.concatenate([y, zero, one, x, b, z], axis=-1),
+                        np.concatenate(bottom, axis=-1)], axis=-2)
+    nm = matcore.op_norm_stack(m)
+    if (nm <= 0).any():
+        raise InvalidInputError(f"gadget norm is zero{_first_at(nm <= 0)}; nothing to normalize")
+    return m / nm[..., None, None]
+
+
+#: The negative eigenvalues ``psd_sqrt`` lets pass, relative to the largest modulus (at least 1).
+PSD_TOL = 1e-10
+
+
+def psd_sqrt(h) -> np.ndarray:
+    """Positive square roots of Hermitian PSD matrices (..., d, d); rejects eigenvalues below -PSD_TOL.
+
+    The tolerance is relative to the largest eigenvalue's modulus (at least 1)
+    of each matrix, and the error names the first matrix of the stack below it.
+    """
+    h = matcore.as_cstack(h)
+    w, v = np.linalg.eigh((h + matcore.dagger(h)) / 2.0)
+    low = w.min(axis=-1) < -PSD_TOL * np.maximum(1.0, np.abs(w.max(axis=-1)))
+    if low.any():
+        first = w[tuple(np.argwhere(low)[0])] if low.ndim else w
+        raise NumericalError(f"operand{_first_at(low)} is not positive semidefinite "
+                             f"(min eigenvalue {first.min():.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ matcore.dagger(v)
+
+
+def proof_b(x, y, z) -> np.ndarray:
+    """The filler sqrt(||xx* + yy* + zz*|| 1 - xx* - yy* - zz*) over stacks (pass y=0 for the 2x4 rows)."""
+    x, y, z = (matcore.as_cstack(m) for m in (x, y, z))
+    h = x @ matcore.dagger(x) + y @ matcore.dagger(y) + z @ matcore.dagger(z)
+    return psd_sqrt(matcore.op_norm_stack(h)[..., None, None] * np.eye(h.shape[-1]) - h)
+
+
 def closure_row_deviations(space, x, y, fillers=()):
     """||[[0, y, 1, 0], [2, x, z, b]]|| - ||[2, x, z, b]|| with z = -P(x y*), both rows assembled.
 
-    One deviation for the canonical filler b (``gadgets.proof_b`` with y = 0),
+    One deviation for the canonical filler b (``proof_b`` with y = 0),
     then one for each of ``fillers``; the norms are ``matcore.op_norm_stack``
     of the stacked rows.
     """
     z = -spaces.project_stack(space, x @ matcore.dagger(y))
-    rows = [mult_rows(x, y, z, b) for b in (gadgets.proof_b(x, np.zeros_like(x), z), *fillers)]
+    rows = [mult_rows(x, y, z, b) for b in (proof_b(x, np.zeros_like(x), z), *fillers)]
     full, row = (np.stack(part) for part in zip(*rows))
     return matcore.op_norm_stack(full) - matcore.op_norm_stack(row)
 
@@ -118,6 +195,29 @@ def oracle_space_with_involution():
     swap = np.eye(4)[[0, 2, 1, 3]]
     return spaces.make_space(tc2.basis, unit=tc2.unit, involution=swap,
                              norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
+
+
+def operator_system(basis, unit, involution):
+    return spaces.make_space(np.asarray(basis, dtype=complex), unit=unit, involution=involution)
+
+
+def tridiagonal_3():
+    """span{E_ii, E_{i,i+1}, E_{i+1,i}} in M_3 with unit I: an operator system that is no algebra."""
+    cells = [(i, j) for i in range(3) for j in range(3) if abs(i - j) <= 1]
+    basis = np.zeros((len(cells), 3, 3))
+    for s, (i, j) in enumerate(cells):
+        basis[s, i, j] = 1.0
+    involution = np.zeros((len(cells), len(cells)))
+    for s, (i, j) in enumerate(cells):
+        involution[cells.index((j, i)), s] = 1.0
+    unit = [1.0 if i == j else 0.0 for i, j in cells]
+    return operator_system(basis, unit, involution)
+
+
+def non_algebra_system():
+    """span{E_12, E_21} with u = E_12 + E_21 and the swap as involution."""
+    nas = corpus.build_non_algebra_span().space
+    return operator_system(nas.basis, [1.0, 1.0], [[0, 1], [1, 0]])
 
 
 def evaluate_witness(entry, report):

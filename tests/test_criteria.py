@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, gadgets, matcore, spaces, witness
+from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError, ShapeError
 
-from conftest import adjoint_block, closure_row_deviations, oracle_space_with_involution, random_element
+from conftest import (adjoint_block, build_M_pm, closure_row_deviations, haar_unitary, non_algebra_system,
+                      oracle_space_with_involution, proof_b, random_element, tridiagonal_3)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
@@ -370,6 +371,89 @@ def test_row_identity_fails_exactly_when_the_product_leaves_the_space(space):
             assert residual > 1e-2 and devs.min() > 0
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-3, 1.0, 1e3])
+def test_closure_verdicts_do_not_depend_on_the_basis_scale(scale):
+    # span{E_12, E_21} is the same subspace at every scale of its basis: E_12 E_21 = E_11 leaves
+    # it at distance 1, so both checks are VIOLATED with the residual of the norm-one product
+    space = spaces.make_space(scale * np.stack([E12, E21]))
+    for rep in (criteria.check_mult_closed(space), criteria.check_multiplier(space, space.basis[0], "left")):
+        assert rep.verdict == criteria.VIOLATED, rep.criterion
+        assert -rep.margin == pytest.approx(1.0, abs=1e-12), rep.criterion
+
+
+def hermitian_space(basis, unit):
+    """The span of selfadjoint matrices, whose involution is the identity on coefficients."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    return spaces.make_space(basis, unit=unit, involution=np.eye(len(basis)))
+
+
+def matrix_units(d, cells):
+    out = np.zeros((len(cells), d, d), dtype=np.complex128)
+    for s, (i, j) in enumerate(cells):
+        out[s, i, j] = 1.0
+    return out
+
+
+def random_operator_system(t):
+    """An operator system in M_3 from the seeded stream (115, t).
+
+    Even t: a Haar conjugate of a unital C*-subalgebra (the diagonal, C (+) M_2
+    or C (+) C 1_2) in a selfadjoint basis; odd t: span{1, H_1, ..., H_r} for
+    one to three random Hermitian H, which is generically no algebra.
+    """
+    rng = matcore.stream(115, t)
+    if t % 2:
+        ms = [matcore.rand_cmat(3, 3, rng) for _ in range(int(rng.integers(1, 4)))]
+        hs = [(m + matcore.dagger(m)) / 2 for m in ms]
+        return hermitian_space([np.eye(3)] + hs, [1.0] + [0.0] * len(hs))
+    e = matrix_units(3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
+    basis, unit = {0: ([e[0], e[1], e[2]], [1.0, 1.0, 1.0]),
+                   2: ([e[0], e[1], e[2], e[3] + e[4], 1j * (e[3] - e[4])], [1.0, 1.0, 1.0, 0.0, 0.0]),
+                   4: ([e[0], e[1] + e[2]], [1.0, 1.0])}[t % 6]
+    U = haar_unitary(3, seed=1150 + t)
+    return hermitian_space([U @ b @ matcore.dagger(U) for b in basis], unit)
+
+
+def cstar_oracle_spaces():
+    """Every embedded corpus entry with a unit and an involution, M_3, the test operator systems, 20
+    random operator systems in M_3, and the closed non-unital spaces span{E_11} and 0 (+) M_2."""
+    out = [pytest.param(e.space, id=e.name) for e in corpus.build_corpus()
+           if e.space.norm_mode == spaces.EMBEDDED and e.space.unit is not None and e.space.involution is not None]
+    out += [pytest.param(corpus.build_full_matrix(3).space, id="full_matrix_3"),
+            pytest.param(non_algebra_system(), id="non_algebra_system"),
+            pytest.param(tridiagonal_3(), id="tridiagonal_3")]
+    out += [pytest.param(random_operator_system(t), id=f"random_{t}") for t in range(20)]
+    e = matrix_units(3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
+    out += [pytest.param(hermitian_space(e[:1], [1.0]), id="span_E11"),
+            pytest.param(hermitian_space([e[1], e[2], e[3] + e[4], 1j * (e[3] - e[4])], [1.0, 1.0, 0.0, 0.0]),
+                         id="zero_plus_M2")]
+    return out
+
+
+@pytest.mark.parametrize("space", cstar_oracle_spaces())
+def test_cstar_rows_leave_the_space_exactly_when_a_residual_exceeds_the_tolerance(space):
+    # the paper's 2x6 rows, assembled: with z = -x y* and the canonical b their Gram is 1 on every
+    # space, so only z and b leaving X can break the row identity, and they leave it exactly when
+    # the check's largest residual exceeds the tolerance (the criteria docstring); those leaving
+    # residuals are of order one, the others rounding noise, which the square root in b takes from
+    # about 1e-16 up to about 1e-8 where ||h|| 1 - h has a repeated eigenvalue 0
+    tol = witness.SearchConfig().tolerance
+    rep = criteria.check_cstar_among_systems(space)
+    assert (-rep.margin > tol) == (rep.verdict == criteria.INCONCLUSIVE)
+    rng = matcore.stream(114, space.dim, space.p)
+    dag = matcore.dagger
+    for _ in range(4):
+        x, y = spaces.realize_stack(space, spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 2), 1.0))
+        z = -x @ dag(y)
+        b = proof_b(x, y, z)
+        for sign in "+-":
+            M = build_M_pm(x, y, z, b, sign)
+            assert np.abs(M @ dag(M) - np.eye(2 * space.p)).max() <= 1e-12
+        residual = spaces.membership_residual_stack(space, np.stack([z, b])).max()
+        assert (residual > tol) == (rep.verdict == criteria.INCONCLUSIVE), (residual, rep.witness["aux"])
+        assert residual <= 1e-7 or residual > 1e-2, residual
+
+
 def all_criteria_reports(entry, criterion_cache):
     """The reports of the 14 criteria on one square corpus entry, where each applies.
 
@@ -466,21 +550,24 @@ def test_cstar_among_systems(criterion_cache):
     assert -rep.margin <= 1e-6
 
 
-def test_cstar_names_the_worst_pair_only_when_its_bound_exceeds_the_tolerance(monkeypatch):
-    # on HOLDS the largest bound is rounding noise: its location is not reported
+def test_cstar_reports_its_largest_residual():
+    # on M_2 every product B_i B_j* and the identity lie in the space: HOLDS, margin minus the
+    # largest residual, one sample per basis product and one for the identity
     space = corpus.build_full_matrix(2).space
-    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
     rep = criteria.check_cstar_among_systems(space)
-    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and rep.notes == []
-    assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
-    # a tolerance below that noise leaves the identity unproved, but a bound shows no violation
-    cfg = witness.SearchConfig(tolerance=1e-300)
-    rep = criteria.check_cstar_among_systems(space, cfg)
+    aux = rep.witness["aux"]
+    assert (rep.verdict, rep.notes, rep.samples) == (criteria.HOLDS_WITHIN_BUDGET, [], 17)
+    assert list(aux) == ["algebraic_max", "identity_residual"]
+    assert rep.margin == 0.0 - max(aux.values()) and max(aux.values()) <= 1e-15
+    # span{I, E_12 + E_21} is a commutative C*-algebra
+    flip = spaces.make_space(np.stack([np.eye(2), E12 + E21]), unit=[1.0, 0.0], involution=np.eye(2))
+    assert criteria.check_cstar_among_systems(flip).verdict == criteria.HOLDS_WITHIN_BUDGET
+    # span{E_11} is a *-algebra, but without the ambient 1 the canonical b leaves it
+    e11 = spaces.make_space(np.array([[[1.0, 0.0], [0.0, 0.0]]]), unit=[1.0], involution=[[1.0]])
+    rep = criteria.check_cstar_among_systems(e11)
     assert rep.verdict == criteria.INCONCLUSIVE
-    assert rep.witness["aux"] == {"deviation": -rep.margin, "construction_residual": 0.0}
-    assert len(rep.notes) == 1
-    assert re.fullmatch(r"the bound of pair [0-3], sign [+-] exceeds the tolerance; it shows no violation",
-                        rep.notes[0])
+    assert rep.witness["aux"] == {"algebraic_max": 0.0, "identity_residual": 1.0}
+    assert rep.margin == -1.0
 
 
 def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():
@@ -493,14 +580,14 @@ def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():
 
 def test_cstar_zero_pair_is_exact():
     z = np.zeros((2, 2), dtype=complex)
-    m = gadgets.build_M_pm(z, z, z, z, "+")
+    m = build_M_pm(z, z, z, z, "+")
     w = matcore.rand_cmat(4, 4, matcore.stream(63, 0))  # a contraction in M_2(A), A = M_2
     w /= matcore.op_norm(w)
     row = np.concatenate([m, w], axis=1)
     assert matcore.op_norm(row) == pytest.approx(SQRT2, abs=1e-12)
 
 
-def test_cstar_inconclusive_when_construction_leaves_space(monkeypatch):
+def test_cstar_inconclusive_when_construction_leaves_space():
     # span{I, E_12 + E_21, diag(1, -1)} is selfadjoint and unital, but the
     # canonical z = -x y* lands outside it, so existence over X is uncertified
     basis = np.zeros((3, 2, 2), dtype=complex)
@@ -508,7 +595,6 @@ def test_cstar_inconclusive_when_construction_leaves_space(monkeypatch):
     basis[1] = E12 + E21
     basis[2] = np.diag([1.0, -1.0])
     space = spaces.make_space(basis, unit=np.array([1.0, 0, 0]), involution=np.eye(3))
-    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 4)
     rep = criteria.check_cstar_among_systems(space)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert any("leave the space" in n for n in rep.notes)
@@ -521,10 +607,10 @@ def test_cstar_detects_perturbed_product():
     y = matcore.rand_cmat(2, 2, rng)
     y /= max(1.0, matcore.op_norm(y))
     z = -x @ matcore.dagger(y) + 0.3 * np.eye(2)
-    b = gadgets.proof_b(x, y, -x @ matcore.dagger(y))
+    b = proof_b(x, y, -x @ matcore.dagger(y))
     worst = 0.0
     for sign in ("+", "-"):
-        m = gadgets.build_M_pm(x, y, z, b, sign)
+        m = build_M_pm(x, y, z, b, sign)
         for mlev in (1, 2):
             amp = matcore.scalar_amplify(m, mlev)
             for t in range(16):
@@ -535,22 +621,34 @@ def test_cstar_detects_perturbed_product():
     assert worst > 1e-3
 
 
+def row_identity_bound(gram):
+    """max(sqrt(1 + lambda_max) - sqrt(2), sqrt(2) - sqrt(1 + lambda_min)) of a Gram M M*.
+
+    By ||[M (x) I_m, w]||^2 = ||M M* (x) I_m + w w*|| and Weyl's inequalities
+    (Bhatia 1997, ch. III), a bound on | ||[M (x) I_m, w]|| - sqrt(2) | over
+    every norm-one w at every level m.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    return max(math.sqrt(1.0 + lam[-1]) - SQRT2, SQRT2 - math.sqrt(1.0 + lam[0]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_cstar_bound_covers_the_sampled_row_identity(d):
-    # the identity the check bounds instead of sampling: ||[M+- (x) I_m, w]|| = sqrt(2) for unit w,
-    # with x, y anywhere in M_d; a perturbed z breaks it, and the bound must still cover every sample
+    # the identity the construction makes exact: ||[M+- (x) I_m, w]|| = sqrt(2) for unit w,
+    # with x, y anywhere in M_d; a perturbed z breaks it, and the Gram's bound must still cover
+    # every sample
     rng = matcore.stream(64, d)
     x, y = (m / matcore.op_norm(m) for m in (matcore.rand_cmat(d, d, rng), matcore.rand_cmat(d, d, rng)))
     z = -x @ matcore.dagger(y)
-    b = gadgets.proof_b(x, y, z)
+    b = proof_b(x, y, z)
     for shift in (0.0, 0.3):
         bounds = []
         for sign in ("+", "-"):
-            m = gadgets.build_M_pm(x, y, z + shift * np.eye(d), b, sign)
+            m = build_M_pm(x, y, z + shift * np.eye(d), b, sign)
             gram = m @ matcore.dagger(m)
             if shift == 0.0:
                 assert np.abs(gram - np.eye(2 * d)).max() <= 1e-12
-            bound = float(criteria._row_identity_bounds(gram))
+            bound = row_identity_bound(gram)
             bounds.append(bound)
             for mlev in (1, 2, 3):
                 amp = matcore.scalar_amplify(m, mlev)
@@ -570,7 +668,7 @@ LEVEL_FREE_CSTAR = {"full_matrix_2": lambda: corpus.build_full_matrix(2).space,
 
 @pytest.mark.parametrize("name", sorted(LEVEL_FREE_CSTAR))
 def test_cstar_report_does_not_depend_on_the_level(name):
-    # the bound covers every level at once, so max_level moves only levels_checked and the config echo
+    # the residuals decide every level at once, so max_level moves only levels_checked and the config echo
     space = LEVEL_FREE_CSTAR[name]()
     reports = [criteria.check_cstar_among_systems(space, witness.SearchConfig(max_level=n)) for n in (1, 2, 3)]
     assert [r.levels_checked for r in reports] == [[1], [1, 2], [1, 2, 3]]

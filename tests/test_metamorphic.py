@@ -7,6 +7,12 @@ along with the basis, and a row proved by a ternary identity of the unit
 stays proved by the same identity.  A reduced search budget keeps the suite
 short; under it the untransformed spaces still reproduce their pinned corpus
 verdicts.
+
+The closure checks (``mult-closed`` and ``cstar-among-systems``) read the
+subspace alone, not its coordinates, so they must also keep their verdicts
+under a diagonal rescaling of the basis.  The searched rows are not held to
+that: their restarts are drawn in coefficients, so a non-unitary basis
+change moves what they find.
 """
 
 import dataclasses
@@ -14,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opspace import corpus, spaces, witness
+from opspace import corpus, criteria, spaces, witness
 
 from conftest import haar_unitary
 
@@ -58,7 +64,19 @@ def doubled(space):
     return rebuilt(space, basis)
 
 
+def rescaled(space):
+    """B_i scaled by d_i, log-spaced from 1e-3 to 1e3: the same subspace in new coordinates.
+
+    The unit's coefficients become u_i / d_i and the involution D^-1 S D.
+    """
+    d = np.logspace(-3.0, 3.0, space.dim)
+    return rebuilt(space, d[:, None, None] * space.basis, unit=space.unit / d,
+                   involution=space.involution * d[None, :] / d[:, None])
+
+
 TRANSFORMS = {"conjugated": conjugated, "permuted": permuted, "doubled": doubled}
+CLOSURE_TRANSFORMS = dict(TRANSFORMS, rescaled=rescaled)
+CLOSURE = ("mult-closed", "cstar-among-systems")
 
 
 def verdicts(entry):
@@ -108,3 +126,21 @@ def test_transforms_are_complete_isometries():
         assert np.allclose(spaces.norm_stack(doubled(space), c), want, rtol=1e-12, atol=0)
         perm = np.roll(np.arange(space.dim), 1)
         assert np.allclose(spaces.norm_stack(permuted(space), c[..., perm]), want, rtol=1e-12, atol=0)
+
+
+def closure_verdicts(space):
+    return {crit: criteria.CRITERION_RUNNERS[crit](space, cfg=CONFIG).verdict for crit in CLOSURE}
+
+
+def test_untransformed_spaces_keep_their_closure_verdicts():
+    H, V, I = criteria.HOLDS_WITHIN_BUDGET, criteria.VIOLATED, criteria.INCONCLUSIVE
+    got = {name: tuple(closure_verdicts(build().space).values()) for name, build in ENTRIES.items()}
+    assert got == {"linf3_ones": (H, H), "linf3_e1": (H, H), "twisted_selfadjoint": (V, I),
+                   "full_matrix_2": (H, H), "full_matrix_2_plus_half": (V, I)}
+
+
+@pytest.mark.parametrize("transform", sorted(CLOSURE_TRANSFORMS))
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_closure_verdicts_invariant_under_isometries_and_basis_rescaling(name, transform):
+    space = ENTRIES[name]().space
+    assert closure_verdicts(CLOSURE_TRANSFORMS[transform](space)) == closure_verdicts(space)

@@ -2,11 +2,12 @@
 
 The references below take every trial and membership residual one matrix at
 a time: each trial makes its own draws, in turn, from its group's stream,
-every norm is a single-matrix ``matcore.op_norm``, every cstar bound comes
-from the ``eigvalsh`` of one Gram M M* and every pick is a strict ``>`` scan.
-The stacked code must reproduce their reports byte for byte, at two seeds.
-The Gram identity behind the cstar bound is checked against the explicit
-rows' ``op_norm`` to 1e-13 relative on every tested space.
+every norm is a single-matrix ``matcore.op_norm``, every basis product is
+measured alone and every pick is a strict ``>`` scan.  The stacked code must
+reproduce their reports byte for byte, at two seeds.  The Gram identity
+||[A, B]||^2 = ||A A* + B B*|| behind the exactness of the C*-check's rows is
+checked against the explicit rows' ``op_norm`` to 1e-13 relative on every
+tested space.
 """
 
 import json
@@ -16,11 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, formulas, gadgets, matcore, spaces, witness
+from opspace import corpus, criteria, formulas, matcore, spaces, witness
 from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
-from conftest import gadget_operands
+from conftest import build_M_pm, gadget_operands, non_algebra_system, proof_b, psd_sqrt, tridiagonal_3
 
 SEEDS = (7, 1729)
 
@@ -131,29 +132,6 @@ def first_max(values: dict):
 # spaces
 
 
-def operator_system(basis, unit, involution):
-    return spaces.make_space(np.asarray(basis, dtype=complex), unit=unit, involution=involution)
-
-
-def tridiagonal_3():
-    """span{E_ii, E_{i,i+1}, E_{i+1,i}} in M_3 with unit I: an operator system that is no algebra."""
-    cells = [(i, j) for i in range(3) for j in range(3) if abs(i - j) <= 1]
-    basis = np.zeros((len(cells), 3, 3))
-    for s, (i, j) in enumerate(cells):
-        basis[s, i, j] = 1.0
-    involution = np.zeros((len(cells), len(cells)))
-    for s, (i, j) in enumerate(cells):
-        involution[cells.index((j, i)), s] = 1.0
-    unit = [1.0 if i == j else 0.0 for i, j in cells]
-    return operator_system(basis, unit, involution)
-
-
-def non_algebra_system():
-    """span{E_12, E_21} with u = E_12 + E_21 and the swap as involution."""
-    nas = corpus.build_non_algebra_span().space
-    return operator_system(nas.basis, [1.0, 1.0], [[0, 1], [1, 0]])
-
-
 SPACES = {
     "full_matrix_2": lambda: corpus.build_full_matrix(2).space,
     "full_matrix_3": lambda: corpus.build_full_matrix(3).space,
@@ -212,10 +190,15 @@ def ref_sample_space_matrix(space, rng):
     return spaces.realize(space, elem), elem
 
 
+def ref_norm_one(m):
+    nm = matcore.op_norm(m)
+    return m / nm if nm > 0 else m
+
+
 def ref_check_mult_closed(space, cfg):
     k = space.dim
-    residuals = {(i, j): ref_membership_residual(space, space.basis[i] @ space.basis[j])
-                 for i in range(k) for j in range(k)}
+    unit = [ref_norm_one(b) for b in space.basis]
+    residuals = {(i, j): ref_membership_residual(space, unit[i] @ unit[j]) for i in range(k) for j in range(k)}
     alg_max, (i, j) = first_max(residuals)
     verdict, welem, aux = criteria.HOLDS_WITHIN_BUDGET, None, {"algebraic_max": float(alg_max)}
     if alg_max > cfg.tolerance:
@@ -228,14 +211,15 @@ def ref_check_mult_closed(space, cfg):
 
 
 def ref_check_multiplier(space, w, side, cfg):
-    w = matcore.as_cmat(w)
+    w = ref_norm_one(matcore.as_cmat(w))
     k = space.dim
+    unit = [ref_norm_one(b) for b in space.basis]
     if side == "left":
-        products = {(i,): w @ space.basis[i] for i in range(k)}
+        products = {(i,): w @ unit[i] for i in range(k)}
     elif side == "right":
-        products = {(i,): space.basis[i] @ w for i in range(k)}
+        products = {(i,): unit[i] @ w for i in range(k)}
     else:
-        products = {(i, j): space.basis[i] @ w @ space.basis[j] for i in range(k) for j in range(k)}
+        products = {(i, j): unit[i] @ w @ unit[j] for i in range(k) for j in range(k)}
     alg_max, idx = first_max({key: ref_membership_residual(space, m) for key, m in products.items()})
     verdict, aux = criteria.HOLDS_WITHIN_BUDGET, {"algebraic_max": float(alg_max), "side": side}
     if alg_max > cfg.tolerance:
@@ -246,44 +230,20 @@ def ref_check_multiplier(space, w, side, cfg):
 
 
 def ref_check_cstar(space, cfg):
-    worst, where, in_space_max = -np.inf, None, 0.0
-    for tpair in range(criteria.CSTAR_PAIRS):
-        rng = matcore.stream(cfg.seed, criteria._KEY_CSTAR, tpair)
-        x_mat, _ = ref_sample_space_matrix(space, rng)
-        y_mat, _ = ref_sample_space_matrix(space, rng)
-        z_mat = -x_mat @ matcore.dagger(y_mat)
-        b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
-        for m in (z_mat, b_mat):
-            r = ref_membership_residual(space, m)
-            if r > in_space_max:
-                in_space_max = r
-        for sign in ("+", "-"):
-            M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
-            lam = np.linalg.eigvalsh(M @ matcore.dagger(M))
-            bound = max(math.sqrt(1.0 + lam[-1]) - criteria.SQRT2, criteria.SQRT2 - math.sqrt(1.0 + lam[0]))
-            if bound > worst:
-                worst, where = bound, (tpair, sign)
-
+    k = space.dim
+    unit = [ref_norm_one(b) for b in space.basis]
+    residuals = {(i, j): ref_membership_residual(space, unit[i] @ matcore.dagger(unit[j]))
+                 for i in range(k) for j in range(k)}
+    alg_max, _ = first_max(residuals)
+    identity = ref_membership_residual(space, np.eye(space.p))
+    worst = max(alg_max, identity)
     verdict, notes = criteria.HOLDS_WITHIN_BUDGET, []
-    if in_space_max > cfg.tolerance:
+    if worst > cfg.tolerance:
         verdict = criteria.INCONCLUSIVE
         notes.append("the canonical z, b leave the space; existence over X not certified")
-    elif worst > cfg.tolerance:
-        verdict = criteria.INCONCLUSIVE
-        notes.append(f"the bound of pair {where[0]}, sign {where[1]} exceeds the tolerance; it shows no violation")
-    aux = {} if where is None else {"deviation": worst}
-    aux["construction_residual"] = float(in_space_max)
+    aux = {"algebraic_max": float(alg_max), "identity_residual": float(identity)}
     return criteria.CheckReport("cstar-among-systems", verdict, 0.0 - worst, criteria._witness_dict(None, aux),
-                                list(range(1, cfg.max_level + 1)), 2 * criteria.CSTAR_PAIRS, cfg.to_dict(), notes)
-
-
-def at_cstar_pairs(n_pairs, check):
-    """``check(space, cfg)`` (the stacked cstar check or its reference) run with ``criteria.CSTAR_PAIRS`` = n_pairs."""
-    def run(space, cfg):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(criteria, "CSTAR_PAIRS", n_pairs)
-            return check(space, cfg)
-    return run
+                                list(range(1, cfg.max_level + 1)), k * k + 1, cfg.to_dict(), notes)
 
 
 def stacked_and_reference(run, reference):
@@ -317,10 +277,9 @@ def test_multiplier_matches_one_trial_at_a_time(seed, side, name, w):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["full_matrix_2", "full_matrix_3", "non_algebra_system", "tridiagonal_3",
                                   "linf3"])
-def test_cstar_matches_one_trial_at_a_time(monkeypatch, seed, name):
+def test_cstar_matches_one_trial_at_a_time(seed, name):
     space = SPACES[name]()
     cfg = witness.SearchConfig(seed=seed)
-    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 6)
     stacked, reference = stacked_and_reference(lambda: criteria.check_cstar_among_systems(space, cfg),
                                                lambda: ref_check_cstar(space, cfg))
     assert stacked == reference
@@ -342,8 +301,7 @@ CHUNKED_CHECKS = {
     "multiplier-quasi": ("upper_triangular_3",
                          lambda sp, cfg: criteria.check_multiplier(sp, sp.basis[1], "quasi", cfg),
                          lambda sp, cfg: ref_check_multiplier(sp, sp.basis[1], "quasi", cfg)),
-    "cstar": ("non_algebra_system", at_cstar_pairs(7, criteria.check_cstar_among_systems),
-              at_cstar_pairs(7, ref_check_cstar)),
+    "cstar": ("non_algebra_system", criteria.check_cstar_among_systems, ref_check_cstar),
 }
 
 
@@ -366,8 +324,8 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
     monkeypatch.undo()
     assert stacked == as_json(reference(space, cfg).to_dict())
 
-    # one chunked stack each: the basis products of a closure check (16 and 36
-    # here, so "three" ends on a partial chunk and on a full one), cstar's pairs
+    # one chunked stack each: the basis products of a closure check (4, 16 and
+    # 36 here, so "three" ends on a partial chunk and on a full one)
     [slices] = seen
     sizes = [s.stop - s.start for s in slices]
     n = sum(sizes)
@@ -376,10 +334,10 @@ def test_chunk_boundaries_do_not_move_reports(monkeypatch, check, chunking):
 
 
 #: The stacked checks' tracemalloc peak stays below this many chunk constants
-#: (on full_matrix_3 about 2.1 for cstar's 60 pairs, 56 to a chunk, and 0.24
-#: for mult-closed's 81 basis products).  On full_matrix_8, mult-closed and
-#: multiplier-quasi peak at about 5.2 and 5.4: their 4096 basis products pass
-#: through in chunks (all products at once peaked at 80).
+#: (on full_matrix_3 about 0.25 for the 81 basis products of cstar and of
+#: mult-closed).  On full_matrix_8, mult-closed and multiplier-quasi peak at
+#: about 5.4 and 5.7: their 4096 basis products pass through in chunks (all
+#: products at once peaked at 80).
 PEAK_CHUNKS = 8
 
 
@@ -389,7 +347,6 @@ PEAK_CHUNKS = 8
 def test_sampled_checks_peak_within_a_multiple_of_the_chunk(monkeypatch, check, size):
     space = corpus.build_full_matrix(size).space
     cfg = witness.SearchConfig(seed=SEEDS[0])
-    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 60)
     run = {"cstar": lambda: criteria.check_cstar_among_systems(space, cfg),
            "mult-closed": lambda: criteria.check_mult_closed(space, cfg),
            "multiplier-quasi": lambda: criteria.check_multiplier(space, space.basis[1], "quasi", cfg)}[check]
@@ -401,28 +358,6 @@ def test_sampled_checks_peak_within_a_multiple_of_the_chunk(monkeypatch, check, 
     finally:
         tracemalloc.stop()
     assert peak < PEAK_CHUNKS * criteria._CHUNK_BYTES
-
-
-#: One cstar pair on linf 32 (p = 32): its M+- (64 x 192) and G (64 x 64) for
-#: both signs take 512 KiB, two chunk constants, so it passes through alone,
-#: with a tracemalloc peak of 0.94 MiB (about 3.8 chunk constants).
-ONE_PAIR_PEAK_CHUNKS = 8
-
-
-def test_cstar_peak_below_one_pair_on_a_large_ambient(monkeypatch):
-    space = corpus.build_linf(32, "ones").space
-    cfg = witness.SearchConfig(seed=SEEDS[0])
-    monkeypatch.setattr(criteria, "CSTAR_PAIRS", 1)
-    run = lambda: criteria.check_cstar_among_systems(space, cfg)  # noqa: E731
-    run()
-    tracemalloc.start()
-    try:
-        report = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.verdict == criteria.HOLDS_WITHIN_BUDGET
-    assert peak < ONE_PAIR_PEAK_CHUNKS * criteria._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("name", ["upper_triangular_3", "non_algebra_span"])
@@ -437,17 +372,17 @@ GRAM_ROW_RTOL = 1e-13
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_gram_blocks_measure_what_the_explicit_rows_measure(name):
-    # ||[M+- (x) I_m, w]||^2 = ||G (x) I_m + w w*|| with G = M+- M+-*, the identity the
-    # cstar bound rests on, for the rows M+- of sampled x, y of each tested space
+    # ||[M+- (x) I_m, w]||^2 = ||G (x) I_m + w w*|| with G = M+- M+-*, the identity that
+    # makes the C*-check's rows exact, for the rows M+- of sampled x, y of each tested space
     space = SPACES[name]()
     dag = matcore.dagger
     rng = matcore.stream(5, 31)
     x_mat = ref_sample_space_matrix(space, rng)[0]
     y_mat = ref_sample_space_matrix(space, rng)[0]
     z_mat = -x_mat @ dag(y_mat)
-    b_mat = gadgets.proof_b(x_mat, y_mat, z_mat)
+    b_mat = proof_b(x_mat, y_mat, z_mat)
     for sign in "+-":
-        M = gadgets.build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
+        M = build_M_pm(x_mat, y_mat, z_mat, b_mat, sign=sign)
         for m in (1, 2):
             for w in ref_random_stack(space, 2 * m, rng, 4, target_norm=1.0):
                 w = spaces.realize_stack(space, w)
@@ -463,13 +398,13 @@ def test_gadgets_on_a_stack_are_the_gadgets_of_each_matrix(d):
     x, y = (np.stack([matcore.rand_cmat(d, d, rng) for _ in range(5)]) for _ in range(2))
     x = x / matcore.op_norm_stack(x)[:, None, None]
     z = -x @ matcore.dagger(y)
-    b = gadgets.proof_b(x, y, z)
-    assert b.tobytes() == np.stack([gadgets.proof_b(x[i], y[i], z[i]) for i in range(5)]).tobytes()
+    b = proof_b(x, y, z)
+    assert b.tobytes() == np.stack([proof_b(x[i], y[i], z[i]) for i in range(5)]).tobytes()
     h = x @ matcore.dagger(x)
-    assert gadgets.psd_sqrt(h).tobytes() == np.stack([gadgets.psd_sqrt(m) for m in h]).tobytes()
+    assert psd_sqrt(h).tobytes() == np.stack([psd_sqrt(m) for m in h]).tobytes()
     for sign in ("+", "-"):
-        M = gadgets.build_M_pm(x, y, z, b, sign)
-        assert M.tobytes() == np.stack([gadgets.build_M_pm(x[i], y[i], z[i], b[i], sign)
+        M = build_M_pm(x, y, z, b, sign)
+        assert M.tobytes() == np.stack([build_M_pm(x[i], y[i], z[i], b[i], sign)
                                         for i in range(5)]).tobytes()
         for n in (1, 2, 3):
             assert matcore.scalar_amplify(M, n).tobytes() == np.stack(
@@ -479,9 +414,9 @@ def test_gadgets_on_a_stack_are_the_gadgets_of_each_matrix(d):
 def test_stacked_gadget_errors_name_the_first_offending_matrix():
     h = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([-1.0, 1.0])])
     with pytest.raises(NumericalError, match=r"at stack index \(1,\) is not positive semidefinite"):
-        gadgets.psd_sqrt(h)
+        psd_sqrt(h)
     with pytest.raises(NumericalError, match=r"^operand is not positive semidefinite"):
-        gadgets.psd_sqrt(h[2])
+        psd_sqrt(h[2])
 
 
 def test_stacked_draws_are_successive_single_draws():

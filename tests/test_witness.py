@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, gadgets, matcore, spaces, witness
+from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError
+
+from conftest import psd_sqrt
 
 
 @pytest.fixture(scope="module")
@@ -597,7 +599,7 @@ FIXED_BUDGETS = {
     "target_norm": lambda: spaces.random_stack(corpus.build_full_matrix(2).space, 1, matcore.stream(1), 1,
                                                target_norm=1.0),
     "multiplication_tensor-tol": lambda: corpus.multiplication_tensor(corpus.build_full_matrix(2).space, tol=1e-6),
-    "psd_sqrt-tol": lambda: gadgets.psd_sqrt(np.eye(2), tol=1e-6),
+    "psd_sqrt-tol": lambda: psd_sqrt(np.eye(2), tol=1e-6),  # the row-identity oracle's, in conftest
 }
 
 
