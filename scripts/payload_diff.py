@@ -6,9 +6,11 @@
 ``dump`` runs every corpus entry's expected criteria at each seed with the
 default SearchConfig (each entry's own tolerance and max_level, as
 ``opspace corpus`` does).  On every entry with a square ambient it also runs,
-through ``corpus.run_check`` and the same config, ``positive`` on the unit
-(where the entry has one) and the three multiplier checks with basis element
-0 as w, which no entry expects.  It writes every report's ``to_dict()`` under
+with the same config, checks that no entry expects: through
+``corpus.run_check``, ``positive`` on the unit (where the entry has one) and
+the three multiplier checks with basis element 0 as w; and ``adjoint`` on x =
+basis element 0 scaled to norm one, against z = x* and against z = x (keys
+``ADJOINT_CHECKS``).  It writes every report's ``to_dict()`` under
 the key "seed/entry/criterion", as canonical JSON: sorted keys, and no
 ``generated_at`` (a report has none; only the CLI envelope adds it).
 ``--src`` imports the package from that directory instead of this checkout's
@@ -36,11 +38,13 @@ from pathlib import Path
 DEFAULT_SEEDS = (7, 1729, 4242)
 #: The checks dumped on every square entry besides its expected ones.
 SQUARE_CHECKS = ("positive", "multiplier-left", "multiplier-right", "multiplier-quasi")
+#: The keys of the two ``adjoint`` runs on every square entry: z = x* and z = x.
+ADJOINT_CHECKS = ("adjoint-x*", "adjoint-x")
 
 
 def dump(out: Path, seeds, src: Path):
     sys.path.insert(0, str(src))
-    from opspace import corpus, witness
+    from opspace import corpus, criteria, matcore, witness
 
     payloads = {}
     for seed in seeds:
@@ -52,6 +56,9 @@ def dump(out: Path, seeds, src: Path):
                 local = corpus.entry_config(entry, cfg)
                 reports += [(crit, corpus.run_check(space, crit, local, w_index=0)) for crit in SQUARE_CHECKS
                             if crit != "positive" or space.unit is not None]
+                x = space.basis[0] / matcore.op_norm(space.basis[0])
+                reports += [(crit, criteria.check_adjoint(x, z, local))
+                            for crit, z in zip(ADJOINT_CHECKS, (matcore.dagger(x), x))]
             for crit, report in reports:
                 payloads[f"{seed}/{entry.name}/{crit}"] = report.to_dict()
     out.write_text(json.dumps(payloads, sort_keys=True, indent=1) + "\n", encoding="utf-8")

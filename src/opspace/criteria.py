@@ -50,7 +50,17 @@ involution is the ambient adjoint).  In a *-algebra X, b lies in X exactly
 when the ambient 1 does: if 1 lies in X, b is a polynomial in ||h|| 1 - h;
 if not, b^2 = ||h|| 1 - h in X would put 1 in X, since h != 0 for a
 norm-one x.  So the largest residual of the B_i B_j* and of 1 decides the
-check.
+check, unless X is a C*-algebra whose unit is a projection v below 1
+(span{E11} with unit E11, say).  When v passes the corner-unit identity
+v = v*, v B = B = B v that ``_ternary_proof`` checks, X lies in the corner
+v M v, and the rows built with v in place of 1,
+M+- = [[y, 0, v, x, b, z], [x, b, z, +-y, 0, +-v]] with b = (||h|| v - h)^1/2,
+have the same vanishing cross term and M+- M+-* = v (+) v.  A norm-one w
+over X has w = ((v (+) v) (x) I_m) w, so
+||[M+- (x) I_m, w]||^2 = ||(v (+) v) (x) I_m + w w*|| = 1 + ||w||^2 = 2 again.
+In a *-algebra X with unit v, b is a polynomial in ||h|| v - h and lies in
+X.  So when 1 leaves X and v passes the identity, the residual of v stands
+in for that of 1.
 
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
@@ -119,6 +129,11 @@ _KEY_ALGEBRA_PRODUCT = 11
 #: Grid points of ``check_positive`` (the circle) and ``check_adjoint`` (a t-grid on [-T_MAX, T_MAX]).
 CIRCLE_SAMPLES = 720
 T_MAX = 4.0
+#: Points each round of the grid-peak polish evaluates in one call; a round
+#: narrows the bracket (POLISH_POINTS + 1) / 2 times, and the polish stops once
+#: the bracket is narrower than POLISH_WIDTH.
+POLISH_POINTS = 16
+POLISH_WIDTH = 1e-13
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
@@ -203,6 +218,19 @@ def _unit_coeffs(space: spaces.SpaceRep, u, who: str = "u") -> np.ndarray:
     if u.shape != (space.dim,):
         raise ShapeError(f"{who} must be a coefficient vector of length {space.dim}")
     return u
+
+
+#: Bytes of the largest stack a closure check, ``check_positive`` or
+#: ``check_adjoint`` forms at once.  Its products or matrices pass through in
+#: chunks of as many as fit (at least one), so the working set stays bounded
+#: whatever the basis size or the ambient size.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunks(n_items: int, item_bytes: int) -> list:
+    """Slices of range(n_items) holding as many items as fit _CHUNK_BYTES at ``item_bytes`` each."""
+    size = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(s, min(s + size, n_items)) for s in range(0, n_items, size)]
 
 
 def _require_contraction(who: str, norm: float):
@@ -572,44 +600,32 @@ def check_operator_system(space: spaces.SpaceRep, v=None, cfg: witness.SearchCon
 # positivity and adjoints (grid + refinement, no ascent search)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float, int]:
-    """Golden-section maximizer for a unimodal slice; returns (argmax, max, evals)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        evals += 1
-        if b - a < 1e-13:
-            break
-    if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
 def _grid_peak(values, grid, width: float, lo: float, hi: float) -> tuple[float, float, int]:
-    """Maximum of a slice: its best grid point, polished by golden section within ``width`` of it.
+    """Maximum of a slice: its best grid point, polished in batched rounds within ``width`` of it.
 
-    ``values`` maps an array of points to the slice's values there; the
-    polish stays inside [lo, hi] and counts only where it beats the grid.
-    Returns (argmax, max, evaluations).
+    ``values`` maps an array of points to the slice's values there.  The
+    polish brackets the best grid point by [t - width, t + width] cut to
+    [lo, hi]; each round evaluates POLISH_POINTS equally spaced interior
+    points in one call and narrows the bracket to the two neighbours of its
+    best point, until the bracket is narrower than POLISH_WIDTH.  A polished
+    point replaces the best found only when its value is strictly larger, so
+    on a tie the grid point stays.  Returns (argmax, max, evaluations).
     """
     vals = values(grid)
     i0 = int(np.argmax(vals))
-    t0, f0, extra = _golden_max(values, max(lo, grid[i0] - width), min(hi, grid[i0] + width))
-    if f0 < vals[i0]:
-        t0, f0 = grid[i0], vals[i0]
-    return float(t0), float(f0), len(grid) + extra
+    t0, f0 = grid[i0], vals[i0]
+    a, b = max(lo, t0 - width), min(hi, t0 + width)
+    steps = np.arange(1, POLISH_POINTS + 1) / (POLISH_POINTS + 1)
+    evaluations = len(grid)
+    while b - a >= POLISH_WIDTH:
+        ts = a + (b - a) * steps
+        fs = values(ts)
+        evaluations += POLISH_POINTS
+        j = int(np.argmax(fs))
+        if fs[j] > f0:
+            t0, f0 = ts[j], fs[j]
+        a, b = (ts[j - 1] if j > 0 else a), (ts[j + 1] if j + 1 < POLISH_POINTS else b)
+    return float(t0), float(f0), evaluations
 
 
 def _coerce_square(space, x, who="x"):
@@ -622,24 +638,57 @@ def _coerce_square(space, x, who="x"):
     return m
 
 
+def _circle_norms(m: np.ndarray) -> Callable:
+    """The map thetas -> ||1 - z x|| at z = 1 + e^(i theta), for a p x p contraction x = m.
+
+    At p <= 2 the norms are ``matcore.op_norm_stack``'s closed forms of
+    1 - z x.  Larger matrices would go through a scaled Gram and its top
+    eigenvalue there, so they take that eigenvalue from their Gram pencil
+    instead (``matcore.op_norm_gram_stack``): with c = e^(i theta) and
+    a = 1 - x, 1 - z x = a - c x has the Gram a a* + x x* - c x a* - conj(c) a x*,
+    whose three matrices are formed once.  Its entries stay of the order of
+    one, so it needs no scaling, and it is exact where x a* = 0 (x a
+    projection, 1 among them).  Either route passes in chunks of at most
+    ``_CHUNK_BYTES``.
+    """
+    p = m.shape[0]
+    eye = np.eye(p, dtype=np.complex128)
+    if p <= 2:
+        def norms(c):
+            return matcore.op_norm_stack(eye - (1.0 + c) * m)
+    else:
+        a = eye - m
+        fixed = a @ matcore.dagger(a) + m @ matcore.dagger(m)
+        cross = m @ matcore.dagger(a)
+        cross_h = matcore.dagger(cross)
+
+        def norms(c):
+            return matcore.op_norm_gram_stack(fixed - c * cross - np.conj(c) * cross_h)
+
+    def circle(thetas):
+        cs = np.exp(1j * np.asarray(thetas))
+        out = np.empty(cs.shape)
+        for part in _chunks(cs.size, 16 * p * p):  # one p x p matrix
+            out[part] = norms(cs[part, None, None])
+        return out
+
+    return circle
+
+
 def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Is x in the positive cone?  Tests ||1 - z x|| <= 1 on the circle |1 - z| = 1.
 
     The map z -> ||1 - z x|| is subharmonic, so the maximum over the disk
-    |1 - z| <= 1 sits on its boundary circle; the circle is sampled and the
-    peak polished by golden-section refinement.
+    |1 - z| <= 1 sits on its boundary circle.  The circle is sampled at
+    CIRCLE_SAMPLES angles, measured by ``_circle_norms``, and the peak
+    polished in batched rounds (``_grid_peak``); ``samples`` counts the grid
+    and the polish points.
     """
     cfg = cfg or witness.SearchConfig()
     m = _coerce_square(space, x)
     _require_contraction("x", matcore.op_norm(m))
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-
-    def circle(thetas):
-        zs = 1.0 + np.exp(1j * np.asarray(thetas))
-        return matcore.op_norm_stack(eye - zs[..., None, None] * m)
-
     thetas = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
-    t0, f0, samples = _grid_peak(circle, thetas, 2.0 * math.pi / CIRCLE_SAMPLES, -math.inf, math.inf)
+    t0, f0, samples = _grid_peak(_circle_norms(m), thetas, 2.0 * math.pi / CIRCLE_SAMPLES, -math.inf, math.inf)
     violation = f0 - 1.0
     verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
@@ -649,8 +698,47 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
                        [1], samples, cfg.to_dict())
 
 
+def _adjoint_deviations(x: np.ndarray, z: np.ndarray) -> Callable:
+    """The map ts -> ||[[t, x], [-z, t]]|| - sqrt(1 + t^2), for square contractions x, z of one size.
+
+    The block M(t) = [[t, x], [-z, t]] is never assembled: its Gram is the
+    pencil M M* = t^2 1 + [[x x*, t D], [t D*, z z*]] with D = x - z*, so
+    x x*, z z* and D are formed once, and each t costs a broadcast and the
+    top eigenvalue (``matcore.op_norm_gram_stack``).  x and z are
+    contractions and |t| <= T_MAX, so the Grams need no scaling; they pass in
+    chunks of at most ``_CHUNK_BYTES``.
+    """
+    p = x.shape[0]
+    xx, zz = x @ matcore.dagger(x), z @ matcore.dagger(z)
+    d = x - matcore.dagger(z)
+    dh = matcore.dagger(d)
+    diagonal = np.arange(2 * p)
+
+    def deviations(ts):
+        ts = np.asarray(ts)
+        norms = np.empty(ts.shape)
+        for part in _chunks(ts.size, 64 * p * p):  # one 2p x 2p Gram
+            t = ts[part, None, None]
+            gram = np.empty((t.shape[0], 2 * p, 2 * p), dtype=np.complex128)
+            gram[:, :p, :p] = xx
+            gram[:, p:, p:] = zz
+            gram[:, :p, p:] = t * d
+            gram[:, p:, :p] = t * dh
+            gram[:, diagonal, diagonal] += t[:, :, 0] ** 2
+            norms[part] = matcore.op_norm_gram_stack(gram)
+        return norms - np.sqrt(1.0 + ts**2)
+
+    return deviations
+
+
 def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Is z = x*?  Tests ||[[t, x], [-z, t]]|| <= sqrt(1 + t^2) over a real t-grid."""
+    """Is z = x*?  Tests ||[[t, x], [-z, t]]|| <= sqrt(1 + t^2) over a real t-grid.
+
+    The t-grid has CIRCLE_SAMPLES points on [-T_MAX, T_MAX], measured by
+    ``_adjoint_deviations`` through the Gram pencil of the block, and its
+    peak is polished in batched rounds (``_grid_peak``); ``samples`` counts
+    the grid and the polish points.
+    """
     cfg = cfg or witness.SearchConfig()
     x = matcore.as_cmat(x)
     z = matcore.as_cmat(z)
@@ -658,17 +746,10 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
         raise ShapeError("x and z must be square of equal size")
     for who, m in (("x", x), ("z", z)):
         _require_contraction(who, matcore.op_norm(m))
-    eye = np.eye(x.shape[0], dtype=np.complex128)
-
-    def deviation(ts):
-        ts = np.asarray(ts)
-        diag = ts[..., None, None] * eye
-        return matcore.op_norm_stack(gadgets.two_by_two_stack(diag, x, -z, diag)) - np.sqrt(1.0 + ts**2)
-
     ts = np.linspace(-T_MAX, T_MAX, CIRCLE_SAMPLES)
     # the grid's own spacing, not ts[1] - ts[0], which can differ in the last bit
     width = 2.0 * T_MAX / (CIRCLE_SAMPLES - 1)
-    t0, f0, samples = _grid_peak(deviation, ts, width, -T_MAX, T_MAX)
+    t0, f0, samples = _grid_peak(_adjoint_deviations(x, z), ts, width, -T_MAX, T_MAX)
     verdict = VIOLATED if f0 > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # as in check_positive, only a violation names its arg-max t
     aux = {"t": t0} if verdict == VIOLATED else {}
@@ -679,18 +760,6 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # multiplicative structure
-
-
-#: Bytes of the largest stack a closure check forms at once.  Its products
-#: pass through in chunks of as many as fit (at least one), so the working set
-#: stays bounded whatever the basis size or the ambient size.
-_CHUNK_BYTES = 256 * 1024
-
-
-def _chunks(n_items: int, item_bytes: int) -> list:
-    """Slices of range(n_items) holding as many items as fit _CHUNK_BYTES at ``item_bytes`` each."""
-    size = max(1, _CHUNK_BYTES // item_bytes)
-    return [slice(s, min(s + size, n_items)) for s in range(0, n_items, size)]
 
 
 def _first_max(values) -> tuple[float, int | None]:
@@ -912,9 +981,13 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     canonical z = -x y* and b of the paper's normalized 2x6 rows M+- lie in X
     for every x and y exactly when every product B_i B_j* of the norm-one
     basis and the ambient 1 do, and then ||[M+- (x) I_m, w]|| = sqrt(2) for
-    every norm-one w at every level (module docstring).  HOLDS_WITHIN_BUDGET
-    when the largest of these residuals is within the tolerance; otherwise
-    INCONCLUSIVE, since rows built outside X certify nothing over X.
+    every norm-one w at every level (module docstring).  When the ambient 1
+    leaves X but the unit v passes the corner-unit identity
+    v = v*, v B = B = B v, the rows are built from v in place of 1, and the
+    residual of v (``aux["unit_residual"]``, one more sample) stands in for
+    that of 1.  HOLDS_WITHIN_BUDGET when the largest of the deciding
+    residuals is within the tolerance; otherwise INCONCLUSIVE, since rows
+    built outside X certify nothing over X.
     """
     cfg = cfg or witness.SearchConfig()
     if space.involution is None or space.unit is None:
@@ -927,14 +1000,19 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     B = _norm_one(space.basis)
     alg_max, _, products = _closure_residuals(space, B, matcore.dagger(B))
     identity = spaces.membership_residual(space, np.eye(space.p))
-    worst = max(alg_max, identity)
+    aux = {"algebraic_max": alg_max, "identity_residual": identity}
+    unit, samples = identity, products + 1
+    if identity > cfg.tolerance and _ternary_proof("corner-unit", space, space.unit) is not None:
+        # X lies in the corner v M v, whose unit is v: b is built from v in place of the ambient 1
+        unit = aux["unit_residual"] = spaces.membership_residual(space, spaces.unit_matrix(space))
+        samples += 1
+    worst = max(alg_max, unit)
     verdict, notes = HOLDS_WITHIN_BUDGET, []
     if worst > cfg.tolerance:
         verdict = INCONCLUSIVE
         notes.append("the canonical z, b leave the space; existence over X not certified")
-    aux = {"algebraic_max": alg_max, "identity_residual": identity}
     return CheckReport("cstar-among-systems", verdict, 0.0 - worst, _witness_dict(None, aux),
-                       list(range(1, cfg.max_level + 1)), products + 1, cfg.to_dict(), notes)
+                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict(), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,6 @@ def _rotation_suite(trials: int, seed: int) -> SuiteResult:
     return SuiteResult("rotation block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
 
 
-def _unital_test_spaces():
-    return [build_full_matrix(2).space, build_full_matrix(3).space, build_upper_triangular(2).space]
-
-
-def _selfadjoint_test_spaces():
-    return [build_full_matrix(2).space, build_full_matrix(3).space]
-
-
 def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, deviations) -> SuiteResult:
     """Largest of ``deviations(space, Vn, X, coeffs)`` over every (space, level) group of ``trials`` elements.
 
@@ -151,13 +143,13 @@ def run_all_suites(trials: int = 200, seed: int = 1729, gadget_trials: int = 100
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
             raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
     bug = bool(os.environ.get(BUG_ENV_VAR))
+    # the gadget suites' test spaces, each built once per call: M_2 and M_3 are
+    # unital and selfadjoint, UT_2 only unital
+    m2, m3, ut2 = build_full_matrix(2).space, build_full_matrix(3).space, build_upper_triangular(2).space
     return [
         _sum_diff_suite(trials, seed, bug),
         _rotation_suite(trials, seed),
-        _gadget_suite("doubling gadget closed form", 23, _unital_test_spaces(), gadget_trials, seed,
-                      _doubling_deviations),
-        _gadget_suite("symmetric gadget norm", 24, _selfadjoint_test_spaces(), gadget_trials, seed,
-                      _symmetric_deviations),
-        _gadget_suite("skew gadget norm", 25, _selfadjoint_test_spaces(), gadget_trials, seed,
-                      _skew_deviations),
+        _gadget_suite("doubling gadget closed form", 23, [m2, m3, ut2], gadget_trials, seed, _doubling_deviations),
+        _gadget_suite("symmetric gadget norm", 24, [m2, m3], gadget_trials, seed, _symmetric_deviations),
+        _gadget_suite("skew gadget norm", 25, [m2, m3], gadget_trials, seed, _skew_deviations),
     ]

@@ -97,13 +97,16 @@ def _first_at(bad: np.ndarray) -> str:
     return f" at stack index {tuple(int(i) for i in np.argwhere(bad)[0])}"
 
 
-def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
+def build_M_pm(x, y, z, b, sign: str = "+", one=None) -> np.ndarray:
     """Normalized 2x6 block rows that detect multiplicative structure, over stacks (..., d, d).
 
     Row one is [y, 0, 1, x, b, z]; row two is [x, b, z, y, 0, 1] for sign "+"
-    and [x, b, z, -y, 0, -1] for sign "-".  Each result is divided by its
-    operator norm, so a well-formed instance has orthonormal block rows.  The
-    leading axes of the entries broadcast; a single matrix is a stack of one.
+    and [x, b, z, -y, 0, -1] for sign "-".  ``one`` (a single d x d matrix,
+    the identity by default) stands for 1: a unit v below the identity gives
+    the rows of the corner v M v.  Each result is divided by its operator
+    norm, so a well-formed instance has orthonormal block rows (in the corner:
+    M M* = v (+) v).  The leading axes of the entries broadcast; a single
+    matrix is a stack of one.
     """
     x = matcore.as_cstack(x)
     d = x.shape[-1]
@@ -111,7 +114,7 @@ def build_M_pm(x, y, z, b, sign: str = "+") -> np.ndarray:
         raise ShapeError("entries must be square")
     y, z, b = (_square_like(n, m, d) for n, m in (("y", y), ("z", z), ("b", b)))
     x, y, z, b = np.broadcast_arrays(x, y, z, b)
-    one = np.broadcast_to(np.eye(d, dtype=np.complex128), x.shape)
+    one = np.broadcast_to(np.eye(d, dtype=np.complex128) if one is None else _square_like("one", one, d), x.shape)
     zero = np.zeros(x.shape, dtype=np.complex128)
     if sign == "+":
         bottom = [x, b, z, y, zero, one]
@@ -147,11 +150,25 @@ def psd_sqrt(h) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ matcore.dagger(v)
 
 
-def proof_b(x, y, z) -> np.ndarray:
-    """The filler sqrt(||xx* + yy* + zz*|| 1 - xx* - yy* - zz*) over stacks (pass y=0 for the 2x4 rows)."""
+def proof_b(x, y, z, one=None) -> np.ndarray:
+    """The filler sqrt(||h|| 1 - h), h = xx* + yy* + zz*, over stacks (pass y=0 for the 2x4 rows).
+
+    ``one`` (a single matrix, the identity by default) stands for 1, as in ``build_M_pm``.
+    """
     x, y, z = (matcore.as_cstack(m) for m in (x, y, z))
     h = x @ matcore.dagger(x) + y @ matcore.dagger(y) + z @ matcore.dagger(z)
-    return psd_sqrt(matcore.op_norm_stack(h)[..., None, None] * np.eye(h.shape[-1]) - h)
+    one = np.eye(h.shape[-1]) if one is None else one
+    return psd_sqrt(matcore.op_norm_stack(h)[..., None, None] * one - h)
+
+
+def corner_unit(space) -> np.ndarray:
+    """The 1 of the C*-check's rows: the realized unit v when v = v* and v B = B = B v on every basis element B
+    (to 1e-12; X then lies in the corner v M v), else the ambient identity."""
+    v = spaces.unit_matrix(space)
+    B = space.basis
+    if max(np.abs(v - matcore.dagger(v)).max(), np.abs(v @ B - B).max(), np.abs(B @ v - B).max()) <= 1e-12:
+        return v
+    return np.eye(space.p, dtype=np.complex128)
 
 
 def closure_row_deviations(space, x, y, fillers=()):
@@ -168,7 +185,8 @@ def closure_row_deviations(space, x, y, fillers=()):
 
 
 def adjoint_block(x, z, t):
-    """[[t 1, x], [-z, t 1]] for single square x, z, as ``criteria.check_adjoint`` assembles it."""
+    """[[t 1, x], [-z, t 1]] for single square x, z, assembled: the oracle for ``criteria.check_adjoint``,
+    which measures the block through its Gram pencil and never assembles it."""
     tI = float(t) * np.eye(x.shape[0], dtype=np.complex128)
     return gadgets.two_by_two_stack(tI, x, -z, tI)
 

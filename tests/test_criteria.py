@@ -7,8 +7,8 @@ import pytest
 from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError, ShapeError
 
-from conftest import (adjoint_block, build_M_pm, closure_row_deviations, haar_unitary, non_algebra_system,
-                      oracle_space_with_involution, proof_b, random_element, tridiagonal_3)
+from conftest import (adjoint_block, build_M_pm, closure_row_deviations, corner_unit, haar_unitary,
+                      non_algebra_system, oracle_space_with_involution, proof_b, random_element, tridiagonal_3)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
@@ -255,6 +255,130 @@ def test_positive_and_adjoint_name_no_arg_max_when_they_hold(m2_entry):
         assert rep.witness["aux"] == {"deviation": -rep.margin}
 
 
+def contraction(d, rng, norm=1.0):
+    m = matcore.rand_cmat(d, d, rng)
+    return norm * m / matcore.op_norm(m)
+
+
+#: Points of the adjoint t-grid and of the circle, and points between them.
+ADJOINT_TS = np.concatenate([np.linspace(-criteria.T_MAX, criteria.T_MAX, criteria.CIRCLE_SAMPLES)[::37],
+                             [-3.3333, -0.0123, 0.0, 0.5 + 1e-9, 2.71828, 3.99999]])
+CIRCLE_THETAS = np.concatenate([np.linspace(0.0, 2.0 * math.pi, criteria.CIRCLE_SAMPLES, endpoint=False)[::41],
+                                [0.1234, math.pi / 3 + 1e-9, 5.4321]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_adjoint_pencil_matches_the_assembled_block(d):
+    # the Gram pencil t^2 1 + [[x x*, t D], [t D*, z z*]] against the assembled [[t, x], [-z, t]]
+    rng = matcore.stream(116, d)
+    x = contraction(d, rng)
+    for z in (matcore.dagger(x), contraction(d, rng, 0.9), contraction(d, rng)):
+        got = criteria._adjoint_deviations(x, z)(ADJOINT_TS)
+        want = [matcore.op_norm(adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t) for t in ADJOINT_TS]
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_circle_norms_match_the_assembled_matrices(d):
+    # at d <= 2 the closed forms of 1 - z x, above it the Gram pencil of a - c x (a = 1 - x, z = 1 + c)
+    rng = matcore.stream(117, d)
+    h = matcore.rand_cmat(d, d, rng)
+    psd = h @ matcore.dagger(h)
+    projection = np.diag([1.0] * (d - d // 2) + [0.0] * (d // 2))
+    for x in (contraction(d, rng), contraction(d, rng, 0.5), psd / matcore.op_norm(psd), projection,
+              np.zeros((d, d)), -np.eye(d)):
+        got = criteria._circle_norms(matcore.as_cmat(x))(CIRCLE_THETAS)
+        want = [matcore.op_norm(np.eye(d) - (1.0 + np.exp(1j * th)) * x) for th in CIRCLE_THETAS]
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_positive_is_exact_on_projections():
+    # x a* = 0 for x a projection: the pencil's Gram is 1 at every point of the circle
+    for d in (3, 8):
+        x = np.diag([1.0] * (d - 1) + [0.0])
+        for z in (x, np.eye(d)):
+            rep = criteria.check_positive(corpus.build_full_matrix(d).space, z)
+            assert (rep.verdict, rep.margin, rep.witness["aux"]) == (criteria.HOLDS_WITHIN_BUDGET, 0.0,
+                                                                     {"max_norm": 1.0})
+
+
+class CountedSlice:
+    """A slice for ``criteria._grid_peak`` that records the size of each call of it."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, ts):
+        ts = np.asarray(ts)
+        self.sizes.append(ts.size)
+        return self.f(ts)
+
+
+PEAK_GRID = np.linspace(-criteria.T_MAX, criteria.T_MAX, criteria.CIRCLE_SAMPLES)
+PEAK_WIDTH = 2.0 * criteria.T_MAX / (criteria.CIRCLE_SAMPLES - 1)
+
+
+def polish_call_bound(width):
+    """The most ``values`` calls one ``_grid_peak`` may make: the grid, then rounds that each shrink
+    the bracket (POLISH_POINTS + 1) / 2 times from 2 width down to POLISH_WIDTH."""
+    k = criteria.POLISH_POINTS
+    return 1 + math.ceil(math.log(2.0 * width / criteria.POLISH_WIDTH) / math.log((k + 1) / 2))
+
+
+@pytest.mark.parametrize("t_star", [-criteria.T_MAX, -3.99, -1.2345678, 0.0, 0.123456789,
+                                    2.5 + PEAK_WIDTH / 3, criteria.T_MAX])
+@pytest.mark.parametrize("shape", ["smooth", "kink"])
+def test_grid_peak_reaches_the_true_maximum(t_star, shape):
+    f = (lambda t: -(t - t_star) ** 2) if shape == "smooth" else (lambda t: -np.abs(t - t_star))
+    values = CountedSlice(f)
+    t0, f0, evaluations = criteria._grid_peak(values, PEAK_GRID, PEAK_WIDTH, -criteria.T_MAX, criteria.T_MAX)
+    assert f0 >= f(PEAK_GRID).max()
+    assert -criteria.T_MAX <= t0 <= criteria.T_MAX
+    assert f0 >= -1e-12 and f0 == f(np.float64(t0))
+    # batched rounds: every call after the grid's measures POLISH_POINTS points, and there are few
+    assert values.sizes[0] == PEAK_GRID.size and set(values.sizes[1:]) == {criteria.POLISH_POINTS}
+    assert len(values.sizes) <= polish_call_bound(PEAK_WIDTH)
+    assert evaluations == sum(values.sizes)
+
+
+@pytest.mark.parametrize("width", [PEAK_WIDTH, 2.0 * math.pi / criteria.CIRCLE_SAMPLES, 0.5, 1e-9],
+                         ids=["t_grid", "circle", "wide", "narrow"])
+def test_grid_peak_makes_few_calls(width):
+    # the polish is batched: a return to one point per call (about 56 calls) fails this
+    values = CountedSlice(lambda t: np.cos(3.0 * t))
+    criteria._grid_peak(values, np.linspace(-1.0, 1.0, 101), width, -math.inf, math.inf)
+    assert len(values.sizes) <= polish_call_bound(width)
+
+
+def test_grid_peak_never_loses_the_grid_best_and_stays_in_its_bounds():
+    rng = np.random.default_rng(118)
+    freqs, phases = rng.uniform(1.0, 400.0, 6), rng.uniform(0.0, 2.0 * math.pi, 6)
+
+    def rough(t):  # many local maxima between grid points
+        return np.sum(np.cos(np.multiply.outer(t, freqs) + phases), axis=-1)
+
+    grid = np.linspace(0.0, 1.0, 57)
+    for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (0.3, 0.31)):
+        t0, f0, _ = criteria._grid_peak(rough, grid, grid[1] - grid[0], lo, hi)
+        assert f0 >= rough(grid).max() and f0 == rough(np.float64(t0))
+        assert t0 in grid or lo <= t0 <= hi
+    # a slice rising past the bounds: the polish stays inside them, so the grid's end point wins
+    for f, end in ((lambda t: t, 1.0), (lambda t: -t, 0.0)):
+        assert criteria._grid_peak(f, grid, grid[1] - grid[0], 0.0, 1.0)[:2] == (end, f(end))
+
+
+def test_grid_peak_keeps_the_grid_point_on_a_tie():
+    # a constant slice, and a plateau around a grid point: no polished value is strictly larger
+    assert criteria._grid_peak(lambda t: np.zeros(np.shape(t)), PEAK_GRID, PEAK_WIDTH, -4.0, 4.0)[:2] == \
+        (float(PEAK_GRID[0]), 0.0)
+    g = PEAK_GRID[300]
+
+    def plateau(t):
+        return -np.maximum(0.0, np.abs(t - g) - 0.3 * PEAK_WIDTH)
+
+    assert criteria._grid_peak(plateau, PEAK_GRID, PEAK_WIDTH, -4.0, 4.0)[:2] == (float(g), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure
 
@@ -414,9 +538,14 @@ def random_operator_system(t):
     return hermitian_space([U @ b @ matcore.dagger(U) for b in basis], unit)
 
 
+#: The ids of the oracle spaces whose unit is a corner unit below the ambient 1.
+CORNER_UNIT_SPACES = ("span_E11", "zero_plus_M2")
+
+
 def cstar_oracle_spaces():
     """Every embedded corpus entry with a unit and an involution, M_3, the test operator systems, 20
-    random operator systems in M_3, and the closed non-unital spaces span{E_11} and 0 (+) M_2."""
+    random operator systems in M_3, and the C*-algebras span{E_11} and 0 (+) M_2 (CORNER_UNIT_SPACES),
+    whose units are projections below the ambient 1."""
     out = [pytest.param(e.space, id=e.name) for e in corpus.build_corpus()
            if e.space.norm_mode == spaces.EMBEDDED and e.space.unit is not None and e.space.involution is not None]
     out += [pytest.param(corpus.build_full_matrix(3).space, id="full_matrix_3"),
@@ -431,27 +560,33 @@ def cstar_oracle_spaces():
 
 
 @pytest.mark.parametrize("space", cstar_oracle_spaces())
-def test_cstar_rows_leave_the_space_exactly_when_a_residual_exceeds_the_tolerance(space):
+def test_cstar_rows_leave_the_space_exactly_when_a_residual_exceeds_the_tolerance(space, request):
     # the paper's 2x6 rows, assembled: with z = -x y* and the canonical b their Gram is 1 on every
-    # space, so only z and b leaving X can break the row identity, and they leave it exactly when
-    # the check's largest residual exceeds the tolerance (the criteria docstring); those leaving
-    # residuals are of order one, the others rounding noise, which the square root in b takes from
-    # about 1e-16 up to about 1e-8 where ||h|| 1 - h has a repeated eigenvalue 0
+    # space (v (+) v in the corner v M v, when the unit v is a corner unit below 1, and then v
+    # stands for 1 in the rows and in b), so only z and b leaving X can break the row identity, and
+    # they leave it exactly when the check's largest residual exceeds the tolerance (the criteria
+    # docstring); those leaving residuals are of order one, the others rounding noise, which the
+    # square root in b takes from about 1e-16 up to about 1e-8 where ||h|| v - h has a repeated
+    # eigenvalue 0.  span{E_11} and 0 (+) M_2 are C*-algebras with such units: they hold.
     tol = witness.SearchConfig().tolerance
     rep = criteria.check_cstar_among_systems(space)
     assert (-rep.margin > tol) == (rep.verdict == criteria.INCONCLUSIVE)
+    one = corner_unit(space)
     rng = matcore.stream(114, space.dim, space.p)
     dag = matcore.dagger
     for _ in range(4):
         x, y = spaces.realize_stack(space, spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 2), 1.0))
         z = -x @ dag(y)
-        b = proof_b(x, y, z)
+        b = proof_b(x, y, z, one)
         for sign in "+-":
-            M = build_M_pm(x, y, z, b, sign)
-            assert np.abs(M @ dag(M) - np.eye(2 * space.p)).max() <= 1e-12
+            M = build_M_pm(x, y, z, b, sign, one)
+            assert np.abs(M @ dag(M) - np.kron(np.eye(2), one)).max() <= 1e-12
         residual = spaces.membership_residual_stack(space, np.stack([z, b])).max()
         assert (residual > tol) == (rep.verdict == criteria.INCONCLUSIVE), (residual, rep.witness["aux"])
         assert residual <= 1e-7 or residual > 1e-2, residual
+    if request.node.callspec.id in CORNER_UNIT_SPACES:
+        assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+        assert rep.witness["aux"]["identity_residual"] == 1.0 and rep.witness["aux"]["unit_residual"] <= 1e-15
 
 
 def all_criteria_reports(entry, criterion_cache):
@@ -562,12 +697,17 @@ def test_cstar_reports_its_largest_residual():
     # span{I, E_12 + E_21} is a commutative C*-algebra
     flip = spaces.make_space(np.stack([np.eye(2), E12 + E21]), unit=[1.0, 0.0], involution=np.eye(2))
     assert criteria.check_cstar_among_systems(flip).verdict == criteria.HOLDS_WITHIN_BUDGET
-    # span{E_11} is a *-algebra, but without the ambient 1 the canonical b leaves it
+    # span{E_11} leaves out the ambient 1, but its unit E_11 passes the corner-unit identity, so b is
+    # built from E_11 and the residual of E_11 decides in place of that of 1: one more sample
     e11 = spaces.make_space(np.array([[[1.0, 0.0], [0.0, 0.0]]]), unit=[1.0], involution=[[1.0]])
     rep = criteria.check_cstar_among_systems(e11)
+    assert (rep.verdict, rep.notes, rep.samples, rep.margin) == (criteria.HOLDS_WITHIN_BUDGET, [], 3, 0.0)
+    assert rep.witness["aux"] == {"algebraic_max": 0.0, "identity_residual": 1.0, "unit_residual": 0.0}
+    # with the unit E_11 / 2, no projection, the rule does not apply, and the ambient 1 decides
+    rep = criteria.check_cstar_among_systems(spaces.make_space(e11.basis, unit=[0.5], involution=[[1.0]]))
     assert rep.verdict == criteria.INCONCLUSIVE
     assert rep.witness["aux"] == {"algebraic_max": 0.0, "identity_residual": 1.0}
-    assert rep.margin == -1.0
+    assert (rep.margin, rep.samples) == (-1.0, 2)
 
 
 def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():

@@ -271,8 +271,8 @@ def test_gram_route_matches_lapack(shape, scale):
 
 
 # ---------------------------------------------------------------------------
-# _sqrt_top_eig: sigma_1 of a block row [A, W] from its Gram A A^H + W W^H,
-# the eigen step op_norm_stack runs on every shape whose sides both exceed 2
+# op_norm_gram_stack: sigma_1 of a block row [A, W] from its Gram A A^H + W W^H,
+# through the eigen step op_norm_stack runs on every shape whose sides both exceed 2
 
 #: Gram sides: the 2x4 rows of a closure identity on M_2 and M_3 (sides 2 to
 #: 6; side 1 is tested with side 2 below), and wider Grams up to a 64 x 64
@@ -280,8 +280,7 @@ def test_gram_route_matches_lapack(shape, scale):
 GRAM_SIDES = [2, 3, 4, 6, 8, 12, 128]
 
 
-def gram_kernel(grams):
-    return matcore._sqrt_top_eig(np.asarray(grams, dtype=np.complex128))
+gram_kernel = matcore.op_norm_gram_stack
 
 
 @pytest.mark.parametrize("side", GRAM_SIDES)
@@ -318,6 +317,21 @@ def test_gram_kernel_on_degenerate_rank_one_and_zero_grams(side):
     v = matcore.rand_cmat(side, 1, rng)
     assert gram_kernel(v @ matcore.dagger(v)) == pytest.approx(np.linalg.norm(v), rel=1e-14)
     assert np.array_equal(gram_kernel(np.zeros((3, side, side))), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_kernel_gives_nan_for_a_non_finite_gram(bad):
+    grams = np.stack([4.0 * np.eye(3), np.eye(3), np.eye(3)]).astype(complex)
+    grams[1, 2, 0] = bad
+    got = gram_kernel(grams)
+    assert got[0] == 2.0 and np.isnan(got[1]) and got[2] == 1.0
+    assert np.isnan(gram_kernel(grams[1]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0)])
+def test_gram_kernel_refuses_non_square_stacks(shape):
+    with pytest.raises(ShapeError, match="square Gram"):
+        gram_kernel(np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES + [(1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")

@@ -73,7 +73,7 @@ def test_diff_counts_samples_and_witnesses_moved_at_an_unchanged_margin(payload_
 
 
 def test_dump_adds_positive_and_the_multipliers_on_square_entries(payload_diff, monkeypatch, tmp_path):
-    from opspace import corpus, witness
+    from opspace import corpus, criteria, matcore, witness
 
     names = ("upper_triangular_2", "column_H2", "non_algebra_span")  # a unit, non-square, no unit
     entries = {e.name: e for e in corpus.build_corpus() if e.name in names}
@@ -81,14 +81,23 @@ def test_dump_adds_positive_and_the_multipliers_on_square_entries(payload_diff, 
     out = tmp_path / "dump.json"
     payload_diff.dump(out, [7], SCRIPT.parent.parent / "src")
     dumped = json.loads(out.read_text(encoding="utf-8"))
-    multipliers = ["multiplier-left", "multiplier-quasi", "multiplier-right"]
+    # and adjoint on x = basis element 0 at norm one, against x* and against x
+    square = sorted(["multiplier-left", "multiplier-quasi", "multiplier-right", "adjoint-x*", "adjoint-x"])
     keys = {name: sorted(k.split("/")[2] for k in dumped if k.split("/")[1] == name) for name in names}
     assert keys["column_H2"] == sorted(entries["column_H2"].expected)
-    assert keys["non_algebra_span"] == ["mult-closed", *multipliers]
+    assert keys["non_algebra_span"] == sorted(["mult-closed", *square])
     assert keys["upper_triangular_2"] == sorted(["algebra-product", "coisometry", "isometry", "mult-closed",
                                                  "positive", "unitary-four-rotation", "unitary-t-gadget",
-                                                 *multipliers])
+                                                 *square])
     entry = entries["upper_triangular_2"]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=7))
     report = corpus.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
     assert dumped["7/upper_triangular_2/multiplier-quasi"] == json.loads(json.dumps(report.to_dict()))
+    nas = entries["non_algebra_span"]
+    cfg = corpus.entry_config(nas, witness.SearchConfig(seed=7))
+    x = nas.space.basis[0] / matcore.op_norm(nas.space.basis[0])
+    for key, z, verdict in (("adjoint-x*", matcore.dagger(x), criteria.HOLDS_WITHIN_BUDGET),
+                            ("adjoint-x", x, criteria.VIOLATED)):
+        report = criteria.check_adjoint(x, z, cfg)
+        assert report.verdict == verdict
+        assert dumped[f"7/non_algebra_span/{key}"] == json.loads(json.dumps(report.to_dict()))

@@ -164,6 +164,20 @@ def test_injected_bug_matches_one_trial_at_a_time(monkeypatch):
     assert not got[0].passed
 
 
+def test_suites_build_each_test_space_once_per_call(monkeypatch):
+    # M_2, M_3 and UT_2 are built once per call and shared by the three gadget suites
+    built = []
+    for name in ("build_full_matrix", "build_upper_triangular"):
+        def counted(d, build=getattr(formulas, name), name=name):
+            built.append((name, d))
+            return build(d)
+
+        monkeypatch.setattr(formulas, name, counted)
+    for _ in range(2):
+        formulas.run_all_suites(trials=1, seed=7, gadget_trials=1)
+    assert sorted(built) == sorted(2 * [("build_full_matrix", 2), ("build_full_matrix", 3), ("build_upper_triangular", 2)])
+
+
 def test_suite_draws_do_not_depend_on_the_trial_count():
     a5, b5 = formulas._pair_stacks(5, 7, 21)
     a40, b40 = formulas._pair_stacks(40, 7, 21)
