@@ -10,9 +10,12 @@ with the same config, checks that no entry expects: through
 ``corpus.run_check``, ``positive`` on the unit (where the entry has one) and
 the three multiplier checks with basis element 0 as w; and ``adjoint`` on x =
 basis element 0 scaled to norm one, against z = x* and against z = x (keys
-``ADJOINT_CHECKS``).  It writes every report's ``to_dict()`` under
-the key "seed/entry/criterion", as canonical JSON: sorted keys, and no
-``generated_at`` (a report has none; only the CLI envelope adds it).
+``ADJOINT_CHECKS``).  On every entry it runs ``left-multiplier-map`` with T
+the identity, and with T the involution's coefficient matrix where the entry
+has one (keys ``LEFT_MULTIPLIER_CHECKS``).  It writes every report's
+``to_dict()`` under the key "seed/entry/criterion", as canonical JSON: sorted
+keys, and no ``generated_at`` (a report has none; only the CLI envelope adds
+it).
 ``--src`` imports the package from that directory instead of this checkout's
 ``src``, so one copy of the script can dump another checkout.
 
@@ -35,11 +38,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 DEFAULT_SEEDS = (7, 1729, 4242)
 #: The checks dumped on every square entry besides its expected ones.
 SQUARE_CHECKS = ("positive", "multiplier-left", "multiplier-right", "multiplier-quasi")
 #: The keys of the two ``adjoint`` runs on every square entry: z = x* and z = x.
 ADJOINT_CHECKS = ("adjoint-x*", "adjoint-x")
+#: The keys of the ``left-multiplier-map`` runs: T the identity, and T the involution.
+LEFT_MULTIPLIER_CHECKS = ("left-multiplier-map-id", "left-multiplier-map-involution")
 
 
 def dump(out: Path, seeds, src: Path):
@@ -52,13 +59,16 @@ def dump(out: Path, seeds, src: Path):
         for entry in corpus.build_corpus():
             reports = corpus.run_entry(entry, cfg)
             space = entry.space
+            local = corpus.entry_config(entry, cfg)
             if space.p == space.q:
-                local = corpus.entry_config(entry, cfg)
                 reports += [(crit, corpus.run_check(space, crit, local, w_index=0)) for crit in SQUARE_CHECKS
                             if crit != "positive" or space.unit is not None]
                 x = space.basis[0] / matcore.op_norm(space.basis[0])
                 reports += [(crit, criteria.check_adjoint(x, z, local))
                             for crit, z in zip(ADJOINT_CHECKS, (matcore.dagger(x), x))]
+            maps = (np.eye(space.dim), space.involution)
+            reports += [(crit, criteria.check_left_multiplier_map(space, T, local))
+                        for crit, T in zip(LEFT_MULTIPLIER_CHECKS, maps) if T is not None]
             for crit, report in reports:
                 payloads[f"{seed}/{entry.name}/{crit}"] = report.to_dict()
     out.write_text(json.dumps(payloads, sort_keys=True, indent=1) + "\n", encoding="utf-8")

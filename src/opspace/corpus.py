@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria, spaces, witness
+from . import criteria, matcore, spaces, witness
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -358,19 +358,27 @@ def build_corpus() -> list:
     ]
 
 
-PRODUCT_TOL = 1e-9  # the largest membership residual of a basis product multiplication_tensor accepts
+#: The largest membership residual of a basis product B_i B_j, divided by ||B_i|| ||B_j||,
+#: that multiplication_tensor accepts.
+PRODUCT_TOL = 1e-9
 
 
 def multiplication_tensor(space: spaces.SpaceRep) -> np.ndarray:
-    """Structure tensor of the ambient product restricted to a multiplication-closed space."""
+    """Structure tensor of the ambient product restricted to a multiplication-closed space.
+
+    A product's residual is divided by the norms of its factors, as in the
+    closure checks, so whether a space is refused does not depend on the
+    scale of its basis.
+    """
     if space.p != space.q:
         raise ShapeError("multiplication closure needs a square ambient")
     k = space.dim
+    norms = matcore.op_norm_stack(space.basis)
     t = np.zeros((k, k, k), dtype=np.complex128)
     for i in range(k):
         for j in range(k):
             prod = space.basis[i] @ space.basis[j]
-            if spaces.membership_residual(space, prod) > PRODUCT_TOL:
+            if spaces.membership_residual(space, prod) / (norms[i] * norms[j]) > PRODUCT_TOL:
                 raise InvalidInputError("space is not closed under multiplication")
             t[i, j] = spaces.coefficients_of(space, prod)
     return t

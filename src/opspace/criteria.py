@@ -62,6 +62,19 @@ In a *-algebra X with unit v, b is a polynomial in ||h|| v - h and lies in
 X.  So when 1 leaves X and v passes the identity, the residual of v stands
 in for that of 1.
 
+``adjoint`` measures no t-grid: the supremum over real t of
+||[[t, x], [-z, t]]|| - sqrt(1 + t^2) is exactly ||x - z*|| / 2 for
+contractions x and z.  Write the block as t 1 + N with N = [[0, x], [-z, 0]]
+and D = x - z*.  Then Re N = [[0, D], [D*, 0]] / 2 has the eigenvalues
++-s_i(D) / 2, and ||Im N|| <= ||N|| = max(||x||, ||z||) <= 1.  The normal
+matrix t 1 + i Im N has norm at most sqrt(t^2 + 1), so
+||t 1 + N|| <= sqrt(1 + t^2) + ||D|| / 2 at every t.  For t > 0,
+||t 1 + N|| >= t + lambda_max(Re N) = t + ||D|| / 2, and
+sqrt(1 + t^2) <= t + 1 / (2t), so the gap is at least ||D|| / 2 - 1 / (2t),
+which tends to ||D|| / 2 and exceeds a tolerance below ||D|| / 2 from
+t = 1 / (||D|| / 2 - tolerance) on.  So the gap is at most 0 at every t
+exactly when z = x*.
+
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
 """
@@ -126,12 +139,11 @@ _STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
 _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
 
-#: Grid points of ``check_positive`` (the circle) and ``check_adjoint`` (a t-grid on [-T_MAX, T_MAX]).
+#: Points of ``check_positive``'s circle grid.
 CIRCLE_SAMPLES = 720
-T_MAX = 4.0
-#: Points each round of the grid-peak polish evaluates in one call; a round
-#: narrows the bracket (POLISH_POINTS + 1) / 2 times, and the polish stops once
-#: the bracket is narrower than POLISH_WIDTH.
+#: Points each round of ``check_positive``'s peak polish evaluates in one call; a
+#: round narrows the bracket (POLISH_POINTS + 1) / 2 times, and the polish stops
+#: once the bracket is narrower than POLISH_WIDTH.
 POLISH_POINTS = 16
 POLISH_WIDTH = 1e-13
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
@@ -597,15 +609,16 @@ def check_operator_system(space: spaces.SpaceRep, v=None, cfg: witness.SearchCon
 
 
 # ---------------------------------------------------------------------------
-# positivity and adjoints (grid + refinement, no ascent search)
+# positivity (grid + refinement) and adjoints (closed form), no ascent search
 
 
-def _grid_peak(values, grid, width: float, lo: float, hi: float) -> tuple[float, float, int]:
+def _grid_peak(values, grid, width: float) -> tuple[float, float, int]:
     """Maximum of a slice: its best grid point, polished in batched rounds within ``width`` of it.
 
     ``values`` maps an array of points to the slice's values there.  The
-    polish brackets the best grid point by [t - width, t + width] cut to
-    [lo, hi]; each round evaluates POLISH_POINTS equally spaced interior
+    polish brackets the best grid point by [t - width, t + width], which
+    needs no bounds on ``check_positive``'s periodic circle; each
+    round evaluates POLISH_POINTS equally spaced interior
     points in one call and narrows the bracket to the two neighbours of its
     best point, until the bracket is narrower than POLISH_WIDTH.  A polished
     point replaces the best found only when its value is strictly larger, so
@@ -614,7 +627,7 @@ def _grid_peak(values, grid, width: float, lo: float, hi: float) -> tuple[float,
     vals = values(grid)
     i0 = int(np.argmax(vals))
     t0, f0 = grid[i0], vals[i0]
-    a, b = max(lo, t0 - width), min(hi, t0 + width)
+    a, b = t0 - width, t0 + width
     steps = np.arange(1, POLISH_POINTS + 1) / (POLISH_POINTS + 1)
     evaluations = len(grid)
     while b - a >= POLISH_WIDTH:
@@ -688,7 +701,7 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     m = _coerce_square(space, x)
     _require_contraction("x", matcore.op_norm(m))
     thetas = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
-    t0, f0, samples = _grid_peak(_circle_norms(m), thetas, 2.0 * math.pi / CIRCLE_SAMPLES, -math.inf, math.inf)
+    t0, f0, samples = _grid_peak(_circle_norms(m), thetas, 2.0 * math.pi / CIRCLE_SAMPLES)
     violation = f0 - 1.0
     verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
@@ -698,46 +711,13 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
                        [1], samples, cfg.to_dict())
 
 
-def _adjoint_deviations(x: np.ndarray, z: np.ndarray) -> Callable:
-    """The map ts -> ||[[t, x], [-z, t]]|| - sqrt(1 + t^2), for square contractions x, z of one size.
-
-    The block M(t) = [[t, x], [-z, t]] is never assembled: its Gram is the
-    pencil M M* = t^2 1 + [[x x*, t D], [t D*, z z*]] with D = x - z*, so
-    x x*, z z* and D are formed once, and each t costs a broadcast and the
-    top eigenvalue (``matcore.op_norm_gram_stack``).  x and z are
-    contractions and |t| <= T_MAX, so the Grams need no scaling; they pass in
-    chunks of at most ``_CHUNK_BYTES``.
-    """
-    p = x.shape[0]
-    xx, zz = x @ matcore.dagger(x), z @ matcore.dagger(z)
-    d = x - matcore.dagger(z)
-    dh = matcore.dagger(d)
-    diagonal = np.arange(2 * p)
-
-    def deviations(ts):
-        ts = np.asarray(ts)
-        norms = np.empty(ts.shape)
-        for part in _chunks(ts.size, 64 * p * p):  # one 2p x 2p Gram
-            t = ts[part, None, None]
-            gram = np.empty((t.shape[0], 2 * p, 2 * p), dtype=np.complex128)
-            gram[:, :p, :p] = xx
-            gram[:, p:, p:] = zz
-            gram[:, :p, p:] = t * d
-            gram[:, p:, :p] = t * dh
-            gram[:, diagonal, diagonal] += t[:, :, 0] ** 2
-            norms[part] = matcore.op_norm_gram_stack(gram)
-        return norms - np.sqrt(1.0 + ts**2)
-
-    return deviations
-
-
 def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Is z = x*?  Tests ||[[t, x], [-z, t]]|| <= sqrt(1 + t^2) over a real t-grid.
+    """Is z = x*?  Tests ||[[t, x], [-z, t]]|| <= sqrt(1 + t^2) for every real t.
 
-    The t-grid has CIRCLE_SAMPLES points on [-T_MAX, T_MAX], measured by
-    ``_adjoint_deviations`` through the Gram pencil of the block, and its
-    peak is polished in batched rounds (``_grid_peak``); ``samples`` counts
-    the grid and the polish points.
+    For contractions x and z the supremum over t of the gap is exactly
+    ||x - z*|| / 2, approached as |t| grows (module docstring), so that is
+    the deviation, measured once.  A violation names t = 1 / (deviation -
+    tolerance), where the gap already exceeds (deviation + tolerance) / 2.
     """
     cfg = cfg or witness.SearchConfig()
     x = matcore.as_cmat(x)
@@ -746,16 +726,13 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
         raise ShapeError("x and z must be square of equal size")
     for who, m in (("x", x), ("z", z)):
         _require_contraction(who, matcore.op_norm(m))
-    ts = np.linspace(-T_MAX, T_MAX, CIRCLE_SAMPLES)
-    # the grid's own spacing, not ts[1] - ts[0], which can differ in the last bit
-    width = 2.0 * T_MAX / (CIRCLE_SAMPLES - 1)
-    t0, f0, samples = _grid_peak(_adjoint_deviations(x, z), ts, width, -T_MAX, T_MAX)
-    verdict = VIOLATED if f0 > cfg.tolerance else HOLDS_WITHIN_BUDGET
-    # as in check_positive, only a violation names its arg-max t
-    aux = {"t": t0} if verdict == VIOLATED else {}
-    aux["deviation"] = f0
-    return CheckReport("adjoint", verdict, 0.0 - f0, _witness_dict(None, aux),
-                       [1], samples, cfg.to_dict())
+    deviation = 0.5 * matcore.op_norm(x - matcore.dagger(z))
+    verdict = VIOLATED if deviation > cfg.tolerance else HOLDS_WITHIN_BUDGET
+    # the supremum is attained at no finite t, so only a violation names one, and one past the tolerance
+    aux = {"t": 1.0 / (deviation - cfg.tolerance)} if verdict == VIOLATED else {}
+    aux["deviation"] = deviation
+    return CheckReport("adjoint", verdict, 0.0 - deviation, _witness_dict(None, aux),
+                       [1], 1, cfg.to_dict())
 
 
 # ---------------------------------------------------------------------------

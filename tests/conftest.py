@@ -186,7 +186,7 @@ def closure_row_deviations(space, x, y, fillers=()):
 
 def adjoint_block(x, z, t):
     """[[t 1, x], [-z, t 1]] for single square x, z, assembled: the oracle for ``criteria.check_adjoint``,
-    which measures the block through its Gram pencil and never assembles it."""
+    which measures ||x - z*|| / 2, the supremum of the block's gap over t, and never assembles it."""
     tI = float(t) * np.eye(x.shape[0], dtype=np.complex128)
     return gadgets.two_by_two_stack(tI, x, -z, tI)
 

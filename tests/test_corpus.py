@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opspace import corpus, criteria, matcore, spaces, witness
+from opspace.errors import InvalidInputError
 
 
 def test_every_entry_matches_expected(corpus_entries, corpus_reports):
@@ -58,6 +59,18 @@ def test_multiplication_tensor_requires_closure():
         corpus.multiplication_tensor(corpus.build_non_algebra_span().space)
     t = corpus.multiplication_tensor(corpus.build_upper_triangular(2).space)
     assert t.shape == (3, 3, 3)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_multiplication_tensor_does_not_depend_on_the_basis_scale(scale):
+    # a product's residual is divided by the norms of its factors, as in the closure checks
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    span = spaces.make_space(scale * np.stack([np.eye(2), e12, e12.T]).astype(complex),
+                             unit=np.array([1.0 / scale, 0.0, 0.0]))
+    with pytest.raises(InvalidInputError, match="not closed under multiplication"):
+        corpus.multiplication_tensor(span)
+    ut3 = spaces.make_space(scale * corpus.build_upper_triangular(3).space.basis)
+    assert corpus.multiplication_tensor(ut3).shape == (6, 6, 6)
 
 
 def test_trace_class_alpha_half_also_violates():

@@ -225,15 +225,28 @@ def test_adjoint_examples():
     assert criteria.check_adjoint(E12, E21).verdict == criteria.HOLDS_WITHIN_BUDGET
     rep = criteria.check_adjoint(E12, -E21)
     assert rep.verdict == criteria.VIOLATED
-    # the deviation |t| + 1 - sqrt(1 + t^2) grows toward the grid edge
-    assert -rep.margin >= 4.0 + 1.0 - math.sqrt(17.0) - 1e-6
+    # D = x - z* = 2 E12: the supremum ||D|| / 2 of the gap |t| + 1 - sqrt(1 + t^2), approached as |t| grows
+    assert (rep.margin, rep.witness["aux"]["deviation"], rep.samples) == (-1.0, 1.0, 1)
     t_star = rep.witness["aux"]["t"]
-    recomputed = matcore.op_norm(adjoint_block(E12, -E21, t_star)) - math.sqrt(
-        1 + t_star**2
-    )
-    assert recomputed == pytest.approx(-rep.margin, abs=1e-9)
+    recomputed = matcore.op_norm(adjoint_block(E12, -E21, t_star)) - math.sqrt(1 + t_star**2)
+    assert recomputed == pytest.approx(abs(t_star) + 1.0 - math.sqrt(1 + t_star**2), abs=1e-12)
+    assert rep.config["tolerance"] < recomputed < -rep.margin
     z = np.zeros((2, 2))
     assert criteria.check_adjoint(z, z).verdict == criteria.HOLDS_WITHIN_BUDGET
+
+
+@pytest.mark.parametrize("x, z, deviation", [
+    (np.zeros((2, 2)), 0.2 * np.eye(2), 0.1),
+    (np.diag([0.5, 0.2]), np.diag([0.5, 0.2]) + 0.1j * np.eye(2), 0.05),
+    (0.999 * E12, 0.999 * E21 + 5e-4 * np.diag([1.0, 0.0]), 2.5e-4),
+], ids=["zero-scalar", "diagonal-imaginary", "near-adjoint"])
+def test_adjoint_finds_violations_beyond_a_bounded_t(x, z, deviation):
+    # each gap stays below the tolerance on |t| <= 4 and rises to ||x - z*|| / 2 only as |t| grows
+    rep = criteria.check_adjoint(x, z)
+    assert rep.verdict == criteria.VIOLATED
+    assert rep.witness["aux"]["deviation"] == pytest.approx(deviation, rel=1e-12)
+    t = rep.witness["aux"]["t"]
+    assert matcore.op_norm(adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t) > rep.config["tolerance"]
 
 
 def test_adjoint_requires_square_x_and_z_of_equal_size():
@@ -260,22 +273,29 @@ def contraction(d, rng, norm=1.0):
     return norm * m / matcore.op_norm(m)
 
 
-#: Points of the adjoint t-grid and of the circle, and points between them.
-ADJOINT_TS = np.concatenate([np.linspace(-criteria.T_MAX, criteria.T_MAX, criteria.CIRCLE_SAMPLES)[::37],
-                             [-3.3333, -0.0123, 0.0, 0.5 + 1e-9, 2.71828, 3.99999]])
+#: Points of the circle grid, and points between them.
 CIRCLE_THETAS = np.concatenate([np.linspace(0.0, 2.0 * math.pi, criteria.CIRCLE_SAMPLES, endpoint=False)[::41],
                                 [0.1234, math.pi / 3 + 1e-9, 5.4321]])
+#: Points at which the adjoint oracle assembles the block, out to where its gap nears the supremum.
+ADJOINT_TS = np.array([0.0, 0.5, 4.0, 40.0, 1e3, 1e4])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
-def test_adjoint_pencil_matches_the_assembled_block(d):
-    # the Gram pencil t^2 1 + [[x x*, t D], [t D*, z z*]] against the assembled [[t, x], [-z, t]]
+def test_adjoint_deviation_is_the_supremum_of_the_assembled_gap(d):
+    # sup_t ||[[t, x], [-z, t]]|| - sqrt(1 + t^2) = ||x - z*|| / 2 (criteria module docstring): no t beats
+    # the reported deviation, and a violation's t has a gap of at least (deviation + tolerance) / 2
     rng = matcore.stream(116, d)
-    x = contraction(d, rng)
-    for z in (matcore.dagger(x), contraction(d, rng, 0.9), contraction(d, rng)):
-        got = criteria._adjoint_deviations(x, z)(ADJOINT_TS)
-        want = [matcore.op_norm(adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t) for t in ADJOINT_TS]
-        assert np.abs(got - want).max() <= 1e-12
+    x = contraction(d, rng, 0.999)
+    for z in (matcore.dagger(x), matcore.dagger(x) + 5e-4 * contraction(d, rng), contraction(d, rng)):
+        rep = criteria.check_adjoint(x, z)
+        deviation, tolerance = rep.witness["aux"]["deviation"], rep.config["tolerance"]
+        gaps = [matcore.op_norm(adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t) for t in (*ADJOINT_TS, *-ADJOINT_TS)]
+        assert max(gaps) <= deviation + 1e-12
+        assert rep.verdict == (criteria.VIOLATED if deviation > tolerance else criteria.HOLDS_WITHIN_BUDGET)
+        if rep.verdict == criteria.VIOLATED:
+            t = rep.witness["aux"]["t"]
+            gap = matcore.op_norm(adjoint_block(x, z, t)) - math.sqrt(1.0 + t * t)
+            assert gap > tolerance and gap >= (deviation + tolerance) / 2 - 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -314,8 +334,8 @@ class CountedSlice:
         return self.f(ts)
 
 
-PEAK_GRID = np.linspace(-criteria.T_MAX, criteria.T_MAX, criteria.CIRCLE_SAMPLES)
-PEAK_WIDTH = 2.0 * criteria.T_MAX / (criteria.CIRCLE_SAMPLES - 1)
+PEAK_GRID = np.linspace(-4.0, 4.0, 721)
+PEAK_WIDTH = 8.0 / 720
 
 
 def polish_call_bound(width):
@@ -325,15 +345,13 @@ def polish_call_bound(width):
     return 1 + math.ceil(math.log(2.0 * width / criteria.POLISH_WIDTH) / math.log((k + 1) / 2))
 
 
-@pytest.mark.parametrize("t_star", [-criteria.T_MAX, -3.99, -1.2345678, 0.0, 0.123456789,
-                                    2.5 + PEAK_WIDTH / 3, criteria.T_MAX])
+@pytest.mark.parametrize("t_star", [-4.0, -3.99, -1.2345678, 0.0, 0.123456789, 2.5 + PEAK_WIDTH / 3, 4.0])
 @pytest.mark.parametrize("shape", ["smooth", "kink"])
 def test_grid_peak_reaches_the_true_maximum(t_star, shape):
     f = (lambda t: -(t - t_star) ** 2) if shape == "smooth" else (lambda t: -np.abs(t - t_star))
     values = CountedSlice(f)
-    t0, f0, evaluations = criteria._grid_peak(values, PEAK_GRID, PEAK_WIDTH, -criteria.T_MAX, criteria.T_MAX)
+    t0, f0, evaluations = criteria._grid_peak(values, PEAK_GRID, PEAK_WIDTH)
     assert f0 >= f(PEAK_GRID).max()
-    assert -criteria.T_MAX <= t0 <= criteria.T_MAX
     assert f0 >= -1e-12 and f0 == f(np.float64(t0))
     # batched rounds: every call after the grid's measures POLISH_POINTS points, and there are few
     assert values.sizes[0] == PEAK_GRID.size and set(values.sizes[1:]) == {criteria.POLISH_POINTS}
@@ -346,11 +364,11 @@ def test_grid_peak_reaches_the_true_maximum(t_star, shape):
 def test_grid_peak_makes_few_calls(width):
     # the polish is batched: a return to one point per call (about 56 calls) fails this
     values = CountedSlice(lambda t: np.cos(3.0 * t))
-    criteria._grid_peak(values, np.linspace(-1.0, 1.0, 101), width, -math.inf, math.inf)
+    criteria._grid_peak(values, np.linspace(-1.0, 1.0, 101), width)
     assert len(values.sizes) <= polish_call_bound(width)
 
 
-def test_grid_peak_never_loses_the_grid_best_and_stays_in_its_bounds():
+def test_grid_peak_never_loses_the_grid_best():
     rng = np.random.default_rng(118)
     freqs, phases = rng.uniform(1.0, 400.0, 6), rng.uniform(0.0, 2.0 * math.pi, 6)
 
@@ -358,25 +376,20 @@ def test_grid_peak_never_loses_the_grid_best_and_stays_in_its_bounds():
         return np.sum(np.cos(np.multiply.outer(t, freqs) + phases), axis=-1)
 
     grid = np.linspace(0.0, 1.0, 57)
-    for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (0.3, 0.31)):
-        t0, f0, _ = criteria._grid_peak(rough, grid, grid[1] - grid[0], lo, hi)
-        assert f0 >= rough(grid).max() and f0 == rough(np.float64(t0))
-        assert t0 in grid or lo <= t0 <= hi
-    # a slice rising past the bounds: the polish stays inside them, so the grid's end point wins
-    for f, end in ((lambda t: t, 1.0), (lambda t: -t, 0.0)):
-        assert criteria._grid_peak(f, grid, grid[1] - grid[0], 0.0, 1.0)[:2] == (end, f(end))
+    t0, f0, _ = criteria._grid_peak(rough, grid, grid[1] - grid[0])
+    assert f0 >= rough(grid).max() and f0 == rough(np.float64(t0))
 
 
 def test_grid_peak_keeps_the_grid_point_on_a_tie():
     # a constant slice, and a plateau around a grid point: no polished value is strictly larger
-    assert criteria._grid_peak(lambda t: np.zeros(np.shape(t)), PEAK_GRID, PEAK_WIDTH, -4.0, 4.0)[:2] == \
+    assert criteria._grid_peak(lambda t: np.zeros(np.shape(t)), PEAK_GRID, PEAK_WIDTH)[:2] == \
         (float(PEAK_GRID[0]), 0.0)
     g = PEAK_GRID[300]
 
     def plateau(t):
         return -np.maximum(0.0, np.abs(t - g) - 0.3 * PEAK_WIDTH)
 
-    assert criteria._grid_peak(plateau, PEAK_GRID, PEAK_WIDTH, -4.0, 4.0)[:2] == (float(g), 0.0)
+    assert criteria._grid_peak(plateau, PEAK_GRID, PEAK_WIDTH)[:2] == (float(g), 0.0)
 
 
 # ---------------------------------------------------------------------------

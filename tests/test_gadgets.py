@@ -186,8 +186,9 @@ def test_build_adjoint_block():
     assert matcore.op_norm(adjoint_block(e12, e21, 1.0)) == pytest.approx(
         math.sqrt(2), abs=1e-9
     )
-    # the pair (E_12, 0) approaches the bound as t grows but breaks it at
-    # intermediate t, which is what the companion check detects
+    # the pair (E_12, 0) breaks the bound at every t > 0, and its gap grows with t
+    # toward ||E_12 - 0*|| / 2 = 1/2 (criteria module docstring), while the ratio
+    # of the norm to the bound tends to 1
     z = np.zeros((2, 2))
     big = matcore.op_norm(adjoint_block(e12, z, 50.0))
     assert big / math.sqrt(1 + 50.0**2) == pytest.approx(1.0, abs=2e-2)

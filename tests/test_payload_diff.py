@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "payload_diff.py"
@@ -72,23 +73,27 @@ def test_diff_counts_samples_and_witnesses_moved_at_an_unchanged_margin(payload_
         "samples 5,005 -> 4,505; 1 witnesses moved at an unchanged margin")
 
 
-def test_dump_adds_positive_and_the_multipliers_on_square_entries(payload_diff, monkeypatch, tmp_path):
+def test_dump_adds_positive_the_multipliers_and_the_left_multiplier_maps(payload_diff, monkeypatch, tmp_path):
     from opspace import corpus, criteria, matcore, witness
 
-    names = ("upper_triangular_2", "column_H2", "non_algebra_span")  # a unit, non-square, no unit
+    # a unit, non-square, no unit, and an involution
+    names = ("upper_triangular_2", "column_H2", "non_algebra_span", "linf3_ones")
     entries = {e.name: e for e in corpus.build_corpus() if e.name in names}
     monkeypatch.setattr(corpus, "build_corpus", lambda: list(entries.values()))
     out = tmp_path / "dump.json"
     payload_diff.dump(out, [7], SCRIPT.parent.parent / "src")
     dumped = json.loads(out.read_text(encoding="utf-8"))
     # and adjoint on x = basis element 0 at norm one, against x* and against x
-    square = sorted(["multiplier-left", "multiplier-quasi", "multiplier-right", "adjoint-x*", "adjoint-x"])
+    square = ["multiplier-left", "multiplier-quasi", "multiplier-right", "adjoint-x*", "adjoint-x"]
     keys = {name: sorted(k.split("/")[2] for k in dumped if k.split("/")[1] == name) for name in names}
-    assert keys["column_H2"] == sorted(entries["column_H2"].expected)
-    assert keys["non_algebra_span"] == sorted(["mult-closed", *square])
+    # left-multiplier-map with T the identity on every entry, and with T the involution where there is one
+    assert keys["column_H2"] == sorted([*entries["column_H2"].expected, "left-multiplier-map-id"])
+    assert keys["non_algebra_span"] == sorted(["mult-closed", "left-multiplier-map-id", *square])
     assert keys["upper_triangular_2"] == sorted(["algebra-product", "coisometry", "isometry", "mult-closed",
                                                  "positive", "unitary-four-rotation", "unitary-t-gadget",
-                                                 *square])
+                                                 "left-multiplier-map-id", *square])
+    assert keys["linf3_ones"] == sorted([*entries["linf3_ones"].expected, "positive", *square,
+                                         *payload_diff.LEFT_MULTIPLIER_CHECKS])
     entry = entries["upper_triangular_2"]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=7))
     report = corpus.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
@@ -101,3 +106,8 @@ def test_dump_adds_positive_and_the_multipliers_on_square_entries(payload_diff, 
         report = criteria.check_adjoint(x, z, cfg)
         assert report.verdict == verdict
         assert dumped[f"7/non_algebra_span/{key}"] == json.loads(json.dumps(report.to_dict()))
+    linf3 = entries["linf3_ones"]
+    cfg = corpus.entry_config(linf3, witness.SearchConfig(seed=7))
+    for key, T in zip(payload_diff.LEFT_MULTIPLIER_CHECKS, (np.eye(linf3.space.dim), linf3.space.involution)):
+        report = criteria.check_left_multiplier_map(linf3.space, T, cfg)
+        assert dumped[f"7/linf3_ones/{key}"] == json.loads(json.dumps(report.to_dict()))
