@@ -75,6 +75,20 @@ which tends to ||D|| / 2 and exceeds a tolerance below ||D|| / 2 from
 t = 1 / (||D|| / 2 - tolerance) on.  So the gap is at most 0 at every t
 exactly when z = x*.
 
+``positive`` samples no circle either.  For a contraction x, ||1 - z x|| <= 1
+on the disk |1 - z| <= 1 exactly when x >= 0, and the deviation
+max(||1 - 2x|| - 1, ||x - x*|| / 2) decides that exactly.  If x >= 0, its
+spectrum lies in [0, 1], so 1 - 2x is Hermitian with spectrum in [-1, 1]
+and both terms are at most 0.  If not, either x != x* and the Hermitian
+residual ||x - x*|| / 2 is positive, or x = x* has lambda_min(x) = -delta < 0
+and ||1 - 2x|| >= 1 + 2 delta.  For any x,
+||1 - 2x|| >= lambda_max(Re(1 - 2x)) = 1 - 2 lambda_min(Re x), so the gap
+||1 - 2x|| - 1 is at least twice the negative part of Re x; and z = 2 lies
+on the circle, so a gap past the tolerance is a point where the disk's
+bound fails.  The circle's own gap is only of second order in x - x* (for
+[[.5, 1e-3], [0, .5]] it is about 5e-7 against a residual of 5e-4), so at a
+fixed tolerance the residual is the sharper test, as for the closure checks.
+
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
 """
@@ -139,13 +153,6 @@ _STACKED_COLUMNS = "stacked columns need rectangular blocks over X"
 _KEY_LEFT_MULT_MAP = 10
 _KEY_ALGEBRA_PRODUCT = 11
 
-#: Points of ``check_positive``'s circle grid.
-CIRCLE_SAMPLES = 720
-#: Points each round of ``check_positive``'s peak polish evaluates in one call; a
-#: round narrows the bracket (POLISH_POINTS + 1) / 2 times, and the polish stops
-#: once the bracket is narrower than POLISH_WIDTH.
-POLISH_POINTS = 16
-POLISH_WIDTH = 1e-13
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
@@ -232,8 +239,8 @@ def _unit_coeffs(space: spaces.SpaceRep, u, who: str = "u") -> np.ndarray:
     return u
 
 
-#: Bytes of the largest stack a closure check, ``check_positive`` or
-#: ``check_adjoint`` forms at once.  Its products or matrices pass through in
+#: Bytes of the largest stack of products a closure check or
+#: ``check_algebra_product`` forms at once.  The products pass through in
 #: chunks of as many as fit (at least one), so the working set stays bounded
 #: whatever the basis size or the ambient size.
 _CHUNK_BYTES = 256 * 1024
@@ -609,36 +616,7 @@ def check_operator_system(space: spaces.SpaceRep, v=None, cfg: witness.SearchCon
 
 
 # ---------------------------------------------------------------------------
-# positivity (grid + refinement) and adjoints (closed form), no ascent search
-
-
-def _grid_peak(values, grid, width: float) -> tuple[float, float, int]:
-    """Maximum of a slice: its best grid point, polished in batched rounds within ``width`` of it.
-
-    ``values`` maps an array of points to the slice's values there.  The
-    polish brackets the best grid point by [t - width, t + width], which
-    needs no bounds on ``check_positive``'s periodic circle; each
-    round evaluates POLISH_POINTS equally spaced interior
-    points in one call and narrows the bracket to the two neighbours of its
-    best point, until the bracket is narrower than POLISH_WIDTH.  A polished
-    point replaces the best found only when its value is strictly larger, so
-    on a tie the grid point stays.  Returns (argmax, max, evaluations).
-    """
-    vals = values(grid)
-    i0 = int(np.argmax(vals))
-    t0, f0 = grid[i0], vals[i0]
-    a, b = t0 - width, t0 + width
-    steps = np.arange(1, POLISH_POINTS + 1) / (POLISH_POINTS + 1)
-    evaluations = len(grid)
-    while b - a >= POLISH_WIDTH:
-        ts = a + (b - a) * steps
-        fs = values(ts)
-        evaluations += POLISH_POINTS
-        j = int(np.argmax(fs))
-        if fs[j] > f0:
-            t0, f0 = ts[j], fs[j]
-        a, b = (ts[j - 1] if j > 0 else a), (ts[j + 1] if j + 1 < POLISH_POINTS else b)
-    return float(t0), float(f0), evaluations
+# positivity and adjoints: closed forms, no search
 
 
 def _coerce_square(space, x, who="x"):
@@ -651,64 +629,27 @@ def _coerce_square(space, x, who="x"):
     return m
 
 
-def _circle_norms(m: np.ndarray) -> Callable:
-    """The map thetas -> ||1 - z x|| at z = 1 + e^(i theta), for a p x p contraction x = m.
-
-    At p <= 2 the norms are ``matcore.op_norm_stack``'s closed forms of
-    1 - z x.  Larger matrices would go through a scaled Gram and its top
-    eigenvalue there, so they take that eigenvalue from their Gram pencil
-    instead (``matcore.op_norm_gram_stack``): with c = e^(i theta) and
-    a = 1 - x, 1 - z x = a - c x has the Gram a a* + x x* - c x a* - conj(c) a x*,
-    whose three matrices are formed once.  Its entries stay of the order of
-    one, so it needs no scaling, and it is exact where x a* = 0 (x a
-    projection, 1 among them).  Either route passes in chunks of at most
-    ``_CHUNK_BYTES``.
-    """
-    p = m.shape[0]
-    eye = np.eye(p, dtype=np.complex128)
-    if p <= 2:
-        def norms(c):
-            return matcore.op_norm_stack(eye - (1.0 + c) * m)
-    else:
-        a = eye - m
-        fixed = a @ matcore.dagger(a) + m @ matcore.dagger(m)
-        cross = m @ matcore.dagger(a)
-        cross_h = matcore.dagger(cross)
-
-        def norms(c):
-            return matcore.op_norm_gram_stack(fixed - c * cross - np.conj(c) * cross_h)
-
-    def circle(thetas):
-        cs = np.exp(1j * np.asarray(thetas))
-        out = np.empty(cs.shape)
-        for part in _chunks(cs.size, 16 * p * p):  # one p x p matrix
-            out[part] = norms(cs[part, None, None])
-        return out
-
-    return circle
-
-
 def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Is x in the positive cone?  Tests ||1 - z x|| <= 1 on the circle |1 - z| = 1.
+    """Is x in the positive cone?  Tests ||1 - z x|| <= 1 on the disk |1 - z| <= 1.
 
-    The map z -> ||1 - z x|| is subharmonic, so the maximum over the disk
-    |1 - z| <= 1 sits on its boundary circle.  The circle is sampled at
-    CIRCLE_SAMPLES angles, measured by ``_circle_norms``, and the peak
-    polished in batched rounds (``_grid_peak``); ``samples`` counts the grid
-    and the polish points.
+    For a contraction x the deviation max(||1 - 2x|| - 1, ||x - x*|| / 2) is
+    at most 0 exactly when x >= 0 (module docstring), so that is measured
+    once, and no circle is sampled.  z = 2 lies on the circle |1 - z| = 1,
+    so a gap ||1 - 2x|| - 1 past the tolerance names it as the circle point
+    where the norm exceeds 1; a violation by the Hermitian residual alone
+    names none.
     """
     cfg = cfg or witness.SearchConfig()
     m = _coerce_square(space, x)
     _require_contraction("x", matcore.op_norm(m))
-    thetas = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
-    t0, f0, samples = _grid_peak(_circle_norms(m), thetas, 2.0 * math.pi / CIRCLE_SAMPLES)
-    violation = f0 - 1.0
-    verdict = VIOLATED if violation > cfg.tolerance else HOLDS_WITHIN_BUDGET
-    # below the tolerance the arg-max is a plateau or rounding noise, so only a violation names z
-    aux = {"z": _encode_complex(1.0 + np.exp(1j * t0))} if verdict == VIOLATED else {}
-    aux["max_norm"] = f0
-    return CheckReport("positive", verdict, 0.0 - violation, _witness_dict(None, aux),
-                       [1], samples, cfg.to_dict())
+    gap = matcore.op_norm(np.eye(m.shape[0]) - 2.0 * m) - 1.0
+    residual = 0.5 * matcore.op_norm(m - matcore.dagger(m))
+    deviation = max(gap, residual)
+    verdict = VIOLATED if deviation > cfg.tolerance else HOLDS_WITHIN_BUDGET
+    aux = {"z": [2.0, 0.0]} if gap > cfg.tolerance else {}
+    aux.update(gap=gap, hermitian_residual=residual)
+    return CheckReport("positive", verdict, 0.0 - deviation, _witness_dict(None, aux),
+                       [1], 1, cfg.to_dict())
 
 
 def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -895,6 +836,24 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
                        cfg.to_dict())
 
 
+def _product_residual(space, t) -> float:
+    """Largest ||sum_l t_ijl B_l - B_i B_j|| / (||B_i|| ||B_j||): how far m is from the ambient product.
+
+    inf on a rectangular ambient, which has no product.  The pairs (i, j) pass
+    in chunks of the flattened index, as in ``_closure_residuals``.
+    """
+    if space.p != space.q:
+        return math.inf
+    B, k = space.basis, space.dim
+    norms = matcore.op_norm_stack(B)
+    residuals = np.empty(k * k)
+    for part in _chunks(residuals.size, 16 * space.p * space.q):  # one product
+        i, j = np.divmod(np.arange(part.start, part.stop), k)
+        images = np.tensordot(t[i, j], B, axes=1)
+        residuals[part] = matcore.op_norm_stack(images - B[i] @ B[j]) / (norms[i] * norms[j])
+    return float(residuals.max())
+
+
 def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the bilinear map m (given by a structure tensor) make (X, u) a unital operator algebra?
 
@@ -902,6 +861,11 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     is a contractive left multiplier for sampled contractive x; (iii) m(x, u) = x
     exactly on the basis.  The report names any failing sub-check.  A
     level-1-oracle space gets UNSUPPORTED_LEVEL, as for the left-multiplier map.
+
+    Sub-check (ii) samples no pairs when m is the ambient product, to
+    ``PROOF_TOL`` on every basis pair (``_product_residual``, whose products
+    ``samples`` counts): then [m(x, a); b] = (x (+) 1)[a; b] at every level, so
+    every contractive x passes.  A note and ``aux["product_residual"]`` say so.
     """
     cfg = cfg or witness.SearchConfig()
     k = space.dim
@@ -912,24 +876,33 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     if space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported("algebra-product", cfg, _STACKED_COLUMNS)
 
-    failed = []
+    failed, notes = [], []
     coiso = check_coisometry(space, u=u, cfg=cfg)
     samples = coiso.samples
     margins = [coiso.margin]
     if coiso.verdict != HOLDS_WITHIN_BUDGET:
         failed.append("unit-coisometry")
+    aux = {"unit_coisometry_verdict": coiso.verdict}
 
-    mult_worst = -np.inf
-    for s in range(ALGEBRA_MULTIPLIER_SAMPLES):
-        rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
-        x_coeffs = spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 1), 1.0)
-        Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
-        worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
-        samples += tried
-        mult_worst = max(mult_worst, worst)
-    margins.append(0.0 - mult_worst)
-    if mult_worst > cfg.tolerance:
-        failed.append("left-multiplier")
+    residual = _product_residual(space, t)
+    if residual <= PROOF_TOL:
+        samples += k * k
+        aux["product_residual"] = residual
+        notes.append("left-multiplier sub-check proved: m is the ambient product, "
+                     "[m(x, a); b] = (x (+) 1)[a; b]; no pairs sampled")
+    else:
+        mult_worst = -np.inf
+        for s in range(ALGEBRA_MULTIPLIER_SAMPLES):
+            rng = matcore.stream(cfg.seed, _KEY_ALGEBRA_PRODUCT, s)
+            x_coeffs = spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 1), 1.0)
+            Tx = np.einsum("i,ijl->lj", x_coeffs.reshape(-1), t)
+            worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
+            samples += tried
+            mult_worst = max(mult_worst, worst)
+        margins.append(0.0 - mult_worst)
+        aux["multiplier_max_deviation"] = float(mult_worst)
+        if mult_worst > cfg.tolerance:
+            failed.append("left-multiplier")
 
     unit_action = np.einsum("j,ijl->il", u, t)
     resid = matcore.op_norm_stack(spaces.realize_stack(space, (unit_action - np.eye(k))[:, None, None, :]))
@@ -939,16 +912,11 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     if unit_max > cfg.tolerance:
         failed.append("right-unit")
 
-    aux = {
-        "unit_coisometry_verdict": coiso.verdict,
-        "multiplier_max_deviation": float(mult_worst),
-        "unit_action_residual": unit_max,
-        "failed": failed,
-    }
+    aux.update(unit_action_residual=unit_max, failed=failed)
     margin = float(min(margins))
     verdict = HOLDS_WITHIN_BUDGET if not failed else VIOLATED
     return CheckReport("algebra-product", verdict, margin, _witness_dict(None, aux),
-                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict())
+                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict(), notes)
 
 
 def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:

@@ -19,8 +19,7 @@ stacks, and their trace norm from ``np.linalg.svd``.  The closed forms and
 the Gram route scale each matrix by its largest |entry| first, so they hold
 from 1e-300 to 1e300.  The single-matrix ``op_norm``/``trace_norm`` are the
 same kernels on a stack of one, so a matrix has one norm whichever way it is
-measured.  ``op_norm_gram_stack`` takes sigma_1 from a Gram matrix the caller
-formed, through the same eigen step.  ``norm_cotangent_stack`` follows the closed-form split: the top
+measured.  ``norm_cotangent_stack`` follows the closed-form split: the top
 singular pair for a shorter side of 1 or 2 and the polar factor of a single
 row or column or a 2 x 2 matrix come in closed form, with the norms of the
 value kernels, and every other shape (the trace norm of 2 x c with c > 2
@@ -57,7 +56,6 @@ __all__ = [
     "stream",
     "rand_cmat",
     "op_norm_stack",
-    "op_norm_gram_stack",
     "trace_norm_stack",
     "norm_cotangent_stack",
 ]
@@ -383,24 +381,6 @@ def op_norm_stack(ms, fiber: None = None) -> np.ndarray:
     if fiber is not None:
         raise InvalidInputError(f"fiber={fiber!r}: only None is accepted (see op_norm_fibers)")
     return np.asarray(_top_sval(np.asarray(ms, dtype=np.complex128)))
-
-
-def op_norm_gram_stack(grams) -> np.ndarray:
-    """Operator norms from Gram matrices: sigma_1 of A for each G = A A^H of a stack (..., m, m) -> (...).
-
-    The top singular value of A is the square root of the top eigenvalue of
-    A A^H, so a caller whose matrices share fixed parts forms their Gram from
-    products taken once and never assembles the matrices.  Each G is taken as
-    Hermitian (``eigvalsh`` reads its lower triangle) and is not rescaled,
-    unlike the matrices ``op_norm_stack`` scales by their largest |entry|: the
-    caller keeps its Grams in range.  A Gram with a non-finite entry gives a
-    NaN norm.
-    """
-    g = np.asarray(grams, dtype=np.complex128)
-    if g.ndim < 2 or g.shape[-2] != g.shape[-1] or g.shape[-1] < 1:
-        raise ShapeError(f"expected a stack of square Gram matrices, got shape {g.shape}")
-    g, bad = _zero_non_finite(g)
-    return np.asarray(np.where(bad, np.nan, _sqrt_top_eig(g)))
 
 
 def trace_norm_stack(ms, fiber: None = None) -> np.ndarray:

@@ -191,6 +191,19 @@ def adjoint_block(x, z, t):
     return gadgets.two_by_two_stack(tI, x, -z, tI)
 
 
+#: Angles theta of the circle points z = 1 + e^(i theta) at which the positivity oracle assembles 1 - z x;
+#: theta = 0 is z = 2.
+CIRCLE_THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+
+
+def circle_norms(x, thetas=CIRCLE_THETAS) -> np.ndarray:
+    """||1 - z x|| at z = 1 + e^(i theta) for a single square x, assembled: the oracle for
+    ``criteria.check_positive``, which measures ||1 - 2x|| - 1 and ||x - x*|| / 2 and never samples the circle."""
+    x = matcore.as_cmat(x)
+    z = 1.0 + np.exp(1j * np.asarray(thetas))
+    return matcore.op_norm_stack(np.eye(x.shape[0]) - z[:, None, None] * x)
+
+
 def build_Ue(space, e):
     """The doubling space U(X, e): the span of [[e, 0], [0, e]] and the [[0, B_i], [0, 0]] in M_{2p x 2q}.
 

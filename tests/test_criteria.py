@@ -7,8 +7,9 @@ import pytest
 from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError, ShapeError
 
-from conftest import (adjoint_block, build_M_pm, closure_row_deviations, corner_unit, haar_unitary,
-                      non_algebra_system, oracle_space_with_involution, proof_b, random_element, tridiagonal_3)
+from conftest import (adjoint_block, build_M_pm, circle_norms, closure_row_deviations, corner_unit,
+                      haar_unitary, non_algebra_system, oracle_space_with_involution, proof_b, random_element,
+                      tridiagonal_3)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
@@ -202,18 +203,41 @@ def test_level1_oracle_refusal_never_accepts_an_invalid_config(name, bad):
 
 def test_positive_examples(m2_entry):
     space = m2_entry.space
-    assert criteria.check_positive(space, np.diag([0.5, 0.25])).verdict == criteria.HOLDS_WITHIN_BUDGET
+    rep = criteria.check_positive(space, np.diag([0.5, 0.25]))
+    assert (rep.verdict, rep.margin, rep.samples) == (criteria.HOLDS_WITHIN_BUDGET, 0.0, 1)
+    assert rep.witness["aux"] == {"gap": -0.5, "hermitian_residual": 0.0}
     rep = criteria.check_positive(space, np.zeros((2, 2)))
-    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
-    assert rep.margin == pytest.approx(0.0, abs=1e-12)
+    assert (rep.verdict, rep.margin) == (criteria.HOLDS_WITHIN_BUDGET, 0.0)
     rep = criteria.check_positive(space, -0.5 * np.eye(2))
     assert rep.verdict == criteria.VIOLATED
-    z = complex(*rep.witness["aux"]["z"])
-    assert abs(z - 2.0) <= 1e-6
-    assert rep.margin == pytest.approx(-1.0, abs=1e-9)
+    assert rep.witness["aux"] == {"z": [2.0, 0.0], "gap": 1.0, "hermitian_residual": 0.0}
+    assert rep.margin == -1.0
     # the stored circle point reproduces the margin from scratch
+    z = complex(*rep.witness["aux"]["z"])
     recomputed = matcore.op_norm(np.eye(2) - z * (-0.5 * np.eye(2))) - 1.0
-    assert recomputed == pytest.approx(-rep.margin, abs=1e-9)
+    assert recomputed == pytest.approx(-rep.margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("x, gap, residual", [
+    (np.array([[0.5, 1e-3], [0.0, 0.5]]), None, 5e-4),
+    (0.5 * np.eye(2) + 1e-4 * (E12 - E21), None, 1e-4),
+    (np.diag([0.5, -1e-2]), 2e-2, 0.0),
+    (np.diag([0.5, -1e-3]), 2e-3, 0.0),
+    (np.diag([0.5, -1e-5]), 2e-5, 0.0),
+], ids=["upper-1e-3", "skew-1e-4", "minus-1e-2", "minus-1e-3", "minus-1e-5"])
+def test_positive_finds_what_the_circle_misses(m2_entry, x, gap, residual):
+    # the circle's gap is of second order in x - x*: below the tolerance on the first two, which are not
+    # Hermitian; the Hermitian diag(.5, -delta) has gap 2 delta at z = 2
+    rep = criteria.check_positive(m2_entry.space, x)
+    aux, tolerance = rep.witness["aux"], rep.config["tolerance"]
+    assert rep.verdict == criteria.VIOLATED
+    assert aux["hermitian_residual"] == pytest.approx(residual, rel=1e-12, abs=0)
+    if gap is None:
+        assert circle_norms(x).max() - 1.0 <= tolerance and "z" not in aux
+        assert rep.margin == -aux["hermitian_residual"]
+    else:
+        assert aux["gap"] == pytest.approx(gap, rel=1e-9) and aux["z"] == [2.0, 0.0]
+        assert rep.margin == -aux["gap"]
 
 
 def test_positive_requires_contraction(m2_entry):
@@ -256,12 +280,12 @@ def test_adjoint_requires_square_x_and_z_of_equal_size():
 
 
 def test_positive_and_adjoint_name_no_arg_max_when_they_hold(m2_entry):
-    # below the tolerance the arg-max is a plateau or rounding noise: only the maximum is reported
+    # below the tolerance no point is a witness: only the measured terms are reported
     for x in (np.diag([0.5, 0.25]), np.zeros((2, 2)), np.eye(2)):
         rep = criteria.check_positive(m2_entry.space, x)
         assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
-        assert set(rep.witness["aux"]) == {"max_norm"}
-        assert rep.witness["aux"]["max_norm"] == pytest.approx(1.0 - rep.margin, abs=1e-15)
+        assert set(rep.witness["aux"]) == {"gap", "hermitian_residual"}
+        assert rep.margin == 0.0 - max(rep.witness["aux"]["gap"], rep.witness["aux"]["hermitian_residual"])
     for x, z in ((E12, E21), (np.zeros((2, 2)), np.zeros((2, 2)))):
         rep = criteria.check_adjoint(x, z)
         assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
@@ -273,9 +297,6 @@ def contraction(d, rng, norm=1.0):
     return norm * m / matcore.op_norm(m)
 
 
-#: Points of the circle grid, and points between them.
-CIRCLE_THETAS = np.concatenate([np.linspace(0.0, 2.0 * math.pi, criteria.CIRCLE_SAMPLES, endpoint=False)[::41],
-                                [0.1234, math.pi / 3 + 1e-9, 5.4321]])
 #: Points at which the adjoint oracle assembles the block, out to where its gap nears the supremum.
 ADJOINT_TS = np.array([0.0, 0.5, 4.0, 40.0, 1e3, 1e4])
 
@@ -299,97 +320,49 @@ def test_adjoint_deviation_is_the_supremum_of_the_assembled_gap(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
-def test_circle_norms_match_the_assembled_matrices(d):
-    # at d <= 2 the closed forms of 1 - z x, above it the Gram pencil of a - c x (a = 1 - x, z = 1 + c)
+def test_positive_holds_on_psd_contractions_and_projections(d):
+    # x >= 0: the assembled circle stays within 1 of 1 - z x, and the check holds with a margin of rounding
+    # (h h* is Hermitian only up to its last bits, and a top eigenvalue 1 may round ||1 - 2x|| above 1)
     rng = matcore.stream(117, d)
     h = matcore.rand_cmat(d, d, rng)
     psd = h @ matcore.dagger(h)
-    projection = np.diag([1.0] * (d - d // 2) + [0.0] * (d // 2))
-    for x in (contraction(d, rng), contraction(d, rng, 0.5), psd / matcore.op_norm(psd), projection,
-              np.zeros((d, d)), -np.eye(d)):
-        got = criteria._circle_norms(matcore.as_cmat(x))(CIRCLE_THETAS)
-        want = [matcore.op_norm(np.eye(d) - (1.0 + np.exp(1j * th)) * x) for th in CIRCLE_THETAS]
-        assert np.abs(got - want).max() <= 1e-12
+    space = corpus.build_full_matrix(d).space
+    for x in (psd / matcore.op_norm(psd), 0.5 * psd / matcore.op_norm(psd),
+              np.diag([1.0] * (d - d // 2) + [0.0] * (d // 2)), np.eye(d), np.zeros((d, d))):
+        assert circle_norms(x).max() <= 1.0 + 1e-12
+        rep = criteria.check_positive(space, x)
+        assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and -1e-15 <= rep.margin <= 0.0
+        assert math.copysign(1.0, rep.margin) == 1.0 or rep.margin < 0.0  # never -0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_positive_gap_is_the_assembled_norm_at_z(d):
+    # a report naming z reproduces its gap from the assembled 1 - z x; a circle point past the tolerance
+    # is always a violation, and z = 2 is such a point
+    rng = matcore.stream(119, d)
+    space = corpus.build_full_matrix(d).space
+    herm = matcore.rand_cmat(d, d, rng)
+    herm = herm + matcore.dagger(herm)
+    for x in (contraction(d, rng), contraction(d, rng, 0.5), herm / matcore.op_norm(herm), -np.eye(d)):
+        rep = criteria.check_positive(space, x)
+        aux, tolerance = rep.witness["aux"], rep.config["tolerance"]
+        if circle_norms(x).max() - 1.0 > tolerance:
+            assert rep.verdict == criteria.VIOLATED
+        if "z" in aux:
+            z = complex(*aux["z"])
+            assert abs(matcore.op_norm(np.eye(d) - z * x) - 1.0 - aux["gap"]) <= 1e-12
+            assert circle_norms(x).max() - 1.0 >= aux["gap"] - 1e-12
+        assert ("z" in aux) == (aux["gap"] > tolerance)
 
 
 def test_positive_is_exact_on_projections():
-    # x a* = 0 for x a projection: the pencil's Gram is 1 at every point of the circle
+    # 1 - 2x is a symmetry for a projection x: the gap is exactly 0
     for d in (3, 8):
         x = np.diag([1.0] * (d - 1) + [0.0])
         for z in (x, np.eye(d)):
             rep = criteria.check_positive(corpus.build_full_matrix(d).space, z)
             assert (rep.verdict, rep.margin, rep.witness["aux"]) == (criteria.HOLDS_WITHIN_BUDGET, 0.0,
-                                                                     {"max_norm": 1.0})
-
-
-class CountedSlice:
-    """A slice for ``criteria._grid_peak`` that records the size of each call of it."""
-
-    def __init__(self, f):
-        self.f, self.sizes = f, []
-
-    def __call__(self, ts):
-        ts = np.asarray(ts)
-        self.sizes.append(ts.size)
-        return self.f(ts)
-
-
-PEAK_GRID = np.linspace(-4.0, 4.0, 721)
-PEAK_WIDTH = 8.0 / 720
-
-
-def polish_call_bound(width):
-    """The most ``values`` calls one ``_grid_peak`` may make: the grid, then rounds that each shrink
-    the bracket (POLISH_POINTS + 1) / 2 times from 2 width down to POLISH_WIDTH."""
-    k = criteria.POLISH_POINTS
-    return 1 + math.ceil(math.log(2.0 * width / criteria.POLISH_WIDTH) / math.log((k + 1) / 2))
-
-
-@pytest.mark.parametrize("t_star", [-4.0, -3.99, -1.2345678, 0.0, 0.123456789, 2.5 + PEAK_WIDTH / 3, 4.0])
-@pytest.mark.parametrize("shape", ["smooth", "kink"])
-def test_grid_peak_reaches_the_true_maximum(t_star, shape):
-    f = (lambda t: -(t - t_star) ** 2) if shape == "smooth" else (lambda t: -np.abs(t - t_star))
-    values = CountedSlice(f)
-    t0, f0, evaluations = criteria._grid_peak(values, PEAK_GRID, PEAK_WIDTH)
-    assert f0 >= f(PEAK_GRID).max()
-    assert f0 >= -1e-12 and f0 == f(np.float64(t0))
-    # batched rounds: every call after the grid's measures POLISH_POINTS points, and there are few
-    assert values.sizes[0] == PEAK_GRID.size and set(values.sizes[1:]) == {criteria.POLISH_POINTS}
-    assert len(values.sizes) <= polish_call_bound(PEAK_WIDTH)
-    assert evaluations == sum(values.sizes)
-
-
-@pytest.mark.parametrize("width", [PEAK_WIDTH, 2.0 * math.pi / criteria.CIRCLE_SAMPLES, 0.5, 1e-9],
-                         ids=["t_grid", "circle", "wide", "narrow"])
-def test_grid_peak_makes_few_calls(width):
-    # the polish is batched: a return to one point per call (about 56 calls) fails this
-    values = CountedSlice(lambda t: np.cos(3.0 * t))
-    criteria._grid_peak(values, np.linspace(-1.0, 1.0, 101), width)
-    assert len(values.sizes) <= polish_call_bound(width)
-
-
-def test_grid_peak_never_loses_the_grid_best():
-    rng = np.random.default_rng(118)
-    freqs, phases = rng.uniform(1.0, 400.0, 6), rng.uniform(0.0, 2.0 * math.pi, 6)
-
-    def rough(t):  # many local maxima between grid points
-        return np.sum(np.cos(np.multiply.outer(t, freqs) + phases), axis=-1)
-
-    grid = np.linspace(0.0, 1.0, 57)
-    t0, f0, _ = criteria._grid_peak(rough, grid, grid[1] - grid[0])
-    assert f0 >= rough(grid).max() and f0 == rough(np.float64(t0))
-
-
-def test_grid_peak_keeps_the_grid_point_on_a_tie():
-    # a constant slice, and a plateau around a grid point: no polished value is strictly larger
-    assert criteria._grid_peak(lambda t: np.zeros(np.shape(t)), PEAK_GRID, PEAK_WIDTH)[:2] == \
-        (float(PEAK_GRID[0]), 0.0)
-    g = PEAK_GRID[300]
-
-    def plateau(t):
-        return -np.maximum(0.0, np.abs(t - g) - 0.3 * PEAK_WIDTH)
-
-    assert criteria._grid_peak(plateau, PEAK_GRID, PEAK_WIDTH)[:2] == (float(g), 0.0)
+                                                                     {"gap": 0.0, "hermitian_residual": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +654,25 @@ def test_algebra_product_examples():
     pointwise[0, 0, 0] = pointwise[1, 1, 1] = 1.0
     rep = criteria.check_algebra_product(linf2, linf2.unit, pointwise)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+    assert rep.witness["aux"]["product_residual"] == 0.0  # the pointwise product is the ambient one
+
+
+def test_algebra_product_proves_the_ambient_product_and_samples_any_other(criterion_cache):
+    # the ambient product: [x a; b] = (x (+) 1)[a; b], so sub-check (ii) is proved and no pair is drawn
+    rep = criterion_cache("upper_triangular_2", "algebra-product")
+    aux = rep.witness["aux"]
+    assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and aux["failed"] == []
+    assert aux["product_residual"] <= criteria.PROOF_TOL and "multiplier_max_deviation" not in aux
+    assert any("left-multiplier sub-check proved" in note for note in rep.notes)
+    # a tensor with m(x, u) = x kept but a non-contractive left action, m(x, y) = x y + (y_0 - y_2) x on
+    # span{E11, E12, E22} with u = E11 + E22: the pairs are sampled, and only sub-check (ii) fails
+    space = corpus.build_upper_triangular(2).space
+    planted = corpus.multiplication_tensor(space) + np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
+    rep = criteria.check_algebra_product(space, space.unit, planted)
+    aux = rep.witness["aux"]
+    assert rep.verdict == criteria.VIOLATED and aux["failed"] == ["left-multiplier"]
+    assert "product_residual" not in aux and rep.margin == -aux["multiplier_max_deviation"] < -1.0
+    assert rep.notes == []
 
 
 def test_algebra_product_refuses_a_level1_oracle_space():

@@ -270,70 +270,6 @@ def test_gram_route_matches_lapack(shape, scale):
         assert np.allclose(matcore.op_norm_stack(ms), want, rtol=1e-14, atol=0), name
 
 
-# ---------------------------------------------------------------------------
-# op_norm_gram_stack: sigma_1 of a block row [A, W] from its Gram A A^H + W W^H,
-# through the eigen step op_norm_stack runs on every shape whose sides both exceed 2
-
-#: Gram sides: the 2x4 rows of a closure identity on M_2 and M_3 (sides 2 to
-#: 6; side 1 is tested with side 2 below), and wider Grams up to a 64 x 64
-#: ambient's 2x4 rows (128).
-GRAM_SIDES = [2, 3, 4, 6, 8, 12, 128]
-
-
-gram_kernel = matcore.op_norm_gram_stack
-
-
-@pytest.mark.parametrize("side", GRAM_SIDES)
-def test_gram_kernel_matches_the_assembled_rows(side):
-    rng = matcore.stream(39, side)
-    count = 3 if side > 12 else 20
-    for _ in range(2):
-        A = np.stack([matcore.rand_cmat(side, 3 * side, rng) for _ in range(count)])
-        W = np.stack([matcore.rand_cmat(side, side, rng) for _ in range(count)])
-        A = A / matcore.op_norm_stack(A)[:, None, None]
-        gram = A @ matcore.dagger(A) + W @ matcore.dagger(W)
-        want = matcore.op_norm_stack(np.concatenate([A, W], axis=-1))
-        assert np.allclose(gram_kernel(gram), want, rtol=1e-14, atol=0)
-
-
-def test_gram_kernel_on_sides_one_and_two():
-    rng = matcore.stream(40, 0)
-    for side in (1, 2):
-        rows = np.stack([matcore.rand_cmat(side, 5, rng) for _ in range(20)])
-        got = gram_kernel(rows @ matcore.dagger(rows))
-        assert got.shape == (20,)
-        assert np.allclose(got, matcore.op_norm_stack(rows), rtol=1e-14, atol=0)
-    assert gram_kernel([[4.0]]) == 2.0
-
-
-@pytest.mark.parametrize("side", [1, 2, 3, 6, 12])
-def test_gram_kernel_on_degenerate_rank_one_and_zero_grams(side):
-    rng = matcore.stream(41, side)
-    two = 2.0 * np.eye(side)
-    # an exactly degenerate top: the Gram of a row with orthogonal rows of norm sqrt(2)
-    assert np.array_equal(gram_kernel(np.stack([two, two])), np.full(2, math.sqrt(2.0)))
-    q = np.linalg.qr(matcore.rand_cmat(side, side, rng))[0]
-    assert gram_kernel(q @ two @ matcore.dagger(q)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    v = matcore.rand_cmat(side, 1, rng)
-    assert gram_kernel(v @ matcore.dagger(v)) == pytest.approx(np.linalg.norm(v), rel=1e-14)
-    assert np.array_equal(gram_kernel(np.zeros((3, side, side))), np.zeros(3))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_gram_kernel_gives_nan_for_a_non_finite_gram(bad):
-    grams = np.stack([4.0 * np.eye(3), np.eye(3), np.eye(3)]).astype(complex)
-    grams[1, 2, 0] = bad
-    got = gram_kernel(grams)
-    assert got[0] == 2.0 and np.isnan(got[1]) and got[2] == 1.0
-    assert np.isnan(gram_kernel(grams[1]))
-
-
-@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0)])
-def test_gram_kernel_refuses_non_square_stacks(shape):
-    with pytest.raises(ShapeError, match="square Gram"):
-        gram_kernel(np.zeros(shape))
-
-
 @pytest.mark.parametrize("shape", KERNEL_SHAPES + [(1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_zero_matrices_have_norm_exactly_zero(shape):
     z = np.zeros((3,) + shape, dtype=complex)
