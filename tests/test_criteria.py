@@ -365,6 +365,73 @@ def test_positive_is_exact_on_projections():
                                                                      {"gap": 0.0, "hermitian_residual": 0.0})
 
 
+def hermitian_with_spectrum(lam, rng):
+    """q diag(lam) q*, symmetrized so that it is Hermitian to the last bit, for a Haar-like unitary q."""
+    d = len(lam)
+    q = np.linalg.qr(matcore.rand_cmat(d, d, rng))[0]
+    h = q @ np.diag(lam) @ matcore.dagger(q)
+    return 0.5 * (h + matcore.dagger(h))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_positive_gap_is_spectral_on_hermitian_contractions(d, scale):
+    # a Hermitian contraction h with eigenvalues lam has ||1 - 2h|| - 1 = max(-2 lam_min, 2 lam_max - 2) and no
+    # Hermitian residual, so the check holds exactly when lam_min >= -tolerance / 2
+    rng = matcore.stream(121, d)
+    space = corpus.build_full_matrix(d).space
+    for low in (-scale, -1e-5, -4e-7, 0.0):
+        lam = rng.uniform(max(low, 0.0), scale, d)
+        lam[0] = low
+        h = hermitian_with_spectrum(lam, rng)
+        rep = criteria.check_positive(space, h)
+        aux, tolerance = rep.witness["aux"], rep.config["tolerance"]
+        spectrum = np.linalg.eigvalsh(h)
+        assert aux["hermitian_residual"] == 0.0
+        assert aux["gap"] == pytest.approx(max(-2.0 * spectrum[0], 2.0 * spectrum[-1] - 2.0), rel=0, abs=1e-12)
+        want = criteria.VIOLATED if low < -0.5 * tolerance else criteria.HOLDS_WITHIN_BUDGET
+        assert rep.verdict == want, low
+        assert rep.margin == 0.0 - max(aux["gap"], 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["psd", "hermitian", "general", "unitary"])
+def test_positive_verdict_is_the_order_of_the_hermitian_part(kind, d):
+    # ||1 - 2x|| >= lambda_max(Re(1 - 2x)) = 1 - 2 lambda_min(Re x): a report that holds has x - x* within twice
+    # the tolerance and Re x >= -tolerance / 2; x >= 0 always holds, and a circle point past the tolerance
+    # always violates
+    rng = matcore.stream(123, d)
+    space = corpus.build_full_matrix(d).space
+    for draw in range(6):
+        scale = rng.uniform(0.1, 1.0)
+        if kind == "psd":
+            h = matcore.rand_cmat(d, d, rng)
+            x = scale * (h @ matcore.dagger(h)) / matcore.op_norm(h @ matcore.dagger(h))
+        elif kind == "hermitian":
+            x = scale * hermitian_with_spectrum(rng.uniform(-1.0, 1.0, d), rng)
+        elif kind == "general":
+            x = contraction(d, rng, scale)
+        else:
+            x = haar_unitary(d, 1000 * d + draw)
+        rep = criteria.check_positive(space, x)
+        aux, tolerance = rep.witness["aux"], rep.config["tolerance"]
+        assert aux["hermitian_residual"] == pytest.approx(0.5 * matcore.op_norm(x - matcore.dagger(x)),
+                                                          rel=1e-14, abs=0)
+        assert aux["gap"] == pytest.approx(matcore.op_norm(np.eye(d) - 2.0 * x) - 1.0, rel=0, abs=1e-15)
+        assert rep.margin == 0.0 - max(aux["gap"], aux["hermitian_residual"])
+        assert ("z" in aux) == (aux["gap"] > tolerance)
+        if rep.verdict == criteria.HOLDS_WITHIN_BUDGET:
+            assert aux["hermitian_residual"] <= tolerance
+            assert np.linalg.eigvalsh(0.5 * (x + matcore.dagger(x)))[0] >= -0.5 * tolerance - 1e-15
+        if circle_norms(x).max() - 1.0 > tolerance:
+            assert rep.verdict == criteria.VIOLATED
+        if kind == "psd":
+            assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
+        elif kind in ("general", "unitary"):
+            # neither draw is Hermitian: a random contraction, and a unitary other than 1
+            assert rep.verdict == criteria.VIOLATED and aux["hermitian_residual"] > tolerance
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure
 
@@ -673,6 +740,58 @@ def test_algebra_product_proves_the_ambient_product_and_samples_any_other(criter
     assert rep.verdict == criteria.VIOLATED and aux["failed"] == ["left-multiplier"]
     assert "product_residual" not in aux and rep.margin == -aux["multiplier_max_deviation"] < -1.0
     assert rep.notes == []
+
+
+AMBIENT_ALGEBRAS = {
+    "linf_3": lambda: corpus.build_linf(3, "ones"),
+    "upper_triangular_2": lambda: corpus.build_upper_triangular(2),
+    "upper_triangular_3": lambda: corpus.build_upper_triangular(3),
+    "full_matrix_2": lambda: corpus.build_full_matrix(2),
+    "full_matrix_3": lambda: corpus.build_full_matrix(3),
+}
+
+
+@pytest.mark.parametrize("name", list(AMBIENT_ALGEBRAS))
+def test_algebra_product_proof_agrees_with_the_sampled_pairs(name, monkeypatch):
+    # the proved sub-check (ii) skips exactly the pairs that could not fire: with the proof disabled, the
+    # sampled left action of the same ambient tensor stays within the tolerance, and the other sub-checks agree
+    space = AMBIENT_ALGEBRAS[name]().space
+    tensor = corpus.multiplication_tensor(space)
+    proved = criteria.check_algebra_product(space, space.unit, tensor)
+    aux, k = proved.witness["aux"], space.dim
+    assert proved.verdict == criteria.HOLDS_WITHIN_BUDGET and aux["failed"] == []
+    assert aux["product_residual"] <= criteria.PROOF_TOL and "multiplier_max_deviation" not in aux
+    assert len(proved.notes) == 1 and proved.notes[0].startswith("left-multiplier sub-check proved")
+    # the proof counts the k^2 basis products it measured in place of the sampled pairs
+    coisometry = criteria.check_coisometry(space, u=space.unit)
+    assert proved.samples == coisometry.samples + k * k + k
+    # with every proof off, the coisometry row test is searched too
+    monkeypatch.setattr(criteria, "PROOF_TOL", -1.0)
+    sampled = criteria.check_algebra_product(space, space.unit, tensor)
+    sampled_aux = sampled.witness["aux"]
+    assert sampled.verdict == criteria.HOLDS_WITHIN_BUDGET and sampled.notes == []
+    assert sampled_aux["multiplier_max_deviation"] <= sampled.config["tolerance"]
+    for key in ("unit_coisometry_verdict", "unit_action_residual", "failed"):
+        assert sampled_aux[key] == aux[key], key
+    assert proved.samples < sampled.samples
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-2, 1e-9])
+def test_algebra_product_samples_a_tensor_off_the_ambient_product(size):
+    # any tensor further than PROOF_TOL from the ambient product is sampled, however close: here the planted
+    # left action m(x, y) = x y + size (y_0 - y_2) x on UT_2 keeps m(x, u) = x
+    space = corpus.build_upper_triangular(2).space
+    planted = corpus.multiplication_tensor(space) + size * np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
+    rep = criteria.check_algebra_product(space, space.unit, planted)
+    aux = rep.witness["aux"]
+    assert "product_residual" not in aux and rep.notes == []
+    assert aux["unit_action_residual"] <= rep.config["tolerance"]
+    # y = E11 and x = 1 give m(1, E11) = diag(1 + size, size): the left action exceeds 1 by about size
+    if size > rep.config["tolerance"]:
+        assert rep.verdict == criteria.VIOLATED and aux["failed"] == ["left-multiplier"]
+        assert aux["multiplier_max_deviation"] > 0.0
+    else:
+        assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and aux["failed"] == []
 
 
 def test_algebra_product_refuses_a_level1_oracle_space():

@@ -270,12 +270,26 @@ def test_gram_route_matches_lapack(shape, scale):
         assert np.allclose(matcore.op_norm_stack(ms), want, rtol=1e-14, atol=0), name
 
 
-@pytest.mark.parametrize("shape", KERNEL_SHAPES + [(1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [(1, 1), (4, 4), (3, 5), (5, 3), (12, 48)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
 def test_zero_matrices_have_norm_exactly_zero(shape):
     z = np.zeros((3,) + shape, dtype=complex)
     assert np.array_equal(matcore.op_norm_stack(z), np.zeros(3))
     assert np.array_equal(matcore.trace_norm_stack(z), np.zeros(3))
     assert np.array_equal(matcore.op_norm_fibers(z[None]), np.zeros(1))
+
+
+@pytest.mark.parametrize("side", [3, 4, 6, 12])
+def test_gram_route_on_degenerate_tops(side):
+    # every singular value equal, exactly (a scaled identity, a scaled unitary), and rank one
+    rng = matcore.stream(41, side)
+    two = math.sqrt(2.0) * np.eye(side)
+    assert np.array_equal(matcore.op_norm_stack(np.stack([two, two])), np.full(2, math.sqrt(2.0)))
+    q = np.linalg.qr(matcore.rand_cmat(side, side, rng))[0]
+    assert matcore.op_norm(math.sqrt(2.0) * q) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    v, w = matcore.rand_cmat(side, 1, rng), matcore.rand_cmat(side + 1, 1, rng)
+    assert matcore.op_norm(v @ matcore.dagger(w)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(w),
+                                                                   rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
