@@ -412,7 +412,6 @@ class SearchCriterion:
         evaluations = 0
         stopped = 0
         capped = 0
-        at_origin = 0
         trace = []
         levels_checked = []
         for li, n in enumerate(levels):
@@ -426,7 +425,6 @@ class SearchCriterion:
                 evaluations += res.evaluations
                 stopped += res.stopped
                 capped += res.capped
-                at_origin += res.origin_stops
                 trace.append({"level": n, "radius": r, "restarts": per_cell,
                               "best": res.best_value if np.isfinite(res.best_value) else None,
                               "evaluations": res.evaluations,
@@ -458,9 +456,7 @@ class SearchCriterion:
             notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
         if capped:
             notes.append(f"{capped} of {started} restarts stopped once their cell could not beat the best found")
-        if at_origin:
-            notes.append(f"{at_origin} of {started} restarts converged to the origin")
-        # 0.0 - best, not -best: a best of f(0) = 0.0 gives margin 0.0, never -0.0
+        # 0.0 - best, not -best: a best of 0.0 gives margin 0.0, never -0.0
         verdict, margin, found = HOLDS_WITHIN_BUDGET, 0.0 - best_value, None
         if best_elem is None:
             verdict, margin = INCONCLUSIVE, 0.0

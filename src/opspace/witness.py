@@ -6,29 +6,33 @@ master seed and the restart index), then performs projected ascent along the
 objective's analytic (sub)gradient, which the caller supplies next to the
 objective: for the norm objectives of :mod:`opspace.criteria` it comes from the
 norms' cotangents at the current point (``matcore.norm_cotangent_stack``).
-Each step line-searches along the normalized gradient (and, in the ball, along
-radial rescalings), and an accepted move grows the step.  A stalled move
-halves it and replaces the gradient by the shortest convex combination of it
-and the gradient at the nearest failed trial (gradient sampling,
-Burke-Lewis-Overton 2005); from then on each new gradient of that restart is
-combined with the previous one the same way (an aggregate subgradient), so
-the search follows the kinks of the max-of-norms objectives instead of
-stopping at them.  A restart stops when its step falls below the floor or its
-direction vanishes or is not finite.
+Each step line-searches along the normalized gradient and, in the ball, along
+radial rescalings x (1 +- m/||x||).  A line trial moves the point by its step m
+along the direction and a radial trial by m along the point's own ray, so
+radial steps are measured in units of the point's own norm, not of the radius:
+a restart heading for a small point gets there in a few steps instead of
+losing a fixed fraction of its norm per step.  An accepted move grows the
+step.  A stalled move halves it and replaces the gradient by the shortest
+convex combination of it and the gradient at the nearest failed trial
+(gradient sampling, Burke-Lewis-Overton 2005); from then on each new gradient
+of that restart is combined with the previous one the same way (an aggregate
+subgradient), so the search follows the kinks of the max-of-norms objectives
+instead of stopping at them.  A restart stops when its step falls below the
+floor or its direction vanishes or is not finite.
 
 A call searches several cells (a ball or sphere radius and a stream key
 each, all named by the caller; the config holds no radius) of one level, and
 the restarts of all its cells advance in vectorized lockstep.  One step costs
-one flat objective batch (the trial points, the snap rows and the origin
-rows below) and at most one gradient batch for the whole level: the restarts
-that moved at their new points (except on the last step, which no step
-follows) and the stalled ones at their nearest failed trials.  Every restart
-carries its own radius, step, step cap and floor, so its trajectory does not
-depend on which restarts share its batch; the batch's working set grows with
-the number of cells.  Results are independent of scheduling and thread count
-because each cell's merge takes the maximum by value with index tie-break.
+one flat objective batch (the trial points and the snap rows below) and at
+most one gradient batch for the whole level: the restarts that moved at their
+new points (except on the last step, which no step follows) and the stalled
+ones at their nearest failed trials.  Every restart carries its own radius,
+step, step cap and floor, so its trajectory does not depend on which restarts
+share its batch; the batch's working set grows with the number of cells.
+Results are independent of scheduling and thread count because each cell's
+merge takes the maximum by value with index tie-break.
 
-Four cell rules cut the work.  Each reads one per-cell best, renewed after
+Three cell rules cut the work.  Each reads one per-cell best, renewed after
 every step's accept: a cell is *violated* once its best exceeds the
 tolerance.  A restart stopped by a rule keeps its value, and records the
 rule that stopped it.
@@ -39,17 +43,6 @@ rule that stopped it.
   active restarts (successive halving, Karnin-Koren-Somekh 2013; ties by
   index), except a restart whose gain since the previous race, repeated
   once, would reach the cell's best.
-- Origin stop.  A ball search of a norm inequality that holds climbs into
-  its trivial maximizer, the origin, where the inequality often holds with
-  equality (the unitary gadgets at a unit of norm 1).  So while a ball cell
-  is not violated, it stops a restart once the restart's point has norm below
-  ``ORIGIN_FRACTION`` times the radius and a value of at most f(0).  The cell
-  scores f(0) once, as one more row of the next step's batch after its first
-  restart comes that near, and its best is the larger of its restarts' best
-  and f(0).  Near 0 the objective is positively homogeneous to first order,
-  so smaller scales only repeat the directions that the smallest starts
-  (``MIN_RADIUS_FRACTION``) sample.  A cell whose restarts never come near
-  the origin never scores it.
 - Snap.  The max-of-norms objectives have their kinks where a coefficient
   vanishes, and their maximizers often sit there: the witnesses are sparse.
   Halving steps reach such a kink only linearly, so each active restart of a
@@ -68,16 +61,15 @@ rule that stopped it.
   within ``_STALL_EPS`` of its own cap, so that no trial can be accepted, or
   when its cap lies below the best of another violated cell, so that it
   cannot hold the winner.  Both comparisons leave a rounding guard of
-  ``_CAP_ULPS`` ulps.  A cell that stops this way also scores no origin row.
+  ``_CAP_ULPS`` ulps.
 
-After a step's accept the rules run in the order origin stop, cap stop,
-race; the snap gate of the next step reads the same best.  Every rule but
-the second cap comparison looks only inside a cell, so each cell's result
-is what a call with that cell alone returns, unless another cell's value
-proves that it cannot win.  A search that holds no violation never races,
-snaps or stops at a cap, so it returns what it would without those three
-rules.  Sphere searches never stop at the origin, and ``refine_witness``
-(one restart, no cells) applies no rule.
+After a step's accept the cap stop runs before the race; the snap gate of
+the next step reads the same best.  Every rule but the second cap comparison
+looks only inside a cell, so each cell's result is what a call with that
+cell alone returns, unless another cell's value proves that it cannot win.
+A search that holds no violation never races, snaps or stops at a cap, so
+it returns what it would without the rules, and ``refine_witness`` (one
+restart, no cells) applies none.
 """
 
 from __future__ import annotations
@@ -115,10 +107,6 @@ _NEAR_TRIAL = 2  # index of the contraction in _LINE_SCALES
 _RADIAL_SCALES = np.array([2.0, 1.0, -1.0, -2.0])  # outward / inward rescale factors
 _RACE_STEPS = (16, 32, 64, 128)  # after these steps a cell holding a violation halves its restarts
 _CAP_ULPS = 4  # rounding guard of the cap comparisons, in ulps of max(|cap|, 1)
-
-#: A restart of a ball cell holding no violation stops once its point's norm
-#: is below this fraction of the radius and its value is at most f(0).
-ORIGIN_FRACTION = 1e-4
 
 #: A restart of a cell holding a violation also tries its point with every
 #: nonzero coefficient of modulus below this many steps set to 0.
@@ -173,7 +161,6 @@ class SearchResult:
     evaluations: int
     restart_bests: list = field(default_factory=list)  # the value each restart had when it stopped
     stopped: int = 0  # restarts the race stopped early
-    origin_stops: int = 0  # restarts stopped once they converged to the origin
     capped: int = 0  # restarts stopped once their cell could not beat the best found
 
 
@@ -181,15 +168,12 @@ def _project(space, coeffs, radius, mode):
     """Project a stack of coefficient grids into the ball (or onto the sphere) of the given radius.
 
     ``radius`` is a scalar or an array broadcasting against the stack's leading shape.
-    Returns the projected stack and the norms before projection (in the ball,
-    the projected norms wherever they are below the radius).
+    Returns the projected stack and its norms (the radius wherever a grid was moved).
     """
     norms = spaces.norm_stack(space, coeffs)
-    if mode == SPHERE:
-        scale = np.where(norms > 0, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    else:
-        scale = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    return coeffs * scale[..., None, None, None], norms
+    moved = (norms > 0) if mode == SPHERE else (norms > radius)
+    scale = np.where(moved, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    return coeffs * scale[..., None, None, None], np.where(moved, radius, norms)
 
 
 def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
@@ -275,24 +259,22 @@ def _beaten(best, hot, caps):
 
 
 #: The ``stopped_by`` codes of ``_ascent``: the rule that stopped a restart, if any.
-_RACED, _AT_ORIGIN, _CAPPED = 1, 2, 3
+_RACED, _CAPPED = 1, 2
 
 
 def _ascent(objective, gradient, space, points, values, radius, mode, max_steps, step0,
             cells=0, tolerance=np.inf, caps=None):
-    """Vectorized lockstep ascent; returns (points, values, evaluations, stopped_by, origin).
+    """Vectorized lockstep ascent; returns (points, values, evaluations, stopped_by).
 
     ``radius`` and ``step0`` hold each restart's ball (or sphere) radius and
     first step.  With ``cells`` set, the restarts form that many contiguous
     equal cells, a cell is violated once its best exceeds ``tolerance``, and
     ``caps`` holds one cap per cell or is None; the cell rules of the module
     docstring apply.  With ``cells`` 0 none applies.
-    ``stopped_by`` holds, per restart, the rule that stopped it (``_RACED``,
-    ``_AT_ORIGIN`` or ``_CAPPED``), or 0; ``origin`` holds each cell's f(0)
-    (NaN where unscored, -inf where not finite).  A restart's
-    ``evaluations`` counts its start, its trial points, its snap rows and its
-    rows in the gradient batches, also when it is stopped early; the origin
-    row counts in its cell's first restart.
+    ``stopped_by`` holds, per restart, the rule that stopped it (``_RACED``
+    or ``_CAPPED``), or 0.  A restart's ``evaluations`` counts its start,
+    its trial points, its snap rows and its rows in the gradient batches,
+    also when it is stopped early.
     """
     n_restarts = points.shape[0]
     step = step0.copy()
@@ -311,13 +293,9 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     evaluations = np.ones(n_restarts, dtype=np.int64)
     stopped_by = np.zeros(n_restarts, dtype=np.int8)
     since = np.where(dead, 0.0, values)  # each restart's value at the previous race
-    watch = mode == BALL and cells > 0  # ball cells stop restarts at the origin
     cells = max(cells, 1)  # no cells: one cell that, at tolerance inf, is never violated
-    per_cell = n_restarts // cells
-    cell_of = np.arange(n_restarts) // per_cell  # each restart's cell
-    pnorm = np.full(n_restarts, np.inf)  # each moved restart's norm; no start is near 0
-    origin = np.full(cells, np.nan)  # f(0) per cell; NaN until scored
-    wanted = np.zeros(cells, dtype=bool)  # cells that score the origin in the next batch
+    cell_of = np.arange(n_restarts) // (n_restarts // cells)  # each restart's cell
+    pnorm = spaces.norm_stack(space, points)  # each point's norm, the unit of its radial trials
 
     def stop(mask, why):
         active[mask] = False
@@ -358,33 +336,30 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if mode == BALL:
             # Radial rescalings march along the nonsmooth ridges of the
             # max-of-norms objectives (they preserve zero coordinates, so they
-            # never cross a phase kink) and home in on interior optima.
+            # never cross a phase kink) and home in on interior optima.  The
+            # origin has no ray: its radial trials stay at 0.
             mags = np.minimum(step[idx, None] * np.abs(_RADIAL_SCALES)[None, :], step_cap[idx, None])
-            rad = 1.0 + np.sign(_RADIAL_SCALES)[None, :] * mags / radius[idx, None]
+            ray = np.where(pnorm[idx] > 0, pnorm[idx], np.inf)
+            rad = 1.0 + np.sign(_RADIAL_SCALES)[None, :] * mags / ray[:, None]
             radial = points[idx, None] * rad[:, :, None, None, None]
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
         trials, tnorms = _project(space, trials, radius[idx, None], mode)
         rows = np.arange(idx.size)
-        snap_rows, snaps = rows[:0], points[:0]
+        snap_rows, snaps, snorms = rows[:0], points[:0], pnorm[:0]
         if hot.any():
             hot_rows = rows[hot[cell_of[idx]]]
             snap, snaps = _snap(points[idx[hot_rows]], SNAP_STEPS * step[idx[hot_rows]])
             snap_rows = hot_rows[snap]
             if snap_rows.size:
-                snaps, _ = _project(space, snaps, radius[idx[snap_rows]], mode)
-        # one flat batch: the trial points, the snap rows and one origin row per wanting cell
+                snaps, snorms = _project(space, snaps, radius[idx[snap_rows]], mode)
+        # one flat batch: the trial points and the snap rows
         flat = trials.reshape(-1, *trials.shape[2:])
-        zeros = np.zeros((int(wanted.sum()),) + flat.shape[1:], dtype=flat.dtype)
-        fall = np.asarray(objective(np.concatenate([flat, snaps, zeros])))
+        fall = np.asarray(objective(np.concatenate([flat, snaps])))
         fall = np.where(np.isfinite(fall), fall, -np.inf)
-        # an origin of -inf stops nothing, wins nothing
-        ftrial, fsnap, origin[wanted] = np.split(fall, [flat.shape[0], flat.shape[0] + snap_rows.size])
-        ftrial = ftrial.reshape(trials.shape[:2])
+        ftrial, fsnap = fall[:flat.shape[0]].reshape(trials.shape[:2]), fall[flat.shape[0]:]
         evaluations[idx] += ftrial.shape[1]
         evaluations[idx[snap_rows]] += 1
-        evaluations[np.nonzero(wanted)[0] * per_cell] += 1
-        wanted[:] = False
 
         pick = np.argmax(ftrial, axis=1)
         fbest = ftrial[rows, pick]
@@ -396,26 +371,20 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         take = idx[improved]
         grow = improved & ~snapped
         points[idx[grow]] = trials[rows[grow], pick[grow]]
+        pnorm[idx[grow]] = tnorms[rows[grow], pick[grow]]
         values[take] = fbest[improved]
         step[idx[grow]] = np.minimum(scaled[rows[grow], pick[grow]], step_cap[idx[grow]])
         jump = snapped[snap_rows] & improved[snap_rows]  # an accepted snap keeps its step
         points[idx[snap_rows[jump]]] = snaps[jump]
+        pnorm[idx[snap_rows[jump]]] = snorms[jump]
         halve = idx[~improved]
         step[halve] *= 0.5
         active[step < step_floor] = False
 
         best = values.reshape(cells, -1).max(axis=1)
         hot = best > tolerance
-        if watch:
-            pnorm[idx[grow]] = tnorms[rows[grow], pick[grow]]  # a snapping cell never stops at the origin
-            near = active & (pnorm < ORIGIN_FRACTION * radius) & ~hot[cell_of]
-            stop(near & (values <= origin[cell_of]), _AT_ORIGIN)  # False while f(0) is unscored
-            wanted[cell_of[near]] = True
-            wanted &= np.isnan(origin)
         if caps is not None:
-            beaten = _beaten(best, hot, caps)
-            stop(active & beaten[cell_of], _CAPPED)
-            wanted &= ~beaten
+            stop(active & _beaten(best, hot, caps)[cell_of], _CAPPED)
         if t + 1 in _RACE_STEPS:
             stop(_race(values, active, since, best, hot), _RACED)
             since[active] = values[active]
@@ -431,7 +400,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         if moved.size or again.any():
             update_gradients(moved, halve[again], trials[rows[~improved][again], _NEAR_TRIAL])
 
-    return points, values, evaluations, stopped_by, origin
+    return points, values, evaluations, stopped_by
 
 
 def maximize_violation(
@@ -456,11 +425,10 @@ def maximize_violation(
     objective on each cell's ball.  Returns one SearchResult per cell, in
     the order given; each is exactly what a call with that cell (and its
     cap) alone returns, unless its cap lies below another cell's violation,
-    so that it cannot hold the winner.  A cell's best is the larger of its
-    restarts' best and f(0), with the origin as its point when f(0) is
-    larger.  A result's ``restart_bests`` holds the value each restart had
-    when it stopped, and ``stopped``, ``origin_stops`` and ``capped`` count
-    the restarts stopped by the race, the origin stop and the cap stop.
+    so that it cannot hold the winner.  A cell's best is its restarts' best.
+    A result's ``restart_bests`` holds the value each restart had when it
+    stopped, and ``stopped`` and ``capped`` count the restarts stopped by
+    the race and the cap stop.
     ``objective`` must accept a stack of coefficient grids shaped
     (..., level, level, k) and return the matching stack of real values.
     ``gradient`` maps a stack (A, level, level, k) to the objective's
@@ -478,7 +446,7 @@ def maximize_violation(
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)
-    points, values, evaluations, stopped_by, origin = _ascent(
+    points, values, evaluations, stopped_by = _ascent(
         objective, gradient, space, points, values, radius, mode,
         max_steps=ASCENT_STEPS, step0=step0, cells=len(cells), tolerance=cfg.tolerance,
         caps=None if caps is None else np.asarray(caps, dtype=float),
@@ -487,17 +455,13 @@ def maximize_violation(
     for c in range(len(cells)):
         cell = slice(c * n_restarts, (c + 1) * n_restarts)
         best = int(np.argmax(values[cell]))
-        best_value, best_point = float(values[cell][best]), points[cell][best]
-        if origin[c] > best_value:
-            best_value, best_point = float(origin[c]), np.zeros_like(best_point)
-        stops = np.bincount(stopped_by[cell], minlength=4)
+        stops = np.bincount(stopped_by[cell], minlength=3)
         results.append(SearchResult(
-            best_value=best_value,
-            best_point=spaces.LevelElement(level, best_point),
+            best_value=float(values[cell][best]),
+            best_point=spaces.LevelElement(level, points[cell][best]),
             evaluations=int(evaluations[cell].sum()),
             restart_bests=[float(v) for v in values[cell]],
             stopped=int(stops[_RACED]),
-            origin_stops=int(stops[_AT_ORIGIN]),
             capped=int(stops[_CAPPED]),
         ))
     return results
@@ -523,7 +487,7 @@ def refine_witness(
     radius = float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
-    pts, values, evaluations, *_ = _ascent(
+    pts, values, evaluations, _ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,
         max_steps=4 * ASCENT_STEPS, step0=np.array([STEP_SIZE * radius / 10.0]),
     )

@@ -997,11 +997,11 @@ def test_race_note_only_where_a_cell_held_a_violation(corpus_reports):
 
 
 STOP_NOTES = re.compile(r"(\d+) of (\d+) restarts (?:stopped early once their cell held a violation"
-                        r"|stopped once their cell could not beat the best found|converged to the origin)")
+                        r"|stopped once their cell could not beat the best found)")
 
 
 def test_stop_notes_count_each_restart_at_most_once(corpus_reports):
-    # a restart records the one rule that stopped it, so the race, cap and origin counts share the restarts
+    # a restart records the one rule that stopped it, so the race and cap counts share the restarts
     shared = 0  # reports whose restarts were stopped by more than one rule
     for name, reports in corpus_reports.items():
         for crit, rep in reports.items():
