@@ -273,6 +273,25 @@ def _scaled(s: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return s[..., None, None, None] * grads
 
 
+def _measure_both(kernel, space, X, G):
+    """``(kernel(space, X), kernel(space, G))`` for the blocks of x and of its gadget.
+
+    When their blocks have the same shape they are measured in one call, and
+    each result (an array, or a tuple of arrays) is split back along its
+    leading axes.
+    """
+    shape = X.shape[-3:]
+    if G.shape[-3:] != shape:
+        return kernel(space, X), kernel(space, G)
+    out = kernel(space, np.concatenate([X.reshape((-1,) + shape), G.reshape((-1,) + shape)]))
+    cut = X.size // math.prod(shape)
+
+    def split(a):
+        return a[:cut].reshape(X.shape[:-3] + a.shape[1:]), a[cut:].reshape(G.shape[:-3] + a.shape[1:])
+
+    return tuple(zip(*map(split, out))) if isinstance(out, tuple) else split(out)
+
+
 def _sqrt1(nx):
     return np.sqrt(1.0 + nx)
 
@@ -347,7 +366,11 @@ class SearchCriterion:
         the gradient maps them to the ascent direction (..., n, n, k) by the
         chain rule through the norms' cotangents, with real and imaginary
         parts the partial derivatives along the real and imaginary coefficient
-        parts (a subgradient at kinks).
+        parts (a subgradient at kinks).  Where the gadget's blocks have the
+        shape of x's (the four rotations), x and the gadget share one kernel
+        call, and the gradient pulls both cotangents back in one call; a
+        row's norm and cotangent are the same whichever stack holds it, so
+        this changes no bit.
         """
         vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
         vgrid[range(level), range(level)] = u
@@ -357,8 +380,7 @@ class SearchCriterion:
 
         def f(coeffs):
             X = spaces.realize_fibers_stack(space, coeffs)
-            nx = spaces.block_norms(space, X)
-            ng = spaces.block_norms(space, assemble(unit, X))
+            nx, ng = _measure_both(spaces.block_norms, space, X, assemble(unit, X))
             if self.rotations:
                 ng = ng.max(axis=0)
             if self.signed:
@@ -367,10 +389,10 @@ class SearchCriterion:
 
         def grad(coeffs):
             X = spaces.realize_fibers_stack(space, coeffs)
-            nx, Wx = spaces.block_norm_cotangents(space, X)
-            ng, Wg = spaces.block_norm_cotangents(space, assemble(unit, X))
-            gx = spaces.realize_fibers_adjoint_stack(space, adjoint(ng, Wg) if self.rotations else adjoint(Wg))
-            tx = _scaled(self.slope(nx), spaces.realize_fibers_adjoint_stack(space, Wx))
+            (nx, Wx), (ng, Wg) = _measure_both(spaces.block_norm_cotangents, space, X, assemble(unit, X))
+            Wg = adjoint(ng, Wg) if self.rotations else adjoint(Wg)  # on x's blocks, as Wx
+            gx, tx = spaces.realize_fibers_adjoint_stack(space, np.stack([Wg, Wx]))
+            tx = _scaled(self.slope(nx), tx)
             if self.signed:
                 return tx - gx
             return _scaled(np.sign(ng - self.target(nx)), gx - tx)

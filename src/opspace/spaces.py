@@ -415,8 +415,13 @@ def realize_fibers_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
 
 
 def realize_fibers_adjoint_stack(space: SpaceRep, W: np.ndarray) -> np.ndarray:
-    """Adjoint of ``realize_fibers_stack``: block cotangents (..., g, r a, c b) -> (..., r, c, k)."""
-    W = np.asarray(W, dtype=np.complex128)
+    """Adjoint of ``realize_fibers_stack``: block cotangents (..., g, r a, c b) -> (..., r, c, k).
+
+    ``W`` is copied to C order first: on a strided stack of one (a gadget's
+    x-block) ``einsum`` sums in another order, and a row's result would
+    depend on the stack it is pulled back in.
+    """
+    W = np.ascontiguousarray(W, dtype=np.complex128)
     _, g, a, b = space.blocks.shape
     r, c = W.shape[-2] // a, W.shape[-1] // b
     grid = W.reshape(W.shape[:-3] + (g, r, a, c, b))

@@ -23,14 +23,18 @@ floor or its direction vanishes or is not finite.
 A call searches several cells (a ball or sphere radius and a stream key
 each, all named by the caller; the config holds no radius) of one level, and
 the restarts of all its cells advance in vectorized lockstep.  One step costs
-one flat objective batch (the trial points and the snap rows below) and at
-most one gradient batch for the whole level: the restarts that moved at their
-new points (except on the last step, which no step follows) and the stalled
-ones at their nearest failed trials.  Every restart carries its own radius,
-step, step cap and floor, so its trajectory does not depend on which restarts
-share its batch; the batch's working set grows with the number of cells.
-Results are independent of scheduling and thread count because each cell's
-merge takes the maximum by value with index tie-break.
+one projection batch and one objective batch of the same flat rows (the
+trial points and the snap rows below), and at most one gradient batch for
+the whole level: the restarts that moved at their new points (except on the
+last step, which no step follows) and the stalled ones at their nearest
+failed trials; one blend batch then folds every gradient that needs it into
+the cached one.  A numpy call has a fixed cost that outweighs the rows of a
+step of a few restarts, so no step splits a batch that one call can take.
+Every restart carries its own radius, step, step cap and floor, so its
+trajectory does not depend on which restarts share its batch; the batch's
+working set grows with the number of cells.  Results are independent of
+scheduling and thread count because each cell's merge takes the maximum by
+value with index tie-break.
 
 Three cell rules cut the work.  Each reads one per-cell best, renewed after
 every step's accept: a cell is *violated* once its best exceeds the
@@ -49,9 +53,9 @@ rule that stopped it.
   violated cell also tries, in every step, its point with each nonzero
   coefficient of modulus below ``SNAP_STEPS`` steps set to 0 (an active-set
   projection, Lewis 2002, Hare-Lewis 2004).  The snapped point rides the
-  step's batch as one more row, is projected like the other trials and
-  replaces the point when it beats them and improves it, keeping the
-  restart's step.  A snap zeroes whole complex coefficients and never
+  step's batch as one more row, is projected with the trials in the same
+  call and replaces the point when it beats them and improves it, keeping
+  the restart's step.  A snap zeroes whole complex coefficients and never
   reaches the origin, where late winners pass on their way out.
 - Cap stop.  A caller may give each ball cell a cap: a bound its objective
   cannot exceed on the cell's ball (``SearchCriterion.cap``, from the
@@ -177,10 +181,10 @@ def _project(space, coeffs, radius, mode):
 
 
 def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
-    """The restarts' starts (restarts, level, level, k), each drawn from its own stream.
+    """The restarts' unscaled starts (restarts, level, level, k) and radii, each drawn from its own stream.
 
-    A ball restart draws its radius first, then its coefficients; all starts
-    are then scaled to their radii at once.
+    A ball restart draws its radius first, then its coefficients; the caller
+    scales the starts of all its cells to their radii at once.
     """
     draws = np.zeros((restarts, level, level, space.dim), dtype=np.complex128)
     radii = np.full(restarts, float(radius))
@@ -189,7 +193,7 @@ def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
         if mode != SPHERE:
             radii[j] = radius * np.exp(rng.uniform(np.log(MIN_RADIUS_FRACTION), 0.0))
         draws[j] = spaces.random_stack(space, level, rng, 1)[0]
-    return spaces.scale_to_norms(space, draws, radii)
+    return draws, radii
 
 
 def _set_directions(grad, direction, active, idx):
@@ -245,16 +249,17 @@ def _race(values, active, since, best, hot):
     return (live & lower & ~climbing & hot[:, None]).reshape(-1)
 
 
-def _beaten(best, hot, caps):
+def _beaten(best, hot, caps, others):
     """The mask of the cells that cannot beat the best found, given each cell's best, violation and cap.
 
     A cell is beaten when it is violated and its best is within
     ``_STALL_EPS`` of its cap, or when its cap lies below the best of another
-    violated cell; both with a guard of ``_CAP_ULPS`` ulps.
+    violated cell; both with a guard of ``_CAP_ULPS`` ulps.  ``others`` is
+    the (cells, cells) mask that is False on the diagonal alone.
     """
     guard = _CAP_ULPS * np.finfo(float).eps * np.maximum(np.abs(caps), 1.0)
     at_cap = hot & (best >= caps - _STALL_EPS + guard)
-    rivals = np.where(hot & ~np.eye(best.size, dtype=bool), best, -np.inf).max(axis=1)  # excluding each cell
+    rivals = np.where(hot & others, best, -np.inf).max(axis=1)  # excluding each cell
     return at_cap | (caps + guard < rivals)
 
 
@@ -311,10 +316,12 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         fresh = np.asarray(gradient(np.concatenate([points[moved], near])))  # (A, n, n, k)
         ours, theirs = fresh[:moved.size], fresh[moved.size:]
         keep = sampled[moved]
-        if keep.any():
-            ours[keep] = _min_norm_pair(ours[keep], grad[moved[keep]])
+        # one blend: the moved restarts that have sampled, then the resampled ones
+        blend = np.concatenate([moved[keep], resample])
+        a = np.concatenate([ours[keep], grad[resample]])
+        b = np.concatenate([grad[moved[keep]], theirs])
         grad[moved] = ours
-        grad[resample] = _min_norm_pair(grad[resample], theirs)
+        grad[blend] = _min_norm_pair(a, b)
         sampled[resample] = True
         both = np.concatenate([moved, resample])
         evaluations[both] += 1
@@ -326,39 +333,41 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
 
     best = values.reshape(cells, -1).max(axis=1)  # each cell's best, renewed after every accept
     hot = best > tolerance  # the violated cells
+    others = ~np.eye(cells, dtype=bool)  # each cell's rivals, for the cap stop
     for t in range(max_steps):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        scaled = step[idx, None] * _LINE_SCALES[None, :]
-        np.minimum(scaled, step_cap[idx, None], out=scaled)
-        trials = points[idx, None] + scaled[:, :, None, None, None] * direction[idx, None]
+        at, at_step, at_cap = points[idx], step[idx], step_cap[idx]
+        scaled = np.minimum(at_step[:, None] * _LINE_SCALES[None, :], at_cap[:, None])
+        trials = at[:, None] + scaled[:, :, None, None, None] * direction[idx, None]
         if mode == BALL:
             # Radial rescalings march along the nonsmooth ridges of the
             # max-of-norms objectives (they preserve zero coordinates, so they
             # never cross a phase kink) and home in on interior optima.  The
             # origin has no ray: its radial trials stay at 0.
-            mags = np.minimum(step[idx, None] * np.abs(_RADIAL_SCALES)[None, :], step_cap[idx, None])
+            mags = np.minimum(at_step[:, None] * np.abs(_RADIAL_SCALES)[None, :], at_cap[:, None])
             ray = np.where(pnorm[idx] > 0, pnorm[idx], np.inf)
             rad = 1.0 + np.sign(_RADIAL_SCALES)[None, :] * mags / ray[:, None]
-            radial = points[idx, None] * rad[:, :, None, None, None]
+            radial = at[:, None] * rad[:, :, None, None, None]
             trials = np.concatenate([trials, radial], axis=1)
             scaled = np.concatenate([scaled, mags], axis=1)
-        trials, tnorms = _project(space, trials, radius[idx, None], mode)
         rows = np.arange(idx.size)
-        snap_rows, snaps, snorms = rows[:0], points[:0], pnorm[:0]
+        snap_rows, snaps = rows[:0], at[:0]
         if hot.any():
             hot_rows = rows[hot[cell_of[idx]]]
-            snap, snaps = _snap(points[idx[hot_rows]], SNAP_STEPS * step[idx[hot_rows]])
+            snap, snaps = _snap(at[hot_rows], SNAP_STEPS * at_step[hot_rows])
             snap_rows = hot_rows[snap]
-            if snap_rows.size:
-                snaps, snorms = _project(space, snaps, radius[idx[snap_rows]], mode)
-        # one flat batch: the trial points and the snap rows
-        flat = trials.reshape(-1, *trials.shape[2:])
-        fall = np.asarray(objective(np.concatenate([flat, snaps])))
+        # one flat batch, projected and evaluated at once: the trial points and the snap rows
+        width, cut = trials.shape[1], trials.shape[0] * trials.shape[1]
+        flat, norms = _project(space, np.concatenate([trials.reshape(-1, *at.shape[1:]), snaps]),
+                               np.concatenate([np.repeat(radius[idx], width), radius[idx[snap_rows]]]), mode)
+        trials, snaps = flat[:cut].reshape(trials.shape), flat[cut:]
+        tnorms, snorms = norms[:cut].reshape(-1, width), norms[cut:]
+        fall = np.asarray(objective(flat))
         fall = np.where(np.isfinite(fall), fall, -np.inf)
-        ftrial, fsnap = fall[:flat.shape[0]].reshape(trials.shape[:2]), fall[flat.shape[0]:]
-        evaluations[idx] += ftrial.shape[1]
+        ftrial, fsnap = fall[:cut].reshape(-1, width), fall[cut:]
+        evaluations[idx] += width
         evaluations[idx[snap_rows]] += 1
 
         pick = np.argmax(ftrial, axis=1)
@@ -373,7 +382,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         points[idx[grow]] = trials[rows[grow], pick[grow]]
         pnorm[idx[grow]] = tnorms[rows[grow], pick[grow]]
         values[take] = fbest[improved]
-        step[idx[grow]] = np.minimum(scaled[rows[grow], pick[grow]], step_cap[idx[grow]])
+        step[idx[grow]] = np.minimum(scaled[rows[grow], pick[grow]], at_cap[grow])
         jump = snapped[snap_rows] & improved[snap_rows]  # an accepted snap keeps its step
         points[idx[snap_rows[jump]]] = snaps[jump]
         pnorm[idx[snap_rows[jump]]] = snorms[jump]
@@ -384,7 +393,7 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
         best = values.reshape(cells, -1).max(axis=1)
         hot = best > tolerance
         if caps is not None:
-            stop(active & _beaten(best, hot, caps)[cell_of], _CAPPED)
+            stop(active & _beaten(best, hot, caps, others)[cell_of], _CAPPED)
         if t + 1 in _RACE_STEPS:
             stop(_race(values, active, since, best, hot), _RACED)
             since[active] = values[active]
@@ -441,8 +450,9 @@ def maximize_violation(
     if n_restarts <= 0:
         return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0) for _ in cells]
 
-    points = np.concatenate([_draw_starts(space, level, cfg, r, mode, n_restarts, key)
-                             for r, key in cells])
+    drawn = [_draw_starts(space, level, cfg, r, mode, n_restarts, key) for r, key in cells]
+    points = spaces.scale_to_norms(space, np.concatenate([d for d, _ in drawn]),
+                                   np.concatenate([radii for _, radii in drawn]))
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)

@@ -1,9 +1,14 @@
-"""Analytic ascent directions against a central-difference reference kept in this file."""
+"""Analytic ascent directions against a central-difference reference kept in this file.
+
+The objective and gradient are also checked bit for bit against a two-call
+reference kept here, which measures x and its gadget, and pulls their
+cotangents back, in separate calls.
+"""
 
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, matcore
+from opspace import corpus, criteria, gadgets, matcore, spaces
 
 FACTORIES = {short: criteria.SEARCH_CRITERIA[name].objective for short, name in (
     ("four-rotation", "unitary-four-rotation"),
@@ -84,3 +89,73 @@ def test_exact_identities_give_zero_directions(entries, name):
         f, grad = FACTORIES[objective](space, space.unit, 1)
         assert np.abs(f(pts)).max() < 1e-12, objective
         assert np.linalg.norm(grad(pts).reshape(POINTS, -1), axis=1).max() < 1e-12, objective
+
+
+def two_call_reference(spec, space, u, level):
+    """``spec.objective`` with x and the gadget measured, and pulled back, in separate calls."""
+    vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
+    vgrid[range(level), range(level)] = u
+    unit = spaces.realize_fibers_stack(space, vgrid)
+    assemble = getattr(gadgets, f"{spec.gadget}_stack")
+    adjoint = getattr(gadgets, f"{spec.gadget}_stack_adjoint")
+
+    def f(coeffs):
+        X = spaces.realize_fibers_stack(space, coeffs)
+        nx = spaces.block_norms(space, X)
+        ng = spaces.block_norms(space, assemble(unit, X))
+        if spec.rotations:
+            ng = ng.max(axis=0)
+        return spec.target(nx) - ng if spec.signed else np.abs(ng - spec.target(nx))
+
+    def grad(coeffs):
+        X = spaces.realize_fibers_stack(space, coeffs)
+        nx, Wx = spaces.block_norm_cotangents(space, X)
+        ng, Wg = spaces.block_norm_cotangents(space, assemble(unit, X))
+        gx = spaces.realize_fibers_adjoint_stack(space, adjoint(ng, Wg) if spec.rotations else adjoint(Wg))
+        tx = spec.slope(nx)[:, None, None, None] * spaces.realize_fibers_adjoint_stack(space, Wx)
+        if spec.signed:
+            return tx - gx
+        return np.sign(ng - spec.target(nx))[:, None, None, None] * (gx - tx)
+
+    return f, grad
+
+
+def searched_rows():
+    """(entry, criterion, level) for every searched criterion a corpus entry expects, at levels 1 and 2."""
+    for entry in corpus.build_corpus():
+        levels = (1,) if entry.space.norm_mode == spaces.LEVEL1_ORACLE else (1, 2)
+        for name in entry.expected:
+            if name in criteria.SEARCH_CRITERIA:
+                yield from ((entry.name, name, level) for level in levels)
+
+
+@pytest.mark.parametrize("name, criterion, level", list(searched_rows()))
+def test_objective_and_gradient_equal_the_two_call_reference_bit_for_bit(entries, name, criterion, level):
+    space = entries[name].space
+    spec = criteria.SEARCH_CRITERIA[criterion]
+    f, grad = spec.objective(space, space.unit, level)
+    ref_f, ref_grad = two_call_reference(spec, space, space.unit, level)
+    pts = generic_points(space, level, seed=40 + level)
+    zero = np.zeros_like(pts[:1])
+    nan = pts[:1].copy()
+    nan[0, 0, 0, 0] = np.nan
+    for stack in (pts, pts[:1], np.concatenate([pts, zero]), np.concatenate([zero, pts, nan])):
+        # the kernels warn on a NaN row, the reference as much as the joint calls
+        with np.errstate(invalid="ignore" if np.isnan(stack).any() else "raise"):
+            assert np.array_equal(f(stack), ref_f(stack), equal_nan=True)
+            # the objective also takes stacks with more leading axes
+            assert np.array_equal(f(stack[None]), ref_f(stack)[None], equal_nan=True)
+            try:
+                expected = ref_grad(stack)
+            except np.linalg.LinAlgError:
+                # LAPACK refuses a NaN row on the shapes without a closed form; so must the joint call
+                with pytest.raises(np.linalg.LinAlgError):
+                    grad(stack)
+                continue
+            got = grad(stack)
+            assert np.array_equal(got, expected, equal_nan=True)
+            # and each row's values are what a stack of that row alone gives
+            alone = [(f(row), grad(row)) for row in np.split(stack, len(stack))]
+            assert np.array_equal(np.concatenate([v for v, _ in alone]), f(stack), equal_nan=True)
+            assert np.array_equal(np.concatenate([d for _, d in alone]), got, equal_nan=True)
+

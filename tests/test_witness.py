@@ -337,6 +337,91 @@ def test_snap_row_rides_a_trial_batch_and_counts_once(mode):
     assert (res.best_point.coeffs == 0).sum() == 2  # the witness is a multiple of one basis element
 
 
+def test_hot_step_projects_its_trials_and_snap_rows_in_one_call(monkeypatch):
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 60)
+    projected = []
+    project = witness._project
+
+    def counted_project(space, coeffs, radius, mode):
+        projected.append(int(np.prod(coeffs.shape[:-3])))
+        return project(space, coeffs, radius, mode)
+
+    monkeypatch.setattr(witness, "_project", counted_project)
+    log = []
+    f, g = counted(obj, grad, log)
+    cells = [(r, (14, 1, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
+    results = witness.maximize_violation(f, space, 1, witness.SearchConfig(restarts=4), cells=cells, gradient=g)
+    assert all(res.best_value > 1e-6 for res in results)
+    steps = [rows for kind, rows in log[1:] if kind == "objective"]  # after the starts' batch
+    # each step projects exactly the rows it evaluates, in one call
+    assert projected == steps
+    assert any(rows % trial_rows(witness.BALL) for rows in steps)  # some of them carry snap rows
+
+
+@pytest.mark.parametrize("entry_name, level", [("linf3_e1", 1), ("full_matrix_2", 2), ("trace_class_2", 1)])
+def test_four_rotation_measures_x_and_its_rotations_in_one_kernel_call(monkeypatch, entry_name, level):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    calls = []
+    for name in ("block_norms", "block_norm_cotangents", "realize_fibers_adjoint_stack"):
+        def counted_kernel(*args, _kernel=getattr(spaces, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(spaces, name, counted_kernel)
+    pts = spaces.random_stack(space, level, matcore.stream(3, level), 5)
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, level)
+    obj(pts)
+    assert calls == ["block_norms"]
+    calls.clear()
+    grad(pts)
+    assert calls == ["block_norm_cotangents", "realize_fibers_adjoint_stack"]
+    if space.norm_mode == spaces.LEVEL1_ORACLE:
+        return  # the t-gadget needs 2x2 blocks over X
+    # the t-gadget's blocks are twice as wide and high as x's: two kernel calls, one pullback
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-t-gadget"].objective(space, space.unit, level)
+    calls.clear()
+    obj(pts)
+    grad(pts)
+    assert calls == ["block_norms"] * 2 + ["block_norm_cotangents"] * 2 + ["realize_fibers_adjoint_stack"]
+
+
+def test_starts_of_all_cells_are_scaled_in_one_call(monkeypatch):
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 2)
+    monkeypatch.setattr(witness, "ASCENT_STEPS", 2)
+    scaled = []
+    scale_to_norms = spaces.scale_to_norms
+
+    def counted_scale(space, coeffs, target_norms):
+        scaled.append(coeffs.shape[0])
+        return scale_to_norms(space, coeffs, target_norms)
+
+    monkeypatch.setattr(spaces, "scale_to_norms", counted_scale)
+    cells = [(r, (6, ri)) for ri, r in enumerate(criteria.RADIUS_SWEEP)]
+    for mode in (witness.BALL, witness.SPHERE):
+        scaled.clear()
+        witness.maximize_violation(obj, space, 2, witness.SearchConfig(restarts=3), cells=cells, mode=mode,
+                                   gradient=grad)
+        assert scaled == [3 * len(cells)]
+
+
+def test_one_blend_equals_the_split_blends():
+    rng = matcore.stream(3, 1)
+    shape = (9, 2, 2, 3)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b[1] = a[1]  # a zero segment
+    a[2] = 0.0
+    b[3, 0, 1, 2] = np.nan  # a non-finite end: the blend keeps a
+    b[4, 1, 0, 0] = np.inf
+    b[5] = 1e3 * a[5]  # lambda clipped at 1: the blend is a
+    a[6] = 1e3 * b[6]  # lambda clipped at 0: the blend is b
+    for cut in (0, 1, 4, 8, 9):
+        split = [witness._min_norm_pair(a[:cut], b[:cut]), witness._min_norm_pair(a[cut:], b[cut:])]
+        assert np.array_equal(witness._min_norm_pair(a, b), np.concatenate(split), equal_nan=True), cut
+
+
 @pytest.mark.parametrize("entry_name, mode, level", [
     ("linf3_e1", witness.BALL, 1),
     ("linf3_e1", witness.SPHERE, 2),
