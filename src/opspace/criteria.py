@@ -111,11 +111,6 @@ __all__ = [
     "INCONCLUSIVE",
     "UNSUPPORTED_LEVEL",
     "CheckReport",
-    "check_unitary_four_rotation",
-    "check_unitary_t_gadget",
-    "check_coisometry",
-    "check_isometry",
-    "check_operator_system",
     "check_positive",
     "check_adjoint",
     "check_mult_closed",
@@ -156,6 +151,8 @@ _KEY_ALGEBRA_PRODUCT = 11
 #: Contractive x whose maps y -> m(x, y) ``check_algebra_product`` tests, and pairs (a, b) per level for each.
 ALGEBRA_MULTIPLIER_SAMPLES = 8
 ALGEBRA_MULTIPLIER_PAIRS = 16
+#: Pairs (a, b) per level that ``check_left_multiplier_map`` draws.
+LEFT_MULTIPLIER_PAIRS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +338,7 @@ class SearchCriterion:
     objective is built.  A signed criterion is the inequality
     ||gadget|| >= target, searched as target - ||gadget||; otherwise it is
     the identity ||gadget|| = target, searched as the absolute deviation.
+    ``check`` decides the row, and ``CRITERION_RUNNERS`` maps its name to it.
     """
 
     name: str
@@ -403,6 +401,31 @@ class SearchCriterion:
         """The searched objective at one element, evaluated from scratch."""
         u = _unit_coeffs(space, u, self.who)
         return float(self.objective(space, u, elem.level)[0](elem.coeffs[None])[0])
+
+    def check(self, space, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
+        """Check this row for ``u`` (default: the space's distinguished element).
+
+        The preconditions come first, in order, then the ternary proof, else
+        the search.
+        """
+        cfg = cfg or witness.SearchConfig()
+        if self.involution and space.involution is None:
+            raise InvalidInputError(f"{self.name} check requires an involution")
+        u = _unit_coeffs(space, u, self.who)
+        if self.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
+            raise InvalidInputError(f"{self.who} must be selfadjoint ({self.who} = {self.who}*)")
+        _require_contraction(self.who, spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1))))
+        if self.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
+            return _unsupported(self.name, cfg, self.unsupported)
+        cfg.guard_ambient(space)
+        proof = _ternary_proof(self.proof, space, u)
+        if proof is None:
+            return self.search(space, u, cfg)
+        return CheckReport(
+            criterion=self.name, verdict=HOLDS_WITHIN_BUDGET, margin=0.0, witness=None,
+            levels_checked=list(range(1, cfg.max_level + 1)), samples=0, config=cfg.to_dict(),
+            notes=[f"proved by the ternary identity {proof['identity']}; no search run"], proof=proof,
+        )
 
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
         """The violation search over this row's levels and radii, with no proof tried.
@@ -560,77 +583,12 @@ def _ternary_proof(kind: str, space: spaces.SpaceRep, u: np.ndarray) -> dict | N
     return {"identity": IDENTITIES[kind], "residual": residual, "tolerance": PROOF_TOL}
 
 
-def _gadget_check(name: str, space: spaces.SpaceRep, u, cfg: witness.SearchConfig | None) -> CheckReport:
-    """Check one SEARCH_CRITERIA row: its preconditions in order, then its proof, else the search."""
-    spec = SEARCH_CRITERIA[name]
-    cfg = cfg or witness.SearchConfig()
-    if spec.involution and space.involution is None:
-        raise InvalidInputError(f"{name} check requires an involution")
-    u = _unit_coeffs(space, u, spec.who)
-    if spec.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
-        raise InvalidInputError(f"{spec.who} must be selfadjoint ({spec.who} = {spec.who}*)")
-    _require_contraction(spec.who, spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1))))
-    if spec.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported(name, cfg, spec.unsupported)
-    cfg.guard_ambient(space)
-    proof = _ternary_proof(spec.proof, space, u)
-    if proof is None:
-        return spec.search(space, u, cfg)
-    return CheckReport(
-        criterion=name, verdict=HOLDS_WITHIN_BUDGET, margin=0.0, witness=None,
-        levels_checked=list(range(1, cfg.max_level + 1)), samples=0, config=cfg.to_dict(),
-        notes=[f"proved by the ternary identity {proof['identity']}; no search run"], proof=proof,
-    )
-
-
-def four_rotation_violation_at(space, u, elem: spaces.LevelElement) -> float:
-    """sqrt(1 + ||x||) - max_k ||u_n + i^k x|| evaluated at one element."""
-    return SEARCH_CRITERIA["unitary-four-rotation"].value_at(space, u, elem)
-
-
-def t_gadget_violation_at(space, v, elem: spaces.LevelElement) -> float:
-    return SEARCH_CRITERIA["unitary-t-gadget"].value_at(space, v, elem)
-
-
-def row_deviation_at(space, u, elem: spaces.LevelElement) -> float:
-    return SEARCH_CRITERIA["coisometry"].value_at(space, u, elem)
-
-
-def column_deviation_at(space, u, elem: spaces.LevelElement) -> float:
-    return SEARCH_CRITERIA["isometry"].value_at(space, u, elem)
-
-
-def r_gadget_deviation_at(space, v, elem: spaces.LevelElement) -> float:
-    return SEARCH_CRITERIA["operator-system"].value_at(space, v, elem)
-
-
-# ---------------------------------------------------------------------------
-# unitality, coisometry / isometry and operator systems: one SEARCH_CRITERIA row each
-
-
-def check_unitary_four_rotation(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Is u a unitary in X?  Searches for x with max_k ||u_n + i^k x|| < sqrt(1 + ||x||)."""
-    return _gadget_check("unitary-four-rotation", space, u, cfg)
-
-
-def check_unitary_t_gadget(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Same decision via the doubling gadget ||[[v_n, x], [0, v_n]]|| >= sqrt(1 + ||x||)."""
-    return _gadget_check("unitary-t-gadget", space, v, cfg)
-
-
-def check_coisometry(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Row test: ||[u_n  x]||^2 = 1 + ||x||^2 over norm-one x (deviation searched on the sphere)."""
-    return _gadget_check("coisometry", space, u, cfg)
-
-
-def check_isometry(space: spaces.SpaceRep, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Column test: ||[u_n ; x]||^2 = 1 + ||x||^2 over norm-one x."""
-    return _gadget_check("isometry", space, u, cfg)
-
-
-def check_operator_system(space: spaces.SpaceRep, v=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Does (X, *, v) carry an operator-system structure?  Tests ||r_x|| = sqrt(1 + ||x||^2)."""
-    return _gadget_check("operator-system", space, v, cfg)
+# The re-evaluators under their public names: each is its row's ``value_at``.
+four_rotation_violation_at = SEARCH_CRITERIA["unitary-four-rotation"].value_at
+t_gadget_violation_at = SEARCH_CRITERIA["unitary-t-gadget"].value_at
+row_deviation_at = SEARCH_CRITERIA["coisometry"].value_at
+column_deviation_at = SEARCH_CRITERIA["isometry"].value_at
+r_gadget_deviation_at = SEARCH_CRITERIA["operator-system"].value_at
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +752,14 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
 
 
 def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
-    """||[T(a); b]|| - ||[a; b]|| over stacks of coefficient grids."""
+    """||[T(a); b]|| - ||[a; b]|| over stacks of coefficient grids.
+
+    Each column [a; b] is the grid of a and the grid of b stacked along the
+    rows, an element of M_{2n,n}(X), measured through the space's blocks.
+    """
     Ta = np.einsum("lm,...ijm->...ijl", T, a_coeffs)
-    top = spaces.realize_stack(space, Ta)
-    bot = spaces.realize_stack(space, b_coeffs)
-    ref_top = spaces.realize_stack(space, a_coeffs)
-    lhs = matcore.op_norm_stack(np.concatenate([top, bot], axis=-2))
-    rhs = matcore.op_norm_stack(np.concatenate([ref_top, bot], axis=-2))
+    lhs = spaces.norm_stack(space, np.concatenate([Ta, b_coeffs], axis=-3))
+    rhs = spaces.norm_stack(space, np.concatenate([a_coeffs, b_coeffs], axis=-3))
     return lhs - rhs
 
 
@@ -833,8 +792,8 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     """Is the coefficient map T a contractive left multiplier?
 
     Samples pairs (a, b) in M_n(X) and checks the stacked-column contraction
-    ||[T(a); b]|| <= ||[a; b]||.  Each level draws ``max(8, cfg.restarts)``
-    pairs (the restart budget, reused) plus the pairs (a, a).
+    ||[T(a); b]|| <= ||[a; b]||.  Each level draws ``LEFT_MULTIPLIER_PAIRS``
+    pairs plus the pairs (a, a).
     """
     cfg = cfg or witness.SearchConfig()
     cfg.guard_ambient(space)
@@ -844,7 +803,7 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
         raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
     if space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
-    worst, worst_witness, samples = _worst_pair(space, T, cfg, max(8, cfg.restarts), _KEY_LEFT_MULT_MAP)
+    worst, worst_witness, samples = _worst_pair(space, T, cfg, LEFT_MULTIPLIER_PAIRS, _KEY_LEFT_MULT_MAP)
     verdict, found = HOLDS_WITHIN_BUDGET, None
     if worst > cfg.tolerance:
         n, a0, b0 = worst_witness
@@ -895,7 +854,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
         return _unsupported("algebra-product", cfg, _STACKED_COLUMNS)
 
     failed, notes = [], []
-    coiso = check_coisometry(space, u=u, cfg=cfg)
+    coiso = SEARCH_CRITERIA["coisometry"].check(space, u, cfg)
     samples = coiso.samples
     margins = [coiso.margin]
     if coiso.verdict != HOLDS_WITHIN_BUDGET:
@@ -923,7 +882,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
             failed.append("left-multiplier")
 
     unit_action = np.einsum("j,ijl->il", u, t)
-    resid = matcore.op_norm_stack(spaces.realize_stack(space, (unit_action - np.eye(k))[:, None, None, :]))
+    resid = spaces.norm_stack(space, (unit_action - np.eye(k))[:, None, None, :])
     unit_max = float(np.max(resid))
     samples += k
     margins.append(0.0 - unit_max)
@@ -981,12 +940,6 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
 # ---------------------------------------------------------------------------
 # catalog for the CLI
 
-CRITERION_RUNNERS = {
-    "unitary-four-rotation": check_unitary_four_rotation,
-    "unitary-t-gadget": check_unitary_t_gadget,
-    "coisometry": check_coisometry,
-    "isometry": check_isometry,
-    "operator-system": check_operator_system,
-    "mult-closed": check_mult_closed,
-    "cstar-among-systems": check_cstar_among_systems,
-}
+#: The checks run by name as (space, cfg=cfg): each searched row's ``check``, then the two closure checks.
+CRITERION_RUNNERS = {**{name: row.check for name, row in SEARCH_CRITERIA.items()},
+                     "mult-closed": check_mult_closed, "cstar-among-systems": check_cstar_among_systems}

@@ -78,7 +78,6 @@ restart, no cells) applies none.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -89,8 +88,6 @@ from . import matcore, spaces
 from .errors import InvalidInputError
 
 __all__ = ["SearchConfig", "SearchResult", "maximize_violation", "refine_witness"]
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SEED = 1729
 
@@ -291,8 +288,6 @@ def _ascent(objective, gradient, space, points, values, radius, mode, max_steps,
     active = np.ones(n_restarts, dtype=bool)
     dead = ~np.isfinite(values)
     if dead.any():
-        log.warning("objective returned non-finite values at %d start(s); aborting those restarts",
-                    int(dead.sum()))
         values = np.where(dead, -np.inf, values)
         active &= ~dead
     evaluations = np.ones(n_restarts, dtype=np.int64)

@@ -77,8 +77,8 @@ def test_03_symmetric_and_skew_identities():
 
 def test_04_sequence_space_example():
     t0 = time.monotonic()
-    rep_e1 = criteria.check_unitary_four_rotation(corpus.build_linf(3, "e1").space)
-    rep_ones = criteria.check_unitary_four_rotation(corpus.build_linf(3, "ones").space)
+    rep_e1 = criteria.CRITERION_RUNNERS["unitary-four-rotation"](corpus.build_linf(3, "e1").space)
+    rep_ones = criteria.CRITERION_RUNNERS["unitary-four-rotation"](corpus.build_linf(3, "ones").space)
     dt = time.monotonic() - t0
     ok = (rep_e1.verdict == criteria.VIOLATED
           and -rep_e1.margin >= SQRT2 - 1 - 1e-3
@@ -92,11 +92,11 @@ def test_04_sequence_space_example():
 
 def test_05_trace_norm_examples():
     tc2 = corpus.build_trace_class_2()
-    rep = criteria.check_unitary_four_rotation(tc2.space)
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](tc2.space)
     pinned = spaces.LevelElement(1, np.array([[[0, 0, 0.25, 0]]], dtype=complex))
     gap = criteria.four_rotation_violation_at(tc2.space, None, pinned)
     gap_dev = abs(gap - (math.sqrt(1.25) - math.sqrt(1.0625)))
-    l12 = criteria.check_unitary_four_rotation(corpus.build_lower_triangular_L12().space)
+    l12 = criteria.CRITERION_RUNNERS["unitary-four-rotation"](corpus.build_lower_triangular_L12().space)
     ok = (rep.verdict == criteria.VIOLATED
           and gap_dev <= 1e-9
           and -rep.margin >= 0.08
@@ -152,7 +152,7 @@ def test_08_doubling_space_round_trip(criterion_cache):
         entry = {e.name: e for e in corpus.build_corpus()}[name]
         base = criterion_cache(name, "unitary-four-rotation").verdict
         doubled_space = build_Ue(entry.space, entry.space.unit)
-        doubled = criteria.check_unitary_four_rotation(doubled_space).verdict
+        doubled = criteria.CRITERION_RUNNERS["unitary-four-rotation"](doubled_space).verdict
         ok = ok and base == doubled == want
         results.append(f"{name}: {base}/{doubled}")
     gate("8 doubling-space round trip", ok, "; ".join(results))
@@ -196,8 +196,8 @@ def test_09_positivity_suite():
 def test_10_operator_system_criterion(criterion_cache):
     full = criterion_cache("full_matrix_2", "operator-system")
     twisted_space = corpus.build_twisted_selfadjoint().space
-    rep_a = criteria.check_operator_system(twisted_space)
-    rep_b = criteria.check_operator_system(twisted_space)
+    rep_a = criteria.CRITERION_RUNNERS["operator-system"](twisted_space)
+    rep_b = criteria.CRITERION_RUNNERS["operator-system"](twisted_space)
     reproducible = (rep_a.verdict == rep_b.verdict == criteria.VIOLATED
                     and rep_a.margin == rep_b.margin
                     and rep_a.witness["coeffs"] == rep_b.witness["coeffs"])

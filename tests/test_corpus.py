@@ -75,13 +75,13 @@ def test_multiplication_tensor_does_not_depend_on_the_basis_scale(scale):
 
 def test_trace_class_alpha_half_also_violates():
     entry = corpus.build_trace_class_2(alpha=0.5)
-    rep = criteria.check_unitary_four_rotation(entry.space)
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](entry.space)
     assert rep.verdict == criteria.VIOLATED
 
 
 def test_scalar_sup_space_holds():
     entry = corpus.build_linf(1)
-    rep = criteria.check_unitary_four_rotation(entry.space, cfg=witness.SearchConfig(restarts=16))
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](entry.space, cfg=witness.SearchConfig(restarts=16))
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
 
 

@@ -67,7 +67,7 @@ def test_t_gadget_verdicts(criterion_cache):
 
 def test_t_gadget_oracle_unsupported():
     space = corpus.build_trace_class_2().space
-    rep = criteria.check_unitary_t_gadget(space)
+    rep = criteria.CRITERION_RUNNERS["unitary-t-gadget"](space)
     assert rep.verdict == criteria.UNSUPPORTED_LEVEL
     assert rep.levels_checked == []
 
@@ -75,9 +75,50 @@ def test_t_gadget_oracle_unsupported():
 def test_unit_preconditions(m2_entry):
     space = corpus.build_non_algebra_span().space  # no distinguished element
     with pytest.raises(InvalidInputError):
-        criteria.check_unitary_four_rotation(space)
+        criteria.CRITERION_RUNNERS["unitary-four-rotation"](space)
     with pytest.raises(InvalidInputError):
-        criteria.check_unitary_four_rotation(m2_entry.space, u=2 * m2_entry.space.unit)
+        criteria.CRITERION_RUNNERS["unitary-four-rotation"](m2_entry.space, u=2 * m2_entry.space.unit)
+
+
+#: The re-evaluator of each searched row, by the name callers look it up by.
+REEVALUATORS = {
+    "unitary-four-rotation": "four_rotation_violation_at",
+    "unitary-t-gadget": "t_gadget_violation_at",
+    "coisometry": "row_deviation_at",
+    "isometry": "column_deviation_at",
+    "operator-system": "r_gadget_deviation_at",
+}
+
+
+def test_runners_are_the_searched_rows_then_the_two_closure_checks():
+    assert list(criteria.SEARCH_CRITERIA) == list(REEVALUATORS)
+    assert list(criteria.CRITERION_RUNNERS) == [*REEVALUATORS, "mult-closed", "cstar-among-systems"]
+    for name, row in criteria.SEARCH_CRITERIA.items():
+        assert criteria.CRITERION_RUNNERS[name] == row.check
+    assert criteria.CRITERION_RUNNERS["mult-closed"] is criteria.check_mult_closed
+    assert criteria.CRITERION_RUNNERS["cstar-among-systems"] is criteria.check_cstar_among_systems
+
+
+def first_violated(corpus_entries, corpus_reports, crit):
+    """(entry, report) of the first corpus entry whose ``crit`` report is VIOLATED."""
+    return next((corpus_entries[name], reports[crit]) for name, reports in corpus_reports.items()
+                if crit in reports and reports[crit].verdict == criteria.VIOLATED)
+
+
+@pytest.mark.parametrize("crit", list(REEVALUATORS))
+def test_each_row_check_reports_what_the_corpus_runs(corpus_entries, corpus_reports, crit):
+    entry, rep = first_violated(corpus_entries, corpus_reports, crit)
+    cfg = corpus.entry_config(entry, witness.SearchConfig())
+    assert criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=cfg).to_dict() == rep.to_dict()
+
+
+@pytest.mark.parametrize("crit", list(REEVALUATORS))
+def test_each_reevaluator_reproduces_a_corpus_violation(corpus_entries, corpus_reports, crit):
+    entry, rep = first_violated(corpus_entries, corpus_reports, crit)
+    reevaluate = getattr(criteria, REEVALUATORS[crit])
+    value = reevaluate(entry.space, entry.space.unit, rep.witness_element())
+    assert value == pytest.approx(rep.witness["aux"]["violation"], abs=1e-9)
+    assert value == criteria.SEARCH_CRITERIA[crit].value_at(entry.space, None, rep.witness_element())
 
 
 def test_violated_witnesses_reproduce_margins(corpus_entries, corpus_reports):
@@ -144,21 +185,21 @@ def test_operator_system_verdicts(criterion_cache):
 def test_operator_system_scalars_hold():
     space = spaces.make_space(np.eye(2).reshape(1, 2, 2), unit=np.array([1.0]),
                               involution=np.eye(1))
-    rep = criteria.check_operator_system(space, cfg=witness.SearchConfig(restarts=16))
+    rep = criteria.CRITERION_RUNNERS["operator-system"](space, cfg=witness.SearchConfig(restarts=16))
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
 
 
 def test_operator_system_preconditions(m2_entry):
     no_inv = corpus.build_column_H2().space
     with pytest.raises(InvalidInputError):
-        criteria.check_operator_system(no_inv)
+        criteria.CRITERION_RUNNERS["operator-system"](no_inv)
     # on a level-1 oracle space the missing involution is reported before UNSUPPORTED_LEVEL
     with pytest.raises(InvalidInputError, match="requires an involution"):
-        criteria.check_operator_system(corpus.build_trace_class_2().space)
+        criteria.CRITERION_RUNNERS["operator-system"](corpus.build_trace_class_2().space)
     space = m2_entry.space
     not_selfadjoint = np.array([0, 1.0, 0, 0])  # E_12
     with pytest.raises(InvalidInputError, match="selfadjoint"):
-        criteria.check_operator_system(space, v=not_selfadjoint)
+        criteria.CRITERION_RUNNERS["operator-system"](space, u=not_selfadjoint)
 
 
 @pytest.mark.parametrize("name,reason", [
@@ -181,7 +222,7 @@ def test_level1_oracle_refusal_states_its_reason(name, reason):
 ], ids=["E12", "5E11"])
 def test_level1_oracle_space_refuses_an_invalid_unit_before_unsupported_level(v, match):
     with pytest.raises(InvalidInputError, match=match):
-        criteria.check_operator_system(oracle_space_with_involution(), v=v)
+        criteria.CRITERION_RUNNERS["operator-system"](oracle_space_with_involution(), u=v)
 
 
 @pytest.mark.parametrize("bad", [
@@ -646,8 +687,7 @@ def all_criteria_reports(entry, criterion_cache):
     """The reports of the 14 criteria on one square corpus entry, where each applies.
 
     The searched rows, ``mult-closed``, ``algebra-product`` and ``cstar`` as the
-    corpus runs them; the multipliers on basis element 0; and, on ambients up
-    to 8 x 8 (on ``l1_2_model_64`` they take seconds), ``positive`` on the
+    corpus runs them; the multipliers on basis element 0; ``positive`` on the
     unit, ``adjoint`` on a contractive x against x* and against x, and
     ``left-multiplier-map`` with the identity and with the coefficients reversed.
     """
@@ -655,8 +695,6 @@ def all_criteria_reports(entry, criterion_cache):
     cfg = corpus.entry_config(entry, witness.SearchConfig())
     reports = [criterion_cache(entry.name, crit) for crit in entry.expected]
     reports += [criteria.check_multiplier(space, space.basis[0], side, cfg) for side in ("left", "right", "quasi")]
-    if space.p > 8:
-        return reports
     if space.unit is not None:
         reports.append(criteria.check_positive(space, spaces.unit_element(space), cfg))
     x = space.basis[0] / matcore.op_norm(space.basis[0])
@@ -684,6 +722,16 @@ def test_left_multiplier_map_checks_T_before_the_level1_oracle_refusal():
     with pytest.raises(ShapeError, match="T must be a 4x4 coefficient matrix"):
         criteria.check_left_multiplier_map(space, np.eye(3))
     assert criteria.check_left_multiplier_map(space, np.eye(4)).verdict == criteria.UNSUPPORTED_LEVEL
+
+
+def test_left_multiplier_map_draws_its_own_pairs_whatever_the_restarts(m2_entry):
+    # each level draws LEFT_MULTIPLIER_PAIRS pairs and adds the pairs (a, a); the search budget is not read
+    space = m2_entry.space
+    reports = [criteria.check_left_multiplier_map(space, 2 * np.eye(4), witness.SearchConfig(restarts=r))
+               for r in (0, 8, 64, 256)]
+    for rep in reports:
+        assert rep.samples == 2 * 2 * criteria.LEFT_MULTIPLIER_PAIRS  # two levels, each pair with its (a, a)
+        assert (rep.verdict, rep.margin, rep.witness) == (reports[0].verdict, reports[0].margin, reports[0].witness)
 
 
 def test_left_multiplier_map_examples(m2_entry):
@@ -763,7 +811,7 @@ def test_algebra_product_proof_agrees_with_the_sampled_pairs(name, monkeypatch):
     assert aux["product_residual"] <= criteria.PROOF_TOL and "multiplier_max_deviation" not in aux
     assert len(proved.notes) == 1 and proved.notes[0].startswith("left-multiplier sub-check proved")
     # the proof counts the k^2 basis products it measured in place of the sampled pairs
-    coisometry = criteria.check_coisometry(space, u=space.unit)
+    coisometry = criteria.CRITERION_RUNNERS["coisometry"](space, u=space.unit)
     assert proved.samples == coisometry.samples + k * k + k
     # with every proof off, the coisometry row test is searched too
     monkeypatch.setattr(criteria, "PROOF_TOL", -1.0)
@@ -956,7 +1004,7 @@ def test_zero_restarts_inconclusive():
     # full_matrix_2 is proved without a search; its I + I/2 copy has no proof and must search
     space = corpus.build_full_matrix_plus_half(2).space
     cfg = witness.SearchConfig(restarts=0)
-    rep = criteria.check_unitary_four_rotation(space, cfg=cfg)
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, cfg=cfg)
     assert rep.verdict == criteria.INCONCLUSIVE
     assert rep.samples == 0
 

@@ -7,7 +7,9 @@ measured alone and every pick is a strict ``>`` scan.  The stacked code must
 reproduce their reports byte for byte, at two seeds.  The Gram identity
 ||[A, B]||^2 = ||A A* + B B*|| behind the exactness of the C*-check's rows is
 checked against the explicit rows' ``op_norm`` to 1e-13 relative on every
-tested space.
+tested space.  The left-multiplier columns [T(a); b], measured through the
+space's blocks, match the dense columns bit for bit on one-block spaces and
+to 1e-13 relative on spaces of 2, 3 and 64 blocks.
 """
 
 import json
@@ -454,3 +456,44 @@ def test_stacked_residuals_are_single_matrix_residuals():
     assert got.shape == (4, 5)
     assert got.tobytes() == ref_residual_stack(space, ms).tobytes()
     assert spaces.membership_residual_stack(space, space.basis).max() < 1e-12
+
+
+def ref_stacked_pair_norms(space, T, a, b):
+    """(||[T(a); b]||, ||[a; b]||) with each column realized as one dense ambient matrix."""
+    top = spaces.realize_stack(space, np.einsum("lm,...ijm->...ijl", T, a))
+    bot, ref_top = spaces.realize_stack(space, b), spaces.realize_stack(space, a)
+    return (matcore.op_norm_stack(np.concatenate([top, bot], axis=-2)),
+            matcore.op_norm_stack(np.concatenate([ref_top, bot], axis=-2)))
+
+
+def pair_grids(space, level, seed):
+    """Eight pairs (a, b) of the level, the maps T = 1, the reversed basis and 2 T_rand / ||T_rand||."""
+    rng = matcore.stream(seed, 3, level)
+    a, b = (spaces.random_stack(space, level, rng, 8) for _ in range(2))
+    t = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    return a, b, (np.eye(space.dim), np.eye(space.dim)[::-1], 2 * t / np.linalg.norm(t, 2))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name, blocks", [("linf3", 3), ("full_matrix_2_plus_half", 2), ("l1_2_model_64", 64)])
+def test_pair_deviations_through_the_blocks_match_the_dense_columns(name, blocks, level):
+    space = {"linf3": lambda: corpus.build_linf(3, "ones"),
+             "full_matrix_2_plus_half": lambda: corpus.build_full_matrix_plus_half(2),
+             "l1_2_model_64": lambda: corpus.build_l1_2_model(64)}[name]().space
+    assert space.blocks.shape[1] == blocks
+    a, b, maps = pair_grids(space, level, 7)
+    for T in maps:
+        lhs, rhs = ref_stacked_pair_norms(space, T, a, b)
+        got = criteria._stacked_pair_deviations(space, T, a, b)
+        assert (np.abs(got - (lhs - rhs)) <= 1e-13 * np.maximum(lhs, rhs)).all()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name", ["full_matrix_2", "upper_triangular_3"])
+def test_pair_deviations_on_one_block_are_the_dense_columns_bit_for_bit(name, level):
+    space = SPACES[name]()
+    assert space.blocks.shape[1] == 1
+    a, b, maps = pair_grids(space, level, 7)
+    for T in maps:
+        lhs, rhs = ref_stacked_pair_norms(space, T, a, b)
+        assert criteria._stacked_pair_deviations(space, T, a, b).tobytes() == (lhs - rhs).tobytes()

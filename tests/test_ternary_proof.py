@@ -114,7 +114,7 @@ def test_level1_oracle_spaces_always_search(monkeypatch):
     space = spaces.make_space(np.array([[[1.0, 0.0], [0.0, 0.0]]]), unit=[1.0],
                               norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
     assert criteria._ternary_proof("both", space, space.unit) is None
-    rep = criteria.check_unitary_four_rotation(space, cfg=SMALL)
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, cfg=SMALL)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
     assert rep.proof is None and rep.samples > 0
 
@@ -122,9 +122,9 @@ def test_level1_oracle_spaces_always_search(monkeypatch):
 def test_the_unit_passed_in_decides_the_proof(monkeypatch):
     space = corpus.build_full_matrix(2).space
     swap = np.array([0, 1, 1, 0], dtype=complex)  # E12 + E21, another unitary of M_2
-    assert criteria.check_unitary_four_rotation(space, u=swap).proof is not None
+    assert criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, u=swap).proof is not None
     monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
-    rep = criteria.check_coisometry(space, u=np.array([1, 0, 0, 0], dtype=complex), cfg=SMALL)
+    rep = criteria.CRITERION_RUNNERS["coisometry"](space, u=np.array([1, 0, 0, 0], dtype=complex), cfg=SMALL)
     assert rep.verdict == criteria.VIOLATED and rep.proof is None
 
 
@@ -143,13 +143,13 @@ def test_identity_residual_is_relative_to_the_basis_element():
 def test_preconditions_still_refuse_before_the_proof():
     space = corpus.build_full_matrix(2).space
     with pytest.raises(InvalidInputError, match="restarts"):
-        criteria.check_coisometry(space, cfg=witness.SearchConfig(restarts=-1))
+        criteria.CRITERION_RUNNERS["coisometry"](space, cfg=witness.SearchConfig(restarts=-1))
     with pytest.raises(InvalidInputError, match="ambient guard"):
-        criteria.check_coisometry(space, cfg=witness.SearchConfig(max_level=300))
+        criteria.CRITERION_RUNNERS["coisometry"](space, cfg=witness.SearchConfig(max_level=300))
     with pytest.raises(InvalidInputError, match="contraction"):
-        criteria.check_coisometry(space, u=2 * space.unit)
+        criteria.CRITERION_RUNNERS["coisometry"](space, u=2 * space.unit)
     with pytest.raises(InvalidInputError, match="selfadjoint"):
-        criteria.check_operator_system(space, v=np.array([0, 1, 0, 0], dtype=complex))
+        criteria.CRITERION_RUNNERS["operator-system"](space, u=np.array([0, 1, 0, 0], dtype=complex))
 
 
 def test_report_with_proof_round_trips(criterion_cache):

@@ -482,8 +482,7 @@ def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_
     snapping = corpus.run_check(entry.space, criterion, cfg)
     monkeypatch.setattr(witness, "SNAP_STEPS", 0)
     spec = criteria.SEARCH_CRITERIA[criterion]
-    monkeypatch.setitem(criteria.SEARCH_CRITERIA, criterion, dataclasses.replace(spec, cap=None))
-    plain = corpus.run_check(entry.space, criterion, cfg)
+    plain = dataclasses.replace(spec, cap=None).check(entry.space, cfg=cfg)
     assert plain.verdict == snapping.verdict == criteria.VIOLATED
     assert plain.margin == pytest.approx(margin, rel=1e-12, abs=0)
     assert plain.samples == samples
@@ -610,7 +609,7 @@ def test_violation_in_a_shell_near_the_origin_is_still_found(m2):
 def test_unit_of_norm_below_one_is_violated_at_the_origin():
     # f(0) = 1 - ||u|| = 0.1: the search converges to the origin
     space = corpus.build_l1_2_diag_trace().space
-    rep = criteria.check_unitary_four_rotation(space, u=np.array([0.9, 0.0]), cfg=witness.SearchConfig())
+    rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, u=np.array([0.9, 0.0]))
     assert rep.verdict == criteria.VIOLATED
     assert rep.margin == pytest.approx(-0.1, abs=1e-8)
     assert rep.witness["aux"]["witness_norm"] < 1e-6
