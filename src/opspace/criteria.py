@@ -305,10 +305,12 @@ def _hypot1_slope(nx):
     return nx / np.sqrt(1.0 + nx**2)
 
 
-# Caps: the largest value a ball row's objective takes on the ball of radius
-# r, given the norm nu of its distinguished element.  Each follows from the
-# triangle inequality alone, so it holds for every norm, the trace-norm
-# oracle included.
+# Caps: the largest value a row's objective takes on the ball of radius r (on
+# the sphere, for the sphere rows), given the norm nu of its distinguished
+# element.  The ball caps follow from the triangle inequality alone, so they
+# hold for every norm, the trace-norm oracle included; the sphere cap also
+# uses ||[a  b]||^2 = ||a a* + b b*||, which holds in every block of an
+# embedded space, the only spaces the sphere rows search.
 
 
 def _unitary_cap(r, nu):
@@ -327,6 +329,17 @@ def _skew_cap(r, nu):
     the target in [1, sqrt(1 + r^2)].
     """
     return max(nu + r - 1.0, math.sqrt(1.0 + r * r) - nu)
+
+
+def _sphere_cap(r, nu):
+    """| ||[u_n  x]|| - sqrt(1 + r^2) | <= max(sqrt(1 + r^2) - max(nu, r), sqrt(nu^2 + r^2) - sqrt(1 + r^2)).
+
+    For ||x|| = r, ||[u_n  x]|| and ||[u_n ; x]|| lie in [max(nu, r),
+    sqrt(nu^2 + r^2)]: u_n and x are corners, and the square of the row's
+    norm is ||u_n u_n* + x x*|| (of the column's, ||u_n* u_n + x* x||).
+    """
+    target = math.sqrt(1.0 + r * r)
+    return max(target - max(nu, r), math.sqrt(nu * nu + r * r) - target)
 
 
 @dataclass(frozen=True)
@@ -355,7 +368,7 @@ class SearchCriterion:
     sphere: bool = False  # search norm-one x; otherwise balls at the swept radii
     unsupported: str | None = None  # UNSUPPORTED_LEVEL reason on level-1-oracle spaces
     involution: bool = False  # needs the space's involution and a selfadjoint unit
-    cap: Callable | None = None  # (radius, ||u||) -> the objective's bound on that ball; None on the sphere
+    cap: Callable | None = None  # (radius, ||u||) -> the objective's bound on that ball or sphere
 
     def objective(self, space, u, level):
         """(objective, gradient) at one level.
@@ -437,8 +450,8 @@ class SearchCriterion:
         come largest first, since every smaller ball is contained in the
         largest one; that order fixes each cell's stream key and trace
         position, and a later cell replaces the best only when strictly
-        better.  A ball row's caps bound the objective on each radius's ball
-        at every level.
+        better.  A row's caps bound the objective on each radius's ball (or
+        sphere) at every level.
         """
         levels, notes = list(range(1, cfg.max_level + 1)), []
         if space.norm_mode == spaces.LEVEL1_ORACLE:
@@ -524,10 +537,10 @@ SEARCH_CRITERIA = {c.name: c for c in (
                     cap=_unitary_cap, shows="||[[v_n, x], [0, v_n]]||", target_text="sqrt(1 + ||x||)"),
     SearchCriterion("coisometry", 3, "u", "row", _hypot1, _hypot1_slope, signed=False,
                     sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
-                    proof="left", shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
+                    proof="left", cap=_sphere_cap, shows="||[u_n  x]||", target_text="sqrt(1 + ||x||^2)"),
     SearchCriterion("isometry", 4, "u", "column", _hypot1, _hypot1_slope, signed=False,
                     sphere=True, unsupported="row/column gadgets need rectangular blocks over X",
-                    proof="right", shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
+                    proof="right", cap=_sphere_cap, shows="||[u_n ; x]||", target_text="sqrt(1 + ||x||^2)"),
     SearchCriterion("operator-system", 5, "v", "r", _hypot1, _hypot1_slope, signed=False,
                     involution=True, unsupported="the skew gadget needs 2x2 blocks over X",
                     proof="corner-unit", cap=_skew_cap, shows="||[[v_n, x], [-x*, v_n]]||",

@@ -8,12 +8,13 @@ norm layer.
 Each suite group draws from one stream: a pair suite from (seed, suite), a
 gadget suite from (seed, suite, space, level) for each of its (space, level)
 groups.  One ``normal`` call fills the whole group in trial-major order, so
-trial t gets what the t-th of successive ``matcore.rand_cmat`` (pairs) or
-one-grid ``spaces.random_stack`` (gadgets) calls on that stream would draw,
-and its matrices do not depend on how many trials run.  The trials are then
-evaluated as stacks: the pair suites as (trials, 3, 3) stacks of a and b, the
-gadget suites one (space, level) group at a time, realized, measured with
-``spaces.norm_stack`` and assembled with the ``gadgets`` stack helpers.
+trial t gets what the t-th of successive draws of one standard complex
+Gaussian 3 x 3 matrix (pairs) or one-grid ``spaces.random_stack`` (gadgets)
+calls on that stream would draw, and its matrices do not depend on how many
+trials run.  The trials are then evaluated as stacks: the pair suites as
+(trials, 3, 3) stacks of a and b, the gadget suites one (space, level)
+group at a time, realized, measured with ``spaces.norm_stack`` and
+assembled with the ``gadgets`` stack helpers.
 Every pair and gadget norm is one ``matcore.op_norm_stack`` call per stack,
 the kernel that ``matcore.op_norm`` runs on a single matrix, so every
 deviation is bit for bit what one trial at a time gives.
@@ -68,8 +69,9 @@ def t_norm_closed_form(s):
 def _pair_stacks(trials: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
     """(trials, 3, 3) stacks of a and b from the stream (seed, tag).
 
-    Trial t's a and b are the (2t)-th and (2t+1)-th of successive
-    ``rand_cmat(3, 3, rng)`` draws: each the real parts, then the imaginary parts.
+    Trial t's a and b are the (2t)-th and (2t+1)-th of successive draws of
+    one 3 x 3 matrix (z / sqrt(2), z standard complex Gaussian): each the real
+    parts, then the imaginary parts.
     """
     z = matcore.stream(seed, tag).normal(size=(trials, 2, 2, 3, 3))
     pairs = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)

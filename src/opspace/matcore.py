@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic: norms, block assembly, amplification, seeded sampling.
+"""Dense complex matrix arithmetic: norms, amplification, seeded streams.
 
 Matrices are plain ``numpy.ndarray`` objects with ``dtype=complex128`` and two
 axes.  The "stack" variants accept any number of leading batch axes and are the
@@ -51,10 +51,8 @@ __all__ = [
     "op_norm",
     "trace_norm",
     "dagger",
-    "block",
     "scalar_amplify",
     "stream",
-    "rand_cmat",
     "op_norm_stack",
     "trace_norm_stack",
     "norm_cotangent_stack",
@@ -96,28 +94,6 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m, dtype=np.complex128), -1, -2))
 
 
-def block(blocks) -> np.ndarray:
-    """Assemble a grid (list of rows) of matrices into one matrix.
-
-    Raises ShapeError when row heights or column widths are ragged.
-    """
-    rows = [[as_cmat(b, check_finite=False) for b in row] for row in blocks]
-    if not rows or not rows[0]:
-        raise ShapeError("block grid must be non-empty")
-    ncols = len(rows[0])
-    for row in rows:
-        if len(row) != ncols:
-            raise ShapeError("block grid rows have differing lengths")
-        heights = {b.shape[0] for b in row}
-        if len(heights) != 1:
-            raise ShapeError("blocks within a grid row have differing row counts")
-    for j in range(ncols):
-        widths = {row[j].shape[1] for row in rows}
-        if len(widths) != 1:
-            raise ShapeError("blocks within a grid column have differing column counts")
-    return np.block([[b for b in row] for row in rows])
-
-
 def scalar_amplify(m, n: int) -> np.ndarray:
     """Block-diagonal matrices with ``n`` copies of each m of a stack (..., p, q) -> (..., np, nq).
 
@@ -144,14 +120,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def rand_cmat(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of independent standard complex Gaussian entries drawn from ``rng``."""
-    if rows < 1 or cols < 1:
-        raise InvalidInputError("matrix dimensions must be positive")
-    z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    return z / np.sqrt(2.0)
 
 
 # the smallest normal double, a power of two: dividing by it is exact, and it

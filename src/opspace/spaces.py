@@ -58,13 +58,11 @@ __all__ = [
     "membership_residual_stack",
     "project_stack",
     "coefficients_of",
-    "apply_involution",
     "involution_stack",
     "unit_element",
     "unit_matrix",
     "random_stack",
     "scale_to_norms",
-    "zero_element",
 ]
 
 RANK_TOL = 1e-10
@@ -514,11 +512,6 @@ def involution_stack(space: SpaceRep, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("lm,...ijm->...jil", space.involution, np.conj(coeffs))
 
 
-def apply_involution(space: SpaceRep, x: LevelElement) -> LevelElement:
-    """The element x* = [x*_{ji}]: grid transposed, coefficients c -> S conj(c)."""
-    return LevelElement(x.level, involution_stack(space, x.coeffs))
-
-
 def unit_element(space: SpaceRep) -> LevelElement:
     if space.unit is None:
         raise InvalidInputError("space has no distinguished element")
@@ -527,10 +520,6 @@ def unit_element(space: SpaceRep) -> LevelElement:
 
 def unit_matrix(space: SpaceRep) -> np.ndarray:
     return realize_stack(space, unit_element(space).coeffs)
-
-
-def zero_element(space: SpaceRep, level: int = 1) -> LevelElement:
-    return LevelElement(level, np.zeros((level, level, space.dim), dtype=np.complex128))
 
 
 def random_stack(space: SpaceRep, level: int, rng: np.random.Generator, count: int) -> np.ndarray:

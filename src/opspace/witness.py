@@ -57,9 +57,9 @@ rule that stopped it.
   call and replaces the point when it beats them and improves it, keeping
   the restart's step.  A snap zeroes whole complex coefficients and never
   reaches the origin, where late winners pass on their way out.
-- Cap stop.  A caller may give each ball cell a cap: a bound its objective
-  cannot exceed on the cell's ball (``SearchCriterion.cap``, from the
-  triangle inequality).  After each step a cell stops all its active
+- Cap stop.  A caller may give each cell a cap: a bound its objective
+  cannot exceed on the cell's ball or sphere (``SearchCriterion.cap``, from
+  the triangle inequality).  After each step a cell stops all its active
   restarts once it cannot beat the best found, bounding as in
   branch-and-bound (Land-Doig 1960): when it is violated and its best is
   within ``_STALL_EPS`` of its own cap, so that no trial can be accepted, or
@@ -426,10 +426,10 @@ def maximize_violation(
     the restarts of all cells ascend in one lockstep batch under the cell
     rules of the module docstring, a cell being violated once its best
     exceeds cfg.tolerance.  ``caps``, one per cell or None, bound the
-    objective on each cell's ball.  Returns one SearchResult per cell, in
-    the order given; each is exactly what a call with that cell (and its
-    cap) alone returns, unless its cap lies below another cell's violation,
-    so that it cannot hold the winner.  A cell's best is its restarts' best.
+    objective on each cell's ball or sphere.  Returns one SearchResult per
+    cell, in the order given; each is exactly what a call with that cell
+    (and its cap) alone returns, unless its cap lies below another cell's
+    violation, so that it cannot hold the winner.  A cell's best is its restarts' best.
     A result's ``restart_bests`` holds the value each restart had when it
     stopped, and ``stopped`` and ``capped`` count the restarts stopped by
     the race and the cap stop.

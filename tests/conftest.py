@@ -5,6 +5,48 @@ from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError, NumericalError, ShapeError
 
 
+# Test-only constructors: no module of the package calls them.
+
+
+def block(blocks) -> np.ndarray:
+    """Assemble a grid (list of rows) of matrices into one matrix.
+
+    Raises ShapeError when row heights or column widths are ragged.
+    """
+    rows = [[matcore.as_cmat(b, check_finite=False) for b in row] for row in blocks]
+    if not rows or not rows[0]:
+        raise ShapeError("block grid must be non-empty")
+    ncols = len(rows[0])
+    for row in rows:
+        if len(row) != ncols:
+            raise ShapeError("block grid rows have differing lengths")
+        heights = {b.shape[0] for b in row}
+        if len(heights) != 1:
+            raise ShapeError("blocks within a grid row have differing row counts")
+    for j in range(ncols):
+        widths = {row[j].shape[1] for row in rows}
+        if len(widths) != 1:
+            raise ShapeError("blocks within a grid column have differing column counts")
+    return np.block([[b for b in row] for row in rows])
+
+
+def rand_cmat(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of independent standard complex Gaussian entries drawn from ``rng``."""
+    if rows < 1 or cols < 1:
+        raise InvalidInputError("matrix dimensions must be positive")
+    z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return z / np.sqrt(2.0)
+
+
+def apply_involution(space, x):
+    """The element x* = [x*_{ji}]: grid transposed, coefficients c -> S conj(c)."""
+    return spaces.LevelElement(x.level, spaces.involution_stack(space, x.coeffs))
+
+
+def zero_element(space, level: int = 1):
+    return spaces.LevelElement(level, np.zeros((level, level, space.dim), dtype=np.complex128))
+
+
 @pytest.fixture(scope="session")
 def default_cfg():
     return witness.SearchConfig()
@@ -67,15 +109,15 @@ def gadget_operands(space, x):
 def symmetric_gadget(space, x):
     """[[u_n, x], [x*, u_n]] of one element, x* from the space's involution, as ``formulas`` forms it."""
     un, X = gadget_operands(space, x)
-    return gadgets.two_by_two_stack(un, X, spaces.realize(space, spaces.apply_involution(space, x)), un)
+    return gadgets.two_by_two_stack(un, X, spaces.realize(space, apply_involution(space, x)), un)
 
 
 def mult_rows(x, y, z, b):
     """The 2x4 block matrix [[0, y, 1, 0], [2, x, z, b]] and its row [2, x, z, b], for single d x d entries."""
     one = np.eye(x.shape[0], dtype=np.complex128)
     zero = np.zeros_like(one)
-    return (matcore.block([[zero, y, one, zero], [2 * one, x, z, b]]),
-            matcore.block([[2 * one, x, z, b]]))
+    return (block([[zero, y, one, zero], [2 * one, x, z, b]]),
+            block([[2 * one, x, z, b]]))
 
 
 # The paper's multiplicative rows, the oracle the closure checks are tested

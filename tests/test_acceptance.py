@@ -9,8 +9,8 @@ import numpy as np
 from opspace import cli, corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.formulas import t_norm_closed_form
 
-from conftest import (build_M_pm, build_Ue, closure_row_deviations, gadget_operands, proof_b, random_element,
-                      symmetric_gadget)
+from conftest import (block, build_M_pm, build_Ue, closure_row_deviations, gadget_operands, proof_b, rand_cmat,
+                      random_element, symmetric_gadget)
 
 SQRT2 = math.sqrt(2)
 
@@ -25,11 +25,11 @@ def test_01_pair_identities():
     worst1 = worst2 = 0.0
     for t in range(200):
         rng = matcore.stream(101, t)
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
-        lhs1 = matcore.op_norm(matcore.block([[a, b], [b, a]]))
+        a = rand_cmat(3, 3, rng)
+        b = rand_cmat(3, 3, rng)
+        lhs1 = matcore.op_norm(block([[a, b], [b, a]]))
         worst1 = max(worst1, abs(lhs1 - max(matcore.op_norm(a + b), matcore.op_norm(a - b))))
-        lhs2 = matcore.op_norm(matcore.block([[a, -b], [b, a]]))
+        lhs2 = matcore.op_norm(block([[a, -b], [b, a]]))
         worst2 = max(worst2, abs(lhs2 - max(matcore.op_norm(a + 1j * b),
                                             matcore.op_norm(a - 1j * b))))
     dt = time.monotonic() - t0
@@ -167,7 +167,7 @@ def test_09_positivity_suite():
     pos_fail = neg_fail = 0
     for t in range(50):
         rng = matcore.stream(109, 0, t)
-        g = matcore.rand_cmat(3, 3, rng)
+        g = rand_cmat(3, 3, rng)
         p = matcore.dagger(g) @ g
         p /= matcore.op_norm(p)
         if criteria.check_positive(m3, p).verdict != criteria.HOLDS_WITHIN_BUDGET:
@@ -177,7 +177,7 @@ def test_09_positivity_suite():
     while found < 50:
         rng = matcore.stream(109, 1, t)
         t += 1
-        g = matcore.rand_cmat(3, 3, rng)
+        g = rand_cmat(3, 3, rng)
         h = (g + matcore.dagger(g)) / 2
         h /= matcore.op_norm(h)
         if float(np.linalg.eigvalsh(h).min()) > -0.1:
@@ -240,7 +240,7 @@ def test_11_multiplication_closure_cross_validation():
     for t in range(20):
         rng = matcore.stream(111, t)
         k = int(rng.integers(2, 5))
-        basis = np.stack([matcore.rand_cmat(3, 3, rng) for _ in range(k)])
+        basis = np.stack([rand_cmat(3, 3, rng) for _ in range(k)])
         space = spaces.make_space(basis)
         rep = criteria.check_mult_closed(space)
         if rep.verdict == criteria.VIOLATED and breaks_the_row_identity(space, rep):
@@ -256,9 +256,9 @@ def test_12_cstar_row_identities():
     rep = criteria.check_cstar_among_systems(space)
     worst_perturbed = 0.0
     rng = matcore.stream(112, 0)
-    x = matcore.rand_cmat(2, 2, rng)
+    x = rand_cmat(2, 2, rng)
     x /= max(1.0, matcore.op_norm(x))
-    y = matcore.rand_cmat(2, 2, rng)
+    y = rand_cmat(2, 2, rng)
     y /= max(1.0, matcore.op_norm(y))
     z_good = -x @ matcore.dagger(y)
     b = proof_b(x, y, z_good)
@@ -267,7 +267,7 @@ def test_12_cstar_row_identities():
         for mlev in (1, 2):
             amp = matcore.scalar_amplify(m, mlev)
             for t in range(16):
-                w = matcore.rand_cmat(2 * mlev * 2, 2 * mlev * 2, matcore.stream(112, 1, mlev, t))
+                w = rand_cmat(2 * mlev * 2, 2 * mlev * 2, matcore.stream(112, 1, mlev, t))
                 w /= matcore.op_norm(w)
                 row = np.concatenate([amp, w], axis=1)
                 worst_perturbed = max(worst_perturbed, abs(matcore.op_norm(row) - SQRT2))

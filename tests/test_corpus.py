@@ -8,6 +8,8 @@ import pytest
 from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError
 
+from conftest import zero_element
+
 
 def test_every_entry_matches_expected(corpus_entries, corpus_reports):
     mismatches = []
@@ -102,7 +104,7 @@ def test_non_algebra_span_facts():
 
 def test_lower_triangular_L12_zero_norm_sanity():
     space = corpus.build_lower_triangular_L12().space
-    assert spaces.norm(space, spaces.zero_element(space)) == 0.0
+    assert spaces.norm(space, zero_element(space)) == 0.0
 
 
 def test_corpus_thread_count_does_not_change_results():

@@ -7,8 +7,8 @@ import pytest
 from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError, ShapeError
 
-from conftest import (adjoint_block, build_M_pm, circle_norms, closure_row_deviations, corner_unit,
-                      haar_unitary, non_algebra_system, oracle_space_with_involution, proof_b, random_element,
+from conftest import (adjoint_block, build_M_pm, circle_norms, closure_row_deviations, corner_unit, haar_unitary,
+                      non_algebra_system, oracle_space_with_involution, proof_b, rand_cmat, random_element,
                       tridiagonal_3)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -334,7 +334,7 @@ def test_positive_and_adjoint_name_no_arg_max_when_they_hold(m2_entry):
 
 
 def contraction(d, rng, norm=1.0):
-    m = matcore.rand_cmat(d, d, rng)
+    m = rand_cmat(d, d, rng)
     return norm * m / matcore.op_norm(m)
 
 
@@ -365,7 +365,7 @@ def test_positive_holds_on_psd_contractions_and_projections(d):
     # x >= 0: the assembled circle stays within 1 of 1 - z x, and the check holds with a margin of rounding
     # (h h* is Hermitian only up to its last bits, and a top eigenvalue 1 may round ||1 - 2x|| above 1)
     rng = matcore.stream(117, d)
-    h = matcore.rand_cmat(d, d, rng)
+    h = rand_cmat(d, d, rng)
     psd = h @ matcore.dagger(h)
     space = corpus.build_full_matrix(d).space
     for x in (psd / matcore.op_norm(psd), 0.5 * psd / matcore.op_norm(psd),
@@ -382,7 +382,7 @@ def test_positive_gap_is_the_assembled_norm_at_z(d):
     # is always a violation, and z = 2 is such a point
     rng = matcore.stream(119, d)
     space = corpus.build_full_matrix(d).space
-    herm = matcore.rand_cmat(d, d, rng)
+    herm = rand_cmat(d, d, rng)
     herm = herm + matcore.dagger(herm)
     for x in (contraction(d, rng), contraction(d, rng, 0.5), herm / matcore.op_norm(herm), -np.eye(d)):
         rep = criteria.check_positive(space, x)
@@ -409,7 +409,7 @@ def test_positive_is_exact_on_projections():
 def hermitian_with_spectrum(lam, rng):
     """q diag(lam) q*, symmetrized so that it is Hermitian to the last bit, for a Haar-like unitary q."""
     d = len(lam)
-    q = np.linalg.qr(matcore.rand_cmat(d, d, rng))[0]
+    q = np.linalg.qr(rand_cmat(d, d, rng))[0]
     h = q @ np.diag(lam) @ matcore.dagger(q)
     return 0.5 * (h + matcore.dagger(h))
 
@@ -446,7 +446,7 @@ def test_positive_verdict_is_the_order_of_the_hermitian_part(kind, d):
     for draw in range(6):
         scale = rng.uniform(0.1, 1.0)
         if kind == "psd":
-            h = matcore.rand_cmat(d, d, rng)
+            h = rand_cmat(d, d, rng)
             x = scale * (h @ matcore.dagger(h)) / matcore.op_norm(h @ matcore.dagger(h))
         elif kind == "hermitian":
             x = scale * hermitian_with_spectrum(rng.uniform(-1.0, 1.0, d), rng)
@@ -561,7 +561,7 @@ def row_identity_spaces():
     for t in range(20):
         rng = matcore.stream(111, t)
         k = int(rng.integers(2, 5))
-        basis = np.stack([matcore.rand_cmat(3, 3, rng) for _ in range(k)])
+        basis = np.stack([rand_cmat(3, 3, rng) for _ in range(k)])
         out.append(pytest.param(spaces.make_space(basis), id=f"random_{t}"))
     return out
 
@@ -579,7 +579,7 @@ def test_row_identity_fails_exactly_when_the_product_leaves_the_space(space):
     for _ in range(4):
         x, a = spaces.realize_stack(space, spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 2), 1.0))
         y = matcore.dagger(a)  # x y* = x a, a product of X
-        fillers = [b / matcore.op_norm(b) for b in (matcore.rand_cmat(d, d, rng) for _ in range(3))]
+        fillers = [b / matcore.op_norm(b) for b in (rand_cmat(d, d, rng) for _ in range(3))]
         devs = closure_row_deviations(space, x, y, fillers)
         residual = spaces.membership_residual(space, x @ a)
         assert (devs[0] > tol) == (residual > tol), (residual, devs[0])
@@ -621,7 +621,7 @@ def random_operator_system(t):
     """
     rng = matcore.stream(115, t)
     if t % 2:
-        ms = [matcore.rand_cmat(3, 3, rng) for _ in range(int(rng.integers(1, 4)))]
+        ms = [rand_cmat(3, 3, rng) for _ in range(int(rng.integers(1, 4)))]
         hs = [(m + matcore.dagger(m)) / 2 for m in ms]
         return hermitian_space([np.eye(3)] + hs, [1.0] + [0.0] * len(hs))
     e = matrix_units(3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
@@ -893,7 +893,7 @@ def test_cstar_checks_its_inputs_before_the_level1_oracle_refusal():
 def test_cstar_zero_pair_is_exact():
     z = np.zeros((2, 2), dtype=complex)
     m = build_M_pm(z, z, z, z, "+")
-    w = matcore.rand_cmat(4, 4, matcore.stream(63, 0))  # a contraction in M_2(A), A = M_2
+    w = rand_cmat(4, 4, matcore.stream(63, 0))  # a contraction in M_2(A), A = M_2
     w /= matcore.op_norm(w)
     row = np.concatenate([m, w], axis=1)
     assert matcore.op_norm(row) == pytest.approx(SQRT2, abs=1e-12)
@@ -914,9 +914,9 @@ def test_cstar_inconclusive_when_construction_leaves_space():
 
 def test_cstar_detects_perturbed_product():
     rng = matcore.stream(63, 1)
-    x = matcore.rand_cmat(2, 2, rng)
+    x = rand_cmat(2, 2, rng)
     x /= max(1.0, matcore.op_norm(x))
-    y = matcore.rand_cmat(2, 2, rng)
+    y = rand_cmat(2, 2, rng)
     y /= max(1.0, matcore.op_norm(y))
     z = -x @ matcore.dagger(y) + 0.3 * np.eye(2)
     b = proof_b(x, y, -x @ matcore.dagger(y))
@@ -926,7 +926,7 @@ def test_cstar_detects_perturbed_product():
         for mlev in (1, 2):
             amp = matcore.scalar_amplify(m, mlev)
             for t in range(16):
-                w = matcore.rand_cmat(4 * mlev, 4 * mlev, matcore.stream(63, 2, mlev, t))
+                w = rand_cmat(4 * mlev, 4 * mlev, matcore.stream(63, 2, mlev, t))
                 w /= matcore.op_norm(w)
                 row = np.concatenate([amp, w], axis=1)
                 worst = max(worst, abs(matcore.op_norm(row) - SQRT2))
@@ -950,7 +950,7 @@ def test_cstar_bound_covers_the_sampled_row_identity(d):
     # with x, y anywhere in M_d; a perturbed z breaks it, and the Gram's bound must still cover
     # every sample
     rng = matcore.stream(64, d)
-    x, y = (m / matcore.op_norm(m) for m in (matcore.rand_cmat(d, d, rng), matcore.rand_cmat(d, d, rng)))
+    x, y = (m / matcore.op_norm(m) for m in (rand_cmat(d, d, rng), rand_cmat(d, d, rng)))
     z = -x @ matcore.dagger(y)
     b = proof_b(x, y, z)
     for shift in (0.0, 0.3):
@@ -965,7 +965,7 @@ def test_cstar_bound_covers_the_sampled_row_identity(d):
             for mlev in (1, 2, 3):
                 amp = matcore.scalar_amplify(m, mlev)
                 for _ in range(6):
-                    w = matcore.rand_cmat(2 * d * mlev, 2 * d * mlev, rng)
+                    w = rand_cmat(2 * d * mlev, 2 * d * mlev, rng)
                     w /= matcore.op_norm(w)
                     row = np.concatenate([amp, w], axis=1)
                     assert abs(matcore.op_norm(row) - SQRT2) <= bound + 1e-12
@@ -1072,51 +1072,82 @@ def test_margin_sign_matches_verdict(corpus_reports, default_cfg):
                 assert rep.margin >= -default_cfg.tolerance, (name, crit)
 
 
-def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_reports):
-    note = re.compile(r"(\d+) of (\d+) restarts stopped once their cell could not beat the best found")
+CAP_NOTE = re.compile(r"(\d+) of (\d+) restarts stopped once their cell could not beat the best found")
+
+#: The VIOLATED corpus rows of the sphere rows; each reaches the sphere cap sqrt(2) - 1.
+SPHERE_VIOLATED = [("linf3_e1", "coisometry"), ("linf3_e1", "isometry"), ("column_H2", "coisometry"),
+                   ("left_identity_pair", "isometry")]
+
+
+def cap_notes(name, crit, rep):
+    """The counts of ``rep``'s cap note, each checked against the restarts its trace started."""
+    found = [m for n in rep.notes if (m := CAP_NOTE.fullmatch(n))]
+    for m in found:
+        started = sum(len(cell["restart_bests"]) for cell in rep.trace)
+        assert 0 < int(m[1]) <= int(m[2]) == started, (name, crit)
+    return found
+
+
+def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus_reports):
     capped = set()
     for name, reports in corpus_reports.items():
         for crit, rep in reports.items():
-            found = [m for n in rep.notes if (m := note.fullmatch(n))]
-            if rep.verdict != criteria.VIOLATED or crit not in BALL_ROWS:
+            found = cap_notes(name, crit, rep)
+            if rep.verdict != criteria.VIOLATED or crit not in CAPPED_ROWS:
                 assert not found, (name, crit)
-            for m in found:
-                started = sum(len(cell["restart_bests"]) for cell in rep.trace)
-                assert 0 < int(m[1]) <= int(m[2]) == started, (name, crit)
+            if found:
                 capped.add((name, crit))
-    # the linf3_e1 rows reach the radius-1 cap sqrt(2) - 1 exactly
-    assert {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget")} <= capped
+    # the linf3_e1 ball rows reach the radius-1 cap sqrt(2) - 1 exactly, and so do the sphere rows
+    assert {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget")} | set(SPHERE_VIOLATED) <= capped
+    for seed in (7, 4242):
+        for name, crit in SPHERE_VIOLATED:
+            entry = corpus_entries[name]
+            rep = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=corpus.entry_config(
+                entry, witness.SearchConfig(seed=seed)))
+            assert rep.verdict == criteria.VIOLATED and cap_notes(name, crit, rep), (seed, name, crit)
 
 
 # ---------------------------------------------------------------------------
-# caps of the ball rows
+# caps of the searched rows, on the balls and on the sphere
 
 
-BALL_ROWS = sorted(name for name, spec in criteria.SEARCH_CRITERIA.items() if spec.cap is not None)
+CAPPED_ROWS = sorted(name for name, spec in criteria.SEARCH_CRITERIA.items() if spec.cap is not None)
+
+#: The (entry, row) pairs whose probes attain their caps: the unitary caps of linf3_e1 at radius times -e3,
+#: and the sphere cap sqrt(2) - 1 of the VIOLATED sphere rows at a basis element.
+ATTAINED = {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"), *SPHERE_VIOLATED}
 
 
 def cap_cases():
-    """(space name, row, unit) for every corpus row with a cap, and l1_2_diag_trace with a unit of norm 0.9."""
-    cases = [(e.name, crit, None) for e in corpus.build_corpus() for crit in e.expected
-             if crit in BALL_ROWS and not (criteria.SEARCH_CRITERIA[crit].unsupported
-                                           and e.space.norm_mode == spaces.LEVEL1_ORACLE)]
-    return cases + [("l1_2_diag_trace", "unitary-four-rotation", (0.9, 0.0))]
+    """(space name, row, unit) for every corpus row with a cap, l1_2_diag_trace with a unit of norm 0.9,
+    and the VIOLATED sphere rows with their units scaled to 0.9."""
+    entries = {e.name: e for e in corpus.build_corpus()}
+    cases = [(e.name, crit, None) for e in entries.values() for crit in e.expected
+             if crit in CAPPED_ROWS and not (criteria.SEARCH_CRITERIA[crit].unsupported
+                                             and e.space.norm_mode == spaces.LEVEL1_ORACLE)]
+    return cases + [("l1_2_diag_trace", "unitary-four-rotation", (0.9, 0.0))] + [
+        (name, crit, tuple(0.9 * entries[name].space.unit)) for name, crit in SPHERE_VIOLATED]
 
 
-def cap_probes(space, level, radius, rng):
-    """Points of the ball of ``radius``: random ones inside it and on its surface, and i^k times each basis element."""
+def cap_probes(space, level, radius, rng, sphere=False):
+    """Points of the ball of ``radius``: random ones inside it (unless ``sphere``) and on its surface, and i^k times
+    each basis element, at ``radius``."""
     inside = spaces.scale_to_norms(space, spaces.random_stack(space, level, rng, 8),
                                    radius * np.exp(rng.uniform(np.log(1e-3), 0.0, size=8)))
     surface = spaces.scale_to_norms(space, spaces.random_stack(space, level, rng, 8), radius)
     units = np.zeros((4 * space.dim, level, level, space.dim), dtype=np.complex128)
     for l in range(space.dim):
         units[4 * l:4 * l + 4, 0, 0, l] = 1j ** np.arange(4)
-    return np.concatenate([inside, surface, spaces.scale_to_norms(space, units, radius)])
+    return np.concatenate([inside[:0] if sphere else inside, surface, spaces.scale_to_norms(space, units, radius)])
 
 
-def test_sphere_rows_have_no_cap():
-    assert BALL_ROWS == ["operator-system", "unitary-four-rotation", "unitary-t-gadget"]
-    assert all(spec.cap is None for spec in criteria.SEARCH_CRITERIA.values() if spec.sphere)
+def test_every_searched_row_has_a_cap():
+    assert CAPPED_ROWS == sorted(criteria.SEARCH_CRITERIA) == [
+        "coisometry", "isometry", "operator-system", "unitary-four-rotation", "unitary-t-gadget"]
+    # on the unit sphere the sphere cap is sqrt(2) - 1 for every contraction
+    for crit in ("coisometry", "isometry"):
+        for nu in (1.0, 0.9, 0.5, 0.0):
+            assert criteria.SEARCH_CRITERIA[crit].cap(1.0, nu) == math.sqrt(2) - 1
 
 
 @pytest.mark.parametrize("entry_name, crit, u", cap_cases())
@@ -1128,12 +1159,13 @@ def test_no_cap_is_exceeded_on_its_ball(entry_name, crit, u):
     rng = np.random.default_rng(list(f"{entry_name}/{crit}/{u}".encode()))
     levels = [1] if space.norm_mode == spaces.LEVEL1_ORACLE else [1, 2]
     for level in levels:
-        for radius in criteria.RADIUS_SWEEP:
+        for radius in (1.0,) if spec.sphere else criteria.RADIUS_SWEEP:
             cap = spec.cap(radius, nu)
             guard = witness._CAP_ULPS * np.finfo(float).eps * max(abs(cap), 1.0)
             values = [spec.value_at(space, u, spaces.LevelElement(level, coeffs))
-                      for coeffs in cap_probes(space, level, radius, rng)]
+                      for coeffs in cap_probes(space, level, radius, rng, spec.sphere)]
             assert max(values) <= cap + guard, (level, radius, max(values), cap)
-            if entry_name == "linf3_e1" and crit != "operator-system":
-                # the unitary caps are attained there, at radius times -e3
+            if (entry_name, crit) in ATTAINED:
                 assert max(values) >= cap - 1e-12, (level, radius, max(values), cap)
+                if spec.sphere:
+                    assert cap == math.sqrt(2) - 1

@@ -7,8 +7,8 @@ from opspace import corpus, criteria, gadgets, matcore, spaces
 from opspace.errors import NumericalError
 from opspace.formulas import t_norm_closed_form
 
-from conftest import (adjoint_block, build_M_pm, build_Ue, gadget_operands, mult_rows, proof_b, psd_sqrt,
-                      random_element, symmetric_gadget)
+from conftest import (adjoint_block, block, build_M_pm, build_Ue, gadget_operands, mult_rows, proof_b, psd_sqrt,
+                      rand_cmat, random_element, symmetric_gadget, zero_element)
 
 
 def scalar_space(unit=1.0):
@@ -53,7 +53,7 @@ def test_build_s_and_r_scalars():
 
 def test_build_s_r_zero_is_identity():
     space = corpus.build_full_matrix(2).space
-    z = spaces.zero_element(space)
+    z = zero_element(space)
     for g in (symmetric_gadget(space, z), gadgets.r_stack(*gadget_operands(space, z))):
         assert np.allclose(g, np.eye(4))
         assert matcore.op_norm(g) == pytest.approx(1.0, abs=1e-14)
@@ -61,7 +61,7 @@ def test_build_s_r_zero_is_identity():
 
 def test_build_row_column_m2():
     space = corpus.build_full_matrix(2).space
-    z = spaces.zero_element(space)
+    z = zero_element(space)
     row = gadgets.row_stack(*gadget_operands(space, z))
     assert row.shape == (2, 4)
     assert matcore.op_norm(row) == pytest.approx(1.0, abs=1e-14)
@@ -121,15 +121,15 @@ def test_build_M_pm_zero_entries():
     m = build_M_pm(z, z, z, z, "+")
     assert m.shape == (4, 12)
     assert np.allclose(m @ matcore.dagger(m), np.eye(4), atol=1e-12)
-    raw = matcore.block([[z, z, np.eye(2), z, z, z], [z, z, z, z, z, np.eye(2)]])
+    raw = block([[z, z, np.eye(2), z, z, z], [z, z, z, z, z, np.eye(2)]])
     assert matcore.op_norm(raw) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_build_M_pm_coisometry_with_canonical_filler():
     rng = matcore.stream(53, 0)
-    x = matcore.rand_cmat(2, 2, rng)
+    x = rand_cmat(2, 2, rng)
     x /= max(1.0, matcore.op_norm(x))
-    y = matcore.rand_cmat(2, 2, rng)
+    y = rand_cmat(2, 2, rng)
     y /= max(1.0, matcore.op_norm(y))
     z = -x @ matcore.dagger(y)
     b = proof_b(x, y, z)
@@ -142,7 +142,7 @@ def test_build_M_pm_minus_sign_pattern():
     one = np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
     m = build_M_pm(zero, one, zero, zero, "-")
-    unnorm = matcore.block([[one, zero, one, zero, zero, zero],
+    unnorm = block([[one, zero, one, zero, zero, zero],
                             [zero, zero, zero, -one, zero, -one]])
     assert np.allclose(m, unnorm / matcore.op_norm(unnorm))
 
@@ -163,8 +163,8 @@ def test_build_mult_row_constants_only():
 
 def test_build_mult_row_equality_with_canonical_pair():
     rng = matcore.stream(53, 1)
-    x = np.triu(matcore.rand_cmat(2, 2, rng))
-    y = matcore.dagger(np.triu(matcore.rand_cmat(2, 2, rng)))
+    x = np.triu(rand_cmat(2, 2, rng))
+    y = matcore.dagger(np.triu(rand_cmat(2, 2, rng)))
     y /= max(1.0, matcore.op_norm(y))
     z = -x @ matcore.dagger(y)
     b = proof_b(x, np.zeros_like(x), z)

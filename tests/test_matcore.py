@@ -6,6 +6,8 @@ import pytest
 from opspace import gadgets, matcore
 from opspace.errors import InvalidInputError, ShapeError
 
+from conftest import block, rand_cmat
+
 I2 = np.eye(2, dtype=complex)
 
 
@@ -70,31 +72,31 @@ def test_dagger_examples():
     sym = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
     assert np.allclose(matcore.dagger(sym), sym)
     rng = matcore.stream(11, 0)
-    r = matcore.rand_cmat(4, 3, rng)
+    r = rand_cmat(4, 3, rng)
     assert np.allclose(matcore.dagger(matcore.dagger(r)), r)
     assert matcore.op_norm(matcore.dagger(r)) == pytest.approx(matcore.op_norm(r), abs=1e-12)
 
 
 def test_block_single_and_identity():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(matcore.block([[a]]), a)
+    assert np.array_equal(block([[a]]), a)
     z = np.zeros((2, 2))
-    assert np.allclose(matcore.block([[I2, z], [z, I2]]), np.eye(4))
+    assert np.allclose(block([[I2, z], [z, I2]]), np.eye(4))
 
 
 def test_block_ragged_raises():
     with pytest.raises(ShapeError):
-        matcore.block([[np.zeros((2, 2)), np.zeros((3, 2))]])
+        block([[np.zeros((2, 2)), np.zeros((3, 2))]])
     with pytest.raises(ShapeError):
-        matcore.block([[np.zeros((2, 2))], [np.zeros((2, 3))]])
+        block([[np.zeros((2, 2))], [np.zeros((2, 3))]])
 
 
 def test_block_sum_diff_identity_random():
     for t in range(20):
         rng = matcore.stream(23, t)
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
-        lhs = matcore.op_norm(matcore.block([[a, b], [b, a]]))
+        a = rand_cmat(3, 3, rng)
+        b = rand_cmat(3, 3, rng)
+        lhs = matcore.op_norm(block([[a, b], [b, a]]))
         rhs = max(matcore.op_norm(a + b), matcore.op_norm(a - b))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -104,22 +106,22 @@ def test_scalar_amplify():
     assert np.array_equal(matcore.scalar_amplify(m, 1), m)
     assert np.allclose(matcore.scalar_amplify(I2, 3), np.eye(6))
     rng = matcore.stream(7, 0)
-    r = matcore.rand_cmat(3, 4, rng)
+    r = rand_cmat(3, 4, rng)
     assert matcore.op_norm(matcore.scalar_amplify(r, 4)) == pytest.approx(
         matcore.op_norm(r), abs=1e-12
     )
 
 
 def test_rand_cmat_determinism_and_distinctness():
-    a = matcore.rand_cmat(3, 3, matcore.stream(5, 1))
-    b = matcore.rand_cmat(3, 3, matcore.stream(5, 1))
+    a = rand_cmat(3, 3, matcore.stream(5, 1))
+    b = rand_cmat(3, 3, matcore.stream(5, 1))
     assert np.array_equal(a, b)
-    c = matcore.rand_cmat(3, 3, matcore.stream(5, 2))
+    c = rand_cmat(3, 3, matcore.stream(5, 2))
     assert not np.allclose(a, c)
 
 
 def test_rand_cmat_normalized():
-    m = matcore.rand_cmat(2, 2, matcore.stream(5, 3))
+    m = rand_cmat(2, 2, matcore.stream(5, 3))
     m = m / matcore.op_norm(m)
     assert matcore.op_norm(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -130,7 +132,7 @@ def test_cstar_identity_500_random():
         rng = matcore.stream(31, t)
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
-        m = matcore.rand_cmat(rows, cols, rng)
+        m = rand_cmat(rows, cols, rng)
         nm = matcore.op_norm(m)
         dev = abs(nm**2 - matcore.op_norm(matcore.dagger(m) @ m))
         worst = max(worst, dev / (1 + nm**2))
@@ -141,12 +143,12 @@ def test_sum_diff_and_rotation_identities_200_pairs():
     worst1 = worst2 = 0.0
     for t in range(200):
         rng = matcore.stream(32, t)
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
-        lhs1 = matcore.op_norm(matcore.block([[a, b], [b, a]]))
+        a = rand_cmat(3, 3, rng)
+        b = rand_cmat(3, 3, rng)
+        lhs1 = matcore.op_norm(block([[a, b], [b, a]]))
         rhs1 = max(matcore.op_norm(a + b), matcore.op_norm(a - b))
         worst1 = max(worst1, abs(lhs1 - rhs1))
-        lhs2 = matcore.op_norm(matcore.block([[a, -b], [b, a]]))
+        lhs2 = matcore.op_norm(block([[a, -b], [b, a]]))
         rhs2 = max(matcore.op_norm(a + 1j * b), matcore.op_norm(a - 1j * b))
         worst2 = max(worst2, abs(lhs2 - rhs2))
     assert worst1 <= 1e-9
@@ -156,7 +158,7 @@ def test_sum_diff_and_rotation_identities_200_pairs():
 def test_trace_norm_dominates_op_norm_and_zero_characterization():
     for t in range(50):
         rng = matcore.stream(33, t)
-        m = matcore.rand_cmat(4, 4, rng)
+        m = rand_cmat(4, 4, rng)
         assert matcore.trace_norm(m) >= matcore.op_norm(m) - 1e-12
         assert matcore.op_norm(m) > 1e-12
     z = np.zeros((4, 4))
@@ -175,13 +177,13 @@ def kernel_cases(shape):
     """Named (N, r, c) stacks at one shape: random, plus the degenerate cases of a 2x2 closed form."""
     rng = matcore.stream(35, *shape)
     r, c = shape
-    cases = {"random": np.stack([matcore.rand_cmat(r, c, rng) for _ in range(40)])}
+    cases = {"random": np.stack([rand_cmat(r, c, rng) for _ in range(40)])}
     if shape == (2, 2):
         # equal singular values (scaled unitaries) and rank one plus 1e-9 noise
-        q = np.stack([np.linalg.qr(matcore.rand_cmat(2, 2, rng))[0] for _ in range(40)])
+        q = np.stack([np.linalg.qr(rand_cmat(2, 2, rng))[0] for _ in range(40)])
         cases["unitary"] = q * rng.uniform(0.5, 2.0, size=(40, 1, 1))
         cases["rank_one"] = np.stack([
-            matcore.rand_cmat(2, 1, rng) @ matcore.rand_cmat(1, 2, rng) + 1e-9 * matcore.rand_cmat(2, 2, rng)
+            rand_cmat(2, 1, rng) @ rand_cmat(1, 2, rng) + 1e-9 * rand_cmat(2, 2, rng)
             for _ in range(40)
         ])
     return cases
@@ -212,7 +214,7 @@ def test_single_matrix_norms_are_the_stack_kernels(shape):
     # one kernel per norm: a matrix measured alone or in a stack of one gets the same bits
     rng = matcore.stream(37, *shape)
     for _ in range(20):
-        m = matcore.rand_cmat(*shape, rng)
+        m = rand_cmat(*shape, rng)
         assert matcore.op_norm(m) == matcore.op_norm_stack(m[None])[0]
         assert matcore.trace_norm(m) == matcore.trace_norm_stack(m[None])[0]
 
@@ -222,7 +224,7 @@ def test_fibered_kernels_match_lapack_on_each_fiber(scale):
     # per-fiber stacks (N, g, 2, 2): each fiber is a 2x2 matrix, so the closed forms run on it
     rng = matcore.stream(36, 0)
     g = 3
-    small = np.stack([matcore.rand_cmat(2, 2, rng) for _ in range(20 * g)]).reshape(20, g, 2, 2) * scale
+    small = np.stack([rand_cmat(2, 2, rng) for _ in range(20 * g)]).reshape(20, g, 2, 2) * scale
     op_want, tr_want = lapack_norms(small)
     assert np.allclose(matcore.op_norm_fibers(small), op_want.max(axis=-1), rtol=1e-14, atol=0)
     assert np.allclose(matcore.trace_norm_stack(small).sum(axis=-1), tr_want.sum(axis=-1),
@@ -248,7 +250,7 @@ def gram_cases(shape):
     m = min(r, c)
 
     def draw(rows, cols):
-        return np.stack([matcore.rand_cmat(rows, cols, rng) for _ in range(20)])
+        return np.stack([rand_cmat(rows, cols, rng) for _ in range(20)])
 
     # orthonormal columns (r >= c) or rows (r < c) times a scale: m equal singular values
     q = np.linalg.qr(draw(max(r, c), m))[0]
@@ -285,9 +287,9 @@ def test_gram_route_on_degenerate_tops(side):
     rng = matcore.stream(41, side)
     two = math.sqrt(2.0) * np.eye(side)
     assert np.array_equal(matcore.op_norm_stack(np.stack([two, two])), np.full(2, math.sqrt(2.0)))
-    q = np.linalg.qr(matcore.rand_cmat(side, side, rng))[0]
+    q = np.linalg.qr(rand_cmat(side, side, rng))[0]
     assert matcore.op_norm(math.sqrt(2.0) * q) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    v, w = matcore.rand_cmat(side, 1, rng), matcore.rand_cmat(side + 1, 1, rng)
+    v, w = rand_cmat(side, 1, rng), rand_cmat(side + 1, 1, rng)
     assert matcore.op_norm(v @ matcore.dagger(w)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(w),
                                                                    rel=1e-14)
 

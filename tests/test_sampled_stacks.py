@@ -23,7 +23,8 @@ from opspace import corpus, criteria, formulas, matcore, spaces, witness
 from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
-from conftest import build_M_pm, gadget_operands, non_algebra_system, proof_b, psd_sqrt, tridiagonal_3
+from conftest import (apply_involution, block, build_M_pm, gadget_operands, non_algebra_system, proof_b, psd_sqrt,
+                      rand_cmat, tridiagonal_3)
 
 SEEDS = (7, 1729)
 
@@ -58,8 +59,8 @@ def ref_pair_suite(name, tag, trials, seed, lhs_of, rhs_of):
     worst = 0.0
     rng = matcore.stream(seed, tag)
     for t in range(trials):
-        a = matcore.rand_cmat(3, 3, rng)
-        b = matcore.rand_cmat(3, 3, rng)
+        a = rand_cmat(3, 3, rng)
+        b = rand_cmat(3, 3, rng)
         worst = max(worst, abs(lhs_of(a, b) - rhs_of(a, b)))
     return SuiteResult(name, trials, worst, 1e-9)
 
@@ -78,14 +79,14 @@ def ref_gadget_suite(name, tag, test_spaces, trials, seed, deviation):
 
 
 def ref_gadget_norm(space, x, lower_left):
-    """||[[u_n, x], [y, u_n]]|| for one element x, y = 0, x* or -x* by ``lower_left``, assembled with ``matcore.block``."""
+    """||[[u_n, x], [y, u_n]]|| for one element x, y = 0, x* or -x* by ``lower_left``, assembled with ``conftest.block``."""
     un, xm = gadget_operands(space, x)
     if lower_left == "0":
         y = np.zeros_like(xm)
     else:
-        y = spaces.realize(space, spaces.apply_involution(space, x))
+        y = spaces.realize(space, apply_involution(space, x))
         y = -y if lower_left == "-x*" else y
-    return matcore.op_norm(matcore.block([[un, xm], [y, un]]))
+    return matcore.op_norm(block([[un, xm], [y, un]]))
 
 
 def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
@@ -95,10 +96,10 @@ def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
     selfadjoint = unital[:2]
     return [
         ref_pair_suite("sum-diff block identity", 21, trials, seed,
-                       lambda a, b: op(matcore.block([[a, b], [b, a]])),
+                       lambda a, b: op(block([[a, b], [b, a]])),
                        lambda a, b: max(op(a + b), op(a + b if bug else a - b))),
         ref_pair_suite("rotation block identity", 22, trials, seed,
-                       lambda a, b: op(matcore.block([[a, -b], [b, a]])),
+                       lambda a, b: op(block([[a, -b], [b, a]])),
                        lambda a, b: max(op(a + 1j * b), op(a - 1j * b))),
         ref_gadget_suite("doubling gadget closed form", 23, unital, gadget_trials, seed,
                          lambda sp, x: abs(ref_gadget_norm(sp, x, "0") ** 2
@@ -411,7 +412,7 @@ def test_gram_blocks_measure_what_the_explicit_rows_measure(name):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gadgets_on_a_stack_are_the_gadgets_of_each_matrix(d):
     rng = matcore.stream(17, d)
-    x, y = (np.stack([matcore.rand_cmat(d, d, rng) for _ in range(5)]) for _ in range(2))
+    x, y = (np.stack([rand_cmat(d, d, rng) for _ in range(5)]) for _ in range(2))
     x = x / matcore.op_norm_stack(x)[:, None, None]
     z = -x @ matcore.dagger(y)
     b = proof_b(x, y, z)

@@ -6,7 +6,7 @@ import pytest
 from opspace import corpus, matcore, spaces
 from opspace.errors import InvalidInputError, ShapeError, SpaceFormatError, UnsupportedLevelError
 
-from conftest import build_Ue, haar_unitary, random_element
+from conftest import apply_involution, build_Ue, haar_unitary, random_element, zero_element
 
 
 def cpair(z):
@@ -100,7 +100,7 @@ def test_norm_oracle_trace():
     u = spaces.unit_element(space)
     assert spaces.norm(space, u) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnsupportedLevelError):
-        spaces.norm(space, spaces.zero_element(space, level=2))
+        spaces.norm(space, zero_element(space, level=2))
 
 
 def test_membership_residual():
@@ -150,18 +150,18 @@ def test_membership_residual_is_the_distance_to_the_projection(corpus_entries, n
 def test_apply_involution_m2():
     space = corpus.build_full_matrix(2).space
     e12 = spaces.LevelElement(1, np.array([[[0, 1, 0, 0]]], dtype=complex))
-    starred = spaces.apply_involution(space, e12)
+    starred = apply_involution(space, e12)
     assert np.allclose(spaces.realize(space, starred), [[0, 0], [1, 0]])
-    twice = spaces.apply_involution(space, starred)
+    twice = apply_involution(space, starred)
     assert np.allclose(twice.coeffs, e12.coeffs, atol=1e-12)
     herm = spaces.LevelElement(1, np.array([[[1, 0.5, 0.5, -2]]], dtype=complex))
-    assert np.allclose(spaces.apply_involution(space, herm).coeffs, herm.coeffs, atol=1e-12)
+    assert np.allclose(apply_involution(space, herm).coeffs, herm.coeffs, atol=1e-12)
 
 
 def test_involution_realizes_adjoint_at_level2():
     space = corpus.build_full_matrix(2).space
     x = random_element(space, 2, matcore.stream(41, 0))
-    xs = spaces.apply_involution(space, x)
+    xs = apply_involution(space, x)
     assert np.allclose(spaces.realize(space, xs), matcore.dagger(spaces.realize(space, x)), atol=1e-12)
 
 

@@ -8,7 +8,7 @@ import pytest
 from opspace import corpus, criteria, matcore, spaces, witness
 from opspace.errors import InvalidInputError
 
-from conftest import psd_sqrt
+from conftest import psd_sqrt, zero_element
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_refine_keeps_zero_fixed_under_nonpositive_objective(m2):
     def neg_norm(coeffs):
         return -spaces.norm_stack(m2, coeffs)
 
-    z = spaces.zero_element(m2)
+    z = zero_element(m2)
     res = witness.refine_witness(neg_norm, m2, z, 1.0, gradient=norm_gradient(m2, sign=-1.0))
     assert res.best_value == pytest.approx(0.0, abs=1e-12)
 
@@ -143,7 +143,7 @@ def test_refine_keeps_zero_fixed_under_nonpositive_objective(m2):
 def test_refine_from_the_origin_stays_finite(m2):
     # x = 0 has no ray to rescale along: its radial trials stay at 0, with no division by ||x|| = 0
     obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(m2, m2.unit, 2)
-    z = spaces.zero_element(m2, 2)
+    z = zero_element(m2, 2)
     f0 = float(obj(z.coeffs[None])[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -529,6 +529,60 @@ def test_cell_at_its_cap_stops_with_the_same_best_value():
     assert capped.capped > 0 and plain.capped == 0
     assert capped.best_value == plain.best_value == math.sqrt(2) - 1
     assert capped.evaluations < plain.evaluations
+
+
+@pytest.mark.parametrize("entry_name, criterion, plain_evaluations", [
+    ("linf3_e1", "coisometry", 210),
+    ("linf3_e1", "isometry", 210),
+    ("column_H2", "coisometry", 334),
+    ("left_identity_pair", "isometry", 189),
+])
+def test_sphere_cell_at_its_cap_stops_every_running_restart_on_that_step(monkeypatch, entry_name, criterion,
+                                                                         plain_evaluations):
+    # each row's deviation reaches the sphere cap sqrt(2) - 1 within a few steps, at a basis element
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    spec = criteria.SEARCH_CRITERIA[criterion]
+    obj, grad = spec.objective(space, space.unit, 1)
+    cap = spec.cap(1.0, spaces.norm(space, spaces.unit_element(space)))
+    calls, beaten, stopped_by = [], [], []
+    real_beaten, real_ascent = witness._beaten, witness._ascent
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return obj(coeffs)
+
+    def spy_beaten(*args):
+        out = real_beaten(*args)
+        beaten.append(bool(out[0]))
+        return out
+
+    def spy_ascent(*args, **kwargs):
+        out = real_ascent(*args, **kwargs)
+        stopped_by.append(out[3].copy())
+        return out
+
+    monkeypatch.setattr(witness, "_beaten", spy_beaten)
+    monkeypatch.setattr(witness, "_ascent", spy_ascent)
+    cfg = witness.SearchConfig(restarts=8)
+    cell = [(1.0, (20, 1))]
+    capped, = witness.maximize_violation(counted, space, 1, cfg, cells=cell, mode=witness.SPHERE, gradient=grad,
+                                         caps=[cap])
+    steps = len(calls) - 1  # one objective batch for the starts, then one per step
+    plain, = witness.maximize_violation(obj, space, 1, cfg, cells=cell, mode=witness.SPHERE, gradient=grad)
+    # the search ends on the first step at which the cell's best reaches its cap
+    assert cap == math.sqrt(2) - 1
+    assert beaten == [False] * (steps - 1) + [True] and steps <= 3
+    # every restart still running then stopped at the cap; the others had stopped on their own, so the
+    # search without the caps ends them at the same values
+    codes = stopped_by[0]
+    assert set(codes.tolist()) <= {0, witness._CAPPED}
+    assert capped.capped == (codes == witness._CAPPED).sum() > 0
+    for j in np.nonzero(codes == 0)[0]:
+        assert capped.restart_bests[j] == plain.restart_bests[j]
+    assert cap - witness._STALL_EPS <= capped.best_value <= plain.best_value == cap
+    # without the caps the search is what it was before the sphere rows had one
+    assert plain.capped == 0 and (stopped_by[1] != witness._CAPPED).all()
+    assert plain.evaluations == plain_evaluations > capped.evaluations
 
 
 @pytest.mark.parametrize("entry_name, criterion, level", [
