@@ -451,7 +451,11 @@ class SearchCriterion:
         largest one; that order fixes each cell's stream key and trace
         position, and a later cell replaces the best only when strictly
         better.  A row's caps bound the objective on each radius's ball (or
-        sphere) at every level.
+        sphere) at every level.  The best witness is then polished by
+        ``witness.refine_witness`` in the ball (or sphere) of the radius that
+        won, under that radius's cap: a witness already at its cap takes no
+        polish step, since none could be accepted, so its report differs
+        from a full polish in ``samples`` alone.
         """
         levels, notes = list(range(1, cfg.max_level + 1)), []
         if space.norm_mode == spaces.LEVEL1_ORACLE:
@@ -466,7 +470,7 @@ class SearchCriterion:
 
         best_value = -np.inf
         best_elem = None
-        best_radius = best_pair = None
+        best_radius = best_cap = best_pair = None
         evaluations = 0
         stopped = 0
         capped = 0
@@ -479,7 +483,7 @@ class SearchCriterion:
                 objective, space, n, cfg, cells=[(r, (self.key, li, ri)) for ri, r in enumerate(radii)],
                 mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
             )
-            for r, res in zip(radii, results):
+            for ri, (r, res) in enumerate(zip(radii, results)):
                 evaluations += res.evaluations
                 stopped += res.stopped
                 capped += res.capped
@@ -492,6 +496,7 @@ class SearchCriterion:
                     best_value = res.best_value
                     best_elem = res.best_point
                     best_radius = r
+                    best_cap = None if caps is None else caps[ri]
                     best_pair = (objective, gradient)
             if best_value > cfg.tolerance:
                 break
@@ -499,7 +504,7 @@ class SearchCriterion:
         if best_elem is not None:
             objective, gradient = best_pair
             polished = witness.refine_witness(
-                objective, space, best_elem, best_radius, mode=mode, gradient=gradient
+                objective, space, best_elem, best_radius, mode=mode, gradient=gradient, cap=best_cap
             )
             evaluations += polished.evaluations
             if polished.best_value > best_value:

@@ -72,8 +72,11 @@ the next step reads the same best.  Every rule but the second cap comparison
 looks only inside a cell, so each cell's result is what a call with that
 cell alone returns, unless another cell's value proves that it cannot win.
 A search that holds no violation never races, snaps or stops at a cap, so
-it returns what it would without the rules, and ``refine_witness`` (one
-restart, no cells) applies none.
+it returns what it would without the rules.  ``refine_witness`` (one
+restart, no cells) never races or snaps, and keeps one part of the cap stop:
+given the winning cell's cap, a polish whose start is already at it takes no
+step, since no move could be accepted, and returns its start as the full
+polish would.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ _CAP_ULPS = 4  # rounding guard of the cap comparisons, in ulps of max(|cap|, 1)
 #: nonzero coefficient of modulus below this many steps set to 0.
 SNAP_STEPS = 3
 
-ASCENT_STEPS = 200  # steps per restart; refine_witness takes four times as many
+ASCENT_STEPS = 200  # steps per restart; refine_witness takes four times as many, none at its cap
 STEP_SIZE = 0.05  # a restart's first step over its radius; refine_witness starts at a tenth of it
 
 
@@ -246,18 +249,29 @@ def _race(values, active, since, best, hot):
     return (live & lower & ~climbing & hot[:, None]).reshape(-1)
 
 
+def _cap_guard(caps):
+    """The rounding guard of the cap comparisons: ``_CAP_ULPS`` ulps of max(|cap|, 1)."""
+    return _CAP_ULPS * np.finfo(float).eps * np.maximum(np.abs(caps), 1.0)
+
+
+def _at_cap(best, caps):
+    """Where a best is within ``_STALL_EPS`` of its cap, with the rounding guard.
+
+    No trial can then beat it by ``_STALL_EPS``, the least gain accepted.
+    """
+    return best >= caps - _STALL_EPS + _cap_guard(caps)
+
+
 def _beaten(best, hot, caps, others):
     """The mask of the cells that cannot beat the best found, given each cell's best, violation and cap.
 
-    A cell is beaten when it is violated and its best is within
-    ``_STALL_EPS`` of its cap, or when its cap lies below the best of another
-    violated cell; both with a guard of ``_CAP_ULPS`` ulps.  ``others`` is
-    the (cells, cells) mask that is False on the diagonal alone.
+    A cell is beaten when it is violated and its best is at its cap
+    (``_at_cap``), or when its cap lies below the best of another violated
+    cell, with the same guard.  ``others`` is the (cells, cells) mask that
+    is False on the diagonal alone.
     """
-    guard = _CAP_ULPS * np.finfo(float).eps * np.maximum(np.abs(caps), 1.0)
-    at_cap = hot & (best >= caps - _STALL_EPS + guard)
     rivals = np.where(hot & others, best, -np.inf).max(axis=1)  # excluding each cell
-    return at_cap | (caps + guard < rivals)
+    return (hot & _at_cap(best, caps)) | (caps + _cap_guard(caps) < rivals)
 
 
 #: The ``stopped_by`` codes of ``_ascent``: the rule that stopped a restart, if any.
@@ -480,21 +494,27 @@ def refine_witness(
     mode: str = BALL,
     *,
     gradient,
+    cap=None,
 ) -> SearchResult:
     """Polish a single point by local ascent with tighter steps (never decreases the value).
 
     The point is projected into the ball (or onto the sphere) of ``radius``
     first, normally the radius of the cell that found it.  One restart in no
-    cell, so no cell rule applies.
+    cell, so it never races or snaps.  ``cap``, normally that cell's cap, bounds
+    the objective there: when the projected start is already at it
+    (``_at_cap``, the comparison of the cap stop), no move could be
+    accepted, so the polish takes no step and costs its start evaluation
+    alone.  With ``cap`` None it always ascends.
 
     ``objective`` and ``gradient`` are as in ``maximize_violation``.
     """
     radius = float(radius)
     pts, _ = _project(space, point.coeffs[None].copy(), radius, mode)
     values = np.asarray(objective(pts), dtype=float)
+    steps = 0 if cap is not None and _at_cap(values[0], cap) else 4 * ASCENT_STEPS
     pts, values, evaluations, _ = _ascent(
         objective, gradient, space, pts, values, np.array([radius]), mode,
-        max_steps=4 * ASCENT_STEPS, step0=np.array([STEP_SIZE * radius / 10.0]),
+        max_steps=steps, step0=np.array([STEP_SIZE * radius / 10.0]),
     )
     return SearchResult(
         best_value=float(values[0]),

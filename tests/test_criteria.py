@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -1105,6 +1106,29 @@ def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus
             rep = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=corpus.entry_config(
                 entry, witness.SearchConfig(seed=seed)))
             assert rep.verdict == criteria.VIOLATED and cap_notes(name, crit, rep), (seed, name, crit)
+
+
+@pytest.mark.parametrize("seed", [7, 1729, 4242])
+@pytest.mark.parametrize("name, crit", [("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"),
+                                        *SPHERE_VIOLATED])
+def test_witness_at_its_cap_skips_only_the_polish(monkeypatch, corpus_entries, name, crit, seed):
+    entry = corpus_entries[name]
+    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=seed))
+    capped = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=cfg)
+    real, polishes = witness.refine_witness, []
+
+    def uncapped(*args, cap=None, **kwargs):
+        res = real(*args, **kwargs)
+        polishes.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(witness, "refine_witness", uncapped)
+    full = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=cfg)
+    a, b = capped.to_dict(), full.to_dict()
+    assert capped.verdict == criteria.VIOLATED and len(polishes) == 1 and polishes[0] > 1
+    # the skipped polish took its start evaluation alone
+    assert b.pop("samples") - a.pop("samples") == polishes[0] - 1
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -631,6 +631,106 @@ def test_search_holding_no_violation_is_the_same_with_and_without_caps(entry_nam
         assert same_result(a, b)
 
 
+#: The corpus rows whose VIOLATED search stops at its cap at seeds 7, 1729 and 4242 (the radius-1 ball cap
+#: sqrt(2) - 1 of the unitary rows on linf3_e1, and the sphere cap sqrt(2) - 1).
+AT_CAP_ROWS = [("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"),
+               ("linf3_e1", "coisometry"), ("linf3_e1", "isometry"), ("column_H2", "coisometry"),
+               ("left_identity_pair", "isometry")]
+
+
+def polish_calls(monkeypatch, entry_name, criterion, seed):
+    """The corpus report of one row at ``seed``, and the arguments of each ``refine_witness`` call it made."""
+    entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
+    calls, real = [], witness.refine_witness
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "refine_witness", spy)
+    report = corpus.run_check(entry.space, criterion, corpus.entry_config(entry, witness.SearchConfig(seed=seed)))
+    monkeypatch.undo()
+    return report, calls
+
+
+def full_polish(objective, space, point, radius, mode=witness.BALL, *, gradient):
+    """The polish without a cap, written out: project, evaluate, ascend 4 * ASCENT_STEPS steps."""
+    pts, _ = witness._project(space, point.coeffs[None].copy(), float(radius), mode)
+    values = np.asarray(objective(pts), dtype=float)
+    pts, values, evaluations, _ = witness._ascent(
+        objective, gradient, space, pts, values, np.array([float(radius)]), mode,
+        max_steps=4 * witness.ASCENT_STEPS, step0=np.array([witness.STEP_SIZE * radius / 10.0]))
+    return float(values[0]), pts[0], int(evaluations[0])
+
+
+def same_polish(res, ref):
+    value, point, evaluations = ref
+    return (res.best_value == value and np.array_equal(res.best_point.coeffs, point)
+            and res.evaluations == evaluations and res.restart_bests == [value])
+
+
+@pytest.mark.parametrize("seed", [7, 1729, 4242])
+@pytest.mark.parametrize("entry_name, criterion", AT_CAP_ROWS)
+def test_polish_of_a_witness_at_its_cap_is_its_start_evaluation(monkeypatch, entry_name, criterion, seed):
+    report, calls = polish_calls(monkeypatch, entry_name, criterion, seed)
+    assert report.verdict == criteria.VIOLATED
+    (args, kwargs), = calls
+    cap = kwargs.pop("cap")
+    assert cap == math.sqrt(2) - 1  # the winning cell's cap: radius 1 in a ball, the unit sphere
+    capped = witness.refine_witness(*args, **kwargs, cap=cap)
+    plain = witness.refine_witness(*args, **kwargs)
+    # no move of the full polish is accepted from there, so skipping it changes no bit but the evaluations
+    assert capped.evaluations == 1 < plain.evaluations
+    assert capped.best_value == plain.best_value == -report.margin
+    assert np.array_equal(capped.best_point.coeffs, plain.best_point.coeffs)
+    assert capped.best_value >= cap - witness._STALL_EPS
+
+
+@pytest.mark.parametrize("entry_name, criterion, mode, radius", [
+    ("linf3_e1", "unitary-four-rotation", witness.BALL, 1.0),
+    ("linf3_e1", "unitary-four-rotation", witness.BALL, 0.25),
+    ("linf3_e1", "unitary-t-gadget", witness.BALL, 0.5),
+    ("twisted_selfadjoint", "operator-system", witness.BALL, 1.0),
+    ("linf3_e1", "coisometry", witness.SPHERE, 1.0),
+    ("column_H2", "coisometry", witness.SPHERE, 1.0),
+])
+def test_polish_below_its_cap_or_without_one_is_the_full_polish(entry_name, criterion, mode, radius):
+    space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
+    spec = criteria.SEARCH_CRITERIA[criterion]
+    obj, grad = spec.objective(space, space.unit, 1)
+    cap = spec.cap(radius, spaces.norm(space, spaces.unit_element(space)))
+    rng = np.random.default_rng(31)
+    for start in spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 3), 0.5 * radius):
+        point = spaces.LevelElement(1, start)
+        projected, _ = witness._project(space, start[None], radius, mode)
+        assert not witness._at_cap(float(obj(projected)[0]), cap)
+        ref = full_polish(obj, space, point, radius, mode, gradient=grad)
+        assert ref[2] > 1
+        for c in (cap, None):
+            assert same_polish(witness.refine_witness(obj, space, point, radius, mode, gradient=grad, cap=c), ref)
+
+
+def test_polish_skips_exactly_where_the_cap_stop_would_stop():
+    # linf3_e1 four-rotation at -e3 is sqrt(2) - 1 on the unit ball; caps just either side of the cap stop's
+    # comparison give the start evaluation alone and the full polish
+    space = corpus.build_linf(3, "e1").space
+    obj, grad = criteria.SEARCH_CRITERIA["unitary-four-rotation"].objective(space, space.unit, 1)
+    point = spaces.LevelElement(1, np.array([[[0, 0, -1.0]]], dtype=complex))
+    value = float(obj(point.coeffs[None])[0])
+    cap = value + witness._STALL_EPS
+    while witness._at_cap(value, cap):
+        cap = np.nextafter(cap, np.inf)
+    while not witness._at_cap(value, cap):
+        cap = np.nextafter(cap, -np.inf)
+    at, above = cap, np.nextafter(cap, np.inf)
+    assert witness._beaten(np.array([value]), np.array([True]), np.array([at]), np.zeros((1, 1), bool))[0]
+    assert not witness._beaten(np.array([value]), np.array([True]), np.array([above]), np.zeros((1, 1), bool))[0]
+    ref = full_polish(obj, space, point, 1.0, gradient=grad)
+    skipped = witness.refine_witness(obj, space, point, 1.0, gradient=grad, cap=at)
+    assert skipped.evaluations == 1 and skipped.best_value == value
+    assert same_polish(witness.refine_witness(obj, space, point, 1.0, gradient=grad, cap=above), ref)
+
+
 def shell_objective(space, center, width, height):
     """-||x|| plus a bump of ``height`` at norm ``center``: its only violations lie in a thin shell."""
     def bump(t):
