@@ -37,6 +37,16 @@ its rotation by direct indexing.  A sum of three or more terms stays
 explicit adds would move last bits.  No negation is written as a product
 with -1, since a complex product can flip the sign of a zero.  So every norm
 and cotangent is, byte for byte, what the reductions gave.
+
+A seeded stream is ``stream(seed, *key)``: a Philox generator (Salmon et al.
+2011) keyed by numpy's ``SeedSequence`` hash of the seed and the key path.
+A search draws one stream per restart, and building a ``SeedSequence`` and a
+generator per restart costs several times the draws.  ``stream_keys`` gives
+the Philox keys of ``stream(seed, *key, j)`` for many key paths and all j <
+count in one batch: it repeats numpy's hash (pool size 4, ``mix_entropy``,
+``generate_state(2, uint64)``) bit for bit, hashing the words the streams
+share once.  A caller re-keys one generator with them and draws what
+``stream`` would.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ __all__ = [
     "dagger",
     "scalar_amplify",
     "stream",
+    "stream_keys",
     "op_norm_stack",
     "trace_norm_stack",
     "norm_cotangent_stack",
@@ -117,9 +128,92 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     Distinct key paths yield statistically independent streams; the same
     (seed, key) always reproduces the same sequence, independent of any other
     stream, which is what makes restart-parallel searches bit-reproducible.
+    This is the definition of a stream: ``stream_keys`` repeats its numpy
+    ``SeedSequence`` hash in a batch, and a Philox generator re-keyed with
+    ``stream_keys(seed, [key], count)[0, j]`` at counter 0 with an empty
+    buffer draws what ``stream(seed, *key, j)`` draws.
     """
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size, hash and mix constants
+_POOL = 4
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# generate_state's hash constants INIT_B * MULT_B**i, (_POOL + 1, 1): word i is hashed with rows i and i + 1
+_STATE_HASH = np.array([[0x8B51F9DD * 0x58F38DED**i & _M32] for i in range(_POOL + 1)], dtype=np.uint32)
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of a non-negative integer, least significant first ([0] for 0), as SeedSequence splits it."""
+    if n < 0:
+        raise InvalidInputError(f"stream key {n} is negative")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix`` of one word under hash constant ``h``: (the hashed word, the next constant)."""
+    h2 = h * _MULT_A & _M32
+    value = (value ^ h) * h2 & _M32
+    return value ^ value >> 16, h2
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's ``mix`` of two words."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def stream_keys(seed: int, keys, count: int) -> np.ndarray:
+    """The Philox keys of ``stream(seed, *key, j)`` for each key path and each j < count: (len(keys), count, 2) uint64.
+
+    It repeats numpy's ``SeedSequence(seed, spawn_key=(*key, j))`` hash
+    (pool size 4, ``mix_entropy``, then ``generate_state(2, uint64)``, the
+    key ``np.random.Philox`` takes), bit for bit.  The words every j shares
+    are hashed once, in Python ints: the seed words, zero-padded to the
+    pool, and the pool's mixing once per call, each key path's words once
+    per path.  The last word, j, is hashed for all paths and restarts at
+    once, in uint32 arrays.  A j of 2**32 or more would take two words, so
+    ``count`` is at most 2**32.
+    """
+    if not 0 <= count <= 2**32:
+        raise InvalidInputError(f"count={count}: a stream index must fit in one 32-bit word")
+    pool, h = [], _INIT_A
+    for w in (_words(int(seed) & (2**64 - 1)) + [0] * _POOL)[:_POOL]:
+        w, h = _hashmix(w, h)
+        pool.append(w)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                y, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], y)
+    rows = []  # per path and pool word: _MIX_L times the word, and j's hash constants before and after
+    for key in keys:
+        cell, hk = list(pool), h
+        for w in [w for k in key for w in _words(int(k))]:
+            for dst in range(_POOL):
+                y, hk = _hashmix(w, hk)
+                cell[dst] = _mix(cell[dst], y)
+        for dst in range(_POOL):
+            h2 = hk * _MULT_A & _M32
+            rows.append((_MIX_L * cell[dst] & _M32, hk, h2))
+            hk = h2
+    lead, h1, h2 = np.array(rows, dtype=np.uint32).reshape(-1, _POOL, 3, 1).transpose(2, 0, 1, 3)
+    j = np.arange(count, dtype=np.uint32)
+    with np.errstate(over="ignore"):  # uint32 products wrap, as in the C code
+        y = (j ^ h1) * h2
+        y ^= y >> 16
+        r = lead - _MIX_R * y
+        r ^= r >> 16
+        r = (r ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+        r ^= r >> 16
+    # generate_state views the four words as two little-endian uint64
+    return r.transpose(0, 2, 1).astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 # the smallest normal double, a power of two: dividing by it is exact, and it

@@ -2,7 +2,12 @@
 
 The engine runs a configurable number of independent restarts.  Each restart
 draws a start point from its own counter-based RNG stream (derived from the
-master seed and the restart index), then performs projected ascent along the
+master seed, its cell's stream key and the restart index): restart j of a
+cell draws exactly what ``matcore.stream(seed, *key, j)`` draws, whatever the
+batch.  A call keys the streams of all its restarts in one batch
+(``matcore.stream_keys``) and re-keys one Philox generator per restart, so a
+start costs its draws and not a ``SeedSequence`` hash and a generator of its
+own.  Then each restart performs projected ascent along the
 objective's analytic (sub)gradient, which the caller supplies next to the
 objective: for the norm objectives of :mod:`opspace.criteria` it comes from the
 norms' cotangents at the current point (``matcore.norm_cotangent_stack``).
@@ -180,20 +185,33 @@ def _project(space, coeffs, radius, mode):
     return coeffs * scale[..., None, None, None], np.where(moved, radius, norms)
 
 
-def _draw_starts(space, level, cfg, radius, mode, restarts, stream_key):
-    """The restarts' unscaled starts (restarts, level, level, k) and radii, each drawn from its own stream.
+def _draw_starts(space, level, seed, cells, mode, restarts):
+    """The unscaled starts (cells * restarts, level, level, k) and radii of a call's cells, cell after cell.
 
-    A ball restart draws its radius first, then its coefficients; the caller
-    scales the starts of all its cells to their radii at once.
+    Restart j of the cell (radius, key) draws exactly what
+    ``matcore.stream(seed, *key, j)`` draws, whatever the batch: one Philox
+    generator is re-keyed per restart to that stream's key
+    (``matcore.stream_keys``), at counter 0 with an empty buffer.  A ball
+    restart draws its radius first, then its coefficients; the grids and the
+    radii of all restarts are formed at once, and the caller scales the
+    starts to their radii.
     """
-    draws = np.zeros((restarts, level, level, space.dim), dtype=np.complex128)
-    radii = np.full(restarts, float(radius))
-    for j in range(restarts):
-        rng = matcore.stream(cfg.seed, *stream_key, j)
+    keys = matcore.stream_keys(seed, [key for _, key in cells], restarts).reshape(-1, 2).tolist()
+    rng = np.random.Generator(np.random.Philox(0))
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    z = np.empty((len(keys), 2, level, level, space.dim))
+    u = np.empty(len(keys))
+    low = np.log(MIN_RADIUS_FRACTION)
+    for i, key in enumerate(keys):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
         if mode != SPHERE:
-            radii[j] = radius * np.exp(rng.uniform(np.log(MIN_RADIUS_FRACTION), 0.0))
-        draws[j] = spaces.random_stack(space, level, rng, 1)[0]
-    return draws, radii
+            u[i] = rng.uniform(low, 0.0)
+        z[i] = rng.normal(size=z.shape[1:])
+    radii = np.repeat([float(r) for r, _ in cells], restarts)
+    # the grids as spaces.random_stack forms them from the same normals
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0), radii if mode == SPHERE else radii * np.exp(u)
 
 
 def _set_directions(grad, direction, active, idx):
@@ -436,7 +454,9 @@ def maximize_violation(
     """Search the balls (or spheres) of M_n(X) of several cells for maximizers of ``objective``.
 
     ``cells`` is a sequence of (radius, stream_key) pairs.  Each cell draws
-    ``restarts`` starts (default cfg.restarts) from its own stream key, and
+    ``restarts`` starts (default cfg.restarts) from its own stream key:
+    restart j draws exactly what ``matcore.stream(cfg.seed, *stream_key, j)``
+    draws, whatever the other cells and the restart count, and
     the restarts of all cells ascend in one lockstep batch under the cell
     rules of the module docstring, a cell being violated once its best
     exceeds cfg.tolerance.  ``caps``, one per cell or None, bound the
@@ -459,9 +479,7 @@ def maximize_violation(
     if n_restarts <= 0:
         return [SearchResult(best_value=-np.inf, best_point=None, evaluations=0) for _ in cells]
 
-    drawn = [_draw_starts(space, level, cfg, r, mode, n_restarts, key) for r, key in cells]
-    points = spaces.scale_to_norms(space, np.concatenate([d for d, _ in drawn]),
-                                   np.concatenate([radii for _, radii in drawn]))
+    points = spaces.scale_to_norms(space, *_draw_starts(space, level, cfg.seed, cells, mode, n_restarts))
     radius = np.repeat([r for r, _ in cells], n_restarts)
     step0 = np.repeat([STEP_SIZE * r for r, _ in cells], n_restarts)
     values = np.asarray(objective(points), dtype=float)

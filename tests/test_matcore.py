@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,36 @@ def test_scalar_amplify():
     assert matcore.op_norm(matcore.scalar_amplify(r, 4)) == pytest.approx(
         matcore.op_norm(r), abs=1e-12
     )
+
+
+STREAM_SEEDS = [0, 1, 7, 1729, 4242, 2**32, 2**40 + 5, 2**64 - 1, -3, 2**64 + 7]  # the last two are masked
+STREAM_PATHS = [(1, 0, 0), (5, 1, 3), (7,), (2, 2**33, 1)]  # 2**33 takes two words
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 70])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_keys_are_the_stream_keys_bit_for_bit(seed, count):
+    keys = matcore.stream_keys(seed, STREAM_PATHS, count)
+    assert keys.shape == (len(STREAM_PATHS), count, 2) and keys.dtype == np.uint64
+    for c, path in enumerate(STREAM_PATHS):
+        for j in range(count):
+            want = matcore.stream(seed, *path, j).bit_generator.state["state"]["key"]
+            assert np.array_equal(keys[c, j], want), (path, j)
+
+
+def test_stream_keys_emit_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in STREAM_SEEDS:
+            matcore.stream_keys(seed, STREAM_PATHS, 70)
+
+
+def test_stream_keys_refuse_a_count_past_one_word():
+    # the check comes before any array is built: a count of 2**32 + 1 would take 64 GiB
+    with pytest.raises(InvalidInputError, match="32-bit word"):
+        matcore.stream_keys(1729, STREAM_PATHS, 2**32 + 1)
+    with pytest.raises(InvalidInputError):
+        matcore.stream_keys(1729, STREAM_PATHS, -1)
 
 
 def test_rand_cmat_determinism_and_distinctness():

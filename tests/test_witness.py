@@ -835,3 +835,42 @@ def test_config_is_validated_when_built_and_frozen():
         cfg.restarts = -1
     assert cfg.restarts == 64
     assert dataclasses.replace(cfg, restarts=8).restarts == 8
+
+
+def reference_draws(space, level, seed, cells, mode, restarts):
+    """The starts and radii drawn one restart at a time, each from its own ``matcore.stream``."""
+    draws, radii = [], []
+    for radius, key in cells:
+        for j in range(restarts):
+            rng = matcore.stream(seed, *key, j)
+            r = float(radius)
+            if mode != witness.SPHERE:
+                r = radius * np.exp(rng.uniform(np.log(witness.MIN_RADIUS_FRACTION), 0.0))
+            draws.append(spaces.random_stack(space, level, rng, 1)[0])
+            radii.append(r)
+    return np.array(draws).reshape(-1, level, level, space.dim), np.array(radii)
+
+
+DRAW_CELLS = [(1.0, (5, 1, 0)), (0.5, (5, 1, 1)), (0.25, (5, 1, 2)), (0.1, (5, 1, 3))]
+
+
+@pytest.mark.parametrize("restarts", [1, 8, 16])
+@pytest.mark.parametrize("n_cells", [1, 4])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
+def test_batched_draws_are_the_per_restart_streams(m2, mode, level, n_cells, restarts):
+    # restart j >= 1 of each cell would show a generator state left over from restart j - 1
+    cells = DRAW_CELLS[:n_cells]
+    draws, radii = witness._draw_starts(m2, level, 1729, cells, mode, restarts)
+    want_draws, want_radii = reference_draws(m2, level, 1729, cells, mode, restarts)
+    assert np.array_equal(draws, want_draws)
+    assert np.array_equal(radii, want_radii)
+
+
+@pytest.mark.parametrize("mode", [witness.BALL, witness.SPHERE])
+def test_the_first_restarts_of_a_longer_draw_are_a_shorter_draw(m2, mode):
+    many = witness._draw_starts(m2, 2, 4242, DRAW_CELLS, mode, 16)
+    few = witness._draw_starts(m2, 2, 4242, DRAW_CELLS, mode, 8)
+    for long, short in zip(many, few):
+        assert np.array_equal(long.reshape(len(DRAW_CELLS), 16, *long.shape[1:])[:, :8],
+                              short.reshape(len(DRAW_CELLS), 8, *short.shape[1:]))
