@@ -7,8 +7,9 @@
 default SearchConfig (each entry's own tolerance and max_level, as
 ``opspace corpus`` does).  On every entry with a square ambient it also runs,
 with the same config, checks that no entry expects: through
-``corpus.run_check``, ``positive`` on the unit (where the entry has one) and
-the three multiplier checks with basis element 0 as w; and ``adjoint`` on x =
+``criteria.run_check``, ``positive`` on the unit (where the entry has one) and
+the three multiplier checks with basis element 0 as w (the only checks
+whose ``CRITERIA`` row takes a w); and ``adjoint`` on x =
 basis element 0 scaled to norm one, against z = x* and against z = x (keys
 ``ADJOINT_CHECKS``).  On every entry it runs ``left-multiplier-map`` with T
 the identity, and with T the involution's coefficient matrix where the entry
@@ -61,8 +62,10 @@ def dump(out: Path, seeds, src: Path):
             space = entry.space
             local = corpus.entry_config(entry, cfg)
             if space.p == space.q:
-                reports += [(crit, corpus.run_check(space, crit, local, w_index=0)) for crit in SQUARE_CHECKS
-                            if crit != "positive" or space.unit is not None]
+                for crit in SQUARE_CHECKS:
+                    if crit != "positive" or space.unit is not None:
+                        w_index = 0 if criteria.CRITERIA[crit].takes_w else None
+                        reports.append((crit, criteria.run_check(space, crit, local, w_index)))
                 x = space.basis[0] / matcore.op_norm(space.basis[0])
                 reports += [(crit, criteria.check_adjoint(x, z, local))
                             for crit, z in zip(ADJOINT_CHECKS, (matcore.dagger(x), x))]

@@ -1,9 +1,9 @@
 """Command-line front end: load spaces, run criteria, verify the norm identities, run the corpus.
 
 ``check`` (and ``search``, which is ``check`` with 256 restarts by default)
-runs a named criterion through ``corpus.run_check``, the dispatcher the corpus
-uses too.  Each subcommand takes only the flags it reads: every one takes
-``--seed``, ``--format`` and ``--out``; ``check``, ``search`` and ``corpus``
+runs a named criterion through ``criteria.run_check``, the table lookup the
+corpus uses too.  Each subcommand takes only the flags it reads: every one
+takes ``--seed``, ``--format`` and ``--out``; ``check``, ``search`` and ``corpus``
 add the search budget; ``--rank-tol`` is on ``check`` and ``search``,
 ``--threads`` on ``corpus``.  A budget flag's dest is the ``witness.SearchConfig``
 field it sets; the budgets no flag sets are constants (README "Reports").
@@ -157,7 +157,7 @@ def cmd_check(args) -> int:
         if not os.path.exists(args.space_file):
             raise InvalidInputError(f"input file does not exist: {args.space_file}")
         space = _load_space(args.space_file, args)
-        report = corpus.run_check(space, args.criterion, cfg, args.w_index)
+        report = criteria.run_check(space, args.criterion, cfg, args.w_index)
     except OpspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  ("search", "like check, with 256 restarts by default", 256)):
         p_run = sub.add_parser(name, help=what)
         p_run.add_argument("space_file")
-        p_run.add_argument("criterion", help="one of: " + ", ".join(corpus.CRITERIA))
+        p_run.add_argument("criterion", help="one of: " + ", ".join(criteria.SPACE_CRITERIA))
         p_run.add_argument("--unit-index", type=int, default=None,
                            help="use basis element #i as the distinguished element")
         p_run.add_argument("--w-index", type=int, default=None,

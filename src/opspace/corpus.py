@@ -3,9 +3,9 @@
 Each builder returns a CorpusEntry: a concrete space, the criteria worth
 running on it, and the verdicts those criteria must reproduce under the
 default search budget with the pinned seed.  ``write_space_files`` serializes
-their space definitions, and ``run_check`` is the one place a criterion name
-maps to a check, so ``opspace check`` on an emitted file runs what the corpus
-runs and every entry can be re-run from a file through the CLI.
+their space definitions.  The corpus runs each criterion through
+``criteria.run_check``, as ``opspace check`` does, so every entry can be
+re-run from an emitted file through the CLI.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria, matcore, spaces, witness
-from .errors import InvalidInputError, ShapeError
+from . import criteria, spaces, witness
+from .errors import InvalidInputError
 
 __all__ = [
     "CorpusEntry",
@@ -35,9 +35,6 @@ __all__ = [
     "build_non_algebra_span",
     "build_left_identity_pair",
     "build_corpus",
-    "CRITERIA",
-    "multiplication_tensor",
-    "run_check",
     "run_entry",
     "run_corpus",
     "select_entries",
@@ -227,13 +224,7 @@ def _triangular_units(d: int) -> np.ndarray:
 def build_upper_triangular(d: int = 2) -> CorpusEntry:
     """Upper-triangular matrices: a unital operator algebra."""
     basis = _triangular_units(d)
-    unit = np.zeros(basis.shape[0], dtype=np.complex128)
-    pos = 0
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                unit[pos] = 1.0
-            pos += 1
+    unit = np.array([float(i == j) for i in range(d) for j in range(i, d)], dtype=np.complex128)
     space = spaces.make_space(basis, unit=unit)
     return CorpusEntry(
         f"upper_triangular_{d}",
@@ -263,9 +254,7 @@ def build_full_matrix(d: int = 2) -> CorpusEntry:
     Every positive criterion holds.
     """
     basis = _matrix_units(d)
-    unit = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        unit[i * d + i] = 1.0
+    unit = np.eye(d, dtype=np.complex128).reshape(-1)
     space = spaces.make_space(basis, unit=unit, involution=_transpose_permutation(d))
     return CorpusEntry(
         f"full_matrix_{d}",
@@ -358,30 +347,8 @@ def build_corpus() -> list:
     ]
 
 
-#: The largest membership residual of a basis product B_i B_j, divided by ||B_i|| ||B_j||,
-#: that multiplication_tensor accepts.
-PRODUCT_TOL = 1e-9
-
-
-def multiplication_tensor(space: spaces.SpaceRep) -> np.ndarray:
-    """Structure tensor of the ambient product restricted to a multiplication-closed space.
-
-    A product's residual is divided by the norms of its factors, as in the
-    closure checks, so whether a space is refused does not depend on the
-    scale of its basis.
-    """
-    if space.p != space.q:
-        raise ShapeError("multiplication closure needs a square ambient")
-    k = space.dim
-    norms = matcore.op_norm_stack(space.basis)
-    t = np.zeros((k, k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            prod = space.basis[i] @ space.basis[j]
-            if spaces.membership_residual(space, prod) / (norms[i] * norms[j]) > PRODUCT_TOL:
-                raise InvalidInputError("space is not closed under multiplication")
-            t[i, j] = spaces.coefficients_of(space, prod)
-    return t
+#: The benchmark harness calls the tensor by this name; it lives in ``criteria``.
+multiplication_tensor = criteria.multiplication_tensor
 
 
 def entry_config(entry: CorpusEntry, cfg: witness.SearchConfig) -> witness.SearchConfig:
@@ -390,41 +357,10 @@ def entry_config(entry: CorpusEntry, cfg: witness.SearchConfig) -> witness.Searc
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-_MULTIPLIERS = ("multiplier-left", "multiplier-right", "multiplier-quasi")
-CRITERIA = tuple(sorted((*criteria.CRITERION_RUNNERS, "algebra-product", "positive", *_MULTIPLIERS)))
-
-
-def run_check(space: spaces.SpaceRep, criterion: str, cfg: witness.SearchConfig,
-              w_index: int | None = None) -> criteria.CheckReport:
-    """Run the criterion named ``criterion`` (one of ``CRITERIA``) on ``space``.
-
-    ``algebra-product`` tests the ambient product and ``positive`` the space's
-    distinguished element; the multiplier checks take basis element
-    ``w_index`` as the candidate multiplier w.
-    """
-    if criterion in criteria.CRITERION_RUNNERS:
-        return criteria.CRITERION_RUNNERS[criterion](space, cfg=cfg)
-    if criterion == "algebra-product":
-        return criteria.check_algebra_product(space, space.unit, multiplication_tensor(space), cfg)
-    if criterion == "positive":
-        if space.unit is None:
-            raise InvalidInputError(
-                "the positivity check tests the space's distinguished element; none is set"
-            )
-        return criteria.check_positive(space, spaces.unit_element(space), cfg)
-    if criterion in _MULTIPLIERS:
-        if w_index is None:
-            raise InvalidInputError("multiplier checks need --w-index (basis element acting as w)")
-        if not 0 <= w_index < space.dim:
-            raise InvalidInputError(f"--w-index {w_index} out of range")
-        return criteria.check_multiplier(space, space.basis[w_index], criterion.split("-", 1)[1], cfg)
-    raise InvalidInputError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERIA)}")
-
-
 def run_entry(entry: CorpusEntry, cfg: witness.SearchConfig) -> list:
     """Run every expected criterion of one entry; returns (criterion, report) pairs."""
     local = entry_config(entry, cfg)
-    return [(crit, run_check(entry.space, crit, local)) for crit in entry.expected]
+    return [(crit, criteria.run_check(entry.space, crit, local)) for crit in entry.expected]
 
 
 def select_entries(only: str | None = None) -> list:

@@ -91,11 +91,19 @@ fixed tolerance the residual is the sharper test, as for the closure checks.
 
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
 so no check validates its config again.
+
+Each of the 14 criteria is one row of ``CRITERIA``, the one place a
+criterion name maps to a check and to the inputs it takes: a check that runs
+on a space takes its inputs from the space (the distinguished element, the
+ambient product, or a basis element as the multiplier w), and ``adjoint`` and
+``left-multiplier-map`` take theirs from the caller.  ``run_check`` runs a
+row by name for ``opspace check``, the corpus and the payload dump.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -128,6 +136,12 @@ __all__ = [
     "IDENTITIES",
     "PROOF_TOL",
     "CRITERION_RUNNERS",
+    "Criterion",
+    "CRITERIA",
+    "SPACE_CRITERIA",
+    "PRODUCT_TOL",
+    "multiplication_tensor",
+    "run_check",
 ]
 
 HOLDS_WITHIN_BUDGET = "HOLDS_WITHIN_BUDGET"
@@ -351,7 +365,7 @@ class SearchCriterion:
     objective is built.  A signed criterion is the inequality
     ||gadget|| >= target, searched as target - ||gadget||; otherwise it is
     the identity ||gadget|| = target, searched as the absolute deviation.
-    ``check`` decides the row, and ``CRITERION_RUNNERS`` maps its name to it.
+    ``check`` decides the row, and its ``CRITERIA`` row runs it by name.
     """
 
     name: str
@@ -623,8 +637,8 @@ def _coerce_square(space, x, who="x"):
     return m
 
 
-def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None = None) -> CheckReport:
-    """Is x in the positive cone?  Tests ||1 - z x|| <= 1 on the disk |1 - z| <= 1.
+def check_positive(space: spaces.SpaceRep, x=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
+    """Is x (default: the distinguished element) in the positive cone?  Tests ||1 - z x|| <= 1 on |1 - z| <= 1.
 
     For a contraction x the deviation max(||1 - 2x|| - 1, ||x - x*|| / 2) is
     at most 0 exactly when x >= 0 (module docstring), so that is measured
@@ -634,7 +648,9 @@ def check_positive(space: spaces.SpaceRep, x, cfg: witness.SearchConfig | None =
     names none.
     """
     cfg = cfg or witness.SearchConfig()
-    m = _coerce_square(space, x)
+    if x is None and space.unit is None:
+        raise InvalidInputError("the positivity check tests the space's distinguished element; none is set")
+    m = _coerce_square(space, spaces.unit_element(space) if x is None else x)
     _require_contraction("x", matcore.op_norm(m))
     gap = matcore.op_norm(np.eye(m.shape[0]) - 2.0 * m) - 1.0
     residual = 0.5 * matcore.op_norm(m - matcore.dagger(m))
@@ -849,13 +865,35 @@ def _product_residual(space, t) -> float:
     return float(residuals.max())
 
 
-def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.SearchConfig | None = None) -> CheckReport:
+#: The largest membership residual of a basis product B_i B_j, divided by ||B_i|| ||B_j||,
+#: that multiplication_tensor accepts.
+PRODUCT_TOL = 1e-9
+
+
+def multiplication_tensor(space: spaces.SpaceRep) -> np.ndarray:
+    """Structure tensor of the ambient product restricted to a multiplication-closed space.
+
+    The space is refused when ``check_mult_closed`` finds a product of its
+    norm-one basis that leaves it by more than ``PRODUCT_TOL`` (its margin is
+    minus the largest such residual), so whether a space is refused does not
+    depend on the scale of its basis.
+    """
+    if check_mult_closed(space).margin < -PRODUCT_TOL:
+        raise InvalidInputError("space is not closed under multiplication")
+    return np.array([[spaces.coefficients_of(space, bi @ bj) for bj in space.basis] for bi in space.basis])
+
+
+def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
+                          cfg: witness.SearchConfig | None = None) -> CheckReport:
     """Does the bilinear map m (given by a structure tensor) make (X, u) a unital operator algebra?
 
-    Three sub-checks: (i) u passes the coisometry row test; (ii) y -> m(x, y)
-    is a contractive left multiplier for sampled contractive x; (iii) m(x, u) = x
-    exactly on the basis.  The report names any failing sub-check.  A
-    level-1-oracle space gets UNSUPPORTED_LEVEL, as for the left-multiplier map.
+    ``u`` defaults to the distinguished element and ``tensor`` to the ambient
+    product (``multiplication_tensor``, which refuses a space it does not
+    keep).  Three sub-checks: (i) u passes the coisometry row test; (ii)
+    y -> m(x, y) is a contractive left multiplier for sampled contractive x;
+    (iii) m(x, u) = x exactly on the basis.  The report names any failing
+    sub-check.  A level-1-oracle space gets UNSUPPORTED_LEVEL, as for the
+    left-multiplier map.
 
     Sub-check (ii) samples no pairs when m is the ambient product, to
     ``PROOF_TOL`` on every basis pair (``_product_residual``, whose products
@@ -864,7 +902,7 @@ def check_algebra_product(space: spaces.SpaceRep, u, tensor, cfg: witness.Search
     """
     cfg = cfg or witness.SearchConfig()
     k = space.dim
-    t = np.asarray(tensor, dtype=np.complex128)
+    t = multiplication_tensor(space) if tensor is None else np.asarray(tensor, dtype=np.complex128)
     if t.shape != (k, k, k):
         raise ShapeError(f"structure tensor must be {k}x{k}x{k}, got {t.shape}")
     u = _unit_coeffs(space, u)
@@ -956,8 +994,58 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
 
 
 # ---------------------------------------------------------------------------
-# catalog for the CLI
+# catalog: every criterion by name
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """How ``run_check`` runs one criterion on a space.
+
+    ``check`` runs as ``check(space, cfg=cfg)``, or as ``check(space, w, cfg=cfg)``
+    with a basis element as the candidate multiplier w when ``takes_w``.  It
+    is None for a criterion whose inputs (x and z, or a map T) only the
+    caller can give.
+    """
+
+    check: Callable | None
+    takes_w: bool = False
+
+
+#: Every criterion by name, all 14: the searched rows, the closure checks, the two checks that
+#: take the distinguished element (and the ambient product) from the space, the multipliers, and
+#: the two whose inputs the caller gives.
+CRITERIA = {**{name: Criterion(row.check) for name, row in SEARCH_CRITERIA.items()},
+            "mult-closed": Criterion(check_mult_closed), "cstar-among-systems": Criterion(check_cstar_among_systems),
+            "algebra-product": Criterion(check_algebra_product), "positive": Criterion(check_positive),
+            **{f"multiplier-{side}": Criterion(functools.partial(check_multiplier, side=side), takes_w=True)
+               for side in ("left", "right", "quasi")},
+            "adjoint": Criterion(None), "left-multiplier-map": Criterion(None)}
+
+#: The names ``run_check`` runs on a space, sorted: every criterion whose check takes its inputs from the space.
+SPACE_CRITERIA = tuple(sorted(name for name, row in CRITERIA.items() if row.check is not None))
 
 #: The checks run by name as (space, cfg=cfg): each searched row's ``check``, then the two closure checks.
-CRITERION_RUNNERS = {**{name: row.check for name, row in SEARCH_CRITERIA.items()},
-                     "mult-closed": check_mult_closed, "cstar-among-systems": check_cstar_among_systems}
+CRITERION_RUNNERS = {name: CRITERIA[name].check for name in (*SEARCH_CRITERIA, "mult-closed", "cstar-among-systems")}
+
+
+def run_check(space: spaces.SpaceRep, criterion: str, cfg: witness.SearchConfig,
+              w_index: int | None = None) -> CheckReport:
+    """Run the criterion named ``criterion`` (one of ``SPACE_CRITERIA``) on ``space`` through its ``CRITERIA`` row.
+
+    The multipliers take basis element ``w_index`` as the candidate
+    multiplier w; every other criterion refuses a ``w_index``.
+    """
+    row = CRITERIA.get(criterion)
+    if row is None:
+        raise InvalidInputError(f"unknown criterion {criterion!r}; known: {', '.join(SPACE_CRITERIA)}")
+    if row.check is None:
+        raise InvalidInputError(f"criterion {criterion!r} takes its inputs from the caller, not from a space")
+    if not row.takes_w:
+        if w_index is not None:
+            raise InvalidInputError(f"{criterion} takes no --w-index (only the multipliers take a w)")
+        return row.check(space, cfg=cfg)
+    if w_index is None:
+        raise InvalidInputError(f"{criterion} needs --w-index (basis element acting as w)")
+    if not 0 <= w_index < space.dim:
+        raise InvalidInputError(f"--w-index {w_index} out of range")
+    return row.check(space, space.basis[w_index], cfg=cfg)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opspace import cli, corpus, spaces, witness
+from opspace import cli, corpus, criteria, spaces, witness
 from opspace.errors import SpaceFormatError
 
 from conftest import oracle_space_with_involution
@@ -162,6 +162,25 @@ def test_multiplier_requires_w_index(space_dir, tmp_path, capsys):
     rc = run_cli(["check", space_dir / "upper_triangular_2.json", "multiplier-left",
                   "--w-index", 0, "--format", "json", "--out", out])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [["mult-closed", "--w-index", 99], ["positive", "--w-index", 3]])
+def test_w_index_is_refused_by_a_criterion_that_takes_no_w(space_dir, capsys, argv):
+    assert run_cli(["check", space_dir / "full_matrix_2.json", *argv]) == 3
+    assert f"{argv[0]} takes no --w-index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion", ["adjoint", "left-multiplier-map"])
+def test_caller_only_criteria_are_refused_as_such(space_dir, capsys, criterion):
+    assert run_cli(["check", space_dir / "full_matrix_2.json", criterion]) == 3
+    err = capsys.readouterr().err
+    assert "takes its inputs from the caller" in err and "unknown criterion" not in err
+
+
+@pytest.mark.parametrize("criterion", criteria.SPACE_CRITERIA)
+def test_every_space_criterion_holds_on_m2(space_dir, tmp_path, criterion):
+    flags = ["--w-index", 0] if criteria.CRITERIA[criterion].takes_w else []
+    assert run_cli(["check", space_dir / "full_matrix_2.json", criterion, *flags, "--out", tmp_path / "r"]) == 0
 
 
 def test_positive_uses_unit(space_dir, tmp_path):

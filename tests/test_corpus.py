@@ -58,8 +58,8 @@ def test_l1_model_small_cases():
 
 def test_multiplication_tensor_requires_closure():
     with pytest.raises(Exception):
-        corpus.multiplication_tensor(corpus.build_non_algebra_span().space)
-    t = corpus.multiplication_tensor(corpus.build_upper_triangular(2).space)
+        criteria.multiplication_tensor(corpus.build_non_algebra_span().space)
+    t = criteria.multiplication_tensor(corpus.build_upper_triangular(2).space)
     assert t.shape == (3, 3, 3)
 
 
@@ -70,9 +70,9 @@ def test_multiplication_tensor_does_not_depend_on_the_basis_scale(scale):
     span = spaces.make_space(scale * np.stack([np.eye(2), e12, e12.T]).astype(complex),
                              unit=np.array([1.0 / scale, 0.0, 0.0]))
     with pytest.raises(InvalidInputError, match="not closed under multiplication"):
-        corpus.multiplication_tensor(span)
+        criteria.multiplication_tensor(span)
     ut3 = spaces.make_space(scale * corpus.build_upper_triangular(3).space.basis)
-    assert corpus.multiplication_tensor(ut3).shape == (6, 6, 6)
+    assert criteria.multiplication_tensor(ut3).shape == (6, 6, 6)
 
 
 def test_trace_class_alpha_half_also_violates():

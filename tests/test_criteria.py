@@ -100,6 +100,136 @@ def test_runners_are_the_searched_rows_then_the_two_closure_checks():
     assert criteria.CRITERION_RUNNERS["cstar-among-systems"] is criteria.check_cstar_among_systems
 
 
+# ---------------------------------------------------------------------------
+# the criterion table and run_check
+
+MULTIPLIERS = ("multiplier-left", "multiplier-right", "multiplier-quasi")
+#: The two criteria whose inputs (x and z, or a coefficient map T) only a caller can give.
+CALLER_ONLY = ("adjoint", "left-multiplier-map")
+
+
+def reference_multiplication_tensor(space):
+    """The structure tensor as one membership residual per basis product, written out."""
+    if space.p != space.q:
+        raise ShapeError("multiplication closure needs a square ambient")
+    k = space.dim
+    norms = matcore.op_norm_stack(space.basis)
+    t = np.zeros((k, k, k), dtype=np.complex128)
+    for i in range(k):
+        for j in range(k):
+            prod = space.basis[i] @ space.basis[j]
+            if spaces.membership_residual(space, prod) / (norms[i] * norms[j]) > criteria.PRODUCT_TOL:
+                raise InvalidInputError("space is not closed under multiplication")
+            t[i, j] = spaces.coefficients_of(space, prod)
+    return t
+
+
+def reference_run_check(space, criterion, cfg, w_index=None):
+    """The name-to-check chain that ``criteria.CRITERIA`` replaced, written out branch by branch."""
+    if criterion in criteria.CRITERION_RUNNERS:
+        return criteria.CRITERION_RUNNERS[criterion](space, cfg=cfg)
+    if criterion == "algebra-product":
+        return criteria.check_algebra_product(space, space.unit, reference_multiplication_tensor(space), cfg)
+    if criterion == "positive":
+        if space.unit is None:
+            raise InvalidInputError("the positivity check tests the space's distinguished element; none is set")
+        return criteria.check_positive(space, spaces.unit_element(space), cfg)
+    if criterion in MULTIPLIERS:
+        if w_index is None:
+            raise InvalidInputError("multiplier checks need --w-index (basis element acting as w)")
+        if not 0 <= w_index < space.dim:
+            raise InvalidInputError(f"--w-index {w_index} out of range")
+        return criteria.check_multiplier(space, space.basis[w_index], criterion.split("-", 1)[1], cfg)
+    raise InvalidInputError(f"unknown criterion {criterion!r}")
+
+
+def test_the_table_holds_all_fourteen_criteria():
+    assert set(criteria.CRITERIA) == {*criteria.CRITERION_RUNNERS, "algebra-product", "positive", *MULTIPLIERS,
+                                      *CALLER_ONLY}
+    assert len(criteria.CRITERIA) == 14
+    assert criteria.SPACE_CRITERIA == tuple(sorted(set(criteria.CRITERIA) - set(CALLER_ONLY)))
+    assert [name for name, row in criteria.CRITERIA.items() if row.takes_w] == list(MULTIPLIERS)
+    assert all(criteria.CRITERIA[name].check is None for name in CALLER_ONLY)
+
+
+def test_multiplication_tensor_matches_the_written_out_loop(corpus_entries):
+    built = 0
+    for entry in corpus_entries.values():
+        try:
+            want = reference_multiplication_tensor(entry.space)
+        except (InvalidInputError, ShapeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                criteria.multiplication_tensor(entry.space)
+            continue
+        got = criteria.multiplication_tensor(entry.space)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), entry.name
+        built += 1
+    assert built >= 3
+
+
+@pytest.mark.parametrize("name", criteria.SPACE_CRITERIA)
+def test_run_check_matches_the_written_out_chain(corpus_entries, name):
+    # same report, bit for bit, on every corpus entry the chain runs; the same refusal on every other one
+    cfg = witness.SearchConfig(seed=7)
+    w_index = 0 if name in MULTIPLIERS else None
+    ran = 0
+    for entry in corpus_entries.values():
+        try:
+            want = reference_run_check(entry.space, name, cfg, w_index)
+        except (InvalidInputError, ShapeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                criteria.run_check(entry.space, name, cfg, w_index)
+            continue
+        got = criteria.run_check(entry.space, name, cfg, w_index)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True), entry.name
+        ran += 1
+    assert ran
+
+
+def test_positive_defaults_to_the_distinguished_element(corpus_entries):
+    cfg = witness.SearchConfig(seed=7)
+    ran = 0
+    for entry in corpus_entries.values():
+        space = entry.space
+        if space.unit is None:
+            with pytest.raises(InvalidInputError, match="none is set"):
+                criteria.check_positive(space)
+            continue
+        if space.p != space.q:
+            continue
+        want = criteria.check_positive(space, spaces.unit_element(space), cfg)
+        assert json.dumps(criteria.check_positive(space, cfg=cfg).to_dict()) == json.dumps(want.to_dict())
+        ran += 1
+    assert ran >= 5
+
+
+def test_algebra_product_defaults_to_the_unit_and_the_ambient_product(corpus_entries):
+    cfg = witness.SearchConfig(seed=7)
+    ran = 0
+    for entry in corpus_entries.values():
+        space = entry.space
+        if space.unit is None or space.p != space.q or space.norm_mode != spaces.EMBEDDED:
+            continue
+        try:
+            tensor = criteria.multiplication_tensor(space)
+        except InvalidInputError:
+            continue
+        want = criteria.check_algebra_product(space, space.unit, tensor, cfg)
+        assert json.dumps(criteria.check_algebra_product(space, cfg=cfg).to_dict()) == json.dumps(want.to_dict())
+        ran += 1
+    assert ran >= 3
+
+
+@pytest.mark.parametrize("name", [n for n in criteria.SPACE_CRITERIA if n not in MULTIPLIERS])
+def test_run_check_refuses_a_w_index_on_a_criterion_without_w(m2_entry, name):
+    with pytest.raises(InvalidInputError, match=f"{name} takes no --w-index"):
+        criteria.run_check(m2_entry.space, name, witness.SearchConfig(), w_index=0)
+
+
+def test_corpus_keeps_the_tensor_name_the_benchmark_calls():
+    assert corpus.multiplication_tensor is criteria.multiplication_tensor
+
+
 def first_violated(corpus_entries, corpus_reports, crit):
     """(entry, report) of the first corpus entry whose ``crit`` report is VIOLATED."""
     return next((corpus_entries[name], reports[crit]) for name, reports in corpus_reports.items()
@@ -753,7 +883,7 @@ def test_left_multiplier_map_examples(m2_entry):
 
 def test_algebra_product_examples():
     entry = corpus.build_upper_triangular(2)
-    tensor = corpus.multiplication_tensor(entry.space)
+    tensor = criteria.multiplication_tensor(entry.space)
     rep = criteria.check_algebra_product(entry.space, entry.space.unit, tensor)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
     assert rep.witness["aux"]["failed"] == []
@@ -783,7 +913,7 @@ def test_algebra_product_proves_the_ambient_product_and_samples_any_other(criter
     # a tensor with m(x, u) = x kept but a non-contractive left action, m(x, y) = x y + (y_0 - y_2) x on
     # span{E11, E12, E22} with u = E11 + E22: the pairs are sampled, and only sub-check (ii) fails
     space = corpus.build_upper_triangular(2).space
-    planted = corpus.multiplication_tensor(space) + np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
+    planted = criteria.multiplication_tensor(space) + np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
     rep = criteria.check_algebra_product(space, space.unit, planted)
     aux = rep.witness["aux"]
     assert rep.verdict == criteria.VIOLATED and aux["failed"] == ["left-multiplier"]
@@ -805,7 +935,7 @@ def test_algebra_product_proof_agrees_with_the_sampled_pairs(name, monkeypatch):
     # the proved sub-check (ii) skips exactly the pairs that could not fire: with the proof disabled, the
     # sampled left action of the same ambient tensor stays within the tolerance, and the other sub-checks agree
     space = AMBIENT_ALGEBRAS[name]().space
-    tensor = corpus.multiplication_tensor(space)
+    tensor = criteria.multiplication_tensor(space)
     proved = criteria.check_algebra_product(space, space.unit, tensor)
     aux, k = proved.witness["aux"], space.dim
     assert proved.verdict == criteria.HOLDS_WITHIN_BUDGET and aux["failed"] == []
@@ -830,7 +960,7 @@ def test_algebra_product_samples_a_tensor_off_the_ambient_product(size):
     # any tensor further than PROOF_TOL from the ambient product is sampled, however close: here the planted
     # left action m(x, y) = x y + size (y_0 - y_2) x on UT_2 keeps m(x, u) = x
     space = corpus.build_upper_triangular(2).space
-    planted = corpus.multiplication_tensor(space) + size * np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
+    planted = criteria.multiplication_tensor(space) + size * np.einsum("il,j->ijl", np.eye(3), [1.0, 0.0, -1.0])
     rep = criteria.check_algebra_product(space, space.unit, planted)
     aux = rep.witness["aux"]
     assert "product_residual" not in aux and rep.notes == []

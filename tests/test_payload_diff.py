@@ -96,7 +96,7 @@ def test_dump_adds_positive_the_multipliers_and_the_left_multiplier_maps(payload
                                          *payload_diff.LEFT_MULTIPLIER_CHECKS])
     entry = entries["upper_triangular_2"]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=7))
-    report = corpus.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
+    report = criteria.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
     assert dumped["7/upper_triangular_2/multiplier-quasi"] == json.loads(json.dumps(report.to_dict()))
     nas = entries["non_algebra_span"]
     cfg = corpus.entry_config(nas, witness.SearchConfig(seed=7))

@@ -479,7 +479,7 @@ def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_
     # the margins and sample counts of these reports at seed 1729 with neither the snap trial nor the caps
     entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
-    snapping = corpus.run_check(entry.space, criterion, cfg)
+    snapping = criteria.run_check(entry.space, criterion, cfg)
     monkeypatch.setattr(witness, "SNAP_STEPS", 0)
     spec = criteria.SEARCH_CRITERIA[criterion]
     plain = dataclasses.replace(spec, cap=None).check(entry.space, cfg=cfg)
@@ -648,7 +648,7 @@ def polish_calls(monkeypatch, entry_name, criterion, seed):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(witness, "refine_witness", spy)
-    report = corpus.run_check(entry.space, criterion, corpus.entry_config(entry, witness.SearchConfig(seed=seed)))
+    report = criteria.run_check(entry.space, criterion, corpus.entry_config(entry, witness.SearchConfig(seed=seed)))
     monkeypatch.undo()
     return report, calls
 
@@ -797,7 +797,7 @@ FIXED_BUDGETS = {
                                                                  n_contractions=4),
     "target_norm": lambda: spaces.random_stack(corpus.build_full_matrix(2).space, 1, matcore.stream(1), 1,
                                                target_norm=1.0),
-    "multiplication_tensor-tol": lambda: corpus.multiplication_tensor(corpus.build_full_matrix(2).space, tol=1e-6),
+    "multiplication_tensor-tol": lambda: criteria.multiplication_tensor(corpus.build_full_matrix(2).space, tol=1e-6),
     "psd_sqrt-tol": lambda: psd_sqrt(np.eye(2), tol=1e-6),  # the row-identity oracle's, in conftest
 }
 
