@@ -1,16 +1,21 @@
 """Reference spaces wired to expected verdicts for regression.
 
-Each builder returns a CorpusEntry: a concrete space, the criteria worth
-running on it, and the verdicts those criteria must reproduce under the
-default search budget with the pinned seed.  ``write_space_files`` serializes
-their space definitions.  The corpus runs each criterion through
-``criteria.run_check``, as ``opspace check`` does, so every entry can be
-re-run from an emitted file through the CLI.
+The corpus is one ordered table, ``ENTRIES``: each name maps to the builder of
+its CorpusEntry, a concrete space with the criteria worth running on it and
+the verdicts those criteria must reproduce under the default search budget
+with the pinned seed.  The six fixed spans are rows of ``_SPANS`` (ambient
+shape, the matrix-unit cells of each basis element, ``make_space`` keywords,
+expected verdicts); the families are the ``build_*`` functions, which take
+their size.  ``entry`` builds one entry by name, and ``build_corpus`` all of
+them in order.  ``write_space_files`` serializes their space definitions.  The
+corpus runs each criterion through ``criteria.run_check``, as ``opspace check``
+does, so every entry can be re-run from an emitted file through the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,19 +27,15 @@ from .errors import InvalidInputError
 
 __all__ = [
     "CorpusEntry",
+    "ENTRIES",
     "build_linf",
     "build_trace_class_2",
-    "build_lower_triangular_L12",
-    "build_l1_2_diag_trace",
     "build_l1_2_model",
-    "build_column_H2",
-    "build_twisted_selfadjoint",
     "build_upper_triangular",
     "build_full_matrix",
     "build_full_matrix_plus_half",
-    "build_non_algebra_span",
-    "build_left_identity_pair",
     "build_corpus",
+    "entry",
     "run_entry",
     "run_corpus",
     "select_entries",
@@ -43,6 +44,12 @@ __all__ = [
 
 H = criteria.HOLDS_WITHIN_BUDGET
 V = criteria.VIOLATED
+
+#: The searched rows in ``criteria.SEARCH_CRITERIA``'s order: the two unitary tests (four-rotation,
+#: t-gadget), the coisometry and isometry tests, and the operator-system test.
+_ROWS = tuple(criteria.SEARCH_CRITERIA)
+#: The ``make_space`` keywords of a space normed by the level-1 trace-norm oracle.
+_TRACE_NORM = {"norm_mode": spaces.LEVEL1_ORACLE, "level1_oracle": "trace_norm"}
 
 
 @dataclass
@@ -54,49 +61,22 @@ class CorpusEntry:
     max_level: int | None = None  # entry-local override
 
 
-def _unit_vector(k: int, i: int) -> np.ndarray:
-    u = np.zeros(k, dtype=np.complex128)
-    u[i] = 1.0
-    return u
-
-
-def _matrix_units(d: int) -> np.ndarray:
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            basis[i * d + j, i, j] = 1.0
+def _units(p: int, q: int, cells) -> np.ndarray:
+    """A basis of p x q matrices: element s is the sum of the matrix units E_ij over the cells (i, j) of cells[s]."""
+    basis = np.zeros((len(cells), p, q), dtype=np.complex128)
+    for s, element in enumerate(cells):
+        for i, j in element:
+            basis[s, i, j] = 1.0
     return basis
 
 
 def build_linf(N: int = 3, unit: str = "ones") -> CorpusEntry:
     """Diagonal subspace of M_N with sup norm; the all-ones vector is a unitary, e_1 is not."""
-    basis = np.zeros((N, N, N), dtype=np.complex128)
-    for i in range(N):
-        basis[i, i, i] = 1.0
-    if unit == "ones":
-        u = np.ones(N, dtype=np.complex128)
-        expected = {
-            "unitary-four-rotation": H,
-            "unitary-t-gadget": H,
-            "coisometry": H,
-            "isometry": H,
-            "operator-system": H,
-        }
-        name = f"linf{N}_ones"
-    elif unit == "e1":
-        u = _unit_vector(N, 0)
-        expected = {
-            "unitary-four-rotation": V,
-            "unitary-t-gadget": V,
-            "coisometry": V,
-            "isometry": V,
-            "operator-system": V,
-        }
-        name = f"linf{N}_e1"
-    else:
+    if unit not in ("ones", "e1"):
         raise InvalidInputError("unit must be 'ones' or 'e1'")
-    space = spaces.make_space(basis, unit=u, involution=np.eye(N))
-    return CorpusEntry(name, space, expected)
+    u = np.ones(N) if unit == "ones" else np.eye(N)[0]
+    space = spaces.make_space(_units(N, N, [[(i, i)] for i in range(N)]), unit=u, involution=np.eye(N))
+    return CorpusEntry(f"linf{N}_{unit}", space, dict.fromkeys(_ROWS, H if unit == "ones" else V))
 
 
 def build_trace_class_2(alpha: float = 0.6) -> CorpusEntry:
@@ -106,50 +86,9 @@ def build_trace_class_2(alpha: float = 0.6) -> CorpusEntry:
     """
     if not 0 < alpha < 1:
         raise InvalidInputError("alpha must lie in (0, 1)")
-    basis = _matrix_units(2)
-    u = np.zeros(4, dtype=np.complex128)
-    u[0], u[3] = alpha, 1.0 - alpha
-    space = spaces.make_space(basis, unit=u, norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
-    return CorpusEntry(
-        "trace_class_2",
-        space,
-        {"unitary-four-rotation": V},
-    )
-
-
-def build_lower_triangular_L12() -> CorpusEntry:
-    """Lower-triangular 3-dimensional subspace of the 2x2 trace-norm space.
-
-    Its rotation-test witnesses are those of the full trace-norm space.
-    """
-    basis = np.zeros((3, 2, 2), dtype=np.complex128)
-    basis[0, 0, 0] = 1.0
-    basis[1, 1, 0] = 1.0
-    basis[2, 1, 1] = 1.0
-    u = np.array([0.6, 0.0, 0.4], dtype=np.complex128)
-    space = spaces.make_space(basis, unit=u, norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
-    return CorpusEntry(
-        "lower_triangular_L12",
-        space,
-        {"unitary-four-rotation": V},
-    )
-
-
-def build_l1_2_diag_trace() -> CorpusEntry:
-    """The diagonal of the 2x2 trace-norm space: an isometric copy of two-point l1 (|a| + |b|).
-
-    It passes the level-1 rotation test.
-    """
-    basis = np.zeros((2, 2, 2), dtype=np.complex128)
-    basis[0, 0, 0] = 1.0
-    basis[1, 1, 1] = 1.0
-    space = spaces.make_space(basis, unit=np.array([1.0, 0.0]),
-                              norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
-    return CorpusEntry(
-        "l1_2_diag_trace",
-        space,
-        {"unitary-four-rotation": H},
-    )
+    space = spaces.make_space(_units(2, 2, [[(i, j)] for i in range(2) for j in range(2)]),
+                              unit=[alpha, 0.0, 0.0, 1.0 - alpha], **_TRACE_NORM)
+    return CorpusEntry("trace_class_2", space, {"unitary-four-rotation": V})
 
 
 def build_l1_2_model(M: int = 64) -> CorpusEntry:
@@ -162,90 +101,16 @@ def build_l1_2_model(M: int = 64) -> CorpusEntry:
     if M < 2:
         raise InvalidInputError("M must be at least 2")
     omega = np.exp(2j * np.pi / M)
-    basis = np.zeros((2, M, M), dtype=np.complex128)
-    basis[0] = np.eye(M)
-    basis[1] = np.diag(omega ** np.arange(M))
-    space = spaces.make_space(basis, unit=np.array([1.0, 0.0]))
-    return CorpusEntry(
-        f"l1_2_model_{M}",
-        space,
-        {"unitary-four-rotation": H, "unitary-t-gadget": H},
-        tolerance=1e-3,
-        max_level=1,
-    )
-
-
-def build_column_H2() -> CorpusEntry:
-    """The first column of M_2 (two-dimensional column Hilbert space): e_1 is an isometry, no coisometry."""
-    basis = np.zeros((2, 2, 1), dtype=np.complex128)
-    basis[0, 0, 0] = 1.0
-    basis[1, 1, 0] = 1.0
-    space = spaces.make_space(basis, unit=np.array([1.0, 0.0]))
-    return CorpusEntry(
-        "column_H2",
-        space,
-        {
-            "isometry": H,
-            "coisometry": V,
-            "unitary-four-rotation": V,
-            "unitary-t-gadget": V,
-        },
-    )
-
-
-def build_twisted_selfadjoint() -> CorpusEntry:
-    """{x in M_2 : x_11 = 0, x_12 = x_21} with unit E_12 + E_21: unital but not a system."""
-    basis = np.zeros((2, 2, 2), dtype=np.complex128)
-    basis[0, 0, 1] = 1.0
-    basis[0, 1, 0] = 1.0
-    basis[1, 1, 1] = 1.0
-    space = spaces.make_space(basis, unit=np.array([1.0, 0.0]), involution=np.eye(2))
-    return CorpusEntry(
-        "twisted_selfadjoint",
-        space,
-        {
-            "unitary-four-rotation": H,
-            "unitary-t-gadget": H,
-            "coisometry": H,
-            "isometry": H,
-            "operator-system": V,
-        },
-    )
-
-
-def _triangular_units(d: int) -> np.ndarray:
-    idx = [(i, j) for i in range(d) for j in range(i, d)]
-    basis = np.zeros((len(idx), d, d), dtype=np.complex128)
-    for s, (i, j) in enumerate(idx):
-        basis[s, i, j] = 1.0
-    return basis
+    space = spaces.make_space([np.eye(M), np.diag(omega ** np.arange(M))], unit=[1.0, 0.0])
+    return CorpusEntry(f"l1_2_model_{M}", space, dict.fromkeys(_ROWS[:2], H), tolerance=1e-3, max_level=1)
 
 
 def build_upper_triangular(d: int = 2) -> CorpusEntry:
     """Upper-triangular matrices: a unital operator algebra."""
-    basis = _triangular_units(d)
-    unit = np.array([float(i == j) for i in range(d) for j in range(i, d)], dtype=np.complex128)
-    space = spaces.make_space(basis, unit=unit)
-    return CorpusEntry(
-        f"upper_triangular_{d}",
-        space,
-        {
-            "unitary-four-rotation": H,
-            "unitary-t-gadget": H,
-            "coisometry": H,
-            "isometry": H,
-            "mult-closed": H,
-            "algebra-product": H,
-        },
-    )
-
-
-def _transpose_permutation(d: int) -> np.ndarray:
-    S = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            S[j * d + i, i * d + j] = 1.0
-    return S
+    cells = [[(i, j)] for i in range(d) for j in range(i, d)]
+    space = spaces.make_space(_units(d, d, cells), unit=[float(i == j) for [(i, j)] in cells])
+    expected = dict.fromkeys((*_ROWS[:4], "mult-closed", "algebra-product"), H)
+    return CorpusEntry(f"upper_triangular_{d}", space, expected)
 
 
 def build_full_matrix(d: int = 2) -> CorpusEntry:
@@ -253,22 +118,11 @@ def build_full_matrix(d: int = 2) -> CorpusEntry:
 
     Every positive criterion holds.
     """
-    basis = _matrix_units(d)
-    unit = np.eye(d, dtype=np.complex128).reshape(-1)
-    space = spaces.make_space(basis, unit=unit, involution=_transpose_permutation(d))
-    return CorpusEntry(
-        f"full_matrix_{d}",
-        space,
-        {
-            "unitary-four-rotation": H,
-            "unitary-t-gadget": H,
-            "coisometry": H,
-            "isometry": H,
-            "operator-system": H,
-            "mult-closed": H,
-            "cstar-among-systems": H,
-        },
-    )
+    basis = _units(d, d, [[(i, j)] for i in range(d) for j in range(d)])
+    # coeffs(E_ij*) are those of E_ji: the transpose permutation, which is symmetric
+    involution = basis.transpose(0, 2, 1).reshape(d * d, d * d)
+    space = spaces.make_space(basis, unit=np.eye(d).reshape(-1), involution=involution)
+    return CorpusEntry(f"full_matrix_{d}", space, dict.fromkeys((*_ROWS, "mult-closed", "cstar-among-systems"), H))
 
 
 def build_full_matrix_plus_half(d: int = 2) -> CorpusEntry:
@@ -279,72 +133,67 @@ def build_full_matrix_plus_half(d: int = 2) -> CorpusEntry:
     identity proves it and these verdicts rest on the search.
     """
     full = build_full_matrix(d).space
-    basis = np.zeros((d * d, 2 * d, 2 * d), dtype=np.complex128)
-    basis[:, :d, :d] = full.basis
-    basis[:, d:, d:] = full.basis / 2
-    space = spaces.make_space(basis, unit=full.unit, involution=full.involution)
-    return CorpusEntry(
-        f"full_matrix_{d}_plus_half",
-        space,
-        {
-            "unitary-four-rotation": H,
-            "unitary-t-gadget": H,
-            "coisometry": H,
-            "isometry": H,
-        },
-    )
+    space = spaces.make_space(np.kron(np.diag([1.0, 0.5]), full.basis), unit=full.unit, involution=full.involution)
+    return CorpusEntry(f"full_matrix_{d}_plus_half", space, dict.fromkeys(_ROWS[:4], H))
 
 
-def build_non_algebra_span() -> CorpusEntry:
-    """span{E_12, E_21} in M_2: selfadjoint as a set, but its products land on the diagonal, outside it."""
-    basis = np.zeros((2, 2, 2), dtype=np.complex128)
-    basis[0, 0, 1] = 1.0
-    basis[1, 1, 0] = 1.0
-    space = spaces.make_space(basis)
-    return CorpusEntry(
-        "non_algebra_span",
-        space,
-        {"mult-closed": V},
-    )
+#: The fixed spans: name -> ((p, q), the cells of each basis element, ``make_space`` keywords, expected verdicts).
+_SPANS = {
+    # the lower triangle of the 2x2 trace-norm space; its rotation-test witnesses are those of the full space
+    "lower_triangular_L12": ((2, 2), [[(0, 0)], [(1, 0)], [(1, 1)]], dict(_TRACE_NORM, unit=[0.6, 0.0, 0.4]),
+                             {"unitary-four-rotation": V}),
+    # the diagonal of the 2x2 trace-norm space, an isometric copy of two-point l1 (|a| + |b|): it passes
+    "l1_2_diag_trace": ((2, 2), [[(0, 0)], [(1, 1)]], dict(_TRACE_NORM, unit=[1.0, 0.0]),
+                        {"unitary-four-rotation": H}),
+    # the first column of M_2 (two-dimensional column Hilbert space): e_1 is an isometry, no coisometry
+    "column_H2": ((2, 1), [[(0, 0)], [(1, 0)]], {"unit": [1.0, 0.0]},
+                  {"isometry": H, "coisometry": V, **dict.fromkeys(_ROWS[:2], V)}),
+    # {x in M_2 : x_11 = 0, x_12 = x_21} with unit E_12 + E_21: unital but not a system
+    "twisted_selfadjoint": ((2, 2), [[(0, 1), (1, 0)], [(1, 1)]], {"unit": [1.0, 0.0], "involution": np.eye(2)},
+                            dict(zip(_ROWS, (H, H, H, H, V)))),
+    # span{E_12, E_21}: selfadjoint as a set, but its products land on the diagonal, outside it
+    "non_algebra_span": ((2, 2), [[(0, 1)], [(1, 0)]], {}, {"mult-closed": V}),
+    # span{E_11, E_12}, a row operator algebra with the norm-one left identity E_11: a coisometry, no isometry
+    "left_identity_pair": ((2, 2), [[(0, 0)], [(0, 1)]], {"unit": [1.0, 0.0]},
+                           {"coisometry": H, "isometry": V, **dict.fromkeys(_ROWS[:2], V)}),
+}
 
 
-def build_left_identity_pair() -> CorpusEntry:
-    """span{E_11, E_12} with unit E_11: a left identity is a coisometry but no isometry.
+def _span(name: str) -> CorpusEntry:
+    """The CorpusEntry of the fixed span ``name``, built from its ``_SPANS`` row with its own expected dict."""
+    (p, q), cells, keywords, expected = _SPANS[name]
+    return CorpusEntry(name, spaces.make_space(_units(p, q, cells), **keywords), dict(expected))
 
-    The span is a row operator algebra, and E_11 is its norm-one left identity.
-    """
-    basis = np.zeros((2, 2, 2), dtype=np.complex128)
-    basis[0, 0, 0] = 1.0
-    basis[1, 0, 1] = 1.0
-    space = spaces.make_space(basis, unit=np.array([1.0, 0.0]))
-    return CorpusEntry(
-        "left_identity_pair",
-        space,
-        {
-            "coisometry": H,
-            "isometry": V,
-            "unitary-four-rotation": V,
-            "unitary-t-gadget": V,
-        },
-    )
+
+#: The corpus in report order: each entry's name -> the builder of its CorpusEntry.
+ENTRIES = {
+    "linf3_ones": functools.partial(build_linf, 3, "ones"),
+    "linf3_e1": functools.partial(build_linf, 3, "e1"),
+    "trace_class_2": build_trace_class_2,
+    "lower_triangular_L12": functools.partial(_span, "lower_triangular_L12"),
+    "l1_2_diag_trace": functools.partial(_span, "l1_2_diag_trace"),
+    "l1_2_model_64": functools.partial(build_l1_2_model, 64),
+    "column_H2": functools.partial(_span, "column_H2"),
+    "twisted_selfadjoint": functools.partial(_span, "twisted_selfadjoint"),
+    "upper_triangular_2": functools.partial(build_upper_triangular, 2),
+    "full_matrix_2": functools.partial(build_full_matrix, 2),
+    "full_matrix_2_plus_half": functools.partial(build_full_matrix_plus_half, 2),
+    "non_algebra_span": functools.partial(_span, "non_algebra_span"),
+    "left_identity_pair": functools.partial(_span, "left_identity_pair"),
+}
+
+
+def entry(name: str) -> CorpusEntry:
+    """Build the corpus entry named ``name``; an unknown name raises InvalidInputError naming the known ones."""
+    build = ENTRIES.get(name)
+    if build is None:
+        raise InvalidInputError(f"no corpus entry named {name!r}; known: {', '.join(ENTRIES)}")
+    return build()
 
 
 def build_corpus() -> list:
-    return [
-        build_linf(3, "ones"),
-        build_linf(3, "e1"),
-        build_trace_class_2(),
-        build_lower_triangular_L12(),
-        build_l1_2_diag_trace(),
-        build_l1_2_model(64),
-        build_column_H2(),
-        build_twisted_selfadjoint(),
-        build_upper_triangular(2),
-        build_full_matrix(2),
-        build_full_matrix_plus_half(2),
-        build_non_algebra_span(),
-        build_left_identity_pair(),
-    ]
+    """Every corpus entry, built in ``ENTRIES`` order."""
+    return [build() for build in ENTRIES.values()]
 
 
 #: The benchmark harness calls the tensor by this name; it lives in ``criteria``.
@@ -364,11 +213,8 @@ def run_entry(entry: CorpusEntry, cfg: witness.SearchConfig) -> list:
 
 
 def select_entries(only: str | None = None) -> list:
-    """The corpus, or its one entry named ``only``; an unknown name raises InvalidInputError."""
-    entries = [e for e in build_corpus() if only is None or e.name == only]
-    if only is not None and not entries:
-        raise InvalidInputError(f"no corpus entry named {only!r}")
-    return entries
+    """The corpus, or its one entry named ``only`` (built alone); an unknown name raises InvalidInputError."""
+    return build_corpus() if only is None else [entry(only)]
 
 
 def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,

@@ -827,7 +827,7 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
 
     Samples pairs (a, b) in M_n(X) and checks the stacked-column contraction
     ||[T(a); b]|| <= ||[a; b]||.  Each level draws ``LEFT_MULTIPLIER_PAIRS``
-    pairs plus the pairs (a, a).
+    pairs plus the pairs (a, a).  A T with a non-finite entry is refused before any draw.
     """
     cfg = cfg or witness.SearchConfig()
     cfg.guard_ambient(space)
@@ -835,6 +835,8 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     k = space.dim
     if T.shape != (k, k):
         raise ShapeError(f"T must be a {k}x{k} coefficient matrix")
+    if not np.all(np.isfinite(T)):
+        raise InvalidInputError("T has non-finite entries")
     if space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
     worst, worst_witness, samples = _worst_pair(space, T, cfg, LEFT_MULTIPLIER_PAIRS, _KEY_LEFT_MULT_MAP)
@@ -893,7 +895,7 @@ def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
     y -> m(x, y) is a contractive left multiplier for sampled contractive x;
     (iii) m(x, u) = x exactly on the basis.  The report names any failing
     sub-check.  A level-1-oracle space gets UNSUPPORTED_LEVEL, as for the
-    left-multiplier map.
+    left-multiplier map.  A tensor with a non-finite entry is refused.
 
     Sub-check (ii) samples no pairs when m is the ambient product, to
     ``PROOF_TOL`` on every basis pair (``_product_residual``, whose products
@@ -905,6 +907,8 @@ def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
     t = multiplication_tensor(space) if tensor is None else np.asarray(tensor, dtype=np.complex128)
     if t.shape != (k, k, k):
         raise ShapeError(f"structure tensor must be {k}x{k}x{k}, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError("structure tensor has non-finite entries")
     u = _unit_coeffs(space, u)
     if space.norm_mode == spaces.LEVEL1_ORACLE:
         return _unsupported("algebra-product", cfg, _STACKED_COLUMNS)

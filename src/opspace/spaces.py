@@ -206,6 +206,8 @@ def make_space(
     if basis.ndim != 3:
         raise SpaceFormatError("basis must be a stack of matrices")
     k, p, q = basis.shape
+    if k == 0:
+        raise SpaceFormatError("basis must be a non-empty stack of matrices")
     if not np.all(np.isfinite(basis)):
         raise SpaceFormatError("basis has non-finite entries")
     if k > p * q:

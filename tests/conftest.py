@@ -289,7 +289,7 @@ def tridiagonal_3():
 
 def non_algebra_system():
     """span{E_12, E_21} with u = E_12 + E_21 and the swap as involution."""
-    nas = corpus.build_non_algebra_span().space
+    nas = corpus.entry("non_algebra_span").space
     return operator_system(nas.basis, [1.0, 1.0], [[0, 1], [1, 0]])
 
 

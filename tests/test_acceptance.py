@@ -96,7 +96,7 @@ def test_05_trace_norm_examples():
     pinned = spaces.LevelElement(1, np.array([[[0, 0, 0.25, 0]]], dtype=complex))
     gap = criteria.four_rotation_violation_at(tc2.space, None, pinned)
     gap_dev = abs(gap - (math.sqrt(1.25) - math.sqrt(1.0625)))
-    l12 = criteria.CRITERION_RUNNERS["unitary-four-rotation"](corpus.build_lower_triangular_L12().space)
+    l12 = criteria.CRITERION_RUNNERS["unitary-four-rotation"](corpus.entry("lower_triangular_L12").space)
     ok = (rep.verdict == criteria.VIOLATED
           and gap_dev <= 1e-9
           and -rep.margin >= 0.08
@@ -115,7 +115,7 @@ def test_06_row_test_suite(criterion_cache):
                                       target_norm=1.0)
             g = gadgets.row_stack(*gadget_operands(space, x))
             worst = max(worst, abs(matcore.op_norm(g) ** 2 - 2.0))
-    h2 = corpus.build_column_H2().space
+    h2 = corpus.entry("column_H2").space
     rep = criterion_cache("column_H2", "coisometry")
     e2 = spaces.LevelElement(1, np.array([[[0, 1.0]]], dtype=complex))
     gap_dev = abs(criteria.row_deviation_at(h2, None, e2) - (SQRT2 - 1))
@@ -195,7 +195,7 @@ def test_09_positivity_suite():
 
 def test_10_operator_system_criterion(criterion_cache):
     full = criterion_cache("full_matrix_2", "operator-system")
-    twisted_space = corpus.build_twisted_selfadjoint().space
+    twisted_space = corpus.entry("twisted_selfadjoint").space
     rep_a = criteria.CRITERION_RUNNERS["operator-system"](twisted_space)
     rep_b = criteria.CRITERION_RUNNERS["operator-system"](twisted_space)
     reproducible = (rep_a.verdict == rep_b.verdict == criteria.VIOLATED

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -33,6 +34,67 @@ def test_run_corpus_aggregation(corpus_entries):
         corpus.run_corpus(witness.SearchConfig(), only="no_such_entry")
 
 
+#: sha256 of each entry's space JSON, expected items in order, tolerance and max_level, for the 13 corpus
+#: entries and the family instances the tests build: any change to a space, a verdict or its order moves one.
+ENTRY_DIGESTS = {
+    "linf3_ones": "4ef1a398f1d1115e42dd5cc405ebfb88fbe09552dc76eb94ee0bb9a5e8cbf914",
+    "linf3_e1": "172b01c1746d015e02bfd574240a97999576013382b3171b9dcc3bc4fc66881c",
+    "trace_class_2": "88d26127e72f5441896a17355a4b70094151060c4cb3521451148fd9dd88f2d4",
+    "lower_triangular_L12": "aa756ed4a80b773c239d5ea5227a981c38f445d7d8a1b373aaa7da7a19f89d4e",
+    "l1_2_diag_trace": "f6e7a42688807b1745aa6060cdf003adad55e6d021c449a648337b22cba8088b",
+    "l1_2_model_64": "9573c033ea1c945a825729e2f2bbbe41b4b7bcdde5ba6483f1d3c4b833c1c473",
+    "column_H2": "cd1a55509c202d78a1a4371b06729795f4682eb622ca07e8a25d5b754786dd8b",
+    "twisted_selfadjoint": "fb994b9db2ea3c69c582a2ff9e3c42fc7de91136bc61b80a6451b6a0a55e85e3",
+    "upper_triangular_2": "bf39662b3cab28e44b8a2b411b068cd00036b05d8222fcf01e406b2b9574a6e5",
+    "full_matrix_2": "eec8c4f038ffedaa0d2bdcbbfdb6b11d796d0bd66b5ce4391e183248184e078b",
+    "full_matrix_2_plus_half": "39d52653b63081b2395b21877ce4bdedeb0b7137a028d988ef47a2e903de2674",
+    "non_algebra_span": "39e541b5dddeb7d07c242d1c4805d6623a7378d23f046f125886539f35a0fc85",
+    "left_identity_pair": "984e4277ac0e311384cc9f76d29ac76cb370dbab6d5cf0c23a4c62d502e1acd7",
+    'build_linf(1, "ones")': "2768cb6e58d7f34a311cdcfb0788b03887e958d8be5b91cf9655b8541ce0c33f",
+    'build_linf(1, "e1")': "64e4f3c881ac675b9ef48cd02e0aa3bd9d608abe92276b441b0d76985b534e01",
+    'build_trace_class_2(alpha=0.5)': "24ed6bff48c9aa7af4365890891d714d34108396a45bc100a562a695be21a36e",
+    'build_l1_2_model(4)': "19ee6ad0b1fa78b09af3fd9160b0158d17a9e2b8c04ade1dbf906944715a63bb",
+    'build_l1_2_model(16)': "343fd8f8e258f01da7a9ec34189b5cdddc49d2cd7ee203759e86fee57193bd7e",
+    'build_upper_triangular(3)': "c0cf21010231ea662c2de38095a72674da862dcd42ae9ad8bd18d99e1174f93b",
+    'build_full_matrix(3)': "103c390039135d4d16698c54ba250900f5e84d769a0509e84c2e5cae39442b5c",
+    'build_full_matrix_plus_half(3)': "29bab70bb0a2bcb7a71be5121aa34acd46e5ffbd937aaff90a4c17831c180078",
+}
+
+
+def entry_digest(entry):
+    doc = [spaces.space_to_json(entry.space), list(entry.expected.items()), entry.tolerance, entry.max_level]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_every_entry_and_family_instance_matches_its_pinned_digest():
+    built = {name: corpus.entry(name) for name in corpus.ENTRIES}
+    built.update({call: eval("corpus." + call) for call in ENTRY_DIGESTS if call.startswith("build_")})
+    assert {key: entry_digest(e) for key, e in built.items()} == ENTRY_DIGESTS
+
+
+def test_entry_builds_the_entry_of_its_name_with_its_own_expected_dict():
+    for name in corpus.ENTRIES:
+        first, second = corpus.entry(name), corpus.entry(name)
+        assert first.name == second.name == name
+        assert first.expected == second.expected and first.expected is not second.expected
+    assert [e.name for e in corpus.build_corpus()] == list(corpus.ENTRIES)
+
+
+def test_select_entries_builds_only_the_named_entry(monkeypatch):
+    calls = []
+    make_space = spaces.make_space
+    monkeypatch.setattr(spaces, "make_space", lambda *a, **k: calls.append(1) or make_space(*a, **k))
+    assert [e.name for e in corpus.select_entries("column_H2")] == ["column_H2"]
+    assert len(calls) == 1
+
+
+def test_unknown_entry_is_refused_with_the_known_names():
+    for call in (corpus.entry, corpus.select_entries):
+        with pytest.raises(InvalidInputError, match="no corpus entry named 'nope'") as err:
+            call("nope")
+        assert str(err.value).endswith("known: " + ", ".join(corpus.ENTRIES))
+
+
 def test_l1_model_norm_converges_monotonically():
     # the (1, 1) element: max_j |1 + w^j| is exactly 2 at every even M
     prev = 0.0
@@ -58,7 +120,7 @@ def test_l1_model_small_cases():
 
 def test_multiplication_tensor_requires_closure():
     with pytest.raises(Exception):
-        criteria.multiplication_tensor(corpus.build_non_algebra_span().space)
+        criteria.multiplication_tensor(corpus.entry("non_algebra_span").space)
     t = criteria.multiplication_tensor(corpus.build_upper_triangular(2).space)
     assert t.shape == (3, 3, 3)
 
@@ -88,14 +150,14 @@ def test_scalar_sup_space_holds():
 
 
 def test_twisted_unit_is_selfadjoint_unitary():
-    space = corpus.build_twisted_selfadjoint().space
+    space = corpus.entry("twisted_selfadjoint").space
     u = spaces.unit_matrix(space)
     assert np.allclose(u, matcore.dagger(u))
     assert np.allclose(u @ matcore.dagger(u), np.eye(2))
 
 
 def test_non_algebra_span_facts():
-    space = corpus.build_non_algebra_span().space
+    space = corpus.entry("non_algebra_span").space
     # selfadjoint as a set, but contains no identity
     for b in space.basis:
         assert spaces.membership_residual(space, matcore.dagger(b)) <= 1e-12
@@ -103,7 +165,7 @@ def test_non_algebra_span_facts():
 
 
 def test_lower_triangular_L12_zero_norm_sanity():
-    space = corpus.build_lower_triangular_L12().space
+    space = corpus.entry("lower_triangular_L12").space
     assert spaces.norm(space, zero_element(space)) == 0.0
 
 

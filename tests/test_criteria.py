@@ -74,7 +74,7 @@ def test_t_gadget_oracle_unsupported():
 
 
 def test_unit_preconditions(m2_entry):
-    space = corpus.build_non_algebra_span().space  # no distinguished element
+    space = corpus.entry("non_algebra_span").space  # no distinguished element
     with pytest.raises(InvalidInputError):
         criteria.CRITERION_RUNNERS["unitary-four-rotation"](space)
     with pytest.raises(InvalidInputError):
@@ -283,7 +283,7 @@ def test_column_space_row_column_split(criterion_cache):
     assert criterion_cache("column_H2", "isometry").verdict == criteria.HOLDS_WITHIN_BUDGET
     rep = criterion_cache("column_H2", "coisometry")
     assert rep.verdict == criteria.VIOLATED
-    space = corpus.build_column_H2().space
+    space = corpus.entry("column_H2").space
     e2 = spaces.LevelElement(1, np.array([[[0, 1.0]]], dtype=complex))
     assert criteria.row_deviation_at(space, None, e2) == pytest.approx(SQRT2 - 1, abs=1e-12)
 
@@ -305,7 +305,7 @@ def test_operator_system_verdicts(criterion_cache):
     # blocks whose top eigenvalue is (3+sqrt(5))/2, the square of the golden
     # ratio, so the deviation from sqrt(2) is exactly phi - sqrt(2)
     golden = (1 + math.sqrt(5)) / 2
-    space = corpus.build_twisted_selfadjoint().space
+    space = corpus.entry("twisted_selfadjoint").space
     e22 = spaces.LevelElement(1, np.array([[[0.0, 1.0]]], dtype=complex))
     assert criteria.r_gadget_deviation_at(space, None, e22) == pytest.approx(
         golden - SQRT2, abs=1e-12
@@ -321,7 +321,7 @@ def test_operator_system_scalars_hold():
 
 
 def test_operator_system_preconditions(m2_entry):
-    no_inv = corpus.build_column_H2().space
+    no_inv = corpus.entry("column_H2").space
     with pytest.raises(InvalidInputError):
         criteria.CRITERION_RUNNERS["operator-system"](no_inv)
     # on a level-1 oracle space the missing involution is reported before UNSUPPORTED_LEVEL
@@ -617,14 +617,14 @@ def test_mult_closed_verdicts(criterion_cache):
     aux = rep.witness["aux"]
     assert aux["residual"] == aux["algebraic_max"] == -rep.margin
     # expected witness pair: x = E_12, y = E_12 (equal to dagger of basis E_21)
-    x = spaces.realize(corpus.build_non_algebra_span().space,
+    x = spaces.realize(corpus.entry("non_algebra_span").space,
                        criteria.CheckReport.from_dict(rep.to_dict()).witness_element())
     assert np.allclose(x, E12) or np.allclose(x, E21)
 
 
 def test_mult_closed_witness_recomputes(criterion_cache):
     rep = criterion_cache("non_algebra_span", "mult-closed")
-    space = corpus.build_non_algebra_span().space
+    space = corpus.entry("non_algebra_span").space
     elem = rep.witness_element()
     aux = rep.witness["aux"]
     y = np.array(aux["y"], dtype=float)
@@ -637,7 +637,7 @@ def test_multiplier_examples():
     upper = corpus.build_upper_triangular(2).space
     rep = criteria.check_multiplier(upper, np.diag([1.0, 0.0]), "left")
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
-    span = corpus.build_non_algebra_span().space
+    span = corpus.entry("non_algebra_span").space
     rep = criteria.check_multiplier(span, np.eye(2), "quasi")
     assert rep.verdict == criteria.VIOLATED
     assert rep.margin == pytest.approx(-1.0, abs=1e-9)
@@ -661,7 +661,7 @@ def test_violated_mult_closed_aux_keeps_its_order(criterion_cache):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_violated_multiplier_aux_keeps_its_order(side):
-    span = corpus.build_non_algebra_span().space
+    span = corpus.entry("non_algebra_span").space
     rep = criteria.check_multiplier(span, span.basis[0], side)
     assert rep.verdict == criteria.VIOLATED
     assert list(rep.witness["aux"]) == MULTIPLIER_KEYS
@@ -855,6 +855,16 @@ def test_left_multiplier_map_checks_T_before_the_level1_oracle_refusal():
     assert criteria.check_left_multiplier_map(space, np.eye(4)).verdict == criteria.UNSUPPORTED_LEVEL
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_left_multiplier_map_refuses_a_non_finite_T_before_any_draw(m2_entry, bad, monkeypatch):
+    T = np.full((4, 4), np.nan) if bad == "nan" else np.eye(4)
+    if bad == "inf":
+        T[0, 0] = np.inf
+    monkeypatch.setattr(criteria, "_worst_pair", lambda *a, **k: pytest.fail("a pair was drawn"))
+    with pytest.raises(InvalidInputError, match="T has non-finite entries"):
+        criteria.check_left_multiplier_map(m2_entry.space, T)
+
+
 def test_left_multiplier_map_draws_its_own_pairs_whatever_the_restarts(m2_entry):
     # each level draws LEFT_MULTIPLIER_PAIRS pairs and adds the pairs (a, a); the search budget is not read
     space = m2_entry.space
@@ -971,6 +981,13 @@ def test_algebra_product_samples_a_tensor_off_the_ambient_product(size):
         assert aux["multiplier_max_deviation"] > 0.0
     else:
         assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET and aux["failed"] == []
+
+
+def test_algebra_product_refuses_a_non_finite_tensor(m2_entry):
+    tensor = criteria.multiplication_tensor(m2_entry.space)
+    tensor[0, 0, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="structure tensor has non-finite entries"):
+        criteria.check_algebra_product(m2_entry.space, tensor=tensor)
 
 
 def test_algebra_product_refuses_a_level1_oracle_space():
@@ -1106,7 +1123,7 @@ def test_cstar_bound_covers_the_sampled_row_identity(d):
 
 #: Builders of the spaces whose cstar reports must not depend on the level budget.
 LEVEL_FREE_CSTAR = {"full_matrix_2": lambda: corpus.build_full_matrix(2).space,
-                    "twisted_selfadjoint": lambda: corpus.build_twisted_selfadjoint().space}
+                    "twisted_selfadjoint": lambda: corpus.entry("twisted_selfadjoint").space}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_FREE_CSTAR))

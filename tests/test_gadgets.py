@@ -72,7 +72,7 @@ def test_build_row_column_m2():
 
 
 def test_build_row_column_on_column_space():
-    space = corpus.build_column_H2().space
+    space = corpus.entry("column_H2").space
     e2 = spaces.LevelElement(1, np.array([[[0.0, 1.0]]], dtype=complex))
     col = gadgets.column_stack(*gadget_operands(space, e2))
     row = gadgets.row_stack(*gadget_operands(space, e2))

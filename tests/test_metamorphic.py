@@ -30,7 +30,7 @@ ASCENT_STEPS = 30
 ENTRIES = {
     "linf3_ones": lambda: corpus.build_linf(3, "ones"),
     "linf3_e1": lambda: corpus.build_linf(3, "e1"),
-    "twisted_selfadjoint": corpus.build_twisted_selfadjoint,
+    "twisted_selfadjoint": lambda: corpus.entry("twisted_selfadjoint"),
     "full_matrix_2": lambda: corpus.build_full_matrix(2),
     "full_matrix_2_plus_half": lambda: corpus.build_full_matrix_plus_half(2),
 }

@@ -139,7 +139,7 @@ SPACES = {
     "full_matrix_2": lambda: corpus.build_full_matrix(2).space,
     "full_matrix_3": lambda: corpus.build_full_matrix(3).space,
     "upper_triangular_3": lambda: corpus.build_upper_triangular(3).space,
-    "non_algebra_span": lambda: corpus.build_non_algebra_span().space,
+    "non_algebra_span": lambda: corpus.entry("non_algebra_span").space,
     "non_algebra_system": non_algebra_system,
     "tridiagonal_3": tridiagonal_3,
     "linf3": lambda: corpus.build_linf(3, "ones").space,

@@ -40,6 +40,11 @@ def test_load_duplicate_basis_rejected():
         spaces.load_space(json.dumps(doc))
 
 
+def test_make_space_refuses_an_empty_basis_stack():
+    with pytest.raises(SpaceFormatError, match="basis must be a non-empty stack of matrices"):
+        spaces.make_space(np.zeros((0, 2, 2)))
+
+
 def test_load_linf3():
     basis = []
     for i in range(3):
@@ -107,7 +112,7 @@ def test_membership_residual():
     upper = corpus.build_upper_triangular(2).space
     e11 = np.diag([1.0, 0.0])
     assert spaces.membership_residual(upper, e11) == pytest.approx(0.0, abs=1e-12)
-    span = corpus.build_non_algebra_span().space
+    span = corpus.entry("non_algebra_span").space
     assert spaces.membership_residual(span, e11) == pytest.approx(1.0, abs=1e-12)
     assert spaces.membership_residual(span, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ShapeError):
@@ -256,7 +261,7 @@ LAYOUT_SPACES = {
     "triangular_plus_scalar": (triangular_plus_scalar, 2, True),
     "triangular_plus_scalar_plus_zero": (lambda: triangular_plus_scalar(5), 2, True),
     "full_matrix_2": (lambda: corpus.build_full_matrix(2).space, 1, True),
-    "column_H2": (lambda: corpus.build_column_H2().space, 1, True),
+    "column_H2": (lambda: corpus.entry("column_H2").space, 1, True),
 }
 
 
@@ -332,7 +337,7 @@ def test_block_path_norms_match_dense(name):
 
 
 def test_trace_norm_oracle_is_a_sum_over_blocks():
-    base = conjugated(corpus.build_l1_2_diag_trace().space)
+    base = conjugated(corpus.entry("l1_2_diag_trace").space)
     space = spaces.make_space(base.basis, norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
     assert space.blocks.shape[1] == 2
     c = np.random.default_rng(19).normal(size=(6, 1, 1, 2)) + 0j

@@ -89,7 +89,7 @@ def test_a_search_on_every_proved_row_finds_no_violation(monkeypatch, corpus_ent
 
 
 def test_left_identity_pair_gets_a_left_proof_only(criterion_cache):
-    space = corpus.build_left_identity_pair().space
+    space = corpus.entry("left_identity_pair").space
     assert criteria._ternary_proof("left", space, space.unit)["identity"] == "u u* B = B"
     assert criteria._ternary_proof("right", space, space.unit) is None
     assert criteria._ternary_proof("both", space, space.unit) is None
@@ -101,7 +101,7 @@ def test_left_identity_pair_gets_a_left_proof_only(criterion_cache):
 
 def test_twisted_selfadjoint_gets_no_corner_unit_proof(criterion_cache):
     # E12 + E21 is a selfadjoint unitary, but not the unit of a corner holding the space
-    space = corpus.build_twisted_selfadjoint().space
+    space = corpus.entry("twisted_selfadjoint").space
     assert criteria._ternary_proof("both", space, space.unit) is not None
     assert criteria._ternary_proof("corner-unit", space, space.unit) is None
     rep = criterion_cache("twisted_selfadjoint", "operator-system")

@@ -762,7 +762,7 @@ def test_violation_in_a_shell_near_the_origin_is_still_found(m2):
 
 def test_unit_of_norm_below_one_is_violated_at_the_origin():
     # f(0) = 1 - ||u|| = 0.1: the search converges to the origin
-    space = corpus.build_l1_2_diag_trace().space
+    space = corpus.entry("l1_2_diag_trace").space
     rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, u=np.array([0.9, 0.0]))
     assert rep.verdict == criteria.VIOLATED
     assert rep.margin == pytest.approx(-0.1, abs=1e-8)
