@@ -10,7 +10,9 @@ field it sets; the budgets no flag sets are constants (README "Reports").
 
 Exit codes: 0 = HOLDS_WITHIN_BUDGET (or all suites/entries pass), 1 = VIOLATED
 (or a suite/entry mismatch), 2 = INCONCLUSIVE or UNSUPPORTED_LEVEL, 3 = input
-error, usage errors included.
+error, usage errors included.  ``main`` alone turns an input error
+(``OpspaceError``) raised by any subcommand into its message on stderr and
+exit 3, so a subcommand raises and never prints one.
 """
 
 from __future__ import annotations
@@ -152,26 +154,18 @@ def _load_space(path: str, args) -> spaces.SpaceRep:
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = _build_config(args)
-        if not os.path.exists(args.space_file):
-            raise InvalidInputError(f"input file does not exist: {args.space_file}")
-        space = _load_space(args.space_file, args)
-        report = criteria.run_check(space, args.criterion, cfg, args.w_index)
-    except OpspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = _build_config(args)
+    if not os.path.exists(args.space_file):
+        raise InvalidInputError(f"input file does not exist: {args.space_file}")
+    space = _load_space(args.space_file, args)
+    report = criteria.run_check(space, args.criterion, cfg, args.w_index)
     _emit(_envelope(report.to_dict()), _report_text(report), args)
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify_formulas(args) -> int:
-    try:
-        cfg = _build_config(args)
-        suites = formulas.run_all_suites(trials=args.trials, seed=cfg.seed)
-    except OpspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = _build_config(args)
+    suites = formulas.run_all_suites(trials=args.trials, seed=cfg.seed)
     ok = all(s.passed for s in suites)
     payload = _envelope({
         "command": "verify-formulas",
@@ -191,19 +185,18 @@ def cmd_verify_formulas(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        cfg = _build_config(args)
-        if args.emit_spaces:
-            corpus.select_entries(args.only)  # refuse an unknown --only before writing any file
-            try:
-                corpus.write_space_files(args.emit_spaces)
-            except OSError as exc:
-                raise InvalidInputError(f"--emit-spaces {args.emit_spaces}: cannot write the space files "
-                                        f"({exc})") from exc
-        result = corpus.run_corpus(cfg, only=args.only, threads=cfg.threads)
-    except OpspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = _build_config(args)
+    if args.emit_spaces:
+        built = corpus.build_corpus()  # each entry built once: every file is written, and --only runs one of them
+        entries = corpus.pick_entries(built, args.only)  # an unknown --only is refused before any file is written
+        try:
+            corpus.write_space_files(args.emit_spaces, built)
+        except OSError as exc:
+            raise InvalidInputError(f"--emit-spaces {args.emit_spaces}: cannot write the space files "
+                                    f"({exc})") from exc
+    else:
+        entries = corpus.select_entries(args.only)
+    result = corpus.run_entries(entries, cfg, cfg.threads)
     payload = _envelope({
         "command": "corpus",
         "config": cfg.to_dict(),
@@ -263,7 +256,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
         return EXIT_INPUT_ERROR if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OpspaceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ with the pinned seed.  The six fixed spans are rows of ``_SPANS`` (ambient
 shape, the matrix-unit cells of each basis element, ``make_space`` keywords,
 expected verdicts); the families are the ``build_*`` functions, which take
 their size.  ``entry`` builds one entry by name, and ``build_corpus`` all of
-them in order.  ``write_space_files`` serializes their space definitions.  The
-corpus runs each criterion through ``criteria.run_check``, as ``opspace check``
-does, so every entry can be re-run from an emitted file through the CLI.
+them in order.  ``write_space_files`` serializes the space definitions of built
+entries, and ``run_entries`` runs them, so one build serves both.  The corpus
+runs each criterion through ``criteria.run_check``, as ``opspace check`` does,
+so every entry can be re-run from an emitted file through the CLI.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ __all__ = [
     "build_corpus",
     "entry",
     "run_entry",
+    "run_entries",
     "run_corpus",
     "select_entries",
+    "pick_entries",
     "write_space_files",
 ]
 
@@ -183,12 +186,16 @@ ENTRIES = {
 }
 
 
+def _known(name: str) -> str:
+    """``name`` if a corpus entry has it; otherwise InvalidInputError naming the known ones."""
+    if name not in ENTRIES:
+        raise InvalidInputError(f"no corpus entry named {name!r}; known: {', '.join(ENTRIES)}")
+    return name
+
+
 def entry(name: str) -> CorpusEntry:
     """Build the corpus entry named ``name``; an unknown name raises InvalidInputError naming the known ones."""
-    build = ENTRIES.get(name)
-    if build is None:
-        raise InvalidInputError(f"no corpus entry named {name!r}; known: {', '.join(ENTRIES)}")
-    return build()
+    return ENTRIES[_known(name)]()
 
 
 def build_corpus() -> list:
@@ -217,17 +224,27 @@ def select_entries(only: str | None = None) -> list:
     return build_corpus() if only is None else [entry(only)]
 
 
+def pick_entries(entries: list, only: str | None) -> list:
+    """The built ``entries``, or the one of them named ``only``; an unknown name raises InvalidInputError."""
+    if only is None:
+        return entries
+    _known(only)
+    return [e for e in entries if e.name == only]
+
+
 def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,
                threads: int = 1) -> dict:
-    """Run the whole corpus against its expected verdicts.
+    """Run the whole corpus, or its one entry named ``only``, against its expected verdicts."""
+    return run_entries(select_entries(only), cfg or witness.SearchConfig(), threads)
+
+
+def run_entries(entries: list, cfg: witness.SearchConfig, threads: int = 1) -> dict:
+    """Run built corpus entries against their expected verdicts.
 
     Entries are independent, each criterion draws from its own seed-derived
     stream, and results are assembled in entry order, so the outcome does not
     depend on the number of worker threads.
     """
-    cfg = cfg or witness.SearchConfig()
-    entries = select_entries(only)
-
     def work(entry):
         return run_entry(entry, cfg)
 
@@ -255,12 +272,12 @@ def run_corpus(cfg: witness.SearchConfig | None = None, only: str | None = None,
     return {"rows": rows, "all_match": all_match, "entries": [e.name for e in entries]}
 
 
-def write_space_files(outdir) -> list:
-    """Emit each corpus entry's space-definition JSON; returns the written paths."""
+def write_space_files(outdir, entries: list) -> list:
+    """Emit the space-definition JSON of each built entry (the whole corpus: ``build_corpus()``); returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for entry in build_corpus():
+    for entry in entries:
         path = outdir / f"{entry.name}.json"
         path.write_text(spaces.space_to_json(entry.space), encoding="utf-8")
         paths.append(path)

@@ -90,7 +90,13 @@ bound fails.  The circle's own gap is only of second order in x - x* (for
 fixed tolerance the residual is the sharper test, as for the closure checks.
 
 Every check takes a ``witness.SearchConfig``, which is valid by construction,
-so no check validates its config again.
+so no check validates its config again.  Every check reports through
+``_report``, the one place the verdict rule lives: VIOLATED when the check's
+deviation is past ``cfg.tolerance`` (INCONCLUSIVE for
+``cstar-among-systems``), HOLDS_WITHIN_BUDGET otherwise, the margin
+0.0 - deviation, the levels checked and the config echo.  A check passes a
+verdict of its own only for an unsupported level, no search evidence, or the
+failed sub-checks of ``algebra-product``.
 
 Each of the 14 criteria is one row of ``CRITERIA``, the one place a
 criterion name maps to a check and to the inputs it takes: a check that runs
@@ -223,12 +229,46 @@ class CheckReport:
         return spaces.LevelElement(int(self.witness["level"]), _decode_array(self.witness["coeffs"]))
 
 
-def _witness_dict(elem: spaces.LevelElement | None, aux: dict | None = None) -> dict:
-    d = {"level": None, "coeffs": None, "aux": aux or {}}
+def _witness_dict(elem: spaces.LevelElement | None, aux: dict) -> dict:
+    d = {"level": None, "coeffs": None, "aux": aux}
     if elem is not None:
         d["level"] = elem.level
         d["coeffs"] = _encode_array(elem.coeffs)
     return d
+
+
+#: Why a ``cstar-among-systems`` deviation past the tolerance is INCONCLUSIVE, not VIOLATED.
+_CSTAR_UNCERTIFIED = "the canonical z, b leave the space; existence over X not certified"
+
+
+def _report(criterion: str, cfg: witness.SearchConfig, deviation: float = 0.0, levels: int = 0, samples: int = 0,
+            aux: dict | None = None, found: Callable | None = None, verdict: str | None = None,
+            notes=(), **fields) -> CheckReport:
+    """The one verdict rule: every check's CheckReport is built here.
+
+    Unless ``verdict`` is given (an unsupported level, no search evidence, or
+    the failed sub-checks of ``algebra-product``), the verdict is VIOLATED when
+    ``deviation`` is past ``cfg.tolerance`` and HOLDS_WITHIN_BUDGET otherwise;
+    past the tolerance, ``cstar-among-systems`` is INCONCLUSIVE instead, with
+    a note, since its rows built outside X certify nothing over X.  The margin
+    is 0.0 - deviation (not -deviation: a deviation of 0.0 gives margin 0.0,
+    never -0.0), levels 1 to ``levels`` were checked (none by default), and
+    ``cfg`` is echoed.  The witness carries ``aux`` (no witness when it is
+    None); on a violation, ``found()`` gives the witness element and the aux
+    entries that follow.  ``fields`` are the report's ``trace`` and ``proof``.
+    """
+    notes = list(notes)
+    if verdict is None:
+        verdict = VIOLATED if deviation > cfg.tolerance else HOLDS_WITHIN_BUDGET
+        if verdict == VIOLATED and criterion == "cstar-among-systems":
+            verdict = INCONCLUSIVE
+            notes.append(_CSTAR_UNCERTIFIED)
+    shown = None if aux is None else _witness_dict(None, aux)
+    if verdict == VIOLATED and found is not None:
+        elem, extra = found()
+        shown = _witness_dict(elem, {**(aux or {}), **extra})
+    return CheckReport(criterion, verdict, 0.0 - deviation, shown, list(range(1, levels + 1)), samples,
+                       cfg.to_dict(), notes, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +306,6 @@ def _chunks(n_items: int, item_bytes: int) -> list:
 def _require_contraction(who: str, norm: float):
     if norm > 1.0 + 1e-9:
         raise InvalidInputError(f"{who} must be a contraction, got norm {norm:.12f}")
-
-
-def _unsupported(criterion: str, cfg: witness.SearchConfig, why: str) -> CheckReport:
-    return CheckReport(
-        criterion=criterion, verdict=UNSUPPORTED_LEVEL, margin=0.0, witness=None,
-        levels_checked=[], samples=0, config=cfg.to_dict(), notes=[why],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +476,13 @@ class SearchCriterion:
             raise InvalidInputError(f"{self.who} must be selfadjoint ({self.who} = {self.who}*)")
         _require_contraction(self.who, spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1))))
         if self.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
-            return _unsupported(self.name, cfg, self.unsupported)
+            return _report(self.name, cfg, verdict=UNSUPPORTED_LEVEL, notes=[self.unsupported])
         cfg.guard_ambient(space)
         proof = _ternary_proof(self.proof, space, u)
         if proof is None:
             return self.search(space, u, cfg)
-        return CheckReport(
-            criterion=self.name, verdict=HOLDS_WITHIN_BUDGET, margin=0.0, witness=None,
-            levels_checked=list(range(1, cfg.max_level + 1)), samples=0, config=cfg.to_dict(),
-            notes=[f"proved by the ternary identity {proof['identity']}; no search run"], proof=proof,
-        )
+        return _report(self.name, cfg, levels=cfg.max_level, proof=proof,
+                       notes=[f"proved by the ternary identity {proof['identity']}; no search run"])
 
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
         """The violation search over this row's levels and radii, with no proof tried.
@@ -489,10 +519,8 @@ class SearchCriterion:
         stopped = 0
         capped = 0
         trace = []
-        levels_checked = []
-        for li, n in enumerate(levels):
+        for li, n in enumerate(levels):  # after the loop, n is the last level searched
             objective, gradient = self.objective(space, u, n)
-            levels_checked.append(n)
             results = witness.maximize_violation(
                 objective, space, n, cfg, cells=[(r, (self.key, li, ri)) for ri, r in enumerate(radii)],
                 mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
@@ -533,18 +561,14 @@ class SearchCriterion:
             notes.append(f"{stopped} of {started} restarts stopped early once their cell held a violation")
         if capped:
             notes.append(f"{capped} of {started} restarts stopped once their cell could not beat the best found")
-        # 0.0 - best, not -best: a best of 0.0 gives margin 0.0, never -0.0
-        verdict, margin, found = HOLDS_WITHIN_BUDGET, 0.0 - best_value, None
+        verdict = None
         if best_elem is None:
-            verdict, margin = INCONCLUSIVE, 0.0
+            verdict, best_value = INCONCLUSIVE, 0.0
             if not dead:
                 notes.append("no search evidence (zero restarts)")
-        elif best_value > cfg.tolerance:
-            verdict = VIOLATED
-            found = _witness_dict(best_elem, {"violation": best_value,
-                                              "witness_norm": float(spaces.norm(space, best_elem))})
-        return CheckReport(self.name, verdict, margin, found, levels_checked, evaluations, cfg.to_dict(),
-                           notes, trace)
+        return _report(self.name, cfg, best_value, n, evaluations, verdict=verdict, notes=notes, trace=trace,
+                       found=lambda: (best_elem, {"violation": best_value,
+                                                  "witness_norm": float(spaces.norm(space, best_elem))}))
 
 
 SEARCH_CRITERIA = {c.name: c for c in (
@@ -654,12 +678,9 @@ def check_positive(space: spaces.SpaceRep, x=None, cfg: witness.SearchConfig | N
     _require_contraction("x", matcore.op_norm(m))
     gap = matcore.op_norm(np.eye(m.shape[0]) - 2.0 * m) - 1.0
     residual = 0.5 * matcore.op_norm(m - matcore.dagger(m))
-    deviation = max(gap, residual)
-    verdict = VIOLATED if deviation > cfg.tolerance else HOLDS_WITHIN_BUDGET
     aux = {"z": [2.0, 0.0]} if gap > cfg.tolerance else {}
     aux.update(gap=gap, hermitian_residual=residual)
-    return CheckReport("positive", verdict, 0.0 - deviation, _witness_dict(None, aux),
-                       [1], 1, cfg.to_dict())
+    return _report("positive", cfg, max(gap, residual), 1, 1, aux)
 
 
 def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -678,12 +699,9 @@ def check_adjoint(x, z, cfg: witness.SearchConfig | None = None) -> CheckReport:
     for who, m in (("x", x), ("z", z)):
         _require_contraction(who, matcore.op_norm(m))
     deviation = 0.5 * matcore.op_norm(x - matcore.dagger(z))
-    verdict = VIOLATED if deviation > cfg.tolerance else HOLDS_WITHIN_BUDGET
     # the supremum is attained at no finite t, so only a violation names one, and one past the tolerance
-    aux = {"t": 1.0 / (deviation - cfg.tolerance)} if verdict == VIOLATED else {}
-    aux["deviation"] = deviation
-    return CheckReport("adjoint", verdict, 0.0 - deviation, _witness_dict(None, aux),
-                       [1], 1, cfg.to_dict())
+    return _report("adjoint", cfg, deviation, 1, 1, {"deviation": deviation},
+                   lambda: (None, {"t": 1.0 / (deviation - cfg.tolerance)}))
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +726,18 @@ def _norm_one(ms) -> np.ndarray:
     return ms / np.where(norms > 0, norms, 1.0)[..., None, None]
 
 
+def _pair_values(space, n_left: int, n_right: int, measure) -> np.ndarray:
+    """``measure(i, j)`` on index arrays of the pairs (i, j) of range(n_left) x range(n_right), flattened.
+
+    The pairs pass in chunks (``_chunks``) of as many as fit one ambient
+    product each, so the working set stays bounded whatever the basis size.
+    """
+    values = np.empty(n_left * n_right)
+    for part in _chunks(values.size, 16 * space.p * space.q):  # one product
+        values[part] = measure(*np.divmod(np.arange(part.start, part.stop), n_right))
+    return values
+
+
 def _closure_residuals(space, left, right) -> tuple[float, list, int]:
     """Membership residuals of the products ``left[i] @ right[j]``: (largest, its index, products measured).
 
@@ -718,11 +748,8 @@ def _closure_residuals(space, left, right) -> tuple[float, list, int]:
     The index is that of the first largest residual.
     """
     lefts, rights = left.reshape(-1, *left.shape[-2:]), right.reshape(-1, *right.shape[-2:])
-    n_right = rights.shape[0]
-    residuals = np.empty(lefts.shape[0] * n_right)
-    for part in _chunks(residuals.size, 16 * space.p * space.q):  # one product
-        ij = np.arange(part.start, part.stop)
-        residuals[part] = spaces.membership_residual_stack(space, lefts[ij // n_right] @ rights[ij % n_right])
+    residuals = _pair_values(space, len(lefts), len(rights),
+                             lambda i, j: spaces.membership_residual_stack(space, lefts[i] @ rights[j]))
     largest, flat = _first_max(residuals)
     index = [int(v) for v in np.unravel_index(flat, left.shape[:-2] + right.shape[:-2])]
     return largest, index, residuals.size
@@ -742,14 +769,9 @@ def check_mult_closed(space: spaces.SpaceRep, cfg: witness.SearchConfig | None =
         raise ShapeError("multiplication closure needs a square ambient")
     B = _norm_one(space.basis)
     alg_max, (i, j), samples = _closure_residuals(space, B, B)
-    aux = {"algebraic_max": alg_max}
-    verdict, welem = HOLDS_WITHIN_BUDGET, None
-    if alg_max > cfg.tolerance:
-        verdict = VIOLATED
-        aux.update(x_basis=i, y_basis=j, residual=alg_max, y=_encode_array(matcore.dagger(space.basis[j])))
-        welem = spaces.LevelElement(1, np.eye(space.dim, dtype=np.complex128)[i].reshape(1, 1, -1))
-    return CheckReport("mult-closed", verdict, 0.0 - alg_max, _witness_dict(welem, aux), [1], samples,
-                       cfg.to_dict())
+    return _report("mult-closed", cfg, alg_max, 1, samples, {"algebraic_max": alg_max}, lambda: (
+        spaces.LevelElement(1, np.eye(space.dim, dtype=np.complex128)[i].reshape(1, 1, -1)),
+        {"x_basis": i, "y_basis": j, "residual": alg_max, "y": _encode_array(matcore.dagger(space.basis[j]))}))
 
 
 def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -776,13 +798,8 @@ def check_multiplier(space: spaces.SpaceRep, w, side: str, cfg: witness.SearchCo
     else:
         factors = (B @ w, B)
     alg_max, alg_index, samples = _closure_residuals(space, *factors)
-    aux = {"algebraic_max": alg_max, "side": side}
-    verdict = HOLDS_WITHIN_BUDGET
-    if alg_max > cfg.tolerance:
-        verdict = VIOLATED
-        aux.update(basis_index=alg_index, residual=alg_max)
-    return CheckReport(f"multiplier-{side}", verdict, 0.0 - alg_max, _witness_dict(None, aux), [1], samples,
-                       cfg.to_dict())
+    return _report(f"multiplier-{side}", cfg, alg_max, 1, samples, {"algebraic_max": alg_max, "side": side},
+                   lambda: (None, {"basis_index": alg_index, "residual": alg_max}))
 
 
 def _stacked_pair_deviations(space, T, a_coeffs, b_coeffs):
@@ -838,33 +855,23 @@ def check_left_multiplier_map(space: spaces.SpaceRep, T, cfg: witness.SearchConf
     if not np.all(np.isfinite(T)):
         raise InvalidInputError("T has non-finite entries")
     if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("left-multiplier-map", cfg, _STACKED_COLUMNS)
-    worst, worst_witness, samples = _worst_pair(space, T, cfg, LEFT_MULTIPLIER_PAIRS, _KEY_LEFT_MULT_MAP)
-    verdict, found = HOLDS_WITHIN_BUDGET, None
-    if worst > cfg.tolerance:
-        n, a0, b0 = worst_witness
-        verdict = VIOLATED
-        found = _witness_dict(spaces.LevelElement(n, a0), {"deviation": worst, "b": _encode_array(b0)})
-    return CheckReport("left-multiplier-map", verdict, 0.0 - worst, found, list(range(1, cfg.max_level + 1)), samples,
-                       cfg.to_dict())
+        return _report("left-multiplier-map", cfg, verdict=UNSUPPORTED_LEVEL, notes=[_STACKED_COLUMNS])
+    worst, at, samples = _worst_pair(space, T, cfg, LEFT_MULTIPLIER_PAIRS, _KEY_LEFT_MULT_MAP)
+    return _report("left-multiplier-map", cfg, worst, cfg.max_level, samples,
+                   found=lambda: (spaces.LevelElement(at[0], at[1]), {"deviation": worst, "b": _encode_array(at[2])}))
 
 
 def _product_residual(space, t) -> float:
     """Largest ||sum_l t_ijl B_l - B_i B_j|| / (||B_i|| ||B_j||): how far m is from the ambient product.
 
     inf on a rectangular ambient, which has no product.  The pairs (i, j) pass
-    in chunks of the flattened index, as in ``_closure_residuals``.
+    through ``_pair_values``, as in ``_closure_residuals``.
     """
     if space.p != space.q:
         return math.inf
-    B, k = space.basis, space.dim
-    norms = matcore.op_norm_stack(B)
-    residuals = np.empty(k * k)
-    for part in _chunks(residuals.size, 16 * space.p * space.q):  # one product
-        i, j = np.divmod(np.arange(part.start, part.stop), k)
-        images = np.tensordot(t[i, j], B, axes=1)
-        residuals[part] = matcore.op_norm_stack(images - B[i] @ B[j]) / (norms[i] * norms[j])
-    return float(residuals.max())
+    B, norms = space.basis, matcore.op_norm_stack(space.basis)
+    return float(_pair_values(space, space.dim, space.dim, lambda i, j: matcore.op_norm_stack(
+        np.tensordot(t[i, j], B, axes=1) - B[i] @ B[j]) / (norms[i] * norms[j])).max())
 
 
 #: The largest membership residual of a basis product B_i B_j, divided by ||B_i|| ||B_j||,
@@ -911,12 +918,12 @@ def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
         raise InvalidInputError("structure tensor has non-finite entries")
     u = _unit_coeffs(space, u)
     if space.norm_mode == spaces.LEVEL1_ORACLE:
-        return _unsupported("algebra-product", cfg, _STACKED_COLUMNS)
+        return _report("algebra-product", cfg, verdict=UNSUPPORTED_LEVEL, notes=[_STACKED_COLUMNS])
 
     failed, notes = [], []
     coiso = SEARCH_CRITERIA["coisometry"].check(space, u, cfg)
     samples = coiso.samples
-    margins = [coiso.margin]
+    deviations = [-coiso.margin]
     if coiso.verdict != HOLDS_WITHIN_BUDGET:
         failed.append("unit-coisometry")
     aux = {"unit_coisometry_verdict": coiso.verdict}
@@ -936,7 +943,7 @@ def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
             worst, _, tried = _worst_pair(space, Tx, cfg, ALGEBRA_MULTIPLIER_PAIRS, _KEY_ALGEBRA_PRODUCT * 100 + s)
             samples += tried
             mult_worst = max(mult_worst, worst)
-        margins.append(0.0 - mult_worst)
+        deviations.append(mult_worst)
         aux["multiplier_max_deviation"] = float(mult_worst)
         if mult_worst > cfg.tolerance:
             failed.append("left-multiplier")
@@ -945,15 +952,13 @@ def check_algebra_product(space: spaces.SpaceRep, u=None, tensor=None,
     resid = spaces.norm_stack(space, (unit_action - np.eye(k))[:, None, None, :])
     unit_max = float(np.max(resid))
     samples += k
-    margins.append(0.0 - unit_max)
+    deviations.append(unit_max)
     if unit_max > cfg.tolerance:
         failed.append("right-unit")
 
     aux.update(unit_action_residual=unit_max, failed=failed)
-    margin = float(min(margins))
-    verdict = HOLDS_WITHIN_BUDGET if not failed else VIOLATED
-    return CheckReport("algebra-product", verdict, margin, _witness_dict(None, aux),
-                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict(), notes)
+    return _report("algebra-product", cfg, float(max(deviations)), cfg.max_level, samples, aux,
+                   verdict=VIOLATED if failed else HOLDS_WITHIN_BUDGET, notes=notes)
 
 
 def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig | None = None) -> CheckReport:
@@ -977,7 +982,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     if space.p != space.q:
         raise ShapeError("cstar check needs a square ambient")
     if space.norm_mode != spaces.EMBEDDED:
-        return _unsupported("cstar-among-systems", cfg, "needs an embedded space")
+        return _report("cstar-among-systems", cfg, verdict=UNSUPPORTED_LEVEL, notes=["needs an embedded space"])
 
     B = _norm_one(space.basis)
     alg_max, _, products = _closure_residuals(space, B, matcore.dagger(B))
@@ -988,13 +993,7 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
         # X lies in the corner v M v, whose unit is v: b is built from v in place of the ambient 1
         unit = aux["unit_residual"] = spaces.membership_residual(space, spaces.unit_matrix(space))
         samples += 1
-    worst = max(alg_max, unit)
-    verdict, notes = HOLDS_WITHIN_BUDGET, []
-    if worst > cfg.tolerance:
-        verdict = INCONCLUSIVE
-        notes.append("the canonical z, b leave the space; existence over X not certified")
-    return CheckReport("cstar-among-systems", verdict, 0.0 - worst, _witness_dict(None, aux),
-                       list(range(1, cfg.max_level + 1)), samples, cfg.to_dict(), notes)
+    return _report("cstar-among-systems", cfg, max(alg_max, unit), cfg.max_level, samples, aux)
 
 
 # ---------------------------------------------------------------------------

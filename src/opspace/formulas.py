@@ -7,14 +7,16 @@ norm layer.
 
 Each suite group draws from one stream: a pair suite from (seed, suite), a
 gadget suite from (seed, suite, space, level) for each of its (space, level)
-groups.  One ``normal`` call fills the whole group in trial-major order, so
-trial t gets what the t-th of successive draws of one standard complex
-Gaussian 3 x 3 matrix (pairs) or one-grid ``spaces.random_stack`` (gadgets)
-calls on that stream would draw, and its matrices do not depend on how many
-trials run.  The trials are then evaluated as stacks: the pair suites as
-(trials, 3, 3) stacks of a and b, the gadget suites one (space, level)
-group at a time, realized, measured with ``spaces.norm_stack`` and
-assembled with the ``gadgets`` stack helpers.
+groups.  The draws fill the group in trial-major order, so trial t gets what
+the t-th of successive draws of one standard complex Gaussian 3 x 3 matrix
+(pairs) or one-grid ``spaces.random_stack`` (gadgets) calls on that stream
+would draw, and its matrices do not depend on how many trials run.  The
+trials are then evaluated as stacks: the pair suites as (c, 3, 3) stacks of a
+and b, c trials at a time, in chunks of at most ``_PAIR_CHUNK_BYTES`` of
+normals each (successive ``normal`` calls on one stream draw what one call
+would, and a max is exact in any order, so the chunk size moves no bit), and
+the gadget suites one (space, level) group at a time, realized, measured
+with ``spaces.norm_stack`` and assembled with the ``gadgets`` stack helpers.
 Every pair and gadget norm is one ``matcore.op_norm_stack`` call per stack,
 the kernel that ``matcore.op_norm`` runs on a single matrix, so every
 deviation is bit for bit what one trial at a time gives.
@@ -23,7 +25,6 @@ deviation is bit for bit what one trial at a time gives.
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,14 @@ from . import gadgets, matcore, spaces
 from .corpus import build_full_matrix, build_upper_triangular
 from .errors import InvalidInputError
 
-__all__ = ["SuiteResult", "run_all_suites", "t_norm_closed_form", "BUG_ENV_VAR"]
+__all__ = ["SuiteResult", "run_all_suites", "t_norm_closed_form"]
 
-#: Setting this environment variable flips a sign inside the sum/difference
-#: suite; used to confirm the suites actually detect broken identities.
-BUG_ENV_VAR = "OPSPACE_INJECT_BUG"
+#: Bytes of the normals a pair suite draws at once: ``trials`` pass in chunks of
+#: as many trials as fit (at least one), so the memory stays bounded whatever
+#: the trial count.
+_PAIR_CHUNK_BYTES = 1 << 20
+#: Bytes of the normals of one pair trial: a and b, real and imaginary parts, 3 x 3 each.
+_PAIR_TRIAL_BYTES = 2 * 2 * 3 * 3 * 8
 
 
 @dataclass
@@ -66,33 +70,38 @@ def t_norm_closed_form(s):
     return 0.5 * (2.0 + s**2 + s * np.sqrt(s**2 + 4.0))
 
 
-def _pair_stacks(trials: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trials, 3, 3) stacks of a and b from the stream (seed, tag).
+def _pair_stacks(trials: int, seed: int, tag: int):
+    """(c, 3, 3) stacks of a and b from the stream (seed, tag), one chunk of c trials at a time, ``trials`` in all.
 
     Trial t's a and b are the (2t)-th and (2t+1)-th of successive draws of
     one 3 x 3 matrix (z / sqrt(2), z standard complex Gaussian): each the real
-    parts, then the imaginary parts.
+    parts, then the imaginary parts.  A chunk is one ``normal`` call of at
+    most ``_PAIR_CHUNK_BYTES``.
     """
-    z = matcore.stream(seed, tag).normal(size=(trials, 2, 2, 3, 3))
-    pairs = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
-    return pairs[:, 0], pairs[:, 1]
+    rng = matcore.stream(seed, tag)
+    size = max(1, _PAIR_CHUNK_BYTES // _PAIR_TRIAL_BYTES)
+    for start in range(0, trials, size):
+        z = rng.normal(size=(min(size, trials - start), 2, 2, 3, 3))
+        pairs = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+        yield pairs[:, 0], pairs[:, 1]
 
 
-def _sum_diff_suite(trials: int, seed: int, bug: bool) -> SuiteResult:
-    """||[[a, b], [b, a]]|| = max(||a + b||, ||a - b||) for random 3x3 pairs."""
-    a, b = _pair_stacks(trials, seed, 21)
+def _pair_suite(name: str, tag: int, trials: int, seed: int, deviations) -> SuiteResult:
+    """Largest of ``deviations(a, b)`` over ``trials`` random 3x3 pairs, measured chunk by chunk (NaN propagates)."""
+    worst = [np.max(deviations(a, b)) for a, b in _pair_stacks(trials, seed, tag)]
+    return SuiteResult(name, trials, float(np.max(worst)), 1e-9)
+
+
+def _sum_diff_deviations(a, b):
+    """||[[a, b], [b, a]]|| = max(||a + b||, ||a - b||)."""
     lhs = matcore.op_norm_stack(gadgets.two_by_two_stack(a, b, b, a))
-    second = a + b if bug else a - b
-    rhs = np.maximum(matcore.op_norm_stack(a + b), matcore.op_norm_stack(second))
-    return SuiteResult("sum-diff block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
+    return np.abs(lhs - np.maximum(matcore.op_norm_stack(a + b), matcore.op_norm_stack(a - b)))
 
 
-def _rotation_suite(trials: int, seed: int) -> SuiteResult:
-    """||[[a, -b], [b, a]]|| = max(||a + ib||, ||a - ib||) for random 3x3 pairs."""
-    a, b = _pair_stacks(trials, seed, 22)
+def _rotation_deviations(a, b):
+    """||[[a, -b], [b, a]]|| = max(||a + ib||, ||a - ib||)."""
     lhs = matcore.op_norm_stack(gadgets.two_by_two_stack(a, -b, b, a))
-    rhs = np.maximum(matcore.op_norm_stack(a + 1j * b), matcore.op_norm_stack(a - 1j * b))
-    return SuiteResult("rotation block identity", trials, float(np.max(np.abs(lhs - rhs))), 1e-9)
+    return np.abs(lhs - np.maximum(matcore.op_norm_stack(a + 1j * b), matcore.op_norm_stack(a - 1j * b)))
 
 
 def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, deviations) -> SuiteResult:
@@ -144,13 +153,12 @@ def run_all_suites(trials: int = 200, seed: int = 1729, gadget_trials: int = 100
     for name, value in (("trials", trials), ("gadget_trials", gadget_trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
             raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
-    bug = bool(os.environ.get(BUG_ENV_VAR))
     # the gadget suites' test spaces, each built once per call: M_2 and M_3 are
     # unital and selfadjoint, UT_2 only unital
     m2, m3, ut2 = build_full_matrix(2).space, build_full_matrix(3).space, build_upper_triangular(2).space
     return [
-        _sum_diff_suite(trials, seed, bug),
-        _rotation_suite(trials, seed),
+        _pair_suite("sum-diff block identity", 21, trials, seed, _sum_diff_deviations),
+        _pair_suite("rotation block identity", 22, trials, seed, _rotation_deviations),
         _gadget_suite("doubling gadget closed form", 23, [m2, m3, ut2], gadget_trials, seed, _doubling_deviations),
         _gadget_suite("symmetric gadget norm", 24, [m2, m3], gadget_trials, seed, _symmetric_deviations),
         _gadget_suite("skew gadget norm", 25, [m2, m3], gadget_trials, seed, _skew_deviations),

@@ -18,7 +18,7 @@ from conftest import oracle_space_with_involution
 @pytest.fixture(scope="module")
 def space_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("spaces")
-    corpus.write_space_files(d)
+    corpus.write_space_files(d, corpus.build_corpus())
     return d
 
 
@@ -211,17 +211,23 @@ def test_verify_formulas_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_verify_formulas_bug_hook_subprocess():
+#: A harness that runs ``opspace`` with every 2x2 block assembled with its upper-right block doubled,
+#: which breaks every identity the suites test; the CI runs the same harness on the installed package.
+BROKEN_IDENTITY = ("import sys; from opspace import cli, gadgets; block = gadgets.two_by_two_stack; "
+                   "gadgets.two_by_two_stack = lambda A, B, C, D: block(A, 2 * B, C, D); "
+                   "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def test_verify_formulas_catches_a_broken_identity_subprocess():
     # the child imports opspace from this checkout's src, whatever PYTHONPATH the suite runs under
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPSPACE_INJECT_BUG="1", PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-m", "opspace.cli", "verify-formulas", "--trials", "20"],
-        env=env, capture_output=True, text=True,
+        [sys.executable, "-c", BROKEN_IDENTITY, "verify-formulas", "--trials", "20"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
     )
     assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+    assert proc.stdout.count("[FAIL]") == 5 and "[PASS]" not in proc.stdout
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -269,6 +275,24 @@ def test_emit_spaces_writes_loadable_files(tmp_path):
                   "--format", "json", "--out", tmp_path / "c.json"])
     assert rc == 0
     assert (target / "linf3_ones.json").exists()
+
+
+@pytest.mark.parametrize("only, emit, builds", [(None, True, 14), ("column_H2", True, 14),
+                                                (None, False, 14), ("column_H2", False, 1)])
+def test_corpus_builds_each_entry_once(tmp_path, monkeypatch, only, emit, builds):
+    # 13 entries from 14 make_space calls (full_matrix_2_plus_half scales M_2's basis); --emit-spaces writes all 13
+    calls = []
+    make_space = spaces.make_space
+    monkeypatch.setattr(spaces, "make_space", lambda *a, **k: calls.append(1) or make_space(*a, **k))
+    target = tmp_path / "emitted"
+    argv = ["corpus", "--format", "json", "--out", tmp_path / "c.json"]
+    argv += ["--only", only] if only else []
+    argv += ["--emit-spaces", target] if emit else []
+    assert run_cli(argv) == 0
+    assert len(calls) == builds
+    written = sorted(p.stem for p in target.glob("*.json"))
+    assert written == (sorted(corpus.ENTRIES) if emit else [])
+    assert {r["entry"] for r in load_report(tmp_path / "c.json")["rows"]} == ({only} if only else set(corpus.ENTRIES))
 
 
 def test_unknown_only_is_refused_before_emit_spaces_writes(tmp_path, capsys):

@@ -88,8 +88,14 @@ def test_select_entries_builds_only_the_named_entry(monkeypatch):
     assert len(calls) == 1
 
 
+def test_pick_entries_picks_from_the_built_entries(corpus_entries):
+    built = list(corpus_entries.values())
+    assert corpus.pick_entries(built, None) is built
+    assert corpus.pick_entries(built, "column_H2") == [corpus_entries["column_H2"]]
+
+
 def test_unknown_entry_is_refused_with_the_known_names():
-    for call in (corpus.entry, corpus.select_entries):
+    for call in (corpus.entry, corpus.select_entries, lambda name: corpus.pick_entries([], name)):
         with pytest.raises(InvalidInputError, match="no corpus entry named 'nope'") as err:
             call("nope")
         assert str(err.value).endswith("known: " + ", ".join(corpus.ENTRIES))
@@ -177,7 +183,7 @@ def test_corpus_thread_count_does_not_change_results():
 
 
 def test_write_space_files_round_trip(tmp_path, corpus_entries):
-    paths = corpus.write_space_files(tmp_path)
+    paths = corpus.write_space_files(tmp_path, list(corpus_entries.values()))
     assert len(paths) == len(corpus_entries)
     reloaded = spaces.load_space_file(tmp_path / "non_algebra_span.json")
     rep = criteria.check_mult_closed(reloaded)

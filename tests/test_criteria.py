@@ -1220,6 +1220,64 @@ def test_margin_sign_matches_verdict(corpus_reports, default_cfg):
                 assert rep.margin >= -default_cfg.tolerance, (name, crit)
 
 
+
+def _norm_one_basis_0(space):
+    return space.basis[0] / matcore.op_norm(space.basis[0])
+
+
+#: The checks that measure the same deviation whatever the tolerance, each as (space, cfg) -> report.
+BOUNDARY_CHECKS = {
+    "positive": lambda sp, cfg: criteria.check_positive(sp, cfg=cfg),
+    "adjoint z = x*": lambda sp, cfg: criteria.check_adjoint(_norm_one_basis_0(sp),
+                                                             matcore.dagger(_norm_one_basis_0(sp)), cfg),
+    "adjoint z = x": lambda sp, cfg: criteria.check_adjoint(_norm_one_basis_0(sp), _norm_one_basis_0(sp), cfg),
+    "mult-closed": lambda sp, cfg: criteria.check_mult_closed(sp, cfg),
+    **{f"multiplier-{side}": lambda sp, cfg, side=side: criteria.check_multiplier(sp, sp.basis[0], side, cfg)
+       for side in ("left", "right", "quasi")},
+    "cstar-among-systems": lambda sp, cfg: criteria.check_cstar_among_systems(sp, cfg),
+    "left-multiplier-map T = 1": lambda sp, cfg: criteria.check_left_multiplier_map(sp, np.eye(sp.dim), cfg),
+    "left-multiplier-map T = 2": lambda sp, cfg: criteria.check_left_multiplier_map(sp, 2 * np.eye(sp.dim), cfg),
+}
+
+
+def boundary_deviation(check, rep):
+    """The deviation a report states apart from its margin (minus the margin where it states none)."""
+    aux = (rep.witness or {}).get("aux", {})
+    if check == "positive":
+        return max(aux["gap"], aux["hermitian_residual"])
+    if check == "cstar-among-systems":
+        return max(aux["algebraic_max"], aux.get("unit_residual", aux["identity_residual"]))
+    return aux.get("algebraic_max", aux.get("deviation", -rep.margin))
+
+
+def float_bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("name, check", [
+    (name, check) for name in ("full_matrix_2", "non_algebra_span", "twisted_selfadjoint")
+    for check in BOUNDARY_CHECKS
+    # non_algebra_span has no distinguished element, which positive and cstar-among-systems test
+    if not (name == "non_algebra_span" and check in ("positive", "cstar-among-systems"))])
+def test_verdict_rule_at_the_tolerance_boundary(name, check):
+    # a deviation equal to the tolerance holds; one ulp past it is VIOLATED (INCONCLUSIVE for cstar);
+    # and the margin is 0.0 - deviation bit for bit, never -0.0, whatever the tolerance
+    space, run = corpus.entry(name).space, BOUNDARY_CHECKS[check]
+    past = criteria.INCONCLUSIVE if check == "cstar-among-systems" else criteria.VIOLATED
+    deviation = boundary_deviation(check, run(space, witness.SearchConfig()))
+    cases = {witness.SearchConfig().tolerance: None}
+    if deviation > 0:
+        cases[deviation] = criteria.HOLDS_WITHIN_BUDGET
+        if (below := float(np.nextafter(deviation, 0.0))) > 0:
+            cases[below] = past
+    for tolerance, verdict in cases.items():
+        rep = run(space, witness.SearchConfig(tolerance=tolerance))
+        assert rep.verdict == (verdict or (past if deviation > tolerance else criteria.HOLDS_WITHIN_BUDGET))
+        assert float_bits(rep.margin) == float_bits(0.0 - deviation)
+        assert float_bits(rep.margin) != float_bits(-0.0)
+        assert float_bits(boundary_deviation(check, rep)) == float_bits(deviation)
+
+
 CAP_NOTE = re.compile(r"(\d+) of (\d+) restarts stopped once their cell could not beat the best found")
 
 #: The VIOLATED corpus rows of the sphere rows; each reaches the sphere cap sqrt(2) - 1.

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, formulas, matcore, spaces, witness
+from opspace import corpus, criteria, formulas, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError, NumericalError
 from opspace.formulas import SuiteResult, t_norm_closed_form
 
@@ -78,36 +78,40 @@ def ref_gadget_suite(name, tag, test_spaces, trials, seed, deviation):
     return SuiteResult(name, count, worst, 1e-8)
 
 
-def ref_gadget_norm(space, x, lower_left):
-    """||[[u_n, x], [y, u_n]]|| for one element x, y = 0, x* or -x* by ``lower_left``, assembled with ``conftest.block``."""
+def ref_gadget_norm(space, x, lower_left, corner=1.0):
+    """||[[u_n, corner x], [y, u_n]]|| for one element x, y = 0, x* or -x* by ``lower_left``.
+
+    The blocks are assembled with ``conftest.block``.
+    """
     un, xm = gadget_operands(space, x)
     if lower_left == "0":
         y = np.zeros_like(xm)
     else:
         y = spaces.realize(space, apply_involution(space, x))
         y = -y if lower_left == "-x*" else y
-    return matcore.op_norm(block([[un, xm], [y, un]]))
+    return matcore.op_norm(block([[un, corner * xm], [y, un]]))
 
 
-def ref_run_all_suites(trials, seed, gadget_trials, bug=False):
+def ref_run_all_suites(trials, seed, gadget_trials, corner=1.0):
+    """Every suite one trial at a time, the upper-right block of each 2x2 block scaled by ``corner`` (1.0: none)."""
     op = matcore.op_norm
     unital = [corpus.build_full_matrix(2).space, corpus.build_full_matrix(3).space,
               corpus.build_upper_triangular(2).space]
     selfadjoint = unital[:2]
     return [
         ref_pair_suite("sum-diff block identity", 21, trials, seed,
-                       lambda a, b: op(block([[a, b], [b, a]])),
-                       lambda a, b: max(op(a + b), op(a + b if bug else a - b))),
+                       lambda a, b: op(block([[a, corner * b], [b, a]])),
+                       lambda a, b: max(op(a + b), op(a - b))),
         ref_pair_suite("rotation block identity", 22, trials, seed,
-                       lambda a, b: op(block([[a, -b], [b, a]])),
+                       lambda a, b: op(block([[a, corner * -b], [b, a]])),
                        lambda a, b: max(op(a + 1j * b), op(a - 1j * b))),
         ref_gadget_suite("doubling gadget closed form", 23, unital, gadget_trials, seed,
-                         lambda sp, x: abs(ref_gadget_norm(sp, x, "0") ** 2
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "0", corner) ** 2
                                            - float(t_norm_closed_form(spaces.norm(sp, x))))),
         ref_gadget_suite("symmetric gadget norm", 24, selfadjoint, gadget_trials, seed,
-                         lambda sp, x: abs(ref_gadget_norm(sp, x, "x*") - (1.0 + spaces.norm(sp, x)))),
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "x*", corner) - (1.0 + spaces.norm(sp, x)))),
         ref_gadget_suite("skew gadget norm", 25, selfadjoint, gadget_trials, seed,
-                         lambda sp, x: abs(ref_gadget_norm(sp, x, "-x*")
+                         lambda sp, x: abs(ref_gadget_norm(sp, x, "-x*", corner)
                                            - np.sqrt(1.0 + spaces.norm(sp, x) ** 2))),
     ]
 
@@ -159,12 +163,33 @@ def test_suites_match_one_trial_at_a_time(seed, trials, gadget_trials):
     assert all(s.passed for s in got)
 
 
-def test_injected_bug_matches_one_trial_at_a_time(monkeypatch):
-    monkeypatch.setenv(formulas.BUG_ENV_VAR, "1")
+def test_broken_block_assembly_fails_every_suite_as_one_trial_at_a_time_does(monkeypatch):
+    # the broken identity is injected from outside: every 2x2 block is assembled with its upper-right block doubled
+    two_by_two = gadgets.two_by_two_stack
+    monkeypatch.setattr(gadgets, "two_by_two_stack", lambda A, B, C, D: two_by_two(A, 2 * B, C, D))
     got = formulas.run_all_suites(trials=30, seed=7, gadget_trials=2)
-    want = ref_run_all_suites(30, 7, 2, bug=True)
+    want = ref_run_all_suites(30, 7, 2, corner=2.0)
     assert as_json([s.to_dict() for s in got]) == as_json([s.to_dict() for s in want])
-    assert not got[0].passed
+    assert not any(s.passed for s in got)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+def test_pair_suite_chunks_do_not_move_reports(monkeypatch, per_chunk):
+    # 40 trials in chunks of 1, 3 (ending on a partial chunk) and 7 trials report what one chunk reports
+    one_chunk = [s.to_dict() for s in formulas.run_all_suites(trials=40, seed=7, gadget_trials=1)]
+    monkeypatch.setattr(formulas, "_PAIR_CHUNK_BYTES", per_chunk * formulas._PAIR_TRIAL_BYTES)
+    sizes = [len(a) for a, _ in formulas._pair_stacks(40, 7, 21)]
+    assert sizes == [per_chunk] * (40 // per_chunk) + ([40 % per_chunk] if 40 % per_chunk else [])
+    chunked = [s.to_dict() for s in formulas.run_all_suites(trials=40, seed=7, gadget_trials=1)]
+    assert as_json(chunked) == as_json(one_chunk)
+
+
+def test_pair_suite_chunks_are_bounded_in_bytes():
+    # 200 trials are one chunk, and a huge trial count never draws more than the bound at once
+    assert [len(a) for a, _ in formulas._pair_stacks(200, 7, 21)] == [200]
+    per_chunk = formulas._PAIR_CHUNK_BYTES // formulas._PAIR_TRIAL_BYTES
+    first, _ = next(formulas._pair_stacks(10**8, 7, 21))
+    assert len(first) == per_chunk and per_chunk * formulas._PAIR_TRIAL_BYTES <= formulas._PAIR_CHUNK_BYTES
 
 
 def test_suites_build_each_test_space_once_per_call(monkeypatch):
@@ -182,8 +207,8 @@ def test_suites_build_each_test_space_once_per_call(monkeypatch):
 
 
 def test_suite_draws_do_not_depend_on_the_trial_count():
-    a5, b5 = formulas._pair_stacks(5, 7, 21)
-    a40, b40 = formulas._pair_stacks(40, 7, 21)
+    [(a5, b5)] = formulas._pair_stacks(5, 7, 21)
+    [(a40, b40)] = formulas._pair_stacks(40, 7, 21)
     assert a5.tobytes() == a40[:5].tobytes() and b5.tobytes() == b40[:5].tobytes()
     space = corpus.build_full_matrix(3).space
     few = spaces.random_stack(space, 2, matcore.stream(7, 24, 1, 2), 5)
