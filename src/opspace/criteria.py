@@ -108,7 +108,6 @@ row by name for ``opspace check``, the corpus and the payload dump.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from collections.abc import Callable
@@ -212,16 +211,16 @@ class CheckReport:
     proof: dict | None = None  # {"identity", "residual", "tolerance"} when proved, not searched
 
     def to_dict(self) -> dict:
-        """Every field in declaration order, copied one level deep; ``proof`` only when set."""
-        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+        """Every field in declaration order, ``proof`` only when set; the values are the report's own objects."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.proof is None:
             del d["proof"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
-        """The report ``to_dict`` wrote; a field with a default may be missing."""
-        return cls(**{f.name: copy.copy(d[f.name]) for f in fields(cls) if f.name in d})
+        """The report ``to_dict`` wrote, sharing its values; a field with a default may be missing."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def witness_element(self) -> spaces.LevelElement | None:
         if self.witness is None or self.witness.get("coeffs") is None:
@@ -353,32 +352,68 @@ def _hypot1_slope(nx):
 
 
 # Caps: the largest value a row's objective takes on the ball of radius r (on
-# the sphere, for the sphere rows), given the norm nu of its distinguished
-# element.  The ball caps follow from the triangle inequality alone, so they
-# hold for every norm, the trace-norm oracle included; the sphere cap also
-# uses ||[a  b]||^2 = ||a a* + b b*||, which holds in every block of an
-# embedded space, the only spaces the sphere rows search.
+# the sphere, for the sphere rows), given the profile (nu, delta) of its
+# distinguished element from ``_unit_profile``.  The unitary caps follow from
+# the triangle inequality alone, so they hold for every norm, the trace-norm
+# oracle included; the sphere cap also uses ||[a  b]||^2 = ||a a* + b b*||,
+# and the skew cap the block algebra of r_x, which hold in every block of an
+# embedded space, the only spaces those rows search.
 
 
-def _unitary_cap(r, nu):
-    """sqrt(1 + ||x||) - ||gadget|| <= sqrt(1 + r) - nu: the gadget's norm is at least nu.
+def _unit_profile(space: spaces.SpaceRep, u: np.ndarray) -> tuple[float, float]:
+    """(nu, delta): the norm of u, and the largest distance of a block of u from a real scalar.
 
-    The four rotations u_n + i^k x average to u_n, and the doubling gadget has
-    v_n as a corner.
+    For each block v_j of u at level 1 (``realize_fibers_stack``, zero
+    padding included), with H_j = (v_j + v_j*) / 2 and A_j = (v_j - v_j*) / 2,
+    delta = max_j [(lambda_max(H_j) - lambda_min(H_j)) / 2 + ||A_j||]: the
+    first term is ||H_j - c 1|| at the best real c.  It is 0 for a
+    selfadjoint unit of a commutative space (every block a real 1 x 1), and
+    depends on the realized blocks alone, so no unitary conjugation of the
+    space moves it.  No block of a rectangular space is a scalar: there
+    delta is inf.
     """
-    return math.sqrt(1.0 + r) - nu
+    stack = spaces.realize_fibers_stack(space, u.reshape(1, 1, 1, -1))  # a stack of one, as ``spaces.norm`` has it
+    nu = float(spaces.block_norms(space, stack)[0])
+    V = stack[0]
+    if V.shape[-2] != V.shape[-1]:
+        return nu, math.inf
+    Vh = matcore.dagger(V)
+    spectra = np.linalg.eigvalsh(0.5 * (V + Vh))  # ascending, one row per block
+    spread = 0.5 * (spectra[:, -1] - spectra[:, 0]) + matcore.op_norm_stack(0.5 * (V - Vh))
+    return nu, float(spread.max())
 
 
-def _skew_cap(r, nu):
-    """| ||r_x|| - sqrt(1 + ||x||^2) | <= max(nu + r - 1, sqrt(1 + r^2) - nu).
+def _unitary_cap(r, nu, delta):
+    """sqrt(1 + ||x||) - ||gadget|| <= sqrt(1 + min(r, nu)) - nu: the gadget's norm is at least max(nu, ||x||).
 
-    ||r_x|| lies in [nu, nu + r] (a corner, and the triangle inequality), and
-    the target in [1, sqrt(1 + r^2)].
+    The four rotations u_n + i^k x average to u_n, and i^(-k) (u_n + i^k x)
+    to x; the doubling gadget has v_n and x as corners.  With t = ||x||,
+    sqrt(1 + t) - max(nu, t) rises up to t = nu and falls after it.
     """
-    return max(nu + r - 1.0, math.sqrt(1.0 + r * r) - nu)
+    return math.sqrt(1.0 + min(r, nu)) - nu
 
 
-def _sphere_cap(r, nu):
+def _skew_cap(r, nu, delta):
+    """| ||r_x|| - sqrt(1 + ||x||^2) | <= max(sqrt(r^2 + 2 d r + nu^2) - sqrt(1 + r^2), sqrt(1 + min(r, nu)^2) - nu).
+
+    Write r_x = D + K with D = I_2 (x) v_n and K = [[0, x], [-x*, 0]], so
+    K* = -K, ||K|| = t = ||x||, and split v = H + A into its Hermitian and
+    skew parts.  Then r_x* r_x = D* D + K* K + [H, K] - (A K + K A), and
+    [H, K] = [H - c 1, K] for every real c, so in every block at every level
+    ||r_x||^2 <= nu^2 + t^2 + 2 delta t (delta from ``_unit_profile``), and
+    by the triangle inequality also with min(delta, nu) in place of delta.
+    The corners give ||r_x|| >= max(nu, t).  The lower side
+    sqrt(1 + t^2) - max(nu, t) rises up to t = nu and falls after it.  The
+    upper side, with delta raised to d = max(min(delta, nu),
+    sqrt(max(nu^2 - 1, 0))), is nondecreasing in t (its slope condition is
+    t^2 (1 + d^2 - nu^2) + 2 d t + d^2 >= 0), so it peaks at t = r.
+    """
+    d = max(min(delta, nu), math.sqrt(max(nu * nu - 1.0, 0.0)))
+    return max(math.sqrt(r * r + 2.0 * d * r + nu * nu) - math.sqrt(1.0 + r * r),
+               math.sqrt(1.0 + min(r, nu) ** 2) - nu)
+
+
+def _sphere_cap(r, nu, delta):
     """| ||[u_n  x]|| - sqrt(1 + r^2) | <= max(sqrt(1 + r^2) - max(nu, r), sqrt(nu^2 + r^2) - sqrt(1 + r^2)).
 
     For ||x|| = r, ||[u_n  x]|| and ||[u_n ; x]|| lie in [max(nu, r),
@@ -415,7 +450,7 @@ class SearchCriterion:
     sphere: bool = False  # search norm-one x; otherwise balls at the swept radii
     unsupported: str | None = None  # UNSUPPORTED_LEVEL reason on level-1-oracle spaces
     involution: bool = False  # needs the space's involution and a selfadjoint unit
-    cap: Callable | None = None  # (radius, ||u||) -> the objective's bound on that ball or sphere
+    cap: Callable | None = None  # (radius, *_unit_profile) -> the objective's bound on that ball or sphere
 
     def objective(self, space, u, level):
         """(objective, gradient) at one level.
@@ -507,8 +542,8 @@ class SearchCriterion:
         radii, mode = ((1.0,), witness.SPHERE) if self.sphere else (RADIUS_SWEEP, witness.BALL)
         caps = None
         if self.cap is not None:
-            nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
-            caps = [self.cap(r, nu) for r in radii]
+            profile = _unit_profile(space, u)
+            caps = [self.cap(r, *profile) for r in radii]
         n_cells = len(levels) * len(radii)
         per_cell = max(1, cfg.restarts // n_cells) if cfg.restarts > 0 else 0
 

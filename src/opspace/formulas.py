@@ -109,18 +109,18 @@ def _gadget_suite(name: str, tag: int, test_spaces, trials: int, seed: int, devi
 
     Each group draws its ``trials`` elements from one stream (seed, tag, si,
     level) and is then one stack: ``coeffs`` the grids, X their ambient
-    matrices and Vn the amplified unit.
+    matrices and Vn the amplified unit.  The groups' maxima are combined by
+    ``np.max``, as in ``_pair_suite``, so a NaN deviation propagates and fails
+    the suite.
     """
-    worst = 0.0
-    count = 0
+    worst = []
     for si, space in enumerate(test_spaces):
         for level in (1, 2):
             coeffs = spaces.random_stack(space, level, matcore.stream(seed, tag, si, level), trials)
             X = spaces.realize_stack(space, coeffs)
             Vn = matcore.scalar_amplify(spaces.unit_matrix(space), level)
-            worst = max(worst, float(np.max(deviations(space, Vn, X, coeffs))))
-            count += trials
-    return SuiteResult(name, count, worst, 1e-8)
+            worst.append(np.max(deviations(space, Vn, X, coeffs)))
+    return SuiteResult(name, len(worst) * trials, float(np.max(worst)), 1e-8)
 
 
 def _square(norms: np.ndarray) -> np.ndarray:

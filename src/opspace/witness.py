@@ -63,14 +63,13 @@ rule that stopped it.
   the restart's step.  A snap zeroes whole complex coefficients and never
   reaches the origin, where late winners pass on their way out.
 - Cap stop.  A caller may give each cell a cap: a bound its objective
-  cannot exceed on the cell's ball or sphere (``SearchCriterion.cap``, from
-  the triangle inequality).  After each step a cell stops all its active
-  restarts once it cannot beat the best found, bounding as in
-  branch-and-bound (Land-Doig 1960): when it is violated and its best is
-  within ``_STALL_EPS`` of its own cap, so that no trial can be accepted, or
-  when its cap lies below the best of another violated cell, so that it
-  cannot hold the winner.  Both comparisons leave a rounding guard of
-  ``_CAP_ULPS`` ulps.
+  cannot exceed on the cell's ball or sphere (``SearchCriterion.cap``).
+  After each step a cell stops all its active restarts once it cannot beat
+  the best found, bounding as in branch-and-bound (Land-Doig 1960): when
+  it is violated and its best is within ``_STALL_EPS`` of its own cap, so
+  that no trial can be accepted, or when its cap lies below the best of
+  another violated cell, so that it cannot hold the winner.  Both
+  comparisons leave a rounding guard of ``_CAP_ULPS`` ulps.
 
 After a step's accept the cap stop runs before the race; the snap gate of
 the next step reads the same best.  Every rule but the second cap comparison

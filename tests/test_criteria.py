@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import re
@@ -5,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from opspace import corpus, criteria, matcore, spaces, witness
+from opspace import corpus, criteria, gadgets, matcore, spaces, witness
 from opspace.errors import InvalidInputError, ShapeError
 
 from conftest import (adjoint_block, build_M_pm, circle_norms, closure_row_deviations, corner_unit, haar_unitary,
@@ -1148,6 +1150,21 @@ def test_report_round_trip(criterion_cache):
     assert again.to_dict() == d
 
 
+@pytest.mark.parametrize("name, crit", [("linf3_e1", "unitary-four-rotation"), ("full_matrix_2", "coisometry")])
+def test_report_dict_holds_the_reports_own_fields(criterion_cache, name, crit):
+    # to_dict and from_dict copy no field, and the JSON is what a one-level copy of every field gives
+    rep = criterion_cache(name, crit)
+    d = rep.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(rep) if f.name != "proof" or rep.proof is not None]
+    assert all(d[key] is getattr(rep, key) for key in d)
+    copied = {f.name: copy.copy(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+    if rep.proof is None:
+        del copied["proof"]
+    assert json.dumps(d) == json.dumps(copied)
+    again = criteria.CheckReport.from_dict(d)
+    assert all(getattr(again, key) is d[key] for key in d)
+
+
 def test_zero_restarts_inconclusive():
     # full_matrix_2 is proved without a search; its I + I/2 copy has no proof and must search
     space = corpus.build_full_matrix_plus_half(2).space
@@ -1304,7 +1321,8 @@ def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus
             if found:
                 capped.add((name, crit))
     # the linf3_e1 ball rows reach the radius-1 cap sqrt(2) - 1 exactly, and so do the sphere rows
-    assert {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget")} | set(SPHERE_VIOLATED) <= capped
+    assert {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"),
+            ("linf3_e1", "operator-system")} | set(SPHERE_VIOLATED) <= capped
     for seed in (7, 4242):
         for name, crit in SPHERE_VIOLATED:
             entry = corpus_entries[name]
@@ -1315,7 +1333,7 @@ def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus
 
 @pytest.mark.parametrize("seed", [7, 1729, 4242])
 @pytest.mark.parametrize("name, crit", [("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"),
-                                        *SPHERE_VIOLATED])
+                                        ("linf3_e1", "operator-system"), *SPHERE_VIOLATED])
 def test_witness_at_its_cap_skips_only_the_polish(monkeypatch, corpus_entries, name, crit, seed):
     entry = corpus_entries[name]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=seed))
@@ -1343,8 +1361,10 @@ def test_witness_at_its_cap_skips_only_the_polish(monkeypatch, corpus_entries, n
 CAPPED_ROWS = sorted(name for name, spec in criteria.SEARCH_CRITERIA.items() if spec.cap is not None)
 
 #: The (entry, row) pairs whose probes attain their caps: the unitary caps of linf3_e1 at radius times -e3,
-#: and the sphere cap sqrt(2) - 1 of the VIOLATED sphere rows at a basis element.
-ATTAINED = {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"), *SPHERE_VIOLATED}
+#: its skew cap sqrt(1 + r^2) - 1 at radius times e2, and the sphere cap sqrt(2) - 1 of the VIOLATED sphere rows
+#: at a basis element.
+ATTAINED = {("linf3_e1", "unitary-four-rotation"), ("linf3_e1", "unitary-t-gadget"), ("linf3_e1", "operator-system"),
+            *SPHERE_VIOLATED}
 
 
 def cap_cases():
@@ -1373,10 +1393,11 @@ def cap_probes(space, level, radius, rng, sphere=False):
 def test_every_searched_row_has_a_cap():
     assert CAPPED_ROWS == sorted(criteria.SEARCH_CRITERIA) == [
         "coisometry", "isometry", "operator-system", "unitary-four-rotation", "unitary-t-gadget"]
-    # on the unit sphere the sphere cap is sqrt(2) - 1 for every contraction
+    # on the unit sphere the sphere cap is sqrt(2) - 1 for every contraction, whatever its blocks
     for crit in ("coisometry", "isometry"):
         for nu in (1.0, 0.9, 0.5, 0.0):
-            assert criteria.SEARCH_CRITERIA[crit].cap(1.0, nu) == math.sqrt(2) - 1
+            for delta in (0.0, 0.5, math.inf):
+                assert criteria.SEARCH_CRITERIA[crit].cap(1.0, nu, delta) == math.sqrt(2) - 1
 
 
 @pytest.mark.parametrize("entry_name, crit, u", cap_cases())
@@ -1384,12 +1405,12 @@ def test_no_cap_is_exceeded_on_its_ball(entry_name, crit, u):
     space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     spec = criteria.SEARCH_CRITERIA[crit]
     u = space.unit if u is None else np.array(u, dtype=np.complex128)
-    nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
+    profile = criteria._unit_profile(space, u)
     rng = np.random.default_rng(list(f"{entry_name}/{crit}/{u}".encode()))
     levels = [1] if space.norm_mode == spaces.LEVEL1_ORACLE else [1, 2]
     for level in levels:
         for radius in (1.0,) if spec.sphere else criteria.RADIUS_SWEEP:
-            cap = spec.cap(radius, nu)
+            cap = spec.cap(radius, *profile)
             guard = witness._CAP_ULPS * np.finfo(float).eps * max(abs(cap), 1.0)
             values = [spec.value_at(space, u, spaces.LevelElement(level, coeffs))
                       for coeffs in cap_probes(space, level, radius, rng, spec.sphere)]
@@ -1398,3 +1419,64 @@ def test_no_cap_is_exceeded_on_its_ball(entry_name, crit, u):
                 assert max(values) >= cap - 1e-12, (level, radius, max(values), cap)
                 if spec.sphere:
                     assert cap == math.sqrt(2) - 1
+
+
+def ragged_space():
+    """C (+) M_2 inside M_3, conjugated by a Haar unitary: a 1 x 1 block, zero-padded to 2 x 2, and a 2 x 2 block."""
+    U = haar_unitary(3, 43)
+    basis = np.zeros((5, 3, 3), dtype=np.complex128)
+    for l, (i, j) in enumerate([(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]):
+        basis[l, i, j] = 1.0
+    return spaces.make_space(U @ basis @ U.conj().T)
+
+
+SKEW_SPACES = {"full_matrix_2": lambda: corpus.build_full_matrix(2).space,
+               "full_matrix_3": lambda: corpus.build_full_matrix(3).space, "ragged": ragged_space}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("kind", ["hermitian", "nearly-hermitian", "general"])
+@pytest.mark.parametrize("space_name", sorted(SKEW_SPACES))
+def test_skew_gadget_norm_obeys_the_unit_profile(space_name, kind, level):
+    # ||r_x||^2 <= nu^2 + t^2 + 2 delta t and ||r_x|| >= max(nu, t), t = ||x||, for the profile (nu, delta) of v
+    space = SKEW_SPACES[space_name]()
+    if space_name == "ragged":
+        assert space.blocks.shape == (5, 2, 2, 2)
+    rng = np.random.default_rng(list(f"{space_name}/{kind}/{level}".encode()))
+    guard = 16 * np.finfo(float).eps
+    for _ in range(10):
+        m = spaces.realize_stack(space, spaces.random_stack(space, 1, rng, 1))[0]
+        h, a = (m + matcore.dagger(m)) / 2, (m - matcore.dagger(m)) / 2
+        u = spaces.coefficients_of(space, {"hermitian": h, "nearly-hermitian": h + 1e-6 * a, "general": m}[kind])
+        u *= rng.uniform(0.1, 1.0) / spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
+        nu, delta = criteria._unit_profile(space, u)
+        coeffs = spaces.scale_to_norms(space, spaces.random_stack(space, level, rng, 20), rng.uniform(0.0, 2.0, 20))
+        vgrid = np.zeros((level, level, space.dim), dtype=np.complex128)
+        vgrid[range(level), range(level)] = u
+        gadget = gadgets.r_stack(spaces.realize_fibers_stack(space, vgrid), spaces.realize_fibers_stack(space, coeffs))
+        norms, t = spaces.block_norms(space, gadget), spaces.norm_stack(space, coeffs)
+        assert np.all(norms**2 <= (nu**2 + t**2 + 2 * delta * t) * (1 + guard)), (nu, delta)
+        assert np.all(norms >= np.maximum(nu, t) * (1 - guard)), (nu, delta)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_operator_system_stops_at_its_cap_on_a_commutative_unit(conjugate):
+    # the blocks of linf3_e1's unit are the real scalars 1, 0, 0 (delta 0, up to rounding on a Haar conjugate), so
+    # the skew cap sqrt(1 + r^2) - 1 is attained at r e2, and the radius-1 cell stops there with the margin that a
+    # search without caps finds
+    entry = corpus.entry("linf3_e1")
+    space = entry.space
+    if conjugate:
+        U = haar_unitary(3, 5)
+        space = spaces.make_space(U @ space.basis @ U.conj().T, unit=space.unit, involution=space.involution)
+    nu, delta = criteria._unit_profile(space, space.unit)
+    assert abs(nu - 1.0) <= 1e-15 and 0.0 <= delta <= 1e-15
+    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
+    spec = criteria.SEARCH_CRITERIA["operator-system"]
+    capped = spec.check(space, cfg=cfg)
+    plain = dataclasses.replace(spec, cap=None).check(space, cfg=cfg)
+    assert capped.verdict == plain.verdict == criteria.VIOLATED
+    assert capped.margin == plain.margin
+    assert witness._at_cap(-capped.margin, spec.cap(1.0, nu, delta))
+    assert capped.trace[0]["radius"] == 1.0 and capped.trace[0]["evaluations"] < plain.trace[0]["evaluations"]
+    assert capped.samples < plain.samples

@@ -173,6 +173,17 @@ def test_broken_block_assembly_fails_every_suite_as_one_trial_at_a_time_does(mon
     assert not any(s.passed for s in got)
 
 
+@pytest.mark.parametrize("module, name, matrix_axes, failing", [
+    (spaces, "norm_stack", 3, 3),  # NaN space norms reach the three gadget suites alone
+    (matcore, "op_norm_stack", 2, 5),  # NaN operator norms reach all five
+])
+def test_nan_deviations_fail_their_suites(monkeypatch, module, name, matrix_axes, failing):
+    monkeypatch.setattr(module, name, lambda *args: np.full(np.shape(args[-1])[:-matrix_axes], np.nan))
+    got = formulas.run_all_suites(trials=20, seed=7, gadget_trials=2)
+    assert [s.passed for s in got] == [True] * (5 - failing) + [False] * failing
+    assert all(math.isnan(s.max_deviation) for s in got[5 - failing:])
+
+
 @pytest.mark.parametrize("per_chunk", [1, 3, 7])
 def test_pair_suite_chunks_do_not_move_reports(monkeypatch, per_chunk):
     # 40 trials in chunks of 1, 3 (ending on a partial chunk) and 7 trials report what one chunk reports

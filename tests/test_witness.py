@@ -493,9 +493,8 @@ def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_
 
 def row_caps(criterion, space, u=None):
     """The criterion's cap on each ball of ``criteria.RADIUS_SWEEP``, at the space's unit or ``u``."""
-    u = space.unit if u is None else u
-    nu = spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1)))
-    return [criteria.SEARCH_CRITERIA[criterion].cap(r, nu) for r in criteria.RADIUS_SWEEP]
+    profile = criteria._unit_profile(space, space.unit if u is None else u)
+    return [criteria.SEARCH_CRITERIA[criterion].cap(r, *profile) for r in criteria.RADIUS_SWEEP]
 
 
 def test_dominated_cell_stops_and_takes_fewer_evaluations(monkeypatch):
@@ -543,7 +542,7 @@ def test_sphere_cell_at_its_cap_stops_every_running_restart_on_that_step(monkeyp
     space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     spec = criteria.SEARCH_CRITERIA[criterion]
     obj, grad = spec.objective(space, space.unit, 1)
-    cap = spec.cap(1.0, spaces.norm(space, spaces.unit_element(space)))
+    cap = spec.cap(1.0, *criteria._unit_profile(space, space.unit))
     calls, beaten, stopped_by = [], [], []
     real_beaten, real_ascent = witness._beaten, witness._ascent
 
@@ -698,7 +697,7 @@ def test_polish_below_its_cap_or_without_one_is_the_full_polish(entry_name, crit
     space = {e.name: e for e in corpus.build_corpus()}[entry_name].space
     spec = criteria.SEARCH_CRITERIA[criterion]
     obj, grad = spec.objective(space, space.unit, 1)
-    cap = spec.cap(radius, spaces.norm(space, spaces.unit_element(space)))
+    cap = spec.cap(radius, *criteria._unit_profile(space, space.unit))
     rng = np.random.default_rng(31)
     for start in spaces.scale_to_norms(space, spaces.random_stack(space, 1, rng, 3), 0.5 * radius):
         point = spaces.LevelElement(1, start)
