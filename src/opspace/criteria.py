@@ -9,6 +9,25 @@ satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
 on every basis element, the criterion holds at every level and no search
 runs.  Such a report carries ``proof``; a searched one does not.
 
+The two unitary rows (``proof`` "both") decide a one-sided unit without a
+search too.  Say u satisfies the left half u u* B = B alone.  Since u lies
+in X, p = u u* is a projection with (I_n (x) p) x = x for every x in M_n(X),
+so ||u_n u_n* + x x*|| = 1 + ||x||^2.  The four rotations average to
+(1/4) sum_k (u_n + i^k x)(u_n + i^k x)* = u_n u_n* + x x*, so
+max_k ||u_n + i^k x|| >= sqrt(1 + ||x||^2), and the doubling gadget contains
+the row [u_n  x], so the same bound holds for it (for the right half
+B u* u = B, read u* u, x* x and the column [x ; u_n]).  At every level both
+objectives are thus at most g(||x||), g(t) = sqrt(1 + t) - sqrt(1 + t^2),
+whose peak G_STAR is at T_STAR, the root in (0, 1) of 4 t^3 + 3 t^2 = 1.
+When X holds a nonzero x0 with x0 u* = 0 (u* x0 = 0 for the right half),
+the cross terms vanish at x = T_STAR x0 / ||x0||: every ||u + i^k x|| and
+the doubling gadget's norm are sqrt(1 + ||x||^2), so x attains the
+supremum over every level and every ball of radius at least T_STAR.  The
+check then reports x with one sample, level 1 and no trace, and runs no
+search (``SearchCriterion._constructed``); it carries no ``proof``, which
+still marks a proved HOLDS.  A unit with both halves is proved, and one with
+neither half, or with no such x0, is searched.
+
 The closure checks (``mult-closed``, the multipliers and
 ``cstar-among-systems``) draw nothing: they measure the membership residuals
 of basis products (``_closure_residuals``) on stacks, in chunks of at most
@@ -140,6 +159,8 @@ __all__ = [
     "SEARCH_CRITERIA",
     "IDENTITIES",
     "PROOF_TOL",
+    "T_STAR",
+    "G_STAR",
     "CRITERION_RUNNERS",
     "Criterion",
     "CRITERIA",
@@ -500,8 +521,9 @@ class SearchCriterion:
     def check(self, space, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
         """Check this row for ``u`` (default: the space's distinguished element).
 
-        The preconditions come first, in order, then the ternary proof, else
-        the search.
+        The preconditions come first, in order, then the ternary proof; on a
+        unitary row whose unit satisfies one half of its identity alone, the
+        constructed witness (``_constructed``); else the search.
         """
         cfg = cfg or witness.SearchConfig()
         if self.involution and space.involution is None:
@@ -513,11 +535,38 @@ class SearchCriterion:
         if self.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
             return _report(self.name, cfg, verdict=UNSUPPORTED_LEVEL, notes=[self.unsupported])
         cfg.guard_ambient(space)
-        proof = _ternary_proof(self.proof, space, u)
-        if proof is None:
-            return self.search(space, u, cfg)
-        return _report(self.name, cfg, levels=cfg.max_level, proof=proof,
-                       notes=[f"proved by the ternary identity {proof['identity']}; no search run"])
+        residuals, Uh = _identity_residuals(self.proof, space, u)
+        proof = _ternary_proof(self.proof, residuals)
+        if proof is not None:
+            return _report(self.name, cfg, levels=cfg.max_level, proof=proof,
+                           notes=[f"proved by the ternary identity {proof['identity']}; no search run"])
+        held = [half for half, residual in residuals.items() if residual <= PROOF_TOL]
+        if self.proof == "both" and len(held) == 1:
+            x0 = _annihilated(space, Uh, held[0])
+            if x0 is not None:
+                return self._constructed(space, u, cfg, held[0], x0)
+        return self.search(space, u, cfg)
+
+    def _constructed(self, space, u, cfg: witness.SearchConfig, half: str, x0: np.ndarray) -> CheckReport:
+        """The report at x = T_STAR x0 / ||x0||, where the unitary rows reach their supremum G_STAR.
+
+        u satisfies the ``half`` of u u* B = B = B u* u alone, and x0 (the
+        coefficients of a nonzero element of X) has x0 u* = 0 (left half) or
+        u* x0 = 0 (right half); see ``_annihilated``.  Every level's objective
+        is then at most g(||x||) = sqrt(1 + ||x||) - sqrt(1 + ||x||^2), and
+        x reaches g's peak at level 1 (module docstring).  One evaluation, no
+        trace, and no ``proof``: the verdict follows from the value at x.
+        """
+        coeffs = x0.reshape(1, 1, -1)
+        x = spaces.LevelElement(1, coeffs * (T_STAR / spaces.norm(space, spaces.LevelElement(1, coeffs))))
+        value = self.value_at(space, u, x)
+        w = self.who
+        held, annihilated = ((f"{w} {w}* B = B", f"x {w}* = 0") if half == "left"
+                             else (f"B {w}* {w} = B", f"{w}* x = 0"))
+        note = (f"constructed: only the {half} half {held} holds and {annihilated}, so ||x|| = t* "
+                f"attains the supremum sqrt(1 + t*) - sqrt(1 + t*^2) of every level; no search run")
+        return _report(self.name, cfg, value, 1, 1, notes=[note], found=lambda: (
+            x, {"violation": value, "witness_norm": float(spaces.norm(space, x))}))
 
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
         """The violation search over this row's levels and radii, with no proof tried.
@@ -638,8 +687,40 @@ IDENTITIES = {
 }
 
 
-def _ternary_proof(kind: str, space: spaces.SpaceRep, u: np.ndarray) -> dict | None:
+def _identity_residuals(kind: str, space: spaces.SpaceRep, u: np.ndarray) -> tuple[dict, np.ndarray | None]:
+    """(each half of the identity ``kind`` -> its largest residual over the basis, u*), or ({}, None).
+
+    The halves are "left" (u u* B = B, or v B = B for "corner-unit") and
+    "right" (B u* u = B, or B v = B), and "selfadjoint" (v = v*) for
+    "corner-unit".  A residual on B is relative to B's largest |entry|, that
+    of v = v* to v's.  Level-1-oracle spaces have no ambient to check an
+    identity in.  u* is returned as the ambient matrix, for ``_annihilated``.
+    """
+    if space.norm_mode != spaces.EMBEDDED:
+        return {}, None
+    B = space.basis
+    U = np.tensordot(u, B, axes=1)
+    Uh = matcore.dagger(U)
+    if kind == "corner-unit":
+        images = {"left": U @ B, "right": B @ U}
+    else:
+        images = {}
+        if kind in ("both", "left"):
+            images["left"] = (U @ Uh) @ B
+        if kind in ("both", "right"):
+            images["right"] = B @ (Uh @ U)
+    scale = np.abs(B).max(axis=(1, 2))
+    residuals = {half: float((np.abs(im - B).max(axis=(1, 2)) / scale).max()) for half, im in images.items()}
+    if kind == "corner-unit":
+        residuals["selfadjoint"] = float(np.abs(U - Uh).max() / (np.abs(U).max() or 1.0))
+    return residuals, Uh
+
+
+def _ternary_proof(kind: str, residuals: dict) -> dict | None:
     """The ``proof`` entry when u satisfies the identity ``kind`` on every basis element, else None.
+
+    ``residuals`` are the ones ``_identity_residuals`` gives for ``kind``;
+    each must be within PROOF_TOL.
 
     With u u* B = B = B u* u for every B, u is a unitary of the ternary ring
     of operators that X generates (products x y* z keep both identities), so
@@ -652,26 +733,36 @@ def _ternary_proof(kind: str, space: spaces.SpaceRep, u: np.ndarray) -> dict | N
     holds X, so X is an operator system with unit v.  Level-1-oracle spaces
     have no ambient to check this in, and always search.
     """
-    if space.norm_mode != spaces.EMBEDDED:
+    if not residuals or max(residuals.values()) > PROOF_TOL:
         return None
+    return {"identity": IDENTITIES[kind], "residual": max(residuals.values()), "tolerance": PROOF_TOL}
+
+
+#: The peak of g(t) = sqrt(1 + t) - sqrt(1 + t^2) on t >= 0: g'(t) = 0 exactly when 4 t^3 + 3 t^2 = 1, and
+#: T_STAR is the double nearest that cubic's one root in (0, 1); G_STAR = g(T_STAR).
+T_STAR = 0.45541004110102845
+G_STAR = math.sqrt(1.0 + T_STAR) - math.sqrt(1.0 + T_STAR**2)
+
+
+def _annihilated(space: spaces.SpaceRep, Uh: np.ndarray, half: str) -> np.ndarray | None:
+    """The coefficients of a nonzero x0 in X with x0 u* = 0 (``half`` "left") or u* x0 = 0 ("right"), or None.
+
+    ``Uh`` is u* as an ambient matrix.  x0 spans the null space of the map
+    c -> sum_l c_l B_l u* (sum_l c_l u* B_l), found by one SVD; it is
+    accepted when the map's smallest singular value is at most PROOF_TOL
+    times its largest (a map with more columns than rows always has one).
+    The map has p^2 (q^2) rows and dim columns; the full right factor is
+    needed only when rows are fewer than columns, and the left factor is
+    never formed in full, so the cost is O(rows dim^2).
+    """
     B = space.basis
-    U = np.tensordot(u, B, axes=1)
-    Uh = matcore.dagger(U)
-    if kind == "corner-unit":
-        images = [U @ B, B @ U]
-    else:
-        images = []
-        if kind in ("both", "left"):
-            images.append((U @ Uh) @ B)
-        if kind in ("both", "right"):
-            images.append(B @ (Uh @ U))
-    scale = np.abs(B).max(axis=(1, 2))
-    residual = max(float((np.abs(im - B).max(axis=(1, 2)) / scale).max()) for im in images)
-    if kind == "corner-unit":
-        residual = max(residual, float(np.abs(U - Uh).max() / (np.abs(U).max() or 1.0)))
-    if residual > PROOF_TOL:
+    images = B @ Uh if half == "left" else Uh @ B
+    m = images.reshape(space.dim, -1).T
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    smallest = s[-1] if len(s) == space.dim else 0.0
+    if smallest > PROOF_TOL * s[0]:
         return None
-    return {"identity": IDENTITIES[kind], "residual": residual, "tolerance": PROOF_TOL}
+    return vh[-1].conj()
 
 
 # The re-evaluators under their public names: each is its row's ``value_at``.
@@ -1024,10 +1115,12 @@ def check_cstar_among_systems(space: spaces.SpaceRep, cfg: witness.SearchConfig 
     identity = spaces.membership_residual(space, np.eye(space.p))
     aux = {"algebraic_max": alg_max, "identity_residual": identity}
     unit, samples = identity, products + 1
-    if identity > cfg.tolerance and _ternary_proof("corner-unit", space, space.unit) is not None:
-        # X lies in the corner v M v, whose unit is v: b is built from v in place of the ambient 1
-        unit = aux["unit_residual"] = spaces.membership_residual(space, spaces.unit_matrix(space))
-        samples += 1
+    if identity > cfg.tolerance:
+        corner, _ = _identity_residuals("corner-unit", space, space.unit)
+        if _ternary_proof("corner-unit", corner) is not None:
+            # X lies in the corner v M v, whose unit is v: b is built from v in place of the ambient 1
+            unit = aux["unit_residual"] = spaces.membership_residual(space, spaces.unit_matrix(space))
+            samples += 1
     return _report("cstar-among-systems", cfg, max(alg_max, unit), cfg.max_level, samples, aux)
 
 

@@ -93,6 +93,33 @@ def haar_unitary(d, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rebuilt(space, basis, unit=None, involution=None):
+    """A space on ``basis``, with ``space``'s unit and involution unless others are given."""
+    return spaces.make_space(
+        basis,
+        unit=space.unit if unit is None else unit,
+        involution=space.involution if involution is None else involution,
+    )
+
+
+def doubled(space):
+    """X (+) X: each B_l becomes B_l (+) B_l, the unit and involution carried over."""
+    k, p, q = space.basis.shape
+    basis = np.zeros((k, 2 * p, 2 * q), dtype=np.complex128)
+    basis[:, :p, :q] = basis[:, p:, q:] = space.basis
+    return rebuilt(space, basis)
+
+
+def two_sided_copy(space, seed):
+    """U X V* for Haar unitaries U (p x p) and V (q x q) drawn from ``seed``, the unit carried over.
+
+    A complete isometry that is no conjugation (V != U), so it keeps neither
+    u u* nor u* u, only their action on the copy; the involution is dropped.
+    """
+    U, V = haar_unitary(space.p, seed), haar_unitary(space.q, seed + 1)
+    return spaces.make_space(U @ space.basis @ V.conj().T, unit=space.unit)
+
+
 def random_element(space, level, rng, target_norm=None):
     """One random element of level ``level``: the first grid of ``spaces.random_stack``, scaled to ``target_norm``."""
     coeffs = spaces.random_stack(space, level, rng, 1)

@@ -129,7 +129,7 @@ def test_check_bad_space_file(tmp_path, capsys):
 
 def test_search_zero_restarts_inconclusive(space_dir, tmp_path):
     out = tmp_path / "r.json"
-    rc = run_cli(["search", space_dir / "column_H2.json", "unitary-t-gadget",
+    rc = run_cli(["search", space_dir / "linf3_e1.json", "unitary-t-gadget",
                   "--restarts", 0, "--format", "json", "--out", out])
     assert rc == 2
     assert load_report(out)["verdict"] == "INCONCLUSIVE"
@@ -137,7 +137,7 @@ def test_search_zero_restarts_inconclusive(space_dir, tmp_path):
 
 def test_search_dumps_trace_and_finds_witness(space_dir, tmp_path):
     out = tmp_path / "r.json"
-    rc = run_cli(["search", space_dir / "column_H2.json", "unitary-t-gadget",
+    rc = run_cli(["search", space_dir / "linf3_e1.json", "unitary-t-gadget",
                   "--restarts", 32, "--format", "json", "--out", out])
     assert rc == 1
     report = load_report(out)

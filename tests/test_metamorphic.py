@@ -13,6 +13,13 @@ subspace alone, not its coordinates, so they must also keep their verdicts
 under a diagonal rescaling of the basis.  The searched rows are not held to
 that: their restarts are drawn in coefficients, so a non-unitary basis
 change moves what they find.
+
+On the two corpus entries whose unit satisfies one half of the ternary
+identity alone (``column_H2`` and ``left_identity_pair``), the route each
+searched row takes (proved, constructed or searched) must survive a
+complete isometry X -> U X V* that is no conjugation, a general change of
+basis with the unit carried over, and X (+) X; so must the margin of a proved
+or constructed row, which no draw decides.
 """
 
 import dataclasses
@@ -22,7 +29,7 @@ import pytest
 
 from opspace import corpus, criteria, spaces, witness
 
-from conftest import haar_unitary
+from conftest import doubled, haar_unitary, rebuilt, two_sided_copy
 
 CONFIG = witness.SearchConfig(restarts=8)
 ASCENT_STEPS = 30
@@ -38,14 +45,6 @@ ENTRIES = {
 SEARCHED = ("unitary-four-rotation", "unitary-t-gadget", "coisometry", "isometry", "operator-system")
 
 
-def rebuilt(space, basis, unit=None, involution=None):
-    return spaces.make_space(
-        basis,
-        unit=space.unit if unit is None else unit,
-        involution=space.involution if involution is None else involution,
-    )
-
-
 def conjugated(space):
     U = haar_unitary(space.p, seed=space.p * 1000 + space.dim)
     return rebuilt(space, U @ space.basis @ U.conj().T)
@@ -55,13 +54,6 @@ def permuted(space):
     perm = np.roll(np.arange(space.dim), 1)
     S = space.involution
     return rebuilt(space, space.basis[perm], unit=space.unit[perm], involution=S[np.ix_(perm, perm)])
-
-
-def doubled(space):
-    k, p, q = space.basis.shape
-    basis = np.zeros((k, 2 * p, 2 * q), dtype=np.complex128)
-    basis[:, :p, :q] = basis[:, p:, q:] = space.basis
-    return rebuilt(space, basis)
 
 
 def rescaled(space):
@@ -144,3 +136,63 @@ def test_untransformed_spaces_keep_their_closure_verdicts():
 def test_closure_verdicts_invariant_under_isometries_and_basis_rescaling(name, transform):
     space = ENTRIES[name]().space
     assert closure_verdicts(CLOSURE_TRANSFORMS[transform](space)) == closure_verdicts(space)
+
+
+ONE_SIDED = ("column_H2", "left_identity_pair")
+
+
+def recoordinated(space):
+    """The same subspace in the coordinates B'_i = sum_j A_ij B_j for a seeded complex A, the unit carried over.
+
+    The unit's coefficients u' solve A^T u' = u; the space has no involution to carry.
+    """
+    rng = np.random.default_rng(space.dim)
+    A = np.eye(space.dim) + 0.5 * (rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2))
+    return spaces.make_space(np.tensordot(A, space.basis, axes=1), unit=np.linalg.solve(A.T, space.unit))
+
+
+ONE_SIDED_TRANSFORMS = {"two-sided": lambda space: two_sided_copy(space, 3), "recoordinated": recoordinated,
+                        "doubled": doubled}
+
+
+def route(report):
+    """proved (a ternary identity), constructed (a witness at the bound, no search) or searched."""
+    if report.proof is not None:
+        return "proved"
+    return "searched" if report.trace else "constructed"
+
+
+def routes(entry):
+    """(route, verdict, margin) for each criterion of the entry."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "ASCENT_STEPS", ASCENT_STEPS)
+        return {crit: (route(rep), rep.verdict, rep.margin) for crit, rep in corpus.run_entry(entry, CONFIG)}
+
+
+@pytest.fixture(scope="module")
+def one_sided_routes():
+    return {name: routes(corpus.entry(name)) for name in ONE_SIDED}
+
+
+def test_one_sided_entries_take_each_route(one_sided_routes):
+    got = {name: {crit: r for crit, (r, _, _) in by_crit.items()} for name, by_crit in one_sided_routes.items()}
+    assert got == {
+        "column_H2": {"isometry": "proved", "coisometry": "searched",
+                      "unitary-four-rotation": "constructed", "unitary-t-gadget": "constructed"},
+        "left_identity_pair": {"coisometry": "proved", "isometry": "searched",
+                               "unitary-four-rotation": "constructed", "unitary-t-gadget": "constructed"},
+    }
+
+
+@pytest.mark.parametrize("transform", sorted(ONE_SIDED_TRANSFORMS))
+@pytest.mark.parametrize("name", ONE_SIDED)
+def test_one_sided_routes_and_margins_invariant_under_isometries_and_basis_change(one_sided_routes, name,
+                                                                                 transform):
+    entry = corpus.entry(name)
+    moved = routes(dataclasses.replace(entry, space=ONE_SIDED_TRANSFORMS[transform](entry.space)))
+    want = one_sided_routes[name]
+    assert {c: v[:2] for c, v in moved.items()} == {c: v[:2] for c, v in want.items()}
+    # a searched margin moves under a basis change (module docstring); a proved or constructed one is exact
+    for crit, (how, _, margin) in moved.items():
+        if how != "searched":
+            assert margin == pytest.approx(want[crit][2], rel=0, abs=1e-12), crit

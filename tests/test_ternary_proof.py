@@ -36,6 +36,11 @@ PROVED = {
 }
 
 
+def ternary_proof(kind, space, u):
+    """The ``proof`` entry the identity ``kind`` gives u on the space, or None."""
+    return criteria._ternary_proof(kind, criteria._identity_residuals(kind, space, u)[0])
+
+
 def searched_reports(corpus_reports):
     for name, reports in corpus_reports.items():
         for crit, rep in reports.items():
@@ -90,9 +95,9 @@ def test_a_search_on_every_proved_row_finds_no_violation(monkeypatch, corpus_ent
 
 def test_left_identity_pair_gets_a_left_proof_only(criterion_cache):
     space = corpus.entry("left_identity_pair").space
-    assert criteria._ternary_proof("left", space, space.unit)["identity"] == "u u* B = B"
-    assert criteria._ternary_proof("right", space, space.unit) is None
-    assert criteria._ternary_proof("both", space, space.unit) is None
+    assert ternary_proof("left", space, space.unit)["identity"] == "u u* B = B"
+    assert ternary_proof("right", space, space.unit) is None
+    assert ternary_proof("both", space, space.unit) is None
     assert criterion_cache("left_identity_pair", "coisometry").proof["identity"] == "u u* B = B"
     for crit in ("isometry", "unitary-four-rotation", "unitary-t-gadget"):
         rep = criterion_cache("left_identity_pair", crit)
@@ -102,8 +107,8 @@ def test_left_identity_pair_gets_a_left_proof_only(criterion_cache):
 def test_twisted_selfadjoint_gets_no_corner_unit_proof(criterion_cache):
     # E12 + E21 is a selfadjoint unitary, but not the unit of a corner holding the space
     space = corpus.entry("twisted_selfadjoint").space
-    assert criteria._ternary_proof("both", space, space.unit) is not None
-    assert criteria._ternary_proof("corner-unit", space, space.unit) is None
+    assert ternary_proof("both", space, space.unit) is not None
+    assert ternary_proof("corner-unit", space, space.unit) is None
     rep = criterion_cache("twisted_selfadjoint", "operator-system")
     assert rep.verdict == criteria.VIOLATED and rep.proof is None
 
@@ -113,7 +118,7 @@ def test_level1_oracle_spaces_always_search(monkeypatch):
     # span{E11} with the trace norm: u u* B = B holds, but there is no ambient to prove it in
     space = spaces.make_space(np.array([[[1.0, 0.0], [0.0, 0.0]]]), unit=[1.0],
                               norm_mode=spaces.LEVEL1_ORACLE, level1_oracle="trace_norm")
-    assert criteria._ternary_proof("both", space, space.unit) is None
+    assert ternary_proof("both", space, space.unit) is None
     rep = criteria.CRITERION_RUNNERS["unitary-four-rotation"](space, cfg=SMALL)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
     assert rep.proof is None and rep.samples > 0
@@ -130,14 +135,14 @@ def test_the_unit_passed_in_decides_the_proof(monkeypatch):
 
 def test_identity_residual_is_relative_to_the_basis_element():
     space = corpus.build_full_matrix(2).space
-    near = criteria._ternary_proof("both", space, (1 - 1e-14) * space.unit)
+    near = ternary_proof("both", space, (1 - 1e-14) * space.unit)
     assert near is not None and 0.0 < near["residual"] <= criteria.PROOF_TOL
-    assert criteria._ternary_proof("both", space, (1 - 1e-10) * space.unit) is None
+    assert ternary_proof("both", space, (1 - 1e-10) * space.unit) is None
     # an absolute 1e-12 would pass any unit on a basis this small
     tiny = spaces.make_space(1e-150 * space.basis, unit=1e150 * space.unit,
                              involution=space.involution)
-    assert criteria._ternary_proof("both", tiny, tiny.unit) is not None
-    assert criteria._ternary_proof("both", tiny, (1 - 1e-10) * tiny.unit) is None
+    assert ternary_proof("both", tiny, tiny.unit) is not None
+    assert ternary_proof("both", tiny, (1 - 1e-10) * tiny.unit) is None
 
 
 def test_preconditions_still_refuse_before_the_proof():

@@ -476,13 +476,14 @@ def test_cell_holding_no_violation_never_snaps(monkeypatch, entry_name, toleranc
 ])
 def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_name, criterion, margin,
                                                              samples):
-    # the margins and sample counts of these reports at seed 1729 with neither the snap trial nor the caps
+    # the margins and sample counts of these searches at seed 1729 with neither the snap trial nor the caps
+    # (``search`` tries no proof and no constructed witness, so column_H2 four-rotation still searches)
     entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
     cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
-    snapping = criteria.run_check(entry.space, criterion, cfg)
-    monkeypatch.setattr(witness, "SNAP_STEPS", 0)
     spec = criteria.SEARCH_CRITERIA[criterion]
-    plain = dataclasses.replace(spec, cap=None).check(entry.space, cfg=cfg)
+    snapping = spec.search(entry.space, entry.space.unit, cfg)
+    monkeypatch.setattr(witness, "SNAP_STEPS", 0)
+    plain = dataclasses.replace(spec, cap=None).search(entry.space, entry.space.unit, cfg)
     assert plain.verdict == snapping.verdict == criteria.VIOLATED
     assert plain.margin == pytest.approx(margin, rel=1e-12, abs=0)
     assert plain.samples == samples
