@@ -4,12 +4,11 @@
     python3 scripts/payload_diff.py diff OLD.json NEW.json
 
 ``dump`` runs every corpus entry's expected criteria at each seed with the
-default SearchConfig (each entry's own tolerance and max_level, as
-``opspace corpus`` does).  On every entry with a square ambient it also runs,
-with the same config, checks that no entry expects: through
-``criteria.run_check``, ``positive`` on the unit (where the entry has one) and
-the three multiplier checks with basis element 0 as w (the only checks
-whose ``CRITERIA`` row takes a w); and ``adjoint`` on x =
+default SearchConfig, as ``opspace corpus`` does.  On every entry with a
+square ambient it also runs, with the same config, checks that no entry
+expects: through ``criteria.run_check``, ``positive`` on the unit (where the
+entry has one) and the three multiplier checks with basis element 0 as w
+(the only checks whose ``CRITERIA`` row takes a w); and ``adjoint`` on x =
 basis element 0 scaled to norm one, against z = x* and against z = x (keys
 ``ADJOINT_CHECKS``).  On every entry it runs ``left-multiplier-map`` with T
 the identity, and with T the involution's coefficient matrix where the entry
@@ -60,17 +59,16 @@ def dump(out: Path, seeds, src: Path):
         for entry in corpus.build_corpus():
             reports = corpus.run_entry(entry, cfg)
             space = entry.space
-            local = corpus.entry_config(entry, cfg)
             if space.p == space.q:
                 for crit in SQUARE_CHECKS:
                     if crit != "positive" or space.unit is not None:
                         w_index = 0 if criteria.CRITERIA[crit].takes_w else None
-                        reports.append((crit, criteria.run_check(space, crit, local, w_index)))
+                        reports.append((crit, criteria.run_check(space, crit, cfg, w_index)))
                 x = space.basis[0] / matcore.op_norm(space.basis[0])
-                reports += [(crit, criteria.check_adjoint(x, z, local))
+                reports += [(crit, criteria.check_adjoint(x, z, cfg))
                             for crit, z in zip(ADJOINT_CHECKS, (matcore.dagger(x), x))]
             maps = (np.eye(space.dim), space.involution)
-            reports += [(crit, criteria.check_left_multiplier_map(space, T, local))
+            reports += [(crit, criteria.check_left_multiplier_map(space, T, cfg))
                         for crit, T in zip(LEFT_MULTIPLIER_CHECKS, maps) if T is not None]
             for crit, report in reports:
                 payloads[f"{seed}/{entry.name}/{crit}"] = report.to_dict()

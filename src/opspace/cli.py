@@ -4,9 +4,10 @@
 runs a named criterion through ``criteria.run_check``, the table lookup the
 corpus uses too.  Each subcommand takes only the flags it reads: every one
 takes ``--seed``, ``--format`` and ``--out``; ``check``, ``search`` and ``corpus``
-add the search budget; ``--rank-tol`` is on ``check`` and ``search``,
-``--threads`` on ``corpus``.  A budget flag's dest is the ``witness.SearchConfig``
-field it sets; the budgets no flag sets are constants (README "Reports").
+add the search budget, and ``--threads`` is on ``corpus``.  A budget flag's
+dest is the ``witness.SearchConfig`` field it sets; the budgets and tolerances
+no flag sets are constants (README "Reports"), and ``corpus`` runs every entry
+at the config its flags give.
 
 Exit codes: 0 = HOLDS_WITHIN_BUDGET (or all suites/entries pass), 1 = VIOLATED
 (or a suite/entry mismatch), 2 = INCONCLUSIVE or UNSUPPORTED_LEVEL, 3 = input
@@ -58,8 +59,6 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> witness.SearchConfig:
-    if hasattr(args, "rank_tol") and not 0.0 < args.rank_tol < 1.0:
-        raise InvalidInputError(f"--rank-tol {args.rank_tol}: rank_tol must lie in (0, 1)")
     given = {f.name: v for f in dataclasses.fields(witness.SearchConfig)
              if (v := getattr(args, f.name, None)) is not None}
     if args.out:
@@ -74,8 +73,11 @@ def _build_config(args) -> witness.SearchConfig:
 def _emit(payload: dict, text: str, args) -> None:
     body = json.dumps(payload, indent=2, sort_keys=True) + "\n" if args.format == "json" else text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise InvalidInputError(f"--out {args.out}: cannot write the report ({exc})") from exc
     else:
         sys.stdout.write(body)
 
@@ -136,7 +138,7 @@ def _report_text(report: criteria.CheckReport) -> str:
 
 def _load_space(path: str, args) -> spaces.SpaceRep:
     try:
-        space = spaces.load_space_file(path, rank_tol=args.rank_tol)
+        space = spaces.load_space_file(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot load space file {path!r}: {exc}") from exc
     except OpspaceError as exc:
@@ -148,8 +150,7 @@ def _load_space(path: str, args) -> spaces.SpaceRep:
         unit = np.zeros(space.dim, dtype=np.complex128)
         unit[idx] = 1.0
         space = spaces.make_space(space.basis, unit=unit, involution=space.involution,
-                                  norm_mode=space.norm_mode, level1_oracle=space.level1_oracle,
-                                  rank_tol=args.rank_tol)
+                                  norm_mode=space.norm_mode, level1_oracle=space.level1_oracle)
     return space
 
 
@@ -230,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--w-index", type=int, default=None,
                            help="basis element acting as the candidate multiplier w")
         _add_budget_flags(p_run)
-        p_run.add_argument("--rank-tol", type=float, default=spaces.RANK_TOL,
-                           help="relative rank tolerance for basis independence (default 1e-10)")
         _add_output_flags(p_run)
         p_run.set_defaults(func=cmd_check, restarts=restarts)
 

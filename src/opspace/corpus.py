@@ -9,13 +9,13 @@ expected verdicts); the families are the ``build_*`` functions, which take
 their size.  ``entry`` builds one entry by name, and ``build_corpus`` all of
 them in order.  ``write_space_files`` serializes the space definitions of built
 entries, and ``run_entries`` runs them, so one build serves both.  The corpus
-runs each criterion through ``criteria.run_check``, as ``opspace check`` does,
-so every entry can be re-run from an emitted file through the CLI.
+runs each criterion through ``criteria.run_check`` at the caller's
+SearchConfig, as ``opspace check`` does; no entry carries a config of its own,
+so every row re-runs from an emitted file through the CLI with the same flags.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,11 +57,10 @@ _TRACE_NORM = {"norm_mode": spaces.LEVEL1_ORACLE, "level1_oracle": "trace_norm"}
 
 @dataclass
 class CorpusEntry:
+    """A named reference space and the verdicts its criteria must reproduce at the caller's config."""
     name: str
     space: spaces.SpaceRep
     expected: dict
-    tolerance: float | None = None  # entry-local override
-    max_level: int | None = None  # entry-local override
 
 
 def _units(p: int, q: int, cells) -> np.ndarray:
@@ -98,14 +97,15 @@ def build_l1_2_model(M: int = 64) -> CorpusEntry:
     """Embedded model of two-point l1: span{I, diag(w^j)} with w a primitive M-th root of unity.
 
     The level-1 norm of (a, b) is max_j |a + b w^j|, which converges to
-    |a| + |b| at rate O(1/M^2); M = 64 keeps the gap below the entry-local
-    tolerance.  The model is genuinely unital at every level.
+    |a| + |b| at rate O(1/M^2).  The model is genuinely unital at every
+    level: u = I satisfies the ternary identity, so both unitary rows are
+    proved at any config.
     """
     if M < 2:
         raise InvalidInputError("M must be at least 2")
     omega = np.exp(2j * np.pi / M)
     space = spaces.make_space([np.eye(M), np.diag(omega ** np.arange(M))], unit=[1.0, 0.0])
-    return CorpusEntry(f"l1_2_model_{M}", space, dict.fromkeys(_ROWS[:2], H), tolerance=1e-3, max_level=1)
+    return CorpusEntry(f"l1_2_model_{M}", space, dict.fromkeys(_ROWS[:2], H))
 
 
 def build_upper_triangular(d: int = 2) -> CorpusEntry:
@@ -207,16 +207,9 @@ def build_corpus() -> list:
 multiplication_tensor = criteria.multiplication_tensor
 
 
-def entry_config(entry: CorpusEntry, cfg: witness.SearchConfig) -> witness.SearchConfig:
-    """``cfg`` with the entry's own tolerance and max_level where it sets them (validated anew)."""
-    updates = {name: v for name in ("tolerance", "max_level") if (v := getattr(entry, name)) is not None}
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def run_entry(entry: CorpusEntry, cfg: witness.SearchConfig) -> list:
-    """Run every expected criterion of one entry; returns (criterion, report) pairs."""
-    local = entry_config(entry, cfg)
-    return [(crit, criteria.run_check(entry.space, crit, local)) for crit in entry.expected]
+    """Run every expected criterion of one entry at ``cfg``; returns (criterion, report) pairs."""
+    return [(crit, criteria.run_check(entry.space, crit, cfg)) for crit in entry.expected]
 
 
 def select_entries(only: str | None = None) -> list:

@@ -296,14 +296,11 @@ def _report(criterion: str, cfg: witness.SearchConfig, deviation: float = 0.0, l
 
 
 def _unit_coeffs(space: spaces.SpaceRep, u, who: str = "u") -> np.ndarray:
+    """``u``, a coefficient vector of length ``space.dim``, as a complex array; None means the space's unit."""
     if u is None:
         if space.unit is None:
             raise InvalidInputError(f"{who} is missing and the space has no distinguished element")
         return space.unit
-    if isinstance(u, spaces.LevelElement):
-        if u.level != 1:
-            raise InvalidInputError(f"{who} must be a level-1 element")
-        return u.coeffs.reshape(-1)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     if u.shape != (space.dim,):
         raise ShapeError(f"{who} must be a coefficient vector of length {space.dim}")
@@ -323,8 +320,13 @@ def _chunks(n_items: int, item_bytes: int) -> list:
     return [slice(s, min(s + size, n_items)) for s in range(0, n_items, size)]
 
 
+#: How far past 1 a norm may lie and still count as a contraction: the searched rows' distinguished element, and
+#: the x (and z) of ``positive`` and ``adjoint``.
+CONTRACTION_SLACK = 1e-9
+
+
 def _require_contraction(who: str, norm: float):
-    if norm > 1.0 + 1e-9:
+    if norm > 1.0 + CONTRACTION_SLACK:
         raise InvalidInputError(f"{who} must be a contraction, got norm {norm:.12f}")
 
 
@@ -445,6 +447,10 @@ def _sphere_cap(r, nu, delta):
     return max(target - max(nu, r), math.sqrt(nu * nu + r * r) - target)
 
 
+#: The largest |coefficient| of u* - u at which ``SearchCriterion.check`` takes u for selfadjoint.
+SELFADJOINT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SearchCriterion:
     """One searched criterion: ||gadget(u_n, x)|| against target(||x||) for every x in M_n(X).
@@ -529,12 +535,11 @@ class SearchCriterion:
         if self.involution and space.involution is None:
             raise InvalidInputError(f"{self.name} check requires an involution")
         u = _unit_coeffs(space, u, self.who)
-        if self.involution and np.abs(space.involution @ np.conj(u) - u).max() > 1e-9:
+        if self.involution and np.abs(space.involution @ np.conj(u) - u).max() > SELFADJOINT_TOL:
             raise InvalidInputError(f"{self.who} must be selfadjoint ({self.who} = {self.who}*)")
         _require_contraction(self.who, spaces.norm(space, spaces.LevelElement(1, u.reshape(1, 1, -1))))
         if self.unsupported and space.norm_mode == spaces.LEVEL1_ORACLE:
             return _report(self.name, cfg, verdict=UNSUPPORTED_LEVEL, notes=[self.unsupported])
-        cfg.guard_ambient(space)
         residuals, Uh = _identity_residuals(self.proof, space, u)
         proof = _ternary_proof(self.proof, residuals)
         if proof is not None:
@@ -583,8 +588,11 @@ class SearchCriterion:
         ``witness.refine_witness`` in the ball (or sphere) of the radius that
         won, under that radius's cap: a witness already at its cap takes no
         polish step, since none could be accepted, so its report differs
-        from a full polish in ``samples`` alone.
+        from a full polish in ``samples`` alone.  The ambient guard refuses
+        first: it bounds the search's memory, so a row decided without a
+        search (proved or constructed) runs at any ``max_level``.
         """
+        cfg.guard_ambient(space)
         levels, notes = list(range(1, cfg.max_level + 1)), []
         if space.norm_mode == spaces.LEVEL1_ORACLE:
             levels, notes = [1], [LEVEL1_NOTE]

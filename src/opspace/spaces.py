@@ -65,6 +65,7 @@ __all__ = [
     "scale_to_norms",
 ]
 
+#: A basis whose smallest singular value is at most this fraction of its largest is rank deficient.
 RANK_TOL = 1e-10
 INVOLUTION_TOL = 1e-10
 UNIT_NORM_SLACK = 1e-10
@@ -192,7 +193,6 @@ def make_space(
     involution=None,
     norm_mode: str = EMBEDDED,
     level1_oracle: str | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> SpaceRep:
     """Construct and validate a SpaceRep from raw arrays.
 
@@ -200,8 +200,6 @@ def make_space(
     coefficients; matching the ambient adjoint in embedded mode) and that the
     distinguished element, if any, sits in the unit ball of the space's norm.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise InvalidInputError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 3:
         raise SpaceFormatError("basis must be a stack of matrices")
@@ -213,7 +211,7 @@ def make_space(
     if k > p * q:
         raise SpaceFormatError(f"basis is rank deficient: {k} elements in a {p * q}-dimensional ambient")
     sv = np.linalg.svd(basis.reshape(k, p * q), compute_uv=False)
-    if sv[-1] <= rank_tol * sv[0]:
+    if sv[-1] <= RANK_TOL * sv[0]:
         raise SpaceFormatError(
             f"basis is rank deficient: smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}"
         )
@@ -304,7 +302,7 @@ def _decode_vector(values, length, what):
     raise SpaceFormatError(f"expected a complex scalar encoded as [re, im], got {_echo(bad)}")
 
 
-def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
+def load_space(document: str) -> SpaceRep:
     """Parse a UTF-8 JSON space definition and return a validated SpaceRep.
 
     Schema: {"p", "q", "basis": [[[re,im], ...row-major...], ...],
@@ -348,17 +346,16 @@ def load_space(document: str, rank_tol: float = RANK_TOL) -> SpaceRep:
         involution=involution,
         norm_mode=doc.get("norm_mode", EMBEDDED),
         level1_oracle=doc.get("level1_oracle"),
-        rank_tol=rank_tol,
     )
 
 
-def load_space_file(path, rank_tol: float = RANK_TOL) -> SpaceRep:
+def load_space_file(path) -> SpaceRep:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = fh.read()
         except UnicodeDecodeError as exc:
             raise SpaceFormatError(f"not UTF-8: {exc}") from exc
-    return load_space(document, rank_tol=rank_tol)
+    return load_space(document)
 
 
 def _encode_scalar(z: complex):

@@ -62,7 +62,7 @@ def corpus_reports(corpus_entries):
     """Every corpus entry run once under the default config (shared across tests)."""
     out = {}
     for name, entry in corpus_entries.items():
-        cfg = corpus.entry_config(entry, witness.SearchConfig())
+        cfg = witness.SearchConfig()
         out[name] = dict(corpus.run_entry(entry, cfg))
     return out
 
@@ -78,7 +78,7 @@ def criterion_cache(corpus_entries, corpus_reports):
     def get(name, crit):
         if (name, crit) not in cache:
             entry = corpus_entries[name]
-            cfg = corpus.entry_config(entry, witness.SearchConfig())
+            cfg = witness.SearchConfig()
             cache[(name, crit)] = criteria.CRITERION_RUNNERS[crit](entry.space, cfg=cfg)
         return cache[(name, crit)]
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -91,14 +92,9 @@ def test_every_pinned_row_reruns_from_its_file(space_dir, tmp_path):
     cfg = witness.SearchConfig(restarts=8)
     out = tmp_path / "r.json"
     for entry in corpus.build_corpus():
-        flags = []
-        if entry.tolerance is not None:
-            flags += ["--tolerance", repr(entry.tolerance)]
-        if entry.max_level is not None:
-            flags += ["--levels", entry.max_level]
         for crit, report in corpus.run_entry(entry, cfg):
             rc = run_cli(["check", space_dir / f"{entry.name}.json", crit, "--restarts", 8,
-                          "--format", "json", "--out", out, *flags])
+                          "--format", "json", "--out", out])
             assert rc == cli._VERDICT_EXIT[report.verdict], (entry.name, crit)
             payload = load_report(out)
             for key in ("generated_at", "tool_version"):
@@ -302,6 +298,17 @@ def test_unknown_only_is_refused_before_emit_spaces_writes(tmp_path, capsys):
     assert not target.exists() or not any(target.iterdir())
 
 
+@pytest.mark.parametrize("crit", ["unitary-four-rotation", "unitary-t-gadget"])
+def test_proved_row_runs_past_the_ambient_guard(space_dir, tmp_path, crit):
+    # the guard bounds search memory alone: l1_2_model_64 (64 x 64) at level 9 is proved, not refused
+    out = tmp_path / "r.json"
+    rc = run_cli(["check", space_dir / "l1_2_model_64.json", crit, "--levels", 9, "--format", "json", "--out", out])
+    assert rc == 0
+    payload = load_report(out)
+    assert payload["proof"] is not None and payload["samples"] == 0
+    assert payload["levels_checked"] == list(range(1, 10))
+
+
 def test_emit_spaces_naming_a_file_is_refused_before_the_corpus_runs(tmp_path, capsys):
     target = tmp_path / "x.json"
     target.write_text("keep", encoding="utf-8")
@@ -364,15 +371,6 @@ def write_diagonal_space(path, diagonals, unit=None):
     return path
 
 
-@pytest.mark.parametrize("rank_tol", [-1, 0])
-def test_rank_tol_must_be_positive(tmp_path, capsys, rank_tol):
-    path = write_diagonal_space(tmp_path / "dependent.json", [[1, 0], [2, 0]])
-    assert run_cli(["check", path, "mult-closed"]) == 3
-    assert "rank deficient" in capsys.readouterr().err
-    assert run_cli(["check", path, "mult-closed", "--rank-tol", rank_tol]) == 3
-    assert "rank_tol must lie in (0, 1)" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_must_be_positive(capsys, threads):
     rc = run_cli(["corpus", "--only", "non_algebra_span", "--threads", threads])
@@ -380,13 +378,13 @@ def test_threads_must_be_positive(capsys, threads):
     assert "threads must be positive" in capsys.readouterr().err
 
 
-def test_unit_index_keeps_rank_tol(tmp_path, capsys):
-    path = write_diagonal_space(tmp_path / "near.json", [[1, 0], [1, 1e-12]], unit=[1, 0])
-    assert run_cli(["check", path, "positive"]) == 3
-    assert "rank deficient" in capsys.readouterr().err
-    assert run_cli(["check", path, "positive", "--rank-tol", 1e-14]) == 0
-    assert run_cli(["check", path, "positive", "--rank-tol", 1e-14, "--unit-index", 0]) == 0
-    assert capsys.readouterr().err == ""
+@pytest.mark.parametrize("second", [[2, 0], [1, 1e-12]], ids=["dependent", "near-dependent"])
+def test_rank_deficient_basis_exits_3(tmp_path, capsys, second):
+    # the relative rank tolerance is spaces.RANK_TOL (1e-10) alone: no flag moves it
+    path = write_diagonal_space(tmp_path / "basis.json", [[1, 0], second], unit=[1, 0])
+    for extra in ([], ["--unit-index", 0]):
+        assert run_cli(["check", path, "positive", *extra]) == 3
+        assert "rank deficient" in capsys.readouterr().err
 
 
 def test_level1_oracle_space_with_non_selfadjoint_unit_exits_3(tmp_path, capsys):
@@ -447,6 +445,21 @@ def test_out_naming_a_directory_is_refused_up_front(space_dir, tmp_path, capsys,
     assert f"--out {tmp_path}: names a directory, not a report file" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@EVERY_SUBCOMMAND
+def test_failed_report_write_exits_3(space_dir, tmp_path, monkeypatch, capsys, argv):
+    # the directory is writable, so only the write itself fails, as on a full disk
+    def no_space(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(cli, "open", no_space, raising=False)
+    argv = [str(a).format(space=space_dir / "full_matrix_2.json") for a in argv]
+    out = tmp_path / "r.json"
+    assert run_cli(argv + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"error: --out {out}: cannot write the report ([Errno {errno.ENOSPC}]" in err
+    assert "Traceback" not in err
 
 
 def test_proved_report_prints_its_proof(space_dir, tmp_path, capsys):

@@ -34,35 +34,35 @@ def test_run_corpus_aggregation(corpus_entries):
         corpus.run_corpus(witness.SearchConfig(), only="no_such_entry")
 
 
-#: sha256 of each entry's space JSON, expected items in order, tolerance and max_level, for the 13 corpus
+#: sha256 of each entry's space JSON and its expected items in order, for the 13 corpus
 #: entries and the family instances the tests build: any change to a space, a verdict or its order moves one.
 ENTRY_DIGESTS = {
-    "linf3_ones": "4ef1a398f1d1115e42dd5cc405ebfb88fbe09552dc76eb94ee0bb9a5e8cbf914",
-    "linf3_e1": "172b01c1746d015e02bfd574240a97999576013382b3171b9dcc3bc4fc66881c",
-    "trace_class_2": "88d26127e72f5441896a17355a4b70094151060c4cb3521451148fd9dd88f2d4",
-    "lower_triangular_L12": "aa756ed4a80b773c239d5ea5227a981c38f445d7d8a1b373aaa7da7a19f89d4e",
-    "l1_2_diag_trace": "f6e7a42688807b1745aa6060cdf003adad55e6d021c449a648337b22cba8088b",
-    "l1_2_model_64": "9573c033ea1c945a825729e2f2bbbe41b4b7bcdde5ba6483f1d3c4b833c1c473",
-    "column_H2": "cd1a55509c202d78a1a4371b06729795f4682eb622ca07e8a25d5b754786dd8b",
-    "twisted_selfadjoint": "fb994b9db2ea3c69c582a2ff9e3c42fc7de91136bc61b80a6451b6a0a55e85e3",
-    "upper_triangular_2": "bf39662b3cab28e44b8a2b411b068cd00036b05d8222fcf01e406b2b9574a6e5",
-    "full_matrix_2": "eec8c4f038ffedaa0d2bdcbbfdb6b11d796d0bd66b5ce4391e183248184e078b",
-    "full_matrix_2_plus_half": "39d52653b63081b2395b21877ce4bdedeb0b7137a028d988ef47a2e903de2674",
-    "non_algebra_span": "39e541b5dddeb7d07c242d1c4805d6623a7378d23f046f125886539f35a0fc85",
-    "left_identity_pair": "984e4277ac0e311384cc9f76d29ac76cb370dbab6d5cf0c23a4c62d502e1acd7",
-    'build_linf(1, "ones")': "2768cb6e58d7f34a311cdcfb0788b03887e958d8be5b91cf9655b8541ce0c33f",
-    'build_linf(1, "e1")': "64e4f3c881ac675b9ef48cd02e0aa3bd9d608abe92276b441b0d76985b534e01",
-    'build_trace_class_2(alpha=0.5)': "24ed6bff48c9aa7af4365890891d714d34108396a45bc100a562a695be21a36e",
-    'build_l1_2_model(4)': "19ee6ad0b1fa78b09af3fd9160b0158d17a9e2b8c04ade1dbf906944715a63bb",
-    'build_l1_2_model(16)': "343fd8f8e258f01da7a9ec34189b5cdddc49d2cd7ee203759e86fee57193bd7e",
-    'build_upper_triangular(3)': "c0cf21010231ea662c2de38095a72674da862dcd42ae9ad8bd18d99e1174f93b",
-    'build_full_matrix(3)': "103c390039135d4d16698c54ba250900f5e84d769a0509e84c2e5cae39442b5c",
-    'build_full_matrix_plus_half(3)': "29bab70bb0a2bcb7a71be5121aa34acd46e5ffbd937aaff90a4c17831c180078",
+    "linf3_ones": "e68cac8e1816dc42d82c6ccfe651b371a722ce299e586546e793f8cbd9e6225c",
+    "linf3_e1": "5463a30c47ba090aadb4e74c354fc2fdcbb846585640894cb2bcfa415e7bbda4",
+    "trace_class_2": "7d40bcaae82dcb85f490521c972dc0f86916d5eacb0abe3ef1f69c42584ece6c",
+    "lower_triangular_L12": "b4b93b9d40829e437972f4b948c3d3feb7d0dca68297c3ba9a6357e584c08a34",
+    "l1_2_diag_trace": "8100bb5841330a4cc3e439e8755d9905d696c63c4e35f5e05d979c96856f7f16",
+    "l1_2_model_64": "8380f66f56ef673af3676e329a3526c9785b78046898822c38b869d30ffbf5e1",
+    "column_H2": "97a82242d5aee19562ddf469f3ea4400d0f05626d83675ef734a1235dbf5622f",
+    "twisted_selfadjoint": "8ce9f9b55c793034c772fbb93929f83145f02150b9b05e8aa0064f1ab5edc2a4",
+    "upper_triangular_2": "272f3e431873c1aa432e1712167d582d7128383e3ed441221c0d56ceb9d22b9b",
+    "full_matrix_2": "d4ae1495b47739ee9906abf1b7d9e41305ab50050d9922060be7e387ba04b918",
+    "full_matrix_2_plus_half": "b97cb368f4e03997eb590902c2ed8de33f141e26436df6cabcb8da5f95f162d5",
+    "non_algebra_span": "a659bfd1e6ff94833f55084ac43ee4d8968f1fe10bce22b1b2e43eeca589c98a",
+    "left_identity_pair": "c0a6f281772cef20d9a0d4b09451720fb013a85fef768edb17f3ccd71b517758",
+    'build_linf(1, "ones")': "19f49268df514c2cab673b66670d16739c2f7c84770ff728be5b472bc8a127d6",
+    'build_linf(1, "e1")': "90f3d52d90f506b7a34c4e9ab1f3a4bf0a84dffd25f19a973254012904656217",
+    'build_trace_class_2(alpha=0.5)': "455c74db8e9fe6055eff6a907ede1228fbbff32dfc41b4a76020a684f577fe40",
+    'build_l1_2_model(4)': "e2c35fca9a5acb2be4f225d172de23e158977551e48a9a5717e3e53c2b0a4c63",
+    'build_l1_2_model(16)': "f45ed25d192ba3b5dfe577adb59bb9c36dbbd0961e2f7dddb9367cab741c9986",
+    'build_upper_triangular(3)': "2ff6e788d72c87b7596c7514fa89dd47d278d064824637567165ed1b6e25a8e1",
+    'build_full_matrix(3)': "3e598681bb3df168e36cb56f9c35e1326014872acec30b744e7dd8941a4d052e",
+    'build_full_matrix_plus_half(3)': "7984d9ddb475456748dd8040e29b0c254bcd92f707812417489f03d3ce3702d8",
 }
 
 
 def entry_digest(entry):
-    doc = [spaces.space_to_json(entry.space), list(entry.expected.items()), entry.tolerance, entry.max_level]
+    doc = [spaces.space_to_json(entry.space), list(entry.expected.items())]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
@@ -173,6 +173,17 @@ def test_non_algebra_span_facts():
 def test_lower_triangular_L12_zero_norm_sanity():
     space = corpus.entry("lower_triangular_L12").space
     assert spaces.norm(space, zero_element(space)) == 0.0
+
+
+def test_every_entry_runs_at_the_callers_config(corpus_reports):
+    # no entry carries a config of its own: every config echo is the default's, and every proved row
+    # (l1_2_model_64's two unitary rows among them) lists every default level
+    cfg = witness.SearchConfig()
+    reports = [(name, rep) for name, rows in corpus_reports.items() for rep in rows.values()]
+    assert all(rep.config == cfg.to_dict() for _, rep in reports)
+    proved = [(name, rep.levels_checked) for name, rep in reports if rep.proof]
+    assert [name for name, _ in proved].count("l1_2_model_64") == 2
+    assert all(levels == list(range(1, cfg.max_level + 1)) for _, levels in proved)
 
 
 def test_corpus_thread_count_does_not_change_results():

@@ -241,7 +241,7 @@ def first_violated(corpus_entries, corpus_reports, crit):
 @pytest.mark.parametrize("crit", list(REEVALUATORS))
 def test_each_row_check_reports_what_the_corpus_runs(corpus_entries, corpus_reports, crit):
     entry, rep = first_violated(corpus_entries, corpus_reports, crit)
-    cfg = corpus.entry_config(entry, witness.SearchConfig())
+    cfg = witness.SearchConfig()
     assert criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=cfg).to_dict() == rep.to_dict()
 
 
@@ -825,7 +825,7 @@ def all_criteria_reports(entry, criterion_cache):
     ``left-multiplier-map`` with the identity and with the coefficients reversed.
     """
     space = entry.space
-    cfg = corpus.entry_config(entry, witness.SearchConfig())
+    cfg = witness.SearchConfig()
     reports = [criterion_cache(entry.name, crit) for crit in entry.expected]
     reports += [criteria.check_multiplier(space, space.basis[0], side, cfg) for side in ("left", "right", "quasi")]
     if space.unit is not None:
@@ -1326,8 +1326,7 @@ def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus
     for seed in (7, 4242):
         for name, crit in SPHERE_VIOLATED:
             entry = corpus_entries[name]
-            rep = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=corpus.entry_config(
-                entry, witness.SearchConfig(seed=seed)))
+            rep = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=witness.SearchConfig(seed=seed))
             assert rep.verdict == criteria.VIOLATED and cap_notes(name, crit, rep), (seed, name, crit)
 
 
@@ -1336,7 +1335,7 @@ def test_cap_note_only_on_ball_rows_that_held_a_violation(corpus_entries, corpus
                                         ("linf3_e1", "operator-system"), *SPHERE_VIOLATED])
 def test_witness_at_its_cap_skips_only_the_polish(monkeypatch, corpus_entries, name, crit, seed):
     entry = corpus_entries[name]
-    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=seed))
+    cfg = witness.SearchConfig(seed=seed)
     capped = criteria.SEARCH_CRITERIA[crit].check(entry.space, cfg=cfg)
     real, polishes = witness.refine_witness, []
 
@@ -1471,7 +1470,7 @@ def test_operator_system_stops_at_its_cap_on_a_commutative_unit(conjugate):
         space = spaces.make_space(U @ space.basis @ U.conj().T, unit=space.unit, involution=space.involution)
     nu, delta = criteria._unit_profile(space, space.unit)
     assert abs(nu - 1.0) <= 1e-15 and 0.0 <= delta <= 1e-15
-    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
+    cfg = witness.SearchConfig(seed=1729)
     spec = criteria.SEARCH_CRITERIA["operator-system"]
     capped = spec.check(space, cfg=cfg)
     plain = dataclasses.replace(spec, cap=None).check(space, cfg=cfg)

@@ -125,7 +125,7 @@ SEARCHED_MARGINS = {
 @pytest.mark.parametrize("seed, name, crit", sorted(SEARCHED_MARGINS))
 def test_one_sided_corpus_rows_are_constructed_at_least_as_far_as_the_search_went(seed, name, crit):
     entry = corpus.entry(name)
-    rep = criteria.run_check(entry.space, crit, corpus.entry_config(entry, witness.SearchConfig(seed=seed)))
+    rep = criteria.run_check(entry.space, crit, witness.SearchConfig(seed=seed))
     assert (rep.verdict, rep.samples, rep.trace) == (criteria.VIOLATED, 1, [])
     searched = SEARCHED_MARGINS[seed, name, crit]
     assert rep.margin <= searched  # the violation is at least the one searched for

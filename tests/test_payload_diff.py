@@ -94,12 +94,11 @@ def test_dump_adds_positive_the_multipliers_and_the_left_multiplier_maps(payload
                                                  "left-multiplier-map-id", *square])
     assert keys["linf3_ones"] == sorted([*entries["linf3_ones"].expected, "positive", *square,
                                          *payload_diff.LEFT_MULTIPLIER_CHECKS])
+    cfg = witness.SearchConfig(seed=7)
     entry = entries["upper_triangular_2"]
-    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=7))
     report = criteria.run_check(entry.space, "multiplier-quasi", cfg, w_index=0)
     assert dumped["7/upper_triangular_2/multiplier-quasi"] == json.loads(json.dumps(report.to_dict()))
     nas = entries["non_algebra_span"]
-    cfg = corpus.entry_config(nas, witness.SearchConfig(seed=7))
     x = nas.space.basis[0] / matcore.op_norm(nas.space.basis[0])
     for key, z, verdict in (("adjoint-x*", matcore.dagger(x), criteria.HOLDS_WITHIN_BUDGET),
                             ("adjoint-x", x, criteria.VIOLATED)):
@@ -107,7 +106,6 @@ def test_dump_adds_positive_the_multipliers_and_the_left_multiplier_maps(payload
         assert report.verdict == verdict
         assert dumped[f"7/non_algebra_span/{key}"] == json.loads(json.dumps(report.to_dict()))
     linf3 = entries["linf3_ones"]
-    cfg = corpus.entry_config(linf3, witness.SearchConfig(seed=7))
     for key, T in zip(payload_diff.LEFT_MULTIPLIER_CHECKS, (np.eye(linf3.space.dim), linf3.space.involution)):
         report = criteria.check_left_multiplier_map(linf3.space, T, cfg)
         assert dumped[f"7/linf3_ones/{key}"] == json.loads(json.dumps(report.to_dict()))

@@ -218,13 +218,6 @@ def test_fibered_realization_matches_dense_norms():
             assert dense == pytest.approx(fib, abs=1e-12)
 
 
-@pytest.mark.parametrize("rank_tol", [-1.0, 0.0, 1.0, float("nan")])
-def test_rank_tol_outside_unit_interval_refused(rank_tol):
-    basis = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    with pytest.raises(InvalidInputError, match="rank_tol"):
-        spaces.make_space(basis, rank_tol=rank_tol)
-
-
 # ---------------------------------------------------------------------------
 # block layout
 

@@ -48,15 +48,15 @@ def searched_reports(corpus_reports):
                 yield name, crit, rep
 
 
-def test_proved_rows_are_exactly_the_identity_rows(corpus_entries, corpus_reports):
+def test_proved_rows_are_exactly_the_identity_rows(corpus_reports):
     proved = {(name, crit) for name, crit, rep in searched_reports(corpus_reports) if rep.proof}
     assert proved == PROVED
+    levels = list(range(1, witness.SearchConfig().max_level + 1))
     for name, crit in PROVED:
         rep = corpus_reports[name][crit]
-        cfg = corpus.entry_config(corpus_entries[name], witness.SearchConfig())
         assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET
         assert (rep.margin, rep.samples, rep.trace, rep.witness) == (0.0, 0, [], None)
-        assert rep.levels_checked == list(range(1, cfg.max_level + 1))
+        assert rep.levels_checked == levels
         assert rep.proof["identity"] == criteria.IDENTITIES[criteria.SEARCH_CRITERIA[crit].proof]
         assert rep.proof["tolerance"] == criteria.PROOF_TOL
         assert 0.0 <= rep.proof["residual"] <= criteria.PROOF_TOL
@@ -87,8 +87,7 @@ def test_a_search_on_every_proved_row_finds_no_violation(monkeypatch, corpus_ent
     # SearchCriterion.search runs the row's search and tries no proof
     monkeypatch.setattr(witness, "ASCENT_STEPS", SMALL_STEPS)
     entry = corpus_entries[name]
-    cfg = corpus.entry_config(entry, SMALL)
-    rep = criteria.SEARCH_CRITERIA[crit].search(entry.space, entry.space.unit, cfg)
+    rep = criteria.SEARCH_CRITERIA[crit].search(entry.space, entry.space.unit, SMALL)
     assert rep.verdict == criteria.HOLDS_WITHIN_BUDGET, rep.margin
     assert rep.proof is None and rep.samples > 0
 
@@ -149,12 +148,21 @@ def test_preconditions_still_refuse_before_the_proof():
     space = corpus.build_full_matrix(2).space
     with pytest.raises(InvalidInputError, match="restarts"):
         criteria.CRITERION_RUNNERS["coisometry"](space, cfg=witness.SearchConfig(restarts=-1))
-    with pytest.raises(InvalidInputError, match="ambient guard"):
-        criteria.CRITERION_RUNNERS["coisometry"](space, cfg=witness.SearchConfig(max_level=300))
     with pytest.raises(InvalidInputError, match="contraction"):
         criteria.CRITERION_RUNNERS["coisometry"](space, u=2 * space.unit)
     with pytest.raises(InvalidInputError, match="selfadjoint"):
         criteria.CRITERION_RUNNERS["operator-system"](space, u=np.array([0, 1, 0, 0], dtype=complex))
+
+
+def test_ambient_guard_refuses_the_search_alone():
+    # the guard bounds search memory: a proved row runs at any level, a searched one past 512 is refused
+    space = corpus.build_full_matrix(2).space
+    cfg = witness.SearchConfig(max_level=300)
+    rep = criteria.CRITERION_RUNNERS["coisometry"](space, cfg=cfg)
+    assert rep.proof is not None and rep.samples == 0
+    assert rep.levels_checked == list(range(1, 301))
+    with pytest.raises(InvalidInputError, match="ambient guard: max_level=300"):
+        criteria.CRITERION_RUNNERS["coisometry"](space, u=0.5 * space.unit, cfg=cfg)
 
 
 def test_report_with_proof_round_trips(criterion_cache):

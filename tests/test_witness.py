@@ -479,7 +479,7 @@ def test_snap_steps_zero_reproduces_the_search_without_snaps(monkeypatch, entry_
     # the margins and sample counts of these searches at seed 1729 with neither the snap trial nor the caps
     # (``search`` tries no proof and no constructed witness, so column_H2 four-rotation still searches)
     entry = {e.name: e for e in corpus.build_corpus()}[entry_name]
-    cfg = corpus.entry_config(entry, witness.SearchConfig(seed=1729))
+    cfg = witness.SearchConfig(seed=1729)
     spec = criteria.SEARCH_CRITERIA[criterion]
     snapping = spec.search(entry.space, entry.space.unit, cfg)
     monkeypatch.setattr(witness, "SNAP_STEPS", 0)
@@ -648,7 +648,7 @@ def polish_calls(monkeypatch, entry_name, criterion, seed):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(witness, "refine_witness", spy)
-    report = criteria.run_check(entry.space, criterion, corpus.entry_config(entry, witness.SearchConfig(seed=seed)))
+    report = criteria.run_check(entry.space, criterion, witness.SearchConfig(seed=seed))
     monkeypatch.undo()
     return report, calls
 
