@@ -6,7 +6,9 @@ On linf3 (the diagonal 3x3 matrices with the sup norm) the unit (1, 1, 1) is a
 unitary, so every searched row holds there.  Moving its last entry to 1 - eps
 breaks every row by a defect of size about eps: four-rotation, for one, is
 violated by about eps/2 at x = eps e_3, and nowhere by much more.  No ternary
-identity proves these rows, so each is decided by its search.
+identity proves these rows, and u_eps satisfies neither half of
+u u* B = B = B u* u, so no witness is constructed: each row is decided by its
+search.
 
 The script checks the five searched rows (``ROWS``) at each eps of ``EPSILONS``
 and each seed of the range (default 1-40) with the default SearchConfig at that
@@ -40,7 +42,7 @@ def check(row: str, eps: float, seed: int):
     from opspace import corpus, criteria, witness
 
     space = corpus.build_linf(3, "ones").space
-    return criteria.CRITERION_RUNNERS[row](space, planted_unit(eps), cfg=witness.SearchConfig(seed=seed))
+    return criteria.SEARCH_CRITERIA[row].check(space, planted_unit(eps), witness.SearchConfig(seed=seed))
 
 
 def main(argv=None) -> int:

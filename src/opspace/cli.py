@@ -187,17 +187,15 @@ def cmd_verify_formulas(args) -> int:
 
 def cmd_corpus(args) -> int:
     cfg = _build_config(args)
-    if args.emit_spaces:
-        built = corpus.build_corpus()  # each entry built once: every file is written, and --only runs one of them
-        entries = corpus.pick_entries(built, args.only)  # an unknown --only is refused before any file is written
+    built = corpus.build_corpus() if args.emit_spaces else None  # built once: --only runs one, all are written
+    entries = corpus.select_entries(args.only) if built is None else corpus.pick_entries(built, args.only)
+    result = corpus.run_entries(entries, cfg, cfg.threads)
+    if args.emit_spaces:  # written after the run, so a refused run writes no file
         try:
             corpus.write_space_files(args.emit_spaces, built)
         except OSError as exc:
             raise InvalidInputError(f"--emit-spaces {args.emit_spaces}: cannot write the space files "
                                     f"({exc})") from exc
-    else:
-        entries = corpus.select_entries(args.only)
-    result = corpus.run_entries(entries, cfg, cfg.threads)
     payload = _envelope({
         "command": "corpus",
         "config": cfg.to_dict(),
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="run every reference space against expected verdicts")
     p_corpus.add_argument("--only", default=None, help="run a single named entry")
     p_corpus.add_argument("--emit-spaces", default=None,
-                          help="also write each entry's space-definition JSON into this directory")
+                          help="after the run, write each entry's space-definition JSON into this directory")
     _add_budget_flags(p_corpus)
     p_corpus.add_argument("--threads", type=int, default=1, help="worker thread cap")
     _add_output_flags(p_corpus)

@@ -8,6 +8,9 @@ criteria on embedded spaces, a proof: when the distinguished element
 satisfies the ternary identity of its criterion (``SearchCriterion.proof``)
 on every basis element, the criterion holds at every level and no search
 runs.  Such a report carries ``proof``; a searched one does not.
+``SearchCriterion.check`` measures the identity once and takes the first of
+three routes that decides the row, in this order: the proof, the
+construction below, and the search.
 
 The two unitary rows (``proof`` "both") decide a one-sided unit without a
 search too.  Say u satisfies the left half u u* B = B alone.  Since u lies
@@ -527,9 +530,10 @@ class SearchCriterion:
     def check(self, space, u=None, cfg: witness.SearchConfig | None = None) -> CheckReport:
         """Check this row for ``u`` (default: the space's distinguished element).
 
-        The preconditions come first, in order, then the ternary proof; on a
-        unitary row whose unit satisfies one half of its identity alone, the
-        constructed witness (``_constructed``); else the search.
+        The preconditions come first, in order.  Then the identity is
+        measured once, and the row is decided by the first route that
+        applies: the ternary proof, the constructed witness of a one-sided
+        unit (``_constructed``), and the search.
         """
         cfg = cfg or witness.SearchConfig()
         if self.involution and space.involution is None:
@@ -545,23 +549,30 @@ class SearchCriterion:
         if proof is not None:
             return _report(self.name, cfg, levels=cfg.max_level, proof=proof,
                            notes=[f"proved by the ternary identity {proof['identity']}; no search run"])
-        held = [half for half, residual in residuals.items() if residual <= PROOF_TOL]
-        if self.proof == "both" and len(held) == 1:
-            x0 = _annihilated(space, Uh, held[0])
-            if x0 is not None:
-                return self._constructed(space, u, cfg, held[0], x0)
-        return self.search(space, u, cfg)
+        return self._constructed(space, u, cfg, residuals, Uh) or self.search(space, u, cfg)
 
-    def _constructed(self, space, u, cfg: witness.SearchConfig, half: str, x0: np.ndarray) -> CheckReport:
-        """The report at x = T_STAR x0 / ||x0||, where the unitary rows reach their supremum G_STAR.
+    def _constructed(self, space, u, cfg: witness.SearchConfig, residuals: dict,
+                     Uh: np.ndarray | None) -> CheckReport | None:
+        """The report at x = T_STAR x0 / ||x0||, where the unitary rows reach their supremum G_STAR, or None.
 
-        u satisfies the ``half`` of u u* B = B = B u* u alone, and x0 (the
-        coefficients of a nonzero element of X) has x0 u* = 0 (left half) or
-        u* x0 = 0 (right half); see ``_annihilated``.  Every level's objective
-        is then at most g(||x||) = sqrt(1 + ||x||) - sqrt(1 + ||x||^2), and
-        x reaches g's peak at level 1 (module docstring).  One evaluation, no
-        trace, and no ``proof``: the verdict follows from the value at x.
+        The second route of ``check``, after the proof and before the search.
+        It applies when the row is a unitary one (``proof`` "both"), u
+        satisfies exactly one half of u u* B = B = B u* u (``residuals`` and
+        ``Uh`` are what ``_identity_residuals`` gives), and ``_annihilated``
+        finds x0 (the coefficients of a nonzero element of X) with x0 u* = 0
+        (left half) or u* x0 = 0 (right half); otherwise it returns None.
+        Every level's objective is then at most
+        g(||x||) = sqrt(1 + ||x||) - sqrt(1 + ||x||^2), and x reaches g's
+        peak at level 1 (module docstring).  One evaluation, no trace, and
+        no ``proof``: the verdict follows from the value at x.
         """
+        exact = [half for half, residual in residuals.items() if residual <= PROOF_TOL]
+        if self.proof != "both" or len(exact) != 1:
+            return None
+        half = exact[0]
+        x0 = _annihilated(space, Uh, half)
+        if x0 is None:
+            return None
         coeffs = x0.reshape(1, 1, -1)
         x = spaces.LevelElement(1, coeffs * (T_STAR / spaces.norm(space, spaces.LevelElement(1, coeffs))))
         value = self.value_at(space, u, x)
@@ -576,21 +587,25 @@ class SearchCriterion:
     def search(self, space, u, cfg: witness.SearchConfig) -> CheckReport:
         """The violation search over this row's levels and radii, with no proof tried.
 
-        Levels (level 1 alone on a level-1-oracle space) are searched in
-        increasing order and stop early once a level has produced a
-        violation: the verdict cannot change, only the margin could.  All
-        radius cells of a level are searched by one lockstep call.  The radii
-        come largest first, since every smaller ball is contained in the
-        largest one; that order fixes each cell's stream key and trace
-        position, and a later cell replaces the best only when strictly
-        better.  A row's caps bound the objective on each radius's ball (or
-        sphere) at every level.  The best witness is then polished by
-        ``witness.refine_witness`` in the ball (or sphere) of the radius that
-        won, under that radius's cap: a witness already at its cap takes no
-        polish step, since none could be accepted, so its report differs
-        from a full polish in ``samples`` alone.  The ambient guard refuses
-        first: it bounds the search's memory, so a row decided without a
-        search (proved or constructed) runs at any ``max_level``.
+        The last route of ``check``, when neither the proof nor the
+        construction applies.  Levels (level 1 alone on a level-1-oracle
+        space) are searched in increasing order and stop early once a level
+        has produced a violation: the verdict cannot change, only the margin
+        could.  All radius cells of a level are searched by one lockstep
+        call.  The radii come largest first, since every smaller ball is
+        contained in the largest one; that order fixes each cell's stream
+        key and trace position.  A row's caps bound the objective on each
+        radius's ball (or sphere) at every level.  The search keeps one
+        record per cell it ran, and reads the rest from that list: the
+        winner is the first cell, in (level, radius) order, with the
+        strictly largest finite best, so a cell whose restarts all died never
+        wins.  Its best is polished by ``witness.refine_witness`` in the
+        ball (or sphere) of the winner's radius, under that radius's cap: a
+        witness already at its cap takes no polish step, since none could be
+        accepted, so its report differs from a full polish in ``samples``
+        alone.  The ambient guard refuses first: it bounds the search's
+        memory, so a row decided without a search (proved or constructed)
+        runs at any ``max_level``.
         """
         cfg.guard_ambient(space)
         levels, notes = list(range(1, cfg.max_level + 1)), []
@@ -604,49 +619,39 @@ class SearchCriterion:
         n_cells = len(levels) * len(radii)
         per_cell = max(1, cfg.restarts // n_cells) if cfg.restarts > 0 else 0
 
-        best_value = -np.inf
-        best_elem = None
-        best_radius = best_cap = best_pair = None
-        evaluations = 0
-        stopped = 0
-        capped = 0
-        trace = []
-        for li, n in enumerate(levels):  # after the loop, n is the last level searched
-            objective, gradient = self.objective(space, u, n)
+        cells = []  # (level, radius index, result, (objective, gradient)) of every cell run
+        for li, n in enumerate(levels):
+            objective, gradient = pair = self.objective(space, u, n)
             results = witness.maximize_violation(
                 objective, space, n, cfg, cells=[(r, (self.key, li, ri)) for ri, r in enumerate(radii)],
                 mode=mode, restarts=per_cell, gradient=gradient, caps=caps,
             )
-            for ri, (r, res) in enumerate(zip(radii, results)):
-                evaluations += res.evaluations
-                stopped += res.stopped
-                capped += res.capped
-                trace.append({"level": n, "radius": r, "restarts": per_cell,
-                              "best": res.best_value if np.isfinite(res.best_value) else None,
-                              "evaluations": res.evaluations,
-                              "restart_bests": [v if np.isfinite(v) else None
-                                                for v in res.restart_bests]})
-                if res.best_value > best_value:
-                    best_value = res.best_value
-                    best_elem = res.best_point
-                    best_radius = r
-                    best_cap = None if caps is None else caps[ri]
-                    best_pair = (objective, gradient)
-            if best_value > cfg.tolerance:
+            cells += [(n, ri, res, pair) for ri, res in enumerate(results)]
+            if max(res.best_value for res in results) > cfg.tolerance:
                 break
 
-        if best_elem is not None:
-            objective, gradient = best_pair
-            polished = witness.refine_witness(
-                objective, space, best_elem, best_radius, mode=mode, gradient=gradient, cap=best_cap
-            )
+        results = [res for _, _, res, _ in cells]
+        evaluations = sum(res.evaluations for res in results)
+        best_value, best_elem = -np.inf, None
+        live = [cell for cell in cells if np.isfinite(cell[2].best_value)]
+        if live:
+            _, ri, res, (objective, gradient) = max(live, key=lambda cell: cell[2].best_value)
+            best_value, best_elem = res.best_value, res.best_point
+            polished = witness.refine_witness(objective, space, best_elem, radii[ri], mode=mode,
+                                              gradient=gradient, cap=None if caps is None else caps[ri])
             evaluations += polished.evaluations
             if polished.best_value > best_value:
-                best_value = polished.best_value
-                best_elem = polished.best_point
+                best_value, best_elem = polished.best_value, polished.best_point
 
-        started = sum(len(cell["restart_bests"]) for cell in trace)
-        dead = sum(v is None for cell in trace for v in cell["restart_bests"])
+        trace = [{"level": n, "radius": radii[ri], "restarts": per_cell,
+                  "best": res.best_value if np.isfinite(res.best_value) else None,
+                  "evaluations": res.evaluations,
+                  "restart_bests": [v if np.isfinite(v) else None for v in res.restart_bests]}
+                 for n, ri, res, _ in cells]
+        started = sum(len(res.restart_bests) for res in results)
+        dead = sum(not np.isfinite(v) for res in results for v in res.restart_bests)
+        stopped = sum(res.stopped for res in results)
+        capped = sum(res.capped for res in results)
         if dead:
             notes.append(f"{dead} of {started} restarts died on non-finite objective values")
         if stopped:
@@ -658,9 +663,9 @@ class SearchCriterion:
             verdict, best_value = INCONCLUSIVE, 0.0
             if not dead:
                 notes.append("no search evidence (zero restarts)")
-        return _report(self.name, cfg, best_value, n, evaluations, verdict=verdict, notes=notes, trace=trace,
-                       found=lambda: (best_elem, {"violation": best_value,
-                                                  "witness_norm": float(spaces.norm(space, best_elem))}))
+        return _report(self.name, cfg, best_value, cells[-1][0], evaluations, verdict=verdict, notes=notes,
+                       trace=trace, found=lambda: (best_elem, {"violation": best_value,
+                                                               "witness_norm": float(spaces.norm(space, best_elem))}))
 
 
 SEARCH_CRITERIA = {c.name: c for c in (

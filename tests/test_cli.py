@@ -298,6 +298,14 @@ def test_unknown_only_is_refused_before_emit_spaces_writes(tmp_path, capsys):
     assert not target.exists() or not any(target.iterdir())
 
 
+def test_corpus_refused_by_the_ambient_guard_writes_no_space_files(tmp_path, capsys):
+    # the space files are written after the run, so a run the guard refuses leaves none behind
+    target = tmp_path / "guarded"
+    assert run_cli(["corpus", "--levels", 600, "--emit-spaces", target]) == 3
+    assert "ambient guard: max_level=600 x max(p,q)=3 exceeds 512" in capsys.readouterr().err
+    assert not list(target.glob("*.json"))
+
+
 @pytest.mark.parametrize("crit", ["unitary-four-rotation", "unitary-t-gadget"])
 def test_proved_row_runs_past_the_ambient_guard(space_dir, tmp_path, crit):
     # the guard bounds search memory alone: l1_2_model_64 (64 x 64) at level 9 is proved, not refused
